@@ -51,7 +51,7 @@ from .errors import (
 )
 from .exactlp import EQ, GE, GT, Feasible, LinRow, LinSystem, solve, strict_feasible
 from .maximal import LexSystem, lex_member
-from .space import Assignment, Gamble, Scope, indicator
+from .space import CACHE_MAXSIZE, Assignment, Gamble, Scope, indicator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -127,7 +127,7 @@ class ConsistencyCertificate:
     nonpositive_combination: Optional[tuple[Fraction, ...]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def avoids_nonpositivity(assessment: GeneratorSet) -> ConsistencyCertificate:
     """Can no convex combination of the generators be everywhere <= 0?"""
     gens = assessment.generators
@@ -138,13 +138,13 @@ def avoids_nonpositivity(assessment: GeneratorSet) -> ConsistencyCertificate:
 
     weight_names = ["w%d" % k for k in range(len(gens))]
     rows = [
-        LinRow(tuple(_ONE if j == k else _ZERO for j in range(len(gens))), GE, _ZERO)
+        LinRow(tuple([_ONE if j == k else _ZERO for j in range(len(gens))]), GE, _ZERO)
         for k in range(len(gens))
     ]
-    rows.append(LinRow(tuple(_ONE for _ in gens), EQ, _ONE))
+    rows.append(LinRow(tuple([_ONE for _ in gens]), EQ, _ONE))
     for w in range(size):
         rows.append(
-            LinRow(tuple(-g.values[w] for g in gens), GE, _ZERO)
+            LinRow(tuple([-g.values[w] for g in gens]), GE, _ZERO)
         )
     outcome = solve(LinSystem(tuple(weight_names), tuple(rows)))
     if isinstance(outcome, Feasible):
@@ -152,7 +152,7 @@ def avoids_nonpositivity(assessment: GeneratorSet) -> ConsistencyCertificate:
 
     mass_names = ["p%d" % w for w in range(size)]
     strict_rows = [
-        LinRow(tuple(_ONE if j == w else _ZERO for j in range(size)), GT, _ZERO)
+        LinRow(tuple([_ONE if j == w else _ZERO for j in range(size)]), GT, _ZERO)
         for w in range(size)
     ]
     for g in gens:
@@ -163,7 +163,7 @@ def avoids_nonpositivity(assessment: GeneratorSet) -> ConsistencyCertificate:
             "consistency check and its dual both failed; engine bug"
         )
     total = sum(strict.witness, _ZERO)
-    mass = tuple(v / total for v in strict.witness)
+    mass = tuple([v / total for v in strict.witness])
     return ConsistencyCertificate(True, mass, None)
 
 
@@ -195,12 +195,12 @@ def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
         return False
     names = ["w%d" % k for k in range(len(gens))]
     rows = [
-        LinRow(tuple(_ONE if j == k else _ZERO for j in range(len(gens))), GE, _ZERO)
+        LinRow(tuple([_ONE if j == k else _ZERO for j in range(len(gens))]), GE, _ZERO)
         for k in range(len(gens))
     ]
     for w in range(assessment.scope.size):
         rows.append(
-            LinRow(tuple(-g.values[w] for g in gens), GE, -f.values[w])
+            LinRow(tuple([-g.values[w] for g in gens]), GE, -f.values[w])
         )
     outcome = solve(LinSystem(tuple(names), tuple(rows)))
     return isinstance(outcome, Feasible)
@@ -610,10 +610,10 @@ def _positives_covered(cs: CellSet, budget: int) -> tuple[Optional[bool], Option
     size = cs.scope.size
     names = ["f%d" % w for w in range(size)]
     base_rows = [
-        LinRow(tuple(_ONE if j == w else _ZERO for j in range(size)), GE, _ZERO)
+        LinRow(tuple([_ONE if j == w else _ZERO for j in range(size)]), GE, _ZERO)
         for w in range(size)
     ]
-    base_rows.append(LinRow(tuple(_ONE for _ in range(size)), GT, _ZERO))
+    base_rows.append(LinRow(tuple([_ONE for _ in range(size)]), GT, _ZERO))
     for choice in itertools.product(*per_cell) if per_cell else [()]:
         rows = list(base_rows)
         for negated_list in choice:

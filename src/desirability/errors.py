@@ -50,3 +50,12 @@ class WitnessVerificationError(DesirabilityError):
 
 class ModelFormatError(DesirabilityError, ValueError):
     """A model document violates the file format."""
+
+
+class EngineError(DesirabilityError):
+    """The exact LP engine broke its own contract.
+
+    Raised when an answer fails its substitution check, the simplex does not
+    terminate within its iteration cap, or a program that must have an
+    optimum does not.  Signals an engine bug, never a property of the inputs.
+    """

@@ -1,9 +1,13 @@
 """Exact rational linear programming with self-verifying answers.
 
-The solver is a dense two-phase simplex over ``fractions.Fraction``.  It
-prices with Dantzig's rule for speed and falls back to Bland's rule after a
-fixed number of pivots, which guarantees termination under exact arithmetic.
-Every answer is re-checked by substitution before it is returned:
+Systems, answers and certificates are ``fractions.Fraction``s.  Inside, the
+solver is a two-phase tableau simplex on fraction-free rows (cf. Bareiss
+1968, Edmonds 1967): each row is a list of Python ints over one positive int
+denominator, reduced by its gcd after every update, and a pivot touches only
+the pivot row's nonzero columns.  It prices with Dantzig's rule for speed and
+falls back to Bland's rule after a fixed number of pivots, which guarantees
+termination under exact arithmetic.  Every answer is re-checked by
+substitution, in ``Fraction``s, before it is returned:
 
 * ``Feasible`` carries a point satisfying every row;
 * ``Optimal`` carries a point achieving the reported value;
@@ -23,11 +27,12 @@ oracle for small systems only and raises a budget error beyond its guards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import BudgetExceededError, DimensionMismatchError, ExactnessError
+from .errors import BudgetExceededError, DimensionMismatchError, EngineError, ExactnessError
 
 GE = ">="
 EQ = "="
@@ -52,7 +57,15 @@ def _check_coeffs(coeffs: Sequence[Fraction], want: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class LinRow:
-    """One linear constraint ``coeffs . x  rel  rhs``."""
+    """One linear constraint ``coeffs . x  rel  rhs``.
+
+    The LP builders make ``coeffs`` with ``tuple([...])``, not from a
+    generator: CPython sizes a tuple built from a generator by resizing, and
+    on release files it under its final size in a per-size free list that
+    only a full garbage collection empties.  The integer simplex allocates
+    too few tracked objects to trigger one often, so rows built from
+    generators would hold a few MB of free-listed tuples for good.
+    """
 
     coeffs: tuple[Fraction, ...]
     rel: str
@@ -175,8 +188,51 @@ def verify_ray(system: LinSystem, ray: Sequence[Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Scale rationals to integers over their least common denominator.
+
+    The result is in lowest terms: no prime divides the denominator and
+    every integer.
+    """
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _eliminate(
+    row: list[int], den: int, prow: list[int], nz: Sequence[int], pcol: int
+) -> tuple[list[int], int]:
+    """Clear column ``pcol`` of ``row / den`` with the pivot row ``prow / a``.
+
+    ``a = prow[pcol]`` must be positive and ``nz`` must list the columns where
+    ``prow`` is nonzero.  The update is ``(row * a - c * prow) / (den * a)``
+    with ``c = row[pcol]``; only the columns in ``nz`` are subtracted, and the
+    result is returned in lowest terms with a positive denominator.
+    """
+    a = prow[pcol]
+    c = row[pcol]
+    out = [v * a for v in row] if a != 1 else list(row)
+    for j in nz:
+        out[j] -= c * prow[j]
+    den *= a
+    g = math.gcd(den, *out)
+    if g != 1:
+        out = [v // g for v in out]
+        den //= g
+    return out, den
+
+
 class _Simplex:
     """Two-phase tableau simplex on the weak rows of a system.
+
+    Every tableau row, and the cost row, is a list of Python ints over one
+    positive int denominator, kept in lowest terms.  A pivot scales each
+    other row by the pivot entry and subtracts the pivot row on its nonzero
+    columns only (see ``_eliminate``), so no rational is built or normalised
+    inside the iteration.  Pricing and the ratio test compare ints directly:
+    a row's shared positive denominator never changes a sign or, in the
+    ratio ``rhs / entry``, survives at all.  ``Fraction``s appear only at the
+    boundary: building the tableau, and reading points, rays and multipliers
+    out of it.
 
     Free variables are split into positive and negative parts unless a row of
     the form ``c * x_j >= 0`` (single positive coefficient, zero rhs) lets the
@@ -214,12 +270,12 @@ class _Simplex:
                 self.var_cols.append((plus, minus))
 
         self.row_orig: list[int] = []
-        self.sigma: list[Fraction] = []
+        self.sigma: list[int] = []
         surplus_of: list[Optional[int]] = []
         for i in tableau_rows:
             row = system.rows[i]
             self.row_orig.append(i)
-            self.sigma.append(_ONE if row.rhs >= 0 else Fraction(-1))
+            self.sigma.append(1 if row.rhs >= 0 else -1)
             surplus_of.append(self._add_col("s", len(self.row_orig) - 1)
                               if row.rel == GE else None)
         self.art_col: list[int] = []
@@ -227,26 +283,36 @@ class _Simplex:
             self.art_col.append(self._add_col("a", k))
 
         width = len(self.cols) + 1
-        self.T: list[list[Fraction]] = []
+        self.T: list[list[int]] = []
+        self.den: list[int] = []
         for k, i in enumerate(self.row_orig):
+            # The row over the lcm of its denominators, which leaves it in
+            # lowest terms (the artificial column holds the denominator).
             row = system.rows[i]
             sig = self.sigma[k]
-            line = [_ZERO] * width
+            den = math.lcm(row.rhs.denominator, *[c.denominator for c in row.coeffs])
+            line = [0] * width
             for j, c in enumerate(row.coeffs):
                 if not c:
                     continue
+                v = sig * c.numerator * (den // c.denominator)
                 plus, minus = self.var_cols[j]
-                line[plus] += sig * c
+                line[plus] = v
                 if minus is not None:
-                    line[minus] -= sig * c
+                    line[minus] = -v
             if surplus_of[k] is not None:
-                line[surplus_of[k]] = -sig
-            line[self.art_col[k]] = _ONE
-            line[-1] = sig * row.rhs
+                line[surplus_of[k]] = -sig * den
+            line[self.art_col[k]] = den
+            line[-1] = sig * row.rhs.numerator * (den // row.rhs.denominator)
             self.T.append(line)
+            self.den.append(den)
         self.basis: list[int] = list(self.art_col)
         self.live: list[bool] = [True] * len(self.T)
         self._entering_allowed = [kind != "a" for kind, _ in self.cols]
+        # The active cost row, over its own positive denominator.  Its last
+        # slot holds the negated objective value and updates like any other.
+        self.cost: list[int] = []
+        self.cost_den = 1
         self.pivots = 0
 
     @staticmethod
@@ -264,82 +330,96 @@ class _Simplex:
 
     # -- pivoting ---------------------------------------------------------
 
-    def _pivot(self, cost: list[Fraction], prow: int, pcol: int) -> None:
+    def _pivot(self, prow: int, pcol: int) -> None:
         T = self.T
         line = T[prow]
-        piv = line[pcol]
-        if piv != 1:
-            inv = _ONE / piv
-            T[prow] = line = [v * inv for v in line]
+        if line[pcol] < 0:
+            line = [-v for v in line]
+        g = math.gcd(*line)
+        if g != 1:
+            line = [v // g for v in line]
+        # The pivot row now reads line / line[pcol], which is 1 at pcol.
+        T[prow] = line
+        self.den[prow] = line[pcol]
+        nz = [j for j, v in enumerate(line) if v]
         for r, other in enumerate(T):
             if r == prow or not self.live[r]:
                 continue
-            f = other[pcol]
-            if f:
-                T[r] = [a - f * b for a, b in zip(other, line)]
-        f = cost[pcol]
-        if f:
-            # The cost row has the same width as a tableau row; its last slot
-            # holds the negated objective value and updates like any other.
-            cost[:] = [a - f * b for a, b in zip(cost, line)]
+            if other[pcol]:
+                T[r], self.den[r] = _eliminate(other, self.den[r], line, nz, pcol)
+        if self.cost[pcol]:
+            self.cost, self.cost_den = _eliminate(self.cost, self.cost_den, line, nz, pcol)
         self.basis[prow] = pcol
         self.pivots += 1
 
-    def _run(self, cost: list[Fraction], bland_after: int) -> None:
+    def _run(self, bland_after: int) -> None:
         """Minimise the cost row until no reduced cost is negative."""
         ncols = len(self.cols)
+        allowed = self._entering_allowed
         iteration = 0
         while True:
             iteration += 1
             if iteration > 100000:
-                raise RuntimeError("simplex failed to terminate (engine bug)")
-            use_bland = iteration > bland_after
+                raise EngineError("simplex failed to terminate (engine bug)")
+            cost = self.cost
             enter = -1
-            if use_bland:
+            if iteration > bland_after:
                 for c in range(ncols):
-                    if self._entering_allowed[c] and cost[c] < 0:
+                    if allowed[c] and cost[c] < 0:
                         enter = c
                         break
             else:
-                best = _ZERO
+                best = 0
                 for c in range(ncols):
-                    if self._entering_allowed[c] and cost[c] < best:
+                    if allowed[c] and cost[c] < best:
                         best = cost[c]
                         enter = c
             if enter < 0:
                 return
+            # Minimum ratio rhs / a over rows with a > 0; the row denominator
+            # cancels, and rhs / a < rhs' / a' is compared as rhs * a' < rhs' * a.
             prow = -1
-            best_ratio: Optional[Fraction] = None
+            best_rhs = best_a = 0
             for r, line in enumerate(self.T):
                 if not self.live[r]:
                     continue
                 a = line[enter]
                 if a > 0:
-                    ratio = line[-1] / a
-                    if (best_ratio is None or ratio < best_ratio
-                            or (ratio == best_ratio
-                                and self.basis[r] < self.basis[prow])):
-                        best_ratio = ratio
-                        prow = r
+                    rhs = line[-1]
+                    if prow >= 0:
+                        lhs, rhs_best = rhs * best_a, best_rhs * a
+                        if not (lhs < rhs_best or (lhs == rhs_best
+                                                   and self.basis[r] < self.basis[prow])):
+                            continue
+                    best_rhs, best_a = rhs, a
+                    prow = r
             if prow < 0:
                 raise _UnboundedSignal(enter)
-            self._pivot(cost, prow, enter)
+            self._pivot(prow, enter)
 
     # -- phases -----------------------------------------------------------
 
     def phase1(self) -> Optional[tuple[Fraction, ...]]:
         """Returns None when feasible, else the Farkas multipliers."""
         ncols = len(self.cols)
-        cost = [_ZERO] * (ncols + 1)
-        for line in self.T:
-            for c in range(ncols):
-                if self.cols[c][0] != "a" and line[c]:
-                    cost[c] -= line[c]
-            cost[-1] -= line[-1]
-        self._run(cost, bland_after=200 + 10 * len(self.T))
-        gap = -cost[-1]
-        if gap > 0:
-            y = [_ONE - cost[self.art_col[k]] for k in range(len(self.row_orig))]
+        # Cost: minus the sum of the rows, zero on the artificial columns.
+        den = math.lcm(*self.den)
+        cost = [0] * (ncols + 1)
+        for line, d in zip(self.T, self.den):
+            scale = den // d
+            for c, v in enumerate(line):
+                if v:
+                    cost[c] -= v * scale
+        for c in self.art_col:
+            cost[c] = 0
+        g = math.gcd(den, *cost)
+        self.cost = [v // g for v in cost]
+        self.cost_den = den // g
+        self._run(bland_after=200 + 10 * len(self.T))
+        if self.cost[-1] < 0:
+            den = self.cost_den
+            y = [Fraction(den - self.cost[self.art_col[k]], den)
+                 for k in range(len(self.row_orig))]
             return self._original_multipliers(y)
         # Pivot out any artificial still basic (at level zero), dropping
         # redundant rows.
@@ -349,7 +429,7 @@ class _Simplex:
             done = False
             for c in range(ncols):
                 if self._entering_allowed[c] and self.T[r][c] != 0:
-                    self._pivot(cost, r, c)
+                    self._pivot(r, c)
                     done = True
                     break
             if not done:
@@ -359,7 +439,7 @@ class _Simplex:
     def phase2(self, cost_min: Sequence[Fraction]) -> Optional[int]:
         """Minimise ``cost_min . x``; returns the entering column on unboundedness."""
         ncols = len(self.cols)
-        q = [_ZERO] * ncols
+        q = [_ZERO] * (ncols + 1)
         for j, cj in enumerate(cost_min):
             if not cj:
                 continue
@@ -367,16 +447,18 @@ class _Simplex:
             q[plus] += cj
             if minus is not None:
                 q[minus] -= cj
-        cost = list(q) + [_ZERO]
+        cost, den = _int_row(q)
+        # Price out the basis: each basic column reads den_r in its own row.
         for r, line in enumerate(self.T):
             if not self.live[r]:
                 continue
-            qb = cost[self.basis[r]]
-            if qb:
-                cost = [a - qb * b for a, b in zip(cost, line)]
-        self._phase2_cost = cost
+            b = self.basis[r]
+            if cost[b]:
+                nz = [j for j, v in enumerate(line) if v]
+                cost, den = _eliminate(cost, den, line, nz, b)
+        self.cost, self.cost_den = cost, den
         try:
-            self._run(cost, bland_after=200 + 10 * len(self.T))
+            self._run(bland_after=200 + 10 * len(self.T))
         except _UnboundedSignal as sig:
             return sig.column
         return None
@@ -384,7 +466,8 @@ class _Simplex:
     # -- extraction ---------------------------------------------------------
 
     def point(self) -> tuple[Fraction, ...]:
-        level = {self.basis[r]: self.T[r][-1] for r in range(len(self.T)) if self.live[r]}
+        level = {self.basis[r]: Fraction(self.T[r][-1], self.den[r])
+                 for r in range(len(self.T)) if self.live[r]}
         out = []
         for plus, minus in self.var_cols:
             v = level.get(plus, _ZERO)
@@ -399,7 +482,7 @@ class _Simplex:
             if self.live[r]:
                 a = self.T[r][enter]
                 if a:
-                    d[self.basis[r]] = -a
+                    d[self.basis[r]] = Fraction(-a, self.den[r])
         out = []
         for plus, minus in self.var_cols:
             v = d.get(plus, _ZERO)
@@ -409,8 +492,9 @@ class _Simplex:
         return tuple(out)
 
     def duals_phase2(self) -> list[Fraction]:
-        cost = self._phase2_cost
-        return [-cost[self.art_col[k]] for k in range(len(self.row_orig))]
+        """Optimal duals of the tableau rows, read off the final phase-2 costs."""
+        return [Fraction(-self.cost[self.art_col[k]], self.cost_den)
+                for k in range(len(self.row_orig))]
 
     def _original_multipliers(self, y_std: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Map standardised-row multipliers back to original rows.
@@ -438,7 +522,7 @@ class _UnboundedSignal(Exception):
 
 def _engine_check(ok: bool, what: str) -> None:
     if not ok:
-        raise RuntimeError("exactlp self-verification failed: %s (engine bug)" % what)
+        raise EngineError("exactlp self-verification failed: %s (engine bug)" % what)
 
 
 def _solve_engine(system: LinSystem) -> tuple[LPOutcome, _Simplex]:
@@ -457,7 +541,7 @@ def _solve_engine(system: LinSystem) -> tuple[LPOutcome, _Simplex]:
         return Feasible(witness), simplex
 
     sign = -1 if system.sense == "max" else 1
-    cost_min = tuple(sign * c for c in system.objective)
+    cost_min = tuple([sign * c for c in system.objective])
     enter = simplex.phase2(cost_min)
     if enter is not None:
         ray = simplex.ray(enter)
@@ -506,9 +590,9 @@ def strict_feasible(system: LinSystem, method: str = "auto") -> Union[Feasible, 
         method = "homogeneous" if homogeneous else "slack"
 
     if method == "homogeneous":
-        rows = tuple(
+        rows = tuple([
             LinRow(r.coeffs, GE, _ONE) if r.rel == GT else r for r in system.rows
-        )
+        ])
         outcome = solve(LinSystem(system.var_names, rows))
         if isinstance(outcome, Feasible):
             _engine_check(verify_point(system, outcome.witness), "strict point")

@@ -34,7 +34,7 @@ from .errors import (
     ScopeError,
     WitnessVerificationError,
 )
-from .space import Assignment, Gamble, Scope
+from .space import CACHE_MAXSIZE, Assignment, Gamble, Scope
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -115,7 +115,7 @@ def _rank(levels: Sequence[Sequence[Fraction]], width: int) -> int:
     return rank
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def lex_is_maximal(system: LexSystem) -> bool:
     """The levels span every direction, so f or -f is accepted for f != 0."""
     return _rank(system.levels, system.scope.size) == system.scope.size

@@ -42,6 +42,7 @@ from .desirable import (
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
+    EngineError,
     ExactnessError,
     IncoherentBaseError,
     ScopeError,
@@ -201,7 +202,7 @@ def _generator_sup(
         )
     gens = cone.generators
     size = cone.scope.size
-    names = ("mu",) + tuple("lam%d" % j for j in range(len(gens)))
+    names = ("mu",) + tuple(["lam%d" % j for j in range(len(gens))])
     rows = []
     for w in range(size):
         coeffs = [direction.values[w]] + [-g.values[w] for g in gens]
@@ -468,9 +469,9 @@ def _convex_combination(
     """Is ``target`` a convex combination of ``others``? (exact LP)"""
     if not others:
         return False
-    names = tuple("lam%d" % j for j in range(len(others)))
+    names = tuple(["lam%d" % j for j in range(len(others))])
     rows = [
-        LinRow(tuple(p[w] for p in others), EQ, target[w])
+        LinRow(tuple([p[w] for p in others]), EQ, target[w])
         for w in range(len(target))
     ]
     rows.append(LinRow((_ONE,) * len(others), EQ, _ONE))
@@ -660,11 +661,11 @@ def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
             coeffs[h_offset[n] + w] -= _ONE
             coeffs[s_offset[n] + rests[n].index_of(at.restrict(rests[n]))] += _ONE
         rows.append(LinRow(tuple(coeffs), GE, -fitted.values[w]))
-    objective = tuple(_ONE if i == 0 else _ZERO for i in range(width))
+    objective = tuple([_ONE if i == 0 else _ZERO for i in range(width)])
     outcome = solve(LinSystem(tuple(names), tuple(rows), objective, "max"))
     if isinstance(outcome, Optimal):
         return outcome.value
-    raise RuntimeError(
+    raise EngineError(
         "the joint lower-prevision program must be bounded and feasible; got %s"
         % type(outcome).__name__
     )
@@ -699,10 +700,10 @@ def strong_product_lower(
             % (combos, budget)
         )
     block_index = [
-        tuple(
+        tuple([
             c.scope.index_of(joint.assignment_at(w).restrict(c.scope))
             for w in range(joint.size)
-        )
+        ])
         for c in credals
     ]
     best: Optional[Fraction] = None

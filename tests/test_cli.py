@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from desirability import cli
+from desirability import cli, exactlp
 
 DEMO = str(Path(__file__).resolve().parent.parent / "models" / "demo.json")
 
@@ -225,3 +225,10 @@ class TestErrors:
     def test_member_without_model_flag(self, capsys):
         code, _, err = run(capsys, "member", "coin-lean", "[1,-1]")
         assert code == 3 and "--model" in err
+
+    def test_engine_error_exits_three_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(exactlp, "verify_point", lambda system, point: False)
+        code, _, err = run(capsys, "--model", DEMO, "lowprev", "coin-lean", "[1,0]")
+        assert code == 3
+        assert err.startswith("error: ") and "engine bug" in err
+        assert err.count("\n") == 1 and "Traceback" not in err

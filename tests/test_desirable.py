@@ -30,6 +30,8 @@ from desirability import (
     strictly_prefers,
 )
 from desirability.exactlp import GE
+from desirability.maximal import lex_is_maximal
+from desirability.space import CACHE_MAXSIZE, _restriction_map, _slice_map
 from desirability.randgen import random_gamble, random_generator_set
 
 V1 = Variable("X1", ("a", "b"))
@@ -86,6 +88,13 @@ class TestConsistency:
 
     def test_empty_assessment_is_consistent(self):
         assert avoids_nonpositivity(GeneratorSet.of(S1, [])).avoids
+
+    def test_process_wide_caches_stay_bounded(self):
+        for cached in (avoids_nonpositivity, lex_is_maximal, _restriction_map, _slice_map):
+            assert cached.cache_info().maxsize == CACHE_MAXSIZE
+        for k in range(3 * CACHE_MAXSIZE):
+            avoids_nonpositivity(GeneratorSet.of(S1, [Gamble.on(S1, [k + 1, -1])]))
+            assert avoids_nonpositivity.cache_info().currsize <= CACHE_MAXSIZE
 
 
 class TestNaturalExtensionMembership:
