@@ -43,11 +43,11 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
+    EngineError,
     IncoherentBaseError,
     MissingConditionError,
     ScopeError,
     UnsupportedQueryError,
-    WitnessVerificationError,
 )
 from .exactlp import EQ, GE, GT, Feasible, LinRow, LinSystem, solve, strict_feasible
 from .maximal import LexSystem, lex_member
@@ -117,9 +117,12 @@ class GeneratorSet:
 class ConsistencyCertificate:
     """Outcome of the consistency check for an assessment.
 
-    Exactly one of the two witnesses is present: a strictly positive mass
-    function giving every generator positive expectation (consistent), or
-    the convex weights of an everywhere-nonpositive combination (not).
+    Exactly one of the two witnesses is present, and both come from the one
+    strict program that ``avoids_nonpositivity`` solves: a strictly positive
+    mass function giving every generator positive expectation (its feasible
+    point, so the assessment is consistent), or the convex weights of an
+    everywhere-nonpositive combination (its Farkas multipliers on the
+    generator rows, so it is not).
     """
 
     avoids: bool
@@ -129,42 +132,79 @@ class ConsistencyCertificate:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def avoids_nonpositivity(assessment: GeneratorSet) -> ConsistencyCertificate:
-    """Can no convex combination of the generators be everywhere <= 0?"""
+    """Can no convex combination of the generators be everywhere <= 0?
+
+    One strict program over mass functions decides it: ``p_w > 0`` for
+    every outcome and ``p . g_k > 0`` for every generator.  By Motzkin's
+    theorem of the alternative, either it has a point, which normalised is
+    the positive mass, or Farkas multipliers ``y >= 0``, not all zero, with
+    ``sum_w y_w e_w + sum_k y_k g_k = 0``.  The generator multipliers then
+    combine the generators to ``-sum_w y_w e_w <= 0``, and they are not all
+    zero because the unit rows alone cannot cancel.  Normalised, they are
+    the nonpositive combination, re-checked by substitution before it is
+    returned.
+    """
     gens = assessment.generators
     size = assessment.scope.size
     if not gens:
         uniform = tuple(Fraction(1, size) for _ in range(size))
         return ConsistencyCertificate(True, uniform, None)
 
-    weight_names = ["w%d" % k for k in range(len(gens))]
-    rows = [
-        LinRow(tuple([_ONE if j == k else _ZERO for j in range(len(gens))]), GE, _ZERO)
-        for k in range(len(gens))
-    ]
-    rows.append(LinRow(tuple([_ONE for _ in gens]), EQ, _ONE))
-    for w in range(size):
-        rows.append(
-            LinRow(tuple([-g.values[w] for g in gens]), GE, _ZERO)
-        )
-    outcome = solve(LinSystem(tuple(weight_names), tuple(rows)))
-    if isinstance(outcome, Feasible):
-        return ConsistencyCertificate(False, None, outcome.witness)
-
     mass_names = ["p%d" % w for w in range(size)]
-    strict_rows = [
+    rows = [
         LinRow(tuple([_ONE if j == w else _ZERO for j in range(size)]), GT, _ZERO)
         for w in range(size)
     ]
     for g in gens:
-        strict_rows.append(LinRow(g.values, GT, _ZERO))
-    strict = strict_feasible(LinSystem(tuple(mass_names), tuple(strict_rows)))
-    if not isinstance(strict, Feasible):
-        raise WitnessVerificationError(
-            "consistency check and its dual both failed; engine bug"
+        rows.append(LinRow(g.values, GT, _ZERO))
+    outcome = strict_feasible(LinSystem(tuple(mass_names), tuple(rows)))
+    if isinstance(outcome, Feasible):
+        total = sum(outcome.witness, _ZERO)
+        mass = tuple([v / total for v in outcome.witness])
+        return ConsistencyCertificate(True, mass, None)
+
+    weights = outcome.farkas[size:]
+    total = sum(weights, _ZERO)
+    combination = tuple([v / total for v in weights]) if total else weights
+    combined = [
+        sum((v * g.values[w] for v, g in zip(combination, gens)), _ZERO)
+        for w in range(size)
+    ]
+    if min(combination) < 0 or sum(combination, _ZERO) != 1 or max(combined) > 0:
+        raise EngineError(
+            "nonpositive combination failed its substitution check (engine bug)"
         )
-    total = sum(strict.witness, _ZERO)
-    mass = tuple([v / total for v in strict.witness])
-    return ConsistencyCertificate(True, mass, None)
+    return ConsistencyCertificate(False, None, combination)
+
+
+def cone_program(
+    cone: GeneratorSet, value: Gamble, direction: Optional[Gamble] = None
+) -> LinSystem:
+    """The dominance program ``value + mu*direction >= sum_k lam_k g_k``.
+
+    One unit row ``lam_k >= 0`` per generator weight comes first, then one
+    row per outcome.  Without a direction the system has no objective and
+    is feasible exactly when ``value`` dominates a nonnegative combination
+    of the generators.  With one, the shift ``mu`` leads the variables and
+    is maximised.
+    """
+    gens = cone.generators
+    n = len(gens)
+    lead = [] if direction is None else [_ZERO]
+    names = ["lam%d" % k for k in range(n)]
+    rows = [
+        LinRow(tuple(lead + [_ONE if j == k else _ZERO for j in range(n)]), GE, _ZERO)
+        for k in range(n)
+    ]
+    for w in range(cone.scope.size):
+        shift = [] if direction is None else [direction.values[w]]
+        rows.append(
+            LinRow(tuple(shift + [-g.values[w] for g in gens]), GE, -value.values[w])
+        )
+    if direction is None:
+        return LinSystem(tuple(names), tuple(rows))
+    objective = tuple([_ONE] + [_ZERO] * n)
+    return LinSystem(tuple(["mu"] + names), tuple(rows), objective, "max")
 
 
 def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
@@ -174,7 +214,7 @@ def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
     assessment.  Raises ``IncoherentBaseError`` when the assessment fails
     the consistency check (the extension would be everything).
     """
-    f = _fit(f, assessment.scope)
+    f = f.embed(assessment.scope)
     certificate = avoids_nonpositivity(assessment)
     if not certificate.avoids:
         raise IncoherentBaseError(
@@ -190,20 +230,9 @@ def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
     # Every member has strictly positive expectation under the certificate.
     if f.dot(certificate.positive_mass) <= 0:
         return False
-    gens = assessment.generators
-    if not gens:
+    if not assessment.generators:
         return False
-    names = ["w%d" % k for k in range(len(gens))]
-    rows = [
-        LinRow(tuple([_ONE if j == k else _ZERO for j in range(len(gens))]), GE, _ZERO)
-        for k in range(len(gens))
-    ]
-    for w in range(assessment.scope.size):
-        rows.append(
-            LinRow(tuple([-g.values[w] for g in gens]), GE, -f.values[w])
-        )
-    outcome = solve(LinSystem(tuple(names), tuple(rows)))
-    return isinstance(outcome, Feasible)
+    return isinstance(solve(cone_program(assessment, f)), Feasible)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +271,6 @@ class Cell:
         if self.exclude_zero and f.is_zero():
             return False
         return all(row.holds(f) for row in self.rows)
-
-    def accepts_zero(self) -> bool:
-        return not self.exclude_zero and all(row.rel != GT for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -450,17 +476,6 @@ def scope_of(expr: DesirableSetExpr) -> Scope:
     raise TypeError("not a desirable-set expression: %r" % (expr,))
 
 
-def _fit(f: Gamble, scope: Scope) -> Gamble:
-    if f.scope == scope:
-        return f
-    if f.scope.issubset(scope):
-        return f.embed(scope)
-    raise ScopeError(
-        "gamble scope %r does not fit expression scope %r"
-        % (f.scope.names, scope.names)
-    )
-
-
 # ---------------------------------------------------------------------------
 # membership dispatcher
 # ---------------------------------------------------------------------------
@@ -472,7 +487,7 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
     Gambles on a subscope are identified with their cylindrical extension.
     ``UNKNOWN`` can only arise from strong-product boundaries.
     """
-    f = _fit(f, scope_of(expr))
+    f = f.embed(scope_of(expr))
     if isinstance(expr, GeneratorSet):
         return Tri.of(natext_member(expr, f))
     if isinstance(expr, CellSet):

@@ -154,13 +154,7 @@ def irr_member(ext: IrrExt, h: Gamble) -> Tri:
     In iff ``h`` is nonzero and every slice along the irrelevant variables
     lies in the base model or vanishes.
     """
-    want = ext.irrelevant.union(scope_of(ext.base))
-    if h.scope != want:
-        if not h.scope.issubset(want):
-            raise ScopeError(
-                "gamble scope %r does not fit %r" % (h.scope.names, want.names)
-            )
-        h = h.embed(want)
+    h = h.embed(ext.irrelevant.union(scope_of(ext.base)))
     if h.is_zero():
         return Tri.OUT
     unknown = False
@@ -174,11 +168,6 @@ def irr_member(ext: IrrExt, h: Gamble) -> Tri:
         if verdict is Tri.UNKNOWN:
             unknown = True
     return Tri.UNKNOWN if unknown else Tri.IN
-
-
-def irrext_member(ext: DesirableSetExpr, f: Gamble) -> Tri:
-    """Membership in an irrelevant natural extension (collapsed or node)."""
-    return member(ext, f)
 
 
 # -- signature enumeration for products of cell/lex marginals ---------------
@@ -294,12 +283,7 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     if not isinstance(expr, IndepProduct):
         return member(expr, h)
     joint = scope_of(expr)
-    if h.scope != joint:
-        if not h.scope.issubset(joint):
-            raise ScopeError(
-                "gamble scope %r does not fit %r" % (h.scope.names, joint.names)
-            )
-        h = h.embed(joint)
+    h = h.embed(joint)
     if h.is_zero():
         return Tri.OUT
     if h.is_positive():

@@ -95,30 +95,34 @@ def lex_member(system: LexSystem, f: Gamble) -> bool:
     return False
 
 
-def _rank(levels: Sequence[Sequence[Fraction]], width: int) -> int:
-    rows = [list(level) for level in levels]
-    rank = 0
-    col = 0
-    while col < width and rank < len(rows):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] / lead
+def _reduced_levels(levels: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """In-order elimination of the levels, dependent ones dropped.
+
+    Each level, minus multiples of the kept earlier ones at their leading
+    columns, is kept when something is left, scaled so its leading entry
+    has magnitude one.  The kept rows number the rank of the levels.
+    """
+    out: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for level in levels:
+        row = list(level)
+        for prow, pcol in zip(out, pivots):
+            f = row[pcol] / prow[pcol]
             if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+                row = [a - f * b for a, b in zip(row, prow)]
+        pivot = next((i for i, v in enumerate(row) if v != 0), None)
+        if pivot is None:
+            continue
+        scale = _ONE / abs(row[pivot])
+        out.append([v * scale for v in row])
+        pivots.append(pivot)
+    return out
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def lex_is_maximal(system: LexSystem) -> bool:
     """The levels span every direction, so f or -f is accepted for f != 0."""
-    return _rank(system.levels, system.scope.size) == system.scope.size
+    return len(_reduced_levels(system.levels)) == system.scope.size
 
 
 def lex_is_coherent(system: LexSystem) -> bool:
@@ -165,21 +169,7 @@ def lex_canonical(system: LexSystem) -> tuple[tuple[Fraction, ...], ...]:
     row is scaled so its leading entry has magnitude one.  Two maximal
     systems denote the same set exactly when these matrices coincide.
     """
-    out: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for level in system.levels:
-        row = list(level)
-        for prow, pcol in zip(out, pivots):
-            f = row[pcol] / prow[pcol]
-            if f:
-                row = [a - f * b for a, b in zip(row, prow)]
-        pivot = next((i for i, v in enumerate(row) if v != 0), None)
-        if pivot is None:
-            continue
-        scale = _ONE / abs(row[pivot])
-        out.append([v * scale for v in row])
-        pivots.append(pivot)
-    return tuple(tuple(r) for r in out)
+    return tuple(tuple(r) for r in _reduced_levels(system.levels))
 
 
 def lex_equal(a: LexSystem, b: LexSystem) -> bool:

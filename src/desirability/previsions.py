@@ -37,6 +37,7 @@ from .desirable import (
     StrongProduct,
     Tri,
     avoids_nonpositivity,
+    cone_program,
     scope_of,
 )
 from .errors import (
@@ -200,19 +201,7 @@ def _generator_sup(
         raise IncoherentBaseError(
             "the assessment does not avoid non-positivity; prices are undefined"
         )
-    gens = cone.generators
-    size = cone.scope.size
-    names = ("mu",) + tuple(["lam%d" % j for j in range(len(gens))])
-    rows = []
-    for w in range(size):
-        coeffs = [direction.values[w]] + [-g.values[w] for g in gens]
-        rows.append(LinRow(tuple(coeffs), GE, -value.values[w]))
-    for j in range(len(gens)):
-        unit = [_ZERO] * (1 + len(gens))
-        unit[1 + j] = _ONE
-        rows.append(LinRow(tuple(unit), GE, _ZERO))
-    objective = (_ONE,) + (_ZERO,) * len(gens)
-    outcome = solve(LinSystem(names, tuple(rows), objective, "max"))
+    outcome = solve(cone_program(cone, value, direction))
     if isinstance(outcome, Optimal):
         return outcome.value
     if isinstance(outcome, Unbounded):
@@ -366,10 +355,6 @@ def lower_prevision(expr: DesirableSetExpr, f: Gamble) -> Fraction:
     gamble ``f - mu*``.
     """
     scope = scope_of(expr)
-    if not f.scope.issubset(scope):
-        raise ScopeError(
-            "gamble scope %r is not part of %r" % (f.scope.names, scope.names)
-        )
     value = f.embed(scope)
     direction = Gamble.constant(scope, -_ONE)
     result = _set_sup(expr, value, direction)
@@ -454,11 +439,6 @@ class CredalSet:
 
     def lower_expectation(self, f: Gamble) -> Fraction:
         """Lower envelope ``min_v v . f`` over the vertices."""
-        if not f.scope.issubset(self.scope):
-            raise ScopeError(
-                "gamble scope %r is not part of %r"
-                % (f.scope.names, self.scope.names)
-            )
         fitted = f.embed(self.scope)
         return min(fitted.dot(p) for p in self.vertices)
 
@@ -621,10 +601,6 @@ def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
     duality.
     """
     joint = _joint_scope(credals)
-    if not f.scope.issubset(joint):
-        raise ScopeError(
-            "gamble scope %r is not part of %r" % (f.scope.names, joint.names)
-        )
     fitted = f.embed(joint)
     size = joint.size
     names: list[str] = ["t"]
@@ -686,10 +662,6 @@ def strong_product_lower(
     vertices; enumerating combinations is exact.
     """
     joint = _joint_scope(credals)
-    if not f.scope.issubset(joint):
-        raise ScopeError(
-            "gamble scope %r is not part of %r" % (f.scope.names, joint.names)
-        )
     fitted = f.embed(joint)
     combos = 1
     for c in credals:
@@ -741,13 +713,8 @@ def strong_member(
         from .independence import independent_product, inex_member
 
         return inex_member(independent_product(parts), f, budget=budget)
+    fitted = f.embed(scope_of(expr))
     views = [credal_view(p, budget=budget) for p in parts]
-    joint = scope_of(expr)
-    if not f.scope.issubset(joint):
-        raise ScopeError(
-            "gamble scope %r is not part of %r" % (f.scope.names, joint.names)
-        )
-    fitted = f.embed(joint)
     if fitted.is_zero():
         return Tri.OUT
     if fitted.is_positive():

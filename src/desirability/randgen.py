@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .desirable import GeneratorSet, avoids_nonpositivity
-from .errors import IncoherentBaseError
+from .errors import BudgetExceededError, IncoherentBaseError
 from .maximal import LexSystem, lex_is_maximal
 from .previsions import CredalSet
 from .space import Assignment, Gamble, Scope
@@ -57,14 +57,15 @@ def random_generator_set(
     """A consistent assessment of ``count`` nonzero integer gambles.
 
     Draw-and-check: candidates failing the exact consistency check are
-    discarded, so the result always avoids non-positivity.
+    discarded, so the result always avoids non-positivity.  Raises
+    ``BudgetExceededError`` when ``attempts`` draws all fail.
     """
     for _ in range(attempts):
         gens = [random_gamble(rng, scope, lo, hi, nonzero=True) for _ in range(count)]
         candidate = GeneratorSet.of(scope, gens)
         if avoids_nonpositivity(candidate).avoids:
             return candidate
-    raise RuntimeError(
+    raise BudgetExceededError(
         "no consistent assessment of %d gambles found in %d attempts"
         % (count, attempts)
     )

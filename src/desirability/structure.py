@@ -119,14 +119,7 @@ def condition_bar_member(
     In iff ``f`` is positive outright, or the slice of ``f`` at the
     observed assignment belongs to the updated model.
     """
-    full = scope_of(expr)
-    if f.scope != full:
-        if not f.scope.issubset(full):
-            raise ScopeError(
-                "gamble scope %r does not fit expression scope %r"
-                % (f.scope.names, full.names)
-            )
-        f = f.embed(full)
+    f = f.embed(scope_of(expr))
     if f.is_positive():
         return Tri.IN
     return member(condition(expr, given), f.slice_at(given))

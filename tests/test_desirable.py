@@ -6,30 +6,45 @@ from fractions import Fraction
 import pytest
 
 from desirability import (
+    BudgetExceededError,
     Cell,
     CellRow,
     CellSet,
     ConditionalFamily,
     CredalSet,
     CylExt,
+    DesirabilityError,
+    EngineError,
     Gamble,
     GeneratorSet,
     IncoherentBaseError,
+    IndepProduct,
     Intersection,
+    IrrExt,
+    LexSystem,
     MissingConditionError,
     Scope,
     ScopeError,
+    StrongProduct,
     Tri,
     Variable,
     avoids_nonpositivity,
     cellset_coherence_audit,
+    condition_bar_member,
+    inex_lower_prevision,
+    inex_member,
+    irr_member,
+    lower_prevision,
     member,
     natext_member,
     scope_of,
     strictly_desirable,
     strictly_prefers,
+    strong_member,
+    strong_product_lower,
 )
-from desirability.exactlp import GE
+from desirability import desirable
+from desirability.exactlp import GE, Infeasible
 from desirability.maximal import lex_is_maximal
 from desirability.space import CACHE_MAXSIZE, _restriction_map, _slice_map
 from desirability.randgen import random_gamble, random_generator_set
@@ -39,6 +54,8 @@ V2 = Variable("X2", ("a", "b"))
 S1 = Scope.of([V1])
 S2 = Scope.of([V2])
 S12 = S1.union(S2)
+V3 = Variable("X3", ("a", "b", "c"))
+S3 = Scope.of([V3])
 
 
 def lean(scope=S1):
@@ -88,6 +105,55 @@ class TestConsistency:
 
     def test_empty_assessment_is_consistent(self):
         assert avoids_nonpositivity(GeneratorSet.of(S1, [])).avoids
+
+    @pytest.mark.parametrize(
+        "scope, gambles, mass",
+        [
+            (S1, [[1, -1]], ["2/3", "1/3"]),
+            (
+                S12,
+                [[1, -1, 0, 0], [0, 0, 2, -1], [-1, 3, 1, -2]],
+                ["5/12", "1/4", "1/6", "1/6"],
+            ),
+            (S3, [[2, -1, -1], [-1, 2, 0], [0, -1, 3]], ["5/12", "1/3", "1/4"]),
+        ],
+    )
+    def test_positive_mass_is_pinned(self, scope, gambles, mass):
+        cone = GeneratorSet.of(scope, [Gamble.on(scope, g) for g in gambles])
+        cert = avoids_nonpositivity.__wrapped__(cone)
+        assert cert.positive_mass == tuple(Fraction(m) for m in mass)
+
+    @pytest.mark.parametrize(
+        "gambles, avoids",
+        [([[1, -1, 0, 0], [0, 0, 2, -1]], True), ([[1, -1, 0, 0], [-1, 1, 0, 0]], False)],
+    )
+    def test_uncached_check_solves_one_lp(self, monkeypatch, gambles, avoids):
+        calls = []
+        for name in ("strict_feasible", "solve"):
+            def counted(system, _real=getattr(desirable, name), _name=name):
+                calls.append(_name)
+                return _real(system)
+
+            monkeypatch.setattr(desirable, name, counted)
+        cone = GeneratorSet.of(S12, [Gamble.on(S12, g) for g in gambles])
+        cert = avoids_nonpositivity.__wrapped__(cone)
+        assert cert.avoids is avoids
+        assert calls == ["strict_feasible"]
+        if not avoids:
+            assert cert.nonpositive_combination == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_bad_combination_raises_engine_error(self, monkeypatch):
+        # Multipliers that put all their weight on the generator row claim
+        # that (1, -1) alone is nonpositive; the substitution check refuses.
+        bogus = Infeasible((Fraction(0), Fraction(0), Fraction(1)))
+        monkeypatch.setattr(desirable, "strict_feasible", lambda system: bogus)
+        with pytest.raises(EngineError):
+            avoids_nonpositivity.__wrapped__(lean())
+
+    def test_exhausted_draws_raise_budget_error(self):
+        with pytest.raises(BudgetExceededError) as info:
+            random_generator_set(random.Random(0), S1, attempts=0)
+        assert isinstance(info.value, DesirabilityError)
 
     def test_process_wide_caches_stay_bounded(self):
         for cached in (avoids_nonpositivity, lex_is_maximal, _restriction_map, _slice_map):
@@ -211,3 +277,31 @@ class TestStrictPreference:
         assert strictly_prefers(lean(), f, g) is Tri.of(
             natext_member(lean(), f - g)
         )
+
+
+HALF1 = CredalSet.of(S1, [("1/2", "1/2")])
+HALF2 = CredalSet.of(S2, [("1/2", "1/2")])
+SURE1 = LexSystem.on(S1, [[1, 0], [0, 1]])
+SURE2 = LexSystem.on(S2, [[1, 0], [0, 1]])
+FOREIGN_ENTRY_POINTS = {
+    "member": lambda f: member(lean(S1), f),
+    "irr_member": lambda f: irr_member(IrrExt(lean(S2), S1, S12), f),
+    "inex_member": lambda f: inex_member(
+        IndepProduct((lean(S1), strictly_desirable(HALF2))), f
+    ),
+    "lower_prevision": lambda f: lower_prevision(lean(S1), f),
+    "lower_expectation": lambda f: HALF1.lower_expectation(f),
+    "inex_lower_prevision": lambda f: inex_lower_prevision([HALF1, HALF2], f),
+    "strong_product_lower": lambda f: strong_product_lower([HALF1, HALF2], f),
+    "strong_member": lambda f: strong_member(StrongProduct((lean(S1), lean(S2))), f),
+    "strong_member_lex": lambda f: strong_member(StrongProduct((SURE1, SURE2)), f),
+    "condition_bar_member": lambda f: condition_bar_member(
+        GeneratorSet.of(S12, []), S1.assignment_at(0), f
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FOREIGN_ENTRY_POINTS))
+def test_gamble_on_a_foreign_variable_raises_scope_error(entry):
+    with pytest.raises(ScopeError):
+        FOREIGN_ENTRY_POINTS[entry](Gamble.on(S3, [1, -1, 0]))

@@ -296,6 +296,24 @@ class TestIntegerRows:
             assert simplex.pivots <= most
 
 
+    def test_ratio_tie_goes_to_the_lower_basis_index(self):
+        # Phase 1 enters x first, and both rows allow it at ratio 1.  The
+        # tie goes to the row whose basic artificial has the lower column,
+        # row 0; then the surplus of row 0 replaces the artificial left at
+        # level zero in row 1.  Breaking the tie the other way ends with
+        # x and y basic instead.
+        system = sys_of(
+            ["x", "y"],
+            [((1, 1), GE, 1), ((2, 0), GE, 2), ((1, 0), GE, 0), ((0, 1), GE, 0)],
+            objective=(1, 1),
+            sense="min",
+        )
+        out, simplex = _solve_engine(system)
+        assert out == Optimal(F(1), (F(1), F(0)))
+        assert [simplex.cols[b] for b in simplex.basis] == [("xn", 0), ("s", 0)]
+        assert simplex.pivots == 2
+
+
 class TestEngineErrors:
     def test_failed_self_check_raises_engine_error(self, monkeypatch):
         monkeypatch.setattr(exactlp, "verify_point", lambda system, point: False)

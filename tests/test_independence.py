@@ -22,7 +22,6 @@ from desirability import (
     inex_member,
     irr_member,
     irrelevant_extension,
-    irrext_member,
     is_independent,
     is_irrelevant,
     member,
@@ -57,13 +56,13 @@ class TestIrrelevantExtension:
 
     def test_embedded_base_member_accepted(self):
         ext = irrelevant_extension(LEAN2, S1, S12)
-        assert irrext_member(ext, Gamble.on(S2, [1, -1]).embed(S12)) is Tri.IN
+        assert member(ext, Gamble.on(S2, [1, -1]).embed(S12)) is Tri.IN
 
     def test_vacuous_base_extends_to_vacuous_joint(self):
         vacuous = GeneratorSet.of(S2, [])
         ext = irrelevant_extension(vacuous, S1, S12)
-        assert irrext_member(ext, Gamble.on(S12, [1, 0, 0, -1])) is Tri.OUT
-        assert irrext_member(ext, Gamble.on(S12, [1, 1, 0, 0])) is Tri.IN
+        assert member(ext, Gamble.on(S12, [1, 0, 0, -1])) is Tri.OUT
+        assert member(ext, Gamble.on(S12, [1, 1, 0, 0])) is Tri.IN
 
     def test_slice_family_membership(self):
         node = IrrExt(base=LEAN2, irrelevant=S1, target=S12)

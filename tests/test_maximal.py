@@ -82,6 +82,21 @@ class TestMaximality:
     def test_refined_joint_spans_the_four_point_space(self):
         assert lex_is_maximal(refined_joint())
 
+    def test_rank_skips_a_dependent_level_before_the_last(self):
+        v3 = Variable("X3", ("a", "b", "c"))
+        s3 = Scope.of([v3])
+        third = F(1, 3)
+        flat = (third, third, third)
+        spans = LexSystem(s3, (flat, flat, (F(1), F(0), F(0)), (F(0), F(1), F(0))))
+        assert lex_is_maximal(spans)
+        assert len(lex_canonical(spans)) == 3
+        short = LexSystem(s3, (flat, flat, (F(1), F(0), F(0))))
+        assert not lex_is_maximal(short)
+        assert lex_canonical(short) == (
+            (F(1), F(1), F(1)),
+            (F(0), F(-1), F(-1)),
+        )
+
     def test_coherence_requires_support_coverage(self):
         assert lex_is_coherent(LexSystem(S1, (UNIFORM2,)))
         assert not lex_is_coherent(LexSystem(S1, ((F(1), F(0)),)))
