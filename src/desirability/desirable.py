@@ -39,10 +39,12 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property, lru_cache
+from operator import mul
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
+    DimensionMismatchError,
     EngineError,
     IncoherentBaseError,
     MissingConditionError,
@@ -51,7 +53,15 @@ from .errors import (
 )
 from .exactlp import EQ, GE, GT, Feasible, LinRow, LinSystem, solve, strict_feasible
 from .maximal import LexSystem, lex_member
-from .space import CACHE_MAXSIZE, Assignment, Gamble, Scope, indicator
+from .space import (
+    CACHE_MAXSIZE,
+    Assignment,
+    Gamble,
+    Scope,
+    _restriction_map,
+    _slice_map,
+    scaled_to_ints,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -251,8 +261,27 @@ class CellRow:
         if self.rel not in (GE, GT, EQ):
             raise ValueError("unknown relation %r" % (self.rel,))
 
+    @cached_property
+    def int_functional(self) -> tuple[int, ...]:
+        """The functional times the lcm of its denominators, computed once."""
+        return scaled_to_ints(self.functional.values)
+
     def holds(self, f: Gamble) -> bool:
-        value = f.dot(self.functional.values)
+        """Does ``f`` satisfy the constraint?
+
+        Decided by the sign of an integer dot product: the functional is
+        scaled to ints once per row (``int_functional``), and ``f`` per
+        call, each by the lcm of its denominators.  Both factors are
+        positive, so the sign, and the verdict, are those of the exact
+        rational dot product.
+        """
+        ints = self.int_functional
+        if len(f.values) != len(ints):
+            raise DimensionMismatchError(
+                "expected %d values for the functional, got %d"
+                % (len(ints), len(f.values))
+            )
+        value = sum(map(mul, ints, scaled_to_ints(f.values)))
         if self.rel == GE:
             return value >= 0
         if self.rel == GT:
@@ -326,7 +355,7 @@ class Conditioned:
     """The updated model after observing an assignment.
 
     Membership is rewritten, never materialised: ``g`` belongs iff the
-    base accepts ``indicator(given) * g``.
+    base accepts ``g.mask(given)``, i.e. ``indicator(given) * g``.
     """
 
     base: DesirableSetExpr
@@ -362,6 +391,9 @@ class IrrExt:
     Denotes the natural extension of the family of gambles whose every
     slice along the irrelevant variables lies in the base model (or is 0),
     cylindrically extended to the target scope.
+
+    Membership reads each slice through ``slice_table``, an index table
+    the node computes once, on first use, and keeps.
     """
 
     base: DesirableSetExpr
@@ -374,6 +406,24 @@ class IrrExt:
             raise ScopeError("irrelevant variables overlap the base scope")
         if not base_scope.union(self.irrelevant).issubset(self.target):
             raise ScopeError("extension target must contain base and irrelevant scopes")
+
+    @cached_property
+    def slice_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Target indices behind every entry of every slice.
+
+        One row per assignment of the irrelevant variables, in canonical
+        order.  A row holds, for each base outcome in canonical order, the
+        indices of the target outcomes that agree with both: the outcomes
+        of the other added variables, which the floor minimises over.
+        """
+        kept = self.irrelevant.union(scope_of(self.base))
+        groups: list[list[int]] = [[] for _ in range(kept.size)]
+        for w, k in enumerate(_restriction_map(self.target, kept)):
+            groups[k].append(w)
+        return tuple(
+            tuple(tuple(groups[k]) for k in _slice_map(kept, at)[0])
+            for at in self.irrelevant.assignments()
+        )
 
 
 @dataclass(frozen=True)
@@ -495,8 +545,7 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
     if isinstance(expr, LexSystem):
         return Tri.of(lex_member(expr, f))
     if isinstance(expr, Conditioned):
-        lifted = indicator(expr.given) * f
-        return member(expr.base, lifted.embed(scope_of(expr.base)))
+        return member(expr.base, f.mask(expr.given).embed(scope_of(expr.base)))
     if isinstance(expr, CylExt):
         if f.is_zero():
             return Tri.OUT
@@ -505,7 +554,7 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
             return Tri.IN
         return member(expr.base, floor)
     if isinstance(expr, IrrExt):
-        return _irrext_member(expr, f)
+        return slice_verdict(expr, f, Gamble.is_nonnegative, member)
     if isinstance(expr, IndepProduct):
         from .independence import inex_member
 
@@ -529,25 +578,39 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
     raise TypeError("not a desirable-set expression: %r" % (expr,))
 
 
-def _irrext_member(expr: IrrExt, f: Gamble) -> Tri:
+def slice_verdict(
+    expr: IrrExt,
+    f: Gamble,
+    skip: Callable[[Gamble], bool],
+    decide: Callable[[DesirableSetExpr, Gamble], Tri],
+) -> Tri:
     """Slice decomposition of irrelevant-extension membership.
 
-    ``f`` belongs iff it is nonzero and, for every assignment of the
-    irrelevant variables, the floor of ``f`` over the remaining added
-    variables, sliced at that assignment, is nonnegative or a base member.
-    The per-slice choices are independent because a dominating gamble can
-    be assembled slice by slice.
+    ``f`` lives on the target.  It belongs iff it is nonzero and, for
+    every assignment of the irrelevant variables, the floor of ``f`` over
+    the remaining added variables, sliced at that assignment, passes
+    ``skip`` or is a base member by ``decide``.  Each slice is read
+    straight from ``expr.slice_table``: entry ``b`` is the minimum of the
+    values of ``f`` at the indices listed for it.  The per-slice choices
+    are independent because a dominating gamble can be assembled slice by
+    slice.
+
+    ``member`` passes ``Gamble.is_nonnegative`` (a nonnegative floor is
+    dominated by zero slack); ``independence.irr_member``, which asks
+    about the slice family itself, passes ``Gamble.is_zero``.
     """
     if f.is_zero():
         return Tri.OUT
     base_scope = scope_of(expr.base)
-    floor = f.floor_onto(expr.irrelevant.union(base_scope))
+    values = f.values
     unknown = False
-    for at in expr.irrelevant.assignments():
-        piece = floor.slice_at(at)
-        if piece.is_nonnegative():
+    for row in expr.slice_table:
+        piece = Gamble(
+            base_scope, tuple([min([values[w] for w in group]) for group in row])
+        )
+        if skip(piece):
             continue
-        verdict = member(expr.base, piece)
+        verdict = decide(expr.base, piece)
         if verdict is Tri.OUT:
             return Tri.OUT
         if verdict is Tri.UNKNOWN:

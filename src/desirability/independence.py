@@ -19,7 +19,12 @@ combined choice, within a configurable budget.
 
 Irrelevance and independence of an arbitrary expression are refutation
 checks — sampled or exhaustive-grid scans of the membership biconditional
-``f in model  iff  indicator(event) * f in model`` — never proofs.
+``f in model  iff  indicator(event) * f in model`` — never proofs.  A scan
+works on index tables built once: each sampled gamble is lifted to the
+joint scope of the two groups once, and its masks copy the lifted values
+at the precomputed slice indices of each event.  The queries it sends go
+down to ``IrrExt`` nodes, which read their slices from a per-node table,
+and to lexicographic and cell leaves, which decide by integer sign tests.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .desirable import (
     avoids_nonpositivity,
     member,
     scope_of,
+    slice_verdict,
 )
 from .errors import (
     BudgetExceededError,
@@ -49,7 +55,7 @@ from .errors import (
 )
 from .exactlp import EQ, GE, GT, Feasible, LinRow, LinSystem, strict_feasible
 from .maximal import LexSystem, lex_is_coherent, lex_is_maximal
-from .space import Assignment, Gamble, Scope, indicator
+from .space import Assignment, Gamble, Scope, _slice_map
 from .structure import cyl_ext, sample_gambles
 
 _ZERO = Fraction(0)
@@ -79,9 +85,7 @@ def irrelevant_extension(
         return cyl_ext(base, target)
     if isinstance(base, GeneratorSet):
         masked = [
-            indicator(at) * g
-            for at in irrelevant.assignments()
-            for g in base.generators
+            g.mask(at) for at in irrelevant.assignments() for g in base.generators
         ]
         return GeneratorSet.of(target, masked)
     return IrrExt(base, irrelevant, target)
@@ -116,7 +120,7 @@ def independent_product(parts: Sequence[DesirableSetExpr]) -> DesirableSetExpr:
             rest = joint.difference(part.scope)
             for at in rest.assignments():
                 for g in part.generators:
-                    masked.append(indicator(at) * g)
+                    masked.append(g.mask(at))
         return GeneratorSet.of(joint, masked)
     return IndepProduct(tuple(flat))
 
@@ -152,22 +156,13 @@ def irr_member(ext: IrrExt, h: Gamble) -> Tri:
     """Membership in the pre-extension family of slice-constrained gambles.
 
     In iff ``h`` is nonzero and every slice along the irrelevant variables
-    lies in the base model or vanishes.
+    lies in the base model or vanishes.  ``h`` must live on the irrelevant
+    and base variables; lifted to the target, its floor is itself, so the
+    slice loop of extension membership decides it, skipping zero slices
+    instead of nonnegative ones.
     """
     h = h.embed(ext.irrelevant.union(scope_of(ext.base)))
-    if h.is_zero():
-        return Tri.OUT
-    unknown = False
-    for at in ext.irrelevant.assignments():
-        piece = h.slice_at(at)
-        if piece.is_zero():
-            continue
-        verdict = member(ext.base, piece)
-        if verdict is Tri.OUT:
-            return Tri.OUT
-        if verdict is Tri.UNKNOWN:
-            unknown = True
-    return Tri.UNKNOWN if unknown else Tri.IN
+    return slice_verdict(ext, h.embed(ext.target), Gamble.is_zero, member)
 
 
 # -- signature enumeration for products of cell/lex marginals ---------------
@@ -370,6 +365,14 @@ def _scan_mode(scope: Scope, budget: int, lo: int, hi: int) -> str:
     return "exhaustive" if (hi - lo + 1) ** scope.size <= budget else "sampled"
 
 
+def _check_budget(budget: int) -> None:
+    """A scan must sample at least one gamble; a smaller budget checks nothing."""
+    if budget < 1:
+        raise BudgetExceededError(
+            "a scan needs a budget of at least 1 gamble, got %d" % budget
+        )
+
+
 def is_irrelevant(
     expr: DesirableSetExpr,
     irrelevant: Scope,
@@ -383,8 +386,16 @@ def is_irrelevant(
     For sampled gambles on the target group and every assignment of the
     irrelevant group, membership of the gamble and of its indicator-masked
     lift must agree.  A mismatch is a definitive counterexample; agreement
-    is a pass of the scan, not a proof.
+    is a pass of the scan, not a proof.  ``budget`` caps the sampled
+    gambles and must be at least 1.
+
+    The masks come from an index table built once per scan: for each
+    assignment ``at``, the indices of ``_slice_map(joint, at)`` on the
+    joint scope of both groups.  Each sampled gamble is lifted to that
+    scope once; its mask at ``at`` copies the lifted values at those
+    indices and is zero elsewhere, which is ``indicator(at) * f`` exactly.
     """
+    _check_budget(budget)
     full = scope_of(expr)
     if not irrelevant.issubset(full) or not onto.issubset(full):
         raise ScopeError("irrelevance scopes must be part of the expression scope")
@@ -392,6 +403,9 @@ def is_irrelevant(
         raise ScopeError("irrelevance scopes must be disjoint")
     if not irrelevant.variables or not onto.variables:
         return Verdict(True, "vacuous", 0, "an empty variable group is always irrelevant")
+    joint = irrelevant.union(onto)
+    size = joint.size
+    masks = [(at, _slice_map(joint, at)[0]) for at in irrelevant.assignments()]
     checked = 0
     skipped = 0
     for f in sample_gambles(onto, budget=budget, seed=seed):
@@ -399,8 +413,12 @@ def is_irrelevant(
         if plain is Tri.UNKNOWN:
             skipped += 1
             continue
-        for at in irrelevant.assignments():
-            masked = member(expr, indicator(at) * f)
+        lifted = f.embed(joint).values
+        for at, indices in masks:
+            values = [_ZERO] * size
+            for i in indices:
+                values[i] = lifted[i]
+            masked = member(expr, Gamble(joint, tuple(values)))
             if masked is Tri.UNKNOWN:
                 skipped += 1
                 continue
@@ -427,7 +445,11 @@ def is_independent(
     seed: int = 0,
     pair_budget: int = 200,
 ) -> Verdict:
-    """Scan every disjoint pair of block unions for an irrelevance failure."""
+    """Scan every disjoint pair of block unions for an irrelevance failure.
+
+    Each pair runs ``is_irrelevant`` with the same ``budget`` (at least 1).
+    """
+    _check_budget(budget)
     full = scope_of(expr)
     union = Scope.empty()
     for block in blocks:
@@ -485,8 +507,10 @@ def factorisation_check(
 
     Samples members on ``onto`` and positive gambles on ``factor_scope``;
     asserts the products are members, and re-checks the sampled members
-    against the constant factor one.
+    against the constant factor one.  ``budget`` caps each sample and must
+    be at least 1.
     """
+    _check_budget(budget)
     full = scope_of(expr)
     if not factor_scope.issubset(full) or not onto.issubset(full):
         raise ScopeError("factorisation scopes must be part of the expression scope")

@@ -25,16 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import (
     DegenerateConditioningError,
+    DimensionMismatchError,
     ExactnessError,
     ScopeError,
     WitnessVerificationError,
 )
-from .space import CACHE_MAXSIZE, Assignment, Gamble, Scope
+from .space import CACHE_MAXSIZE, Assignment, Gamble, Scope, scaled_to_ints
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -74,6 +76,11 @@ class LexSystem:
             scope, tuple(tuple(as_rational(v) for v in level) for level in levels)
         )
 
+    @cached_property
+    def int_levels(self) -> tuple[tuple[int, ...], ...]:
+        """Each level times the lcm of its denominators, computed once."""
+        return tuple([scaled_to_ints(level) for level in self.levels])
+
 
 def expectation_vector(system: LexSystem, f: Gamble) -> tuple[Fraction, ...]:
     if f.scope != system.scope:
@@ -85,9 +92,21 @@ def expectation_vector(system: LexSystem, f: Gamble) -> tuple[Fraction, ...]:
 
 
 def lex_member(system: LexSystem, f: Gamble) -> bool:
-    """First nonzero level expectation positive?"""
-    for level in system.levels:
-        e = f.dot(level)
+    """First nonzero level expectation positive?
+
+    Decided by integer sign tests: each level is scaled to ints once per
+    system (``int_levels``) and ``f`` once per call, each by the lcm of its
+    denominators.  Both factors are positive, so every integer dot product
+    has the sign of the exact expectation it stands for.
+    """
+    if len(f.values) != system.scope.size:
+        raise DimensionMismatchError(
+            "expected %d values for scope %r, got %d"
+            % (system.scope.size, system.scope.names, len(f.values))
+        )
+    values = scaled_to_ints(f.values)
+    for level in system.int_levels:
+        e = sum(map(mul, level, values))
         if e > 0:
             return True
         if e < 0:

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .exactlp import EQ, GE, GT, Feasible, LinRow, LinSystem, Optimal, Unbounded, solve
 from .maximal import LexSystem
-from .space import Assignment, Gamble, Scope, as_rational, indicator
+from .space import Assignment, Gamble, Scope, as_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -328,11 +328,10 @@ def _set_sup(
         return _lex_sup(expr, value, direction)
     if isinstance(expr, Conditioned):
         base_scope = scope_of(expr.base)
-        mask = indicator(expr.given)
         return _set_sup(
             expr.base,
-            (mask * value).embed(base_scope),
-            (mask * direction).embed(base_scope),
+            value.mask(expr.given).embed(base_scope),
+            direction.mask(expr.given).embed(base_scope),
         )
     if isinstance(expr, (CylExt, IrrExt, IndepProduct)):
         built = _collapsed(expr)
@@ -391,7 +390,7 @@ def gbr_residual(expr: DesirableSetExpr, given: Assignment, g: Gamble) -> Fracti
     residual to vanish, making this a self-consistency probe.
     """
     price = conditional_lower_prevision(expr, given, g)
-    masked = indicator(given) * g.shift(-price)
+    masked = g.shift(-price).mask(given)
     return lower_prevision(expr, masked)
 
 

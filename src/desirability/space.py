@@ -16,6 +16,7 @@ All values are ``fractions.Fraction``; floats are rejected outright.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,6 +32,8 @@ from .errors import DimensionMismatchError, ExactnessError, OutcomeError, ScopeE
 CACHE_MAXSIZE = 64
 
 RationalLike = Union[Fraction, int, str]
+
+_ZERO = Fraction(0)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
@@ -397,6 +400,19 @@ class Gamble:
     def __rmul__(self, other: RationalLike) -> "Gamble":
         return self.__mul__(other)
 
+    def mask(self, at: Assignment) -> "Gamble":
+        """The values where ``at`` holds and zero elsewhere.
+
+        Lives on ``scope ∪ at.scope`` and equals ``indicator(at) * self``,
+        without building the indicator or multiplying by zero and one.
+        """
+        joint = self.scope.union(at.scope)
+        values = self.embed(joint).values
+        masked = [_ZERO] * joint.size
+        for i in _slice_map(joint, at)[0]:
+            masked[i] = values[i]
+        return Gamble(joint, tuple(masked))
+
     def shift(self, value: RationalLike) -> "Gamble":
         """Add a constant to every outcome."""
         c = as_rational(value)
@@ -463,6 +479,18 @@ def _dimension_error(scope: Scope, got: int) -> DimensionMismatchError:
     return DimensionMismatchError(
         "expected %d values for scope %r, got %d" % (scope.size, scope.names, got)
     )
+
+
+def scaled_to_ints(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """``values`` times the lcm of their denominators, as ints.
+
+    The factor is positive, so every sign of a dot product with the result
+    is the sign of the same dot product with ``values``.
+    """
+    den = math.lcm(*[v.denominator for v in values])
+    if den == 1:
+        return tuple([v.numerator for v in values])
+    return tuple([v.numerator * (den // v.denominator) for v in values])
 
 
 def indicator(at: Assignment, scope: Scope | None = None) -> Gamble:

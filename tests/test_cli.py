@@ -226,6 +226,16 @@ class TestErrors:
         code, _, err = run(capsys, "member", "coin-lean", "[1,-1]")
         assert code == 3 and "--model" in err
 
+    @pytest.mark.parametrize(
+        "scan", [("irr-check", "lean-extended", "X2", "X1"), ("indep-check", "product", "X1|X2")]
+    )
+    @pytest.mark.parametrize("budget", ["0", "-2"])
+    def test_scan_budget_below_one_exits_three(self, capsys, scan, budget):
+        code, out, err = run(capsys, "--model", DEMO, "--budget", budget, *scan)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "budget" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_engine_error_exits_three_with_one_line(self, capsys, monkeypatch):
         monkeypatch.setattr(exactlp, "verify_point", lambda system, point: False)
         code, _, err = run(capsys, "--model", DEMO, "lowprev", "coin-lean", "[1,0]")

@@ -3,6 +3,7 @@
 import pytest
 
 from desirability import (
+    BudgetExceededError,
     ConditionalFamily,
     CredalSet,
     Gamble,
@@ -154,6 +155,16 @@ class TestPredicates:
         verdict = is_independent(correlated, [S1, S2], budget=49, seed=0)
         assert not verdict.passed
         assert verdict.counterexample is not None
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_scans_reject_budgets_below_one(self, budget):
+        prod = independent_product([LEAN1, LEAN2])
+        with pytest.raises(BudgetExceededError):
+            is_irrelevant(prod, S1, S2, budget=budget, seed=0)
+        with pytest.raises(BudgetExceededError):
+            is_independent(prod, [S1, S2], budget=budget, seed=0)
+        with pytest.raises(BudgetExceededError):
+            factorisation_check(prod, S1, S2, budget=budget, seed=0)
 
     def test_single_block_passes_vacuously(self):
         verdict = is_independent(LEAN1, [S1], budget=10, seed=0)
