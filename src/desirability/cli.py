@@ -8,6 +8,7 @@ sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -52,6 +53,8 @@ _EXIT_ERROR = 3
 _VERDICT_EXIT = {Tri.IN: _EXIT_PASS, Tri.OUT: _EXIT_FAIL, Tri.UNKNOWN: _EXIT_UNKNOWN}
 
 
+# Built on the first ``main`` call and reused: parsing keeps no state in it.
+@functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="desirability",

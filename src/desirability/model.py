@@ -211,6 +211,12 @@ class _Resolver:
         self.visiting.append(name)
         try:
             expr, canonical = self.build(name, payload)
+        except ModelFormatError:
+            raise
+        except ValueError as exc:
+            # A payload the constructors reject (zero generator, bad masses,
+            # scope or length mismatch) is a malformed document.
+            raise ModelFormatError("set %r: %s" % (name, exc)) from None
         finally:
             self.visiting.pop()
         self.done[name] = expr
@@ -450,7 +456,11 @@ class _Resolver:
 
 
 def loads(text: str) -> ModelDocument:
-    """Parse and resolve a document, canonicalising every payload."""
+    """Parse and resolve a document, canonicalising every payload.
+
+    A malformed document raises ``ModelFormatError``; when a set's
+    constructor rejects its payload, the message names the set.
+    """
     try:
         raw = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except json.JSONDecodeError as exc:

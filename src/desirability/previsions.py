@@ -427,7 +427,15 @@ class CredalSet:
 
     @staticmethod
     def of(scope: Scope, vertices: Sequence[Sequence[object]]) -> "CredalSet":
-        """Canonicalise: exact rationals, dedupe, extreme points only, sorted."""
+        """Canonicalise: exact rationals, dedupe, extreme points only, sorted.
+
+        For points that do not come from vertex enumeration and may repeat
+        or include non-extreme points: ``strict_from_credal`` model
+        entries, ``credal_view`` of cell and lex models, fixtures and
+        random draws.  Each point costs one convex-combination LP.
+        ``credal_vertices`` needs none of this and builds its result
+        directly.
+        """
         rows = sorted({tuple(as_rational(v) for v in p) for p in vertices})
         keep = [
             p
@@ -488,6 +496,10 @@ def credal_vertices(assessment: GeneratorSet, *, budget: int = 200000) -> Credal
     normalisation equality together with some ``size - 1`` active
     constraints picked from the sign and generator rows, so scanning all
     such square systems and keeping the feasible solutions is exhaustive.
+    Conversely each feasible solution of a nonsingular such system has
+    ``size`` linearly independent active constraints, so it is a vertex:
+    the points found are returned as they are (deduplicated and sorted),
+    with no convex-combination LP from ``CredalSet.of``.
 
     The polytope may lie on the boundary of the simplex: assessments too
     strong for a desirability reading can still bound prices.  Only an
@@ -533,7 +545,7 @@ def credal_vertices(assessment: GeneratorSet, *, budget: int = 200000) -> Credal
         raise IncoherentBaseError(
             "no linear prevision dominates the assessment; the credal set is empty"
         )
-    return CredalSet.of(scope, sorted(found))
+    return CredalSet(scope, tuple(sorted(found)))
 
 
 def strictly_desirable(credal: CredalSet) -> CellSet:

@@ -1,13 +1,19 @@
 """The command-line interface: verdicts, exit codes, determinism."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from desirability import cli, exactlp
 
-DEMO = str(Path(__file__).resolve().parent.parent / "models" / "demo.json")
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = str(ROOT / "models" / "demo.json")
 
 
 def run(capsys, *argv):
@@ -242,3 +248,91 @@ class TestErrors:
         assert code == 3
         assert err.startswith("error: ") and "engine bug" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestWork:
+    def test_strong_member_on_the_demo_solves_two_lps(self, capsys, monkeypatch):
+        # Both come from canonicalising the ``two-vertex`` entry at load time;
+        # the marginals' credal vertices are enumerated without an LP.
+        solved = []
+        engine = exactlp._solve_engine
+
+        def counted(system):
+            solved.append(system)
+            return engine(system)
+
+        monkeypatch.setattr(exactlp, "_solve_engine", counted)
+        code, out, _ = run(
+            capsys, "--model", DEMO, "strong-member", "coin-lean,fair-window", "[1,-1,2,0]"
+        )
+        assert (code, out) == (2, "Unknown\n")
+        assert len(solved) == 2
+
+
+# Every subcommand on the demo model, in text and JSON, with a usage error
+# (exit 2 from argparse) and an engine-level error (exit 3) in between.
+REUSE_SEQUENCE = [
+    ["check", "product"],
+    ["member", "coin-lean", "[2,-2]"],
+    ["member", "two-vertex", "[2,-1,0,0]"],
+    ["member", "coin-lean"],
+    ["lowprev", "two-vertex", "[0,0,4,0]"],
+    ["condlowprev", "widened", "X1=a", "[3,-1]"],
+    ["--budget", "40", "irr-check", "lean-extended", "X2", "X1"],
+    ["--budget", "40", "indep-check", "product", "X1|X2"],
+    ["witness-nonmaximal", "coin-lean", "fair-window"],
+    ["strong-member", "coin-lean,fair-window", "[1,-1,2,0]"],
+    ["frobnicate"],
+    ["paper-suite"],
+    ["describe", "two-vertex"],
+    ["member", "ghost", "[1,0]"],
+]
+
+
+def _fresh_process(argv, env):
+    done = subprocess.run(
+        [sys.executable, "-m", "desirability.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=str(ROOT),
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestParserReuse:
+    def test_reused_parser_answers_like_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        commands = [
+            ["--model", DEMO, *mode, *argv]
+            for argv in REUSE_SEQUENCE
+            for mode in ([], ["--json"])
+        ]
+        roots = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            if kwargs.get("prog") == "desirability":
+                roots.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._parser.cache_clear()
+        in_process = []
+        for argv in commands:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert len(roots) == 1
+
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            fresh = list(pool.map(lambda argv: _fresh_process(argv, env), commands))
+        for argv, mine, theirs in zip(commands, in_process, fresh):
+            assert mine == theirs, argv
+        assert {code for code, _, _ in fresh} == {0, 1, 2, 3}

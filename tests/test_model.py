@@ -129,6 +129,61 @@ class TestRejection:
         with pytest.raises(ModelFormatError):
             loads("{not json")
 
+    @pytest.mark.parametrize(
+        "name, payload, message",
+        [
+            (
+                "lean",
+                {"kind": "generators", "scope": ["X1"], "rows": [["1", "-1"], [0, 0]]},
+                "the zero gamble cannot be a generator",
+            ),
+            (
+                "lean",
+                {"kind": "generators", "scope": ["X1"], "rows": [["1", "-1", "2"]]},
+                "expected 2 values",
+            ),
+            (
+                "strict",
+                {"kind": "strict_from_credal", "scope": ["X1"], "vertices": [["1/2", "1/3"]]},
+                "vertex masses sum to 5/6, not 1",
+            ),
+            (
+                "strict",
+                {"kind": "strict_from_credal", "scope": ["X1"], "vertices": [["3/2", "-1/2"]]},
+                "vertex has a negative mass",
+            ),
+            (
+                "window",
+                {"kind": "lex", "scope": ["X1"], "levels": [["3/2", "-1/2"], ["1", "0"]]},
+                "level 0 has a negative mass",
+            ),
+            (
+                "ext",
+                {"kind": "expr", "op": "cyl_ext", "of": "base", "target": ["X2"]},
+                "must contain",
+            ),
+        ],
+    )
+    def test_payloads_the_constructors_reject(self, name, payload, message):
+        sets = {name: payload, "base": LEAN_PAYLOAD["lean"]}
+        with pytest.raises(ModelFormatError) as caught:
+            loads(minimal(sets))
+        assert str(caught.value).startswith("set %r: " % name)
+        assert message in str(caught.value)
+
+    def test_rejection_names_the_set_that_failed_once(self):
+        bad = minimal(
+            {
+                "ext": {"kind": "expr", "op": "cyl_ext", "of": "zero", "target": ["X1", "X2"]},
+                "zero": {"kind": "generators", "scope": ["X1"], "rows": [[0, 0]]},
+            }
+        )
+        with pytest.raises(
+            ModelFormatError,
+            match=r"^set 'zero': the zero gamble cannot be a generator$",
+        ):
+            loads(bad)
+
 
 class TestAssignments:
     def test_parse_pairs_and_empty(self):

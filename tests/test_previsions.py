@@ -1,5 +1,6 @@
 """Prices: lower/upper previsions, credal vertices, strong products."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from desirability import (
     strong_product_lower,
     upper_prevision,
 )
+from desirability import exactlp
 from desirability.exactlp import GE
 from desirability.randgen import random_credal, random_gamble, random_generator_set
 
@@ -154,6 +156,172 @@ class TestCredalVertices:
             credal = credal_vertices(gens)
             for f in sample_gambles(S12, budget=10, seed=i):
                 assert lower_prevision(gens, f) == credal.lower_expectation(f)
+
+
+def _gauss(matrix, rhs):
+    """Unique solution of a square ``Fraction`` system, or ``None``."""
+    n = len(matrix)
+    rows = [[F(v) for v in row] + [F(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return tuple(rows[i][n] / rows[i][i] for i in range(n))
+
+
+def _rank(rows):
+    rows = [[F(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _dot(u, v):
+    return sum((F(a) * b for a, b in zip(u, v)), F(0))
+
+
+def _oracle_vertices(size, generators):
+    """Feasible points of every square system, with the bases reaching each.
+
+    The system is normalisation plus ``size - 1`` rows picked from the sign
+    rows and the generator rows; a point is kept when it is nonnegative and
+    gives every generator nonnegative expectation.
+    """
+    units = [tuple(int(i == w) for i in range(size)) for w in range(size)]
+    candidates = units + [tuple(g) for g in generators]
+    reached = {}
+    for chosen in itertools.combinations(candidates, size - 1):
+        point = _gauss([(1,) * size] + list(chosen), [1] + [0] * (size - 1))
+        if point is None or any(v < 0 for v in point):
+            continue
+        if any(_dot(g, point) < 0 for g in generators):
+            continue
+        reached[point] = reached.get(point, 0) + 1
+    return reached
+
+
+def _random_rows(rng, size):
+    """Small integer generators, some repeated or positively rescaled."""
+    rows = []
+    for _ in range(rng.randrange(0, 5 if size < 5 else 3)):
+        row = tuple(rng.randint(-2, 2) for _ in range(size))
+        if any(row):
+            rows.append(row)
+    for row in list(rows):
+        if rng.random() < 0.3:
+            rows.append(row)
+        if rng.random() < 0.2:
+            rows.append(tuple(2 * v for v in row))
+    rng.shuffle(rows)
+    return rows
+
+
+Y2 = Variable("Y", ("a", "b", "c"))
+VERTEX_SCOPES = [
+    Scope.of([Variable("X", tuple("abcde"[:n]))]) for n in range(2, 6)
+] + [S12, Scope.of([V1, Y2])]
+
+
+class TestVertexEnumerationAgainstBases:
+    """``credal_vertices`` against a brute-force oracle over square systems.
+
+    The points it returns are not re-checked for extremality by LPs, so the
+    tests check that every returned point is a vertex (its active rows have
+    full rank, and ``CredalSet.of`` keeps it), and that none is missed.
+    """
+
+    def _check(self, scope, rows):
+        gens = GeneratorSet(scope, tuple(Gamble.on(scope, r) for r in rows))
+        reached = _oracle_vertices(scope.size, rows)
+        if not reached:
+            with pytest.raises(IncoherentBaseError):
+                credal_vertices(gens)
+            return reached
+        credal = credal_vertices(gens)
+        assert credal.vertices == tuple(sorted(reached))
+        assert CredalSet.of(scope, credal.vertices) == credal
+        units = [tuple(int(i == w) for i in range(scope.size)) for w in range(scope.size)]
+        for p in credal.vertices:
+            active = [(1,) * scope.size] + [
+                row for row in units + list(rows) if _dot(row, p) == 0
+            ]
+            assert _rank(active) == scope.size
+        return reached
+
+    @pytest.mark.parametrize(
+        "scope",
+        VERTEX_SCOPES,
+        ids=lambda s: "x".join(str(len(v.outcomes)) for v in s.variables),
+    )
+    def test_seeded_generator_sets_match_the_oracle(self, scope):
+        rng = random.Random("vertices-%d-%d" % (scope.size, len(scope.variables)))
+        shared = 0
+        for _ in range(25):
+            reached = self._check(scope, _random_rows(rng, scope.size))
+            shared += sum(count > 1 for count in reached.values())
+        assert shared > 0, "no vertex was reached from several bases"
+
+    def test_one_vertex_reached_from_several_bases(self):
+        scope = Scope.of([Variable("X", ("a", "b", "c"))])
+        rows = [(0, 1, -1), (0, 1, -1), (1, -1, 0)]
+        reached = self._check(scope, rows)
+        assert reached[(F(1), F(0), F(0))] == 5
+        assert credal_vertices(
+            GeneratorSet(scope, tuple(Gamble.on(scope, r) for r in rows))
+        ).vertices.count((F(1), F(0), F(0))) == 1
+
+    @pytest.mark.parametrize(
+        "rows, vertices",
+        [
+            # an edge of the simplex, cut to a segment
+            (
+                [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 3, -1), (0, 0, -1, 1)],
+                {(F(0), F(0), F(1, 2), F(1, 2)), (F(0), F(0), F(1, 4), F(3, 4))},
+            ),
+            # a single corner, reached from many bases
+            (
+                [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0)],
+                {(F(0), F(0), F(0), F(1))},
+            ),
+            # a face of the simplex, untouched by a generator that is zero on it
+            (
+                [(-1, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0, 0)],
+                {(F(0), F(1), F(0), F(0)), (F(0), F(0), F(1), F(0)), (F(0), F(0), F(0), F(1))},
+            ),
+        ],
+    )
+    def test_boundary_polytopes(self, rows, vertices):
+        assert set(self._check(S12, rows)) == vertices
+
+    def test_enumeration_solves_no_linear_program(self, monkeypatch):
+        def refuse(system):
+            raise AssertionError("credal_vertices solved an LP")
+
+        monkeypatch.setattr(exactlp, "_solve_engine", refuse)
+        rng = random.Random("no-lp")
+        found = 0
+        for scope in VERTEX_SCOPES:
+            for _ in range(4):
+                rows = _random_rows(rng, scope.size)
+                gens = GeneratorSet(scope, tuple(Gamble.on(scope, r) for r in rows))
+                try:
+                    found += len(credal_vertices(gens).vertices)
+                except IncoherentBaseError:
+                    pass
+        assert found > 0
 
 
 class TestCredalSets:
