@@ -35,13 +35,12 @@ The central reductions:
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -60,6 +59,7 @@ from .space import (
     Scope,
     _restriction_map,
     _slice_map,
+    disjoint_union,
     scaled_to_ints,
 )
 
@@ -435,7 +435,7 @@ class IndepProduct:
     def __post_init__(self) -> None:
         if not self.parts:
             raise ValueError("a product needs at least one marginal")
-        _check_disjoint(self.parts)
+        disjoint_union(scope_of(part) for part in self.parts)
 
 
 @dataclass(frozen=True)
@@ -451,7 +451,7 @@ class StrongProduct:
     def __post_init__(self) -> None:
         if not self.parts:
             raise ValueError("a product needs at least one marginal")
-        _check_disjoint(self.parts)
+        disjoint_union(scope_of(part) for part in self.parts)
 
 
 @dataclass(frozen=True)
@@ -495,15 +495,6 @@ class ConditionalFamily:
         raise MissingConditionError(
             "no table entry for %s" % (given,)
         )
-
-
-def _check_disjoint(parts: Sequence[DesirableSetExpr]) -> None:
-    seen = Scope.empty()
-    for part in parts:
-        s = scope_of(part)
-        if not seen.isdisjoint(s):
-            raise ScopeError("product marginals must have pairwise disjoint scopes")
-        seen = seen.union(s)
 
 
 def scope_of(expr: DesirableSetExpr) -> Scope:
@@ -554,7 +545,7 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
             return Tri.IN
         return member(expr.base, floor)
     if isinstance(expr, IrrExt):
-        return slice_verdict(expr, f, Gamble.is_nonnegative, member)
+        return slice_verdict(expr, f, Gamble.is_nonnegative)
     if isinstance(expr, IndepProduct):
         from .independence import inex_member
 
@@ -578,18 +569,13 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
     raise TypeError("not a desirable-set expression: %r" % (expr,))
 
 
-def slice_verdict(
-    expr: IrrExt,
-    f: Gamble,
-    skip: Callable[[Gamble], bool],
-    decide: Callable[[DesirableSetExpr, Gamble], Tri],
-) -> Tri:
+def slice_verdict(expr: IrrExt, f: Gamble, skip: Callable[[Gamble], bool]) -> Tri:
     """Slice decomposition of irrelevant-extension membership.
 
     ``f`` lives on the target.  It belongs iff it is nonzero and, for
     every assignment of the irrelevant variables, the floor of ``f`` over
     the remaining added variables, sliced at that assignment, passes
-    ``skip`` or is a base member by ``decide``.  Each slice is read
+    ``skip`` or is a member of the base.  Each slice is read
     straight from ``expr.slice_table``: entry ``b`` is the minimum of the
     values of ``f`` at the indices listed for it.  The per-slice choices
     are independent because a dominating gamble can be assembled slice by
@@ -610,7 +596,7 @@ def slice_verdict(
         )
         if skip(piece):
             continue
-        verdict = decide(expr.base, piece)
+        verdict = member(expr.base, piece)
         if verdict is Tri.OUT:
             return Tri.OUT
         if verdict is Tri.UNKNOWN:
@@ -703,24 +689,21 @@ def _positives_covered(cs: CellSet, budget: int) -> tuple[Optional[bool], Option
     return True, None
 
 
-def _grid_samples(scope: Scope, rng: random.Random, count: int, lo: int, hi: int) -> list[Gamble]:
-    out = []
-    for _ in range(count):
-        values = tuple(Fraction(rng.randint(lo, hi)) for _ in range(scope.size))
-        out.append(Gamble(scope, values))
-    return out
+# Negated-row branches the exact positives check may enumerate.
+AUDIT_BRANCH_BUDGET = 4096
+# Gambles (and member pairs) a sampled axiom check draws.
+AUDIT_SAMPLES = 200
 
 
-def cellset_coherence_audit(
-    cs: CellSet, *, branch_budget: int = 4096, samples: int = 200, seed: int = 0
-) -> CoherenceReport:
+def cellset_coherence_audit(cs: CellSet) -> CoherenceReport:
     """Audit the three coherence axioms for a cell set.
 
     Zero exclusion is exact.  Acceptance of all positives is structural
     when the positives are included wholesale, exact via complement
-    decomposition within the branch budget, and sampled beyond it.
-    Closure under positive combinations is structural for the canonical
-    families and sampled otherwise; a sampled counterexample is still a
+    decomposition within ``AUDIT_BRANCH_BUDGET`` branches, and checked on
+    ``structure.sample_gambles`` beyond it.  Closure under positive
+    combinations is structural for the canonical families and checked on
+    sampled members otherwise; a sampled counterexample is still a
     definitive failure.
     """
     zero = Gamble.zero(cs.scope)
@@ -740,11 +723,13 @@ def cellset_coherence_audit(
             "accepts-positives", True, "structural", "positives included wholesale"
         )
     else:
-        verdict, witness = _positives_covered(cs, branch_budget)
+        verdict, witness = _positives_covered(cs, AUDIT_BRANCH_BUDGET)
         if verdict is None:
-            rng = random.Random(seed)
+            from .structure import sample_gambles
+
             bad = None
-            for f in _grid_samples(cs.scope, rng, samples, 0, 3):
+            samples = sample_gambles(cs.scope, budget=AUDIT_SAMPLES, lo=0, hi=3)
+            for f in samples:
                 if f.is_positive() and not _cellset_member(cs, f):
                     bad = f
                     break
@@ -753,7 +738,7 @@ def cellset_coherence_audit(
                 bad is None,
                 "sampled",
                 "complement decomposition over budget; %d positive samples checked"
-                % samples
+                % len(samples)
                 if bad is None
                 else "positive gamble outside every cell",
                 bad,
@@ -769,11 +754,11 @@ def cellset_coherence_audit(
                 witness,
             )
 
-    posi_closed = _audit_posi_closed(cs, samples, seed)
+    posi_closed = _audit_posi_closed(cs)
     return CoherenceReport(excludes_zero, accepts_positives, posi_closed)
 
 
-def _audit_posi_closed(cs: CellSet, samples: int, seed: int) -> AuditFinding:
+def _audit_posi_closed(cs: CellSet) -> AuditFinding:
     if cs.from_credal is not None:
         return AuditFinding(
             "posi-closed",
@@ -804,20 +789,22 @@ def _audit_posi_closed(cs: CellSet, samples: int, seed: int) -> AuditFinding:
             "structural",
             "positives plus one strict cell with nonnegative functionals",
         )
-    rng = random.Random(seed)
+    from .structure import sample_gambles
+
     members = [
         f
-        for f in _grid_samples(cs.scope, rng, samples * 4, -3, 3)
+        for f in sample_gambles(cs.scope, budget=AUDIT_SAMPLES * 4)
         if _cellset_member(cs, f)
     ]
     checked = 0
-    for f, g in itertools.islice(itertools.combinations(members, 2), samples):
+    pairs = itertools.combinations(members, 2)
+    for f, g in itertools.islice(pairs, AUDIT_SAMPLES):
         if not _cellset_member(cs, f + g):
             return AuditFinding(
                 "posi-closed", False, "sampled", "sum of two members left the set", f + g
             )
         checked += 1
-    for f in members[:samples]:
+    for f in members[:AUDIT_SAMPLES]:
         if not _cellset_member(cs, f + f):
             return AuditFinding(
                 "posi-closed", False, "sampled", "double of a member left the set", f + f

@@ -15,7 +15,9 @@ in that block's model (or vanish).  Generator marginals therefore collapse
 to one joint generator set.  Cell and lexicographic marginals are decided
 by signature enumeration: each (block, slice) constraint is a finite
 disjunction of linear sign patterns; one feasibility problem is solved per
-combined choice, within a configurable budget.
+combined choice, within a configurable budget.  The product's layout (its
+joint scope, block and slice indices) comes from ``space``, and each
+(block, slice, branch) row is built once per query, not once per choice.
 
 Irrelevance and independence of an arbitrary expression are refutation
 checks — sampled or exhaustive-grid scans of the membership biconditional
@@ -30,6 +32,7 @@ and to lexicographic and cell leaves, which decide by integer sign tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -55,11 +58,22 @@ from .errors import (
 )
 from .exactlp import EQ, GE, GT, Feasible, LinRow, LinSystem, strict_feasible
 from .maximal import LexSystem, lex_is_coherent, lex_is_maximal
-from .space import Assignment, Gamble, Scope, _slice_map
+from .space import (
+    Assignment,
+    Gamble,
+    Scope,
+    _restriction_map,
+    _slice_map,
+    disjoint_union,
+)
 from .structure import cyl_ext, sample_gambles
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Most (irrelevant, onto) block-union pairs one independence scan checks;
+# five blocks need 180 pairs and six need 602.
+PAIR_BUDGET = 200
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +122,7 @@ def independent_product(parts: Sequence[DesirableSetExpr]) -> DesirableSetExpr:
         raise ValueError("a product needs at least one marginal")
     if len(flat) == 1:
         return flat[0]
-    joint = Scope.empty()
-    for part in flat:
-        s = scope_of(part)
-        if not joint.isdisjoint(s):
-            raise ScopeError("product marginals must have pairwise disjoint scopes")
-        joint = joint.union(s)
+    joint = disjoint_union(scope_of(part) for part in flat)
     if all(isinstance(part, GeneratorSet) for part in flat):
         masked: list[Gamble] = []
         for part in flat:
@@ -162,31 +171,27 @@ def irr_member(ext: IrrExt, h: Gamble) -> Tri:
     instead of nonnegative ones.
     """
     h = h.embed(ext.irrelevant.union(scope_of(ext.base)))
-    return slice_verdict(ext, h.embed(ext.target), Gamble.is_zero, member)
+    return slice_verdict(ext, h.embed(ext.target), Gamble.is_zero)
 
 
 # -- signature enumeration for products of cell/lex marginals ---------------
 
-
-@dataclass(frozen=True)
-class _Branch:
-    """One sign pattern of the disjunction covering a marginal's slices.
-
-    Rows constrain the slice vector ``s`` of one summand and the branch's
-    own nonnegative auxiliary weights: slice_coeffs . s + aux_coeffs . lam
-    rel 0.
-    """
-
-    aux: int
-    rows: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...], str], ...]
+# A branch row ``slice_coeffs . s + aux_coeffs . lam  rel  0`` on the slice
+# ``s`` of one summand and the marginal's nonnegative auxiliary weights.
+_Row = tuple[tuple[Fraction, ...], tuple[Fraction, ...], str]
 
 
 def _unit(size: int, at: int) -> tuple[Fraction, ...]:
     return tuple(_ONE if j == at else _ZERO for j in range(size))
 
 
-def _leaf_branches(part: DesirableSetExpr) -> list[_Branch]:
-    """Branches whose union is exactly (part's set) together with 0."""
+def _leaf_branches(part: DesirableSetExpr) -> tuple[int, list[tuple[_Row, ...]]]:
+    """The marginal's auxiliary weight count, and the sign patterns (branches)
+    whose union is exactly (part's set) together with 0.
+
+    Only a generator marginal has auxiliary weights, and it has exactly one
+    branch, so a product's auxiliary columns do not depend on the signature.
+    """
     if isinstance(part, GeneratorSet):
         certificate = avoids_nonpositivity(part)
         if not certificate.avoids:
@@ -199,7 +204,7 @@ def _leaf_branches(part: DesirableSetExpr) -> list[_Branch]:
             (_unit(size, w), tuple(-g.values[w] for g in gens), GE)
             for w in range(size)
         )
-        return [_Branch(len(gens), rows)]
+        return len(gens), [rows]
     if isinstance(part, LexSystem):
         if not lex_is_coherent(part):
             raise IncoherentBaseError("product marginal is an incoherent lex system")
@@ -210,32 +215,23 @@ def _leaf_branches(part: DesirableSetExpr) -> list[_Branch]:
             rows = [(levels[i], (), EQ) for i in range(lead)]
             merged = maximal and lead == len(levels) - 1
             rows.append((levels[lead], (), GE if merged else GT))
-            branches.append(_Branch(0, tuple(rows)))
+            branches.append(tuple(rows))
         if not maximal:
             size = part.scope.size
-            branches.append(
-                _Branch(0, tuple((_unit(size, w), (), EQ) for w in range(size)))
-            )
-        return branches
+            branches.append(tuple((_unit(size, w), (), EQ) for w in range(size)))
+        return 0, branches
     if isinstance(part, CellSet):
         size = part.scope.size
         branches = []
         if part.include_positive:
-            branches.append(
-                _Branch(0, tuple((_unit(size, w), (), GE) for w in range(size)))
-            )
+            branches.append(tuple((_unit(size, w), (), GE) for w in range(size)))
         for cell in part.cells:
             branches.append(
-                _Branch(
-                    0,
-                    tuple((row.functional.values, (), row.rel) for row in cell.rows),
-                )
+                tuple((row.functional.values, (), row.rel) for row in cell.rows)
             )
         if not part.include_positive:
-            branches.append(
-                _Branch(0, tuple((_unit(size, w), (), EQ) for w in range(size)))
-            )
-        return branches
+            branches.append(tuple((_unit(size, w), (), EQ) for w in range(size)))
+        return 0, branches
     raise UnsupportedQueryError(
         "product membership needs leaf marginals (generators, cells, or lex)"
     )
@@ -256,13 +252,12 @@ def _product_mass(product: IndepProduct, joint: Scope) -> Optional[Gamble]:
     masses = [_support_mass(part) for part in product.parts]
     if any(m is None for m in masses):
         return None
+    block_maps = [_restriction_map(joint, scope_of(part)) for part in product.parts]
     values = []
     for w in range(joint.size):
-        at = joint.assignment_at(w)
         v = _ONE
-        for part, mass in zip(product.parts, masses):
-            part_scope = scope_of(part)
-            v *= mass[part_scope.index_of(at.restrict(part_scope))]
+        for block_map, mass in zip(block_maps, masses):
+            v *= mass[block_map[w]]
         values.append(v)
     return Gamble(joint, tuple(values))
 
@@ -274,6 +269,11 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     Products over cell or lexicographic marginals enumerate one sign
     pattern per (block, slice) pair and solve a feasibility problem per
     combined signature; ``budget`` caps the number of signatures.
+
+    Each (block, slice) pair reads its joint indices from ``_slice_map``.
+    The auxiliary columns do not depend on the signature, so every (block,
+    slice, branch) row is built once per query, and a signature only joins
+    its rows to the domination and auxiliary rows.
     """
     if not isinstance(expr, IndepProduct):
         return member(expr, h)
@@ -290,56 +290,53 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
         return Tri.OUT
 
     parts = expr.parts
-    branch_menu: list[list[_Branch]] = []
-    slice_tables: list[list[list[int]]] = []
-    pair_index: list[tuple[int, int]] = []
+    # One entry per (block, slice) pair: block, joint indices of the slice,
+    # auxiliary weight count and branches of the block's marginal.
+    pairs: list[tuple[int, tuple[int, ...], int, list[tuple[_Row, ...]]]] = []
     for n, part in enumerate(parts):
-        branches = _leaf_branches(part)
-        part_scope = scope_of(part)
-        rest = joint.difference(part_scope)
-        table = []
+        aux, branches = _leaf_branches(part)
+        rest = joint.difference(scope_of(part))
         for z in rest.assignments():
-            table.append(
-                [joint.index_of(at.union(z)) for at in part_scope.assignments()]
-            )
-            branch_menu.append(branches)
-            pair_index.append((n, len(table) - 1))
-        slice_tables.append(table)
+            pairs.append((n, _slice_map(joint, z)[0], aux, branches))
 
-    count = 1
-    for branches in branch_menu:
-        count *= len(branches)
-        if count > budget:
-            raise BudgetExceededError(
-                "signature enumeration needs more than %d problems" % budget
-            )
+    if math.prod(len(branches) for *_, branches in pairs) > budget:
+        raise BudgetExceededError(
+            "signature enumeration needs more than %d problems" % budget
+        )
 
     size = joint.size
     block = len(parts) * size
-    for signature in itertools.product(*branch_menu):
-        aux_total = sum(br.aux for br in signature)
-        width = block + aux_total
-        names = tuple("v%d" % j for j in range(width))
-        rows: list[LinRow] = []
-        for w in range(size):
-            coeffs = [_ZERO] * width
-            for n in range(len(parts)):
-                coeffs[n * size + w] = -_ONE
-            rows.append(LinRow(tuple(coeffs), GE, -h.values[w]))
-        for j in range(aux_total):
-            rows.append(LinRow(_unit(width, block + j), GE, _ZERO))
-        aux_offset = block
-        for (n, zi), branch in zip(pair_index, signature):
-            indices = slice_tables[n][zi]
-            for slice_coeffs, aux_coeffs, rel in branch.rows:
+    aux_total = sum(aux for _, _, aux, _ in pairs)
+    width = block + aux_total
+    names = tuple("v%d" % j for j in range(width))
+    fixed: list[LinRow] = []
+    for w in range(size):
+        coeffs = [_ZERO] * width
+        for n in range(len(parts)):
+            coeffs[n * size + w] = -_ONE
+        fixed.append(LinRow(tuple(coeffs), GE, -h.values[w]))
+    for j in range(aux_total):
+        fixed.append(LinRow(_unit(width, block + j), GE, _ZERO))
+    menu: list[list[list[LinRow]]] = []
+    aux_offset = block
+    for n, indices, aux, branches in pairs:
+        options = []
+        for branch in branches:
+            rendered = []
+            for slice_coeffs, aux_coeffs, rel in branch:
                 coeffs = [_ZERO] * width
                 for j, idx in enumerate(indices):
                     coeffs[n * size + idx] = slice_coeffs[j]
                 for j, c in enumerate(aux_coeffs):
                     coeffs[aux_offset + j] = c
-                rows.append(LinRow(tuple(coeffs), rel, _ZERO))
-            aux_offset += branch.aux
-        outcome = strict_feasible(LinSystem(names, tuple(rows)))
+                rendered.append(LinRow(tuple(coeffs), rel, _ZERO))
+            options.append(rendered)
+        menu.append(options)
+        aux_offset += aux
+
+    for signature in itertools.product(*menu):
+        rows = tuple(itertools.chain(fixed, *signature))
+        outcome = strict_feasible(LinSystem(names, rows))
         if isinstance(outcome, Feasible):
             return Tri.IN
     return Tri.OUT
@@ -443,39 +440,30 @@ def is_independent(
     *,
     budget: int = 2000,
     seed: int = 0,
-    pair_budget: int = 200,
 ) -> Verdict:
     """Scan every disjoint pair of block unions for an irrelevance failure.
 
-    Each pair runs ``is_irrelevant`` with the same ``budget`` (at least 1).
+    Each pair runs ``is_irrelevant`` with the same ``budget`` (at least 1);
+    more than ``PAIR_BUDGET`` pairs raise ``BudgetExceededError``.
     """
     _check_budget(budget)
-    full = scope_of(expr)
-    union = Scope.empty()
-    for block in blocks:
-        if not union.isdisjoint(block):
-            raise ScopeError("blocks must be pairwise disjoint")
-        union = union.union(block)
-    if union != full:
+    if disjoint_union(blocks) != scope_of(expr):
         raise ScopeError("blocks must partition the expression scope")
     if len(blocks) <= 1:
         return Verdict(True, "vacuous", 0, "a single block is trivially independent")
+    # Labellings of the blocks as irrelevant (1), onto (2) or unused (0)
+    # that use both 1 and 2; counted before any is enumerated.
+    needed = 3 ** len(blocks) - 2 * 2 ** len(blocks) + 1
+    if needed > PAIR_BUDGET:
+        raise BudgetExceededError(
+            "independence scan needs %d irrelevance checks" % needed
+        )
     pairs: list[tuple[Scope, Scope]] = []
     for labels in itertools.product((0, 1, 2), repeat=len(blocks)):
-        if 1 not in labels or 2 not in labels:
-            continue
-        side_i = Scope.empty()
-        side_o = Scope.empty()
-        for label, block in zip(labels, blocks):
-            if label == 1:
-                side_i = side_i.union(block)
-            elif label == 2:
-                side_o = side_o.union(block)
-        pairs.append((side_i, side_o))
-    if len(pairs) > pair_budget:
-        raise BudgetExceededError(
-            "independence scan needs %d irrelevance checks" % len(pairs)
-        )
+        if 1 in labels and 2 in labels:
+            side_i = disjoint_union(b for k, b in zip(labels, blocks) if k == 1)
+            side_o = disjoint_union(b for k, b in zip(labels, blocks) if k == 2)
+            pairs.append((side_i, side_o))
     total = 0
     mode = "exhaustive"
     for side_i, side_o in pairs:

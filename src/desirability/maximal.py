@@ -277,9 +277,10 @@ def nonmaximality_witness(m1: LexSystem, m2: LexSystem) -> Gamble:
         values[joint.index_of(at)] = v
     witness = Gamble(joint, tuple(values))
 
-    from .desirable import IndepProduct, Tri, member
+    from .desirable import Tri, member
+    from .independence import independent_product
 
-    product = IndepProduct((m1, m2))
+    product = independent_product((m1, m2))
     if member(product, witness) is not Tri.OUT or member(product, -witness) is not Tri.OUT:
         raise WitnessVerificationError(
             "constructed witness failed its rejection checks"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .desirable import (
     Cell,
@@ -82,26 +82,32 @@ def parse_assignment(text: str, by_id: Mapping[str, Variable]) -> Assignment:
     text = text.strip()
     if text in ("", "()"):
         return Assignment(())
-    pairs = {}
+    pairs = []
     for chunk in text.split(","):
         if "=" not in chunk:
             raise ModelFormatError(
                 "assignment %r is not of the form 'X=label,...'" % text
             )
         key, _, label = chunk.partition("=")
-        key = key.strip()
-        label = label.strip()
+        pairs.append((key.strip(), label.strip()))
+    return _assignment(pairs, by_id)
+
+
+def _assignment(pairs: Iterable[tuple], by_id: Mapping[str, Variable]) -> Assignment:
+    """Labels are taken verbatim: each must equal a declared outcome."""
+    out = {}
+    for key, label in pairs:
         if key not in by_id:
-            raise ModelFormatError("assignment names unknown variable %r" % key)
-        if key in (v.name for v in pairs):
-            raise ModelFormatError("assignment repeats variable %r" % key)
+            raise ModelFormatError("assignment names unknown variable %r" % (key,))
+        if key in (v.name for v in out):
+            raise ModelFormatError("assignment repeats variable %r" % (key,))
         var = by_id[key]
         if label not in var.outcomes:
             raise ModelFormatError(
                 "variable %r has no outcome %r" % (key, label)
             )
-        pairs[var] = label
-    return Assignment.of(pairs)
+        out[var] = label
+    return Assignment.of(out)
 
 
 def _reject_float(literal: str) -> Fraction:
@@ -373,9 +379,7 @@ class _Resolver:
                 raise ModelFormatError(
                     "%s: 'given' must map variable ids to outcome labels" % where
                 )
-            given = parse_assignment(
-                ",".join("%s=%s" % (k, v) for k, v in raw_given.items()), self.by_id
-            )
+            given = _assignment(raw_given.items(), self.by_id)
             built = condition(base, given)
             canonical = {
                 "kind": "expr",

@@ -46,12 +46,19 @@ from .errors import (
     EngineError,
     ExactnessError,
     IncoherentBaseError,
-    ScopeError,
     UnsupportedQueryError,
 )
 from .exactlp import EQ, GE, GT, Feasible, LinRow, LinSystem, Optimal, Unbounded, solve
 from .maximal import LexSystem
-from .space import Assignment, Gamble, Scope, as_rational
+from .space import (
+    Assignment,
+    Gamble,
+    Scope,
+    _restriction_map,
+    _slice_map,
+    as_rational,
+    disjoint_union,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -590,17 +597,6 @@ def credal_view(expr: DesirableSetExpr, *, budget: int = 200000) -> CredalSet:
 # ---------------------------------------------------------------------------
 
 
-def _joint_scope(credals: Sequence[CredalSet]) -> Scope:
-    if not credals:
-        raise ValueError("at least one marginal credal set is required")
-    joint = credals[0].scope
-    for c in credals[1:]:
-        if not joint.isdisjoint(c.scope):
-            raise ScopeError("marginal blocks must have disjoint scopes")
-        joint = joint.union(c.scope)
-    return joint
-
-
 def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
     """Most conservative independent joint lower prevision, evaluated at f.
 
@@ -609,9 +605,13 @@ def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
     at the other blocks' outcome in w)``.  The inner lower previsions
     are concave minima over vertices, so epigraph variables bounded by
     every vertex expectation turn the whole thing into one LP, exact by
-    duality.
+    duality.  The layout comes from ``space``: ``_slice_map`` gives the
+    joint indices of each block slice, ``_restriction_map`` the slice each
+    joint outcome lies in.
     """
-    joint = _joint_scope(credals)
+    if not credals:
+        raise ValueError("at least one marginal credal set is required")
+    joint = disjoint_union(c.scope for c in credals)
     fitted = f.embed(joint)
     size = joint.size
     names: list[str] = ["t"]
@@ -628,25 +628,21 @@ def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
     width = len(names)
     rows: list[LinRow] = []
     for n, c in enumerate(credals):
-        rest = rests[n]
-        for zi in range(rest.size):
-            z = rest.assignment_at(zi)
-            cell_index = [
-                joint.index_of(x.union(z)) for x in c.scope.assignments()
-            ]
+        for zi, z in enumerate(rests[n].assignments()):
+            cell_index = _slice_map(joint, z)[0]
             for p in c.vertices:
                 coeffs = [_ZERO] * width
                 for k, w in enumerate(cell_index):
                     coeffs[h_offset[n] + w] += p[k]
                 coeffs[s_offset[n] + zi] -= _ONE
                 rows.append(LinRow(tuple(coeffs), GE, _ZERO))
+    rest_maps = [_restriction_map(joint, rest) for rest in rests]
     for w in range(size):
         coeffs = [_ZERO] * width
         coeffs[0] = -_ONE
-        at = joint.assignment_at(w)
         for n in range(len(credals)):
             coeffs[h_offset[n] + w] -= _ONE
-            coeffs[s_offset[n] + rests[n].index_of(at.restrict(rests[n]))] += _ONE
+            coeffs[s_offset[n] + rest_maps[n][w]] += _ONE
         rows.append(LinRow(tuple(coeffs), GE, -fitted.values[w]))
     objective = tuple([_ONE if i == 0 else _ZERO for i in range(width)])
     outcome = solve(LinSystem(tuple(names), tuple(rows), objective, "max"))
@@ -672,7 +668,9 @@ def strong_product_lower(
     infimum over the credal polytopes is attained at a combination of
     vertices; enumerating combinations is exact.
     """
-    joint = _joint_scope(credals)
+    if not credals:
+        raise ValueError("at least one marginal credal set is required")
+    joint = disjoint_union(c.scope for c in credals)
     fitted = f.embed(joint)
     combos = 1
     for c in credals:
@@ -682,13 +680,7 @@ def strong_product_lower(
             "strong product needs %d vertex combinations, over the budget of %d"
             % (combos, budget)
         )
-    block_index = [
-        tuple([
-            c.scope.index_of(joint.assignment_at(w).restrict(c.scope))
-            for w in range(joint.size)
-        ])
-        for c in credals
-    ]
+    block_index = [_restriction_map(joint, c.scope) for c in credals]
     best: Optional[Fraction] = None
     for combo in itertools.product(*(c.vertices for c in credals)):
         total = _ZERO

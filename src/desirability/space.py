@@ -11,6 +11,12 @@ variable varying slowest, each variable's outcomes in declared order.  The
 empty scope is a first-class space with exactly one outcome (the empty
 assignment), so constants are gambles like any other.
 
+The joint layout of a product of models on disjoint blocks comes from here
+as well, and from nowhere else: ``disjoint_union`` forms the joint scope,
+``_restriction_map`` sends each joint index to its index in a block (or in
+the other blocks), and ``_slice_map`` lists the joint indices of each slice
+of a block along an assignment of the other blocks.
+
 All values are ``fractions.Fraction``; floats are rejected outright.
 """
 
@@ -215,6 +221,24 @@ class Scope:
 
 
 _EMPTY_SCOPE = Scope(())
+
+
+def disjoint_union(scopes: Iterable[Scope]) -> Scope:
+    """The joint scope of blocks that must share no variable.
+
+    Raises :class:`ScopeError` naming the shared variables when two blocks
+    overlap.  No blocks give the empty scope.
+    """
+    joint = _EMPTY_SCOPE
+    for scope in scopes:
+        shared = joint.intersection(scope)
+        if shared.variables:
+            raise ScopeError(
+                "blocks must have pairwise disjoint scopes; they share %s"
+                % ", ".join(shared.names)
+            )
+        joint = joint.union(scope)
+    return joint
 
 
 @dataclass(frozen=True)

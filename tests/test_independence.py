@@ -1,5 +1,7 @@
 """Irrelevance, independent products, and their refutation scans."""
 
+import random
+
 import pytest
 
 from desirability import (
@@ -26,10 +28,13 @@ from desirability import (
     is_independent,
     is_irrelevant,
     member,
+    natext_member,
     scope_of,
     strictly_desirable,
 )
 from fractions import Fraction as F
+
+from desirability.randgen import random_gamble, random_generator_set
 
 V1 = Variable("X1", ("a", "b"))
 V2 = Variable("X2", ("a", "b"))
@@ -122,6 +127,40 @@ class TestIndependentProduct:
         assert inex_member(prod, Gamble.on(S12, [1, 1, 1, -1])) is Tri.IN
 
 
+class TestThreeBlockProducts:
+    """Blocks of 2, 3 and 2 outcomes; the middle block's slices are not
+    contiguous in the joint enumeration."""
+
+    def test_uncollapsed_generator_product_agrees_with_the_collapse(self):
+        variables = [
+            Variable("A", ("a", "b")),
+            Variable("B", ("a", "b", "c")),
+            Variable("C", ("a", "b")),
+        ]
+        blocks = [Scope.of([v]) for v in variables]
+        joint = Scope.of(variables)
+        rng = random.Random("three-blocks-member")
+        verdicts = []
+        for _ in range(5):
+            parts = tuple(
+                random_generator_set(rng, s, count=rng.choice([1, 2])) for s in blocks
+            )
+            product = IndepProduct(parts)
+            collapsed = independent_product(parts)
+            assert isinstance(collapsed, GeneratorSet)
+            for _ in range(8):
+                # Near-members: a masked generator per slice, plus small noise.
+                h = random_gamble(rng, joint, -1, 1)
+                for part in parts:
+                    for at in joint.difference(part.scope).assignments():
+                        g = rng.choice(part.generators)
+                        h = h + g.mask(at).embed(joint) * rng.randint(0, 2)
+                verdict = inex_member(product, h) is Tri.IN
+                assert verdict == natext_member(collapsed, h)
+                verdicts.append(verdict)
+        assert 5 <= sum(verdicts) <= len(verdicts) - 5
+
+
 class TestPredicates:
     def test_extension_passes_irrelevance_scan(self):
         ext = irrelevant_extension(LEAN2, S1, S12)
@@ -165,6 +204,17 @@ class TestPredicates:
             is_independent(prod, [S1, S2], budget=budget, seed=0)
         with pytest.raises(BudgetExceededError):
             factorisation_check(prod, S1, S2, budget=budget, seed=0)
+
+    def test_block_pairs_over_budget_raise_before_enumeration(self):
+        # 3**40 labellings: the count must be refused before any is built.
+        variables = [Variable("Z%02d" % k, ("a", "b")) for k in range(40)]
+        blocks = [Scope.of([v]) for v in variables]
+        fair = ((F(1, 2), F(1, 2)), (F(1), F(0)))
+        prod = IndepProduct(tuple(LexSystem(s, fair) for s in blocks))
+        with pytest.raises(BudgetExceededError, match="needs 12157663260033673250 irrelevance"):
+            is_independent(prod, blocks, budget=10, seed=0)
+        with pytest.raises(BudgetExceededError, match="needs 602 irrelevance"):
+            is_independent(prod, [Scope.of(variables[:35])] + blocks[35:], budget=10, seed=0)
 
     def test_single_block_passes_vacuously(self):
         verdict = is_independent(LEAN1, [S1], budget=10, seed=0)

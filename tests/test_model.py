@@ -198,3 +198,42 @@ class TestAssignments:
         by_id = {v.name: v for v in doc.variables}
         with pytest.raises(ModelFormatError):
             parse_assignment("X9=a", by_id)
+
+
+class TestConditionGiven:
+    """The ``given`` of a ``condition`` op is read as a mapping, verbatim."""
+
+    @staticmethod
+    def document(outcomes, given):
+        return json.dumps(
+            {
+                "variables": [
+                    {"id": "X1", "outcomes": outcomes},
+                    {"id": "X2", "outcomes": ["a", "b"]},
+                ],
+                "sets": {
+                    "joint": {"kind": "generators", "scope": ["X1", "X2"], "rows": [["1", "-1", "1", "-1"]]},
+                    "updated": {"kind": "expr", "op": "condition", "of": "joint", "given": given},
+                },
+            }
+        )
+
+    def test_label_with_a_comma_loads(self):
+        doc = loads(self.document(["a,b", "c"], {"X1": "a,b"}))
+        updated = doc.sets["updated"]
+        assert isinstance(updated, Conditioned)
+        assert updated.given.items == ((doc.variables[0], "a,b"),)
+        assert json.loads(dumps(doc))["sets"]["updated"]["given"] == {"X1": "a,b"}
+
+    def test_label_is_not_stripped(self):
+        with pytest.raises(ModelFormatError, match=r"has no outcome ' a'"):
+            loads(self.document(["a", "b"], {"X1": " a"}))
+
+    def test_int_label_rejected(self):
+        with pytest.raises(ModelFormatError, match=r"has no outcome 1$"):
+            loads(self.document(["0", "1"], {"X1": 1}))
+        assert isinstance(loads(self.document(["0", "1"], {"X1": "1"})).sets["updated"], Conditioned)
+
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(ModelFormatError, match=r"unknown variable 'X9'"):
+            loads(self.document(["a", "b"], {"X9": "a"}))

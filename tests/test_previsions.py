@@ -412,6 +412,60 @@ class TestProductPrices:
         assert strong_product_lower([c1, c2], Gamble.constant(S12, F(5, 9))) == F(5, 9)
 
 
+A3 = Variable("A", ("a", "b"))
+B3 = Variable("B", ("a", "b", "c"))
+C3 = Variable("C", ("a", "b"))
+BLOCKS3 = [Scope.of([A3]), Scope.of([B3]), Scope.of([C3])]
+JOINT3 = Scope.of([A3, B3, C3])
+
+
+def _strong_by_walk(credals, f):
+    """The strong lower envelope, reading each block's outcome by walking
+    joint assignments: the reference for the product's block maps."""
+    joint = Scope.of([v for c in credals for v in c.scope.variables])
+    values = f.embed(joint).values
+    best = None
+    for combo in itertools.product(*(c.vertices for c in credals)):
+        total = F(0)
+        for w in range(joint.size):
+            at = joint.assignment_at(w)
+            weight = values[w]
+            for c, p in zip(credals, combo):
+                weight *= p[c.scope.index_of(at.restrict(c.scope))]
+            total += weight
+        best = total if best is None else min(best, total)
+    return best
+
+
+class TestThreeBlockLayout:
+    """Blocks of 2, 3 and 2 outcomes; the middle block's slices are not
+    contiguous in the joint enumeration."""
+
+    def test_joint_price_matches_the_collapsed_product(self):
+        rng = random.Random("three-blocks-inex")
+        for _ in range(4):
+            parts = [
+                random_generator_set(rng, s, count=rng.choice([1, 2])) for s in BLOCKS3
+            ]
+            product = independent_product(parts)
+            credals = [credal_view(part) for part in parts]
+            for _ in range(5):
+                f = random_gamble(rng, JOINT3)
+                expected = lower_prevision(product, f)
+                assert inex_lower_prevision(credals, f) == expected
+                assert inex_lower_prevision(credals[::-1], f) == expected
+
+    def test_strong_envelope_matches_the_assignment_walk(self):
+        rng = random.Random("three-blocks-strong")
+        for _ in range(6):
+            credals = [random_credal(rng, s, count=rng.choice([1, 2, 3])) for s in BLOCKS3]
+            for _ in range(4):
+                f = random_gamble(rng, JOINT3)
+                expected = _strong_by_walk(credals, f)
+                assert strong_product_lower(credals, f) == expected
+                assert strong_product_lower(credals[::-1], f) == expected
+
+
 class TestStrongMembership:
     def _pair(self):
         credal = CredalSet.of(S1, [("2/5", "3/5"), ("1/2", "1/2")])
