@@ -7,13 +7,20 @@ denominator, reduced by its gcd after every update, and a pivot touches only
 the pivot row's nonzero columns.  It prices with Dantzig's rule for speed and
 falls back to Bland's rule after a fixed number of pivots, which guarantees
 termination under exact arithmetic.  Every answer is re-checked by
-substitution, in ``Fraction``s, before it is returned:
+substitution before it is returned:
 
 * ``Feasible`` carries a point satisfying every row;
 * ``Optimal`` carries a point achieving the reported value;
 * ``Infeasible`` carries a combination of rows that contradicts itself
   (nonnegative multipliers on inequality rows, any sign on equalities);
 * ``Unbounded`` carries an improving ray.
+
+The gates (``verify_point``, ``verify_farkas``, ``verify_ray``) decide the
+exact rational predicate on Python ints: each vector is scaled once by the
+lcm of its denominators and each row by the lcm of its own.  The factors
+are positive, so no sign and no equality changes.  The gates share no code
+with the simplex, so a scaling fault in one cannot hide a fault in the
+other.
 
 Strict inequalities are not handled by ``solve`` directly; ``strict_feasible``
 reduces them exactly, either by homogenisation (replace ``> 0`` by ``>= 1``
@@ -44,6 +51,10 @@ _ALL_RELS = (GE, EQ, GT)
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Pricing rounds one ``_Simplex._run`` may take before it gives up.  Bland's
+# rule terminates, so reaching the cap means an engine bug.
+_MAX_ITERATIONS = 100000
+
 
 def _check_coeffs(coeffs: Sequence[Fraction], want: int, what: str) -> None:
     if len(coeffs) != want:
@@ -58,6 +69,10 @@ def _check_coeffs(coeffs: Sequence[Fraction], want: int, what: str) -> None:
 @dataclass(frozen=True)
 class LinRow:
     """One linear constraint ``coeffs . x  rel  rhs``.
+
+    A row does not evaluate itself: points, rays and multipliers are checked
+    against rows by the gates ``verify_point``, ``verify_ray`` and
+    ``verify_farkas``, on ints.
 
     The LP builders make ``coeffs`` with ``tuple([...])``, not from a
     generator: CPython sizes a tuple built from a generator by resizing, and
@@ -79,17 +94,6 @@ class LinRow:
         for c in self.coeffs:
             if not isinstance(c, Fraction):
                 raise ExactnessError("row coefficients must be Fractions")
-
-    def value_at(self, point: Sequence[Fraction]) -> Fraction:
-        return sum((c * x for c, x in zip(self.coeffs, point)), _ZERO)
-
-    def holds_at(self, point: Sequence[Fraction]) -> bool:
-        v = self.value_at(point)
-        if self.rel == GE:
-            return v >= self.rhs
-        if self.rel == EQ:
-            return v == self.rhs
-        return v > self.rhs
 
 
 @dataclass(frozen=True)
@@ -138,9 +142,47 @@ class Unbounded:
 LPOutcome = Union[Feasible, Infeasible, Optimal, Unbounded]
 
 
+def _gate_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` times the lcm ``s`` of their denominators, as ints, and ``s``.
+
+    The gates' own scaling.  It is kept apart from the simplex's
+    ``_int_row`` so that a scaling fault in one cannot hide a fault in the
+    other.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
 def verify_point(system: LinSystem, point: Sequence[Fraction]) -> bool:
-    """Substitution check: does ``point`` satisfy every row?"""
-    return all(row.holds_at(point) for row in system.rows)
+    """Substitution check: does ``point`` satisfy every row?
+
+    The point is scaled once by the lcm ``D`` of its denominators, giving
+    ints ``P_j = x_j * D``, and each row by the lcm ``S`` of its coefficient
+    and rhs denominators, giving ``C_j = c_j * S`` and ``R = rhs * S``.  The
+    row ``c . x  rel  rhs`` is then decided as ``sum_j C_j P_j  rel  R * D``
+    on ints.  ``S * D`` is positive, so the predicate is unchanged, strict
+    rows included.  A point of the wrong length fails.
+    """
+    if len(point) != system.n_vars:
+        return False
+    xs, xden = _gate_ints(point)
+    nz = [(j, x) for j, x in enumerate(xs) if x]
+    for row in system.rows:
+        scaled, _ = _gate_ints(row.coeffs + (row.rhs,))
+        lhs = 0
+        for j, x in nz:
+            lhs += scaled[j] * x
+        rhs = scaled[-1] * xden
+        if row.rel == GE:
+            ok = lhs >= rhs
+        elif row.rel == EQ:
+            ok = lhs == rhs
+        else:
+            ok = lhs > rhs
+        if not ok:
+            return False
+    return True
 
 
 def verify_farkas(system: LinSystem, farkas: Sequence[Fraction]) -> bool:
@@ -149,37 +191,69 @@ def verify_farkas(system: LinSystem, farkas: Sequence[Fraction]) -> bool:
     The multipliers must be nonnegative on inequality rows, combine the
     coefficient vectors to zero, and yield either a positive combined
     right-hand side or a zero one with positive mass on strict rows.
+
+    The signs are checked on the multipliers scaled once by the lcm of
+    their denominators.  Each row with a nonzero multiplier is scaled to
+    ints by the lcm of its own coefficient and rhs denominators, then
+    weighted onto the lcm of those row factors, so the combination, its
+    rhs and the strict mass are summed on ints.  Every factor is positive:
+    no sign and no zero changes, and the predicate is unchanged.  A
+    multiplier vector of the wrong length fails.
     """
-    if len(farkas) != len(system.rows):
+    rows = system.rows
+    if len(farkas) != len(rows):
         return False
-    combined = [_ZERO] * system.n_vars
-    combined_rhs = _ZERO
-    strict_mass = _ZERO
-    for lam, row in zip(farkas, system.rows):
+    lams, _ = _gate_ints(farkas)
+    used = []
+    for lam, row in zip(lams, rows):
         if row.rel != EQ and lam < 0:
             return False
-        for j, c in enumerate(row.coeffs):
+        if lam:
+            scaled, row_den = _gate_ints(row.coeffs + (row.rhs,))
+            used.append((lam, row.rel, scaled, row_den))
+    den = math.lcm(*[row_den for _, _, _, row_den in used])
+    combined = [0] * (system.n_vars + 1)
+    strict_mass = 0
+    for lam, rel, scaled, row_den in used:
+        weight = lam * (den // row_den)
+        for j, c in enumerate(scaled):
             if c:
-                combined[j] += lam * c
-        combined_rhs += lam * row.rhs
-        if row.rel == GT:
+                combined[j] += weight * c
+        if rel == GT:
             strict_mass += lam
-    if any(c != 0 for c in combined):
+    combined_rhs = combined.pop()
+    if any(combined):
         return False
     return combined_rhs > 0 or (combined_rhs == 0 and strict_mass > 0)
 
 
 def verify_ray(system: LinSystem, ray: Sequence[Fraction]) -> bool:
-    """A recession direction along which the objective strictly improves."""
-    if system.objective is None:
+    """A recession direction along which the objective strictly improves.
+
+    The ray is scaled once by the lcm of its denominators, and each row and
+    the objective by the lcm of its own.  Every sign tested is then the
+    sign of an int dot product, which is the sign of the rational one, so
+    the predicate is unchanged.  A ray of the wrong length fails.
+    """
+    if system.objective is None or len(ray) != system.n_vars:
         return False
+    rs, _ = _gate_ints(ray)
+    nz = [(j, r) for j, r in enumerate(rs) if r]
+
+    def dot(coeffs: Sequence[Fraction]) -> int:
+        scaled, _ = _gate_ints(coeffs)
+        total = 0
+        for j, r in nz:
+            total += scaled[j] * r
+        return total
+
     for row in system.rows:
-        v = row.value_at(ray)
+        v = dot(row.coeffs)
         if row.rel == EQ and v != 0:
             return False
         if row.rel != EQ and v < 0:
             return False
-    gain = sum((c * r for c, r in zip(system.objective, ray)), _ZERO)
+    gain = dot(system.objective)
     return gain > 0 if system.sense == "max" else gain < 0
 
 
@@ -359,7 +433,7 @@ class _Simplex:
         iteration = 0
         while True:
             iteration += 1
-            if iteration > 100000:
+            if iteration > _MAX_ITERATIONS:
                 raise EngineError("simplex failed to terminate (engine bug)")
             cost = self.cost
             enter = -1
@@ -549,7 +623,10 @@ def _solve_engine(system: LinSystem) -> tuple[LPOutcome, _Simplex]:
         return Unbounded(ray), simplex
     witness = simplex.point()
     _engine_check(verify_point(system, witness), "optimal point")
-    value = sum((c * x for c, x in zip(system.objective, witness)), _ZERO)
+    objective, objective_den = _int_row(system.objective)
+    point, point_den = _int_row(witness)
+    value = Fraction(sum([c * x for c, x in zip(objective, point) if c]),
+                     objective_den * point_den)
     return Optimal(value, witness), simplex
 
 

@@ -249,6 +249,17 @@ class TestErrors:
         assert err.startswith("error: ") and "engine bug" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_iteration_cap_exits_three_with_one_line(self, capsys, monkeypatch):
+        # The first run fills the process-wide caches, so the second one
+        # stops in an LP that the query itself solves.
+        argv = ("--model", DEMO, "lowprev", "coin-lean", "[1,0]")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(exactlp, "_MAX_ITERATIONS", 1)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "failed to terminate" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestWork:
     def test_strong_member_on_the_demo_solves_two_lps(self, capsys, monkeypatch):

@@ -319,3 +319,19 @@ class TestEngineErrors:
         monkeypatch.setattr(exactlp, "verify_point", lambda system, point: False)
         with pytest.raises(EngineError):
             solve(sys_of(["x"], [((1,), GE, 2)]))
+
+    def test_iteration_cap_raises_engine_error(self, monkeypatch):
+        # max 3x + 5y under x <= 4, 2y <= 12, 3x + 2y <= 18 takes at least
+        # two pivots; a cap of one pricing round stops the first ``_run``
+        # that pivots at its second round.
+        system = sys_of(
+            ["x", "y"],
+            [((-1, 0), GE, -4), ((0, -2), GE, -12), ((-3, -2), GE, -18),
+             ((1, 0), GE, 0), ((0, 1), GE, 0)],
+            objective=(3, 5),
+        )
+        out, simplex = _solve_engine(system)
+        assert out.value == 36 and simplex.pivots >= 2
+        monkeypatch.setattr(exactlp, "_MAX_ITERATIONS", 1)
+        with pytest.raises(EngineError, match="failed to terminate"):
+            solve(system)
