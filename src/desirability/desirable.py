@@ -50,7 +50,9 @@ from .errors import (
     ScopeError,
     UnsupportedQueryError,
 )
-from .exactlp import EQ, GE, GT, Feasible, LinRow, LinSystem, solve, strict_feasible
+from .exactlp import (
+    EQ, GE, GT, Feasible, LinRow, LinSystem, scaled_to_ints, solve, strict_feasible,
+)
 from .maximal import LexSystem, lex_member
 from .space import (
     CACHE_MAXSIZE,
@@ -60,7 +62,6 @@ from .space import (
     _restriction_map,
     _slice_map,
     disjoint_union,
-    scaled_to_ints,
 )
 
 _ZERO = Fraction(0)
@@ -262,9 +263,9 @@ class CellRow:
             raise ValueError("unknown relation %r" % (self.rel,))
 
     @cached_property
-    def int_functional(self) -> tuple[int, ...]:
+    def int_functional(self) -> list[int]:
         """The functional times the lcm of its denominators, computed once."""
-        return scaled_to_ints(self.functional.values)
+        return scaled_to_ints(self.functional.values)[0]
 
     def holds(self, f: Gamble) -> bool:
         """Does ``f`` satisfy the constraint?
@@ -281,7 +282,7 @@ class CellRow:
                 "expected %d values for the functional, got %d"
                 % (len(ints), len(f.values))
             )
-        value = sum(map(mul, ints, scaled_to_ints(f.values)))
+        value = sum(map(mul, ints, scaled_to_ints(f.values)[0]))
         if self.rel == GE:
             return value >= 0
         if self.rel == GT:

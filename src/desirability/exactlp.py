@@ -4,7 +4,11 @@ Systems, answers and certificates are ``fractions.Fraction``s.  Inside, the
 solver is a two-phase tableau simplex on fraction-free rows (cf. Bareiss
 1968, Edmonds 1967): each row is a list of Python ints over one positive int
 denominator, reduced by its gcd after every update, and a pivot touches only
-the pivot row's nonzero columns.  It prices with Dantzig's rule for speed and
+the pivot row's nonzero columns.  Rows are scaled to ints by
+``scaled_to_ints`` and cleared by ``_eliminate``; ``forward_eliminate``
+applies the same step in input order, without pivot search, for the rest of
+the package's exact linear algebra: lexicographic rank and canonical form
+and credal vertex enumeration.  It prices with Dantzig's rule for speed and
 falls back to Bland's rule after a fixed number of pivots, which guarantees
 termination under exact arithmetic.  Every answer is re-checked by
 substitution before it is returned:
@@ -25,7 +29,7 @@ other.
 Strict inequalities are not handled by ``solve`` directly; ``strict_feasible``
 reduces them exactly, either by homogenisation (replace ``> 0`` by ``>= 1``
 when every right-hand side is zero) or by maximising a slack bounded by 1 and
-testing whether the optimum is positive.
+testing whether the optimum is positive.  The input decides which.
 
 ``fm_project`` implements Fourier-Motzkin elimination, kept deliberately
 independent of the simplex so the two can cross-check each other.  It is an
@@ -145,8 +149,8 @@ LPOutcome = Union[Feasible, Infeasible, Optimal, Unbounded]
 def _gate_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``values`` times the lcm ``s`` of their denominators, as ints, and ``s``.
 
-    The gates' own scaling.  It is kept apart from the simplex's
-    ``_int_row`` so that a scaling fault in one cannot hide a fault in the
+    The gates' own scaling.  It is kept apart from ``scaled_to_ints``, the
+    simplex's, so that a scaling fault in one cannot hide a fault in the
     other.
     """
     ratios = [v.as_integer_ratio() for v in values]
@@ -262,13 +266,16 @@ def verify_ray(system: LinSystem, ray: Sequence[Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Scale rationals to integers over their least common denominator.
+def scaled_to_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` times the lcm ``den`` of their denominators, as ints, and ``den``.
 
-    The result is in lowest terms: no prime divides the denominator and
-    every integer.
+    The result is in lowest terms: no prime divides ``den`` and every int.
+    ``den`` is positive, so a dot product with the ints has the sign of the
+    same dot product with ``values``.  Ints pass through, as rationals over 1.
     """
     den = math.lcm(*[v.denominator for v in values])
+    if den == 1:
+        return [v.numerator for v in values], 1
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
@@ -293,6 +300,38 @@ def _eliminate(
         out = [v // g for v in out]
         den //= g
     return out, den
+
+
+def forward_eliminate(rows: Sequence[Sequence[Fraction]]) -> list[tuple[list[int], int]]:
+    """In-order, fraction-free forward elimination of ``rows``.
+
+    Each row is scaled to ints by ``scaled_to_ints`` and cleared, with
+    ``_eliminate``, at the pivot columns of the rows kept before it, in the
+    order they were kept.  It is kept when something is left, with its first
+    nonzero column as its pivot.  Kept rows are never reduced by later ones,
+    so this is an echelon form up to column order, not the reduced one.
+
+    Returns ``(ints, pivot)`` per kept row, in input order.  ``ints`` is a
+    positive multiple of the row as eliminated, so its signs are exact; it
+    is zero at the pivots of the rows kept before it.  The kept rows number
+    the rank of ``rows``.  The simplex pivots with the same ``_eliminate``;
+    lexicographic rank and canonical form (``maximal``) and credal vertex
+    enumeration (``previsions``) call this routine.
+    """
+    kept: list[tuple[list[int], int]] = []
+    pivots: list[tuple[list[int], list[int], int]] = []
+    for values in rows:
+        row, den = scaled_to_ints(values)
+        for prow, nz, pcol in pivots:
+            if row[pcol]:
+                row, den = _eliminate(row, den, prow, nz, pcol)
+        pcol = next((j for j, v in enumerate(row) if v), -1)
+        if pcol < 0:
+            continue
+        kept.append((row, pcol))
+        prow = row if row[pcol] > 0 else [-v for v in row]
+        pivots.append((prow, [j for j, v in enumerate(prow) if v], pcol))
+    return kept
 
 
 class _Simplex:
@@ -521,7 +560,7 @@ class _Simplex:
             q[plus] += cj
             if minus is not None:
                 q[minus] -= cj
-        cost, den = _int_row(q)
+        cost, den = scaled_to_ints(q)
         # Price out the basis: each basic column reads den_r in its own row.
         for r, line in enumerate(self.T):
             if not self.live[r]:
@@ -623,8 +662,8 @@ def _solve_engine(system: LinSystem) -> tuple[LPOutcome, _Simplex]:
         return Unbounded(ray), simplex
     witness = simplex.point()
     _engine_check(verify_point(system, witness), "optimal point")
-    objective, objective_den = _int_row(system.objective)
-    point, point_den = _int_row(witness)
+    objective, objective_den = scaled_to_ints(system.objective)
+    point, point_den = scaled_to_ints(witness)
     value = Fraction(sum([c * x for c, x in zip(objective, point) if c]),
                      objective_den * point_den)
     return Optimal(value, witness), simplex
@@ -645,41 +684,46 @@ def solve(system: LinSystem) -> LPOutcome:
 # ---------------------------------------------------------------------------
 
 
-def strict_feasible(system: LinSystem, method: str = "auto") -> Union[Feasible, Infeasible]:
+def strict_feasible(system: LinSystem) -> Union[Feasible, Infeasible]:
     """Decide whether the system, strict rows included, has a solution.
 
-    ``method`` selects the exact reduction: ``"homogeneous"`` replaces each
-    ``> 0`` row by ``>= 1`` (valid only when every rhs is zero, by positive
-    scaling), ``"slack"`` maximises a strictness gap bounded by 1 and tests
-    the optimum for positivity, ``"auto"`` picks the first when applicable.
+    Without strict rows this is ``solve``.  With them, the exact reduction
+    is picked from the input: ``_strict_homogeneous`` when every rhs is
+    zero, ``_strict_slack`` otherwise.
     """
-    if method not in ("auto", "homogeneous", "slack"):
-        raise ValueError("unknown method %r" % (method,))
     if not any(row.rel == GT for row in system.rows):
         outcome = solve(LinSystem(system.var_names, system.rows))
         assert isinstance(outcome, (Feasible, Infeasible))
         return outcome
+    if all(row.rhs == 0 for row in system.rows):
+        return _strict_homogeneous(system)
+    return _strict_slack(system)
 
-    homogeneous = all(row.rhs == 0 for row in system.rows)
-    if method == "homogeneous" and not homogeneous:
-        raise ValueError("homogeneous reduction needs every rhs to be zero")
-    if method == "auto":
-        method = "homogeneous" if homogeneous else "slack"
 
-    if method == "homogeneous":
-        rows = tuple([
-            LinRow(r.coeffs, GE, _ONE) if r.rel == GT else r for r in system.rows
-        ])
-        outcome = solve(LinSystem(system.var_names, rows))
-        if isinstance(outcome, Feasible):
-            _engine_check(verify_point(system, outcome.witness), "strict point")
-            return Feasible(outcome.witness)
-        assert isinstance(outcome, Infeasible)
-        _engine_check(verify_farkas(system, outcome.farkas), "strict farkas")
-        return Infeasible(outcome.farkas)
+def _strict_homogeneous(system: LinSystem) -> Union[Feasible, Infeasible]:
+    """Replace each ``> 0`` row by ``>= 1``; valid when every rhs is zero.
 
-    # Slack reduction: append a variable eps, turn each strict row into
-    # "coeffs.x - eps >= rhs", cap eps at 1, and maximise eps.
+    A solution of the strict system scales positively to one of the weak
+    system, so the two are feasible together.
+    """
+    rows = tuple([
+        LinRow(r.coeffs, GE, _ONE) if r.rel == GT else r for r in system.rows
+    ])
+    outcome = solve(LinSystem(system.var_names, rows))
+    if isinstance(outcome, Feasible):
+        _engine_check(verify_point(system, outcome.witness), "strict point")
+        return Feasible(outcome.witness)
+    assert isinstance(outcome, Infeasible)
+    _engine_check(verify_farkas(system, outcome.farkas), "strict farkas")
+    return Infeasible(outcome.farkas)
+
+
+def _strict_slack(system: LinSystem) -> Union[Feasible, Infeasible]:
+    """Maximise a strictness gap bounded by 1; feasible iff the optimum is positive.
+
+    A variable ``eps`` is appended, each strict row becomes
+    ``coeffs.x - eps >= rhs``, and ``0 <= eps <= 1``.
+    """
     names = system.var_names + ("_eps",)
     rows = []
     for r in system.rows:

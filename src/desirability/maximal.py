@@ -36,7 +36,8 @@ from .errors import (
     ScopeError,
     WitnessVerificationError,
 )
-from .space import CACHE_MAXSIZE, Assignment, Gamble, Scope, scaled_to_ints
+from .exactlp import forward_eliminate, scaled_to_ints
+from .space import CACHE_MAXSIZE, Assignment, Gamble, Scope
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -77,9 +78,9 @@ class LexSystem:
         )
 
     @cached_property
-    def int_levels(self) -> tuple[tuple[int, ...], ...]:
+    def int_levels(self) -> tuple[list[int], ...]:
         """Each level times the lcm of its denominators, computed once."""
-        return tuple([scaled_to_ints(level) for level in self.levels])
+        return tuple([scaled_to_ints(level)[0] for level in self.levels])
 
 
 def expectation_vector(system: LexSystem, f: Gamble) -> tuple[Fraction, ...]:
@@ -104,7 +105,7 @@ def lex_member(system: LexSystem, f: Gamble) -> bool:
             "expected %d values for scope %r, got %d"
             % (system.scope.size, system.scope.names, len(f.values))
         )
-    values = scaled_to_ints(f.values)
+    values, _ = scaled_to_ints(f.values)
     for level in system.int_levels:
         e = sum(map(mul, level, values))
         if e > 0:
@@ -114,34 +115,13 @@ def lex_member(system: LexSystem, f: Gamble) -> bool:
     return False
 
 
-def _reduced_levels(levels: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """In-order elimination of the levels, dependent ones dropped.
-
-    Each level, minus multiples of the kept earlier ones at their leading
-    columns, is kept when something is left, scaled so its leading entry
-    has magnitude one.  The kept rows number the rank of the levels.
-    """
-    out: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for level in levels:
-        row = list(level)
-        for prow, pcol in zip(out, pivots):
-            f = row[pcol] / prow[pcol]
-            if f:
-                row = [a - f * b for a, b in zip(row, prow)]
-        pivot = next((i for i, v in enumerate(row) if v != 0), None)
-        if pivot is None:
-            continue
-        scale = _ONE / abs(row[pivot])
-        out.append([v * scale for v in row])
-        pivots.append(pivot)
-    return out
-
-
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def lex_is_maximal(system: LexSystem) -> bool:
-    """The levels span every direction, so f or -f is accepted for f != 0."""
-    return len(_reduced_levels(system.levels)) == system.scope.size
+    """The levels span every direction, so f or -f is accepted for f != 0.
+
+    The rank is the number of rows ``exactlp.forward_eliminate`` keeps.
+    """
+    return len(forward_eliminate(system.levels)) == system.scope.size
 
 
 def lex_is_coherent(system: LexSystem) -> bool:
@@ -187,8 +167,16 @@ def lex_canonical(system: LexSystem) -> tuple[tuple[Fraction, ...], ...]:
     ones, and dropping levels linearly dependent on earlier ones.  Each kept
     row is scaled so its leading entry has magnitude one.  Two maximal
     systems denote the same set exactly when these matrices coincide.
+
+    The rows are those of ``exactlp.forward_eliminate``, the elimination
+    the simplex and credal vertex enumeration share.  It eliminates
+    forward only: reducing an earlier row by a later one would subtract a
+    later level from an earlier one, which can change membership.
     """
-    return tuple(tuple(r) for r in _reduced_levels(system.levels))
+    return tuple([
+        tuple([Fraction(v, abs(row[pivot])) for v in row])
+        for row, pivot in forward_eliminate(system.levels)
+    ])
 
 
 def lex_equal(a: LexSystem, b: LexSystem) -> bool:

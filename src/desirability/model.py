@@ -45,23 +45,12 @@ __all__ = [
     "parse_assignment",
 ]
 
-_REL_NAMES = {">=": "GE", ">": "GT", "=": "EQ"}
-
-
 def _rel_from_name(text: object) -> str:
-    if text not in _REL_NAMES:
+    if not (isinstance(text, str) and text in (GE, GT, EQ)):
         raise ModelFormatError(
             "relation must be one of '>=', '>', '=' (got %r)" % (text,)
         )
-    return str(text)
-
-
-def _rel_to_name(rel: object) -> str:
-    return {GE: ">=", GT: ">", EQ: "="}[rel]
-
-
-def _rel_value(name: str) -> object:
-    return {">=": GE, ">": GT, "=": EQ}[name]
+    return text
 
 
 @dataclass(frozen=True)
@@ -300,7 +289,7 @@ class _Resolver:
                     _rational_list(_need(raw_row, "functional", rwhere), rwhere),
                 )
                 rel = _rel_from_name(_need(raw_row, "rel", rwhere))
-                rows.append(CellRow(functional, _rel_value(rel)))
+                rows.append(CellRow(functional, rel))
             cells.append(Cell(tuple(rows), exclude_zero=exclude_zero))
         built = CellSet(scope, tuple(cells), include_positive=include_positive)
         canonical = {
@@ -315,7 +304,7 @@ class _Resolver:
                             "functional": [
                                 format_rational(v) for v in row.functional.values
                             ],
-                            "rel": _rel_to_name(row.rel),
+                            "rel": row.rel,
                         }
                         for row in cell.rows
                     ],

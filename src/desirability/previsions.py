@@ -29,11 +29,8 @@ from .desirable import (
     CellRow,
     CellSet,
     Conditioned,
-    CylExt,
     DesirableSetExpr,
     GeneratorSet,
-    IndepProduct,
-    IrrExt,
     StrongProduct,
     Tri,
     avoids_nonpositivity,
@@ -48,7 +45,10 @@ from .errors import (
     IncoherentBaseError,
     UnsupportedQueryError,
 )
-from .exactlp import EQ, GE, GT, Feasible, LinRow, LinSystem, Optimal, Unbounded, solve
+from .exactlp import (
+    EQ, GE, GT, Feasible, LinRow, LinSystem, Optimal, Unbounded, forward_eliminate,
+    scaled_to_ints, solve,
+)
 from .maximal import LexSystem
 from .space import (
     Assignment,
@@ -301,23 +301,6 @@ def _lex_sup(
     return max(candidates)
 
 
-def _collapsed(expr: DesirableSetExpr) -> Optional[DesirableSetExpr]:
-    """Rebuild composite nodes whose smart constructors fold to leaves."""
-    from .independence import independent_product, irrelevant_extension
-    from .structure import cyl_ext
-
-    if isinstance(expr, CylExt):
-        built = cyl_ext(expr.base, expr.target)
-        return None if isinstance(built, CylExt) else built
-    if isinstance(expr, IrrExt):
-        built = irrelevant_extension(expr.base, expr.irrelevant, expr.target)
-        return None if isinstance(built, IrrExt) else built
-    if isinstance(expr, IndepProduct):
-        built = independent_product(expr.parts)
-        return None if isinstance(built, IndepProduct) else built
-    return None
-
-
 def _set_sup(
     expr: DesirableSetExpr, value: Gamble, direction: Gamble
 ) -> Optional[Fraction]:
@@ -340,10 +323,6 @@ def _set_sup(
             value.mask(expr.given).embed(base_scope),
             direction.mask(expr.given).embed(base_scope),
         )
-    if isinstance(expr, (CylExt, IrrExt, IndepProduct)):
-        built = _collapsed(expr)
-        if built is not None:
-            return _set_sup(built, value, direction)
     raise UnsupportedQueryError(
         "no exact buying-price procedure for %s" % type(expr).__name__
     )
@@ -476,26 +455,6 @@ def _convex_combination(
     return isinstance(solve(LinSystem(names, tuple(rows))), Feasible)
 
 
-def _solve_square(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> Optional[list[Fraction]]:
-    """Unique solution of a square system, or ``None`` if singular."""
-    n = len(matrix)
-    rows = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        head = rows[col][col]
-        rows[col] = [v / head for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
-
-
 def credal_vertices(assessment: GeneratorSet, *, budget: int = 200000) -> CredalSet:
     """Vertices of ``{p : p >= 0, sum p = 1, p.g >= 0 for all generators}``.
 
@@ -507,6 +466,12 @@ def credal_vertices(assessment: GeneratorSet, *, budget: int = 200000) -> Credal
     ``size`` linearly independent active constraints, so it is a vertex:
     the points found are returned as they are (deduplicated and sorted),
     with no convex-combination LP from ``CredalSet.of``.
+
+    Each square system is solved on ints by ``exactlp.forward_eliminate``,
+    the elimination the simplex and lexicographic canonical forms share,
+    on the rows ``[1 ... 1 | 1]`` and ``[c | 0]`` per chosen constraint
+    ``c``.  Fewer than ``size`` kept pivots among the coefficient columns
+    mark a singular basis, which is skipped.
 
     The polytope may lie on the boundary of the simplex: assessments too
     strong for a desirability reading can still bound prices.  Only an
@@ -521,33 +486,42 @@ def credal_vertices(assessment: GeneratorSet, *, budget: int = 200000) -> Credal
                 "the credal set is empty"
             )
         return CredalSet.of(scope, ((_ONE,),))
-    constraints: list[tuple[Fraction, ...]] = []
-    for w in range(d):
-        unit = [_ZERO] * d
-        unit[w] = _ONE
-        constraints.append(tuple(unit))
-    constraints.extend(g.values for g in assessment.generators)
+    # Constraint rows as ints: a positive multiple of a generator has the
+    # same zero set and the same sign at every point.
+    constraints = [[int(i == w) for i in range(d)] for w in range(d)]
+    constraints.extend(scaled_to_ints(g.values)[0] for g in assessment.generators)
     total = math.comb(len(constraints), d - 1)
     if total > budget:
         raise BudgetExceededError(
             "vertex enumeration needs %d basis candidates, over the budget of %d"
             % (total, budget)
         )
+    generators = constraints[d:]
     found: set[tuple[Fraction, ...]] = set()
-    ones = [[_ONE] * d]
-    for chosen in itertools.combinations(constraints, d - 1):
-        matrix = ones + [list(c) for c in chosen]
-        point = _solve_square(matrix, [_ONE] + [_ZERO] * (d - 1))
-        if point is None:
+    ones = [1] * (d + 1)
+    for chosen in itertools.combinations([c + [0] for c in constraints], d - 1):
+        kept = forward_eliminate((ones,) + chosen)
+        if sum(pivot < d for _, pivot in kept) < d:
+            continue  # a singular basis
+        # Back-substitution in reverse insertion order: each kept row is zero
+        # at the pivots kept before it, so its other entries are at pivots
+        # already solved.  The point is xs / den with den > 0.
+        xs = [0] * d
+        den = 1
+        for row, pivot in reversed(kept):
+            a = row[pivot]
+            num = row[d] * den - sum([r * x for r, x in zip(row, xs) if x])
+            if a < 0:
+                a, num = -a, -num
+            if a != 1:
+                xs = [x * a for x in xs]
+                den *= a
+            xs[pivot] = num
+        if any(x < 0 for x in xs):
             continue
-        if any(v < 0 for v in point):
+        if any(sum([c * x for c, x in zip(g, xs) if c]) < 0 for g in generators):
             continue
-        if any(
-            sum(c * x for c, x in zip(g.values, point)) < 0
-            for g in assessment.generators
-        ):
-            continue
-        found.add(tuple(point))
+        found.add(tuple([Fraction(x, den) for x in xs]))
     if not found:
         raise IncoherentBaseError(
             "no linear prevision dominates the assessment; the credal set is empty"

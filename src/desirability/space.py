@@ -22,7 +22,6 @@ All values are ``fractions.Fraction``; floats are rejected outright.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -503,18 +502,6 @@ def _dimension_error(scope: Scope, got: int) -> DimensionMismatchError:
     return DimensionMismatchError(
         "expected %d values for scope %r, got %d" % (scope.size, scope.names, got)
     )
-
-
-def scaled_to_ints(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """``values`` times the lcm of their denominators, as ints.
-
-    The factor is positive, so every sign of a dot product with the result
-    is the sign of the same dot product with ``values``.
-    """
-    den = math.lcm(*[v.denominator for v in values])
-    if den == 1:
-        return tuple([v.numerator for v in values])
-    return tuple([v.numerator * (den // v.denominator) for v in values])
 
 
 def indicator(at: Assignment, scope: Scope | None = None) -> Gamble:

@@ -242,6 +242,24 @@ class TestErrors:
         assert err.startswith("error: ") and "budget" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_non_string_relation_exits_three_with_one_line(self, capsys, tmp_path):
+        doc = {
+            "variables": [{"id": "X1", "outcomes": ["a", "b"]}],
+            "sets": {
+                "c": {
+                    "kind": "cells",
+                    "scope": ["X1"],
+                    "cells": [{"rows": [{"functional": ["1", "-1"], "rel": [">"]}]}],
+                }
+            },
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "--model", str(path), "describe", "c")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "relation" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_engine_error_exits_three_with_one_line(self, capsys, monkeypatch):
         monkeypatch.setattr(exactlp, "verify_point", lambda system, point: False)
         code, _, err = run(capsys, "--model", DEMO, "lowprev", "coin-lean", "[1,0]")

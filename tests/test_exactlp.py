@@ -110,8 +110,8 @@ class TestStrictFeasibility:
                 rel = GT if rng.random() < 0.5 else GE
                 rows.append((coeffs, rel, 0))
             system = sys_of(["x", "y", "z"], rows)
-            first = strict_feasible(system, method="homogeneous")
-            second = strict_feasible(system, method="slack")
+            first = exactlp._strict_homogeneous(system)
+            second = exactlp._strict_slack(system)
             assert isinstance(first, type(second)), "i=%d: methods disagree" % i
             if isinstance(first, Feasible):
                 assert verify_point(system, first.witness)

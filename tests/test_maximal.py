@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from desirability import (
     DegenerateConditioningError,
@@ -89,7 +91,12 @@ class TestMaximality:
         flat = (third, third, third)
         spans = LexSystem(s3, (flat, flat, (F(1), F(0), F(0)), (F(0), F(1), F(0))))
         assert lex_is_maximal(spans)
-        assert len(lex_canonical(spans)) == 3
+        # The second and third rows lead negatively after elimination.
+        assert lex_canonical(spans) == (
+            (F(1), F(1), F(1)),
+            (F(0), F(-1), F(-1)),
+            (F(0), F(0), F(-1)),
+        )
         short = LexSystem(s3, (flat, flat, (F(1), F(0), F(0))))
         assert not lex_is_maximal(short)
         assert lex_canonical(short) == (
@@ -143,6 +150,62 @@ class TestCanonicalForm:
     def test_different_orientations_differ(self):
         flipped = LexSystem(S1, (UNIFORM2, (F(0), F(1))))
         assert not lex_equal(FAIR_THEN_HEADS, flipped)
+
+
+def _reduced_levels(levels):
+    """``Fraction`` reference for the canonical rows: in-order elimination.
+
+    Each level, minus multiples of the kept earlier ones at their leading
+    columns, is kept when something is left, scaled so its leading entry
+    has magnitude one.  The kept rows number the rank of the levels.
+    """
+    out = []
+    pivots = []
+    for level in levels:
+        row = list(level)
+        for prow, pcol in zip(out, pivots):
+            f = row[pcol] / prow[pcol]
+            if f:
+                row = [a - f * b for a, b in zip(row, prow)]
+        pivot = next((i for i, v in enumerate(row) if v != 0), None)
+        if pivot is None:
+            continue
+        scale = F(1) / abs(row[pivot])
+        out.append([v * scale for v in row])
+        pivots.append(pivot)
+    return out
+
+
+@st.composite
+def level_lists(draw):
+    """Mass functions on 2-5 outcomes with mixed denominators, some of them
+    repeated or convex combinations of earlier ones (dependent levels)."""
+    size = draw(st.integers(2, 5))
+    masses = st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any)
+    levels = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "mix"]))
+        if kind == "fresh" or not levels:
+            raw = draw(masses)
+            total = sum(raw)
+            levels.append(tuple(F(v, total) for v in raw))
+        elif kind == "repeat":
+            levels.append(draw(st.sampled_from(levels)))
+        else:
+            p = draw(st.sampled_from(levels))
+            q = draw(st.sampled_from(levels))
+            t = F(draw(st.integers(1, 6)), 7)
+            levels.append(tuple(t * a + (1 - t) * b for a, b in zip(p, q)))
+    scope = Scope.of([Variable("W", tuple("abcde"[:size]))])
+    return LexSystem(scope, tuple(levels))
+
+
+class TestEliminationAgainstReference:
+    @given(level_lists())
+    def test_canonical_form_and_rank_match_the_reference(self, system):
+        reference = _reduced_levels(system.levels)
+        assert lex_canonical(system) == tuple(tuple(r) for r in reference)
+        assert lex_is_maximal(system) == (len(reference) == system.scope.size)
 
 
 class TestConditioning:

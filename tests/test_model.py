@@ -171,6 +171,16 @@ class TestRejection:
         assert str(caught.value).startswith("set %r: " % name)
         assert message in str(caught.value)
 
+    @pytest.mark.parametrize("rel", [[">"], {"rel": ">"}, 1, "GT"])
+    def test_cell_relation_must_be_a_relation_string(self, rel):
+        cells = {
+            "kind": "cells",
+            "scope": ["X1"],
+            "cells": [{"rows": [{"functional": ["1", "-1"], "rel": rel}]}],
+        }
+        with pytest.raises(ModelFormatError, match="relation must be one of"):
+            loads(minimal({"window": cells}))
+
     def test_rejection_names_the_set_that_failed_once(self):
         bad = minimal(
             {

@@ -16,6 +16,7 @@ from desirability import (
     Gamble,
     GeneratorSet,
     IncoherentBaseError,
+    IrrExt,
     LexSystem,
     LowerPrevisionView,
     Scope,
@@ -29,6 +30,7 @@ from desirability import (
     gbr_residual,
     independent_product,
     inex_lower_prevision,
+    irrelevant_extension,
     lower_prevision,
     sample_gambles,
     strictly_desirable,
@@ -82,6 +84,17 @@ class TestLowerPrevision:
         )
         with pytest.raises(IncoherentBaseError):
             lower_prevision(everything, Gamble.on(S1, [1, 0]))
+
+    def test_hand_built_composite_nodes_do_not_price(self):
+        # Pricing reads normal forms only: the smart constructor folds this
+        # node into a generator cone, a hand-built one is refused.
+        lean2 = GeneratorSet.of(S2, [Gamble.on(S2, [1, -1])])
+        f = Gamble.on(S12, [2, 0, 1, -1])
+        with pytest.raises(UnsupportedQueryError):
+            lower_prevision(IrrExt(base=lean2, irrelevant=S1, target=S12), f)
+        folded = irrelevant_extension(lean2, S1, S12)
+        assert isinstance(folded, GeneratorSet)
+        assert lower_prevision(folded, f) == 0
 
 
 class TestConditionalPrices:
@@ -273,6 +286,17 @@ class TestVertexEnumerationAgainstBases:
             reached = self._check(scope, _random_rows(rng, scope.size))
             shared += sum(count > 1 for count in reached.values())
         assert shared > 0, "no vertex was reached from several bases"
+
+    @pytest.mark.parametrize(
+        "scope",
+        [Scope.of([Variable("X", tuple("abc")), Variable("Y", tuple("abc"))]),
+         Scope.of([Variable(n, ("a", "b")) for n in ("X", "Y", "Z")])],
+        ids=["3x3", "2x2x2"],
+    )
+    def test_larger_scopes_match_the_oracle(self, scope):
+        rng = random.Random("vertices-large-%d" % scope.size)
+        for _ in range(6):
+            self._check(scope, _random_rows(rng, scope.size))
 
     def test_one_vertex_reached_from_several_bases(self):
         scope = Scope.of([Variable("X", ("a", "b", "c"))])
