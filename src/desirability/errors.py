@@ -41,21 +41,15 @@ class MissingConditionError(DesirabilityError, KeyError):
     """A conditional family was queried at an outcome it has no entry for."""
 
 
-class WitnessVerificationError(DesirabilityError):
-    """An internally constructed witness failed its own verification.
-
-    Raising this signals an engine bug, never a property of the inputs.
-    """
-
-
 class ModelFormatError(DesirabilityError, ValueError):
     """A model document violates the file format."""
 
 
 class EngineError(DesirabilityError):
-    """The exact LP engine broke its own contract.
+    """The engine broke its own contract.
 
-    Raised when an answer fails its substitution check, the simplex does not
-    terminate within its iteration cap, or a program that must have an
-    optimum does not.  Signals an engine bug, never a property of the inputs.
+    Raised when an answer, a witness or a conditioned model fails its own
+    check, the simplex does not terminate within its iteration cap, or a
+    program that must have an optimum does not.  Signals an engine bug,
+    never a property of the inputs.
     """

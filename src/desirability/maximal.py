@@ -32,9 +32,9 @@ from typing import Sequence
 from .errors import (
     DegenerateConditioningError,
     DimensionMismatchError,
+    EngineError,
     ExactnessError,
     ScopeError,
-    WitnessVerificationError,
 )
 from .exactlp import forward_eliminate, scaled_to_ints
 from .space import CACHE_MAXSIZE, Assignment, Gamble, Scope
@@ -153,9 +153,7 @@ def lex_condition(system: LexSystem, given: Assignment) -> LexSystem:
         )
     result = LexSystem(system.scope.difference(given.scope), tuple(kept))
     if lex_is_maximal(system) and not lex_is_maximal(result):
-        raise WitnessVerificationError(
-            "conditioning a maximal system produced a non-maximal one"
-        )
+        raise EngineError("conditioning a maximal system produced a non-maximal one")
     return result
 
 
@@ -270,9 +268,7 @@ def nonmaximality_witness(m1: LexSystem, m2: LexSystem) -> Gamble:
 
     product = independent_product((m1, m2))
     if member(product, witness) is not Tri.OUT or member(product, -witness) is not Tri.OUT:
-        raise WitnessVerificationError(
-            "constructed witness failed its rejection checks"
-        )
+        raise EngineError("constructed witness failed its rejection checks")
     return witness
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .desirable import (
     Cell,
@@ -45,10 +45,10 @@ __all__ = [
     "parse_assignment",
 ]
 
-def _rel_from_name(text: object) -> str:
+def _rel_from_name(text: object, where: str) -> str:
     if not (isinstance(text, str) and text in (GE, GT, EQ)):
         raise ModelFormatError(
-            "relation must be one of '>=', '>', '=' (got %r)" % (text,)
+            "%s: relation must be one of '>=', '>', '=' (got %r)" % (where, text)
         )
     return text
 
@@ -60,10 +60,6 @@ class ModelDocument:
     variables: tuple[Variable, ...]
     sets: Mapping[str, DesirableSetExpr]
     entries: Mapping[str, object]
-
-    def scope_of(self, ids: Sequence[str]) -> Scope:
-        by_id = {v.name: v for v in self.variables}
-        return Scope.of([by_id[i] for i in ids])
 
 
 def parse_assignment(text: str, by_id: Mapping[str, Variable]) -> Assignment:
@@ -288,7 +284,7 @@ class _Resolver:
                     scope,
                     _rational_list(_need(raw_row, "functional", rwhere), rwhere),
                 )
-                rel = _rel_from_name(_need(raw_row, "rel", rwhere))
+                rel = _rel_from_name(_need(raw_row, "rel", rwhere), rwhere)
                 rows.append(CellRow(functional, rel))
             cells.append(Cell(tuple(rows), exclude_zero=exclude_zero))
         built = CellSet(scope, tuple(cells), include_positive=include_positive)

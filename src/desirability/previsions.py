@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .desirable import (
     Cell,
@@ -80,82 +80,53 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# exact one-variable interval arithmetic over the shift parameter mu
+# the shift interval of one sign-constraint piece
 # ---------------------------------------------------------------------------
 #
-# Every buying-price query reduces to the sup of a set of shifts
-# {mu : value + mu * direction is a member}, where direction is a
-# nonzero, nonpositive gamble (the constant -1, or -indicator for
-# conditional prices).  For cell systems each constraint row is linear
-# in mu, so the per-cell shift set is an interval computable in closed
-# form; no linear programming is needed.
+# A buying price is the sup of the shifts {mu : value + mu*direction is a
+# member}, direction nonzero and nonpositive (the constant -1, or
+# -indicator for conditional prices).  Cell and lexicographic models are
+# unions of pieces cut out by sign constraints on functionals e, and
+# e(value + mu*direction) = b + a*mu, so the shifts of a piece form an
+# interval with endpoints among the roots -b/a: closed form, no LP.
+
+_UNBOUNDED = "unbounded buying price: the modelled set accepts every sure loss"
 
 
-@dataclass(frozen=True)
-class _MuInterval:
-    """An interval of shifts; ``None`` bounds mean unbounded."""
+def _shift_sup(
+    constraints: Iterable[tuple[Fraction, Fraction, str]],
+    zero_mu: Optional[Fraction] = None,
+) -> Optional[Fraction]:
+    """Supremum of ``{mu : b + a*mu rel 0 for every (a, b, rel)}``.
 
-    lo: Optional[Fraction]
-    lo_open: bool
-    hi: Optional[Fraction]
-    hi_open: bool
-
-    def is_singleton(self) -> bool:
-        return (
-            self.lo is not None
-            and self.lo == self.hi
-            and not self.lo_open
-            and not self.hi_open
-        )
-
-
-_FULL_LINE = _MuInterval(None, False, None, False)
-
-
-def _normalised(iv: _MuInterval) -> Optional[_MuInterval]:
-    if iv.lo is None or iv.hi is None:
-        return iv
-    if iv.lo > iv.hi:
-        return None
-    if iv.lo == iv.hi and (iv.lo_open or iv.hi_open):
-        return None
-    return iv
-
-
-def _with_lower(iv: _MuInterval, bound: Fraction, is_open: bool) -> Optional[_MuInterval]:
-    lo, lo_open = iv.lo, iv.lo_open
-    if lo is None or bound > lo or (bound == lo and is_open and not lo_open):
-        lo, lo_open = bound, is_open
-    return _normalised(_MuInterval(lo, lo_open, iv.hi, iv.hi_open))
-
-
-def _with_upper(iv: _MuInterval, bound: Fraction, is_open: bool) -> Optional[_MuInterval]:
-    hi, hi_open = iv.hi, iv.hi_open
-    if hi is None or bound < hi or (bound == hi and is_open and not hi_open):
-        hi, hi_open = bound, is_open
-    return _normalised(_MuInterval(iv.lo, iv.lo_open, hi, hi_open))
-
-
-def _constrain(
-    iv: _MuInterval, a: Fraction, b: Fraction, rel: str
-) -> Optional[_MuInterval]:
-    """Intersect with ``{mu : b + a*mu rel 0}``; ``None`` means empty."""
-    if a == 0:
-        if rel == GE:
-            return iv if b >= 0 else None
-        if rel == GT:
-            return iv if b > 0 else None
-        return iv if b == 0 else None
-    root = -b / a
-    if rel == EQ:
-        narrowed = _with_lower(iv, root, False)
-        if narrowed is None:
+    ``None`` when the set is empty or is the single shift ``zero_mu``, the
+    shift at which the gamble vanishes, passed to carve the zero gamble
+    out.  Reading stops at the first constraint that empties the set.  A
+    set unbounded above raises ``IncoherentBaseError``.
+    """
+    # Bounds are (root, open) below and (root, closed) above: tuple order is
+    # tightness, so max and min tighten them and ``lo >= hi`` means empty.
+    lo: Optional[tuple[Fraction, bool]] = None
+    hi: Optional[tuple[Fraction, bool]] = None
+    for a, b, rel in constraints:
+        if a == 0:
+            if b < 0 or (b == 0 and rel == GT) or (b > 0 and rel == EQ):
+                return None
+            continue
+        root = -b / a
+        if a > 0 or rel == EQ:
+            bound = (root, rel == GT)
+            lo = bound if lo is None else max(lo, bound)
+        if a < 0 or rel == EQ:
+            bound = (root, rel != GT)
+            hi = bound if hi is None else min(hi, bound)
+        if lo is not None and hi is not None and lo >= hi:
             return None
-        return _with_upper(narrowed, root, False)
-    is_open = rel == GT
-    if a > 0:
-        return _with_lower(iv, root, is_open)
-    return _with_upper(iv, root, is_open)
+    if hi is None:
+        raise IncoherentBaseError(_UNBOUNDED)
+    if lo is not None and lo[0] == hi[0] == zero_mu:
+        return None
+    return hi[0]
 
 
 def _zero_shift(value: Gamble, direction: Gamble) -> Optional[Fraction]:
@@ -171,19 +142,6 @@ def _zero_shift(value: Gamble, direction: Gamble) -> Optional[Fraction]:
         if v + mu * d != 0:
             return None
     return mu
-
-
-def _interval_sup(
-    iv: _MuInterval, zero_mu: Optional[Fraction], excludes_zero: bool
-) -> Optional[Fraction]:
-    """Sup of the interval, with the zero gamble carved out if required."""
-    if excludes_zero and zero_mu is not None and iv.is_singleton() and iv.lo == zero_mu:
-        return None
-    if iv.hi is None:
-        raise IncoherentBaseError(
-            "unbounded buying price: the modelled set accepts every sure loss"
-        )
-    return iv.hi
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +170,7 @@ def _generator_sup(
     if isinstance(outcome, Optimal):
         return outcome.value
     if isinstance(outcome, Unbounded):
-        raise IncoherentBaseError(
-            "unbounded buying price: the modelled set accepts every sure loss"
-        )
+        raise IncoherentBaseError(_UNBOUNDED)
     return None
 
 
@@ -223,82 +179,39 @@ def _cellset_sup(
 ) -> Optional[Fraction]:
     """Closed-form supremum over a union of cells.
 
-    Each cell's shift set is the intersection of one interval per row;
-    the overall supremum is the best over nonempty cells, plus the
-    all-positive region when the model includes it.
+    Each cell is a piece cut out by its rows, zero carved out if the cell
+    excludes it; the positive region, when included, is the piece cut out
+    by one ``>= 0`` row per outcome, zero carved out.
     """
     zero_mu = _zero_shift(value, direction)
-    best: Optional[Fraction] = None
+    sups = []
     for cell in model.cells:
-        iv: Optional[_MuInterval] = _FULL_LINE
-        for row in cell.rows:
-            a = direction.dot(row.functional.values)
-            b = value.dot(row.functional.values)
-            iv = _constrain(iv, a, b, row.rel)
-            if iv is None:
-                break
-        if iv is None:
-            continue
-        candidate = _interval_sup(iv, zero_mu, cell.exclude_zero)
-        if candidate is not None and (best is None or candidate > best):
-            best = candidate
+        rows = (
+            (direction.dot(r.functional.values), value.dot(r.functional.values), r.rel)
+            for r in cell.rows
+        )
+        sups.append(_shift_sup(rows, zero_mu if cell.exclude_zero else None))
     if model.include_positive:
-        iv = _FULL_LINE
-        for w in range(model.scope.size):
-            iv = _constrain(iv, direction.values[w], value.values[w], GE)
-            if iv is None:
-                break
-        if iv is not None:
-            candidate = _interval_sup(iv, zero_mu, True)
-            if candidate is not None and (best is None or candidate > best):
-                best = candidate
-    return best
+        units = ((a, b, GE) for a, b in zip(direction.values, value.values))
+        sups.append(_shift_sup(units, zero_mu))
+    return max((s for s in sups if s is not None), default=None)
 
 
 def _lex_sup(
     system: LexSystem, value: Gamble, direction: Gamble
 ) -> Optional[Fraction]:
-    """Level walk for lexicographic models.
+    """Closed-form supremum over the pieces of a lexicographic model.
 
-    Writing ``e_k(mu)`` for the level-k expectation of
-    ``value + mu*direction``, membership means the first nonzero entry
-    of ``(e_1(mu), e_2(mu), ...)`` is positive.  Walk the levels: while
-    every earlier level is identically zero in mu, a level with slope
-    ``a < 0`` accepts exactly the shifts below its root and pins deeper
-    search to the root itself; on a pinned shift the first level with a
-    nonzero expectation settles membership.
+    With ``e_k(mu)`` the level-k expectation of ``value + mu*direction``, a
+    member's first nonzero ``e_k`` is positive: piece k is
+    ``e_1 = ... = e_{k-1} = 0, e_k > 0``, and no piece holds zero.
     """
-    candidates: list[Fraction] = []
-    pinned: Optional[Fraction] = None
+    sups, ties = [], []
     for level in system.levels:
-        a = direction.dot(level)
-        b = value.dot(level)
-        if pinned is None:
-            if a == 0:
-                if b > 0:
-                    raise IncoherentBaseError(
-                        "unbounded buying price: the modelled set accepts every sure loss"
-                    )
-                if b < 0:
-                    break
-                continue
-            if a > 0:
-                raise IncoherentBaseError(
-                    "unbounded buying price: the modelled set accepts every sure loss"
-                )
-            root = -b / a
-            candidates.append(root)
-            pinned = root
-        else:
-            e = b + a * pinned
-            if e > 0:
-                candidates.append(pinned)
-                break
-            if e < 0:
-                break
-    if not candidates:
-        return None
-    return max(candidates)
+        a, b = direction.dot(level), value.dot(level)
+        sups.append(_shift_sup(ties + [(a, b, GT)]))
+        ties.append((a, b, EQ))
+    return max((s for s in sups if s is not None), default=None)
 
 
 def _set_sup(

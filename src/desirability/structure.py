@@ -84,12 +84,15 @@ def condition(expr: DesirableSetExpr, given: Assignment) -> DesirableSetExpr:
     """The updated model after observing ``given`` (empty: no update).
 
     Sequential updates merge into one assignment; lexicographic leaves are
-    materialised through their own conditioning rule.
+    materialised through their own conditioning rule.  A conditional
+    family also takes its ``on`` variables, which its scope leaves out.
     """
-    if not given.scope.issubset(scope_of(expr)):
+    scope = scope_of(expr)
+    if isinstance(expr, ConditionalFamily):
+        scope = scope.union(expr.on)
+    if not given.scope.issubset(scope):
         raise ScopeError(
-            "conditioning event %s is outside scope %r"
-            % (given, scope_of(expr).names)
+            "conditioning event %s is outside scope %r" % (given, scope.names)
         )
     if not given.items:
         return expr

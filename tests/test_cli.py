@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from desirability import cli, exactlp
+from desirability import Tri, cli, desirable, exactlp
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = str(ROOT / "models" / "demo.json")
@@ -92,6 +92,18 @@ class TestPrices:
         )
         assert code == 0
         assert out.splitlines()[0] == "lower: 1"
+
+    def test_condlowprev_on_a_conditional_family_prices_its_entry(self, capsys):
+        code, out, err = run(
+            capsys, "--model", DEMO, "condlowprev", "by-coin", "X1=a", "[3,1]"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["lower: 2", "upper: 2"]
+        assert run(capsys, "--model", DEMO, "lowprev", "fair-window", "[3,1]") == (
+            0,
+            out,
+            "",
+        )
 
     def test_json_output_is_machine_readable(self, capsys):
         code, out, _ = run(
@@ -260,11 +272,45 @@ class TestErrors:
         assert err.startswith("error: ") and "relation" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_bad_relation_message_names_its_row(self, capsys, tmp_path):
+        doc = {
+            "variables": [{"id": "X1", "outcomes": ["a", "b"]}],
+            "sets": {
+                "c": {
+                    "kind": "cells",
+                    "scope": ["X1"],
+                    "cells": [
+                        {"rows": [{"functional": ["1", "-1"], "rel": ">"}]},
+                        {"rows": [{"functional": ["1", "0"], "rel": [">"]}]},
+                    ],
+                }
+            },
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "--model", str(path), "describe", "c")
+        assert code == 3 and out == ""
+        assert err == (
+            "error: set 'c' cells[1] rows[0]: relation must be one of "
+            "'>=', '>', '=' (got ['>'])\n"
+        )
+
     def test_engine_error_exits_three_with_one_line(self, capsys, monkeypatch):
         monkeypatch.setattr(exactlp, "verify_point", lambda system, point: False)
         code, _, err = run(capsys, "--model", DEMO, "lowprev", "coin-lean", "[1,0]")
         assert code == 3
         assert err.startswith("error: ") and "engine bug" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_failed_witness_check_exits_three_with_one_line(
+        self, capsys, monkeypatch, lex_pair_model
+    ):
+        monkeypatch.setattr(desirable, "member", lambda expr, f: Tri.IN)
+        code, out, err = run(
+            capsys, "--model", lex_pair_model, "witness-nonmaximal", "first", "second"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "witness" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_iteration_cap_exits_three_with_one_line(self, capsys, monkeypatch):

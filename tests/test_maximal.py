@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from desirability import (
     DegenerateConditioningError,
+    EngineError,
     Gamble,
     LexSystem,
     Scope,
@@ -32,6 +33,7 @@ from desirability import (
     sample_gambles,
     upper_prevision,
 )
+from desirability import desirable
 from desirability.randgen import random_maximal_binary_lex
 
 F = Fraction
@@ -260,6 +262,13 @@ class TestNonmaximalityWitness:
         w = nonmaximality_witness(m1, m2)
         assert w.values[0] == 0 and w.values[3] == 0
         assert w.values[1] == -w.values[2] != 0
+
+    def test_a_witness_failing_its_check_is_an_engine_error(self, monkeypatch):
+        m1 = LexSystem(S1, ((F(1, 3), F(2, 3)), (F(1), F(0))))
+        m2 = LexSystem(S2, ((F(2, 5), F(3, 5)), (F(0), F(1))))
+        monkeypatch.setattr(desirable, "member", lambda expr, f: Tri.IN)
+        with pytest.raises(EngineError, match="witness failed its rejection checks"):
+            nonmaximality_witness(m1, m2)
 
     def test_rejects_nonmaximal_input(self):
         other = LexSystem(S2, (UNIFORM2, (F(1), F(0))))

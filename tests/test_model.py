@@ -181,6 +181,18 @@ class TestRejection:
         with pytest.raises(ModelFormatError, match="relation must be one of"):
             loads(minimal({"window": cells}))
 
+    def test_bad_relation_names_its_row(self):
+        cells = {
+            "kind": "cells",
+            "scope": ["X1"],
+            "cells": [{"rows": [{"functional": ["1", "-1"], "rel": "<"}]}],
+        }
+        with pytest.raises(
+            ModelFormatError,
+            match=r"^set 'window' cells\[0\] rows\[0\]: relation must be one of ",
+        ):
+            loads(minimal({"window": cells}))
+
     def test_rejection_names_the_set_that_failed_once(self):
         bad = minimal(
             {

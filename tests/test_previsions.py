@@ -1,5 +1,7 @@
 """Prices: lower/upper previsions, credal vertices, strong products."""
 
+import collections
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -31,6 +33,7 @@ from desirability import (
     independent_product,
     inex_lower_prevision,
     irrelevant_extension,
+    lex_member,
     lower_prevision,
     sample_gambles,
     strictly_desirable,
@@ -38,8 +41,8 @@ from desirability import (
     strong_product_lower,
     upper_prevision,
 )
-from desirability import exactlp
-from desirability.exactlp import GE
+from desirability import desirable, exactlp, previsions
+from desirability.exactlp import EQ, GE, GT
 from desirability.randgen import random_credal, random_gamble, random_generator_set
 
 F = Fraction
@@ -126,6 +129,115 @@ class TestConditionalPrices:
         g = Gamble.on(S2, [1, 0])
         assert conditional_lower_prevision(uniform, given, g) == F(1, 2)
         assert gbr_residual(uniform, given, g) == 0
+
+
+# ---------------------------------------------------------------------------
+# closed-form prices of cell and lexicographic models against a membership
+# breakpoint oracle
+# ---------------------------------------------------------------------------
+#
+# Membership of value + mu*direction can change only where some functional
+# of the model (a cell row, an outcome, a lex level) vanishes, so it is
+# constant on each open interval between consecutive roots and beyond the
+# last.  Querying membership at every root, between roots and one unit past
+# each end therefore reads the supremum off the model's own member test.
+
+_UNBOUNDED = "unbounded"
+
+
+def _breakpoint_sup(functionals, accepts, value, direction):
+    roots = set()
+    for e in functionals:
+        a = sum(x * y for x, y in zip(e, direction.values))
+        if a != 0:
+            roots.add(-sum(x * y for x, y in zip(e, value.values)) / a)
+    roots = sorted(roots) or [F(0)]
+    probes = [(roots[0] - 1, roots[0])]
+    for lo, hi in zip(roots, roots[1:]):
+        probes += [(lo, lo), ((lo + hi) / 2, hi)]
+    probes += [(roots[-1], roots[-1]), (roots[-1] + 1, _UNBOUNDED)]
+
+    def shifted(mu):
+        pairs = zip(value.values, direction.values)
+        return Gamble(value.scope, tuple(v + mu * d for v, d in pairs))
+
+    ends = [end for mu, end in probes if accepts(shifted(mu))]
+    return ends[-1] if ends else None
+
+
+def _random_direction(rng, scope):
+    """A nonzero nonpositive gamble, nonconstant where the scope allows."""
+    if scope.size == 1 or rng.random() < 0.2:
+        return Gamble.constant(scope, -1)
+    while True:
+        values = [-rng.randint(0, 2) for _ in range(scope.size)]
+        if any(values) and len(set(values)) > 1:
+            return Gamble.on(scope, values)
+
+
+def _random_rational_gamble(rng, scope, bound):
+    den = rng.choice([1, 1, 2, 3])
+    return Gamble.on(
+        scope, [F(rng.randint(-bound, bound), den) for _ in range(scope.size)]
+    )
+
+
+def _price_case(rng, lex):
+    """A random model on 1-4 outcomes, a value and a pricing direction."""
+    scope = Scope.of([Variable("Y", tuple("abcd"[: rng.randint(1, 4)]))])
+    direction = _random_direction(rng, scope)
+    if rng.random() < 0.25:
+        # The shifted gamble vanishes at one shift, which cells may carve out.
+        c = F(rng.randint(-3, 3), 2)
+        value = Gamble.on(scope, [c * d for d in direction.values])
+    else:
+        value = _random_rational_gamble(rng, scope, 3)
+    if lex:
+        levels = []
+        for _ in range(rng.randint(1, 4)):
+            weights = [rng.randint(0, 3) for _ in range(scope.size)]
+            if not any(weights):
+                weights[rng.randrange(scope.size)] = 1
+            levels.append([F(w, sum(weights)) for w in weights])
+        return LexSystem.on(scope, levels), value, direction
+    cells = []
+    for _ in range(rng.randint(1, 3)):
+        rows = tuple(
+            CellRow(_random_rational_gamble(rng, scope, 2), rng.choice([GE, GT, EQ]))
+            for _ in range(rng.randint(0, 3))
+        )
+        cells.append(Cell(rows, exclude_zero=rng.random() < 0.5))
+    model = CellSet(scope, tuple(cells), include_positive=rng.random() < 0.5)
+    return model, value, direction
+
+
+class TestPricesAgainstBreakpointOracle:
+    @pytest.mark.parametrize("lex", [False, True], ids=["cells", "lex"])
+    def test_seeded_models(self, lex):
+        rng = random.Random(2024 + lex)
+        seen = collections.Counter()
+        for _ in range(2000):
+            model, value, direction = _price_case(rng, lex)
+            if lex:
+                functionals = model.levels
+                accepts = functools.partial(lex_member, model)
+                price = previsions._lex_sup
+            else:
+                size = model.scope.size
+                units = [[int(i == w) for i in range(size)] for w in range(size)]
+                rows = [r.functional.values for c in model.cells for r in c.rows]
+                functionals = rows + units
+                accepts = functools.partial(desirable._cellset_member, model)
+                price = previsions._cellset_sup
+            want = _breakpoint_sup(functionals, accepts, value, direction)
+            if want == _UNBOUNDED:
+                with pytest.raises(IncoherentBaseError, match="unbounded buying price"):
+                    price(model, value, direction)
+                seen["unbounded"] += 1
+            else:
+                assert price(model, value, direction) == want, (model, value, direction)
+                seen["empty" if want is None else "value"] += 1
+        assert set(seen) == {"value", "empty", "unbounded"}, seen
 
 
 class TestCredalVertices:

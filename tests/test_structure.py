@@ -4,6 +4,7 @@ import pytest
 
 from desirability import (
     Assignment,
+    ConditionalFamily,
     Conditioned,
     CredalSet,
     CylExt,
@@ -142,6 +143,43 @@ class TestConditioning:
         mask = indicator(given, S12)
         for g in gamble_grid(S2, lo=-1, hi=1):
             assert member(view, g) is member(expr, mask * g.embed(S12))
+
+
+class TestConditionalFamilies:
+    """A family is keyed by its ``on`` variables, which its scope leaves out."""
+
+    v3 = Variable("X3", ("a", "b"))
+    s23 = S2.union(Scope.of([v3]))
+    entry_a = GeneratorSet.of(s23, [Gamble.on(s23, [1, -1, 0, 0])])
+    entry_b = LexSystem.on(s23, [["1/4", "1/4", "1/4", "1/4"], [1, 0, 0, 0]])
+
+    def family(self):
+        return ConditionalFamily(
+            on=S1,
+            entries=(
+                (Assignment.of({V1: "a"}), self.entry_a),
+                (Assignment.of({V1: "b"}), self.entry_b),
+            ),
+        )
+
+    def test_conditioning_on_the_key_returns_the_entry(self):
+        assert condition(self.family(), Assignment.of({V1: "a"})) == self.entry_a
+        assert condition(self.family(), Assignment.of({V1: "b"})) == self.entry_b
+
+    def test_the_rest_of_the_assignment_conditions_the_entry(self):
+        given = Assignment.of({V1: "b", V2: "a"})
+        want = condition(self.entry_b, Assignment.of({V2: "a"}))
+        assert isinstance(want, LexSystem) and want.scope == Scope.of([self.v3])
+        assert condition(self.family(), given) == want
+
+    def test_an_assignment_missing_the_key_is_rejected(self):
+        with pytest.raises(ScopeError, match="needs an assignment of all of"):
+            condition(self.family(), Assignment.of({V2: "a"}))
+
+    def test_variables_outside_key_and_entries_are_rejected(self):
+        v9 = Variable("X9", ("a", "b"))
+        with pytest.raises(ScopeError, match="outside scope"):
+            condition(self.family(), Assignment.of({V1: "a", v9: "a"}))
 
 
 class TestBarMembership:
