@@ -13,31 +13,18 @@ certificates.  Main entry points:
 - :mod:`desirability.previsions` — prices, credal sets, strong products.
 - :mod:`desirability.model` — canonical JSON documents.
 - :mod:`desirability.cli` — the ``desirability`` command.
+
+The package root re-exports the names the README, the scripts and the
+benchmark use; everything else is imported from its module.
 """
 
 from .desirable import (
-    AuditFinding,
-    Cell,
-    CellRow,
     CellSet,
-    CoherenceReport,
-    ConditionalFamily,
-    Conditioned,
-    ConsistencyCertificate,
-    CylExt,
-    DesirableSetExpr,
     GeneratorSet,
-    IndepProduct,
-    Intersection,
     IrrExt,
-    StrongProduct,
     Tri,
     avoids_nonpositivity,
-    cellset_coherence_audit,
     member,
-    natext_member,
-    scope_of,
-    strictly_prefers,
 )
 from .errors import (
     BudgetExceededError,
@@ -54,32 +41,15 @@ from .errors import (
     UnsupportedQueryError,
 )
 from .independence import (
-    Verdict,
-    conditional_inex,
     factorisation_check,
     independent_product,
     inex_member,
-    irr_member,
-    irrelevant_extension,
     is_independent,
     is_irrelevant,
 )
-from .maximal import (
-    LexSystem,
-    expectation_vector,
-    lex_canonical,
-    lex_condition,
-    lex_equal,
-    lex_is_coherent,
-    lex_is_maximal,
-    lex_member,
-    maximal_product_check,
-    nonmaximality_witness,
-)
-from .model import ModelDocument, dump, dumps, load, loads
+from .maximal import LexSystem, lex_is_coherent, lex_is_maximal, nonmaximality_witness
 from .previsions import (
     CredalSet,
-    LowerPrevisionView,
     conditional_lower_prevision,
     credal_vertices,
     credal_view,
@@ -87,112 +57,54 @@ from .previsions import (
     inex_lower_prevision,
     lower_prevision,
     strictly_desirable,
-    strong_member,
     strong_product_lower,
     upper_prevision,
 )
-from .space import (
-    Assignment,
-    Gamble,
-    Scope,
-    Variable,
-    as_rational,
-    format_rational,
-    indicator,
-)
-from .structure import (
-    condition,
-    condition_bar_member,
-    cyl_ext,
-    gamble_grid,
-    marginal_member,
-    sample_gambles,
-)
+from .space import Assignment, Gamble, Scope, Variable, format_rational
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "AuditFinding",
     "BudgetExceededError",
-    "Cell",
-    "CellRow",
     "CellSet",
-    "CoherenceReport",
-    "ConditionalFamily",
-    "Conditioned",
-    "ConsistencyCertificate",
     "CredalSet",
-    "CylExt",
     "DegenerateConditioningError",
     "DesirabilityError",
-    "DesirableSetExpr",
     "DimensionMismatchError",
     "EngineError",
     "ExactnessError",
     "Gamble",
     "GeneratorSet",
     "IncoherentBaseError",
-    "IndepProduct",
-    "Intersection",
     "IrrExt",
     "LexSystem",
-    "LowerPrevisionView",
     "MissingConditionError",
-    "ModelDocument",
     "ModelFormatError",
     "OutcomeError",
     "Scope",
     "ScopeError",
-    "StrongProduct",
     "Tri",
     "UnsupportedQueryError",
     "Variable",
-    "Verdict",
-    "as_rational",
     "avoids_nonpositivity",
-    "cellset_coherence_audit",
-    "condition",
-    "condition_bar_member",
-    "conditional_inex",
     "conditional_lower_prevision",
     "credal_vertices",
     "credal_view",
-    "cyl_ext",
-    "dump",
-    "dumps",
-    "expectation_vector",
     "factorisation_check",
     "format_rational",
-    "gamble_grid",
     "gbr_residual",
     "independent_product",
-    "indicator",
     "inex_lower_prevision",
     "inex_member",
-    "irr_member",
-    "irrelevant_extension",
     "is_independent",
     "is_irrelevant",
-    "lex_canonical",
-    "lex_condition",
-    "lex_equal",
     "lex_is_coherent",
     "lex_is_maximal",
-    "lex_member",
-    "load",
-    "loads",
     "lower_prevision",
-    "marginal_member",
-    "maximal_product_check",
     "member",
-    "natext_member",
     "nonmaximality_witness",
-    "sample_gambles",
-    "scope_of",
     "strictly_desirable",
-    "strictly_prefers",
-    "strong_member",
     "strong_product_lower",
     "upper_prevision",
     "__version__",

@@ -17,7 +17,6 @@ from .desirable import (
     CellSet,
     Conditioned,
     ConditionalFamily,
-    CylExt,
     DesirableSetExpr,
     GeneratorSet,
     IndepProduct,
@@ -42,6 +41,7 @@ from .previsions import (
     upper_prevision,
 )
 from .space import Gamble, Scope, as_rational, format_rational
+from .structure import conditioning_scope
 
 __all__ = ["main"]
 
@@ -219,9 +219,7 @@ def _check_expr(expr: DesirableSetExpr, label: str, findings: list[dict]) -> Non
                 "detail": "maximal" if lex_is_maximal(expr) else "not maximal",
             }
         )
-    elif isinstance(expr, Conditioned):
-        _check_expr(expr.base, label + ".base", findings)
-    elif isinstance(expr, (CylExt, IrrExt)):
+    elif isinstance(expr, (Conditioned, IrrExt)):
         _check_expr(expr.base, label + ".base", findings)
     elif isinstance(expr, (IndepProduct, StrongProduct, Intersection)):
         for k, part in enumerate(expr.parts):
@@ -291,7 +289,7 @@ def _cmd_condlowprev(args: argparse.Namespace) -> int:
     expr = _named(doc, args.name)
     by_id = {v.name: v for v in doc.variables}
     given = parse_assignment(args.given, by_id)
-    rest = scope_of(expr).difference(given.scope)
+    rest = conditioning_scope(expr).difference(given.scope)
     g = _parse_gamble(args.gamble, rest)
     low = conditional_lower_prevision(expr, given, g)
     up = -conditional_lower_prevision(expr, given, -g)

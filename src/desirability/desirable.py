@@ -1,7 +1,7 @@
 """Set-of-desirable-gambles representations and their decision procedures.
 
 A belief model here is a cone of gambles the agent strictly prefers to the
-status quo.  Three leaf representations are supported:
+status quo.  There are nine node kinds.  Three are leaves:
 
 * ``GeneratorSet`` — a finite assessment; it denotes the smallest coherent
   superset: every gamble that dominates some nonnegative combination of the
@@ -11,8 +11,16 @@ status quo.  Three leaf representations are supported:
 * ``LexSystem`` (see the ``maximal`` module) — ordered mass functions with
   lexicographic-positivity membership.
 
-Expression nodes (``Conditioned``, ``CylExt``, ``IrrExt``, ``IndepProduct``,
-``StrongProduct``, ``Intersection``, ``ConditionalFamily``) compose leaves.
+Six expression nodes compose them:
+
+* ``Conditioned`` — the updated model after observing an assignment.
+* ``IrrExt`` — the irrelevant natural extension to a larger scope; with no
+  irrelevant variables it is the cylindrical extension.
+* ``IndepProduct`` and ``StrongProduct`` — the independent natural
+  extension and the strong product of models on disjoint scopes.
+* ``Intersection`` — the conjunction of models on one scope.
+* ``ConditionalFamily`` — a table of models, one per assignment.
+
 ``member`` decides membership for every node exactly, except for strong
 products, whose boundary queries are honestly three-valued.
 
@@ -25,11 +33,11 @@ The central reductions:
   nonpositive; the dual witness is a strictly positive mass function giving
   every generator positive expectation, which doubles as a one-dot-product
   rejection filter for membership queries.
-* cylindrical/irrelevant extensions over a coherent base: ``f`` belongs iff
-  ``f != 0`` and, for every assignment of the extra (and irrelevant)
-  variables, the pointwise floor over the remaining added variables is
-  either nonnegative or a member of the base.  Dominating some base member
-  is the same as being one, because coherent sets absorb nonnegative slack.
+* irrelevant extensions over a coherent base: ``f`` belongs iff ``f != 0``
+  and, for every assignment of the irrelevant variables, the pointwise
+  floor over the remaining added variables is either nonnegative or a
+  member of the base.  Dominating some base member is the same as being
+  one, because coherent sets absorb nonnegative slack.
 """
 
 from __future__ import annotations
@@ -342,7 +350,6 @@ DesirableSetExpr = Union[
     CellSet,
     LexSystem,
     "Conditioned",
-    "CylExt",
     "IrrExt",
     "IndepProduct",
     "StrongProduct",
@@ -374,24 +381,14 @@ class Conditioned:
 
 
 @dataclass(frozen=True)
-class CylExt:
-    """Most conservative extension of a base model to a larger scope."""
-
-    base: DesirableSetExpr
-    target: Scope
-
-    def __post_init__(self) -> None:
-        if not scope_of(self.base).issubset(self.target):
-            raise ScopeError("extension target must contain the base scope")
-
-
-@dataclass(frozen=True)
 class IrrExt:
     """Smallest joint making some variables irrelevant to the base's.
 
     Denotes the natural extension of the family of gambles whose every
     slice along the irrelevant variables lies in the base model (or is 0),
-    cylindrically extended to the target scope.
+    cylindrically extended to the target scope.  With no irrelevant
+    variables it is the cylindrical extension of the base itself, which
+    ``structure.cyl_ext`` builds.
 
     Membership reads each slice through ``slice_table``, an index table
     the node computes once, on first use, and keeps.
@@ -504,7 +501,7 @@ def scope_of(expr: DesirableSetExpr) -> Scope:
         return expr.scope
     if isinstance(expr, Conditioned):
         return scope_of(expr.base).difference(expr.given.scope)
-    if isinstance(expr, (CylExt, IrrExt)):
+    if isinstance(expr, IrrExt):
         return expr.target
     if isinstance(expr, (IndepProduct, StrongProduct)):
         out = Scope.empty()
@@ -538,13 +535,6 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
         return Tri.of(lex_member(expr, f))
     if isinstance(expr, Conditioned):
         return member(expr.base, f.mask(expr.given).embed(scope_of(expr.base)))
-    if isinstance(expr, CylExt):
-        if f.is_zero():
-            return Tri.OUT
-        floor = f.floor_onto(scope_of(expr.base))
-        if floor.is_nonnegative():
-            return Tri.IN
-        return member(expr.base, floor)
     if isinstance(expr, IrrExt):
         return slice_verdict(expr, f, Gamble.is_nonnegative)
     if isinstance(expr, IndepProduct):

@@ -403,20 +403,18 @@ class _Simplex:
             # lowest terms (the artificial column holds the denominator).
             row = system.rows[i]
             sig = self.sigma[k]
-            den = math.lcm(row.rhs.denominator, *[c.denominator for c in row.coeffs])
+            ints, den = scaled_to_ints(row.coeffs + (row.rhs,))
             line = [0] * width
-            for j, c in enumerate(row.coeffs):
-                if not c:
+            for (plus, minus), v in zip(self.var_cols, ints):
+                if not v:
                     continue
-                v = sig * c.numerator * (den // c.denominator)
-                plus, minus = self.var_cols[j]
-                line[plus] = v
+                line[plus] = sig * v
                 if minus is not None:
-                    line[minus] = -v
+                    line[minus] = -sig * v
             if surplus_of[k] is not None:
                 line[surplus_of[k]] = -sig * den
             line[self.art_col[k]] = den
-            line[-1] = sig * row.rhs.numerator * (den // row.rhs.denominator)
+            line[-1] = sig * ints[-1]
             self.T.append(line)
             self.den.append(den)
         self.basis: list[int] = list(self.art_col)

@@ -107,7 +107,7 @@ def two_vertex_models() -> tuple[Variable, Variable, Scope, CellSet, CellSet]:
     return x1, x2, joint, strict, widened
 
 
-def two_vertex_prices(budget: int = 100000) -> FixtureResult:
+def two_vertex_prices() -> FixtureResult:
     """Boundary membership and the exact price envelope of the base model."""
     _, _, joint, strict, widened = two_vertex_models()
     failures: list[str] = []
@@ -144,7 +144,7 @@ def two_vertex_prices(budget: int = 100000) -> FixtureResult:
     )
 
 
-def updated_prices(budget: int = 100000) -> FixtureResult:
+def updated_prices() -> FixtureResult:
     """Conditioning on the zero-probability event splits the two models.
 
     The strict model updates to the vacuous price (the minimum), the
@@ -394,8 +394,8 @@ def strong_vs_independent_gap(budget: int = 100000) -> FixtureResult:
 def run_all(budget: int = 100000) -> list[FixtureResult]:
     """Run every built-in example and collect the verdicts."""
     return [
-        two_vertex_prices(budget),
-        updated_prices(budget),
+        two_vertex_prices(),
+        updated_prices(),
         product_nonmaximality(budget),
         maximal_product_superset(budget),
         strong_vs_independent_gap(budget),

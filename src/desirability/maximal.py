@@ -83,15 +83,6 @@ class LexSystem:
         return tuple([scaled_to_ints(level)[0] for level in self.levels])
 
 
-def expectation_vector(system: LexSystem, f: Gamble) -> tuple[Fraction, ...]:
-    if f.scope != system.scope:
-        raise ScopeError(
-            "gamble scope %r does not match %r"
-            % (f.scope.names, system.scope.names)
-        )
-    return tuple(f.dot(level) for level in system.levels)
-
-
 def lex_member(system: LexSystem, f: Gamble) -> bool:
     """First nonzero level expectation positive?
 

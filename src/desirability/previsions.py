@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .desirable import (
     Cell,
@@ -65,7 +65,6 @@ _ONE = Fraction(1)
 
 __all__ = [
     "CredalSet",
-    "LowerPrevisionView",
     "conditional_lower_prevision",
     "credal_vertices",
     "credal_view",
@@ -615,35 +614,3 @@ def strong_member(
     if value < 0:
         return Tri.OUT
     return Tri.UNKNOWN
-
-
-# ---------------------------------------------------------------------------
-# convenience view bundling the conjugate prices of one source
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LowerPrevisionView:
-    """Buying/selling prices of one model, conjugate by construction."""
-
-    source: Union[DesirableSetExpr, CredalSet]
-
-    def lower(self, f: Gamble) -> Fraction:
-        if isinstance(self.source, CredalSet):
-            return self.source.lower_expectation(f)
-        return lower_prevision(self.source, f)
-
-    def upper(self, f: Gamble) -> Fraction:
-        if isinstance(self.source, CredalSet):
-            return -self.source.lower_expectation(-f)
-        return upper_prevision(self.source, f)
-
-    def conditional_lower(self, given: Assignment, g: Gamble) -> Fraction:
-        if isinstance(self.source, CredalSet):
-            raise UnsupportedQueryError(
-                "conditional prices need a set model, not a bare credal set"
-            )
-        return conditional_lower_prevision(self.source, given, g)
-
-    def conditional_upper(self, given: Assignment, g: Gamble) -> Fraction:
-        return -self.conditional_lower(given, -g)

@@ -10,25 +10,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
 
 from .desirable import GeneratorSet, avoids_nonpositivity
-from .errors import BudgetExceededError, IncoherentBaseError
+from .errors import BudgetExceededError
 from .maximal import LexSystem, lex_is_maximal
 from .previsions import CredalSet
-from .space import Assignment, Gamble, Scope
+from .space import Gamble, Scope
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 __all__ = [
-    "random_assignment",
     "random_credal",
     "random_gamble",
     "random_generator_set",
     "random_mass",
     "random_maximal_binary_lex",
-    "random_maximal_superset",
 ]
 
 
@@ -106,30 +103,6 @@ def random_maximal_binary_lex(
             return candidate
 
 
-def random_maximal_superset(assessment: GeneratorSet) -> LexSystem:
-    """A maximal lexicographic model containing the assessment's extension.
-
-    The consistency certificate is a strictly positive mass giving every
-    generator positive expectation, so every member of the natural
-    extension has positive first-level expectation; the remaining levels
-    are unit masses completing the rank.
-    """
-    certificate = avoids_nonpositivity(assessment)
-    if not certificate.avoids:
-        raise IncoherentBaseError(
-            "an inconsistent assessment has no coherent superset"
-        )
-    mass = certificate.positive_mass
-    assert mass is not None
-    d = assessment.scope.size
-    levels = [mass]
-    for w in range(d - 1):
-        unit = [_ZERO] * d
-        unit[w] = _ONE
-        levels.append(tuple(unit))
-    return LexSystem(assessment.scope, tuple(levels))
-
-
 def random_credal(
     rng: random.Random, scope: Scope, count: int = 2
 ) -> CredalSet:
@@ -138,7 +111,3 @@ def random_credal(
         scope, tuple(random_mass(rng, scope.size) for _ in range(count))
     )
 
-
-def random_assignment(rng: random.Random, scope: Scope) -> Assignment:
-    """A uniformly drawn joint outcome of the scope."""
-    return scope.assignment_at(rng.randrange(scope.size))

@@ -23,7 +23,7 @@ All values are ``fractions.Fraction``; floats are rejected outright.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -161,12 +161,6 @@ class Scope:
 
     def __len__(self) -> int:
         return len(self.variables)
-
-    def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise ScopeError("no variable named %r in scope %r" % (name, self.names))
 
     def issubset(self, other: "Scope") -> bool:
         for v in self.variables:

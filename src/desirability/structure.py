@@ -6,8 +6,8 @@ cylindrical identification is a member.  Conditioning wraps the base
 expression and rewrites queries through indicator products; lexicographic
 leaves are materialised instead, since their conditioned form is again a
 leaf.  Cylindrical extension of a generator leaf is the same generator
-list re-scoped; other bases get an extension node decided by the floor
-reduction in the membership dispatcher.
+list re-scoped; other bases get an ``IrrExt`` node with no irrelevant
+variables, decided by the floor reduction in the membership dispatcher.
 
 Also hosts the shared sampling policy for "query-equivalent on sampled
 gambles" checks: exhaustive integer grids when small enough, seeded
@@ -24,9 +24,9 @@ from typing import Iterator
 from .desirable import (
     Conditioned,
     ConditionalFamily,
-    CylExt,
     DesirableSetExpr,
     GeneratorSet,
+    IrrExt,
     Tri,
     member,
     scope_of,
@@ -63,8 +63,11 @@ def cyl_ext(base: DesirableSetExpr, target: Scope) -> DesirableSetExpr:
     """Most conservative extension of ``base`` to the scope ``target``.
 
     Generator leaves collapse to a re-scoped generator list: dominating an
-    embedded combination is the same LP on the larger space.  Nested
-    extensions flatten, since extending twice adds the same floor.
+    embedded combination is the same LP on the larger space.  Other bases
+    become an ``IrrExt`` with no irrelevant variables.  Extending an
+    ``IrrExt`` again only widens its target: flooring over the new
+    variables and then over the old added ones is one floor over all of
+    them, and a nonnegative outer floor leaves every slice nonnegative.
     """
     base_scope = scope_of(base)
     if not base_scope.issubset(target):
@@ -75,21 +78,31 @@ def cyl_ext(base: DesirableSetExpr, target: Scope) -> DesirableSetExpr:
         return base
     if isinstance(base, GeneratorSet):
         return GeneratorSet.of(target, base.generators)
-    if isinstance(base, CylExt):
-        return CylExt(base.base, target)
-    return CylExt(base, target)
+    if isinstance(base, IrrExt):
+        return IrrExt(base.base, base.irrelevant, target)
+    return IrrExt(base, Scope.empty(), target)
+
+
+def conditioning_scope(expr: DesirableSetExpr) -> Scope:
+    """The variables an observation may fix when ``expr`` is conditioned.
+
+    That is the scope of ``expr``, and for a conditional family also its
+    ``on`` variables, which its scope leaves out.
+    """
+    scope = scope_of(expr)
+    if isinstance(expr, ConditionalFamily):
+        return scope.union(expr.on)
+    return scope
 
 
 def condition(expr: DesirableSetExpr, given: Assignment) -> DesirableSetExpr:
     """The updated model after observing ``given`` (empty: no update).
 
     Sequential updates merge into one assignment; lexicographic leaves are
-    materialised through their own conditioning rule.  A conditional
-    family also takes its ``on`` variables, which its scope leaves out.
+    materialised through their own conditioning rule.  ``given`` must lie
+    in ``conditioning_scope(expr)``.
     """
-    scope = scope_of(expr)
-    if isinstance(expr, ConditionalFamily):
-        scope = scope.union(expr.on)
+    scope = conditioning_scope(expr)
     if not given.scope.issubset(scope):
         raise ScopeError(
             "conditioning event %s is outside scope %r" % (given, scope.names)

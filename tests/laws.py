@@ -17,34 +17,32 @@ from desirability import (
     Gamble,
     GeneratorSet,
     IncoherentBaseError,
-    Intersection,
     IrrExt,
     LexSystem,
     Scope,
     Tri,
     Variable,
     avoids_nonpositivity,
-    condition,
-    cyl_ext,
     factorisation_check,
-    gamble_grid,
     gbr_residual,
     independent_product,
-    indicator,
-    irr_member,
-    irrelevant_extension,
     is_independent,
     is_irrelevant,
-    lex_condition,
     lex_is_maximal,
-    lex_member,
-    marginal_member,
     member,
-    natext_member,
-    sample_gambles,
     strictly_desirable,
-    strictly_prefers,
 )
+from desirability.desirable import Intersection, natext_member, strictly_prefers
+from desirability.structure import (
+    condition,
+    cyl_ext,
+    gamble_grid,
+    marginal_member,
+    sample_gambles,
+)
+from desirability.space import indicator
+from desirability.independence import irr_member, irrelevant_extension
+from desirability.maximal import lex_condition, lex_member
 from desirability.randgen import (
     random_credal,
     random_gamble,

@@ -17,7 +17,6 @@ from desirability import (
     CredalSet,
     Gamble,
     GeneratorSet,
-    IndepProduct,
     LexSystem,
     Scope,
     Tri,
@@ -30,12 +29,11 @@ from desirability import (
     inex_member,
     lex_is_maximal,
     lower_prevision,
-    natext_member,
     nonmaximality_witness,
 )
 from desirability.exactlp import GE, LinRow, LinSystem, fm_feasible
 from desirability.fixtures import two_vertex_models
-from desirability.desirable import member
+from desirability.desirable import IndepProduct, member, natext_member
 from desirability.randgen import random_maximal_binary_lex
 
 from laws import run_all_laws

@@ -105,6 +105,16 @@ class TestPrices:
             "",
         )
 
+    def test_condlowprev_on_a_family_without_its_key_names_the_key(self, capsys):
+        # The gamble lives on the family's entry scope plus its key, minus
+        # the observed variables; observing only X2 leaves it on X1, and
+        # conditioning then asks for the missing key.
+        code, out, err = run(
+            capsys, "--model", DEMO, "condlowprev", "by-coin", "X2=a", "[3,1]"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: conditional family needs an assignment of all of ('X1',)\n"
+
     def test_json_output_is_machine_readable(self, capsys):
         code, out, _ = run(
             capsys,

@@ -7,43 +7,44 @@ import pytest
 
 from desirability import (
     BudgetExceededError,
-    Cell,
-    CellRow,
     CellSet,
-    ConditionalFamily,
     CredalSet,
-    CylExt,
     DesirabilityError,
     EngineError,
     Gamble,
     GeneratorSet,
     IncoherentBaseError,
-    IndepProduct,
-    Intersection,
     IrrExt,
     LexSystem,
     MissingConditionError,
     Scope,
     ScopeError,
-    StrongProduct,
     Tri,
     Variable,
     avoids_nonpositivity,
-    cellset_coherence_audit,
-    condition_bar_member,
     inex_lower_prevision,
     inex_member,
-    irr_member,
     lower_prevision,
     member,
-    natext_member,
-    scope_of,
     strictly_desirable,
-    strictly_prefers,
-    strong_member,
     strong_product_lower,
 )
 from desirability import desirable
+from desirability.desirable import (
+    Cell,
+    CellRow,
+    ConditionalFamily,
+    IndepProduct,
+    Intersection,
+    StrongProduct,
+    cellset_coherence_audit,
+    natext_member,
+    scope_of,
+    strictly_prefers,
+)
+from desirability.structure import condition_bar_member
+from desirability.independence import irr_member
+from desirability.previsions import strong_member
 from desirability.exactlp import GE, Infeasible
 from desirability.maximal import lex_is_maximal
 from desirability.space import CACHE_MAXSIZE, _restriction_map, _slice_map
@@ -233,7 +234,7 @@ class TestCellSets:
 class TestDispatch:
     def test_extension_node_rejects_slice_violations(self):
         base = strictly_desirable(CredalSet.of(S2, [("1/2", "1/2")]))
-        node = CylExt(base=base, target=S12)
+        node = IrrExt(base, Scope.empty(), S12)
         lifted = Gamble.on(S2, [1, -1]).embed(S12)
         assert member(node, lifted) is Tri.OUT
         better = Gamble.on(S2, [2, -1]).embed(S12)

@@ -6,11 +6,8 @@ import pytest
 
 from desirability import (
     BudgetExceededError,
-    ConditionalFamily,
-    CredalSet,
     Gamble,
     GeneratorSet,
-    IndepProduct,
     IrrExt,
     LexSystem,
     MissingConditionError,
@@ -18,20 +15,21 @@ from desirability import (
     ScopeError,
     Tri,
     Variable,
-    conditional_inex,
     factorisation_check,
     independent_product,
-    indicator,
     inex_member,
-    irr_member,
-    irrelevant_extension,
     is_independent,
     is_irrelevant,
     member,
+)
+from desirability.desirable import (
+    ConditionalFamily,
+    IndepProduct,
     natext_member,
     scope_of,
-    strictly_desirable,
 )
+from desirability.independence import conditional_inex, irr_member, irrelevant_extension
+from desirability.space import indicator
 from fractions import Fraction as F
 
 from desirability.randgen import random_gamble, random_generator_set

@@ -16,24 +16,24 @@ from desirability import (
     ScopeError,
     Tri,
     Variable,
-    expectation_vector,
-    gamble_grid,
     independent_product,
-    indicator,
     inex_member,
-    lex_canonical,
-    lex_condition,
-    lex_equal,
     lex_is_coherent,
     lex_is_maximal,
-    lex_member,
     lower_prevision,
-    maximal_product_check,
     nonmaximality_witness,
-    sample_gambles,
     upper_prevision,
 )
 from desirability import desirable
+from desirability.structure import gamble_grid, sample_gambles
+from desirability.space import indicator
+from desirability.maximal import (
+    lex_canonical,
+    lex_condition,
+    lex_equal,
+    lex_member,
+    maximal_product_check,
+)
 from desirability.randgen import random_maximal_binary_lex
 
 F = Fraction
@@ -66,14 +66,6 @@ class TestMembership:
 
     def test_zero_rejected(self):
         assert not lex_member(FAIR_THEN_HEADS, Gamble.zero(S1))
-
-    def test_expectation_vector_drives_membership(self):
-        f = Gamble.on(S1, [1, -1])
-        assert expectation_vector(FAIR_THEN_HEADS, f) == (F(0), F(1))
-
-    def test_scope_mismatch_rejected(self):
-        with pytest.raises(ScopeError):
-            expectation_vector(FAIR_THEN_HEADS, Gamble.on(S2, [1, 0]))
 
 
 class TestMaximality:

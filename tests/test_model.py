@@ -5,19 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from desirability import (
-    CellSet,
-    Conditioned,
-    GeneratorSet,
-    LexSystem,
-    ModelFormatError,
-    Tri,
-    dumps,
-    load,
-    loads,
-    member,
-)
-from desirability.model import parse_assignment
+from desirability import CellSet, GeneratorSet, LexSystem, ModelFormatError, Tri, member
+from desirability.desirable import Conditioned
+from desirability.model import dumps, load, loads, parse_assignment
 
 DEMO = str(Path(__file__).resolve().parent.parent / "models" / "demo.json")
 
@@ -48,7 +38,8 @@ class TestLoading:
     def test_loaded_sets_answer_queries(self):
         doc = load(DEMO)
         two_vertex = doc.sets["two-vertex"]
-        from desirability import Gamble, scope_of
+        from desirability import Gamble
+        from desirability.desirable import scope_of
 
         g = Gamble.on(scope_of(two_vertex), [2, -1, 0, 0])
         assert member(two_vertex, g) is Tri.OUT

@@ -11,8 +11,6 @@ import pytest
 from desirability import (
     Assignment,
     BudgetExceededError,
-    Cell,
-    CellRow,
     CellSet,
     CredalSet,
     Gamble,
@@ -20,9 +18,7 @@ from desirability import (
     IncoherentBaseError,
     IrrExt,
     LexSystem,
-    LowerPrevisionView,
     Scope,
-    StrongProduct,
     Tri,
     UnsupportedQueryError,
     Variable,
@@ -32,16 +28,17 @@ from desirability import (
     gbr_residual,
     independent_product,
     inex_lower_prevision,
-    irrelevant_extension,
-    lex_member,
     lower_prevision,
-    sample_gambles,
     strictly_desirable,
-    strong_member,
     strong_product_lower,
     upper_prevision,
 )
 from desirability import desirable, exactlp, previsions
+from desirability.desirable import Cell, CellRow, StrongProduct
+from desirability.independence import irrelevant_extension
+from desirability.maximal import lex_member
+from desirability.structure import condition, sample_gambles
+from desirability.previsions import strong_member
 from desirability.exactlp import EQ, GE, GT
 from desirability.randgen import random_credal, random_gamble, random_generator_set
 
@@ -636,31 +633,22 @@ class TestStrongMembership:
 
 class TestViews:
     def test_expression_view(self):
-        view = LowerPrevisionView(LEAN1)
         f = Gamble.on(S1, [0, 2])
         # credal polytope is p(a) >= 1/2, so 2*p(b) peaks at 1
-        assert view.lower(f) == 0
-        assert view.upper(f) == 1
-        assert view.upper(f) == -view.lower(-f)
+        assert lower_prevision(LEAN1, f) == 0
+        assert upper_prevision(LEAN1, f) == 1
+        assert upper_prevision(LEAN1, f) == -lower_prevision(LEAN1, -f)
 
     def test_credal_view_prices_by_envelope(self):
         credal = CredalSet.of(S1, [("2/5", "3/5"), ("1/2", "1/2")])
-        view = LowerPrevisionView(credal)
         f = Gamble.on(S1, [1, -1])
-        assert view.lower(f) == -F(1, 5)
-        assert view.upper(f) == 0
-
-    def test_conditional_prices_need_a_set_model(self):
-        credal = CredalSet.of(S1, [("1/2", "1/2")])
-        view = LowerPrevisionView(credal)
-        with pytest.raises(UnsupportedQueryError):
-            view.conditional_lower(Assignment.of({V1: "a"}), Gamble.on(S1, [1, 0]))
+        assert credal.lower_expectation(f) == -F(1, 5)
+        assert -credal.lower_expectation(-f) == 0
 
     def test_conditional_conjugacy(self):
         expr = GeneratorSet.of(S12, [Gamble.on(S12, [2, -1, 0, 0])])
-        view = LowerPrevisionView(expr)
         given = Assignment.of({V1: "a"})
         g = Gamble.on(S2, [3, -1])
-        assert view.conditional_upper(given, g) == -view.conditional_lower(
-            given, -g
-        )
+        upper = -conditional_lower_prevision(expr, given, -g)
+        assert upper_prevision(condition(expr, given), g) == upper
+        assert conditional_lower_prevision(expr, given, g) <= upper

@@ -15,32 +15,25 @@ from hypothesis import strategies as st
 
 from desirability import (
     Assignment,
-    Cell,
-    CellRow,
     CellSet,
-    Conditioned,
-    CylExt,
     Gamble,
     IrrExt,
     LexSystem,
     Scope,
     Tri,
     Variable,
-    condition,
-    cyl_ext,
     independence,
-    indicator,
-    irrelevant_extension,
     is_independent,
     is_irrelevant,
-    lex_member,
     member,
-    sample_gambles,
-    scope_of,
     strictly_desirable,
 )
+from desirability.desirable import Cell, CellRow, Conditioned, scope_of
+from desirability.structure import condition, cyl_ext, sample_gambles
+from desirability.space import indicator
+from desirability.maximal import lex_member
 from desirability.exactlp import EQ, GE, GT
-from desirability.independence import Verdict
+from desirability.independence import Verdict, irrelevant_extension
 from desirability.randgen import random_credal, random_mass
 
 F = Fraction
@@ -49,6 +42,7 @@ Y3 = Variable("X2", ("a", "b", "c"))
 X2 = Variable("X1", ("a", "b"))
 Y2 = Variable("X2", ("a", "b"))
 Z2 = Variable("Z", ("a", "b"))
+W2 = Variable("W", ("a", "b"))
 
 
 def one(*variables):
@@ -85,11 +79,6 @@ def ref_member(expr, f):
     if isinstance(expr, Conditioned):
         lifted = indicator(expr.given) * f
         return ref_member(expr.base, lifted.embed(scope_of(expr.base)))
-    if isinstance(expr, CylExt):
-        if f.is_zero():
-            return Tri.OUT
-        floor = f.floor_onto(scope_of(expr.base))
-        return Tri.IN if floor.is_nonnegative() else ref_member(expr.base, floor)
     if isinstance(expr, IrrExt):
         if f.is_zero():
             return Tri.OUT
@@ -161,7 +150,8 @@ class TestScanDifferential:
         assert shapes["irrext-lex-3x3"] == shapes["irrext-cell-3x3"] == "IrrExt"
         assert shapes["irrext-floor-2x2x2"] == "IrrExt"
         assert shapes["conditioned-2x2x2"] == "Conditioned"
-        assert shapes["dependent-cyl"] == "CylExt"
+        assert shapes["dependent-cyl"] == "IrrExt"
+        assert case("dependent-cyl")[1].irrelevant == Scope.empty()
 
     def test_every_verdict_field_matches_the_reference(self):
         for name, expr, irrelevant, onto, budget in scan_cases():
@@ -182,6 +172,86 @@ class TestScanDifferential:
             if not verdict.passed:
                 f, at = verdict.counterexample
                 assert member(expr, f) is not member(expr, indicator(at) * f)
+
+
+# ---------------------------------------------------------------------------
+# cylindrical extension: an IrrExt with no irrelevant variables
+# ---------------------------------------------------------------------------
+
+CYL_GAMBLES = 300
+
+
+def assert_agrees(expr, oracle, seed):
+    """``member(expr, .)`` equals the reference on ``oracle`` on seeded gambles.
+
+    The draws lean positive, entries in [-1, 3], so that on the larger
+    scopes some gambles pass every slice.  Both verdicts must occur, so
+    that the comparison is not vacuous.
+    """
+    gambles = sample_gambles(scope_of(expr), budget=CYL_GAMBLES, seed=seed, lo=-1)
+    assert len(gambles) == CYL_GAMBLES
+    seen = set()
+    for f in gambles:
+        verdict = member(expr, f)
+        assert verdict is ref_member(oracle, f), f
+        seen.add(verdict)
+    assert seen == {Tri.IN, Tri.OUT}
+
+
+class TestCylindricalExtension:
+    """``cyl_ext`` against the floor reference, one base kind at a time."""
+
+    def check(self, base, target, seed):
+        ext = cyl_ext(base, target)
+        assert ext == IrrExt(base, Scope.empty(), target)
+        assert_agrees(ext, ext, seed)
+
+    def test_lex_base(self):
+        for seed in range(3):
+            rng = random.Random("cyl-lex-%d" % seed)
+            self.check(maximal_lex(rng, one(X3)), one(X3, Y3), seed)
+
+    def test_cell_base(self):
+        for seed in range(3):
+            rng = random.Random("cyl-cell-%d" % seed)
+            base = strictly_desirable(random_credal(rng, one(X3), count=2))
+            self.check(base, one(X3, Y3), seed)
+
+    def test_conditioned_base(self):
+        for seed in range(3):
+            rng = random.Random("cyl-conditioned-%d" % seed)
+            joint = strictly_desirable(random_credal(rng, one(X2, Z2), count=2))
+            base = condition(joint, Assignment.of({Z2: "b"}))
+            assert isinstance(base, Conditioned)
+            self.check(base, one(X2, Y2), seed)
+
+    def test_nested_extension_flattens_to_one_node(self):
+        """``cyl_ext(IrrExt(b, I, T1), T2)`` is ``IrrExt(b, I, T2)``.
+
+        It is compared with the unflattened ``IrrExt(IrrExt(b, I, T1),
+        Scope.empty(), T2)``, both through the engine and the reference.
+        The added variable sorts last (``Z``) for the lex bases and first
+        (``W``) for the cell bases.
+        """
+        for seed in range(3):
+            rng = random.Random("cyl-nested-%d" % seed)
+            cases = [
+                (maximal_lex(rng, one(X2)), one(Y2), one(X2, Y2), one(X2, Y2, Z2)),
+                (
+                    strictly_desirable(random_credal(rng, one(X3), count=2)),
+                    one(Y3),
+                    one(X3, Y3),
+                    one(W2, X3, Y3),
+                ),
+            ]
+            for base, irrelevant, inner_target, target in cases:
+                inner = irrelevant_extension(base, irrelevant, inner_target)
+                assert inner == IrrExt(base, irrelevant, inner_target)
+                flat = cyl_ext(inner, target)
+                assert flat == IrrExt(base, irrelevant, target)
+                nested = IrrExt(inner, Scope.empty(), target)
+                assert_agrees(flat, nested, seed)
+                assert_agrees(nested, nested, seed)
 
 
 class TestScanWorkPins:

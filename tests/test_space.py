@@ -15,10 +15,9 @@ from desirability import (
     Scope,
     ScopeError,
     Variable,
-    as_rational,
     format_rational,
-    indicator,
 )
+from desirability.space import as_rational, indicator
 
 A = Variable("A", ("x", "y"))
 B = Variable("B", ("u", "v", "w"))

@@ -4,27 +4,28 @@ import pytest
 
 from desirability import (
     Assignment,
-    ConditionalFamily,
-    Conditioned,
     CredalSet,
-    CylExt,
     Gamble,
     GeneratorSet,
+    IrrExt,
     LexSystem,
     Scope,
     ScopeError,
     Tri,
     Variable,
+    member,
+    strictly_desirable,
+)
+from desirability.desirable import ConditionalFamily, Conditioned
+from desirability.structure import (
     condition,
     condition_bar_member,
     cyl_ext,
     gamble_grid,
-    indicator,
     marginal_member,
-    member,
     sample_gambles,
-    strictly_desirable,
 )
+from desirability.space import indicator
 from fractions import Fraction as F
 
 V1 = Variable("X1", ("a", "b"))
@@ -85,8 +86,9 @@ class TestCylindricalExtension:
         v3 = Variable("X3", ("a", "b"))
         s123 = S12.union(Scope.of([v3]))
         ext = cyl_ext(cyl_ext(base, S12), s123)
-        assert isinstance(ext, CylExt)
+        assert isinstance(ext, IrrExt)
         assert ext.base == base and ext.target == s123
+        assert ext.irrelevant == Scope.empty()
 
     def test_embedded_generator_accepted(self):
         ext = cyl_ext(LEAN2, S12)
