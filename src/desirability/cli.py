@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from .desirable import (
@@ -20,7 +21,6 @@ from .desirable import (
     DesirableSetExpr,
     GeneratorSet,
     IndepProduct,
-    Intersection,
     IrrExt,
     StrongProduct,
     Tri,
@@ -31,7 +31,7 @@ from .desirable import (
 )
 from .errors import DesirabilityError
 from .fixtures import run_all
-from .independence import is_independent, is_irrelevant
+from .independence import Verdict, is_independent, is_irrelevant
 from .maximal import LexSystem, lex_is_coherent, lex_is_maximal, nonmaximality_witness
 from .model import ModelDocument, load, parse_assignment
 from .previsions import (
@@ -167,6 +167,43 @@ def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
+def _emit_prices(
+    args: argparse.Namespace, payload: dict, low: Fraction, up: Fraction
+) -> int:
+    """Print a lower and an upper price after the query's own fields."""
+    lower, upper = format_rational(low), format_rational(up)
+    _emit(
+        args,
+        dict(payload, lower=lower, upper=upper),
+        ["lower: %s" % lower, "upper: %s" % upper],
+    )
+    return _EXIT_PASS
+
+
+def _emit_scan(args: argparse.Namespace, verdict: Verdict, holds: str) -> int:
+    """Print a scan verdict; ``holds`` names the property that passed."""
+    _emit(
+        args,
+        {
+            "name": args.name,
+            "passed": verdict.passed,
+            "mode": verdict.mode,
+            "checked": verdict.checked,
+            "detail": verdict.detail,
+        },
+        [
+            "%s (%s, %d gambles checked): %s"
+            % (
+                holds if verdict.passed else "NOT " + holds,
+                verdict.mode,
+                verdict.checked,
+                verdict.detail,
+            )
+        ],
+    )
+    return _EXIT_PASS if verdict.passed else _EXIT_FAIL
+
+
 # ---------------------------------------------------------------------------
 # the check walk
 # ---------------------------------------------------------------------------
@@ -221,7 +258,7 @@ def _check_expr(expr: DesirableSetExpr, label: str, findings: list[dict]) -> Non
         )
     elif isinstance(expr, (Conditioned, IrrExt)):
         _check_expr(expr.base, label + ".base", findings)
-    elif isinstance(expr, (IndepProduct, StrongProduct, Intersection)):
+    elif isinstance(expr, (IndepProduct, StrongProduct)):
         for k, part in enumerate(expr.parts):
             _check_expr(part, "%s.parts[%d]" % (label, k), findings)
     elif isinstance(expr, ConditionalFamily):
@@ -271,17 +308,7 @@ def _cmd_lowprev(args: argparse.Namespace) -> int:
     f = _parse_gamble(args.gamble, scope_of(expr))
     low = lower_prevision(expr, f)
     up = upper_prevision(expr, f)
-    _emit(
-        args,
-        {
-            "name": args.name,
-            "gamble": _fmt_gamble(f),
-            "lower": format_rational(low),
-            "upper": format_rational(up),
-        },
-        ["lower: %s" % format_rational(low), "upper: %s" % format_rational(up)],
-    )
-    return _EXIT_PASS
+    return _emit_prices(args, {"name": args.name, "gamble": _fmt_gamble(f)}, low, up)
 
 
 def _cmd_condlowprev(args: argparse.Namespace) -> int:
@@ -293,18 +320,12 @@ def _cmd_condlowprev(args: argparse.Namespace) -> int:
     g = _parse_gamble(args.gamble, rest)
     low = conditional_lower_prevision(expr, given, g)
     up = -conditional_lower_prevision(expr, given, -g)
-    _emit(
+    return _emit_prices(
         args,
-        {
-            "name": args.name,
-            "given": str(given),
-            "gamble": _fmt_gamble(g),
-            "lower": format_rational(low),
-            "upper": format_rational(up),
-        },
-        ["lower: %s" % format_rational(low), "upper: %s" % format_rational(up)],
+        {"name": args.name, "given": str(given), "gamble": _fmt_gamble(g)},
+        low,
+        up,
     )
-    return _EXIT_PASS
 
 
 def _cmd_irr_check(args: argparse.Namespace) -> int:
@@ -315,26 +336,7 @@ def _cmd_irr_check(args: argparse.Namespace) -> int:
     verdict = is_irrelevant(
         expr, irrelevant, onto, budget=args.budget, seed=args.seed
     )
-    _emit(
-        args,
-        {
-            "name": args.name,
-            "passed": verdict.passed,
-            "mode": verdict.mode,
-            "checked": verdict.checked,
-            "detail": verdict.detail,
-        },
-        [
-            "%s (%s, %d gambles checked): %s"
-            % (
-                "irrelevant" if verdict.passed else "NOT irrelevant",
-                verdict.mode,
-                verdict.checked,
-                verdict.detail,
-            )
-        ],
-    )
-    return _EXIT_PASS if verdict.passed else _EXIT_FAIL
+    return _emit_scan(args, verdict, "irrelevant")
 
 
 def _cmd_indep_check(args: argparse.Namespace) -> int:
@@ -342,26 +344,7 @@ def _cmd_indep_check(args: argparse.Namespace) -> int:
     expr = _named(doc, args.name)
     blocks = [ _parse_vars(chunk, doc) for chunk in args.blocks.split("|") if chunk.strip() ]
     verdict = is_independent(expr, blocks, budget=args.budget, seed=args.seed)
-    _emit(
-        args,
-        {
-            "name": args.name,
-            "passed": verdict.passed,
-            "mode": verdict.mode,
-            "checked": verdict.checked,
-            "detail": verdict.detail,
-        },
-        [
-            "%s (%s, %d gambles checked): %s"
-            % (
-                "independent" if verdict.passed else "NOT independent",
-                verdict.mode,
-                verdict.checked,
-                verdict.detail,
-            )
-        ],
-    )
-    return _EXIT_PASS if verdict.passed else _EXIT_FAIL
+    return _emit_scan(args, verdict, "independent")
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:

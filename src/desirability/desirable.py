@@ -1,7 +1,7 @@
 """Set-of-desirable-gambles representations and their decision procedures.
 
 A belief model here is a cone of gambles the agent strictly prefers to the
-status quo.  There are nine node kinds.  Three are leaves:
+status quo.  There are eight node kinds.  Three are leaves:
 
 * ``GeneratorSet`` — a finite assessment; it denotes the smallest coherent
   superset: every gamble that dominates some nonnegative combination of the
@@ -11,14 +11,13 @@ status quo.  There are nine node kinds.  Three are leaves:
 * ``LexSystem`` (see the ``maximal`` module) — ordered mass functions with
   lexicographic-positivity membership.
 
-Six expression nodes compose them:
+Five expression nodes compose them:
 
 * ``Conditioned`` — the updated model after observing an assignment.
 * ``IrrExt`` — the irrelevant natural extension to a larger scope; with no
   irrelevant variables it is the cylindrical extension.
 * ``IndepProduct`` and ``StrongProduct`` — the independent natural
   extension and the strong product of models on disjoint scopes.
-* ``Intersection`` — the conjunction of models on one scope.
 * ``ConditionalFamily`` — a table of models, one per assignment.
 
 ``member`` decides membership for every node exactly, except for strong
@@ -48,7 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -169,14 +168,13 @@ def avoids_nonpositivity(assessment: GeneratorSet) -> ConsistencyCertificate:
         uniform = tuple(Fraction(1, size) for _ in range(size))
         return ConsistencyCertificate(True, uniform, None)
 
-    mass_names = ["p%d" % w for w in range(size)]
     rows = [
         LinRow(tuple([_ONE if j == w else _ZERO for j in range(size)]), GT, _ZERO)
         for w in range(size)
     ]
     for g in gens:
         rows.append(LinRow(g.values, GT, _ZERO))
-    outcome = strict_feasible(LinSystem(tuple(mass_names), tuple(rows)))
+    outcome = strict_feasible(LinSystem(size, tuple(rows)))
     if isinstance(outcome, Feasible):
         total = sum(outcome.witness, _ZERO)
         mass = tuple([v / total for v in outcome.witness])
@@ -210,7 +208,6 @@ def cone_program(
     gens = cone.generators
     n = len(gens)
     lead = [] if direction is None else [_ZERO]
-    names = ["lam%d" % k for k in range(n)]
     rows = [
         LinRow(tuple(lead + [_ONE if j == k else _ZERO for j in range(n)]), GE, _ZERO)
         for k in range(n)
@@ -221,9 +218,9 @@ def cone_program(
             LinRow(tuple(shift + [-g.values[w] for g in gens]), GE, -value.values[w])
         )
     if direction is None:
-        return LinSystem(tuple(names), tuple(rows))
+        return LinSystem(n, tuple(rows))
     objective = tuple([_ONE] + [_ZERO] * n)
-    return LinSystem(tuple(["mu"] + names), tuple(rows), objective, "max")
+    return LinSystem(n + 1, tuple(rows), objective, "max")
 
 
 def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
@@ -353,7 +350,6 @@ DesirableSetExpr = Union[
     "IrrExt",
     "IndepProduct",
     "StrongProduct",
-    "Intersection",
     "ConditionalFamily",
 ]
 
@@ -453,21 +449,6 @@ class StrongProduct:
 
 
 @dataclass(frozen=True)
-class Intersection:
-    """Pointwise conjunction of models sharing one scope."""
-
-    parts: tuple[DesirableSetExpr, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("an intersection needs at least one part")
-        first = scope_of(self.parts[0])
-        for part in self.parts[1:]:
-            if scope_of(part) != first:
-                raise ScopeError("intersection parts must share one scope")
-
-
-@dataclass(frozen=True)
 class ConditionalFamily:
     """A table of updated models, one per assignment of some variables."""
 
@@ -508,8 +489,6 @@ def scope_of(expr: DesirableSetExpr) -> Scope:
         for part in expr.parts:
             out = out.union(scope_of(part))
         return out
-    if isinstance(expr, Intersection):
-        return scope_of(expr.parts[0])
     if isinstance(expr, ConditionalFamily):
         return scope_of(expr.entries[0][1])
     raise TypeError("not a desirable-set expression: %r" % (expr,))
@@ -536,7 +515,7 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
     if isinstance(expr, Conditioned):
         return member(expr.base, f.mask(expr.given).embed(scope_of(expr.base)))
     if isinstance(expr, IrrExt):
-        return slice_verdict(expr, f, Gamble.is_nonnegative)
+        return slice_verdict(expr, f)
     if isinstance(expr, IndepProduct):
         from .independence import inex_member
 
@@ -545,13 +524,6 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
         from .previsions import strong_member
 
         return strong_member(expr, f)
-    if isinstance(expr, Intersection):
-        verdicts = [member(part, f) for part in expr.parts]
-        if any(v is Tri.OUT for v in verdicts):
-            return Tri.OUT
-        if all(v is Tri.IN for v in verdicts):
-            return Tri.IN
-        return Tri.UNKNOWN
     if isinstance(expr, ConditionalFamily):
         raise UnsupportedQueryError(
             "conditional families answer only conditioned queries; "
@@ -560,21 +532,18 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
     raise TypeError("not a desirable-set expression: %r" % (expr,))
 
 
-def slice_verdict(expr: IrrExt, f: Gamble, skip: Callable[[Gamble], bool]) -> Tri:
+def slice_verdict(expr: IrrExt, f: Gamble) -> Tri:
     """Slice decomposition of irrelevant-extension membership.
 
     ``f`` lives on the target.  It belongs iff it is nonzero and, for
     every assignment of the irrelevant variables, the floor of ``f`` over
-    the remaining added variables, sliced at that assignment, passes
-    ``skip`` or is a member of the base.  Each slice is read
+    the remaining added variables, sliced at that assignment, is
+    nonnegative or a member of the base.  A nonnegative slice is skipped
+    without asking the base: zero slack dominates it.  Each slice is read
     straight from ``expr.slice_table``: entry ``b`` is the minimum of the
     values of ``f`` at the indices listed for it.  The per-slice choices
     are independent because a dominating gamble can be assembled slice by
     slice.
-
-    ``member`` passes ``Gamble.is_nonnegative`` (a nonnegative floor is
-    dominated by zero slack); ``independence.irr_member``, which asks
-    about the slice family itself, passes ``Gamble.is_zero``.
     """
     if f.is_zero():
         return Tri.OUT
@@ -585,7 +554,7 @@ def slice_verdict(expr: IrrExt, f: Gamble, skip: Callable[[Gamble], bool]) -> Tr
         piece = Gamble(
             base_scope, tuple([min([values[w] for w in group]) for group in row])
         )
-        if skip(piece):
+        if piece.is_nonnegative():
             continue
         verdict = member(expr.base, piece)
         if verdict is Tri.OUT:
@@ -593,13 +562,6 @@ def slice_verdict(expr: IrrExt, f: Gamble, skip: Callable[[Gamble], bool]) -> Tr
         if verdict is Tri.UNKNOWN:
             unknown = True
     return Tri.UNKNOWN if unknown else Tri.IN
-
-
-def strictly_prefers(expr: DesirableSetExpr, f: Gamble, g: Gamble) -> Tri:
-    """Is exchanging ``g`` for ``f`` strictly desirable, i.e. f - g in E?"""
-    if f.scope != g.scope:
-        raise ScopeError("compared gambles must share a scope")
-    return member(expr, f - g)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +625,6 @@ def _positives_covered(cs: CellSet, budget: int) -> tuple[Optional[bool], Option
         if count > budget:
             return None, None
     size = cs.scope.size
-    names = ["f%d" % w for w in range(size)]
     base_rows = [
         LinRow(tuple([_ONE if j == w else _ZERO for j in range(size)]), GE, _ZERO)
         for w in range(size)
@@ -674,7 +635,7 @@ def _positives_covered(cs: CellSet, budget: int) -> tuple[Optional[bool], Option
         for negated_list in choice:
             for negated in negated_list:
                 rows.append(LinRow(negated.functional.values, negated.rel, _ZERO))
-        outcome = strict_feasible(LinSystem(tuple(names), tuple(rows)))
+        outcome = strict_feasible(LinSystem(size, tuple(rows)))
         if isinstance(outcome, Feasible):
             return False, Gamble(cs.scope, outcome.witness)
     return True, None

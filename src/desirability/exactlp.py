@@ -30,10 +30,6 @@ Strict inequalities are not handled by ``solve`` directly; ``strict_feasible``
 reduces them exactly, either by homogenisation (replace ``> 0`` by ``>= 1``
 when every right-hand side is zero) or by maximising a slack bounded by 1 and
 testing whether the optimum is positive.  The input decides which.
-
-``fm_project`` implements Fourier-Motzkin elimination, kept deliberately
-independent of the simplex so the two can cross-check each other.  It is an
-oracle for small systems only and raises a budget error beyond its guards.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import BudgetExceededError, DimensionMismatchError, EngineError, ExactnessError
+from .errors import DimensionMismatchError, EngineError, ExactnessError
 
 GE = ">="
 EQ = "="
@@ -102,24 +98,20 @@ class LinRow:
 
 @dataclass(frozen=True)
 class LinSystem:
-    """A finite list of rows over named variables, with an optional objective."""
+    """A finite list of rows over ``n_vars`` variables, with an optional objective."""
 
-    var_names: tuple[str, ...]
+    n_vars: int
     rows: tuple[LinRow, ...]
     objective: Optional[tuple[Fraction, ...]] = None
     sense: str = "max"
 
     def __post_init__(self) -> None:
         for k, row in enumerate(self.rows):
-            _check_coeffs(row.coeffs, len(self.var_names), "row %d" % k)
+            _check_coeffs(row.coeffs, self.n_vars, "row %d" % k)
         if self.objective is not None:
-            _check_coeffs(self.objective, len(self.var_names), "objective")
+            _check_coeffs(self.objective, self.n_vars, "objective")
         if self.sense not in ("max", "min"):
             raise ValueError("sense must be 'max' or 'min'")
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.var_names)
 
 
 @dataclass(frozen=True)
@@ -690,7 +682,7 @@ def strict_feasible(system: LinSystem) -> Union[Feasible, Infeasible]:
     zero, ``_strict_slack`` otherwise.
     """
     if not any(row.rel == GT for row in system.rows):
-        outcome = solve(LinSystem(system.var_names, system.rows))
+        outcome = solve(LinSystem(system.n_vars, system.rows))
         assert isinstance(outcome, (Feasible, Infeasible))
         return outcome
     if all(row.rhs == 0 for row in system.rows):
@@ -707,7 +699,7 @@ def _strict_homogeneous(system: LinSystem) -> Union[Feasible, Infeasible]:
     rows = tuple([
         LinRow(r.coeffs, GE, _ONE) if r.rel == GT else r for r in system.rows
     ])
-    outcome = solve(LinSystem(system.var_names, rows))
+    outcome = solve(LinSystem(system.n_vars, rows))
     if isinstance(outcome, Feasible):
         _engine_check(verify_point(system, outcome.witness), "strict point")
         return Feasible(outcome.witness)
@@ -722,7 +714,6 @@ def _strict_slack(system: LinSystem) -> Union[Feasible, Infeasible]:
     A variable ``eps`` is appended, each strict row becomes
     ``coeffs.x - eps >= rhs``, and ``0 <= eps <= 1``.
     """
-    names = system.var_names + ("_eps",)
     rows = []
     for r in system.rows:
         if r.rel == GT:
@@ -732,7 +723,7 @@ def _strict_slack(system: LinSystem) -> Union[Feasible, Infeasible]:
     rows.append(LinRow((_ZERO,) * system.n_vars + (Fraction(-1),), GE, Fraction(-1)))
     rows.append(LinRow((_ZERO,) * system.n_vars + (_ONE,), GE, _ZERO))
     objective = (_ZERO,) * system.n_vars + (_ONE,)
-    relaxed = LinSystem(tuple(names), tuple(rows), objective, "max")
+    relaxed = LinSystem(system.n_vars + 1, tuple(rows), objective, "max")
     outcome, simplex = _solve_engine(relaxed)
     if isinstance(outcome, Infeasible):
         lam = outcome.farkas[: len(system.rows)]
@@ -750,97 +741,3 @@ def _strict_slack(system: LinSystem) -> Union[Feasible, Infeasible]:
     lam = tuple(lam_all[: len(system.rows)])
     _engine_check(verify_farkas(system, lam), "strict farkas at zero optimum")
     return Infeasible(lam)
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin projection
-# ---------------------------------------------------------------------------
-
-
-def _normalise_row(row: LinRow) -> LinRow:
-    lead = next((c for c in row.coeffs if c), None)
-    if lead is None:
-        return row
-    scale = _ONE / abs(lead)
-    return LinRow(tuple(c * scale for c in row.coeffs), row.rel, row.rhs * scale)
-
-
-def fm_project(
-    system: LinSystem,
-    eliminate: Sequence[str],
-    *,
-    max_rows: int = 10000,
-    max_vars: int = 32,
-) -> LinSystem:
-    """Eliminate variables by Fourier-Motzkin, exactly, strict rows included.
-
-    Independent of the simplex by construction; use it as an oracle on small
-    systems.  Raises BudgetExceededError when intermediate row counts or the
-    variable count exceed the guards.
-    """
-    if system.n_vars > max_vars:
-        raise BudgetExceededError(
-            "fm_project limited to %d variables, got %d" % (max_vars, system.n_vars)
-        )
-    names = list(system.var_names)
-    rows = [LinRow(r.coeffs, r.rel, r.rhs) for r in system.rows]
-    for name in eliminate:
-        if name not in names:
-            raise ValueError("cannot eliminate unknown variable %r" % (name,))
-        j = names.index(name)
-        pivot = next(
-            (r for r in rows if r.rel == EQ and r.coeffs[j] != 0), None
-        )
-        new_rows: list[LinRow] = []
-        if pivot is not None:
-            pc = pivot.coeffs[j]
-            for r in rows:
-                if r is pivot:
-                    continue
-                f = r.coeffs[j] / pc
-                if f:
-                    coeffs = tuple(a - f * b for a, b in zip(r.coeffs, pivot.coeffs))
-                    r = LinRow(coeffs, r.rel, r.rhs - f * pivot.rhs)
-                new_rows.append(r)
-        else:
-            pos = [r for r in rows if r.coeffs[j] > 0]
-            neg = [r for r in rows if r.coeffs[j] < 0]
-            new_rows.extend(r for r in rows if r.coeffs[j] == 0)
-            for rp in pos:
-                for rn in neg:
-                    fp = _ONE / rp.coeffs[j]
-                    fn = -_ONE / rn.coeffs[j]
-                    coeffs = tuple(
-                        fp * a + fn * b for a, b in zip(rp.coeffs, rn.coeffs)
-                    )
-                    rel = GT if GT in (rp.rel, rn.rel) else GE
-                    new_rows.append(LinRow(coeffs, rel, fp * rp.rhs + fn * rn.rhs))
-        # Drop the eliminated coordinate and deduplicate.
-        seen = set()
-        rows = []
-        for r in new_rows:
-            coeffs = r.coeffs[:j] + r.coeffs[j + 1 :]
-            r2 = _normalise_row(LinRow(coeffs, r.rel, r.rhs))
-            key = (r2.coeffs, r2.rel, r2.rhs)
-            if key not in seen:
-                seen.add(key)
-                rows.append(r2)
-        names.pop(j)
-        if len(rows) > max_rows:
-            raise BudgetExceededError(
-                "fm_project exceeded %d rows while eliminating %r" % (max_rows, name)
-            )
-    return LinSystem(tuple(names), tuple(rows))
-
-
-def fm_feasible(system: LinSystem, **guards) -> bool:
-    """Feasibility by full projection; the constant rows tell the answer."""
-    projected = fm_project(system, list(system.var_names), **guards)
-    for row in projected.rows:
-        if row.rel == GE and not (0 >= row.rhs):
-            return False
-        if row.rel == GT and not (0 > row.rhs):
-            return False
-        if row.rel == EQ and row.rhs != 0:
-            return False
-    return True

@@ -317,7 +317,6 @@ def _gap_programs(
     nonnegative expectation under both marginal masses, and has no
     feasible point at all.
     """
-    names = tuple("u%d" % k for k in range(4)) + tuple("v%d" % k for k in range(4))
     weights = (Fraction(2, 5), Fraction(3, 5), Fraction(3, 5), Fraction(3, 5))
 
     domination = []
@@ -328,7 +327,7 @@ def _gap_programs(
         domination.append(LinRow(tuple(coeffs), GE, -h.values[w]))
 
     best = solve(
-        LinSystem(names, tuple(domination), objective=weights + weights, sense="max")
+        LinSystem(8, tuple(domination), objective=weights + weights, sense="max")
     )
 
     slice_rows = []
@@ -339,7 +338,7 @@ def _gap_programs(
                 coeffs[offset + i] = mass[0]
                 coeffs[offset + j] = mass[1]
                 slice_rows.append(LinRow(tuple(coeffs), GE, _ZERO))
-    tightened = solve(LinSystem(names, tuple(domination) + tuple(slice_rows)))
+    tightened = solve(LinSystem(8, tuple(domination) + tuple(slice_rows)))
     return best, tightened
 
 

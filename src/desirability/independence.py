@@ -6,6 +6,9 @@ model and keeps those variables irrelevant to it.  For generator leaves it
 collapses to a plain generator set: each generator, multiplied by the
 indicator of each assignment of the irrelevant variables.  Other leaves
 keep an ``IrrExt`` node, decided sliceswise by the membership dispatcher.
+Its constructor, ``irrelevant_extension``, is defined in ``structure``
+next to ``cyl_ext``, its case with no irrelevant variables, and is bound
+here as well.
 
 The independent natural extension of marginal models on disjoint scopes is
 the smallest coherent joint making all blocks mutually irrelevant.  Its
@@ -43,12 +46,10 @@ from .desirable import (
     DesirableSetExpr,
     GeneratorSet,
     IndepProduct,
-    IrrExt,
     Tri,
     avoids_nonpositivity,
     member,
     scope_of,
-    slice_verdict,
 )
 from .errors import (
     BudgetExceededError,
@@ -66,7 +67,9 @@ from .space import (
     _slice_map,
     disjoint_union,
 )
-from .structure import cyl_ext, sample_gambles
+# ``irrelevant_extension`` is bound here for callers that build extensions
+# and products from one module.
+from .structure import irrelevant_extension, masked_generators, sample_gambles  # noqa: F401
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -79,30 +82,6 @@ PAIR_BUDGET = 200
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-
-
-def irrelevant_extension(
-    base: DesirableSetExpr, irrelevant: Scope, target: Scope
-) -> DesirableSetExpr:
-    """Smallest coherent joint on ``target`` with ``irrelevant`` irrelevant
-    to the base model's variables.
-
-    Generator leaves collapse: the family of indicator-masked generators
-    spans the same cone, one LP per membership query.
-    """
-    base_scope = scope_of(base)
-    if not base_scope.isdisjoint(irrelevant):
-        raise ScopeError("irrelevant variables overlap the base scope")
-    if not base_scope.union(irrelevant).issubset(target):
-        raise ScopeError("extension target must contain base and irrelevant scopes")
-    if not irrelevant.variables:
-        return cyl_ext(base, target)
-    if isinstance(base, GeneratorSet):
-        masked = [
-            g.mask(at) for at in irrelevant.assignments() for g in base.generators
-        ]
-        return GeneratorSet.of(target, masked)
-    return IrrExt(base, irrelevant, target)
 
 
 def independent_product(parts: Sequence[DesirableSetExpr]) -> DesirableSetExpr:
@@ -126,10 +105,7 @@ def independent_product(parts: Sequence[DesirableSetExpr]) -> DesirableSetExpr:
     if all(isinstance(part, GeneratorSet) for part in flat):
         masked: list[Gamble] = []
         for part in flat:
-            rest = joint.difference(part.scope)
-            for at in rest.assignments():
-                for g in part.generators:
-                    masked.append(g.mask(at))
+            masked.extend(masked_generators(part, joint.difference(part.scope)))
         return GeneratorSet.of(joint, masked)
     return IndepProduct(tuple(flat))
 
@@ -159,19 +135,6 @@ def conditional_inex(families: Sequence[ConditionalFamily]) -> ConditionalFamily
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
-
-
-def irr_member(ext: IrrExt, h: Gamble) -> Tri:
-    """Membership in the pre-extension family of slice-constrained gambles.
-
-    In iff ``h`` is nonzero and every slice along the irrelevant variables
-    lies in the base model or vanishes.  ``h`` must live on the irrelevant
-    and base variables; lifted to the target, its floor is itself, so the
-    slice loop of extension membership decides it, skipping zero slices
-    instead of nonnegative ones.
-    """
-    h = h.embed(ext.irrelevant.union(scope_of(ext.base)))
-    return slice_verdict(ext, h.embed(ext.target), Gamble.is_zero)
 
 
 # -- signature enumeration for products of cell/lex marginals ---------------
@@ -308,7 +271,6 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     block = len(parts) * size
     aux_total = sum(aux for _, _, aux, _ in pairs)
     width = block + aux_total
-    names = tuple("v%d" % j for j in range(width))
     fixed: list[LinRow] = []
     for w in range(size):
         coeffs = [_ZERO] * width
@@ -336,7 +298,7 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
 
     for signature in itertools.product(*menu):
         rows = tuple(itertools.chain(fixed, *signature))
-        outcome = strict_feasible(LinSystem(names, rows))
+        outcome = strict_feasible(LinSystem(width, rows))
         if isinstance(outcome, Feasible):
             return Tri.IN
     return Tri.OUT

@@ -149,6 +149,8 @@ def _parse_variables(raw: object) -> tuple[Variable, ...]:
             raise ModelFormatError(
                 "variable %r needs a nonempty list of outcome labels" % name
             )
+        if len(set(outcomes)) != len(outcomes):
+            raise ModelFormatError("variable %r repeats an outcome label" % name)
         seen.add(name)
         out.append(Variable(name, tuple(outcomes)))
     return tuple(out)

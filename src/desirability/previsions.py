@@ -297,6 +297,13 @@ def gbr_residual(expr: DesirableSetExpr, given: Assignment, g: Gamble) -> Fracti
 # ---------------------------------------------------------------------------
 
 
+def _check_vertex_length(p: Sequence[object], scope: Scope) -> None:
+    if len(p) != scope.size:
+        raise DimensionMismatchError(
+            "vertex of length %d on a %d-outcome scope" % (len(p), scope.size)
+        )
+
+
 @dataclass(frozen=True)
 class CredalSet:
     """A polytope of probability mass functions, held by its vertices."""
@@ -308,11 +315,7 @@ class CredalSet:
         if not self.vertices:
             raise ValueError("a credal set needs at least one vertex")
         for p in self.vertices:
-            if len(p) != self.scope.size:
-                raise DimensionMismatchError(
-                    "vertex of length %d on a %d-outcome scope"
-                    % (len(p), self.scope.size)
-                )
+            _check_vertex_length(p, self.scope)
             total = _ZERO
             for v in p:
                 if not isinstance(v, Fraction):
@@ -332,9 +335,12 @@ class CredalSet:
         entries, ``credal_view`` of cell and lex models, fixtures and
         random draws.  Each point costs one convex-combination LP.
         ``credal_vertices`` needs none of this and builds its result
-        directly.
+        directly.  A point whose length is not the scope's size raises
+        ``DimensionMismatchError`` before any LP.
         """
         rows = sorted({tuple(as_rational(v) for v in p) for p in vertices})
+        for p in rows:
+            _check_vertex_length(p, scope)
         keep = [
             p
             for i, p in enumerate(rows)
@@ -354,7 +360,6 @@ def _convex_combination(
     """Is ``target`` a convex combination of ``others``? (exact LP)"""
     if not others:
         return False
-    names = tuple(["lam%d" % j for j in range(len(others))])
     rows = [
         LinRow(tuple([p[w] for p in others]), EQ, target[w])
         for w in range(len(target))
@@ -364,7 +369,7 @@ def _convex_combination(
         unit = [_ZERO] * len(others)
         unit[j] = _ONE
         rows.append(LinRow(tuple(unit), GE, _ZERO))
-    return isinstance(solve(LinSystem(names, tuple(rows))), Feasible)
+    return isinstance(solve(LinSystem(len(others), tuple(rows))), Feasible)
 
 
 def credal_vertices(assessment: GeneratorSet, *, budget: int = 200000) -> CredalSet:
@@ -500,18 +505,18 @@ def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
     joint = disjoint_union(c.scope for c in credals)
     fitted = f.embed(joint)
     size = joint.size
-    names: list[str] = ["t"]
+    # Columns: the price ``t``, then per block its allocation ``h_n`` (one
+    # per joint outcome) and its epigraph values ``s_n`` (one per slice).
+    width = 1
     h_offset: list[int] = []
     s_offset: list[int] = []
     rests: list[Scope] = []
-    for n, c in enumerate(credals):
-        h_offset.append(len(names))
-        names.extend("h%d_%d" % (n, w) for w in range(size))
+    for c in credals:
         rest = joint.difference(c.scope)
         rests.append(rest)
-        s_offset.append(len(names))
-        names.extend("s%d_%d" % (n, z) for z in range(rest.size))
-    width = len(names)
+        h_offset.append(width)
+        s_offset.append(width + size)
+        width += size + rest.size
     rows: list[LinRow] = []
     for n, c in enumerate(credals):
         for zi, z in enumerate(rests[n].assignments()):
@@ -531,7 +536,7 @@ def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
             coeffs[s_offset[n] + rest_maps[n][w]] += _ONE
         rows.append(LinRow(tuple(coeffs), GE, -fitted.values[w]))
     objective = tuple([_ONE if i == 0 else _ZERO for i in range(width)])
-    outcome = solve(LinSystem(tuple(names), tuple(rows), objective, "max"))
+    outcome = solve(LinSystem(width, tuple(rows), objective, "max"))
     if isinstance(outcome, Optimal):
         return outcome.value
     raise EngineError(

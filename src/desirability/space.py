@@ -364,12 +364,6 @@ class Gamble:
             return self.values[self.scope.index_of(at)]
         return self.values[self.scope.index_of(at.restrict(self.scope))]
 
-    def min_value(self) -> Fraction:
-        return min(self.values)
-
-    def max_value(self) -> Fraction:
-        return max(self.values)
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
@@ -469,25 +463,6 @@ class Gamble:
                 return False, None
         return True, Gamble(onto, tuple(v for v in reduced))  # type: ignore[misc]
 
-    def floor_onto(self, onto: Scope) -> "Gamble":
-        """Pointwise minimum over the variables outside ``onto``.
-
-        This is the largest gamble on ``onto`` whose cylindrical extension is
-        dominated by this one.
-        """
-        if not onto.issubset(self.scope):
-            raise ScopeError(
-                "scope %r is not part of %r" % (onto.names, self.scope.names)
-            )
-        rmap = _restriction_map(self.scope, onto)
-        best: list[Fraction | None] = [None] * onto.size
-        for full_idx, red_idx in enumerate(rmap):
-            v = self.values[full_idx]
-            seen = best[red_idx]
-            if seen is None or v < seen:
-                best[red_idx] = v
-        return Gamble(onto, tuple(v for v in best))  # type: ignore[misc]
-
     def __str__(self) -> str:
         return "[" + ",".join(format_rational(v) for v in self.values) + "]"
 
@@ -496,15 +471,3 @@ def _dimension_error(scope: Scope, got: int) -> DimensionMismatchError:
     return DimensionMismatchError(
         "expected %d values for scope %r, got %d" % (scope.size, scope.names, got)
     )
-
-
-def indicator(at: Assignment, scope: Scope | None = None) -> Gamble:
-    """The gamble that pays 1 exactly when ``at`` obtains, on ``at.scope``.
-
-    Pass ``scope`` to get the cylindrical extension in one step.
-    """
-    base = at.scope
-    values = [Fraction(0)] * base.size
-    values[base.index_of(at)] = Fraction(1)
-    g = Gamble(base, tuple(values))
-    return g.embed(scope) if scope is not None else g

@@ -5,9 +5,11 @@ model onto some variables iff it depends on those variables alone and its
 cylindrical identification is a member.  Conditioning wraps the base
 expression and rewrites queries through indicator products; lexicographic
 leaves are materialised instead, since their conditioned form is again a
-leaf.  Cylindrical extension of a generator leaf is the same generator
-list re-scoped; other bases get an ``IrrExt`` node with no irrelevant
-variables, decided by the floor reduction in the membership dispatcher.
+leaf.  Cylindrical extension is the irrelevant extension with no irrelevant
+variables, and one constructor builds both: a generator leaf collapses to
+its generators, masked by each assignment of the irrelevant variables and
+re-scoped; other bases get an ``IrrExt`` node, decided by the floor
+reduction in the membership dispatcher.
 
 Also hosts the shared sampling policy for "query-equivalent on sampled
 gambles" checks: exhaustive integer grids when small enough, seeded
@@ -59,28 +61,50 @@ def marginal_member(expr: DesirableSetExpr, onto: Scope, f: Gamble) -> Tri:
     return member(expr, reduced)
 
 
-def cyl_ext(base: DesirableSetExpr, target: Scope) -> DesirableSetExpr:
-    """Most conservative extension of ``base`` to the scope ``target``.
+def masked_generators(base: GeneratorSet, added: Scope) -> list[Gamble]:
+    """Each generator of ``base``, masked by each assignment of ``added``.
 
-    Generator leaves collapse to a re-scoped generator list: dominating an
-    embedded combination is the same LP on the larger space.  Other bases
-    become an ``IrrExt`` with no irrelevant variables.  Extending an
-    ``IrrExt`` again only widens its target: flooring over the new
-    variables and then over the old added ones is one floor over all of
-    them, and a nonnegative outer floor leaves every slice nonnegative.
+    The generators of the irrelevant natural extension along ``added``;
+    with no added variables, the generators themselves.
+    """
+    return [g.mask(at) for at in added.assignments() for g in base.generators]
+
+
+def irrelevant_extension(
+    base: DesirableSetExpr, irrelevant: Scope, target: Scope
+) -> DesirableSetExpr:
+    """Smallest coherent joint on ``target`` with ``irrelevant`` irrelevant
+    to the base model's variables.
+
+    Generator leaves collapse: the family of indicator-masked generators
+    spans the same cone, one LP per membership query.  Other bases become
+    an ``IrrExt``.  With no irrelevant variables this is the cylindrical
+    extension, and extending an ``IrrExt`` then only widens its target:
+    flooring over the new variables and then over the old added ones is
+    one floor over all of them, and a nonnegative outer floor leaves every
+    slice nonnegative.
     """
     base_scope = scope_of(base)
-    if not base_scope.issubset(target):
+    if not base_scope.isdisjoint(irrelevant):
+        raise ScopeError("irrelevant variables overlap the base scope")
+    kept = base_scope.union(irrelevant)
+    if not kept.issubset(target):
         raise ScopeError(
-            "extension target %r must contain %r" % (target.names, base_scope.names)
+            "extension target %r must contain %r" % (target.names, kept.names)
         )
     if base_scope == target:
         return base
     if isinstance(base, GeneratorSet):
-        return GeneratorSet.of(target, base.generators)
-    if isinstance(base, IrrExt):
+        return GeneratorSet.of(target, masked_generators(base, irrelevant))
+    if isinstance(base, IrrExt) and not irrelevant.variables:
         return IrrExt(base.base, base.irrelevant, target)
-    return IrrExt(base, Scope.empty(), target)
+    return IrrExt(base, irrelevant, target)
+
+
+def cyl_ext(base: DesirableSetExpr, target: Scope) -> DesirableSetExpr:
+    """Most conservative extension of ``base`` to the scope ``target``:
+    the irrelevant extension with no irrelevant variables."""
+    return irrelevant_extension(base, Scope.empty(), target)
 
 
 def conditioning_scope(expr: DesirableSetExpr) -> Scope:

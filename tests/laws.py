@@ -32,7 +32,7 @@ from desirability import (
     member,
     strictly_desirable,
 )
-from desirability.desirable import Intersection, natext_member, strictly_prefers
+from desirability.desirable import natext_member
 from desirability.structure import (
     condition,
     cyl_ext,
@@ -40,8 +40,7 @@ from desirability.structure import (
     marginal_member,
     sample_gambles,
 )
-from desirability.space import indicator
-from desirability.independence import irr_member, irrelevant_extension
+from desirability.independence import irrelevant_extension
 from desirability.maximal import lex_condition, lex_member
 from desirability.randgen import (
     random_credal,
@@ -49,6 +48,8 @@ from desirability.randgen import (
     random_generator_set,
     random_mass,
 )
+
+from references import indicator, irr_member, strictly_prefers
 
 V1 = Variable("X1", ("a", "b"))
 V2 = Variable("X2", ("a", "b"))
@@ -581,39 +582,14 @@ def law_conditioning_preserves_maximality() -> LawResult:
     return LawResult("conditioning_preserves_maximality", count, tuple(violations))
 
 
-def law_intersection_of_products_independent() -> LawResult:
-    """Pooling two independent models by intersection stays independent."""
-    violations = []
-    count = 20
-    for i in range(count):
-        r = _rng("intersect-%d" % i)
-        pooled = Intersection(
-            (
-                independent_product(
-                    [
-                        random_generator_set(r, S1, count=1),
-                        random_generator_set(r, S2, count=1),
-                    ]
-                ),
-                independent_product(
-                    [
-                        random_generator_set(r, S1, count=1),
-                        random_generator_set(r, S2, count=1),
-                    ]
-                ),
-            )
-        )
-        verdict = is_independent(pooled, [S1, S2], budget=30, seed=i)
-        if not verdict.passed:
-            violations.append("i=%d: %s" % (i, verdict.detail))
-    return LawResult(
-        "intersection_of_products_independent", count, tuple(violations)
-    )
-
-
 def law_irrelevant_extension_marginals() -> LawResult:
     """The slice-constrained family and its extension both marginalise and
-    condition back to the base model."""
+    condition back to the base model, and the family's slice table agrees
+    with slices read one by one.
+
+    The bases are coherent, so a nonnegative nonzero slice is a member:
+    skipping nonnegative slices, as ``member`` does, and skipping zero
+    slices, as the reference ``irr_member`` does, give one verdict."""
     violations = []
     count = 20
     for i in range(count):
@@ -640,6 +616,15 @@ def law_irrelevant_extension_marginals() -> LawResult:
                         % (i, f.values, j, back, want)
                     )
                     break
+        for g in sample_gambles(S12, budget=16, seed=i):
+            tabled = member(family, g)
+            sliced = irr_member(family, g)
+            if tabled is not sliced:
+                violations.append(
+                    "i=%d g=%s: slice table %s vs slices %s"
+                    % (i, g.values, tabled, sliced)
+                )
+                break
     return LawResult("irrelevant_extension_marginals", count, tuple(violations))
 
 
@@ -682,7 +667,6 @@ LAWS = (
     law_product_marginals,
     law_conditioned_product_marginals,
     law_conditioning_preserves_maximality,
-    law_intersection_of_products_independent,
     law_irrelevant_extension_marginals,
     law_zero_shift_balance,
 )

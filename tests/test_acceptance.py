@@ -31,12 +31,13 @@ from desirability import (
     lower_prevision,
     nonmaximality_witness,
 )
-from desirability.exactlp import GE, LinRow, LinSystem, fm_feasible
+from desirability.exactlp import GE, LinRow, LinSystem
 from desirability.fixtures import two_vertex_models
 from desirability.desirable import IndepProduct, member, natext_member
 from desirability.randgen import random_maximal_binary_lex
 
 from laws import run_all_laws
+from references import fm_feasible
 
 F = Fraction
 
@@ -209,7 +210,7 @@ def _membership_by_projection(gens, f):
     for i in range(len(names)):
         unit = tuple(F(1 if j == i else 0) for j in range(len(names)))
         rows.append(LinRow(unit, GE, F(0)))
-    return fm_feasible(LinSystem(names, tuple(rows)))
+    return fm_feasible(LinSystem(len(names), tuple(rows)))
 
 
 def test_engine_agrees_with_independent_oracles():

@@ -282,6 +282,23 @@ class TestErrors:
         assert err.startswith("error: ") and "relation" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_short_credal_vertex_exits_three_with_one_line(self, capsys, tmp_path):
+        doc = {
+            "variables": [{"id": "X1", "outcomes": ["a", "b"]}],
+            "sets": {
+                "s": {
+                    "kind": "strict_from_credal",
+                    "scope": ["X1"],
+                    "vertices": [["1/2", "1/2"], [1]],
+                }
+            },
+        }
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "--model", str(path), "describe", "s")
+        assert code == 3 and out == ""
+        assert err == "error: set 's': vertex of length 1 on a 2-outcome scope\n"
+
     def test_bad_relation_message_names_its_row(self, capsys, tmp_path):
         doc = {
             "variables": [{"id": "X1", "outcomes": ["a", "b"]}],

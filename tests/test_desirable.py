@@ -35,15 +35,11 @@ from desirability.desirable import (
     CellRow,
     ConditionalFamily,
     IndepProduct,
-    Intersection,
     StrongProduct,
     cellset_coherence_audit,
     natext_member,
-    scope_of,
-    strictly_prefers,
 )
 from desirability.structure import condition_bar_member
-from desirability.independence import irr_member
 from desirability.previsions import strong_member
 from desirability.exactlp import GE, Infeasible
 from desirability.maximal import lex_is_maximal
@@ -241,22 +237,6 @@ class TestDispatch:
         assert member(node, better) is Tri.IN
         assert member(node, Gamble.on(S12, [1, -1, 0, 0])) is Tri.OUT
 
-    def test_intersection_is_conjunction(self):
-        first = lean()
-        second = GeneratorSet.of(S1, [Gamble.on(S1, [-1, 2])])
-        both = Intersection((first, second))
-        assert member(both, Gamble.on(S1, [1, 1])) is Tri.IN
-        # each of these is accepted by exactly one of the two sets
-        assert natext_member(first, Gamble.on(S1, [2, -1]))
-        assert member(both, Gamble.on(S1, [2, -1])) is Tri.OUT
-        assert natext_member(second, Gamble.on(S1, [-1, 3]))
-        assert member(both, Gamble.on(S1, [-1, 3])) is Tri.OUT
-        assert scope_of(both) == S1
-
-    def test_intersection_requires_shared_scope(self):
-        with pytest.raises(ScopeError):
-            Intersection((lean(S1), lean(S2)))
-
     def test_conditional_family_misses_loudly(self):
         family = ConditionalFamily(
             on=S1,
@@ -267,26 +247,13 @@ class TestDispatch:
         assert family.at(S1.assignment_at(0)) == lean(S2)
 
 
-class TestStrictPreference:
-    def test_requires_shared_scope(self):
-        with pytest.raises(ScopeError):
-            strictly_prefers(lean(), Gamble.on(S1, [1, 0]), Gamble.on(S2, [1, 0]))
-
-    def test_reduces_to_difference_membership(self):
-        f = Gamble.on(S1, [3, -1])
-        g = Gamble.on(S1, [1, 1])
-        assert strictly_prefers(lean(), f, g) is Tri.of(
-            natext_member(lean(), f - g)
-        )
-
-
 HALF1 = CredalSet.of(S1, [("1/2", "1/2")])
 HALF2 = CredalSet.of(S2, [("1/2", "1/2")])
 SURE1 = LexSystem.on(S1, [[1, 0], [0, 1]])
 SURE2 = LexSystem.on(S2, [[1, 0], [0, 1]])
 FOREIGN_ENTRY_POINTS = {
     "member": lambda f: member(lean(S1), f),
-    "irr_member": lambda f: irr_member(IrrExt(lean(S2), S1, S12), f),
+    "irr_member": lambda f: member(IrrExt(lean(S2), S1, S12), f),
     "inex_member": lambda f: inex_member(
         IndepProduct((lean(S1), strictly_desirable(HALF2))), f
     ),

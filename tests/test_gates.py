@@ -90,10 +90,6 @@ rationals = st.one_of(
 relations = st.sampled_from((GE, EQ, GT))
 
 
-def names(n):
-    return tuple("x%d" % j for j in range(n))
-
-
 def coefficient_vectors(n):
     """Random coefficients, zero coordinates likely, and sometimes a zero row."""
     return st.one_of(
@@ -123,7 +119,7 @@ def point_cases(draw):
         else:
             rhs = sum((c * x for c, x in zip(coeffs, point)), _ZERO) + draw(offsets())
         rows.append(LinRow(coeffs, draw(relations), rhs))
-    return LinSystem(names(n), tuple(rows)), point
+    return LinSystem(n, tuple(rows)), point
 
 
 @st.composite
@@ -161,7 +157,7 @@ def farkas_cases(draw):
         target = draw(st.one_of(offsets(), rationals))
         rest = sum((lams[i] * rows[i][2] for i in others), _ZERO)
         rows[last] = [tuple(coeffs), rels[last], (target - rest) / lams[last]]
-    system = LinSystem(names(n), tuple(LinRow(*row) for row in rows))
+    system = LinSystem(n, tuple(LinRow(*row) for row in rows))
     return system, tuple(lams)
 
 
@@ -184,7 +180,7 @@ def ray_cases(draw):
         rows.append(LinRow(coeffs, draw(st.sampled_from((GE, EQ))), draw(rationals)))
     objective = draw(coefficient_vectors(n))
     sense = draw(st.sampled_from(("max", "min")))
-    return LinSystem(names(n), tuple(rows), objective, sense), ray
+    return LinSystem(n, tuple(rows), objective, sense), ray
 
 
 # -- differentials ----------------------------------------------------------------
@@ -197,7 +193,7 @@ class TestGatesAgreeWithFractionReference:
         system, point = case
         assert verify_point(system, point) == reference_point(system, point)
         for row in system.rows:
-            alone = LinSystem(system.var_names, (row,))
+            alone = LinSystem(system.n_vars, (row,))
             assert verify_point(alone, point) == holds_at(row, point)
 
     @settings(max_examples=400)
@@ -241,7 +237,7 @@ class TestGateCases:
         ],
     )
     def test_point(self, rows, point, expected):
-        system = LinSystem(("x", "y"), rows_of(*rows))
+        system = LinSystem(2, rows_of(*rows))
         point = tuple(F(x) for x in point)
         assert reference_point(system, point) == expected
         assert verify_point(system, point) == expected
@@ -276,7 +272,7 @@ class TestGateCases:
         ],
     )
     def test_farkas(self, rows, farkas, expected):
-        system = LinSystem(("x",), rows_of(*rows))
+        system = LinSystem(1, rows_of(*rows))
         farkas = tuple(F(lam) for lam in farkas)
         assert reference_farkas(system, farkas) == expected
         assert verify_farkas(system, farkas) == expected
@@ -293,7 +289,7 @@ class TestGateCases:
         ],
     )
     def test_ray(self, rows, ray, objective, expected):
-        system = LinSystem(("x", "y"), rows_of(*rows), tuple(F(c) for c in objective))
+        system = LinSystem(2, rows_of(*rows), tuple(F(c) for c in objective))
         ray = tuple(F(r) for r in ray)
         assert reference_ray(system, ray) == expected
         assert verify_ray(system, ray) == expected
@@ -302,7 +298,7 @@ class TestGateCases:
 class TestVectorLength:
     """A vector of the wrong length is no certificate."""
 
-    system = LinSystem(("x", "y"), rows_of(((1, 1), GE, 1), ((0, 1), GE, 0)), (F(1), F(0)))
+    system = LinSystem(2, rows_of(((1, 1), GE, 1), ((0, 1), GE, 0)), (F(1), F(0)))
 
     def test_point(self):
         assert verify_point(self.system, (F(1), F(0)))
@@ -315,7 +311,7 @@ class TestVectorLength:
         assert not verify_ray(self.system, (F(1), F(0), F(0)))
 
     def test_farkas(self):
-        infeasible = LinSystem(("x",), rows_of(((1,), GE, 1), ((-1,), GE, 0)))
+        infeasible = LinSystem(1, rows_of(((1,), GE, 1), ((-1,), GE, 0)))
         assert verify_farkas(infeasible, (F(1), F(1)))
         assert not verify_farkas(infeasible, (F(1),))
         assert not verify_farkas(infeasible, (F(1), F(1), F(0)))

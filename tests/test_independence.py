@@ -28,11 +28,12 @@ from desirability.desirable import (
     natext_member,
     scope_of,
 )
-from desirability.independence import conditional_inex, irr_member, irrelevant_extension
-from desirability.space import indicator
+from desirability.independence import conditional_inex, irrelevant_extension
 from fractions import Fraction as F
 
 from desirability.randgen import random_gamble, random_generator_set
+
+from references import indicator
 
 V1 = Variable("X1", ("a", "b"))
 V2 = Variable("X2", ("a", "b"))
@@ -69,19 +70,21 @@ class TestIrrelevantExtension:
         assert member(ext, Gamble.on(S12, [1, 1, 0, 0])) is Tri.IN
 
     def test_slice_family_membership(self):
+        # LEAN2 is coherent, so it accepts every nonnegative nonzero slice:
+        # the node's members are exactly the slice family's.
         node = IrrExt(base=LEAN2, irrelevant=S1, target=S12)
         good = indicator(S1.assignment_at(0), S12) * Gamble.on(S2, [1, -1]).embed(
             S12
         )
-        assert irr_member(node, good) is Tri.IN
-        assert irr_member(node, Gamble.zero(S12)) is Tri.OUT
+        assert member(node, good) is Tri.IN
+        assert member(node, Gamble.zero(S12)) is Tri.OUT
         # one slice inside the base, the other slice outside it
-        assert irr_member(node, Gamble.on(S12, [1, -1, -1, 1])) is Tri.OUT
+        assert member(node, Gamble.on(S12, [1, -1, -1, 1])) is Tri.OUT
 
     def test_no_irrelevant_variables_reduces_to_base(self):
         node = IrrExt(base=LEAN2, irrelevant=Scope.empty(), target=S2)
-        assert irr_member(node, Gamble.on(S2, [2, -2])) is Tri.IN
-        assert irr_member(node, Gamble.on(S2, [-1, 2])) is Tri.OUT
+        assert member(node, Gamble.on(S2, [2, -2])) is Tri.IN
+        assert member(node, Gamble.on(S2, [-1, 2])) is Tri.OUT
 
 
 class TestIndependentProduct:

@@ -26,7 +26,6 @@ from desirability import (
 )
 from desirability import desirable
 from desirability.structure import gamble_grid, sample_gambles
-from desirability.space import indicator
 from desirability.maximal import (
     lex_canonical,
     lex_condition,
@@ -35,6 +34,8 @@ from desirability.maximal import (
     maximal_product_check,
 )
 from desirability.randgen import random_maximal_binary_lex
+
+from references import indicator
 
 F = Fraction
 V1 = Variable("X1", ("a", "b"))

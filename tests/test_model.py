@@ -1,6 +1,8 @@
 """Canonical JSON model documents: loading, validation, round-trips."""
 
+import copy
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,15 @@ class TestRejection:
             {"lean": {"kind": "generators", "scope": ["X1"], "rows": [["0.5", "-1"]]}}
         )
         with pytest.raises(ModelFormatError):
+            loads(bad)
+
+    def test_duplicate_outcome_label_rejected(self):
+        bad = json.dumps(
+            {"variables": [{"id": "X1", "outcomes": ["a", "b", "a"]}], "sets": {}}
+        )
+        with pytest.raises(
+            ModelFormatError, match=r"^variable 'X1' repeats an outcome label$"
+        ):
             loads(bad)
 
     def test_missing_reference_rejected(self):
@@ -152,6 +163,11 @@ class TestRejection:
                 "ext",
                 {"kind": "expr", "op": "cyl_ext", "of": "base", "target": ["X2"]},
                 "must contain",
+            ),
+            (
+                "strict",
+                {"kind": "strict_from_credal", "scope": ["X1"], "vertices": [["1/2", "1/2"], [1]]},
+                "vertex of length 1 on a 2-outcome scope",
             ),
         ],
     )
@@ -250,3 +266,69 @@ class TestConditionGiven:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ModelFormatError, match=r"unknown variable 'X9'"):
             loads(self.document(["a", "b"], {"X9": "a"}))
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzzing of the demo document
+# ---------------------------------------------------------------------------
+
+# Values a mutated field may take: wrong types, empty containers, a float
+# string, a short mass list.  Fields are also deleted, or replaced by a copy
+# of another field of the same document.
+REPLACEMENTS = (None, True, 0, 1, -1, "", "x", "1/2", "0.5", [], {}, [1], ["1/2", "1/2"])
+
+
+def _paths(value, path=()):
+    """The path to every field below ``value``, parents before children."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(doc, rng):
+    """Delete one field, or replace it by a listed value or another field."""
+    paths = list(_paths(doc))
+    path = rng.choice(paths)
+    parent = _at(doc, path[:-1])
+    roll = rng.randrange(3)
+    if roll == 0:
+        del parent[path[-1]]
+    elif roll == 1:
+        parent[path[-1]] = copy.deepcopy(rng.choice(REPLACEMENTS))
+    else:
+        parent[path[-1]] = copy.deepcopy(_at(doc, rng.choice(paths)))
+
+
+def test_mutated_demo_documents_fail_only_as_format_errors():
+    with open(DEMO, "r", encoding="utf-8") as handle:
+        demo = json.load(handle)
+    rng = random.Random("model-fuzz")
+    outcomes = {"loaded": 0, "rejected": 0}
+    for k in range(2000):
+        doc = copy.deepcopy(demo)
+        for _ in range(rng.randint(1, 3)):
+            _mutate(doc, rng)
+        try:
+            loads(json.dumps(doc))
+        except ModelFormatError:
+            outcomes["rejected"] += 1
+        except Exception as exc:  # noqa: BLE001 - any other type is the defect
+            pytest.fail(
+                "document %d raised %s: %s\n%s"
+                % (k, type(exc).__name__, exc, json.dumps(doc, sort_keys=True))
+            )
+        else:
+            outcomes["loaded"] += 1
+    assert outcomes["loaded"] and outcomes["rejected"]

@@ -13,6 +13,7 @@ from desirability import (
     BudgetExceededError,
     CellSet,
     CredalSet,
+    DimensionMismatchError,
     Gamble,
     GeneratorSet,
     IncoherentBaseError,
@@ -469,6 +470,12 @@ class TestCredalSets:
             CredalSet.of(S1, [("1/2", "1/3")])
         with pytest.raises(ValueError):
             CredalSet.of(S1, [("3/2", "-1/2")])
+
+    def test_short_point_rejected_before_any_lp(self, monkeypatch):
+        monkeypatch.setattr(previsions, "solve", lambda system: pytest.fail("LP solved"))
+        for points in ([("1/2", "1/2"), (1,)], [(1,), ("1/2", "1/2")], [(1, 0, 0)]):
+            with pytest.raises(DimensionMismatchError, match="vertex of length"):
+                CredalSet.of(S1, points)
 
     def test_view_of_a_generator_set(self):
         assert credal_view(LEAN1).vertices == credal_vertices(LEAN1).vertices

@@ -30,11 +30,12 @@ from desirability import (
 )
 from desirability.desirable import Cell, CellRow, Conditioned, scope_of
 from desirability.structure import condition, cyl_ext, sample_gambles
-from desirability.space import indicator
 from desirability.maximal import lex_member
 from desirability.exactlp import EQ, GE, GT
 from desirability.independence import Verdict, irrelevant_extension
 from desirability.randgen import random_credal, random_mass
+
+from references import floor_onto, indicator
 
 F = Fraction
 X3 = Variable("X1", ("a", "b", "c"))
@@ -82,7 +83,7 @@ def ref_member(expr, f):
     if isinstance(expr, IrrExt):
         if f.is_zero():
             return Tri.OUT
-        floor = f.floor_onto(expr.irrelevant.union(scope_of(expr.base)))
+        floor = floor_onto(f, expr.irrelevant.union(scope_of(expr.base)))
         for at in expr.irrelevant.assignments():
             piece = floor.slice_at(at)
             if not piece.is_nonnegative() and ref_member(expr.base, piece) is Tri.OUT:

@@ -17,7 +17,9 @@ from desirability import (
     Variable,
     format_rational,
 )
-from desirability.space import as_rational, indicator
+from desirability.space import as_rational
+
+from references import indicator
 
 A = Variable("A", ("x", "y"))
 B = Variable("B", ("u", "v", "w"))

@@ -25,8 +25,9 @@ from desirability.structure import (
     marginal_member,
     sample_gambles,
 )
-from desirability.space import indicator
 from fractions import Fraction as F
+
+from references import indicator
 
 V1 = Variable("X1", ("a", "b"))
 V2 = Variable("X2", ("a", "b"))
