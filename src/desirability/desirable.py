@@ -428,7 +428,7 @@ class IndepProduct:
 
     def __post_init__(self) -> None:
         if not self.parts:
-            raise ValueError("a product needs at least one marginal")
+            raise ScopeError("a product needs at least one marginal")
         disjoint_union(scope_of(part) for part in self.parts)
 
 
@@ -444,7 +444,7 @@ class StrongProduct:
 
     def __post_init__(self) -> None:
         if not self.parts:
-            raise ValueError("a product needs at least one marginal")
+            raise ScopeError("a product needs at least one marginal")
         disjoint_union(scope_of(part) for part in self.parts)
 
 

@@ -350,6 +350,10 @@ def strong_vs_independent_gap(budget: int = 100000) -> FixtureResult:
     decomposition exists: the sum-decomposition price is negative, the
     product membership verdicts split, and the decomposition programs
     return the frozen bound -39/500 and an infeasibility certificate.
+    ``inex_lower_prevision`` computes the sum-decomposition price as the
+    minimum of ``h`` over joint masses with slices in the marginal
+    credal cones; by LP duality that is the same number as the best sum
+    decomposition.
     """
     x1 = Variable("X1", ("0", "1"))
     x2 = Variable("X2", ("0", "1"))

@@ -98,7 +98,7 @@ def independent_product(parts: Sequence[DesirableSetExpr]) -> DesirableSetExpr:
         else:
             flat.append(part)
     if not flat:
-        raise ValueError("a product needs at least one marginal")
+        raise ScopeError("a product needs at least one marginal")
     if len(flat) == 1:
         return flat[0]
     joint = disjoint_union(scope_of(part) for part in flat)
@@ -117,7 +117,7 @@ def conditional_inex(families: Sequence[ConditionalFamily]) -> ConditionalFamily
     result maps each assignment to the product of the per-block entries.
     """
     if not families:
-        raise ValueError("need at least one conditional family")
+        raise ScopeError("need at least one conditional family")
     on = families[0].on
     keys = [at for at, _ in families[0].entries]
     for family in families[1:]:

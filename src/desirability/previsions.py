@@ -5,11 +5,12 @@ acceptable buying price ``sup {mu : f - mu is a member}``; the upper
 prevision is its conjugate ``-lower(-f)``.  This module computes those
 suprema exactly for every representation with a decidable buying-price
 procedure, enumerates the vertices of the credal set of a generator
-cone, builds strictly desirable models from credal sets, evaluates the
-most conservative independent joint of marginal credal sets as a single
-exact linear program, and evaluates strong products (lower envelopes of
-products of dominating linear previsions) by scanning vertex
-combinations.
+cone, builds strictly desirable models from credal sets, prices the
+most conservative independent joint of marginal credal sets through the
+dual over joint masses (one exact linear program whose joint mass has
+every block slice in that block's credal cone), and evaluates strong
+products (lower envelopes of products of dominating linear previsions)
+by scanning vertex combinations.
 
 All suprema are reported even when not attained: a result ``mu*`` means
 prices strictly below ``mu*`` are always acceptable, while ``mu*``
@@ -43,6 +44,7 @@ from .errors import (
     EngineError,
     ExactnessError,
     IncoherentBaseError,
+    ScopeError,
     UnsupportedQueryError,
 )
 from .exactlp import (
@@ -484,63 +486,75 @@ def credal_view(expr: DesirableSetExpr, *, budget: int = 200000) -> CredalSet:
 
 
 # ---------------------------------------------------------------------------
-# independent joint of marginal credal sets (single exact LP)
+# independent joint of marginal credal sets (one joint-mass LP)
 # ---------------------------------------------------------------------------
 
 
 def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
     """Most conservative independent joint lower prevision, evaluated at f.
 
-    The joint price is the max over per-block allocations ``h_n`` of
-    ``min_w [f - sum_n h_n](w) + sum_n (block-n lower prevision of h_n
-    at the other blocks' outcome in w)``.  The inner lower previsions
-    are concave minima over vertices, so epigraph variables bounded by
-    every vertex expectation turn the whole thing into one LP, exact by
-    duality.  The layout comes from ``space``: ``_slice_map`` gives the
-    joint indices of each block slice, ``_restriction_map`` the slice each
-    joint outcome lies in.
+    The price is the minimum of ``f . mu`` over the joint masses ``mu``
+    whose every block slice lies in the cone of that block's vertices: the
+    independent natural extension as the lower envelope of such masses
+    (De Cooman, Miranda & Zaffalon, "Independent natural extension", AIJ
+    175, 2011).  It is the LP dual of the allocation program that spreads
+    ``f`` over per-block gambles priced by their vertex envelopes, so the
+    two give the same number.
+
+    * Columns: one ``lam[n, z, p] >= 0`` per block ``n``, assignment ``z``
+      of the other blocks and vertex ``p`` of block ``n``; block ``n``'s
+      mass at the joint outcome ``(k, z)`` is ``sum_p lam[n, z, p] * p[k]``.
+      Each column carries a single-coefficient ``>= 0`` row, which the
+      simplex folds into a nonnegative column: nothing is split.
+    * Rows: block 0's columns sum to 1, and for each later block and each
+      joint outcome its mass equals block 0's.
+    * Objective: minimise ``f . mu`` with ``mu`` read from block 0, so
+      ``mu`` needs no columns of its own.  Its vertices sum to 1, so the
+      first row is ``sum mu = 1``.
+
+    The program is feasible (any product of vertices is a point) and
+    bounded (``mu`` lies in the simplex), so any outcome other than
+    ``Optimal`` is an engine fault.  The layout comes from ``space``:
+    ``_slice_map`` gives the joint indices of each block slice.
     """
     if not credals:
-        raise ValueError("at least one marginal credal set is required")
+        raise ScopeError("at least one marginal credal set is required")
     joint = disjoint_union(c.scope for c in credals)
-    fitted = f.embed(joint)
-    size = joint.size
-    # Columns: the price ``t``, then per block its allocation ``h_n`` (one
-    # per joint outcome) and its epigraph values ``s_n`` (one per slice).
-    width = 1
-    h_offset: list[int] = []
-    s_offset: list[int] = []
-    rests: list[Scope] = []
-    for c in credals:
-        rest = joint.difference(c.scope)
-        rests.append(rest)
-        h_offset.append(width)
-        s_offset.append(width + size)
-        width += size + rest.size
-    rows: list[LinRow] = []
+    fitted = f.embed(joint).values
+    # Per column, its block and the (joint index, mass) pairs it adds.
+    columns: list[tuple[int, list[tuple[int, Fraction]]]] = []
     for n, c in enumerate(credals):
-        for zi, z in enumerate(rests[n].assignments()):
+        for z in joint.difference(c.scope).assignments():
             cell_index = _slice_map(joint, z)[0]
             for p in c.vertices:
-                coeffs = [_ZERO] * width
-                for k, w in enumerate(cell_index):
-                    coeffs[h_offset[n] + w] += p[k]
-                coeffs[s_offset[n] + zi] -= _ONE
-                rows.append(LinRow(tuple(coeffs), GE, _ZERO))
-    rest_maps = [_restriction_map(joint, rest) for rest in rests]
-    for w in range(size):
+                columns.append((n, [(w, m) for w, m in zip(cell_index, p) if m]))
+    width = len(columns)
+    block0 = [j for j, (n, _) in enumerate(columns) if n == 0]
+    objective = [_ZERO] * width
+    unit_mass = [_ZERO] * width
+    for j in block0:
+        objective[j] = sum([fitted[w] * m for w, m in columns[j][1]], _ZERO)
+        unit_mass[j] = _ONE
+    rows = [LinRow(tuple(unit_mass), EQ, _ONE)]
+    for n in range(1, len(credals)):
+        balance = [[_ZERO] * width for _ in range(joint.size)]
+        for j, (block, masses) in enumerate(columns):
+            if block == n:
+                for w, m in masses:
+                    balance[w][j] = m
+            elif block == 0:
+                for w, m in masses:
+                    balance[w][j] = -m
+        rows.extend(LinRow(tuple(coeffs), EQ, _ZERO) for coeffs in balance)
+    for j in range(width):
         coeffs = [_ZERO] * width
-        coeffs[0] = -_ONE
-        for n in range(len(credals)):
-            coeffs[h_offset[n] + w] -= _ONE
-            coeffs[s_offset[n] + rest_maps[n][w]] += _ONE
-        rows.append(LinRow(tuple(coeffs), GE, -fitted.values[w]))
-    objective = tuple([_ONE if i == 0 else _ZERO for i in range(width)])
-    outcome = solve(LinSystem(width, tuple(rows), objective, "max"))
+        coeffs[j] = _ONE
+        rows.append(LinRow(tuple(coeffs), GE, _ZERO))
+    outcome = solve(LinSystem(width, tuple(rows), tuple(objective), "min"))
     if isinstance(outcome, Optimal):
         return outcome.value
     raise EngineError(
-        "the joint lower-prevision program must be bounded and feasible; got %s"
+        "the joint-mass program must be bounded and feasible; got %s"
         % type(outcome).__name__
     )
 
@@ -560,7 +574,7 @@ def strong_product_lower(
     vertices; enumerating combinations is exact.
     """
     if not credals:
-        raise ValueError("at least one marginal credal set is required")
+        raise ScopeError("at least one marginal credal set is required")
     joint = disjoint_union(c.scope for c in credals)
     fitted = f.embed(joint)
     combos = 1

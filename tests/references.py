@@ -11,7 +11,10 @@ fast paths, so a test can compare the two:
 * ``strictly_prefers`` — strict preference as membership of a difference;
 * ``irr_member`` — membership in the slice family behind an ``IrrExt``,
   with slices read by ``Gamble.slice_at`` rather than the node's slice
-  table.
+  table;
+* ``inex_lower_prevision_primal`` — the independent joint lower prevision
+  as the primal allocation program, the LP dual of the joint-mass program
+  that ``previsions.inex_lower_prevision`` solves.
 """
 
 from __future__ import annotations
@@ -19,11 +22,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from desirability import BudgetExceededError, Gamble, IrrExt, Scope, ScopeError, Tri, member
+from desirability import (
+    BudgetExceededError,
+    CredalSet,
+    EngineError,
+    Gamble,
+    IrrExt,
+    Scope,
+    ScopeError,
+    Tri,
+    member,
+)
 from desirability.desirable import DesirableSetExpr, scope_of
-from desirability.exactlp import EQ, GE, GT, LinRow, LinSystem
-from desirability.space import Assignment, _restriction_map
+from desirability.exactlp import EQ, GE, GT, LinRow, LinSystem, Optimal, solve
+from desirability.space import Assignment, _restriction_map, _slice_map, disjoint_union
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -191,3 +205,65 @@ def irr_member(ext: IrrExt, h: Gamble) -> Tri:
         if verdict is Tri.UNKNOWN:
             unknown = True
     return Tri.UNKNOWN if unknown else Tri.IN
+
+
+# ---------------------------------------------------------------------------
+# the independent joint lower prevision as a primal allocation program
+# ---------------------------------------------------------------------------
+
+
+def inex_lower_prevision_primal(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
+    """Most conservative independent joint lower prevision, evaluated at f.
+
+    The joint price is the max over per-block allocations ``h_n`` of
+    ``min_w [f - sum_n h_n](w) + sum_n (block-n lower prevision of h_n
+    at the other blocks' outcome in w)``.  The inner lower previsions
+    are concave minima over vertices, so epigraph variables bounded by
+    every vertex expectation turn the whole thing into one LP, exact by
+    duality.  The layout comes from ``space``: ``_slice_map`` gives the
+    joint indices of each block slice, ``_restriction_map`` the slice each
+    joint outcome lies in.
+    """
+    if not credals:
+        raise ValueError("at least one marginal credal set is required")
+    joint = disjoint_union(c.scope for c in credals)
+    fitted = f.embed(joint)
+    size = joint.size
+    # Columns: the price ``t``, then per block its allocation ``h_n`` (one
+    # per joint outcome) and its epigraph values ``s_n`` (one per slice).
+    width = 1
+    h_offset: list[int] = []
+    s_offset: list[int] = []
+    rests: list[Scope] = []
+    for c in credals:
+        rest = joint.difference(c.scope)
+        rests.append(rest)
+        h_offset.append(width)
+        s_offset.append(width + size)
+        width += size + rest.size
+    rows: list[LinRow] = []
+    for n, c in enumerate(credals):
+        for zi, z in enumerate(rests[n].assignments()):
+            cell_index = _slice_map(joint, z)[0]
+            for p in c.vertices:
+                coeffs = [_ZERO] * width
+                for k, w in enumerate(cell_index):
+                    coeffs[h_offset[n] + w] += p[k]
+                coeffs[s_offset[n] + zi] -= _ONE
+                rows.append(LinRow(tuple(coeffs), GE, _ZERO))
+    rest_maps = [_restriction_map(joint, rest) for rest in rests]
+    for w in range(size):
+        coeffs = [_ZERO] * width
+        coeffs[0] = -_ONE
+        for n in range(len(credals)):
+            coeffs[h_offset[n] + w] -= _ONE
+            coeffs[s_offset[n] + rest_maps[n][w]] += _ONE
+        rows.append(LinRow(tuple(coeffs), GE, -fitted.values[w]))
+    objective = tuple([_ONE if i == 0 else _ZERO for i in range(width)])
+    outcome = solve(LinSystem(width, tuple(rows), objective, "max"))
+    if isinstance(outcome, Optimal):
+        return outcome.value
+    raise EngineError(
+        "the joint lower-prevision program must be bounded and feasible; got %s"
+        % type(outcome).__name__
+    )

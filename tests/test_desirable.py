@@ -39,6 +39,7 @@ from desirability.desirable import (
     cellset_coherence_audit,
     natext_member,
 )
+from desirability.independence import conditional_inex, independent_product
 from desirability.structure import condition_bar_member
 from desirability.previsions import strong_member
 from desirability.exactlp import GE, Infeasible
@@ -273,3 +274,20 @@ FOREIGN_ENTRY_POINTS = {
 def test_gamble_on_a_foreign_variable_raises_scope_error(entry):
     with pytest.raises(ScopeError):
         FOREIGN_ENTRY_POINTS[entry](Gamble.on(S3, [1, -1, 0]))
+
+
+EMPTY_PRODUCT_SITES = {
+    "IndepProduct": lambda: IndepProduct(()),
+    "StrongProduct": lambda: StrongProduct(()),
+    "independent_product": lambda: independent_product([]),
+    "conditional_inex": lambda: conditional_inex([]),
+    "inex_lower_prevision": lambda: inex_lower_prevision([], Gamble.on(S1, [1, 0])),
+    "strong_product_lower": lambda: strong_product_lower([], Gamble.on(S1, [1, 0])),
+}
+
+
+@pytest.mark.parametrize("site", sorted(EMPTY_PRODUCT_SITES))
+def test_a_product_of_no_blocks_raises_a_typed_error(site):
+    # The product of no blocks has no joint scope to price on.
+    with pytest.raises(DesirabilityError):
+        EMPTY_PRODUCT_SITES[site]()

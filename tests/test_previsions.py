@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from desirability import (
     Assignment,
@@ -38,10 +40,17 @@ from desirability import desirable, exactlp, previsions
 from desirability.desirable import Cell, CellRow, StrongProduct
 from desirability.independence import irrelevant_extension
 from desirability.maximal import lex_member
+from desirability.space import disjoint_union
 from desirability.structure import condition, sample_gambles
 from desirability.previsions import strong_member
 from desirability.exactlp import EQ, GE, GT
-from desirability.randgen import random_credal, random_gamble, random_generator_set
+from desirability.randgen import (
+    random_credal,
+    random_gamble,
+    random_generator_set,
+    random_mass,
+)
+from references import inex_lower_prevision_primal
 
 F = Fraction
 V1 = Variable("X1", ("a", "b"))
@@ -604,6 +613,128 @@ class TestThreeBlockLayout:
                 expected = _strong_by_walk(credals, f)
                 assert strong_product_lower(credals, f) == expected
                 assert strong_product_lower(credals[::-1], f) == expected
+
+
+D3 = Variable("D", ("a", "b", "c"))
+E2 = Variable("E", ("a", "b"))
+# Block layouts of the joint-mass differential: 2x2, 2x3 and 3x3 pairs,
+# the 2x3x2 three-block layout and a 2x2x2 one.
+MASS_LAYOUTS = {
+    "2x2": [Scope.of([A3]), Scope.of([C3])],
+    "2x3": [Scope.of([A3]), Scope.of([B3])],
+    "3x3": [Scope.of([B3]), Scope.of([D3])],
+    "2x3x2": BLOCKS3,
+    "2x2x2": [Scope.of([A3]), Scope.of([C3]), Scope.of([E2])],
+}
+
+
+def _messy_credal(rng, scope):
+    """A credal set built with ``CredalSet(...)``, not ``.of``: its vertex
+    list may hold point masses, boundary masses with zeros, duplicates and
+    non-extreme midpoints."""
+    points = [random_mass(rng, scope.size) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.4:
+        k = rng.randrange(scope.size)
+        points.append(tuple(F(int(i == k)) for i in range(scope.size)))
+    if rng.random() < 0.3:
+        points.append(rng.choice(points))
+    if len(points) > 1 and rng.random() < 0.3:
+        p, q = rng.sample(points, 2)
+        points.append(tuple((a + b) / 2 for a, b in zip(p, q)))
+    rng.shuffle(points)
+    return CredalSet(scope, tuple(points))
+
+
+def _mass_gamble(rng, scope):
+    roll = rng.random()
+    if roll < 0.1:
+        return Gamble.constant(scope, F(0))
+    if roll < 0.2:
+        return Gamble.constant(scope, F(rng.randint(-5, 5), rng.randint(1, 4)))
+    return random_gamble(rng, scope)
+
+
+def _check_against_primal(credals, f):
+    expected = inex_lower_prevision_primal(credals, f)
+    assert inex_lower_prevision(credals, f) == expected
+    assert inex_lower_prevision(credals[::-1], f) == expected
+    return expected
+
+
+class TestJointMassProgram:
+    """``inex_lower_prevision`` prices through the joint-mass program; the
+    primal allocation program it is dual to is the oracle."""
+
+    @pytest.mark.parametrize("layout", sorted(MASS_LAYOUTS))
+    def test_matches_the_primal_on_seeded_layouts(self, layout):
+        rng = random.Random("joint-mass-" + layout)
+        blocks = MASS_LAYOUTS[layout]
+        joint = disjoint_union(blocks)
+        for _ in range(6):
+            credals = [_messy_credal(rng, s) for s in blocks]
+            for _ in range(3):
+                _check_against_primal(credals, _mass_gamble(rng, joint))
+
+    def test_matches_the_primal_on_a_single_block(self):
+        rng = random.Random("joint-mass-single")
+        for scope in (Scope.of([A3]), Scope.of([B3])):
+            for _ in range(4):
+                credal = _messy_credal(rng, scope)
+                f = _mass_gamble(rng, scope)
+                assert _check_against_primal([credal], f) == credal.lower_expectation(f)
+
+    def test_point_masses_price_at_the_product_outcome(self):
+        # Degenerate blocks: the only joint mass is the product point mass.
+        point = CredalSet(S1, ((F(0), F(1)),))
+        other = CredalSet(S2, ((F(1), F(0)), (F(1), F(0))))
+        f = Gamble.on(S12, [5, -3, F(7, 2), 11])
+        assert _check_against_primal([point, other], f) == F(7, 2)
+
+    def test_constant_and_zero_gambles_price_at_themselves(self):
+        rng = random.Random("joint-mass-constants")
+        blocks = MASS_LAYOUTS["2x3x2"]
+        joint = disjoint_union(blocks)
+        credals = [_messy_credal(rng, s) for s in blocks]
+        for c in (F(0), F(-3, 4), F(2)):
+            assert _check_against_primal(credals, Gamble.constant(joint, c)) == c
+
+    @given(
+        layout=st.sampled_from(sorted(MASS_LAYOUTS)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_the_primal_hypothesis(self, layout, seed):
+        rng = random.Random(seed)
+        blocks = MASS_LAYOUTS[layout]
+        credals = [_messy_credal(rng, s) for s in blocks]
+        _check_against_primal(credals, _mass_gamble(rng, disjoint_union(blocks)))
+
+    def test_one_program_without_split_columns(self, monkeypatch):
+        # The binary two-vertex pair of ``fixtures.strong_vs_independent_gap``.
+        # Eight columns lam[n, z, p] and five rows besides the column
+        # bounds: unit mass, and block 1's mass against block 0's at four
+        # outcomes.  Every column is folded, none split into +/- parts.
+        m1 = CredalSet.of(S1, (("2/5", "3/5"), ("1/2", "1/2")))
+        m2 = CredalSet.of(S2, (("2/5", "3/5"), ("1/2", "1/2")))
+        h = Gamble.on(S12, ["51/100", "-49/100", "-49/100", "51/100"])
+        systems = []
+        solve = previsions.solve
+
+        def captured(system):
+            systems.append(system)
+            return solve(system)
+
+        monkeypatch.setattr(previsions, "solve", captured)
+        price = inex_lower_prevision([m1, m2], h)
+        assert len(systems) == 1
+        (system,) = systems
+        assert system.n_vars == 8
+        bounds = [
+            r for r in system.rows
+            if r.rel == GE and r.rhs == 0 and sum(1 for c in r.coeffs if c) == 1
+        ]
+        assert len(system.rows) - len(bounds) == 5
+        assert all(minus is None for _, minus in exactlp._Simplex(system).var_cols)
+        assert price == inex_lower_prevision_primal([m1, m2], h) < 0
 
 
 class TestStrongMembership:
