@@ -293,7 +293,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
     doc = _require_model(args)
     expr = _named(doc, args.name)
     f = _parse_gamble(args.gamble, scope_of(expr))
-    verdict = member(expr, f)
+    verdict = member(expr, f, budget=args.budget)
     _emit(
         args,
         {"name": args.name, "gamble": _fmt_gamble(f), "verdict": verdict.value},

@@ -499,11 +499,14 @@ def scope_of(expr: DesirableSetExpr) -> Scope:
 # ---------------------------------------------------------------------------
 
 
-def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
+def member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) -> Tri:
     """Exact membership verdict of ``f`` in the denoted set.
 
     Gambles on a subscope are identified with their cylindrical extension.
-    ``UNKNOWN`` can only arise from strong-product boundaries.
+    ``UNKNOWN`` can only arise from strong-product boundaries.  ``budget``
+    caps the enumerative work of product queries: it is handed to
+    ``inex_member`` and ``strong_member``, also below conditioned and
+    extended nodes, and no other procedure reads it.
     """
     f = f.embed(scope_of(expr))
     if isinstance(expr, GeneratorSet):
@@ -513,17 +516,19 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
     if isinstance(expr, LexSystem):
         return Tri.of(lex_member(expr, f))
     if isinstance(expr, Conditioned):
-        return member(expr.base, f.mask(expr.given).embed(scope_of(expr.base)))
+        return member(
+            expr.base, f.mask(expr.given).embed(scope_of(expr.base)), budget=budget
+        )
     if isinstance(expr, IrrExt):
-        return slice_verdict(expr, f)
+        return slice_verdict(expr, f, budget=budget)
     if isinstance(expr, IndepProduct):
         from .independence import inex_member
 
-        return inex_member(expr, f)
+        return inex_member(expr, f, budget=budget)
     if isinstance(expr, StrongProduct):
         from .previsions import strong_member
 
-        return strong_member(expr, f)
+        return strong_member(expr, f, budget=budget)
     if isinstance(expr, ConditionalFamily):
         raise UnsupportedQueryError(
             "conditional families answer only conditioned queries; "
@@ -532,7 +537,7 @@ def member(expr: DesirableSetExpr, f: Gamble) -> Tri:
     raise TypeError("not a desirable-set expression: %r" % (expr,))
 
 
-def slice_verdict(expr: IrrExt, f: Gamble) -> Tri:
+def slice_verdict(expr: IrrExt, f: Gamble, *, budget: int = 100000) -> Tri:
     """Slice decomposition of irrelevant-extension membership.
 
     ``f`` lives on the target.  It belongs iff it is nonzero and, for
@@ -543,7 +548,7 @@ def slice_verdict(expr: IrrExt, f: Gamble) -> Tri:
     straight from ``expr.slice_table``: entry ``b`` is the minimum of the
     values of ``f`` at the indices listed for it.  The per-slice choices
     are independent because a dominating gamble can be assembled slice by
-    slice.
+    slice.  ``budget`` goes to each base query, as in ``member``.
     """
     if f.is_zero():
         return Tri.OUT
@@ -556,7 +561,7 @@ def slice_verdict(expr: IrrExt, f: Gamble) -> Tri:
         )
         if piece.is_nonnegative():
             continue
-        verdict = member(expr.base, piece)
+        verdict = member(expr.base, piece, budget=budget)
         if verdict is Tri.OUT:
             return Tri.OUT
         if verdict is Tri.UNKNOWN:

@@ -344,6 +344,12 @@ class _Simplex:
     variable be folded into a single nonnegative column.  Folded rows do not
     enter the tableau; their certificate multipliers are reconstructed from
     the reduced costs afterwards.
+
+    Multipliers are recovered on ints.  ``phase1`` and ``duals_phase2`` read
+    int numerators over the cost row's one denominator, and the residual of
+    each folded bound row is summed on the row ints that construction
+    already computed with ``scaled_to_ints``.  One ``Fraction`` is built per
+    nonzero multiplier.
     """
 
     def __init__(self, system: LinSystem):
@@ -390,12 +396,15 @@ class _Simplex:
         width = len(self.cols) + 1
         self.T: list[list[int]] = []
         self.den: list[int] = []
+        # Each tableau row as given, for ``_original_multipliers``.
+        self.row_ints: list[tuple[list[int], int]] = []
         for k, i in enumerate(self.row_orig):
             # The row over the lcm of its denominators, which leaves it in
             # lowest terms (the artificial column holds the denominator).
             row = system.rows[i]
             sig = self.sigma[k]
             ints, den = scaled_to_ints(row.coeffs + (row.rhs,))
+            self.row_ints.append((ints, den))
             line = [0] * width
             for (plus, minus), v in zip(self.var_cols, ints):
                 if not v:
@@ -521,9 +530,8 @@ class _Simplex:
         self._run(bland_after=200 + 10 * len(self.T))
         if self.cost[-1] < 0:
             den = self.cost_den
-            y = [Fraction(den - self.cost[self.art_col[k]], den)
-                 for k in range(len(self.row_orig))]
-            return self._original_multipliers(y)
+            ys = [den - self.cost[c] for c in self.art_col]
+            return self._original_multipliers(ys, den)
         # Pivot out any artificial still basic (at level zero), dropping
         # redundant rows.
         for r in range(len(self.T)):
@@ -594,27 +602,38 @@ class _Simplex:
             out.append(v)
         return tuple(out)
 
-    def duals_phase2(self) -> list[Fraction]:
-        """Optimal duals of the tableau rows, read off the final phase-2 costs."""
-        return [Fraction(-self.cost[self.art_col[k]], self.cost_den)
-                for k in range(len(self.row_orig))]
+    def duals_phase2(self) -> tuple[list[int], int]:
+        """Optimal duals of the tableau rows, read off the final phase-2 costs,
+        as int numerators over one positive denominator."""
+        return [-self.cost[c] for c in self.art_col], self.cost_den
 
-    def _original_multipliers(self, y_std: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Map standardised-row multipliers back to original rows.
+    def _original_multipliers(self, ys: Sequence[int], den: int) -> tuple[Fraction, ...]:
+        """Map standardised-row multipliers ``ys / den`` back to original rows.
 
         Folded bound rows get the residual needed to cancel the coefficient of
-        their nonnegative variable exactly.
+        their nonnegative variable exactly.  The residual is summed on ints:
+        each tableau row as given is ``ints / row_den`` (``row_ints``), so
+        every used row is weighted onto the lcm of those denominators, and
+        one ``Fraction`` is built per nonzero output entry.
         """
         lam = [_ZERO] * len(self.system.rows)
-        for k, i in enumerate(self.row_orig):
-            if self.live[k]:
-                lam[i] = self.sigma[k] * y_std[k]
+        used = []
+        for k, y in enumerate(ys):
+            if y and self.live[k]:
+                y *= self.sigma[k]
+                lam[self.row_orig[k]] = Fraction(y, den)
+                used.append((y, self.row_ints[k]))
+        common = math.lcm(*[row_den for _, (_, row_den) in used])
+        weighted = [(y * (common // row_den), ints) for y, (ints, row_den) in used]
         for j, bound_row in self.bound_row_of.items():
-            acc = _ZERO
-            for i, row in enumerate(self.system.rows):
-                if lam[i]:
-                    acc += lam[i] * row.coeffs[j]
-            lam[bound_row] = -acc / self.bound_scale[j]
+            acc = 0
+            for y, ints in weighted:
+                if ints[j]:
+                    acc += y * ints[j]
+            if acc:
+                scale = self.bound_scale[j]
+                lam[bound_row] = Fraction(-acc * scale.denominator,
+                                          den * common * scale.numerator)
         return tuple(lam)
 
 
@@ -737,7 +756,7 @@ def _strict_slack(system: LinSystem) -> Union[Feasible, Infeasible]:
     # Optimum zero: only boundary points exist.  The optimal duals of the
     # slack program combine into a Motzkin-style certificate over the
     # original rows.
-    lam_all = simplex._original_multipliers(simplex.duals_phase2())
+    lam_all = simplex._original_multipliers(*simplex.duals_phase2())
     lam = tuple(lam_all[: len(system.rows)])
     _engine_check(verify_farkas(system, lam), "strict farkas at zero optimum")
     return Infeasible(lam)

@@ -16,11 +16,14 @@ membership reduction: a nonzero ``h`` belongs iff it dominates a sum, one
 summand per block, where every summand's slices along the other blocks lie
 in that block's model (or vanish).  Generator marginals therefore collapse
 to one joint generator set.  Cell and lexicographic marginals are decided
-by signature enumeration: each (block, slice) constraint is a finite
-disjunction of linear sign patterns; one feasibility problem is solved per
-combined choice, within a configurable budget.  The product's layout (its
-joint scope, block and slice indices) comes from ``space``, and each
-(block, slice, branch) row is built once per query, not once per choice.
+by a signature search: each (block, slice) constraint is a finite
+disjunction of linear sign patterns, and ``h`` belongs iff some combined
+choice is strictly feasible.  The choices are walked depth first, within a
+configurable budget on their number, and the checked Farkas certificate of
+an infeasible choice prunes, after a re-check, every later choice that
+contains its rows.  The product's layout (its joint scope, block and slice
+indices) comes from ``space``, and each (block, slice, branch) row is built
+once per query, not once per choice.
 
 Irrelevance and independence of an arbitrary expression are refutation
 checks — sampled or exhaustive-grid scans of the membership biconditional
@@ -51,8 +54,10 @@ from .desirable import (
     member,
     scope_of,
 )
+from . import exactlp
 from .errors import (
     BudgetExceededError,
+    EngineError,
     IncoherentBaseError,
     ScopeError,
     UnsupportedQueryError,
@@ -229,9 +234,18 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     """Membership in an independent natural extension.
 
     Collapsed (generator) products answer through the plain dispatcher.
-    Products over cell or lexicographic marginals enumerate one sign
-    pattern per (block, slice) pair and solve a feasibility problem per
-    combined signature; ``budget`` caps the number of signatures.
+    Products over cell or lexicographic marginals choose one sign pattern
+    (branch) per (block, slice) pair; ``h`` belongs iff some combined
+    choice, a signature, is strictly feasible.  ``budget`` caps the number
+    of signatures, counted before any LP is solved.
+
+    The signatures are searched depth first in lexicographic order (see
+    ``_signature_search``), and an infeasible one leaves a nogood that
+    prunes every later signature containing its rows.  So at most one LP
+    is solved per signature, the LPs that are solved come in the order of
+    a plain enumeration, and the verdict is the enumeration's.  Nogoods
+    live for one call, and each is re-checked with ``verify_farkas`` on
+    the system it prunes before anything is skipped.
 
     Each (block, slice) pair reads its joint indices from ``_slice_map``.
     The auxiliary columns do not depend on the signature, so every (block,
@@ -296,12 +310,107 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
         menu.append(options)
         aux_offset += aux
 
-    for signature in itertools.product(*menu):
-        rows = tuple(itertools.chain(fixed, *signature))
-        outcome = strict_feasible(LinSystem(width, rows))
-        if isinstance(outcome, Feasible):
-            return Tri.IN
-    return Tri.OUT
+    return Tri.IN if _signature_search(width, fixed, menu) else Tri.OUT
+
+
+# A nogood learnt from an infeasible signature: the multipliers of its
+# Farkas certificate on the fixed rows, and one (pair, branch, multipliers
+# on that branch's rows) entry per pair whose rows carry a nonzero one.
+_Nogood = tuple[
+    tuple[Fraction, ...], tuple[tuple[int, int, tuple[Fraction, ...]], ...]
+]
+
+
+def _nogood(
+    farkas: tuple[Fraction, ...],
+    fixed: Sequence[LinRow],
+    menu: Sequence[Sequence[Sequence[LinRow]]],
+    chosen: Sequence[int],
+) -> _Nogood:
+    """Split the checked certificate ``farkas`` of the signature ``chosen``
+    into the choices that carry it: only their rows, with these multipliers,
+    are needed for the contradiction."""
+    choices = []
+    at = len(fixed)
+    for pair, branch in enumerate(chosen):
+        end = at + len(menu[pair][branch])
+        lams = farkas[at:end]
+        if any(lams):
+            choices.append((pair, branch, lams))
+        at = end
+    return farkas[: len(fixed)], tuple(choices)
+
+
+def _signature_search(
+    width: int, fixed: Sequence[LinRow], menu: Sequence[Sequence[Sequence[LinRow]]]
+) -> bool:
+    """Whether the ``fixed`` rows and some signature (one branch of ``menu``
+    per pair) are strictly feasible together.
+
+    The walk is depth first over the pairs, branches in order, so its
+    leaves come in the order of ``itertools.product(*menu)``; each leaf not
+    pruned solves one strict LP.  The gate-checked Farkas certificate of an
+    infeasible leaf becomes a nogood (``_nogood``), bucketed by its deepest
+    (pair, branch) choice.  Each choice made is looked up in its bucket; on
+    a match with the prefix, the stored multipliers, zero on every row
+    outside the nogood, are re-checked by ``verify_farkas`` on the prefix
+    system (the fixed rows and the rows chosen so far), and only then is
+    the subtree skipped: a contradiction among some rows holds in every
+    system that contains them.  A new nogood whose deepest pair lies above
+    the leaf sends the walk back to that pair, where the lookup closes its
+    current branch.
+    """
+    last = len(menu) - 1
+    # Nogoods by their deepest (pair, branch) choice.  A checked certificate
+    # always weights some branch row, because the fixed rows alone are
+    # feasible (every summand very negative), so every nogood has one.
+    buckets: dict[tuple[int, int], list[_Nogood]] = {}
+    chosen = [0]
+
+    def prefix_rows() -> tuple[LinRow, ...]:
+        return tuple(itertools.chain(fixed, *[menu[p][b] for p, b in enumerate(chosen)]))
+
+    def closed(depth: int) -> bool:
+        for fixed_lams, choices in buckets.get((depth, chosen[depth]), ()):
+            if any(chosen[p] != b for p, b, _ in choices):
+                continue
+            lams = {p: pair_lams for p, _, pair_lams in choices}
+            mapped = list(fixed_lams)
+            for p, b in enumerate(chosen):
+                mapped.extend(lams.get(p) or (_ZERO,) * len(menu[p][b]))
+            # Through the module, as the engine calls its gates, so that a
+            # rebound gate sees these checks too.
+            if not exactlp.verify_farkas(LinSystem(width, prefix_rows()), mapped):
+                raise EngineError(
+                    "a stored nogood failed its re-check on a prefix system (engine bug)"
+                )
+            return True
+        return False
+
+    while chosen:
+        depth = len(chosen) - 1
+        if chosen[depth] == len(menu[depth]):
+            chosen.pop()
+            if chosen:
+                chosen[-1] += 1
+        elif closed(depth):
+            chosen[depth] += 1
+        elif depth < last:
+            chosen.append(0)
+        else:
+            outcome = strict_feasible(LinSystem(width, prefix_rows()))
+            if isinstance(outcome, Feasible):
+                return True
+            nogood = _nogood(outcome.farkas, fixed, menu, chosen)
+            deepest, branch, _ = nogood[1][-1]
+            buckets.setdefault((deepest, branch), []).append(nogood)
+            if deepest < depth:
+                # The prefix down to ``deepest`` agrees with the nogood; the
+                # lookup there re-checks it and closes that branch.
+                del chosen[deepest + 1 :]
+            else:
+                chosen[depth] += 1
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,18 @@ fast paths, so a test can compare the two:
   table;
 * ``inex_lower_prevision_primal`` — the independent joint lower prevision
   as the primal allocation program, the LP dual of the joint-mass program
-  that ``previsions.inex_lower_prevision`` solves.
+  that ``previsions.inex_lower_prevision`` solves;
+* ``inex_member_enumerated`` — product membership with one strict LP per
+  combined signature, the flat enumeration that the pruned search in
+  ``independence.inex_member`` replaced;
+* ``original_multipliers`` — ``_Simplex._original_multipliers`` on
+  ``Fraction``s, the reference for its int recovery.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -33,8 +40,20 @@ from desirability import (
     Tri,
     member,
 )
-from desirability.desirable import DesirableSetExpr, scope_of
-from desirability.exactlp import EQ, GE, GT, LinRow, LinSystem, Optimal, solve
+from desirability.desirable import DesirableSetExpr, IndepProduct, scope_of
+from desirability.exactlp import (
+    EQ,
+    GE,
+    GT,
+    Feasible,
+    LinRow,
+    LinSystem,
+    Optimal,
+    _Simplex,
+    solve,
+    strict_feasible,
+)
+from desirability.independence import _Row, _leaf_branches, _product_mass, _unit
 from desirability.space import Assignment, _restriction_map, _slice_map, disjoint_union
 
 _ZERO = Fraction(0)
@@ -267,3 +286,120 @@ def inex_lower_prevision_primal(credals: Sequence[CredalSet], f: Gamble) -> Frac
         "the joint lower-prevision program must be bounded and feasible; got %s"
         % type(outcome).__name__
     )
+
+
+# ---------------------------------------------------------------------------
+# product membership by flat signature enumeration
+# ---------------------------------------------------------------------------
+
+
+def inex_member_enumerated(
+    expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000
+) -> Tri:
+    """Membership in an independent natural extension, by plain enumeration.
+
+    The engine's former body of ``inex_member``: one strict LP per combined
+    signature, in ``itertools.product`` order, with no pruning.  The search
+    in ``independence.inex_member`` must give its verdict with at most as
+    many LPs.
+
+    Collapsed (generator) products answer through the plain dispatcher.
+    Products over cell or lexicographic marginals enumerate one sign
+    pattern per (block, slice) pair and solve a feasibility problem per
+    combined signature; ``budget`` caps the number of signatures.
+
+    Each (block, slice) pair reads its joint indices from ``_slice_map``.
+    The auxiliary columns do not depend on the signature, so every (block,
+    slice, branch) row is built once per query, and a signature only joins
+    its rows to the domination and auxiliary rows.
+    """
+    if not isinstance(expr, IndepProduct):
+        return member(expr, h)
+    joint = scope_of(expr)
+    h = h.embed(joint)
+    if h.is_zero():
+        return Tri.OUT
+    if h.is_positive():
+        return Tri.IN
+    if h.is_nonpositive():
+        return Tri.OUT
+    mass = _product_mass(expr, joint)
+    if mass is not None and h.dot(mass.values) < 0:
+        return Tri.OUT
+
+    parts = expr.parts
+    # One entry per (block, slice) pair: block, joint indices of the slice,
+    # auxiliary weight count and branches of the block's marginal.
+    pairs: list[tuple[int, tuple[int, ...], int, list[tuple[_Row, ...]]]] = []
+    for n, part in enumerate(parts):
+        aux, branches = _leaf_branches(part)
+        rest = joint.difference(scope_of(part))
+        for z in rest.assignments():
+            pairs.append((n, _slice_map(joint, z)[0], aux, branches))
+
+    if math.prod(len(branches) for *_, branches in pairs) > budget:
+        raise BudgetExceededError(
+            "signature enumeration needs more than %d problems" % budget
+        )
+
+    size = joint.size
+    block = len(parts) * size
+    aux_total = sum(aux for _, _, aux, _ in pairs)
+    width = block + aux_total
+    fixed: list[LinRow] = []
+    for w in range(size):
+        coeffs = [_ZERO] * width
+        for n in range(len(parts)):
+            coeffs[n * size + w] = -_ONE
+        fixed.append(LinRow(tuple(coeffs), GE, -h.values[w]))
+    for j in range(aux_total):
+        fixed.append(LinRow(_unit(width, block + j), GE, _ZERO))
+    menu: list[list[list[LinRow]]] = []
+    aux_offset = block
+    for n, indices, aux, branches in pairs:
+        options = []
+        for branch in branches:
+            rendered = []
+            for slice_coeffs, aux_coeffs, rel in branch:
+                coeffs = [_ZERO] * width
+                for j, idx in enumerate(indices):
+                    coeffs[n * size + idx] = slice_coeffs[j]
+                for j, c in enumerate(aux_coeffs):
+                    coeffs[aux_offset + j] = c
+                rendered.append(LinRow(tuple(coeffs), rel, _ZERO))
+            options.append(rendered)
+        menu.append(options)
+        aux_offset += aux
+
+    for signature in itertools.product(*menu):
+        rows = tuple(itertools.chain(fixed, *signature))
+        outcome = strict_feasible(LinSystem(width, rows))
+        if isinstance(outcome, Feasible):
+            return Tri.IN
+    return Tri.OUT
+
+
+# ---------------------------------------------------------------------------
+# certificate multipliers on Fractions
+# ---------------------------------------------------------------------------
+
+
+def original_multipliers(
+    simplex: _Simplex, y_std: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
+    """Map standardised-row multipliers back to original rows.
+
+    Folded bound rows get the residual needed to cancel the coefficient of
+    their nonnegative variable exactly.
+    """
+    lam = [_ZERO] * len(simplex.system.rows)
+    for k, i in enumerate(simplex.row_orig):
+        if simplex.live[k]:
+            lam[i] = simplex.sigma[k] * y_std[k]
+    for j, bound_row in simplex.bound_row_of.items():
+        acc = _ZERO
+        for i, row in enumerate(simplex.system.rows):
+            if lam[i]:
+                acc += lam[i] * row.coeffs[j]
+        lam[bound_row] = -acc / simplex.bound_scale[j]
+    return tuple(lam)

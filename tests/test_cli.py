@@ -264,6 +264,24 @@ class TestErrors:
         assert err.startswith("error: ") and "budget" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("product", "error: signature enumeration needs more than 0 problems\n"),
+            ("strong-pair", "error: vertex enumeration needs 3 basis candidates, over the budget of 0\n"),
+        ],
+    )
+    def test_member_budget_reaches_products(self, capsys, name, message):
+        # The query passes the sign filters, so it needs the product's own
+        # enumeration; without --budget it is decided.
+        code, out, _ = run(capsys, "--model", DEMO, "member", name, "[-1,-1,2,2]")
+        assert code == 1 and out.strip() == "Out"
+        code, out, err = run(
+            capsys, "--model", DEMO, "--budget", "0", "member", name, "[-1,-1,2,2]"
+        )
+        assert code == 3 and out == ""
+        assert err == message
+
     def test_non_string_relation_exits_three_with_one_line(self, capsys, tmp_path):
         doc = {
             "variables": [{"id": "X1", "outcomes": ["a", "b"]}],

@@ -1,6 +1,7 @@
 """Exact rational linear programming: solver and strict feasibility, checked
 against the Fourier-Motzkin reference in ``references``."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -22,14 +23,16 @@ from desirability.exactlp import (
     Optimal,
     Unbounded,
     _eliminate,
+    _Simplex,
     _solve_engine,
+    _strict_slack,
     solve,
     strict_feasible,
     verify_farkas,
     verify_point,
     verify_ray,
 )
-from references import fm_feasible, fm_project
+from references import fm_feasible, fm_project, original_multipliers
 
 F = Fraction
 
@@ -313,6 +316,101 @@ class TestIntegerRows:
         assert out == Optimal(F(1), (F(1), F(0)))
         assert [simplex.cols[b] for b in simplex.basis] == [("xn", 0), ("s", 0)]
         assert simplex.pivots == 2
+
+
+def multiplier_system(integer):
+    """A system for the multiplier differential, drawn through
+    ``integer(lo, hi)``: weak rows with negative right-hand sides and EQ
+    rows among them, bound rows ``c * x_j >= 0`` with ``c`` in 1..3 that
+    the simplex folds, and one strict row that denies a weak row's slack,
+    so the strict system is infeasible in one of two ways."""
+    n = integer(1, 3)
+
+    def rational(lo, hi):
+        return F(integer(lo, hi), integer(1, 3))
+
+    weak = []
+    for _ in range(integer(1, 4)):
+        coeffs = tuple(rational(-3, 3) for _ in range(n))
+        weak.append(LinRow(coeffs, EQ if integer(0, 3) == 0 else GE, rational(-3, 2)))
+    for j in range(n):
+        if integer(0, 2):
+            coeffs = tuple(F(integer(1, 3)) if k == j else F(0) for k in range(n))
+            weak.insert(integer(0, len(weak)), LinRow(coeffs, GE, F(0)))
+    denied = weak[integer(0, len(weak) - 1)]
+    strict = LinRow(tuple(-c for c in denied.coeffs), GT, -denied.rhs)
+    return LinSystem(n, tuple(weak)), LinSystem(n, tuple(weak) + (strict,))
+
+
+def _phase1_multipliers(system):
+    """The phase-1 certificate of ``system`` (None when feasible), the
+    reference mapping of the same standardised multipliers, and the rows
+    the simplex folded."""
+    simplex = _Simplex(system)
+    farkas = simplex.phase1()
+    den = simplex.cost_den
+    y = [F(den - simplex.cost[c], den) for c in simplex.art_col]
+    folded = set(simplex.bound_row_of.values())
+    if farkas is None:
+        return None, None, folded
+    return farkas, original_multipliers(simplex, y), folded
+
+
+def _zero_optimum_multipliers(strict, monkeypatch):
+    """The duals ``_strict_slack`` maps at a zero optimum, on ints and by the
+    reference, or None when its slack program is infeasible or positive."""
+    seen = []
+
+    def engine(system):
+        outcome, simplex = _solve_engine(system)
+        seen.append((outcome, simplex))
+        return outcome, simplex
+
+    monkeypatch.setattr(exactlp, "_solve_engine", engine)
+    _strict_slack(strict)
+    outcome, simplex = seen[-1]
+    if not isinstance(outcome, Optimal) or outcome.value > 0:
+        return None, None
+    ys, den = simplex.duals_phase2()
+    got = simplex._original_multipliers(ys, den)
+    return got, original_multipliers(simplex, [F(y, den) for y in ys])
+
+
+class TestMultiplierRecovery:
+    """``_Simplex._original_multipliers`` on ints against its ``Fraction``
+    reference, through both of its callers."""
+
+    def test_both_paths_on_seeded_systems(self, monkeypatch):
+        rng = random.Random("multipliers")
+        paths = collections.Counter()
+        for _ in range(300):
+            weak, strict = multiplier_system(rng.randint)
+            got, want, folded = _phase1_multipliers(weak)
+            if got is not None:
+                assert got == want and verify_farkas(weak, got)
+                paths["farkas", any(got[i] for i in folded)] += 1
+            got, want = _zero_optimum_multipliers(strict, monkeypatch)
+            if got is not None:
+                assert got == want
+                paths["zero optimum"] += 1
+        # Phase-1 certificates with and without weight on a folded bound
+        # row, and zero optima, all occur.
+        assert paths["farkas", True] >= 50, paths
+        assert paths["farkas", False] >= 30, paths
+        assert paths["zero optimum"] >= 100, paths
+
+    @given(st.data())
+    def test_phase1_certificates_hypothesis(self, data):
+        weak, _ = multiplier_system(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        got, want, _ = _phase1_multipliers(weak)
+        assert got == want
+
+    @given(st.data())
+    def test_zero_optimum_duals_hypothesis(self, data):
+        _, strict = multiplier_system(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            got, want = _zero_optimum_multipliers(strict, monkeypatch)
+        assert got == want
 
 
 class TestEngineErrors:

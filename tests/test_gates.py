@@ -346,8 +346,8 @@ class TestGateWork:
         monkeypatch.setattr(exactlp, "_solve_engine", solved)
         assert all(result.passed for result in fixtures.run_all())
         assert counts == {
-            ("verify_point", True): 460,
-            ("verify_farkas", True): 1074,
-            "Optimal": 460,
-            "Infeasible": 339,
+            ("verify_point", True): 455,
+            ("verify_farkas", True): 917,
+            "Optimal": 455,
+            "Infeasible": 168,
         }

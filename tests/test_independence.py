@@ -1,11 +1,15 @@
 """Irrelevance, independent products, and their refutation scans."""
 
+import collections
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from desirability import (
     BudgetExceededError,
+    EngineError,
     Gamble,
     GeneratorSet,
     IrrExt,
@@ -21,7 +25,9 @@ from desirability import (
     is_independent,
     is_irrelevant,
     member,
+    strictly_desirable,
 )
+from desirability import exactlp, fixtures, independence
 from desirability.desirable import (
     ConditionalFamily,
     IndepProduct,
@@ -31,9 +37,17 @@ from desirability.desirable import (
 from desirability.independence import conditional_inex, irrelevant_extension
 from fractions import Fraction as F
 
-from desirability.randgen import random_gamble, random_generator_set
+from desirability.maximal import lex_is_coherent, lex_is_maximal
+from desirability.randgen import (
+    random_credal,
+    random_gamble,
+    random_generator_set,
+    random_mass,
+    random_maximal_binary_lex,
+)
 
-from references import indicator
+import references
+from references import indicator, inex_member_enumerated
 
 V1 = Variable("X1", ("a", "b"))
 V2 = Variable("X2", ("a", "b"))
@@ -160,6 +174,183 @@ class TestThreeBlockProducts:
                 assert verdict == natext_member(collapsed, h)
                 verdicts.append(verdict)
         assert 5 <= sum(verdicts) <= len(verdicts) - 5
+
+
+def _lex(rng, scope, maximal=True):
+    """A lexicographic model on ``scope``: maximal, or one level short of it."""
+    size = scope.size
+    if size == 2 and maximal:
+        return random_maximal_binary_lex(rng, scope)
+    while True:
+        levels = tuple(random_mass(rng, size) for _ in range(size if maximal else size - 1))
+        candidate = LexSystem(scope, levels)
+        if lex_is_coherent(candidate) and lex_is_maximal(candidate) == maximal:
+            return candidate
+
+
+def _product(rng, kind):
+    """A seeded product of the kind named, over binary blocks unless the
+    kind says otherwise."""
+    if kind == "three-lex":
+        variables = [Variable(name, ("a", "b")) for name in "ABC"]
+        return IndepProduct(tuple(_lex(rng, Scope.of([v])) for v in variables))
+    if kind == "layout-2x3":
+        x3 = Variable("X3", ("a", "b", "c"))
+        return IndepProduct(
+            (_lex(rng, S1, rng.random() < 0.7), _lex(rng, Scope.of([x3]), rng.random() < 0.7))
+        )
+    second = _lex(rng, S2)
+    if kind == "lex-lex":
+        first = _lex(rng, S1)
+    elif kind == "lex-lex-nonmaximal":
+        first = _lex(rng, S1, maximal=False)
+        if rng.random() < 0.5:
+            second = _lex(rng, S2, maximal=False)
+    elif kind == "cell-lex":
+        first = strictly_desirable(random_credal(rng, S1, rng.choice([1, 2])))
+    else:
+        assert kind == "generator-lex"
+        first = random_generator_set(rng, S1, count=rng.choice([1, 2]))
+    return IndepProduct((first, second))
+
+
+def _offer(rng, product):
+    """A random gamble; half the time shifted at one outcome so that the
+    product of the marginals' support masses gives it expectation zero,
+    where the sign filters of ``inex_member`` decide nothing."""
+    joint = scope_of(product)
+    h = random_gamble(rng, joint, -3, 3)
+    mass = independence._product_mass(product, joint)
+    if mass is None or rng.random() < 0.5:
+        return h
+    at = rng.choice([w for w, m in enumerate(mass.values) if m])
+    values = list(h.values)
+    values[at] -= h.dot(mass.values) / mass.values[at]
+    return Gamble(joint, tuple(values))
+
+
+_KINDS = (
+    "lex-lex",
+    "lex-lex-nonmaximal",
+    "cell-lex",
+    "generator-lex",
+    "layout-2x3",
+)
+
+
+def _count_signature_lps(monkeypatch):
+    """Counts the strict LPs of the pruned search and of the enumeration."""
+    counts = collections.Counter()
+    for key, module in (("search", independence), ("enumerated", references)):
+        solve = module.strict_feasible
+
+        def counted(system, _solve=solve, _key=key):
+            counts[_key] += 1
+            return _solve(system)
+
+        monkeypatch.setattr(module, "strict_feasible", counted)
+    return counts
+
+
+@pytest.fixture
+def signature_lps(monkeypatch):
+    return _count_signature_lps(monkeypatch)
+
+
+def _differential(product, h, counts):
+    """The search's verdict and LP count against the enumeration's."""
+    counts.clear()
+    got = inex_member(product, h)
+    want = inex_member_enumerated(product, h)
+    assert got is want, (product, h)
+    assert counts["search"] <= counts["enumerated"], (product, h)
+    return got, counts["search"], counts["enumerated"]
+
+
+class TestPrunedSearch:
+    """The depth-first signature search with checked nogoods against the
+    flat enumeration it replaced (``references.inex_member_enumerated``)."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_matches_the_enumeration(self, kind, signature_lps):
+        rng = random.Random("pruned-search/" + kind)
+        decided = collections.Counter()
+        saved = 0
+        # The 2x3 layout has up to 72 signatures per query, the binary
+        # products at most 16.
+        products, offers = (4, 6) if kind == "layout-2x3" else (6, 10)
+        for _ in range(products):
+            product = _product(rng, kind)
+            for _ in range(offers):
+                verdict, search, enumerated = _differential(
+                    product, _offer(rng, product), signature_lps
+                )
+                if enumerated:
+                    decided[verdict] += 1
+                saved += enumerated - search
+        # Both verdicts are reached through LPs, and the nogoods prune.
+        assert decided[Tri.IN] and decided[Tri.OUT], decided
+        assert saved > 0
+
+    def test_three_block_lex_product(self, signature_lps):
+        # Twelve (block, slice) pairs with two branches each.  Uniform draws
+        # are decided by the filters or by the first signature; a gamble of
+        # zero expectation that is out costs the enumeration all 4096.
+        rng = random.Random("pruned-search/three-lex")
+        product = _product(rng, "three-lex")
+        joint = scope_of(product)
+        verdicts = [
+            _differential(product, random_gamble(rng, joint, -3, 3), signature_lps)
+            for _ in range(12)
+        ]
+        assert {v for v, _, enumerated in verdicts if enumerated} == {Tri.IN}
+        assert Tri.OUT in {v for v, _, _ in verdicts}
+        hard = Gamble.on(joint, [F(3, 8), -3, -2, -3, 0, 0, 2, -1])
+        assert _differential(product, hard, signature_lps) == (Tri.OUT, 252, 4096)
+
+    @given(st.sampled_from(_KINDS), st.integers(0, 2**32 - 1))
+    def test_matches_the_enumeration_hypothesis(self, kind, seed):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            counts = _count_signature_lps(monkeypatch)
+            rng = random.Random(seed)
+            product = _product(rng, kind)
+            for _ in range(3):
+                _differential(product, _offer(rng, product), counts)
+
+    def test_product_nonmaximality_lp_count(self, signature_lps):
+        # 96 signature LPs with the flat enumeration; the nogoods skip 13.
+        assert fixtures.product_nonmaximality().passed
+        assert signature_lps["search"] == 83
+
+    def test_corrupted_nogood_raises_instead_of_pruning(self, monkeypatch):
+        # The frozen diagonal gamble of ``fixtures.product_nonmaximality``:
+        # out after 12 of its 16 signature LPs; four subtrees are pruned.
+        s1, s2, m1, m2 = fixtures._binary_pair()
+        product = IndepProduct((m1, m2))
+        h = Gamble.on(s1.union(s2), [-1, 1, 1, -1])
+        assert inex_member(product, h) is Tri.OUT
+        learn = independence._nogood
+
+        def corrupted(*args):
+            fixed_lams, choices = learn(*args)
+            # Doubling one pair's multipliers breaks the cancellation.
+            pair, branch, lams = choices[-1]
+            doubled = tuple(2 * lam for lam in lams)
+            return fixed_lams, choices[:-1] + ((pair, branch, doubled),)
+
+        monkeypatch.setattr(independence, "_nogood", corrupted)
+        checks = collections.Counter()
+        verify = exactlp.verify_farkas
+
+        def counted(system, farkas):
+            ok = verify(system, farkas)
+            checks[ok] += 1
+            return ok
+
+        monkeypatch.setattr(exactlp, "verify_farkas", counted)
+        with pytest.raises(EngineError, match="nogood"):
+            inex_member(product, h)
+        assert checks[False] == 1
 
 
 class TestPredicates:
