@@ -7,9 +7,14 @@ by reference (conditioning, cylindrical extension, irrelevant extension,
 independent and strong products, conditional families).
 
 Parsing rejects every floating-point literal: numbers are integers or
-rational strings such as ``"-5/7"``.  Loading canonicalises the payloads
-(sorted generators, string-formatted rationals, defaults materialised),
-so ``dumps`` after ``loads`` is a fixed point byte for byte.
+rational strings such as ``"-5/7"``.  Loading validates every set and
+runs every constructor that can reject its payload, so a malformed
+document fails on load whichever sets are queried.  Work that cannot fail
+on a validated document waits for the first read of the set: sorting and
+deduplicating generators, collapsing a product of generator sets, and
+the canonical payload (sorted generators, string-formatted rationals,
+defaults materialised).  ``dumps`` after ``loads`` is a fixed point byte
+for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .desirable import (
     Cell,
@@ -33,7 +38,15 @@ from .exactlp import EQ, GE, GT
 from .independence import independent_product, irrelevant_extension
 from .maximal import LexSystem
 from .previsions import CredalSet, strictly_desirable
-from .space import Assignment, Gamble, Scope, Variable, as_rational, format_rational
+from .space import (
+    Assignment,
+    Gamble,
+    Scope,
+    Variable,
+    as_rational,
+    disjoint_union,
+    format_rational,
+)
 from .structure import cyl_ext, condition
 
 __all__ = [
@@ -55,11 +68,52 @@ def _rel_from_name(text: object, where: str) -> str:
 
 @dataclass(frozen=True)
 class ModelDocument:
-    """Declared variables, resolved named sets, and canonical payloads."""
+    """Declared variables, named sets, and their canonical payloads.
+
+    Every set was validated when the document was loaded.  ``sets`` and
+    ``entries`` are read-only mappings that build each name on its first
+    read and keep it for the life of the document.
+    """
 
     variables: tuple[Variable, ...]
     sets: Mapping[str, DesirableSetExpr]
     entries: Mapping[str, object]
+
+
+class _BuiltOnRead(Mapping):
+    """Named values, each made by its builder on the first read and kept.
+
+    A builder takes ``source``, by default this mapping itself, so a
+    composite set reads the sets it is made of through the same memo.
+    Threads that read a name at once may each build it, but every read
+    returns the value stored first.
+    """
+
+    def __init__(
+        self, builders: Mapping[str, Callable], source: Optional[Mapping] = None
+    ) -> None:
+        self._builders = builders
+        self._source = source
+        self._built: dict[str, object] = {}
+
+    def __getitem__(self, name: str) -> object:
+        if name in self._built:
+            return self._built[name]
+        source = self if self._source is None else self._source
+        return self._built.setdefault(name, self._builders[name](source))
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._builders
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
+
+
+def _ready(built: DesirableSetExpr) -> Callable:
+    return lambda sets: built
 
 
 def parse_assignment(text: str, by_id: Mapping[str, Variable]) -> Assignment:
@@ -157,13 +211,25 @@ def _parse_variables(raw: object) -> tuple[Variable, ...]:
 
 
 class _Resolver:
+    """The eager pass: validates each set once, its references first.
+
+    Each set gets a builder, which makes the set from the memo of built
+    sets, and a canonical form, which makes its payload from the built
+    set.  Constructors that can reject a payload run here; a builder
+    defers only work that cannot fail on a validated document.
+    """
+
     def __init__(
         self, variables: tuple[Variable, ...], raw_sets: Mapping[str, object]
     ) -> None:
         self.by_id = {v.name: v for v in variables}
         self.raw = raw_sets
-        self.done: dict[str, DesirableSetExpr] = {}
-        self.entries: dict[str, object] = {}
+        self.builders: dict[str, Optional[Callable]] = dict.fromkeys(raw_sets)
+        self.entries: dict[str, Optional[Callable]] = dict.fromkeys(raw_sets)
+        self.sets = _BuiltOnRead(self.builders)
+        # The scope of each set whose deferred build is a generator set: the
+        # generator leaves and the products that collapse to one.
+        self.generator_scopes: dict[str, Scope] = {}
         self.visiting: list[str] = []
 
     # -- scopes and references ------------------------------------------
@@ -184,14 +250,19 @@ class _Resolver:
             raise ModelFormatError("%s: scope repeats a variable" % where)
         return Scope.of([self.by_id[i] for i in raw])
 
-    def ref(self, name: object, where: str) -> DesirableSetExpr:
+    def ref(self, name: object, where: str) -> str:
         if not isinstance(name, str):
             raise ModelFormatError("%s: set reference must be a string" % where)
-        return self.resolve(name)
+        self.resolve(name)
+        return name
 
-    def resolve(self, name: str) -> DesirableSetExpr:
-        if name in self.done:
-            return self.done[name]
+    def part(self, name: object, where: str) -> DesirableSetExpr:
+        """A referenced set, built now for a constructor that reads it."""
+        return self.sets[self.ref(name, where)]
+
+    def resolve(self, name: str) -> None:
+        if self.builders.get(name) is not None:
+            return
         if name in self.visiting:
             raise ModelFormatError(
                 "cyclic reference: %s" % " -> ".join(self.visiting + [name])
@@ -203,7 +274,7 @@ class _Resolver:
             raise ModelFormatError("set %r must be an object" % name)
         self.visiting.append(name)
         try:
-            expr, canonical = self.build(name, payload)
+            builder, canonical = self.build(name, payload)
         except ModelFormatError:
             raise
         except ValueError as exc:
@@ -212,19 +283,18 @@ class _Resolver:
             raise ModelFormatError("set %r: %s" % (name, exc)) from None
         finally:
             self.visiting.pop()
-        self.done[name] = expr
-        self.entries[name] = canonical
-        return expr
+        self.builders[name] = builder
+        self.entries[name] = lambda sets: canonical(sets[name])
 
     # -- kinds ------------------------------------------------------------
 
     def build(
         self, name: str, payload: Mapping[str, object]
-    ) -> tuple[DesirableSetExpr, object]:
+    ) -> tuple[Callable, Callable]:
         kind = _need(payload, "kind", "set %r" % name)
         where = "set %r" % name
         if kind == "generators":
-            return self.build_generators(payload, where)
+            return self.build_generators(name, payload, where)
         if kind == "cells":
             return self.build_cells(payload, where)
         if kind == "lex":
@@ -232,33 +302,38 @@ class _Resolver:
         if kind == "strict_from_credal":
             return self.build_strict(payload, where)
         if kind == "expr":
-            return self.build_expr(payload, where)
+            return self.build_expr(name, payload, where)
         raise ModelFormatError("%s has unknown kind %r" % (where, kind))
 
     def build_generators(
-        self, payload: Mapping[str, object], where: str
-    ) -> tuple[DesirableSetExpr, object]:
+        self, name: str, payload: Mapping[str, object], where: str
+    ) -> tuple[Callable, Callable]:
         scope = self.scope(_need(payload, "scope", where), where)
         raw_rows = _need(payload, "rows", where)
         if not isinstance(raw_rows, list):
             raise ModelFormatError("%s: 'rows' must be a list" % where)
-        gambles = [
-            Gamble.on(scope, _rational_list(row, "%s rows[%d]" % (where, k)))
+        gambles = tuple(
+            Gamble(scope, _rational_list(row, "%s rows[%d]" % (where, k)))
             for k, row in enumerate(raw_rows)
-        ]
-        built = GeneratorSet.of(scope, gambles)
-        canonical = {
-            "kind": "generators",
-            "scope": list(scope.names),
-            "rows": [
-                [format_rational(v) for v in g.values] for g in built.generators
-            ],
-        }
-        return built, canonical
+        )
+        # The constructor's checks run now; the canonical order waits.
+        GeneratorSet(scope, gambles)
+        self.generator_scopes[name] = scope
+
+        def canonical(built: GeneratorSet) -> object:
+            return {
+                "kind": "generators",
+                "scope": list(scope.names),
+                "rows": [
+                    [format_rational(v) for v in g.values] for g in built.generators
+                ],
+            }
+
+        return (lambda sets: GeneratorSet.of(scope, gambles)), canonical
 
     def build_cells(
         self, payload: Mapping[str, object], where: str
-    ) -> tuple[DesirableSetExpr, object]:
+    ) -> tuple[Callable, Callable]:
         scope = self.scope(_need(payload, "scope", where), where)
         include_positive = payload.get("include_positive", False)
         if not isinstance(include_positive, bool):
@@ -282,7 +357,7 @@ class _Resolver:
                 rwhere = "%s rows[%d]" % (cwhere, j)
                 if not isinstance(raw_row, dict):
                     raise ModelFormatError("%s must be an object" % rwhere)
-                functional = Gamble.on(
+                functional = Gamble(
                     scope,
                     _rational_list(_need(raw_row, "functional", rwhere), rwhere),
                 )
@@ -290,31 +365,34 @@ class _Resolver:
                 rows.append(CellRow(functional, rel))
             cells.append(Cell(tuple(rows), exclude_zero=exclude_zero))
         built = CellSet(scope, tuple(cells), include_positive=include_positive)
-        canonical = {
-            "kind": "cells",
-            "scope": list(scope.names),
-            "include_positive": include_positive,
-            "cells": [
-                {
-                    "exclude_zero": cell.exclude_zero,
-                    "rows": [
-                        {
-                            "functional": [
-                                format_rational(v) for v in row.functional.values
-                            ],
-                            "rel": row.rel,
-                        }
-                        for row in cell.rows
-                    ],
-                }
-                for cell in built.cells
-            ],
-        }
-        return built, canonical
+
+        def canonical(built: CellSet) -> object:
+            return {
+                "kind": "cells",
+                "scope": list(scope.names),
+                "include_positive": include_positive,
+                "cells": [
+                    {
+                        "exclude_zero": cell.exclude_zero,
+                        "rows": [
+                            {
+                                "functional": [
+                                    format_rational(v) for v in row.functional.values
+                                ],
+                                "rel": row.rel,
+                            }
+                            for row in cell.rows
+                        ],
+                    }
+                    for cell in built.cells
+                ],
+            }
+
+        return _ready(built), canonical
 
     def build_lex(
         self, payload: Mapping[str, object], where: str
-    ) -> tuple[DesirableSetExpr, object]:
+    ) -> tuple[Callable, Callable]:
         scope = self.scope(_need(payload, "scope", where), where)
         raw_levels = _need(payload, "levels", where)
         if not isinstance(raw_levels, list) or not raw_levels:
@@ -324,16 +402,21 @@ class _Resolver:
             for k, level in enumerate(raw_levels)
         )
         built = LexSystem(scope, levels)
-        canonical = {
-            "kind": "lex",
-            "scope": list(scope.names),
-            "levels": [[format_rational(v) for v in level] for level in built.levels],
-        }
-        return built, canonical
+
+        def canonical(built: LexSystem) -> object:
+            return {
+                "kind": "lex",
+                "scope": list(scope.names),
+                "levels": [
+                    [format_rational(v) for v in level] for level in built.levels
+                ],
+            }
+
+        return _ready(built), canonical
 
     def build_strict(
         self, payload: Mapping[str, object], where: str
-    ) -> tuple[DesirableSetExpr, object]:
+    ) -> tuple[Callable, Callable]:
         scope = self.scope(_need(payload, "scope", where), where)
         raw_vertices = _need(payload, "vertices", where)
         if not isinstance(raw_vertices, list) or not raw_vertices:
@@ -344,23 +427,26 @@ class _Resolver:
         )
         credal = CredalSet.of(scope, vertices)
         built = strictly_desirable(credal)
-        canonical = {
-            "kind": "strict_from_credal",
-            "scope": list(scope.names),
-            "vertices": [
-                [format_rational(v) for v in vertex] for vertex in credal.vertices
-            ],
-        }
-        return built, canonical
+
+        def canonical(built: CellSet) -> object:
+            return {
+                "kind": "strict_from_credal",
+                "scope": list(scope.names),
+                "vertices": [
+                    [format_rational(v) for v in vertex] for vertex in credal.vertices
+                ],
+            }
+
+        return _ready(built), canonical
 
     # -- composite expressions ---------------------------------------------
 
     def build_expr(
-        self, payload: Mapping[str, object], where: str
-    ) -> tuple[DesirableSetExpr, object]:
+        self, name: str, payload: Mapping[str, object], where: str
+    ) -> tuple[Callable, Callable]:
         op = _need(payload, "op", where)
         if op == "condition":
-            base = self.ref(_need(payload, "of", where), where)
+            base = self.part(_need(payload, "of", where), where)
             raw_given = _need(payload, "given", where)
             if not isinstance(raw_given, dict):
                 raise ModelFormatError(
@@ -374,9 +460,8 @@ class _Resolver:
                 "of": payload["of"],
                 "given": {v.name: label for v, label in given.items},
             }
-            return built, canonical
-        if op == "cyl_ext":
-            base = self.ref(_need(payload, "of", where), where)
+        elif op == "cyl_ext":
+            base = self.part(_need(payload, "of", where), where)
             target = self.scope(_need(payload, "target", where), where)
             built = cyl_ext(base, target)
             canonical = {
@@ -385,9 +470,8 @@ class _Resolver:
                 "of": payload["of"],
                 "target": list(target.names),
             }
-            return built, canonical
-        if op == "irr_ext":
-            base = self.ref(_need(payload, "of", where), where)
+        elif op == "irr_ext":
+            base = self.part(_need(payload, "of", where), where)
             irrelevant = self.scope(_need(payload, "irrelevant", where), where)
             target = self.scope(_need(payload, "target", where), where)
             built = irrelevant_extension(base, irrelevant, target)
@@ -398,26 +482,31 @@ class _Resolver:
                 "irrelevant": list(irrelevant.names),
                 "target": list(target.names),
             }
-            return built, canonical
-        if op in ("inex", "strong"):
+        elif op in ("inex", "strong"):
             raw_parts = _need(payload, "of", where)
             if not isinstance(raw_parts, list) or not raw_parts:
                 raise ModelFormatError(
                     "%s: 'of' must be a nonempty list of set names" % where
                 )
-            parts = tuple(self.ref(p, where) for p in raw_parts)
+            names = [self.ref(p, where) for p in raw_parts]
+            canonical = {"kind": "expr", "op": op, "of": list(raw_parts)}
+            if op == "inex" and all(p in self.generator_scopes for p in names):
+                # Generator marginals collapse to one generator set, which
+                # cannot fail once their scopes are disjoint.
+                self.generator_scopes[name] = disjoint_union(
+                    self.generator_scopes[p] for p in names
+                )
+                return (
+                    lambda sets: independent_product([sets[p] for p in names]),
+                    lambda built: canonical,
+                )
+            parts = tuple(self.sets[p] for p in names)
             built = (
                 independent_product(parts)
                 if op == "inex"
                 else StrongProduct(parts)
             )
-            canonical = {
-                "kind": "expr",
-                "op": op,
-                "of": list(raw_parts),
-            }
-            return built, canonical
-        if op == "conditional_family":
+        elif op == "conditional_family":
             on = self.scope(_need(payload, "on", where), where)
             raw_table = _need(payload, "table", where)
             if not isinstance(raw_table, dict) or not raw_table:
@@ -433,7 +522,7 @@ class _Resolver:
                         "%s: table repeats the assignment %s" % (where, at)
                     )
                 canon_table[str(at)] = ref_name
-                entries.append((at, self.ref(ref_name, where)))
+                entries.append((at, self.part(ref_name, where)))
             entries.sort(key=lambda pair: str(pair[0]))
             built = ConditionalFamily(on, tuple(entries))
             canonical = {
@@ -442,15 +531,17 @@ class _Resolver:
                 "on": list(on.names),
                 "table": canon_table,
             }
-            return built, canonical
-        raise ModelFormatError("%s has unknown op %r" % (where, op))
+        else:
+            raise ModelFormatError("%s has unknown op %r" % (where, op))
+        return _ready(built), lambda built: canonical
 
 
 def loads(text: str) -> ModelDocument:
-    """Parse and resolve a document, canonicalising every payload.
+    """Parse and validate a document; its sets are built on first read.
 
-    A malformed document raises ``ModelFormatError``; when a set's
-    constructor rejects its payload, the message names the set.
+    A malformed document raises ``ModelFormatError``, whichever sets are
+    later read; when a set's constructor rejects its payload, the message
+    names the set.
     """
     try:
         raw = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
@@ -468,9 +559,8 @@ def loads(text: str) -> ModelDocument:
     resolver = _Resolver(variables, raw_sets)
     for name in raw_sets:
         resolver.resolve(name)
-    sets = {name: resolver.done[name] for name in raw_sets}
-    entries = {name: resolver.entries[name] for name in raw_sets}
-    return ModelDocument(variables, sets, entries)
+    sets = resolver.sets
+    return ModelDocument(variables, sets, _BuiltOnRead(resolver.entries, sets))
 
 
 def load(path: str) -> ModelDocument:

@@ -610,11 +610,13 @@ def strong_member(
     When every marginal is a lexicographic model the strong product
     coincides with the independent product of the marginals, so the
     verdict delegates to the exact product-membership procedure.
-    Otherwise the strong lower prevision decides everything except its
-    own zero level: positive gambles and gambles with strictly positive
-    strong price are in, strictly negative strong price means out, and
-    the boundary stays ``UNKNOWN`` because membership there depends on
-    which dominating linear previsions the marginal models admit.
+    Otherwise the zero gamble is out and positive gambles are in, before
+    any marginal's credal set is enumerated (so ``budget`` never stops
+    them).  The strong lower prevision decides everything else except
+    its own zero level: strictly positive strong price is in, strictly
+    negative strong price means out, and the boundary stays ``UNKNOWN``
+    because membership there depends on which dominating linear
+    previsions the marginal models admit.
     """
     parts = expr.parts
     if all(isinstance(p, LexSystem) for p in parts):
@@ -622,11 +624,11 @@ def strong_member(
 
         return inex_member(independent_product(parts), f, budget=budget)
     fitted = f.embed(scope_of(expr))
-    views = [credal_view(p, budget=budget) for p in parts]
     if fitted.is_zero():
         return Tri.OUT
     if fitted.is_positive():
         return Tri.IN
+    views = [credal_view(p, budget=budget) for p in parts]
     value = strong_product_lower(views, fitted, budget=budget)
     if value > 0:
         return Tri.IN

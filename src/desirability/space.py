@@ -40,7 +40,9 @@ RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# The gate for rational strings; it captures the numerator (with its sign)
+# and the denominator, so a literal is parsed once.
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -56,9 +58,13 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value.strip()):
+        match = _RATIONAL_RE.match(value.strip())
+        if match is None:
             raise ExactnessError("not an exact rational literal: %r" % (value,))
-        return Fraction(value.strip())
+        numerator, denominator = match.groups()
+        if denominator is None:
+            return Fraction(int(numerator))
+        return Fraction(int(numerator), int(denominator))
     raise ExactnessError(
         "exact rational required (Fraction, int or 'n/d' string), got %r" % (value,)
     )

@@ -19,15 +19,19 @@ fast paths, so a test can compare the two:
   combined signature, the flat enumeration that the pruned search in
   ``independence.inex_member`` replaced;
 * ``original_multipliers`` — ``_Simplex._original_multipliers`` on
-  ``Fraction``s, the reference for its int recovery.
+  ``Fraction``s, the reference for its int recovery;
+* ``loads_eagerly`` — the model loader that resolves and canonicalises
+  every set while it loads, against which the loader that validates on
+  load and builds on first read is checked.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from desirability import (
     BudgetExceededError,
@@ -40,7 +44,17 @@ from desirability import (
     Tri,
     member,
 )
-from desirability.desirable import DesirableSetExpr, IndepProduct, scope_of
+from desirability.desirable import (
+    Cell,
+    CellRow,
+    CellSet,
+    ConditionalFamily,
+    DesirableSetExpr,
+    GeneratorSet,
+    IndepProduct,
+    StrongProduct,
+    scope_of,
+)
 from desirability.exactlp import (
     EQ,
     GE,
@@ -53,8 +67,35 @@ from desirability.exactlp import (
     solve,
     strict_feasible,
 )
-from desirability.independence import _Row, _leaf_branches, _product_mass, _unit
-from desirability.space import Assignment, _restriction_map, _slice_map, disjoint_union
+from desirability.errors import ModelFormatError
+from desirability.independence import (
+    _Row,
+    _leaf_branches,
+    _product_mass,
+    _unit,
+    independent_product,
+    irrelevant_extension,
+)
+from desirability.maximal import LexSystem
+from desirability.model import (
+    ModelDocument,
+    _assignment,
+    _need,
+    _parse_variables,
+    _rational_list,
+    _reject_float,
+    _rel_from_name,
+    parse_assignment,
+)
+from desirability.previsions import strictly_desirable
+from desirability.space import (
+    Assignment,
+    _restriction_map,
+    _slice_map,
+    disjoint_union,
+    format_rational,
+)
+from desirability.structure import condition, cyl_ext
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -403,3 +444,326 @@ def original_multipliers(
                 acc += lam[i] * row.coeffs[j]
         lam[bound_row] = -acc / simplex.bound_scale[j]
     return tuple(lam)
+
+
+# ---------------------------------------------------------------------------
+# the eager model loader
+# ---------------------------------------------------------------------------
+
+
+class _Resolver:
+    def __init__(
+        self, variables: tuple[Variable, ...], raw_sets: Mapping[str, object]
+    ) -> None:
+        self.by_id = {v.name: v for v in variables}
+        self.raw = raw_sets
+        self.done: dict[str, DesirableSetExpr] = {}
+        self.entries: dict[str, object] = {}
+        self.visiting: list[str] = []
+
+    # -- scopes and references ------------------------------------------
+
+    def scope(self, raw: object, where: str) -> Scope:
+        if (
+            not isinstance(raw, list)
+            or not raw
+            or not all(isinstance(i, str) for i in raw)
+        ):
+            raise ModelFormatError("%s: scope must be a list of variable ids" % where)
+        missing = [i for i in raw if i not in self.by_id]
+        if missing:
+            raise ModelFormatError(
+                "%s: unknown variable id %r" % (where, missing[0])
+            )
+        if len(set(raw)) != len(raw):
+            raise ModelFormatError("%s: scope repeats a variable" % where)
+        return Scope.of([self.by_id[i] for i in raw])
+
+    def ref(self, name: object, where: str) -> DesirableSetExpr:
+        if not isinstance(name, str):
+            raise ModelFormatError("%s: set reference must be a string" % where)
+        return self.resolve(name)
+
+    def resolve(self, name: str) -> DesirableSetExpr:
+        if name in self.done:
+            return self.done[name]
+        if name in self.visiting:
+            raise ModelFormatError(
+                "cyclic reference: %s" % " -> ".join(self.visiting + [name])
+            )
+        if name not in self.raw:
+            raise ModelFormatError("reference to undeclared set %r" % name)
+        payload = self.raw[name]
+        if not isinstance(payload, dict):
+            raise ModelFormatError("set %r must be an object" % name)
+        self.visiting.append(name)
+        try:
+            expr, canonical = self.build(name, payload)
+        except ModelFormatError:
+            raise
+        except ValueError as exc:
+            # A payload the constructors reject (zero generator, bad masses,
+            # scope or length mismatch) is a malformed document.
+            raise ModelFormatError("set %r: %s" % (name, exc)) from None
+        finally:
+            self.visiting.pop()
+        self.done[name] = expr
+        self.entries[name] = canonical
+        return expr
+
+    # -- kinds ------------------------------------------------------------
+
+    def build(
+        self, name: str, payload: Mapping[str, object]
+    ) -> tuple[DesirableSetExpr, object]:
+        kind = _need(payload, "kind", "set %r" % name)
+        where = "set %r" % name
+        if kind == "generators":
+            return self.build_generators(payload, where)
+        if kind == "cells":
+            return self.build_cells(payload, where)
+        if kind == "lex":
+            return self.build_lex(payload, where)
+        if kind == "strict_from_credal":
+            return self.build_strict(payload, where)
+        if kind == "expr":
+            return self.build_expr(payload, where)
+        raise ModelFormatError("%s has unknown kind %r" % (where, kind))
+
+    def build_generators(
+        self, payload: Mapping[str, object], where: str
+    ) -> tuple[DesirableSetExpr, object]:
+        scope = self.scope(_need(payload, "scope", where), where)
+        raw_rows = _need(payload, "rows", where)
+        if not isinstance(raw_rows, list):
+            raise ModelFormatError("%s: 'rows' must be a list" % where)
+        gambles = [
+            Gamble.on(scope, _rational_list(row, "%s rows[%d]" % (where, k)))
+            for k, row in enumerate(raw_rows)
+        ]
+        built = GeneratorSet.of(scope, gambles)
+        canonical = {
+            "kind": "generators",
+            "scope": list(scope.names),
+            "rows": [
+                [format_rational(v) for v in g.values] for g in built.generators
+            ],
+        }
+        return built, canonical
+
+    def build_cells(
+        self, payload: Mapping[str, object], where: str
+    ) -> tuple[DesirableSetExpr, object]:
+        scope = self.scope(_need(payload, "scope", where), where)
+        include_positive = payload.get("include_positive", False)
+        if not isinstance(include_positive, bool):
+            raise ModelFormatError("%s: 'include_positive' must be a boolean" % where)
+        raw_cells = _need(payload, "cells", where)
+        if not isinstance(raw_cells, list):
+            raise ModelFormatError("%s: 'cells' must be a list" % where)
+        cells = []
+        for k, raw_cell in enumerate(raw_cells):
+            cwhere = "%s cells[%d]" % (where, k)
+            if not isinstance(raw_cell, dict):
+                raise ModelFormatError("%s must be an object" % cwhere)
+            exclude_zero = raw_cell.get("exclude_zero", False)
+            if not isinstance(exclude_zero, bool):
+                raise ModelFormatError("%s: 'exclude_zero' must be a boolean" % cwhere)
+            raw_rows = _need(raw_cell, "rows", cwhere)
+            if not isinstance(raw_rows, list):
+                raise ModelFormatError("%s: 'rows' must be a list" % cwhere)
+            rows = []
+            for j, raw_row in enumerate(raw_rows):
+                rwhere = "%s rows[%d]" % (cwhere, j)
+                if not isinstance(raw_row, dict):
+                    raise ModelFormatError("%s must be an object" % rwhere)
+                functional = Gamble.on(
+                    scope,
+                    _rational_list(_need(raw_row, "functional", rwhere), rwhere),
+                )
+                rel = _rel_from_name(_need(raw_row, "rel", rwhere), rwhere)
+                rows.append(CellRow(functional, rel))
+            cells.append(Cell(tuple(rows), exclude_zero=exclude_zero))
+        built = CellSet(scope, tuple(cells), include_positive=include_positive)
+        canonical = {
+            "kind": "cells",
+            "scope": list(scope.names),
+            "include_positive": include_positive,
+            "cells": [
+                {
+                    "exclude_zero": cell.exclude_zero,
+                    "rows": [
+                        {
+                            "functional": [
+                                format_rational(v) for v in row.functional.values
+                            ],
+                            "rel": row.rel,
+                        }
+                        for row in cell.rows
+                    ],
+                }
+                for cell in built.cells
+            ],
+        }
+        return built, canonical
+
+    def build_lex(
+        self, payload: Mapping[str, object], where: str
+    ) -> tuple[DesirableSetExpr, object]:
+        scope = self.scope(_need(payload, "scope", where), where)
+        raw_levels = _need(payload, "levels", where)
+        if not isinstance(raw_levels, list) or not raw_levels:
+            raise ModelFormatError("%s: 'levels' must be a nonempty list" % where)
+        levels = tuple(
+            _rational_list(level, "%s levels[%d]" % (where, k))
+            for k, level in enumerate(raw_levels)
+        )
+        built = LexSystem(scope, levels)
+        canonical = {
+            "kind": "lex",
+            "scope": list(scope.names),
+            "levels": [[format_rational(v) for v in level] for level in built.levels],
+        }
+        return built, canonical
+
+    def build_strict(
+        self, payload: Mapping[str, object], where: str
+    ) -> tuple[DesirableSetExpr, object]:
+        scope = self.scope(_need(payload, "scope", where), where)
+        raw_vertices = _need(payload, "vertices", where)
+        if not isinstance(raw_vertices, list) or not raw_vertices:
+            raise ModelFormatError("%s: 'vertices' must be a nonempty list" % where)
+        vertices = tuple(
+            _rational_list(v, "%s vertices[%d]" % (where, k))
+            for k, v in enumerate(raw_vertices)
+        )
+        credal = CredalSet.of(scope, vertices)
+        built = strictly_desirable(credal)
+        canonical = {
+            "kind": "strict_from_credal",
+            "scope": list(scope.names),
+            "vertices": [
+                [format_rational(v) for v in vertex] for vertex in credal.vertices
+            ],
+        }
+        return built, canonical
+
+    # -- composite expressions ---------------------------------------------
+
+    def build_expr(
+        self, payload: Mapping[str, object], where: str
+    ) -> tuple[DesirableSetExpr, object]:
+        op = _need(payload, "op", where)
+        if op == "condition":
+            base = self.ref(_need(payload, "of", where), where)
+            raw_given = _need(payload, "given", where)
+            if not isinstance(raw_given, dict):
+                raise ModelFormatError(
+                    "%s: 'given' must map variable ids to outcome labels" % where
+                )
+            given = _assignment(raw_given.items(), self.by_id)
+            built = condition(base, given)
+            canonical = {
+                "kind": "expr",
+                "op": "condition",
+                "of": payload["of"],
+                "given": {v.name: label for v, label in given.items},
+            }
+            return built, canonical
+        if op == "cyl_ext":
+            base = self.ref(_need(payload, "of", where), where)
+            target = self.scope(_need(payload, "target", where), where)
+            built = cyl_ext(base, target)
+            canonical = {
+                "kind": "expr",
+                "op": "cyl_ext",
+                "of": payload["of"],
+                "target": list(target.names),
+            }
+            return built, canonical
+        if op == "irr_ext":
+            base = self.ref(_need(payload, "of", where), where)
+            irrelevant = self.scope(_need(payload, "irrelevant", where), where)
+            target = self.scope(_need(payload, "target", where), where)
+            built = irrelevant_extension(base, irrelevant, target)
+            canonical = {
+                "kind": "expr",
+                "op": "irr_ext",
+                "of": payload["of"],
+                "irrelevant": list(irrelevant.names),
+                "target": list(target.names),
+            }
+            return built, canonical
+        if op in ("inex", "strong"):
+            raw_parts = _need(payload, "of", where)
+            if not isinstance(raw_parts, list) or not raw_parts:
+                raise ModelFormatError(
+                    "%s: 'of' must be a nonempty list of set names" % where
+                )
+            parts = tuple(self.ref(p, where) for p in raw_parts)
+            built = (
+                independent_product(parts)
+                if op == "inex"
+                else StrongProduct(parts)
+            )
+            canonical = {
+                "kind": "expr",
+                "op": op,
+                "of": list(raw_parts),
+            }
+            return built, canonical
+        if op == "conditional_family":
+            on = self.scope(_need(payload, "on", where), where)
+            raw_table = _need(payload, "table", where)
+            if not isinstance(raw_table, dict) or not raw_table:
+                raise ModelFormatError(
+                    "%s: 'table' must map assignments to set names" % where
+                )
+            entries = []
+            canon_table: dict[str, object] = {}
+            for key, ref_name in raw_table.items():
+                at = parse_assignment(key, self.by_id)
+                if str(at) in canon_table:
+                    raise ModelFormatError(
+                        "%s: table repeats the assignment %s" % (where, at)
+                    )
+                canon_table[str(at)] = ref_name
+                entries.append((at, self.ref(ref_name, where)))
+            entries.sort(key=lambda pair: str(pair[0]))
+            built = ConditionalFamily(on, tuple(entries))
+            canonical = {
+                "kind": "expr",
+                "op": "conditional_family",
+                "on": list(on.names),
+                "table": canon_table,
+            }
+            return built, canonical
+        raise ModelFormatError("%s has unknown op %r" % (where, op))
+
+
+
+def loads_eagerly(text: str) -> ModelDocument:
+    """Parse and resolve a document, canonicalising every payload.
+
+    A malformed document raises ``ModelFormatError``; when a set's
+    constructor rejects its payload, the message names the set.
+    """
+    try:
+        raw = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError("invalid JSON: %s" % exc) from None
+    if not isinstance(raw, dict):
+        raise ModelFormatError("the document root must be an object")
+    variables = _parse_variables(_need(raw, "variables", "document"))
+    raw_sets = _need(raw, "sets", "document")
+    if not isinstance(raw_sets, dict):
+        raise ModelFormatError("'sets' must be an object of named sets")
+    for name in raw_sets:
+        if not isinstance(name, str) or not name:
+            raise ModelFormatError("set names must be nonempty strings")
+    resolver = _Resolver(variables, raw_sets)
+    for name in raw_sets:
+        resolver.resolve(name)
+    sets = {name: resolver.done[name] for name in raw_sets}
+    entries = {name: resolver.entries[name] for name in raw_sets}
+    return ModelDocument(variables, sets, entries)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from desirability import Tri, cli, desirable, exactlp
+from desirability import Tri, cli, desirable, exactlp, model
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = str(ROOT / "models" / "demo.json")
@@ -282,6 +282,42 @@ class TestErrors:
         assert code == 3 and out == ""
         assert err == message
 
+    @pytest.mark.parametrize(
+        "gamble, code, verdict", [("[0,0,4,0]", 0, "In"), ("[0,0,0,0]", 1, "Out")]
+    )
+    def test_budget_does_not_stop_positive_or_zero_strong_queries(
+        self, capsys, gamble, code, verdict
+    ):
+        # Decided by sign alone, before any marginal's vertices are enumerated.
+        assert run(
+            capsys, "--model", DEMO, "--budget", "0", "member", "strong-pair", gamble
+        ) == (code, verdict + "\n", "")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                {"kind": "generators", "scope": ["X1"], "rows": [["1", "-1"], ["0", "0"]]},
+                "error: set 'bad': the zero gamble cannot be a generator\n",
+            ),
+            (
+                {"kind": "expr", "op": "inex", "of": ["good", "good"]},
+                "error: set 'bad': blocks must have pairwise disjoint scopes; they share X1\n",
+            ),
+        ],
+    )
+    def test_a_set_never_queried_is_still_validated(self, capsys, tmp_path, bad, message):
+        doc = {
+            "variables": [{"id": "X1", "outcomes": ["a", "b"]}],
+            "sets": {
+                "good": {"kind": "generators", "scope": ["X1"], "rows": [["1", "-1"]]},
+                "bad": bad,
+            },
+        }
+        path = tmp_path / "half-bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(capsys, "--model", str(path), "check", "good") == (3, "", message)
+
     def test_non_string_relation_exits_three_with_one_line(self, capsys, tmp_path):
         doc = {
             "variables": [{"id": "X1", "outcomes": ["a", "b"]}],
@@ -387,6 +423,75 @@ class TestWork:
         )
         assert (code, out) == (2, "Unknown\n")
         assert len(solved) == 2
+
+
+class TestBuildsOnRead:
+    """A command builds only the sets it reads, each once per document."""
+
+    @pytest.fixture()
+    def fresh_model(self, tmp_path):
+        # The shape of a fresh-models benchmark document.
+        doc = {
+            "variables": [
+                {"id": "X1", "outcomes": ["a", "b"]},
+                {"id": "X2", "outcomes": ["a", "b", "c"]},
+            ],
+            "sets": {
+                "g1": {"kind": "generators", "scope": ["X1"], "rows": [["2", "-1"]]},
+                "g2": {"kind": "generators", "scope": ["X2"], "rows": [["1", "-1", "1"]]},
+                "gj": {
+                    "kind": "generators",
+                    "scope": ["X1", "X2"],
+                    "rows": [["1", "0", "-1", "2", "0", "0"], ["0", "1", "1", "-1", "1", "0"]],
+                },
+                "product": {"kind": "expr", "op": "inex", "of": ["g1", "g2"]},
+            },
+        }
+        path = tmp_path / "fresh.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        counts = {"GeneratorSet.of": 0, "independent_product": 0}
+        canonicalise = desirable.GeneratorSet.of
+        collapse = model.independent_product
+
+        def counted_of(*args, **kwargs):
+            counts["GeneratorSet.of"] += 1
+            return canonicalise(*args, **kwargs)
+
+        def counted_product(*args, **kwargs):
+            counts["independent_product"] += 1
+            return collapse(*args, **kwargs)
+
+        monkeypatch.setattr(desirable.GeneratorSet, "of", staticmethod(counted_of))
+        monkeypatch.setattr(model, "independent_product", counted_product)
+        return counts
+
+    def test_check_of_a_leaf_builds_one_generator_set(self, capsys, fresh_model, builds):
+        assert run(capsys, "--model", fresh_model, "check", "gj")[0] == 0
+        assert builds == {"GeneratorSet.of": 1, "independent_product": 0}
+
+    def test_check_of_the_product_builds_one_product(self, capsys, fresh_model, builds):
+        # The product reads its two marginals, then collapses them into one
+        # more generator set.
+        assert run(capsys, "--model", fresh_model, "check", "product")[0] == 0
+        assert builds == {"GeneratorSet.of": 3, "independent_product": 1}
+
+    def test_loading_builds_nothing(self, fresh_model, builds):
+        model.load(fresh_model)
+        assert builds == {"GeneratorSet.of": 0, "independent_product": 0}
+
+    def test_reading_a_name_twice_builds_it_once(self, fresh_model, builds):
+        doc = model.load(fresh_model)
+        assert doc.sets["gj"] is doc.sets["gj"]
+        assert builds == {"GeneratorSet.of": 1, "independent_product": 0}
+        assert doc.sets["product"] is doc.sets["product"]
+        assert doc.sets["g1"] is doc.sets["g1"]
+        assert builds == {"GeneratorSet.of": 4, "independent_product": 1}
+        model.dumps(doc)
+        assert builds == {"GeneratorSet.of": 4, "independent_product": 1}
 
 
 # Every subcommand on the demo model, in text and JSON, with a usage error

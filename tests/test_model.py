@@ -1,8 +1,11 @@
 """Canonical JSON model documents: loading, validation, round-trips."""
 
 import copy
+import itertools
 import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,8 @@ import pytest
 from desirability import CellSet, GeneratorSet, LexSystem, ModelFormatError, Tri, member
 from desirability.desirable import Conditioned
 from desirability.model import dumps, load, loads, parse_assignment
+
+from references import loads_eagerly
 
 DEMO = str(Path(__file__).resolve().parent.parent / "models" / "demo.json")
 
@@ -311,15 +316,21 @@ def _mutate(doc, rng):
         parent[path[-1]] = copy.deepcopy(_at(doc, rng.choice(paths)))
 
 
-def test_mutated_demo_documents_fail_only_as_format_errors():
+def _mutated_demos():
+    """2000 seeded documents, each the demo with one to three mutations."""
     with open(DEMO, "r", encoding="utf-8") as handle:
         demo = json.load(handle)
     rng = random.Random("model-fuzz")
-    outcomes = {"loaded": 0, "rejected": 0}
-    for k in range(2000):
+    for _ in range(2000):
         doc = copy.deepcopy(demo)
         for _ in range(rng.randint(1, 3)):
             _mutate(doc, rng)
+        yield doc
+
+
+def test_mutated_demo_documents_fail_only_as_format_errors():
+    outcomes = {"loaded": 0, "rejected": 0}
+    for k, doc in enumerate(_mutated_demos()):
         try:
             loads(json.dumps(doc))
         except ModelFormatError:
@@ -332,3 +343,116 @@ def test_mutated_demo_documents_fail_only_as_format_errors():
         else:
             outcomes["loaded"] += 1
     assert outcomes["loaded"] and outcomes["rejected"]
+
+
+# ---------------------------------------------------------------------------
+# differential against the eager loader
+# ---------------------------------------------------------------------------
+
+
+def _fresh_rows(rng, size, count):
+    """Generator rows of small integers and rationals; now and then a zero
+    row, a repeated row or a row of the wrong length."""
+    rows = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.01:
+            rows.append(["0"] * size)
+        elif roll < 0.05 and rows:
+            rows.append(list(rows[0]))
+        elif roll < 0.06:
+            rows.append([str(rng.randint(-3, 3)) for _ in range(size + 1)])
+        else:
+            rows.append(
+                [rng.choice([str(rng.randint(-3, 3)), "%d/%d" % (rng.randint(-5, 5), rng.randint(1, 4))]) for _ in range(size)]
+            )
+    return rows
+
+
+def _fresh_documents():
+    """Seeded documents shaped like the fresh-models benchmark: generator
+    leaves on X1, X2, X3 and the joint, and products over them, some of
+    which overlap, nest, take a single part or mix in a lex marginal."""
+    rng = random.Random("fresh-differential")
+    products = (
+        ["g1", "g2"], ["g2", "g1"], ["g1", "gj"], ["g1"], ["g1", "g1"],
+        ["product", "g3"], ["g3", "product"], ["product", "gj"], ["lex3", "g1"],
+        ["g1", "g2", "g3"], ["product", "lex3"],
+    )
+    for _ in range(300):
+        sizes = [rng.randint(2, 3) for _ in range(3)]
+        variables = [
+            {"id": "X%d" % (k + 1), "outcomes": ["o%d" % j for j in range(n)]}
+            for k, n in enumerate(sizes)
+        ]
+        sets = {
+            "g1": {"kind": "generators", "scope": ["X1"], "rows": _fresh_rows(rng, sizes[0], rng.randint(0, 3))},
+            "g2": {"kind": "generators", "scope": ["X2"], "rows": _fresh_rows(rng, sizes[1], rng.randint(1, 3))},
+            "gj": {"kind": "generators", "scope": ["X2", "X1"], "rows": _fresh_rows(rng, sizes[0] * sizes[1], rng.randint(1, 4))},
+            "g3": {"kind": "generators", "scope": ["X3"], "rows": _fresh_rows(rng, sizes[2], rng.randint(1, 2))},
+            "lex3": {"kind": "lex", "scope": ["X3"], "levels": [["1"] + ["0"] * (sizes[2] - 1)]},
+            "product": {"kind": "expr", "op": "inex", "of": ["g1", "g2"]},
+            "outer": {"kind": "expr", "op": "inex", "of": list(rng.choice(products))},
+            "strong": {"kind": "expr", "op": "strong", "of": ["g1", "g2"]},
+            "ext": {"kind": "expr", "op": "cyl_ext", "of": rng.choice(["g1", "product", "outer"]), "target": ["X1", "X2", "X3"]},
+        }
+        if rng.random() < 0.3:
+            sets["nested"] = {"kind": "expr", "op": "inex", "of": ["outer", rng.choice(["g2", "g3", "gj"])]}
+        names = list(sets)
+        rng.shuffle(names)
+        doc = {"variables": variables, "sets": {name: sets[name] for name in names}}
+        for _ in range(rng.choice([0, 0, 0, 1])):
+            _mutate(doc, rng)
+        yield doc
+
+
+def test_loader_agrees_with_the_eager_loader():
+    """The same documents are rejected, with the same message; an accepted
+    one gives equal sets, read in any order, and the same ``dumps`` bytes."""
+    rng = random.Random("read-order")
+    outcomes = {"loaded": 0, "rejected": 0}
+    documents = itertools.chain(_mutated_demos(), _fresh_documents())
+    for k, raw in enumerate(documents):
+        text = json.dumps(raw)
+        try:
+            expected = loads_eagerly(text)
+        except ModelFormatError as exc:
+            with pytest.raises(ModelFormatError) as caught:
+                loads(text)
+            assert str(caught.value) == str(exc), "document %d" % k
+            outcomes["rejected"] += 1
+            continue
+        doc = loads(text)
+        assert list(doc.sets) == list(expected.sets) == list(doc.entries)
+        names = list(expected.sets)
+        rng.shuffle(names)
+        for name in names:
+            assert doc.sets[name] == expected.sets[name], "document %d set %r" % (k, name)
+            assert type(doc.sets[name]) is type(expected.sets[name])
+        assert dumps(doc) == dumps(expected), "document %d" % k
+        outcomes["loaded"] += 1
+    assert outcomes["loaded"] > 100 and outcomes["rejected"] > 100
+
+
+def test_threads_reading_at_once_see_one_value_per_name():
+    text = minimal(
+        {
+            "g1": {"kind": "generators", "scope": ["X1"], "rows": [["2", "-1"]]},
+            "g2": {"kind": "generators", "scope": ["X2"], "rows": [["1", "-1"], ["-1", "3"]]},
+            "product": {"kind": "expr", "op": "inex", "of": ["g1", "g2"]},
+        }
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            doc = loads(text)
+            names = ["product", "g1", "g2"] * 4
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(doc.sets.__getitem__, name) for name in names]
+                seen = [future.result(timeout=60) for future in futures]
+            for name, value in zip(names, seen):
+                assert value is doc.sets[name]
+            assert doc.sets["product"] == loads_eagerly(text).sets["product"]
+    finally:
+        sys.setswitchinterval(interval)

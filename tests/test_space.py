@@ -1,5 +1,6 @@
 """Possibility spaces, assignments, and exact-rational gambles."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,82 @@ class TestRationals:
     def test_format_round_trip(self):
         for value in (Fraction(0), Fraction(-3), Fraction(22, 7)):
             assert as_rational(format_rational(value)) == value
+
+
+# Literals the gate accepts, built from their parts: a sign, a numerator
+# with leading zeros or non-ASCII digits, an optional denominator that does
+# not start with zero, and surrounding whitespace.
+SIGNS = ("", "+", "-")
+SPACES = ("", " ", "\t", "\n ", "\u3000")
+NON_ASCII_DIGITS = "\u0660\u0663\u06f5\u0967\uff17"
+
+
+def _literal(sign, numerator, denominator, before, after):
+    body = sign + numerator + ("" if denominator is None else "/" + denominator)
+    return before + body + after
+
+
+digit_strings = st.text(
+    alphabet=st.sampled_from("0123456789" + NON_ASCII_DIGITS), min_size=1, max_size=30
+)
+literals = st.builds(
+    _literal,
+    st.sampled_from(SIGNS),
+    digit_strings,
+    st.one_of(
+        st.none(),
+        st.builds(lambda head, tail: head + tail, st.sampled_from("123456789"), digit_strings | st.just("")),
+    ),
+    st.sampled_from(SPACES),
+    st.sampled_from(SPACES),
+)
+
+
+class TestRationalStrings:
+    """``as_rational`` parses a string once; ``Fraction`` is the reference."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0", "-0", "+7", "-007/40", "  12/18\n", "\t-3/9 ", "\u0663/4", "+\u0660\u0667"]
+        + ["9" * 200, "-" + "1" * 200 + "/" + "7" * 200],
+    )
+    def test_accepted_literals_match_fraction(self, text):
+        value = as_rational(text)
+        assert type(value) is Fraction and value == Fraction(text.strip())
+
+    def test_seeded_literals_match_fraction(self):
+        rng = random.Random("as-rational")
+        digits = "0123456789" + NON_ASCII_DIGITS
+        for _ in range(2000):
+            numerator = "".join(rng.choice(digits) for _ in range(rng.randint(1, 200)))
+            denominator = None
+            if rng.random() < 0.5:
+                denominator = rng.choice("123456789") + "".join(
+                    rng.choice(digits) for _ in range(rng.randint(0, 200))
+                )
+            text = _literal(
+                rng.choice(SIGNS), numerator, denominator, rng.choice(SPACES), rng.choice(SPACES)
+            )
+            assert as_rational(text) == Fraction(text.strip())
+
+    @given(literals)
+    def test_generated_literals_match_fraction(self, text):
+        assert as_rational(text) == Fraction(text.strip())
+
+    @given(st.text(alphabet=st.sampled_from("0123456789+-/ ._e" + NON_ASCII_DIGITS), max_size=12))
+    def test_any_string_is_the_fraction_or_rejected(self, text):
+        try:
+            value = as_rational(text)
+        except ExactnessError:
+            return
+        assert value == Fraction(text.strip())
+
+    @pytest.mark.parametrize(
+        "text", ["1/0", "1/-2", "0.5", "1e3", "1_000", "", "  ", "1/", "/2", "1/02", "--1", "1 /2"]
+    )
+    def test_rejected_literals_raise_exactness_error(self, text):
+        with pytest.raises(ExactnessError, match="not an exact rational literal"):
+            as_rational(text)
 
 
 class TestScope:
