@@ -10,8 +10,16 @@ applies the same step in input order, without pivot search, for the rest of
 the package's exact linear algebra: lexicographic rank and canonical form
 and credal vertex enumeration.  It prices with Dantzig's rule for speed and
 falls back to Bland's rule after a fixed number of pivots, which guarantees
-termination under exact arithmetic.  Every answer is re-checked by
-substitution before it is returned:
+termination under exact arithmetic.
+
+The simplex starts as close to the slack basis as the input allows.  A
+one-variable lower bound ``c * x_j >= r`` (``c > 0``, any ``r``) is folded
+into the variable by the substitution ``x_j = r/c + x'_j``, so it never
+becomes a tableau row, and a ``>=`` row that the shifted origin satisfies
+strictly starts basic on its own surplus.  Only the remaining rows get an
+artificial, and phase 1 minimises their sum alone.
+
+Every answer is re-checked by substitution before it is returned:
 
 * ``Feasible`` carries a point satisfying every row;
 * ``Optimal`` carries a point achieving the reported value;
@@ -327,7 +335,8 @@ def forward_eliminate(rows: Sequence[Sequence[Fraction]]) -> list[tuple[list[int
 
 
 class _Simplex:
-    """Two-phase tableau simplex on the weak rows of a system.
+    """Two-phase tableau simplex on the weak rows of a system, started from
+    the slack basis wherever the origin allows.
 
     Every tableau row, and the cost row, is a list of Python ints over one
     positive int denominator, kept in lowest terms.  A pivot scales each
@@ -339,11 +348,21 @@ class _Simplex:
     boundary: building the tableau, and reading points, rays and multipliers
     out of it.
 
-    Free variables are split into positive and negative parts unless a row of
-    the form ``c * x_j >= 0`` (single positive coefficient, zero rhs) lets the
-    variable be folded into a single nonnegative column.  Folded rows do not
-    enter the tableau; their certificate multipliers are reconstructed from
-    the reduced costs afterwards.
+    The first row of the form ``c * x_j >= r`` (one positive coefficient)
+    for a variable folds it: ``x_j = r/c + x'_j`` with ``x'_j >= 0`` becomes
+    one nonnegative column, and every tableau row gives up ``a_j * r/c``
+    from its right-hand side.  Other variables are split into positive and
+    negative parts.  Folded rows do not enter the tableau; ``point`` adds
+    the shifts back, and their certificate multipliers are reconstructed
+    from the reduced costs afterwards.
+
+    Each tableau row starts on one unit column.  A ``>=`` row whose shifted
+    right-hand side is negative holds at the origin: it is negated and its
+    surplus starts basic.  Every other row, equalities and ``>=`` rows with
+    a right-hand side of zero or more, gets an artificial, and phase 1
+    minimises the sum of the artificials only.  Farkas multipliers and
+    phase-2 duals are read from the reduced costs of the starting unit
+    columns.
 
     Multipliers are recovered on ints.  ``phase1`` and ``duals_phase2`` read
     int numerators over the cost row's one denominator, and the residual of
@@ -366,10 +385,17 @@ class _Simplex:
             else:
                 tableau_rows.append(i)
         self.bound_scale = bound_scale
+        # The nonzero lower bounds ``r / c`` of the folded variables.
+        self.shift: dict[int, Fraction] = {}
+        for j, i in self.bound_row_of.items():
+            if system.rows[i].rhs:
+                self.shift[j] = system.rows[i].rhs / bound_scale[j]
+        shifts = [(j, l.numerator, l.denominator) for j, l in self.shift.items()]
 
         # Column layout: per variable either one folded column or a +/- pair,
         # then one surplus column per inequality row, then one artificial per
-        # tableau row.  The last tableau entry of each row is the rhs.
+        # tableau row that does not start on its surplus.  The last tableau
+        # entry of each row is the rhs.
         self.cols: list[tuple[str, int]] = []
         self.var_cols: list[tuple[int, Optional[int]]] = []
         for j in range(n):
@@ -382,29 +408,49 @@ class _Simplex:
 
         self.row_orig: list[int] = []
         self.sigma: list[int] = []
+        # Each tableau row with its rhs shifted, as ints over one positive
+        # denominator in lowest terms; ``_original_multipliers`` reads the
+        # coefficients.
+        self.row_ints: list[tuple[list[int], int]] = []
         surplus_of: list[Optional[int]] = []
         for i in tableau_rows:
             row = system.rows[i]
+            ints, den = scaled_to_ints(row.coeffs + (row.rhs,))
+            if shifts:
+                # rhs - sum_j a_j * p_j / q_j, over the lcm ``q`` of the q_j used.
+                q = math.lcm(*[sq for j, _, sq in shifts if ints[j]])
+                give = sum([ints[j] * p * (q // sq) for j, p, sq in shifts if ints[j]])
+                if give:
+                    if q != 1:
+                        ints = [v * q for v in ints]
+                        den *= q
+                    ints[-1] -= give
+                    g = math.gcd(den, *ints)
+                    if g != 1:
+                        ints = [v // g for v in ints]
+                        den //= g
             self.row_orig.append(i)
-            self.sigma.append(1 if row.rhs >= 0 else -1)
+            self.row_ints.append((ints, den))
+            self.sigma.append(1 if ints[-1] >= 0 else -1)
             surplus_of.append(self._add_col("s", len(self.row_orig) - 1)
                               if row.rel == GE else None)
-        self.art_col: list[int] = []
-        for k in range(len(self.row_orig)):
-            self.art_col.append(self._add_col("a", k))
+        # The column each row starts basic on: its surplus where the origin
+        # satisfies a ``>=`` row strictly, else a new artificial.  A row with
+        # rhs zero keeps its artificial: a surplus start there is feasible
+        # too, but gives other Farkas vectors, and on product membership,
+        # whose nogoods are read from them, more LPs.
+        self.unit_col: list[int] = []
+        for k, surplus in enumerate(surplus_of):
+            if surplus is not None and self.sigma[k] < 0:
+                self.unit_col.append(surplus)
+            else:
+                self.unit_col.append(self._add_col("a", k))
 
         width = len(self.cols) + 1
         self.T: list[list[int]] = []
         self.den: list[int] = []
-        # Each tableau row as given, for ``_original_multipliers``.
-        self.row_ints: list[tuple[list[int], int]] = []
-        for k, i in enumerate(self.row_orig):
-            # The row over the lcm of its denominators, which leaves it in
-            # lowest terms (the artificial column holds the denominator).
-            row = system.rows[i]
+        for k, (ints, den) in enumerate(self.row_ints):
             sig = self.sigma[k]
-            ints, den = scaled_to_ints(row.coeffs + (row.rhs,))
-            self.row_ints.append((ints, den))
             line = [0] * width
             for (plus, minus), v in zip(self.var_cols, ints):
                 if not v:
@@ -414,11 +460,11 @@ class _Simplex:
                     line[minus] = -sig * v
             if surplus_of[k] is not None:
                 line[surplus_of[k]] = -sig * den
-            line[self.art_col[k]] = den
+            line[self.unit_col[k]] = den
             line[-1] = sig * ints[-1]
             self.T.append(line)
             self.den.append(den)
-        self.basis: list[int] = list(self.art_col)
+        self.basis: list[int] = list(self.unit_col)
         self.live: list[bool] = [True] * len(self.T)
         self._entering_allowed = [kind != "a" for kind, _ in self.cols]
         # The active cost row, over its own positive denominator.  Its last
@@ -429,12 +475,16 @@ class _Simplex:
 
     @staticmethod
     def _simple_bound(row: LinRow) -> Optional[int]:
-        if row.rel != GE or row.rhs != 0:
+        """The variable of a ``c * x_j >= r`` row with ``c > 0``, else None."""
+        if row.rel != GE:
             return None
-        nz = [j for j, c in enumerate(row.coeffs) if c]
-        if len(nz) == 1 and row.coeffs[nz[0]] > 0:
-            return nz[0]
-        return None
+        j = -1
+        for k, c in enumerate(row.coeffs):
+            if c:
+                if j >= 0:
+                    return None
+                j = k
+        return j if j >= 0 and row.coeffs[j] > 0 else None
 
     def _add_col(self, kind: str, payload: int) -> int:
         self.cols.append((kind, payload))
@@ -514,23 +564,31 @@ class _Simplex:
     def phase1(self) -> Optional[tuple[Fraction, ...]]:
         """Returns None when feasible, else the Farkas multipliers."""
         ncols = len(self.cols)
-        # Cost: minus the sum of the rows, zero on the artificial columns.
-        den = math.lcm(*self.den)
+        cols = self.cols
+        started = [k for k, c in enumerate(self.unit_col) if cols[c][0] == "a"]
+        if not started:
+            return None
+        # Cost: minus the sum of the rows that start on an artificial, zero
+        # on the artificial columns.
+        den = math.lcm(*[self.den[k] for k in started])
         cost = [0] * (ncols + 1)
-        for line, d in zip(self.T, self.den):
-            scale = den // d
-            for c, v in enumerate(line):
+        for k in started:
+            scale = den // self.den[k]
+            for c, v in enumerate(self.T[k]):
                 if v:
                     cost[c] -= v * scale
-        for c in self.art_col:
-            cost[c] = 0
+            # Each artificial is a unit column: no other row touches it.
+            cost[self.unit_col[k]] = 0
         g = math.gcd(den, *cost)
         self.cost = [v // g for v in cost]
         self.cost_den = den // g
         self._run(bland_after=200 + 10 * len(self.T))
         if self.cost[-1] < 0:
+            # A row's multiplier is its unit column's phase-1 cost (1 on an
+            # artificial, 0 on a surplus) less that column's reduced cost.
             den = self.cost_den
-            ys = [den - self.cost[c] for c in self.art_col]
+            ys = [(den if cols[c][0] == "a" else 0) - self.cost[c]
+                  for c in self.unit_col]
             return self._original_multipliers(ys, den)
         # Pivot out any artificial still basic (at level zero), dropping
         # redundant rows.
@@ -585,6 +643,8 @@ class _Simplex:
             if minus is not None:
                 v -= level.get(minus, _ZERO)
             out.append(v)
+        for j, l in self.shift.items():
+            out[j] += l
         return tuple(out)
 
     def ray(self, enter: int) -> tuple[Fraction, ...]:
@@ -603,9 +663,10 @@ class _Simplex:
         return tuple(out)
 
     def duals_phase2(self) -> tuple[list[int], int]:
-        """Optimal duals of the tableau rows, read off the final phase-2 costs,
-        as int numerators over one positive denominator."""
-        return [-self.cost[c] for c in self.art_col], self.cost_den
+        """Optimal duals of the tableau rows, read off the final phase-2 costs
+        of their starting unit columns (cost 0 in phase 2), as int numerators
+        over one positive denominator."""
+        return [-self.cost[c] for c in self.unit_col], self.cost_den
 
     def _original_multipliers(self, ys: Sequence[int], den: int) -> tuple[Fraction, ...]:
         """Map standardised-row multipliers ``ys / den`` back to original rows.

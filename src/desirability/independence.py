@@ -153,19 +153,26 @@ def _unit(size: int, at: int) -> tuple[Fraction, ...]:
     return tuple(_ONE if j == at else _ZERO for j in range(size))
 
 
+def _check_generator_marginals(parts: Sequence[DesirableSetExpr]) -> None:
+    """Raise ``IncoherentBaseError`` if a generator marginal fails the
+    consistency check.  Product membership calls it before any sign filter,
+    so an incoherent marginal is an error whatever the gamble."""
+    for part in parts:
+        if isinstance(part, GeneratorSet) and not avoids_nonpositivity(part).avoids:
+            raise IncoherentBaseError(
+                "product marginal admits a nonpositive combination"
+            )
+
+
 def _leaf_branches(part: DesirableSetExpr) -> tuple[int, list[tuple[_Row, ...]]]:
     """The marginal's auxiliary weight count, and the sign patterns (branches)
     whose union is exactly (part's set) together with 0.
 
     Only a generator marginal has auxiliary weights, and it has exactly one
     branch, so a product's auxiliary columns do not depend on the signature.
+    A generator marginal must have passed ``_check_generator_marginals``.
     """
     if isinstance(part, GeneratorSet):
-        certificate = avoids_nonpositivity(part)
-        if not certificate.avoids:
-            raise IncoherentBaseError(
-                "product marginal admits a nonpositive combination"
-            )
         size = part.scope.size
         gens = part.generators
         rows = tuple(
@@ -234,7 +241,9 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     """Membership in an independent natural extension.
 
     Collapsed (generator) products answer through the plain dispatcher.
-    Products over cell or lexicographic marginals choose one sign pattern
+    A generator marginal that fails the consistency check raises
+    ``IncoherentBaseError`` before any sign filter.  Products over cell,
+    lexicographic or generator marginals choose one sign pattern
     (branch) per (block, slice) pair; ``h`` belongs iff some combined
     choice, a signature, is strictly feasible.  ``budget`` caps the number
     of signatures, counted before any LP is solved.
@@ -254,6 +263,8 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     """
     if not isinstance(expr, IndepProduct):
         return member(expr, h)
+    parts = expr.parts
+    _check_generator_marginals(parts)
     joint = scope_of(expr)
     h = h.embed(joint)
     if h.is_zero():
@@ -266,7 +277,6 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     if mass is not None and h.dot(mass.values) < 0:
         return Tri.OUT
 
-    parts = expr.parts
     # One entry per (block, slice) pair: block, joint indices of the slice,
     # auxiliary weight count and branches of the block's marginal.
     pairs: list[tuple[int, tuple[int, ...], int, list[tuple[_Row, ...]]]] = []

@@ -161,15 +161,29 @@ def _generator_sup(
     single boundary shift where the gamble degenerates to zero never
     changes the supremum for a consistent assessment, so maximising mu
     over the dominance closure is exact.
+
+    The program is solved from the sure price ``m0``, the largest shift
+    that keeps ``value + m0*direction`` nonnegative wherever the direction
+    is negative: it prices ``value + m0*direction`` and adds ``m0`` back,
+    which is exact for any ``m0`` because the supremum moves with the
+    shift.  Every cone row then holds at the origin, apart from the rows
+    where the shifted gamble is zero (its argmin, and with a masked
+    direction the outcomes outside the observed event), so the simplex
+    starts on their surplus columns and phase 1 has at most those
+    degenerate rows to clear.
     """
     certificate = avoids_nonpositivity(cone)
     if not certificate.avoids:
         raise IncoherentBaseError(
             "the assessment does not avoid non-positivity; prices are undefined"
         )
+    m0 = min([v / -d for v, d in zip(value.values, direction.values) if d < 0],
+             default=_ZERO)
+    if m0:
+        value = value + m0 * direction
     outcome = solve(cone_program(cone, value, direction))
     if isinstance(outcome, Optimal):
-        return outcome.value
+        return m0 + outcome.value
     if isinstance(outcome, Unbounded):
         raise IncoherentBaseError(_UNBOUNDED)
     return None
@@ -612,16 +626,21 @@ def strong_member(
     verdict delegates to the exact product-membership procedure.
     Otherwise the zero gamble is out and positive gambles are in, before
     any marginal's credal set is enumerated (so ``budget`` never stops
-    them).  The strong lower prevision decides everything else except
+    them).  Before either, a generator marginal that fails the
+    consistency check raises ``IncoherentBaseError``, whatever the gamble.
+    The strong lower prevision decides everything else except
     its own zero level: strictly positive strong price is in, strictly
     negative strong price means out, and the boundary stays ``UNKNOWN``
     because membership there depends on which dominating linear
     previsions the marginal models admit.
     """
-    parts = expr.parts
-    if all(isinstance(p, LexSystem) for p in parts):
-        from .independence import independent_product, inex_member
+    from .independence import (
+        _check_generator_marginals, independent_product, inex_member,
+    )
 
+    parts = expr.parts
+    _check_generator_marginals(parts)
+    if all(isinstance(p, LexSystem) for p in parts):
         return inex_member(independent_product(parts), f, budget=budget)
     fitted = f.embed(scope_of(expr))
     if fitted.is_zero():

@@ -20,6 +20,9 @@ fast paths, so a test can compare the two:
   ``independence.inex_member`` replaced;
 * ``original_multipliers`` — ``_Simplex._original_multipliers`` on
   ``Fraction``s, the reference for its int recovery;
+* ``ArtificialStartSimplex`` / ``solve_artificial_start`` — the simplex
+  that folds only zero lower bounds and starts every tableau row on an
+  artificial, against which the slack-basis start is checked;
 * ``loads_eagerly`` — the model loader that resolves and canonicalises
   every set while it loads, against which the loader that validates on
   load and builds on first read is checked.
@@ -60,16 +63,24 @@ from desirability.exactlp import (
     GE,
     GT,
     Feasible,
+    Infeasible,
     LinRow,
     LinSystem,
+    LPOutcome,
     Optimal,
+    Unbounded,
+    _MAX_ITERATIONS,
+    _eliminate,
     _Simplex,
+    _UnboundedSignal,
+    scaled_to_ints,
     solve,
     strict_feasible,
 )
 from desirability.errors import ModelFormatError
 from desirability.independence import (
     _Row,
+    _check_generator_marginals,
     _leaf_branches,
     _product_mass,
     _unit,
@@ -356,6 +367,7 @@ def inex_member_enumerated(
     """
     if not isinstance(expr, IndepProduct):
         return member(expr, h)
+    _check_generator_marginals(expr.parts)
     joint = scope_of(expr)
     h = h.embed(joint)
     if h.is_zero():
@@ -444,6 +456,344 @@ def original_multipliers(
                 acc += lam[i] * row.coeffs[j]
         lam[bound_row] = -acc / simplex.bound_scale[j]
     return tuple(lam)
+
+
+# ---------------------------------------------------------------------------
+# the simplex that starts every row on an artificial
+# ---------------------------------------------------------------------------
+
+
+class ArtificialStartSimplex:
+    """Two-phase tableau simplex on the weak rows of a system.
+
+    Every tableau row, and the cost row, is a list of Python ints over one
+    positive int denominator, kept in lowest terms.  A pivot scales each
+    other row by the pivot entry and subtracts the pivot row on its nonzero
+    columns only (see ``_eliminate``), so no rational is built or normalised
+    inside the iteration.  Pricing and the ratio test compare ints directly:
+    a row's shared positive denominator never changes a sign or, in the
+    ratio ``rhs / entry``, survives at all.  ``Fraction``s appear only at the
+    boundary: building the tableau, and reading points, rays and multipliers
+    out of it.
+
+    Free variables are split into positive and negative parts unless a row of
+    the form ``c * x_j >= 0`` (single positive coefficient, zero rhs) lets the
+    variable be folded into a single nonnegative column.  Folded rows do not
+    enter the tableau; their certificate multipliers are reconstructed from
+    the reduced costs afterwards.
+
+    Multipliers are recovered on ints.  ``phase1`` and ``duals_phase2`` read
+    int numerators over the cost row's one denominator, and the residual of
+    each folded bound row is summed on the row ints that construction
+    already computed with ``scaled_to_ints``.  One ``Fraction`` is built per
+    nonzero multiplier.
+    """
+
+    def __init__(self, system: LinSystem):
+        self.system = system
+        n = system.n_vars
+        self.bound_row_of: dict[int, int] = {}
+        bound_scale: dict[int, Fraction] = {}
+        tableau_rows: list[int] = []
+        for i, row in enumerate(system.rows):
+            j = self._simple_bound(row)
+            if j is not None and j not in self.bound_row_of:
+                self.bound_row_of[j] = i
+                bound_scale[j] = row.coeffs[j]
+            else:
+                tableau_rows.append(i)
+        self.bound_scale = bound_scale
+
+        # Column layout: per variable either one folded column or a +/- pair,
+        # then one surplus column per inequality row, then one artificial per
+        # tableau row.  The last tableau entry of each row is the rhs.
+        self.cols: list[tuple[str, int]] = []
+        self.var_cols: list[tuple[int, Optional[int]]] = []
+        for j in range(n):
+            if j in self.bound_row_of:
+                self.var_cols.append((self._add_col("xn", j), None))
+            else:
+                plus = self._add_col("x+", j)
+                minus = self._add_col("x-", j)
+                self.var_cols.append((plus, minus))
+
+        self.row_orig: list[int] = []
+        self.sigma: list[int] = []
+        surplus_of: list[Optional[int]] = []
+        for i in tableau_rows:
+            row = system.rows[i]
+            self.row_orig.append(i)
+            self.sigma.append(1 if row.rhs >= 0 else -1)
+            surplus_of.append(self._add_col("s", len(self.row_orig) - 1)
+                              if row.rel == GE else None)
+        self.art_col: list[int] = []
+        for k in range(len(self.row_orig)):
+            self.art_col.append(self._add_col("a", k))
+
+        width = len(self.cols) + 1
+        self.T: list[list[int]] = []
+        self.den: list[int] = []
+        # Each tableau row as given, for ``_original_multipliers``.
+        self.row_ints: list[tuple[list[int], int]] = []
+        for k, i in enumerate(self.row_orig):
+            # The row over the lcm of its denominators, which leaves it in
+            # lowest terms (the artificial column holds the denominator).
+            row = system.rows[i]
+            sig = self.sigma[k]
+            ints, den = scaled_to_ints(row.coeffs + (row.rhs,))
+            self.row_ints.append((ints, den))
+            line = [0] * width
+            for (plus, minus), v in zip(self.var_cols, ints):
+                if not v:
+                    continue
+                line[plus] = sig * v
+                if minus is not None:
+                    line[minus] = -sig * v
+            if surplus_of[k] is not None:
+                line[surplus_of[k]] = -sig * den
+            line[self.art_col[k]] = den
+            line[-1] = sig * ints[-1]
+            self.T.append(line)
+            self.den.append(den)
+        self.basis: list[int] = list(self.art_col)
+        self.live: list[bool] = [True] * len(self.T)
+        self._entering_allowed = [kind != "a" for kind, _ in self.cols]
+        # The active cost row, over its own positive denominator.  Its last
+        # slot holds the negated objective value and updates like any other.
+        self.cost: list[int] = []
+        self.cost_den = 1
+        self.pivots = 0
+
+    @staticmethod
+    def _simple_bound(row: LinRow) -> Optional[int]:
+        if row.rel != GE or row.rhs != 0:
+            return None
+        nz = [j for j, c in enumerate(row.coeffs) if c]
+        if len(nz) == 1 and row.coeffs[nz[0]] > 0:
+            return nz[0]
+        return None
+
+    def _add_col(self, kind: str, payload: int) -> int:
+        self.cols.append((kind, payload))
+        return len(self.cols) - 1
+
+    # -- pivoting ---------------------------------------------------------
+
+    def _pivot(self, prow: int, pcol: int) -> None:
+        T = self.T
+        line = T[prow]
+        if line[pcol] < 0:
+            line = [-v for v in line]
+        g = math.gcd(*line)
+        if g != 1:
+            line = [v // g for v in line]
+        # The pivot row now reads line / line[pcol], which is 1 at pcol.
+        T[prow] = line
+        self.den[prow] = line[pcol]
+        nz = [j for j, v in enumerate(line) if v]
+        for r, other in enumerate(T):
+            if r == prow or not self.live[r]:
+                continue
+            if other[pcol]:
+                T[r], self.den[r] = _eliminate(other, self.den[r], line, nz, pcol)
+        if self.cost[pcol]:
+            self.cost, self.cost_den = _eliminate(self.cost, self.cost_den, line, nz, pcol)
+        self.basis[prow] = pcol
+        self.pivots += 1
+
+    def _run(self, bland_after: int) -> None:
+        """Minimise the cost row until no reduced cost is negative."""
+        ncols = len(self.cols)
+        allowed = self._entering_allowed
+        iteration = 0
+        while True:
+            iteration += 1
+            if iteration > _MAX_ITERATIONS:
+                raise EngineError("simplex failed to terminate (engine bug)")
+            cost = self.cost
+            enter = -1
+            if iteration > bland_after:
+                for c in range(ncols):
+                    if allowed[c] and cost[c] < 0:
+                        enter = c
+                        break
+            else:
+                best = 0
+                for c in range(ncols):
+                    if allowed[c] and cost[c] < best:
+                        best = cost[c]
+                        enter = c
+            if enter < 0:
+                return
+            # Minimum ratio rhs / a over rows with a > 0; the row denominator
+            # cancels, and rhs / a < rhs' / a' is compared as rhs * a' < rhs' * a.
+            prow = -1
+            best_rhs = best_a = 0
+            for r, line in enumerate(self.T):
+                if not self.live[r]:
+                    continue
+                a = line[enter]
+                if a > 0:
+                    rhs = line[-1]
+                    if prow >= 0:
+                        lhs, rhs_best = rhs * best_a, best_rhs * a
+                        if not (lhs < rhs_best or (lhs == rhs_best
+                                                   and self.basis[r] < self.basis[prow])):
+                            continue
+                    best_rhs, best_a = rhs, a
+                    prow = r
+            if prow < 0:
+                raise _UnboundedSignal(enter)
+            self._pivot(prow, enter)
+
+    # -- phases -----------------------------------------------------------
+
+    def phase1(self) -> Optional[tuple[Fraction, ...]]:
+        """Returns None when feasible, else the Farkas multipliers."""
+        ncols = len(self.cols)
+        # Cost: minus the sum of the rows, zero on the artificial columns.
+        den = math.lcm(*self.den)
+        cost = [0] * (ncols + 1)
+        for line, d in zip(self.T, self.den):
+            scale = den // d
+            for c, v in enumerate(line):
+                if v:
+                    cost[c] -= v * scale
+        for c in self.art_col:
+            cost[c] = 0
+        g = math.gcd(den, *cost)
+        self.cost = [v // g for v in cost]
+        self.cost_den = den // g
+        self._run(bland_after=200 + 10 * len(self.T))
+        if self.cost[-1] < 0:
+            den = self.cost_den
+            ys = [den - self.cost[c] for c in self.art_col]
+            return self._original_multipliers(ys, den)
+        # Pivot out any artificial still basic (at level zero), dropping
+        # redundant rows.
+        for r in range(len(self.T)):
+            if not self.live[r] or self.cols[self.basis[r]][0] != "a":
+                continue
+            done = False
+            for c in range(ncols):
+                if self._entering_allowed[c] and self.T[r][c] != 0:
+                    self._pivot(r, c)
+                    done = True
+                    break
+            if not done:
+                self.live[r] = False
+        return None
+
+    def phase2(self, cost_min: Sequence[Fraction]) -> Optional[int]:
+        """Minimise ``cost_min . x``; returns the entering column on unboundedness."""
+        ncols = len(self.cols)
+        q = [_ZERO] * (ncols + 1)
+        for j, cj in enumerate(cost_min):
+            if not cj:
+                continue
+            plus, minus = self.var_cols[j]
+            q[plus] += cj
+            if minus is not None:
+                q[minus] -= cj
+        cost, den = scaled_to_ints(q)
+        # Price out the basis: each basic column reads den_r in its own row.
+        for r, line in enumerate(self.T):
+            if not self.live[r]:
+                continue
+            b = self.basis[r]
+            if cost[b]:
+                nz = [j for j, v in enumerate(line) if v]
+                cost, den = _eliminate(cost, den, line, nz, b)
+        self.cost, self.cost_den = cost, den
+        try:
+            self._run(bland_after=200 + 10 * len(self.T))
+        except _UnboundedSignal as sig:
+            return sig.column
+        return None
+
+    # -- extraction ---------------------------------------------------------
+
+    def point(self) -> tuple[Fraction, ...]:
+        level = {self.basis[r]: Fraction(self.T[r][-1], self.den[r])
+                 for r in range(len(self.T)) if self.live[r]}
+        out = []
+        for plus, minus in self.var_cols:
+            v = level.get(plus, _ZERO)
+            if minus is not None:
+                v -= level.get(minus, _ZERO)
+            out.append(v)
+        return tuple(out)
+
+    def ray(self, enter: int) -> tuple[Fraction, ...]:
+        d = {enter: _ONE}
+        for r in range(len(self.T)):
+            if self.live[r]:
+                a = self.T[r][enter]
+                if a:
+                    d[self.basis[r]] = Fraction(-a, self.den[r])
+        out = []
+        for plus, minus in self.var_cols:
+            v = d.get(plus, _ZERO)
+            if minus is not None:
+                v -= d.get(minus, _ZERO)
+            out.append(v)
+        return tuple(out)
+
+    def duals_phase2(self) -> tuple[list[int], int]:
+        """Optimal duals of the tableau rows, read off the final phase-2 costs,
+        as int numerators over one positive denominator."""
+        return [-self.cost[c] for c in self.art_col], self.cost_den
+
+    def _original_multipliers(self, ys: Sequence[int], den: int) -> tuple[Fraction, ...]:
+        """Map standardised-row multipliers ``ys / den`` back to original rows.
+
+        Folded bound rows get the residual needed to cancel the coefficient of
+        their nonnegative variable exactly.  The residual is summed on ints:
+        each tableau row as given is ``ints / row_den`` (``row_ints``), so
+        every used row is weighted onto the lcm of those denominators, and
+        one ``Fraction`` is built per nonzero output entry.
+        """
+        lam = [_ZERO] * len(self.system.rows)
+        used = []
+        for k, y in enumerate(ys):
+            if y and self.live[k]:
+                y *= self.sigma[k]
+                lam[self.row_orig[k]] = Fraction(y, den)
+                used.append((y, self.row_ints[k]))
+        common = math.lcm(*[row_den for _, (_, row_den) in used])
+        weighted = [(y * (common // row_den), ints) for y, (ints, row_den) in used]
+        for j, bound_row in self.bound_row_of.items():
+            acc = 0
+            for y, ints in weighted:
+                if ints[j]:
+                    acc += y * ints[j]
+            if acc:
+                scale = self.bound_scale[j]
+                lam[bound_row] = Fraction(-acc * scale.denominator,
+                                          den * common * scale.numerator)
+        return tuple(lam)
+
+
+def solve_artificial_start(system: LinSystem) -> LPOutcome:
+    """``exactlp.solve`` on ``ArtificialStartSimplex``, without the gates.
+
+    The engine's simplex before it started from the slack basis: it folds
+    only ``c * x_j >= 0`` bound rows and gives every tableau row an
+    artificial.  The caller checks certificates against ``system``.
+    """
+    simplex = ArtificialStartSimplex(system)
+    farkas = simplex.phase1()
+    if farkas is not None:
+        return Infeasible(farkas)
+    if system.objective is None:
+        return Feasible(simplex.point())
+    sign = -1 if system.sense == "max" else 1
+    enter = simplex.phase2(tuple([sign * c for c in system.objective]))
+    if enter is not None:
+        return Unbounded(simplex.ray(enter))
+    witness = simplex.point()
+    return Optimal(sum([c * x for c, x in zip(system.objective, witness)], _ZERO),
+                   witness)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,48 @@ class TestErrors:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run(capsys, "--model", str(path), "check", "good") == (3, "", message)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("member", "bad", "[1,1]"),
+            ("member", "product", "[1,1,1,1]"),
+            ("member", "product", "[-1,-1,-1,-1]"),
+            ("strong-member", "bad,w", "[1,1,1,1]"),
+            ("strong-member", "bad,w", "[0,0,0,0]"),
+        ],
+    )
+    def test_incoherent_generator_marginal_is_an_error_on_every_path(
+        self, capsys, tmp_path, argv
+    ):
+        # [1,-1] and [-1,1] sum to zero, so ``bad`` fails the consistency
+        # check; a product over it is an error before any sign filter, as
+        # ``bad`` itself is.
+        doc = {
+            "variables": [
+                {"id": "X1", "outcomes": ["a", "b"]},
+                {"id": "X2", "outcomes": ["a", "b"]},
+            ],
+            "sets": {
+                "bad": {"kind": "generators", "scope": ["X1"], "rows": [["1", "-1"], ["-1", "1"]]},
+                "w": {"kind": "lex", "scope": ["X2"], "levels": [["1/2", "1/2"], ["1", "0"]]},
+                "product": {"kind": "expr", "op": "inex", "of": ["bad", "w"]},
+            },
+        }
+        path = tmp_path / "incoherent-marginal.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "--model", str(path), *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "nonpositive combination" in err
+        assert err.count("\n") == 1
+
+    def test_budget_does_not_stop_positive_product_queries(self, capsys):
+        # The consistency check of a generator marginal is one cached LP, not
+        # part of the enumeration that ``--budget`` caps.
+        for name in ("product", "strong-pair"):
+            assert run(
+                capsys, "--model", DEMO, "--budget", "0", "member", name, "[1,1,1,1]"
+            ) == (0, "In\n", "")
+
     def test_non_string_relation_exits_three_with_one_line(self, capsys, tmp_path):
         doc = {
             "variables": [{"id": "X1", "outcomes": ["a", "b"]}],

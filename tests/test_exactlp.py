@@ -32,7 +32,13 @@ from desirability.exactlp import (
     verify_point,
     verify_ray,
 )
-from references import fm_feasible, fm_project, original_multipliers
+from desirability import Gamble, GeneratorSet, Scope, Variable, desirable, lower_prevision
+from references import (
+    fm_feasible,
+    fm_project,
+    original_multipliers,
+    solve_artificial_start,
+)
 
 F = Fraction
 
@@ -301,19 +307,22 @@ class TestIntegerRows:
 
 
     def test_ratio_tie_goes_to_the_lower_basis_index(self):
-        # Phase 1 enters x first, and both rows allow it at ratio 1.  The
-        # tie goes to the row whose basic artificial has the lower column,
-        # row 0; then the surplus of row 0 replaces the artificial left at
-        # level zero in row 1.  Breaking the tie the other way ends with
-        # x and y basic instead.
+        # The bounds x >= 0 and y >= 0 come first, so they fold and 2x >= 2
+        # stays in the tableau on an artificial, as x + y >= 1 does.  Phase 1
+        # enters x first, and both rows allow it at ratio 1.  The tie goes to
+        # the row whose basic artificial has the lower column, row 0; then
+        # the surplus of row 0 replaces the artificial left at level zero in
+        # row 1.  Breaking the tie the other way ends with x and y basic
+        # instead.
         system = sys_of(
             ["x", "y"],
-            [((1, 1), GE, 1), ((2, 0), GE, 2), ((1, 0), GE, 0), ((0, 1), GE, 0)],
+            [((1, 0), GE, 0), ((0, 1), GE, 0), ((1, 1), GE, 1), ((2, 0), GE, 2)],
             objective=(1, 1),
             sense="min",
         )
         out, simplex = _solve_engine(system)
         assert out == Optimal(F(1), (F(1), F(0)))
+        assert [simplex.cols[c] for c in simplex.unit_col] == [("a", 0), ("a", 1)]
         assert [simplex.cols[b] for b in simplex.basis] == [("xn", 0), ("s", 0)]
         assert simplex.pivots == 2
 
@@ -321,9 +330,10 @@ class TestIntegerRows:
 def multiplier_system(integer):
     """A system for the multiplier differential, drawn through
     ``integer(lo, hi)``: weak rows with negative right-hand sides and EQ
-    rows among them, bound rows ``c * x_j >= 0`` with ``c`` in 1..3 that
-    the simplex folds, and one strict row that denies a weak row's slack,
-    so the strict system is infeasible in one of two ways."""
+    rows among them, zero to two bound rows ``c * x_j >= r`` per variable
+    with ``c`` in 1..3 and ``r`` in -3..3, the first of which the simplex
+    folds, and one strict row that denies a weak row's slack, so the
+    strict system is infeasible in one of two ways."""
     n = integer(1, 3)
 
     def rational(lo, hi):
@@ -334,9 +344,9 @@ def multiplier_system(integer):
         coeffs = tuple(rational(-3, 3) for _ in range(n))
         weak.append(LinRow(coeffs, EQ if integer(0, 3) == 0 else GE, rational(-3, 2)))
     for j in range(n):
-        if integer(0, 2):
+        for _ in range(integer(0, 2)):
             coeffs = tuple(F(integer(1, 3)) if k == j else F(0) for k in range(n))
-            weak.insert(integer(0, len(weak)), LinRow(coeffs, GE, F(0)))
+            weak.insert(integer(0, len(weak)), LinRow(coeffs, GE, F(integer(-3, 3))))
     denied = weak[integer(0, len(weak) - 1)]
     strict = LinRow(tuple(-c for c in denied.coeffs), GT, -denied.rhs)
     return LinSystem(n, tuple(weak)), LinSystem(n, tuple(weak) + (strict,))
@@ -348,11 +358,14 @@ def _phase1_multipliers(system):
     the simplex folded."""
     simplex = _Simplex(system)
     farkas = simplex.phase1()
-    den = simplex.cost_den
-    y = [F(den - simplex.cost[c], den) for c in simplex.art_col]
     folded = set(simplex.bound_row_of.values())
     if farkas is None:
         return None, None, folded
+    # Each row's multiplier is its starting unit column's phase-1 cost, 1
+    # on an artificial and 0 on a surplus, less that column's reduced cost.
+    den = simplex.cost_den
+    y = [F((den if simplex.cols[c][0] == "a" else 0) - simplex.cost[c], den)
+         for c in simplex.unit_col]
     return farkas, original_multipliers(simplex, y), folded
 
 
@@ -411,6 +424,134 @@ class TestMultiplierRecovery:
         with pytest.MonkeyPatch.context() as monkeypatch:
             got, want = _zero_optimum_multipliers(strict, monkeypatch)
         assert got == want
+
+
+def shifted_lp(integer):
+    """The weak rows of ``multiplier_system``, under an objective drawn
+    through ``integer(lo, hi)`` in three draws out of four."""
+    weak, _ = multiplier_system(integer)
+    if integer(0, 3) == 0:
+        return weak
+    objective = tuple(F(integer(-2, 2)) for _ in range(weak.n_vars))
+    return LinSystem(weak.n_vars, weak.rows, objective, ("max", "min")[integer(0, 1)])
+
+
+def _agrees_with_artificial_start(system):
+    """Solve ``system`` from the slack basis and from all artificials; the
+    outcome kinds and optima must agree and every certificate pass its
+    gate.  Returns the outcome kind."""
+    out = solve(system)
+    ref = solve_artificial_start(system)
+    assert type(out) is type(ref)
+    if isinstance(out, Optimal):
+        assert out.value == ref.value
+        assert verify_point(system, out.witness)
+        assert out.value == sum(c * x for c, x in zip(system.objective, out.witness))
+    elif isinstance(out, Feasible):
+        assert verify_point(system, out.witness)
+    elif isinstance(out, Infeasible):
+        assert verify_farkas(system, out.farkas)
+    else:
+        assert verify_ray(system, out.ray)
+    return type(out)
+
+
+class TestSlackStart:
+    """``_Simplex`` folds every lower bound and starts rows that the origin
+    satisfies on their surplus; ``references.ArtificialStartSimplex``, the
+    all-artificial start, is the differential."""
+
+    def test_seeded_systems_agree_with_artificial_start(self):
+        rng = random.Random("slack-start")
+        seen = collections.Counter()
+        for _ in range(300):
+            system = shifted_lp(rng.randint)
+            seen[_agrees_with_artificial_start(system)] += 1
+            simplex = _Simplex(system)
+            bounds = collections.Counter(
+                _Simplex._simple_bound(row) for row in system.rows
+            )
+            seen["shifted"] += bool(simplex.shift)
+            seen["surplus start"] += any(
+                simplex.cols[c][0] == "s" for c in simplex.unit_col
+            )
+            seen["two bounds"] += any(k is not None and v > 1 for k, v in bounds.items())
+        assert {Optimal, Feasible, Infeasible, Unbounded} <= set(seen), seen
+        assert seen["shifted"] >= 200, seen
+        assert seen["surplus start"] >= 150, seen
+        assert seen["two bounds"] >= 100, seen
+
+    @given(st.data())
+    def test_artificial_start_hypothesis(self, data):
+        system = shifted_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        _agrees_with_artificial_start(system)
+
+    def test_shift_moves_the_rhs_and_the_point(self):
+        # x >= 2 and 3y >= -3 fold to x = 2 + x', y = -1 + y'; the row
+        # x + y >= 0 becomes x' + y' >= -1 and starts on its surplus, so
+        # phase 1 has nothing to do.
+        system = sys_of(
+            ["x", "y"],
+            [((1, 0), GE, 2), ((0, 3), GE, -3), ((1, 1), GE, 0)],
+            objective=(1, 1),
+            sense="min",
+        )
+        out, simplex = _solve_engine(system)
+        assert simplex.shift == {0: F(2), 1: F(-1)}
+        assert simplex.row_ints == [([1, 1, -1], 1)]
+        assert [simplex.cols[c] for c in simplex.unit_col] == [("s", 0)]
+        assert out == Optimal(F(1), (F(2), F(-1)))
+        assert simplex.pivots == 0
+
+    def test_consistency_lp_of_three_generators_has_three_rows(self, monkeypatch):
+        # The unit rows p_w >= 1 of the homogenised strict program fold, so
+        # only the three generator rows reach the tableau.  A pin: lower it
+        # if the tableau shrinks, never raise it.
+        scope = Scope.of([Variable("X", ("a", "b", "c"))])
+        cone = GeneratorSet.of(scope, [
+            Gamble.on(scope, [1, -1, 0]),
+            Gamble.on(scope, [0, 1, -1]),
+            Gamble.on(scope, [2, 1, -2]),
+        ])
+        seen = []
+        engine = exactlp._solve_engine
+
+        def captured(system):
+            outcome, simplex = engine(system)
+            seen.append(simplex)
+            return outcome, simplex
+
+        monkeypatch.setattr(exactlp, "_solve_engine", captured)
+        desirable.avoids_nonpositivity.cache_clear()
+        assert desirable.avoids_nonpositivity(cone).avoids
+        (simplex,) = seen
+        assert len(simplex.T) == 3
+
+    def test_generator_price_takes_at_most_one_phase1_pivot(self, monkeypatch):
+        # Priced from the sure price min(f), the cone rows all hold at the
+        # origin except the degenerate argmin row.  A pin: lower it if phase
+        # 1 gets cheaper, never raise it.
+        scope = Scope.of([Variable("X", ("a", "b", "c", "d"))])
+        cone = GeneratorSet.of(scope, [
+            Gamble.on(scope, [1, -1, 0, 0]),
+            Gamble.on(scope, [0, 2, -1, 1]),
+            Gamble.on(scope, [-1, 0, 3, 1]),
+        ])
+        desirable.avoids_nonpositivity(cone)
+        phase1 = _Simplex.phase1
+        pivots = []
+
+        def counted(simplex):
+            farkas = phase1(simplex)
+            pivots.append(simplex.pivots)
+            return farkas
+
+        monkeypatch.setattr(_Simplex, "phase1", counted)
+        for values in ([3, -2, 1, 0], [0, 5, -1, 2], [-4, -1, -3, 2]):
+            f = Gamble.on(scope, values)
+            pivots.clear()
+            lower_prevision(cone, f)
+            assert len(pivots) == 1 and pivots[0] <= 1, (values, pivots)
 
 
 class TestEngineErrors:

@@ -351,3 +351,24 @@ class TestGateWork:
             "Optimal": 455,
             "Infeasible": 168,
         }
+
+    def test_run_all_pivot_count(self, monkeypatch):
+        # The simplex work of the worked examples: pivots over all 623 LPs,
+        # both phases.  A pin that may only fall; it was 6145 when every
+        # tableau row started on an artificial.
+        desirable.avoids_nonpositivity.cache_clear()
+        maximal.lex_is_maximal.cache_clear()
+        space._restriction_map.cache_clear()
+        space._slice_map.cache_clear()
+        counts = collections.Counter()
+        engine = exactlp._solve_engine
+
+        def solved(system):
+            outcome, simplex = engine(system)
+            counts["lps"] += 1
+            counts["pivots"] += simplex.pivots
+            return outcome, simplex
+
+        monkeypatch.setattr(exactlp, "_solve_engine", solved)
+        assert all(result.passed for result in fixtures.run_all())
+        assert counts == {"lps": 623, "pivots": 4883}
