@@ -203,7 +203,8 @@ def cone_program(
     row per outcome.  Without a direction the system has no objective and
     is feasible exactly when ``value`` dominates a nonnegative combination
     of the generators.  With one, the shift ``mu`` leads the variables and
-    is maximised.
+    is maximised.  ``independence.inex_member`` appends the columns of a
+    product's cell and lexicographic summands to these rows.
     """
     gens = cone.generators
     n = len(gens)

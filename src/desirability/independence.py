@@ -14,16 +14,18 @@ The independent natural extension of marginal models on disjoint scopes is
 the smallest coherent joint making all blocks mutually irrelevant.  Its
 membership reduction: a nonzero ``h`` belongs iff it dominates a sum, one
 summand per block, where every summand's slices along the other blocks lie
-in that block's model (or vanish).  Generator marginals therefore collapse
-to one joint generator set.  Cell and lexicographic marginals are decided
-by a signature search: each (block, slice) constraint is a finite
-disjunction of linear sign patterns, and ``h`` belongs iff some combined
-choice is strictly feasible.  The choices are walked depth first, within a
-configurable budget on their number, and the checked Farkas certificate of
-an infeasible choice prunes, after a re-check, every later choice that
-contains its rows.  The product's layout (its joint scope, block and slice
-indices) comes from ``space``, and each (block, slice, branch) row is built
-once per query, not once per choice.
+in that block's model (or vanish).  A generator marginal's summands
+therefore range over one cone, its generators masked by every assignment
+of the other blocks: all-generator products collapse to it, and a mixed
+product takes its ``cone_program`` rows.  Cell and lexicographic
+marginals are decided by a signature search: each (block, slice)
+constraint is a finite disjunction of linear sign patterns, and ``h``
+belongs iff some combined choice is strictly feasible.  The choices are
+walked depth first, within a configurable budget on their number, and the
+checked Farkas certificate of an infeasible choice prunes, after a
+re-check, every later choice that contains its rows.  The product's layout
+(its joint scope, block and slice indices) comes from ``space``, and each
+(block, slice, branch) row is built once per query, not once per choice.
 
 Irrelevance and independence of an arbitrary expression are refutation
 checks — sampled or exhaustive-grid scans of the membership biconditional
@@ -51,6 +53,7 @@ from .desirable import (
     IndepProduct,
     Tri,
     avoids_nonpositivity,
+    cone_program,
     member,
     scope_of,
 )
@@ -144,9 +147,8 @@ def conditional_inex(families: Sequence[ConditionalFamily]) -> ConditionalFamily
 
 # -- signature enumeration for products of cell/lex marginals ---------------
 
-# A branch row ``slice_coeffs . s + aux_coeffs . lam  rel  0`` on the slice
-# ``s`` of one summand and the marginal's nonnegative auxiliary weights.
-_Row = tuple[tuple[Fraction, ...], tuple[Fraction, ...], str]
+# A branch row ``coeffs . s  rel  0`` on the slice ``s`` of one summand.
+_Row = tuple[tuple[Fraction, ...], str]
 
 
 def _unit(size: int, at: int) -> tuple[Fraction, ...]:
@@ -164,22 +166,13 @@ def _check_generator_marginals(parts: Sequence[DesirableSetExpr]) -> None:
             )
 
 
-def _leaf_branches(part: DesirableSetExpr) -> tuple[int, list[tuple[_Row, ...]]]:
-    """The marginal's auxiliary weight count, and the sign patterns (branches)
-    whose union is exactly (part's set) together with 0.
+def _leaf_branches(part: DesirableSetExpr) -> list[tuple[_Row, ...]]:
+    """The sign patterns (branches) whose union is exactly (part's set)
+    together with 0, for a cell or lexicographic marginal.
 
-    Only a generator marginal has auxiliary weights, and it has exactly one
-    branch, so a product's auxiliary columns do not depend on the signature.
-    A generator marginal must have passed ``_check_generator_marginals``.
+    Generator marginals have no branches: ``inex_member`` puts their
+    masked generators into the product's cone rows instead.
     """
-    if isinstance(part, GeneratorSet):
-        size = part.scope.size
-        gens = part.generators
-        rows = tuple(
-            (_unit(size, w), tuple(-g.values[w] for g in gens), GE)
-            for w in range(size)
-        )
-        return len(gens), [rows]
     if isinstance(part, LexSystem):
         if not lex_is_coherent(part):
             raise IncoherentBaseError("product marginal is an incoherent lex system")
@@ -187,26 +180,26 @@ def _leaf_branches(part: DesirableSetExpr) -> tuple[int, list[tuple[_Row, ...]]]
         levels = part.levels
         maximal = lex_is_maximal(part)
         for lead in range(len(levels)):
-            rows = [(levels[i], (), EQ) for i in range(lead)]
+            rows = [(levels[i], EQ) for i in range(lead)]
             merged = maximal and lead == len(levels) - 1
-            rows.append((levels[lead], (), GE if merged else GT))
+            rows.append((levels[lead], GE if merged else GT))
             branches.append(tuple(rows))
         if not maximal:
             size = part.scope.size
-            branches.append(tuple((_unit(size, w), (), EQ) for w in range(size)))
-        return 0, branches
+            branches.append(tuple((_unit(size, w), EQ) for w in range(size)))
+        return branches
     if isinstance(part, CellSet):
         size = part.scope.size
         branches = []
         if part.include_positive:
-            branches.append(tuple((_unit(size, w), (), GE) for w in range(size)))
+            branches.append(tuple((_unit(size, w), GE) for w in range(size)))
         for cell in part.cells:
             branches.append(
-                tuple((row.functional.values, (), row.rel) for row in cell.rows)
+                tuple((row.functional.values, row.rel) for row in cell.rows)
             )
         if not part.include_positive:
-            branches.append(tuple((_unit(size, w), (), EQ) for w in range(size)))
-        return 0, branches
+            branches.append(tuple((_unit(size, w), EQ) for w in range(size)))
+        return branches
     raise UnsupportedQueryError(
         "product membership needs leaf marginals (generators, cells, or lex)"
     )
@@ -240,13 +233,15 @@ def _product_mass(product: IndepProduct, joint: Scope) -> Optional[Gamble]:
 def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> Tri:
     """Membership in an independent natural extension.
 
-    Collapsed (generator) products answer through the plain dispatcher.
-    A generator marginal that fails the consistency check raises
-    ``IncoherentBaseError`` before any sign filter.  Products over cell,
-    lexicographic or generator marginals choose one sign pattern
-    (branch) per (block, slice) pair; ``h`` belongs iff some combined
-    choice, a signature, is strictly feasible.  ``budget`` caps the number
-    of signatures, counted before any LP is solved.
+    Any other expression answers through the plain dispatcher, with the
+    same ``budget``.  A generator marginal that fails the consistency check
+    raises ``IncoherentBaseError`` before any sign filter.  The masked
+    generators of all generator marginals give the weight and domination
+    rows of ``cone_program``, to which each cell or lexicographic marginal
+    adds one column per outcome for its summand.  Each (block, slice) pair
+    of those marginals chooses one sign pattern (branch); ``h`` belongs iff
+    some combined choice, a signature, is strictly feasible.  ``budget``
+    caps the number of signatures, counted before any LP is solved.
 
     The signatures are searched depth first in lexicographic order (see
     ``_signature_search``), and an infeasible one leaves a nogood that
@@ -257,12 +252,12 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     the system it prunes before anything is skipped.
 
     Each (block, slice) pair reads its joint indices from ``_slice_map``.
-    The auxiliary columns do not depend on the signature, so every (block,
-    slice, branch) row is built once per query, and a signature only joins
-    its rows to the domination and auxiliary rows.
+    The cone rows do not depend on the signature, so every (block, slice,
+    branch) row is built once per query, and a signature only joins its
+    rows to the cone rows.
     """
     if not isinstance(expr, IndepProduct):
-        return member(expr, h)
+        return member(expr, h, budget=budget)
     parts = expr.parts
     _check_generator_marginals(parts)
     joint = scope_of(expr)
@@ -277,48 +272,48 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     if mass is not None and h.dot(mass.values) < 0:
         return Tri.OUT
 
-    # One entry per (block, slice) pair: block, joint indices of the slice,
-    # auxiliary weight count and branches of the block's marginal.
-    pairs: list[tuple[int, tuple[int, ...], int, list[tuple[_Row, ...]]]] = []
-    for n, part in enumerate(parts):
-        aux, branches = _leaf_branches(part)
-        rest = joint.difference(scope_of(part))
-        for z in rest.assignments():
-            pairs.append((n, _slice_map(joint, z)[0], aux, branches))
+    masked = tuple([
+        g
+        for part in parts
+        if isinstance(part, GeneratorSet)
+        for g in masked_generators(part, joint.difference(part.scope))
+    ])
+    branched = [part for part in parts if not isinstance(part, GeneratorSet)]
+    weights, size = len(masked), joint.size
+    # One entry per (block, slice) pair of a cell or lex marginal: the first
+    # column of its summand, joint indices of the slice and its branches.
+    pairs: list[tuple[int, tuple[int, ...], list[tuple[_Row, ...]]]] = []
+    for n, part in enumerate(branched):
+        branches = _leaf_branches(part)
+        for z in joint.difference(scope_of(part)).assignments():
+            pairs.append((weights + n * size, _slice_map(joint, z)[0], branches))
 
     if math.prod(len(branches) for *_, branches in pairs) > budget:
         raise BudgetExceededError(
             "signature enumeration needs more than %d problems" % budget
         )
 
-    size = joint.size
-    block = len(parts) * size
-    aux_total = sum(aux for _, _, aux, _ in pairs)
-    width = block + aux_total
+    cone = cone_program(GeneratorSet(joint, masked), h)
+    cols = len(branched) * size
+    width = weights + cols
+    # The weight rows, then one domination row per outcome, in which every
+    # summand enters at -1.
     fixed: list[LinRow] = []
-    for w in range(size):
-        coeffs = [_ZERO] * width
-        for n in range(len(parts)):
-            coeffs[n * size + w] = -_ONE
-        fixed.append(LinRow(tuple(coeffs), GE, -h.values[w]))
-    for j in range(aux_total):
-        fixed.append(LinRow(_unit(width, block + j), GE, _ZERO))
+    for i, row in enumerate(cone.rows):
+        extra = [-_ONE if j % size == i - weights else _ZERO for j in range(cols)]
+        fixed.append(LinRow(row.coeffs + tuple(extra), row.rel, row.rhs))
     menu: list[list[list[LinRow]]] = []
-    aux_offset = block
-    for n, indices, aux, branches in pairs:
+    for first, indices, branches in pairs:
         options = []
         for branch in branches:
             rendered = []
-            for slice_coeffs, aux_coeffs, rel in branch:
+            for slice_coeffs, rel in branch:
                 coeffs = [_ZERO] * width
                 for j, idx in enumerate(indices):
-                    coeffs[n * size + idx] = slice_coeffs[j]
-                for j, c in enumerate(aux_coeffs):
-                    coeffs[aux_offset + j] = c
+                    coeffs[first + idx] = slice_coeffs[j]
                 rendered.append(LinRow(tuple(coeffs), rel, _ZERO))
             options.append(rendered)
         menu.append(options)
-        aux_offset += aux
 
     return Tri.IN if _signature_search(width, fixed, menu) else Tri.OUT
 
@@ -370,6 +365,8 @@ def _signature_search(
     the leaf sends the walk back to that pair, where the lookup closes its
     current branch.
     """
+    if not menu:  # the one signature is empty
+        return isinstance(strict_feasible(LinSystem(width, tuple(fixed))), Feasible)
     last = len(menu) - 1
     # Nogoods by their deepest (pair, branch) choice.  A checked certificate
     # always weights some branch row, because the fixed rows alone are

@@ -17,7 +17,10 @@ fast paths, so a test can compare the two:
   that ``previsions.inex_lower_prevision`` solves;
 * ``inex_member_enumerated`` — product membership with one strict LP per
   combined signature, the flat enumeration that the pruned search in
-  ``independence.inex_member`` replaced;
+  ``independence.inex_member`` replaced.  It keeps its own branch builder
+  (``_leaf_branches``), in which a generator marginal is one branch per
+  (block, slice) pair over auxiliary weight columns, where the engine puts
+  the masked generators into the cone rows;
 * ``original_multipliers`` — ``_Simplex._original_multipliers`` on
   ``Fraction``s, the reference for its int recovery;
 * ``ArtificialStartSimplex`` / ``solve_artificial_start`` — the simplex
@@ -77,17 +80,18 @@ from desirability.exactlp import (
     solve,
     strict_feasible,
 )
-from desirability.errors import ModelFormatError
+from desirability.errors import (
+    IncoherentBaseError,
+    ModelFormatError,
+    UnsupportedQueryError,
+)
 from desirability.independence import (
-    _Row,
     _check_generator_marginals,
-    _leaf_branches,
     _product_mass,
-    _unit,
     independent_product,
     irrelevant_extension,
 )
-from desirability.maximal import LexSystem
+from desirability.maximal import LexSystem, lex_is_coherent, lex_is_maximal
 from desirability.model import (
     ModelDocument,
     _assignment,
@@ -343,6 +347,63 @@ def inex_lower_prevision_primal(credals: Sequence[CredalSet], f: Gamble) -> Frac
 # ---------------------------------------------------------------------------
 # product membership by flat signature enumeration
 # ---------------------------------------------------------------------------
+
+
+# A branch row ``slice_coeffs . s + aux_coeffs . lam  rel  0`` on the slice
+# ``s`` of one summand and the marginal's nonnegative auxiliary weights.
+_Row = tuple[tuple[Fraction, ...], tuple[Fraction, ...], str]
+
+
+def _unit(size: int, at: int) -> tuple[Fraction, ...]:
+    return tuple(_ONE if j == at else _ZERO for j in range(size))
+
+
+def _leaf_branches(part: DesirableSetExpr) -> tuple[int, list[tuple[_Row, ...]]]:
+    """The marginal's auxiliary weight count, and the sign patterns (branches)
+    whose union is exactly (part's set) together with 0.
+
+    Only a generator marginal has auxiliary weights, and it has exactly one
+    branch, so a product's auxiliary columns do not depend on the signature.
+    A generator marginal must have passed ``_check_generator_marginals``.
+    """
+    if isinstance(part, GeneratorSet):
+        size = part.scope.size
+        gens = part.generators
+        rows = tuple(
+            (_unit(size, w), tuple(-g.values[w] for g in gens), GE)
+            for w in range(size)
+        )
+        return len(gens), [rows]
+    if isinstance(part, LexSystem):
+        if not lex_is_coherent(part):
+            raise IncoherentBaseError("product marginal is an incoherent lex system")
+        branches = []
+        levels = part.levels
+        maximal = lex_is_maximal(part)
+        for lead in range(len(levels)):
+            rows = [(levels[i], (), EQ) for i in range(lead)]
+            merged = maximal and lead == len(levels) - 1
+            rows.append((levels[lead], (), GE if merged else GT))
+            branches.append(tuple(rows))
+        if not maximal:
+            size = part.scope.size
+            branches.append(tuple((_unit(size, w), (), EQ) for w in range(size)))
+        return 0, branches
+    if isinstance(part, CellSet):
+        size = part.scope.size
+        branches = []
+        if part.include_positive:
+            branches.append(tuple((_unit(size, w), (), GE) for w in range(size)))
+        for cell in part.cells:
+            branches.append(
+                tuple((row.functional.values, (), row.rel) for row in cell.rows)
+            )
+        if not part.include_positive:
+            branches.append(tuple((_unit(size, w), (), EQ) for w in range(size)))
+        return 0, branches
+    raise UnsupportedQueryError(
+        "product membership needs leaf marginals (generators, cells, or lex)"
+    )
 
 
 def inex_member_enumerated(

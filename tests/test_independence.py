@@ -2,6 +2,7 @@
 
 import collections
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -35,6 +36,8 @@ from desirability.desirable import (
     scope_of,
 )
 from desirability.independence import conditional_inex, irrelevant_extension
+from desirability.model import load
+from desirability.structure import cyl_ext
 from fractions import Fraction as F
 
 from desirability.maximal import lex_is_coherent, lex_is_maximal
@@ -54,6 +57,8 @@ V2 = Variable("X2", ("a", "b"))
 S1 = Scope.of([V1])
 S2 = Scope.of([V2])
 S12 = S1.union(S2)
+
+DEMO = str(Path(__file__).resolve().parent.parent / "models" / "demo.json")
 
 LEAN1 = GeneratorSet.of(S1, [Gamble.on(S1, [1, -1])])
 LEAN2 = GeneratorSet.of(S2, [Gamble.on(S2, [1, -1])])
@@ -132,6 +137,19 @@ class TestIndependentProduct:
         assert inex_member(prod, Gamble.on(S12, [1, 1, 1, 0])) is Tri.IN
         assert inex_member(prod, Gamble.on(S12, [2, 1, 1, -1])) is Tri.OUT
 
+    def test_extended_product_keeps_the_budget(self):
+        # ``inex_member`` hands an extension of a product to the dispatcher
+        # with its budget: four signatures are more than none.
+        s1, s2, m1, m2 = fixtures._binary_pair()
+        joint = s1.union(s2)
+        x3 = Scope.of([Variable("X3", ("0", "1"))])
+        extended = cyl_ext(IndepProduct((m1, m2)), joint.union(x3))
+        h = Gamble.on(joint, [-1, -1, 2, 2])
+        assert inex_member(extended, h) is Tri.IN
+        for query in (inex_member, member):
+            with pytest.raises(BudgetExceededError, match="more than 0 problems"):
+                query(extended, h, budget=0)
+
     def test_lex_parts_stay_symbolic(self):
         m = LexSystem(S1, ((F(1, 2), F(1, 2)), (F(1), F(0))))
         m2 = LexSystem(S2, ((F(1, 2), F(1, 2)), (F(1), F(0))))
@@ -142,11 +160,24 @@ class TestIndependentProduct:
         assert inex_member(prod, Gamble.on(S12, [1, 1, 1, -1])) is Tri.IN
 
 
+def _near_member(rng, parts, joint):
+    """A small random gamble plus a masked generator per slice of each
+    generator marginal."""
+    h = random_gamble(rng, joint, -1, 1)
+    for part in parts:
+        for at in joint.difference(part.scope).assignments():
+            g = rng.choice(part.generators)
+            h = h + g.mask(at).embed(joint) * rng.randint(0, 2)
+    return h
+
+
 class TestThreeBlockProducts:
     """Blocks of 2, 3 and 2 outcomes; the middle block's slices are not
     contiguous in the joint enumeration."""
 
-    def test_uncollapsed_generator_product_agrees_with_the_collapse(self):
+    def test_uncollapsed_generator_product_agrees_with_the_collapse(
+        self, signature_lps
+    ):
         variables = [
             Variable("A", ("a", "b")),
             Variable("B", ("a", "b", "c")),
@@ -164,16 +195,16 @@ class TestThreeBlockProducts:
             collapsed = independent_product(parts)
             assert isinstance(collapsed, GeneratorSet)
             for _ in range(8):
-                # Near-members: a masked generator per slice, plus small noise.
-                h = random_gamble(rng, joint, -1, 1)
-                for part in parts:
-                    for at in joint.difference(part.scope).assignments():
-                        g = rng.choice(part.generators)
-                        h = h + g.mask(at).embed(joint) * rng.randint(0, 2)
+                h = _near_member(rng, parts, joint)
+                signature_lps.clear()
                 verdict = inex_member(product, h) is Tri.IN
                 assert verdict == natext_member(collapsed, h)
-                verdicts.append(verdict)
-        assert 5 <= sum(verdicts) <= len(verdicts) - 5
+                # No (block, slice) pair has a choice: at most one LP, on
+                # the cone rows alone.
+                assert signature_lps["search"] <= 1
+                verdicts.append((verdict, signature_lps["search"]))
+        assert 5 <= sum(v for v, _ in verdicts) <= len(verdicts) - 5
+        assert (True, 1) in verdicts and (False, 1) in verdicts
 
 
 def _lex(rng, scope, maximal=True):
@@ -188,12 +219,19 @@ def _lex(rng, scope, maximal=True):
             return candidate
 
 
+def _generators(rng, scope):
+    return random_generator_set(rng, scope, count=rng.choice([1, 2]))
+
+
 def _product(rng, kind):
     """A seeded product of the kind named, over binary blocks unless the
     kind says otherwise."""
     if kind == "three-lex":
         variables = [Variable(name, ("a", "b")) for name in "ABC"]
         return IndepProduct(tuple(_lex(rng, Scope.of([v])) for v in variables))
+    if kind == "generator-generator-lex":
+        a, b, c = (Scope.of([Variable(name, ("a", "b"))]) for name in "ABC")
+        return IndepProduct((_generators(rng, a), _generators(rng, b), _lex(rng, c)))
     if kind == "layout-2x3":
         x3 = Variable("X3", ("a", "b", "c"))
         return IndepProduct(
@@ -208,9 +246,14 @@ def _product(rng, kind):
             second = _lex(rng, S2, maximal=False)
     elif kind == "cell-lex":
         first = strictly_desirable(random_credal(rng, S1, rng.choice([1, 2])))
+    elif kind == "lex-generator":
+        first, second = _lex(rng, S1), _generators(rng, S2)
+    elif kind == "generator-cell":
+        first = _generators(rng, S1)
+        second = strictly_desirable(random_credal(rng, S2, rng.choice([1, 2])))
     else:
         assert kind == "generator-lex"
-        first = random_generator_set(rng, S1, count=rng.choice([1, 2]))
+        first = _generators(rng, S1)
     return IndepProduct((first, second))
 
 
@@ -234,6 +277,9 @@ _KINDS = (
     "lex-lex-nonmaximal",
     "cell-lex",
     "generator-lex",
+    "lex-generator",
+    "generator-cell",
+    "generator-generator-lex",
     "layout-2x3",
 )
 
@@ -351,6 +397,46 @@ class TestPrunedSearch:
         with pytest.raises(EngineError, match="nogood"):
             inex_member(product, h)
         assert checks[False] == 1
+
+
+class TestGeneratorCone:
+    """Generator marginals enter product membership as one masked cone in
+    the domination rows, so a product of generator marginals alone answers
+    as its collapse does."""
+
+    @given(
+        st.lists(st.integers(2, 3), min_size=2, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_generator_product_matches_the_collapse_hypothesis(self, sizes, seed):
+        rng = random.Random(seed)
+        variables = [Variable("G%d" % k, tuple("abc"[:n])) for k, n in enumerate(sizes)]
+        parts = tuple(_generators(rng, Scope.of([v])) for v in variables)
+        joint = Scope.of(variables)
+        for _ in range(3):
+            h = _near_member(rng, parts, joint)
+            want = member(independent_product(parts), h)
+            assert inex_member(IndepProduct(parts), h) is want, (parts, h)
+
+    def test_demo_product_signature_systems(self, monkeypatch):
+        # coin-lean (generators on X1) times fair-window (lex on X2): two
+        # masked generator weights and four columns for the lex summand;
+        # two weight rows, four domination rows and the lex branch rows.
+        product = load(DEMO).sets["product"]
+        joint = scope_of(product)
+        shapes = []
+        solve = independence.strict_feasible
+
+        def recorded(system):
+            shapes.append((system.n_vars, len(system.rows)))
+            return solve(system)
+
+        monkeypatch.setattr(independence, "strict_feasible", recorded)
+        assert member(product, Gamble.on(joint, [-1, 2, 1, -1])) is Tri.IN
+        assert shapes == [(6, 8)]
+        shapes.clear()
+        assert member(product, Gamble.on(joint, [-1, -1, 2, 2])) is Tri.OUT
+        assert shapes == [(6, 8), (6, 9)]
 
 
 class TestPredicates:
