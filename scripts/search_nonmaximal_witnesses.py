@@ -13,8 +13,10 @@ marginals need not be maximal.
 import argparse
 import random
 import sys
+from fractions import Fraction
 
 from desirability import (
+    LexSystem,
     Tri,
     Scope,
     Variable,
@@ -24,7 +26,35 @@ from desirability import (
     lex_is_maximal,
     nonmaximality_witness,
 )
-from desirability.randgen import random_maximal_binary_lex
+
+
+def random_mass(rng: random.Random, size: int) -> tuple:
+    """A random probability mass function with small rational entries."""
+    while True:
+        weights = [rng.randint(0, 5) for _ in range(size)]
+        total = sum(weights)
+        if total > 0:
+            return tuple(Fraction(w, total) for w in weights)
+
+
+def random_maximal_binary_lex(
+    rng: random.Random, scope: Scope, degenerate_rate: float
+) -> LexSystem:
+    """A maximal lexicographic model on a two-outcome scope.
+
+    With probability ``degenerate_rate`` the first level puts all its
+    mass on one outcome, exercising the boundary constructions.
+    """
+    if rng.random() < degenerate_rate:
+        first = (Fraction(1), Fraction(0)) if rng.random() < 0.5 else (Fraction(0), Fraction(1))
+    else:
+        den = rng.randint(2, 9)
+        num = rng.randint(1, den - 1)
+        first = (Fraction(num, den), Fraction(den - num, den))
+    while True:
+        candidate = LexSystem(scope, (first, random_mass(rng, 2)))
+        if lex_is_maximal(candidate):
+            return candidate
 
 
 def _fmt(values) -> str:

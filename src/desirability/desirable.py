@@ -60,7 +60,7 @@ from .errors import (
 from .exactlp import (
     EQ, GE, GT, Feasible, LinRow, LinSystem, scaled_to_ints, solve, strict_feasible,
 )
-from .maximal import LexSystem, lex_member
+from .maximal import LexSystem, lex_is_maximal, lex_member
 from .space import (
     CACHE_MAXSIZE,
     Assignment,
@@ -337,6 +337,44 @@ def _cellset_member(cs: CellSet, f: Gamble) -> bool:
     if cs.include_positive and f.is_positive():
         return True
     return any(cell.accepts(f) for cell in cs.cells)
+
+
+def _unit_cell(scope: Scope, rel: str) -> Cell:
+    """One ``rel 0`` row per outcome's unit functional, zero excluded."""
+    size = scope.size
+    units = [tuple([_ONE if j == w else _ZERO for j in range(size)]) for w in range(size)]
+    return Cell(tuple([CellRow(Gamble(scope, u), rel) for u in units]), exclude_zero=True)
+
+
+def sign_cells(model: Union[CellSet, LexSystem]) -> tuple[Cell, ...]:
+    """A cell set or lexicographic system as a finite union of sign cells.
+
+    Honouring each cell's ``exclude_zero``, the union is the model's set, as
+    prices read it; ignoring it, the union is the set together with zero, as
+    product membership reads a summand's slice.
+
+    * A cell set: the positive orthant first (a ``>=`` unit row per outcome)
+      when positives are included; then its own cells; otherwise the zero
+      cell last (an ``=`` unit row per outcome).
+    * A lexicographic system: one cell per lead level, the earlier levels
+      ``=`` and the lead level ``>``, each level one functional shared by
+      its cells.  In a maximal system the last cell is ``>=`` with zero
+      excluded (only zero has every level expectation zero); any other
+      system ends with the zero cell.
+    """
+    if isinstance(model, CellSet):
+        if model.include_positive:
+            return (_unit_cell(model.scope, GE),) + model.cells
+        return model.cells + (_unit_cell(model.scope, EQ),)
+    functionals = [Gamble(model.scope, level) for level in model.levels]
+    ties = [CellRow(g, EQ) for g in functionals]
+    cells = [Cell(tuple(ties[:k]) + (CellRow(g, GT),)) for k, g in enumerate(functionals)]
+    if lex_is_maximal(model):
+        last = CellRow(functionals[-1], GE)
+        cells[-1] = Cell(tuple(ties[:-1]) + (last,), exclude_zero=True)
+    else:
+        cells.append(_unit_cell(model.scope, EQ))
+    return tuple(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,16 @@ therefore range over one cone, its generators masked by every assignment
 of the other blocks: all-generator products collapse to it, and a mixed
 product takes its ``cone_program`` rows.  Cell and lexicographic
 marginals are decided by a signature search: each (block, slice)
-constraint is a finite disjunction of linear sign patterns, and ``h``
-belongs iff some combined choice is strictly feasible.  The choices are
-walked depth first, within a configurable budget on their number, and the
-checked Farkas certificate of an infeasible choice prunes, after a
-re-check, every later choice that contains its rows.  The product's layout
-(its joint scope, block and slice indices) comes from ``space``, and each
-(block, slice, branch) row is built once per query, not once per choice.
+constraint is a finite disjunction of linear sign patterns, the rows of
+the marginal's ``sign_cells`` (the cells that prices read too, here with
+zero admitted), and ``h`` belongs iff some combined choice is strictly
+feasible.  An inconsistent generator marginal or an incoherent
+lexicographic one is an error first.  The choices are walked depth first,
+within a configurable budget on their number, and the checked Farkas
+certificate of an infeasible choice prunes, after a re-check, every later
+choice that contains its rows.  The product's layout (its joint scope,
+block and slice indices) comes from ``space``, and each (block, slice,
+branch) row is built once per query, not once per choice.
 
 Irrelevance and independence of an arbitrary expression are refutation
 checks — sampled or exhaustive-grid scans of the membership biconditional
@@ -46,6 +49,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .desirable import (
+    Cell,
     CellSet,
     ConditionalFamily,
     DesirableSetExpr,
@@ -56,6 +60,7 @@ from .desirable import (
     cone_program,
     member,
     scope_of,
+    sign_cells,
 )
 from . import exactlp
 from .errors import (
@@ -65,8 +70,8 @@ from .errors import (
     ScopeError,
     UnsupportedQueryError,
 )
-from .exactlp import EQ, GE, GT, Feasible, LinRow, LinSystem, strict_feasible
-from .maximal import LexSystem, lex_is_coherent, lex_is_maximal
+from .exactlp import Feasible, LinRow, LinSystem, strict_feasible
+from .maximal import LexSystem, lex_is_coherent
 from .space import (
     Assignment,
     Gamble,
@@ -147,62 +152,19 @@ def conditional_inex(families: Sequence[ConditionalFamily]) -> ConditionalFamily
 
 # -- signature enumeration for products of cell/lex marginals ---------------
 
-# A branch row ``coeffs . s  rel  0`` on the slice ``s`` of one summand.
-_Row = tuple[tuple[Fraction, ...], str]
 
-
-def _unit(size: int, at: int) -> tuple[Fraction, ...]:
-    return tuple(_ONE if j == at else _ZERO for j in range(size))
-
-
-def _check_generator_marginals(parts: Sequence[DesirableSetExpr]) -> None:
+def _check_marginals(parts: Sequence[DesirableSetExpr]) -> None:
     """Raise ``IncoherentBaseError`` if a generator marginal fails the
-    consistency check.  Product membership calls it before any sign filter,
-    so an incoherent marginal is an error whatever the gamble."""
+    consistency check or a lexicographic marginal is not coherent.  Product
+    membership calls it before any sign filter, so an incoherent marginal is
+    an error whatever the gamble."""
     for part in parts:
         if isinstance(part, GeneratorSet) and not avoids_nonpositivity(part).avoids:
             raise IncoherentBaseError(
                 "product marginal admits a nonpositive combination"
             )
-
-
-def _leaf_branches(part: DesirableSetExpr) -> list[tuple[_Row, ...]]:
-    """The sign patterns (branches) whose union is exactly (part's set)
-    together with 0, for a cell or lexicographic marginal.
-
-    Generator marginals have no branches: ``inex_member`` puts their
-    masked generators into the product's cone rows instead.
-    """
-    if isinstance(part, LexSystem):
-        if not lex_is_coherent(part):
+        if isinstance(part, LexSystem) and not lex_is_coherent(part):
             raise IncoherentBaseError("product marginal is an incoherent lex system")
-        branches = []
-        levels = part.levels
-        maximal = lex_is_maximal(part)
-        for lead in range(len(levels)):
-            rows = [(levels[i], EQ) for i in range(lead)]
-            merged = maximal and lead == len(levels) - 1
-            rows.append((levels[lead], GE if merged else GT))
-            branches.append(tuple(rows))
-        if not maximal:
-            size = part.scope.size
-            branches.append(tuple((_unit(size, w), EQ) for w in range(size)))
-        return branches
-    if isinstance(part, CellSet):
-        size = part.scope.size
-        branches = []
-        if part.include_positive:
-            branches.append(tuple((_unit(size, w), GE) for w in range(size)))
-        for cell in part.cells:
-            branches.append(
-                tuple((row.functional.values, row.rel) for row in cell.rows)
-            )
-        if not part.include_positive:
-            branches.append(tuple((_unit(size, w), EQ) for w in range(size)))
-        return branches
-    raise UnsupportedQueryError(
-        "product membership needs leaf marginals (generators, cells, or lex)"
-    )
 
 
 def _support_mass(part: DesirableSetExpr) -> Optional[tuple[Fraction, ...]]:
@@ -234,14 +196,17 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     """Membership in an independent natural extension.
 
     Any other expression answers through the plain dispatcher, with the
-    same ``budget``.  A generator marginal that fails the consistency check
-    raises ``IncoherentBaseError`` before any sign filter.  The masked
-    generators of all generator marginals give the weight and domination
-    rows of ``cone_program``, to which each cell or lexicographic marginal
-    adds one column per outcome for its summand.  Each (block, slice) pair
-    of those marginals chooses one sign pattern (branch); ``h`` belongs iff
-    some combined choice, a signature, is strictly feasible.  ``budget``
-    caps the number of signatures, counted before any LP is solved.
+    same ``budget``.  A generator marginal that fails the consistency check,
+    or a lexicographic marginal that is not coherent, raises
+    ``IncoherentBaseError`` before any sign filter (``_check_marginals``).
+    The masked generators of all generator marginals give the weight and
+    domination rows of ``cone_program``, to which each cell or
+    lexicographic marginal adds one column per outcome for its summand.
+    Each (block, slice) pair of those marginals chooses one of the
+    marginal's ``sign_cells`` (a branch), its rows read with zero admitted,
+    since a summand's slice may vanish; ``h`` belongs iff some combined
+    choice, a signature, is strictly feasible.  ``budget`` caps the number
+    of signatures, counted before any LP is solved.
 
     The signatures are searched depth first in lexicographic order (see
     ``_signature_search``), and an infeasible one leaves a nogood that
@@ -259,7 +224,7 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     if not isinstance(expr, IndepProduct):
         return member(expr, h, budget=budget)
     parts = expr.parts
-    _check_generator_marginals(parts)
+    _check_marginals(parts)
     joint = scope_of(expr)
     h = h.embed(joint)
     if h.is_zero():
@@ -281,14 +246,19 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     branched = [part for part in parts if not isinstance(part, GeneratorSet)]
     weights, size = len(masked), joint.size
     # One entry per (block, slice) pair of a cell or lex marginal: the first
-    # column of its summand, joint indices of the slice and its branches.
-    pairs: list[tuple[int, tuple[int, ...], list[tuple[_Row, ...]]]] = []
+    # column of its summand, joint indices of the slice and the marginal's
+    # sign cells, one branch each.
+    pairs: list[tuple[int, tuple[int, ...], tuple[Cell, ...]]] = []
     for n, part in enumerate(branched):
-        branches = _leaf_branches(part)
+        if not isinstance(part, (CellSet, LexSystem)):
+            raise UnsupportedQueryError(
+                "product membership needs leaf marginals (generators, cells, or lex)"
+            )
+        cells = sign_cells(part)
         for z in joint.difference(scope_of(part)).assignments():
-            pairs.append((weights + n * size, _slice_map(joint, z)[0], branches))
+            pairs.append((weights + n * size, _slice_map(joint, z)[0], cells))
 
-    if math.prod(len(branches) for *_, branches in pairs) > budget:
+    if math.prod(len(cells) for *_, cells in pairs) > budget:
         raise BudgetExceededError(
             "signature enumeration needs more than %d problems" % budget
         )
@@ -303,15 +273,15 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
         extra = [-_ONE if j % size == i - weights else _ZERO for j in range(cols)]
         fixed.append(LinRow(row.coeffs + tuple(extra), row.rel, row.rhs))
     menu: list[list[list[LinRow]]] = []
-    for first, indices, branches in pairs:
+    for first, indices, cells in pairs:
         options = []
-        for branch in branches:
+        for cell in cells:
             rendered = []
-            for slice_coeffs, rel in branch:
+            for row in cell.rows:
                 coeffs = [_ZERO] * width
                 for j, idx in enumerate(indices):
-                    coeffs[first + idx] = slice_coeffs[j]
-                rendered.append(LinRow(tuple(coeffs), rel, _ZERO))
+                    coeffs[first + idx] = row.functional.values[j]
+                rendered.append(LinRow(tuple(coeffs), row.rel, _ZERO))
             options.append(rendered)
         menu.append(options)
 

@@ -116,11 +116,11 @@ def lex_is_maximal(system: LexSystem) -> bool:
 
 
 def lex_is_coherent(system: LexSystem) -> bool:
-    """Positivity of each outcome's indicator, i.e. the supports cover."""
-    return all(
-        any(level[i] > 0 for level in system.levels)
-        for i in range(system.scope.size)
-    )
+    """Positivity of each outcome's indicator, i.e. the supports cover.
+
+    Read off ``int_levels``: masses are nonnegative, so an outcome is
+    covered iff some level's scaled mass there is nonzero."""
+    return all(map(any, zip(*system.int_levels)))
 
 
 def lex_condition(system: LexSystem, given: Assignment) -> LexSystem:

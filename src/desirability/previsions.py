@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .desirable import (
     Cell,
@@ -37,6 +37,7 @@ from .desirable import (
     avoids_nonpositivity,
     cone_program,
     scope_of,
+    sign_cells,
 )
 from .errors import (
     BudgetExceededError,
@@ -87,9 +88,11 @@ __all__ = [
 # A buying price is the sup of the shifts {mu : value + mu*direction is a
 # member}, direction nonzero and nonpositive (the constant -1, or
 # -indicator for conditional prices).  Cell and lexicographic models are
-# unions of pieces cut out by sign constraints on functionals e, and
-# e(value + mu*direction) = b + a*mu, so the shifts of a piece form an
-# interval with endpoints among the roots -b/a: closed form, no LP.
+# the unions of their ``sign_cells``, pieces cut out by sign constraints on
+# functionals e, and e(value + mu*direction) = b + a*mu, so the shifts of a
+# piece form an interval with endpoints among the roots -b/a: closed form,
+# no LP.  A piece that excludes zero drops the shift where the gamble
+# vanishes, which moves a supremum only when it is that single shift.
 
 _UNBOUNDED = "unbounded buying price: the modelled set accepts every sure loss"
 
@@ -189,46 +192,6 @@ def _generator_sup(
     return None
 
 
-def _cellset_sup(
-    model: CellSet, value: Gamble, direction: Gamble
-) -> Optional[Fraction]:
-    """Closed-form supremum over a union of cells.
-
-    Each cell is a piece cut out by its rows, zero carved out if the cell
-    excludes it; the positive region, when included, is the piece cut out
-    by one ``>= 0`` row per outcome, zero carved out.
-    """
-    zero_mu = _zero_shift(value, direction)
-    sups = []
-    for cell in model.cells:
-        rows = (
-            (direction.dot(r.functional.values), value.dot(r.functional.values), r.rel)
-            for r in cell.rows
-        )
-        sups.append(_shift_sup(rows, zero_mu if cell.exclude_zero else None))
-    if model.include_positive:
-        units = ((a, b, GE) for a, b in zip(direction.values, value.values))
-        sups.append(_shift_sup(units, zero_mu))
-    return max((s for s in sups if s is not None), default=None)
-
-
-def _lex_sup(
-    system: LexSystem, value: Gamble, direction: Gamble
-) -> Optional[Fraction]:
-    """Closed-form supremum over the pieces of a lexicographic model.
-
-    With ``e_k(mu)`` the level-k expectation of ``value + mu*direction``, a
-    member's first nonzero ``e_k`` is positive: piece k is
-    ``e_1 = ... = e_{k-1} = 0, e_k > 0``, and no piece holds zero.
-    """
-    sups, ties = [], []
-    for level in system.levels:
-        a, b = direction.dot(level), value.dot(level)
-        sups.append(_shift_sup(ties + [(a, b, GT)]))
-        ties.append((a, b, EQ))
-    return max((s for s in sups if s is not None), default=None)
-
-
 def _set_sup(
     expr: DesirableSetExpr, value: Gamble, direction: Gamble
 ) -> Optional[Fraction]:
@@ -236,14 +199,35 @@ def _set_sup(
 
     ``direction`` must be nonpositive and nonzero; conditioning recurses
     with both the value and the direction masked by the observed event,
-    so conditional prices reuse the unconditional machinery.
+    so conditional prices reuse the unconditional machinery.  A cell or
+    lexicographic model takes the largest ``_shift_sup`` over its
+    ``sign_cells``.
     """
     if isinstance(expr, GeneratorSet):
         return _generator_sup(expr, value, direction)
-    if isinstance(expr, CellSet):
-        return _cellset_sup(expr, value, direction)
-    if isinstance(expr, LexSystem):
-        return _lex_sup(expr, value, direction)
+    if isinstance(expr, (CellSet, LexSystem)):
+        zero_mu = _zero_shift(value, direction)
+        # A lexicographic level leads one cell and ties in every later one:
+        # each shared functional is dotted once, keyed by identity while the
+        # cells are alive.  Zero terms are skipped: unit rows and masked
+        # gambles are mostly zeros.
+        line: dict[int, tuple[Fraction, ...]] = {}
+
+        def constraints(cell: Cell) -> Iterator[tuple[Fraction, ...]]:
+            for row in cell.rows:
+                e = row.functional
+                if id(e) not in line:
+                    line[id(e)] = tuple([
+                        sum([c * v for c, v in zip(e.values, g.values) if c and v], _ZERO)
+                        for g in (direction, value)
+                    ])
+                yield line[id(e)] + (row.rel,)
+
+        sups = [
+            _shift_sup(constraints(cell), zero_mu if cell.exclude_zero else None)
+            for cell in sign_cells(expr)
+        ]
+        return max((s for s in sups if s is not None), default=None)
     if isinstance(expr, Conditioned):
         base_scope = scope_of(expr.base)
         return _set_sup(
@@ -627,7 +611,8 @@ def strong_member(
     Otherwise the zero gamble is out and positive gambles are in, before
     any marginal's credal set is enumerated (so ``budget`` never stops
     them).  Before either, a generator marginal that fails the
-    consistency check raises ``IncoherentBaseError``, whatever the gamble.
+    consistency check, or a lexicographic marginal that is not coherent,
+    raises ``IncoherentBaseError``, whatever the gamble.
     The strong lower prevision decides everything else except
     its own zero level: strictly positive strong price is in, strictly
     negative strong price means out, and the boundary stays ``UNKNOWN``
@@ -635,11 +620,11 @@ def strong_member(
     previsions the marginal models admit.
     """
     from .independence import (
-        _check_generator_marginals, independent_product, inex_member,
+        _check_marginals, independent_product, inex_member,
     )
 
     parts = expr.parts
-    _check_generator_marginals(parts)
+    _check_marginals(parts)
     if all(isinstance(p, LexSystem) for p in parts):
         return inex_member(independent_product(parts), f, budget=budget)
     fitted = f.embed(scope_of(expr))

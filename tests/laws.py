@@ -42,7 +42,7 @@ from desirability.structure import (
 )
 from desirability.independence import irrelevant_extension
 from desirability.maximal import lex_condition, lex_member
-from desirability.randgen import (
+from randgen import (
     random_credal,
     random_gamble,
     random_generator_set,

@@ -1,4 +1,4 @@
-"""Seeded random generation of gambles and models for tests and scripts.
+"""Seeded random generation of gambles and models for the tests.
 
 Everything takes an explicit ``random.Random`` so runs are reproducible
 from a seed.  Model draws are rejection samples: candidates are drawn
@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .desirable import GeneratorSet, avoids_nonpositivity
-from .errors import BudgetExceededError
-from .maximal import LexSystem, lex_is_maximal
-from .previsions import CredalSet
-from .space import Gamble, Scope
+from desirability.desirable import GeneratorSet, avoids_nonpositivity
+from desirability.errors import BudgetExceededError
+from desirability.maximal import LexSystem, lex_is_maximal
+from desirability.previsions import CredalSet
+from desirability.space import Gamble, Scope
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -86,7 +86,7 @@ from desirability.errors import (
     UnsupportedQueryError,
 )
 from desirability.independence import (
-    _check_generator_marginals,
+    _check_marginals,
     _product_mass,
     independent_product,
     irrelevant_extension,
@@ -364,7 +364,7 @@ def _leaf_branches(part: DesirableSetExpr) -> tuple[int, list[tuple[_Row, ...]]]
 
     Only a generator marginal has auxiliary weights, and it has exactly one
     branch, so a product's auxiliary columns do not depend on the signature.
-    A generator marginal must have passed ``_check_generator_marginals``.
+    A generator marginal must have passed ``_check_marginals``.
     """
     if isinstance(part, GeneratorSet):
         size = part.scope.size
@@ -428,7 +428,7 @@ def inex_member_enumerated(
     """
     if not isinstance(expr, IndepProduct):
         return member(expr, h)
-    _check_generator_marginals(expr.parts)
+    _check_marginals(expr.parts)
     joint = scope_of(expr)
     h = h.embed(joint)
     if h.is_zero():

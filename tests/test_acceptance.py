@@ -34,7 +34,7 @@ from desirability import (
 from desirability.exactlp import GE, LinRow, LinSystem
 from desirability.fixtures import two_vertex_models
 from desirability.desirable import IndepProduct, member, natext_member
-from desirability.randgen import random_maximal_binary_lex
+from randgen import random_maximal_binary_lex
 
 from laws import run_all_laws
 from references import fm_feasible

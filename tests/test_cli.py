@@ -352,6 +352,38 @@ class TestErrors:
         assert err.startswith("error: ") and "nonpositive combination" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("member", "lproduct", "[1,1,1,1]"),
+            ("member", "lproduct", "[1,-1,2,-1]"),
+            ("strong-member", "lbad,s", "[1,1,1,1]"),
+        ],
+    )
+    def test_incoherent_lex_marginal_is_an_error_on_every_path(
+        self, capsys, tmp_path, argv
+    ):
+        # ``lbad`` gives X1 = b no mass, so it fails ``lex_is_coherent``; a
+        # product over it is an error before any sign filter.
+        doc = {
+            "variables": [
+                {"id": "X1", "outcomes": ["a", "b"]},
+                {"id": "X2", "outcomes": ["a", "b"]},
+            ],
+            "sets": {
+                "lbad": {"kind": "lex", "scope": ["X1"], "levels": [["1", "0"]]},
+                "s": {"kind": "strict_from_credal", "scope": ["X2"], "vertices": [["1/2", "1/2"]]},
+                "w": {"kind": "lex", "scope": ["X2"], "levels": [["1/2", "1/2"], ["1", "0"]]},
+                "lproduct": {"kind": "expr", "op": "inex", "of": ["lbad", "w"]},
+            },
+        }
+        path = tmp_path / "incoherent-lex-marginal.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "--model", str(path), *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "incoherent lex system" in err
+        assert err.count("\n") == 1
+
     def test_budget_does_not_stop_positive_product_queries(self, capsys):
         # The consistency check of a generator marginal is one cached LP, not
         # part of the enumeration that ``--budget`` caps.

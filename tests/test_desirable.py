@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from desirability import (
     BudgetExceededError,
@@ -38,14 +40,15 @@ from desirability.desirable import (
     StrongProduct,
     cellset_coherence_audit,
     natext_member,
+    sign_cells,
 )
 from desirability.independence import conditional_inex, independent_product
 from desirability.structure import condition_bar_member
 from desirability.previsions import strong_member
-from desirability.exactlp import GE, Infeasible
+from desirability.exactlp import EQ, GE, GT, Infeasible
 from desirability.maximal import lex_is_maximal
 from desirability.space import CACHE_MAXSIZE, _restriction_map, _slice_map
-from desirability.randgen import random_gamble, random_generator_set
+from randgen import random_gamble, random_generator_set
 
 V1 = Variable("X1", ("a", "b"))
 V2 = Variable("X2", ("a", "b"))
@@ -226,6 +229,130 @@ class TestCellSets:
         assert not report.excludes_zero.passed
         assert report.excludes_zero.counterexample.is_zero()
         assert not report.passed
+
+
+# -- sign cells: the one decomposition that prices and products read --------
+
+_SIGN_SCOPES = [Scope.of([Variable("Y", tuple("abc"[:n]))]) for n in (1, 2, 3)]
+
+
+def _null_projection(g, functionals):
+    """``g`` minus its exact projection onto the span of ``functionals``:
+    a gamble on the boundary of every sign row among them."""
+    basis = []
+    for e in functionals:
+        u = list(e)
+        for b in basis:
+            c = sum(x * y for x, y in zip(e, b)) / sum(y * y for y in b)
+            u = [x - c * y for x, y in zip(u, b)]
+        if any(u):
+            basis.append(u)
+    values = list(g.values)
+    for b in basis:
+        c = sum(x * y for x, y in zip(values, b)) / sum(y * y for y in b)
+        values = [x - c * y for x, y in zip(values, b)]
+    return Gamble(g.scope, tuple(values))
+
+
+def _model_functionals(model):
+    if isinstance(model, LexSystem):
+        return list(model.levels)
+    return [row.functional.values for cell in model.cells for row in cell.rows]
+
+
+def _assert_sign_cell_contract(model, f):
+    cells = sign_cells(model)
+    inside = member(model, f) is Tri.IN
+    assert any(cell.accepts(f) for cell in cells) == inside, (model, f)
+    admitted = any(all(row.holds(f) for row in cell.rows) for cell in cells)
+    assert admitted == (inside or f.is_zero()), (model, f)
+
+
+def _random_sign_model(rng, scope):
+    """A cell set (incoherent ones included) or a lex system, maximal or not."""
+    if rng.random() < 0.5:
+        levels = []
+        for _ in range(rng.randint(1, 4)):
+            weights = [rng.randint(0, 3) for _ in range(scope.size)]
+            if not any(weights):
+                weights[rng.randrange(scope.size)] = 1
+            levels.append([Fraction(w, sum(weights)) for w in weights])
+        return LexSystem.on(scope, levels)
+    cells = []
+    for _ in range(rng.randint(0, 3)):
+        rows = tuple(
+            CellRow(random_gamble(rng, scope, -2, 2), rng.choice([GE, GT, EQ]))
+            for _ in range(rng.randint(0, 3))
+        )
+        cells.append(Cell(rows, exclude_zero=rng.random() < 0.5))
+    return CellSet(scope, tuple(cells), include_positive=rng.random() < 0.5)
+
+
+class TestSignCells:
+    def test_union_is_the_set_honouring_exclusion_and_adds_zero_ignoring_it(self):
+        rng = random.Random("sign-cells")
+        seen = set()
+        for _ in range(400):
+            model = _random_sign_model(rng, rng.choice(_SIGN_SCOPES))
+            functionals = _model_functionals(model)
+            gambles = [Gamble.zero(model.scope)]
+            for _ in range(4):
+                g = random_gamble(rng, model.scope)
+                gambles.append(g)
+                if functionals:
+                    k = rng.randint(1, len(functionals))
+                    gambles.append(_null_projection(g, functionals[:k]))
+            for f in gambles:
+                _assert_sign_cell_contract(model, f)
+                seen.add((type(model).__name__, member(model, f) is Tri.IN))
+            if isinstance(model, LexSystem):
+                seen.add(("maximal", lex_is_maximal(model)))
+        assert seen >= {
+            ("CellSet", True), ("CellSet", False), ("LexSystem", True),
+            ("LexSystem", False), ("maximal", True), ("maximal", False),
+        }
+
+    @given(st.data())
+    def test_contract_on_drawn_models_and_boundary_gambles(self, data):
+        scope = data.draw(st.sampled_from(_SIGN_SCOPES))
+        ints = st.lists(
+            st.integers(-2, 2), min_size=scope.size, max_size=scope.size
+        ).map(lambda v: Gamble.on(scope, v))
+        if data.draw(st.booleans()):
+            masses = st.lists(
+                st.integers(0, 3), min_size=scope.size, max_size=scope.size
+            ).filter(any)
+            levels = data.draw(st.lists(masses, min_size=1, max_size=4))
+            model = LexSystem.on(scope, [[Fraction(w, sum(m)) for w in m] for m in levels])
+        else:
+            row = st.builds(CellRow, ints, st.sampled_from([GE, GT, EQ]))
+            cell = st.builds(Cell, st.lists(row, max_size=3).map(tuple), st.booleans())
+            model = CellSet(
+                scope,
+                tuple(data.draw(st.lists(cell, max_size=3))),
+                include_positive=data.draw(st.booleans()),
+            )
+        g = data.draw(ints)
+        functionals = _model_functionals(model)
+        k = data.draw(st.integers(0, len(functionals)))
+        for f in (g, _null_projection(g, functionals[:k]), Gamble.zero(scope)):
+            _assert_sign_cell_contract(model, f)
+
+    def test_cell_order(self):
+        row = CellRow(Gamble.on(S1, [1, -1]), GT)
+        own = (Cell((row,)),)
+        with_positives = sign_cells(CellSet(S1, own, include_positive=True))
+        assert with_positives[1:] == own
+        assert [r.rel for r in with_positives[0].rows] == [GE, GE]
+        assert with_positives[0].exclude_zero
+        without = sign_cells(CellSet(S1, own))
+        assert without[:-1] == own
+        assert [r.rel for r in without[-1].rows] == [EQ, EQ]
+        maximal = LexSystem.on(S1, [["1/2", "1/2"], [1, 0]])
+        assert [[r.rel for r in c.rows] for c in sign_cells(maximal)] == [[GT], [EQ, GE]]
+        assert [c.exclude_zero for c in sign_cells(maximal)] == [False, True]
+        flat = LexSystem.on(S1, [["1/2", "1/2"]])
+        assert [[r.rel for r in c.rows] for c in sign_cells(flat)] == [[GT], [EQ, EQ]]
 
 
 class TestDispatch:

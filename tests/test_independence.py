@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from desirability import (
     BudgetExceededError,
+    CredalSet,
     EngineError,
     Gamble,
     GeneratorSet,
+    IncoherentBaseError,
     IrrExt,
     LexSystem,
     MissingConditionError,
@@ -30,18 +32,24 @@ from desirability import (
 )
 from desirability import exactlp, fixtures, independence
 from desirability.desirable import (
+    Cell,
+    CellRow,
+    CellSet,
     ConditionalFamily,
     IndepProduct,
+    StrongProduct,
     natext_member,
     scope_of,
 )
 from desirability.independence import conditional_inex, irrelevant_extension
+from desirability.exactlp import GT
 from desirability.model import load
+from desirability.previsions import strong_member
 from desirability.structure import cyl_ext
 from fractions import Fraction as F
 
 from desirability.maximal import lex_is_coherent, lex_is_maximal
-from desirability.randgen import (
+from randgen import (
     random_credal,
     random_gamble,
     random_generator_set,
@@ -158,6 +166,43 @@ class TestIndependentProduct:
         assert inex_member(prod, Gamble.on(S12, [-1, 1, 1, -1])) is Tri.OUT
         assert inex_member(prod, Gamble.on(S12, [1, -1, -1, 1])) is Tri.OUT
         assert inex_member(prod, Gamble.on(S12, [1, 1, 1, -1])) is Tri.IN
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            LexSystem.on(S1, [["3/4", "1/4"]]),
+            CellSet(S1, (Cell((CellRow(Gamble.on(S1, [1, 1]), GT),)),)),
+        ],
+        ids=["nonmaximal-lex", "cells-without-positives"],
+    )
+    def test_a_block_whose_summand_vanishes(self, first):
+        # ``h`` lies in the second marginal and depends on X2 alone, so the
+        # first block's summand is zero on every slice: its model (not
+        # maximal, or without the positives) takes zero only through the
+        # zero sign cell.
+        second = LexSystem.on(S2, [["1/2", "1/2"], [1, 0]])
+        h = Gamble.on(S2, [1, -1]).embed(S12)
+        assert inex_member(independent_product([first, second]), h) is Tri.IN
+
+    @pytest.mark.parametrize(
+        "values", [[1, 1, 1, 1], [1, -1, 2, -1], [0, 0, 0, 0], [-1, -1, -1, -1]]
+    )
+    def test_incoherent_lex_marginal_is_an_error_whatever_the_gamble(self, values):
+        # ``bad`` gives X1 = b no mass at any level, so it fails
+        # ``lex_is_coherent``: every product over it is an error before any
+        # sign filter, as an inconsistent generator marginal is.
+        bad = LexSystem.on(S1, [[1, 0]])
+        good = LexSystem.on(S2, [["1/2", "1/2"], [1, 0]])
+        strict = strictly_desirable(CredalSet.of(S2, [("1/2", "1/2")]))
+        h = Gamble.on(S12, values)
+        queries = [
+            lambda: member(independent_product([bad, good]), h),
+            lambda: strong_member(StrongProduct((bad, good)), h),
+            lambda: strong_member(StrongProduct((bad, strict)), h),
+        ]
+        for query in queries:
+            with pytest.raises(IncoherentBaseError, match="incoherent lex system"):
+                query()
 
 
 def _near_member(rng, parts, joint):

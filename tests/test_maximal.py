@@ -33,7 +33,7 @@ from desirability.maximal import (
     lex_member,
     maximal_product_check,
 )
-from desirability.randgen import random_maximal_binary_lex
+from randgen import random_mass, random_maximal_binary_lex
 
 from references import indicator
 
@@ -102,6 +102,13 @@ class TestMaximality:
     def test_coherence_requires_support_coverage(self):
         assert lex_is_coherent(LexSystem(S1, (UNIFORM2,)))
         assert not lex_is_coherent(LexSystem(S1, ((F(1), F(0)),)))
+        s3 = Scope.of([Variable("X3", ("a", "b", "c"))])
+        rng = random.Random("coverage")
+        for _ in range(200):
+            levels = [random_mass(rng, 3) for _ in range(rng.randint(1, 3))]
+            system = LexSystem(s3, tuple(levels))
+            covered = all(any(level[i] > 0 for level in levels) for i in range(3))
+            assert lex_is_coherent(system) == covered, levels
 
     def test_dichotomy_for_maximal_systems(self):
         rng = random.Random("dichotomy")

@@ -44,7 +44,7 @@ from desirability.space import disjoint_union
 from desirability.structure import condition, sample_gambles
 from desirability.previsions import strong_member
 from desirability.exactlp import EQ, GE, GT
-from desirability.randgen import (
+from randgen import (
     random_credal,
     random_gamble,
     random_generator_set,
@@ -228,21 +228,20 @@ class TestPricesAgainstBreakpointOracle:
             if lex:
                 functionals = model.levels
                 accepts = functools.partial(lex_member, model)
-                price = previsions._lex_sup
             else:
                 size = model.scope.size
                 units = [[int(i == w) for i in range(size)] for w in range(size)]
                 rows = [r.functional.values for c in model.cells for r in c.rows]
                 functionals = rows + units
                 accepts = functools.partial(desirable._cellset_member, model)
-                price = previsions._cellset_sup
             want = _breakpoint_sup(functionals, accepts, value, direction)
             if want == _UNBOUNDED:
                 with pytest.raises(IncoherentBaseError, match="unbounded buying price"):
-                    price(model, value, direction)
+                    previsions._set_sup(model, value, direction)
                 seen["unbounded"] += 1
             else:
-                assert price(model, value, direction) == want, (model, value, direction)
+                got = previsions._set_sup(model, value, direction)
+                assert got == want, (model, value, direction)
                 seen["empty" if want is None else "value"] += 1
         assert set(seen) == {"value", "empty", "unbounded"}, seen
 

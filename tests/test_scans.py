@@ -33,7 +33,7 @@ from desirability.structure import condition, cyl_ext, sample_gambles
 from desirability.maximal import lex_member
 from desirability.exactlp import EQ, GE, GT
 from desirability.independence import Verdict, irrelevant_extension
-from desirability.randgen import random_credal, random_mass
+from randgen import random_credal, random_mass
 
 from references import floor_onto, indicator
 
