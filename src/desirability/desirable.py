@@ -42,12 +42,12 @@ The central reductions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -60,7 +60,7 @@ from .errors import (
 from .exactlp import (
     EQ, GE, GT, Feasible, LinRow, LinSystem, scaled_to_ints, solve, strict_feasible,
 )
-from .maximal import LexSystem, lex_is_maximal, lex_member
+from .maximal import LexSystem, lex_accepts, lex_is_maximal
 from .space import (
     CACHE_MAXSIZE,
     Assignment,
@@ -120,12 +120,12 @@ class GeneratorSet:
     @staticmethod
     def of(scope: Scope, gambles: Iterable[Gamble]) -> "GeneratorSet":
         """Embed into ``scope``, drop exact duplicates, sort canonically."""
-        seen: set[tuple[Fraction, ...]] = set()
+        seen: set[Gamble] = set()
         gens: list[Gamble] = []
         for g in gambles:
             lifted = g.embed(scope)
-            if lifted.values not in seen:
-                seen.add(lifted.values)
+            if lifted not in seen:
+                seen.add(lifted)
                 gens.append(lifted)
         gens.sort(key=lambda g: g.values)
         return GeneratorSet(scope, tuple(gens))
@@ -146,6 +146,11 @@ class ConsistencyCertificate:
     avoids: bool
     positive_mass: Optional[tuple[Fraction, ...]]
     nonpositive_combination: Optional[tuple[Fraction, ...]]
+
+    @cached_property
+    def int_mass(self) -> list[int]:
+        """The positive mass times the lcm of its denominators, computed once."""
+        return scaled_to_ints(self.positive_mass)[0]
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -183,8 +188,9 @@ def avoids_nonpositivity(assessment: GeneratorSet) -> ConsistencyCertificate:
     weights = outcome.farkas[size:]
     total = sum(weights, _ZERO)
     combination = tuple([v / total for v in weights]) if total else weights
+    columns = [g.values for g in gens]
     combined = [
-        sum((v * g.values[w] for v, g in zip(combination, gens)), _ZERO)
+        sum((v * column[w] for v, column in zip(combination, columns)), _ZERO)
         for w in range(size)
     ]
     if min(combination) < 0 or sum(combination, _ZERO) != 1 or max(combined) > 0:
@@ -213,11 +219,12 @@ def cone_program(
         LinRow(tuple(lead + [_ONE if j == k else _ZERO for j in range(n)]), GE, _ZERO)
         for k in range(n)
     ]
+    columns = [g.values for g in gens]
+    values = value.values
+    shifts = None if direction is None else direction.values
     for w in range(cone.scope.size):
-        shift = [] if direction is None else [direction.values[w]]
-        rows.append(
-            LinRow(tuple(shift + [-g.values[w] for g in gens]), GE, -value.values[w])
-        )
+        shift = [] if shifts is None else [shifts[w]]
+        rows.append(LinRow(tuple(shift + [-column[w] for column in columns]), GE, -values[w]))
     if direction is None:
         return LinSystem(n, tuple(rows))
     objective = tuple([_ONE] + [_ZERO] * n)
@@ -245,7 +252,7 @@ def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
     if f.is_nonpositive():
         return False
     # Every member has strictly positive expectation under the certificate.
-    if f.dot(certificate.positive_mass) <= 0:
+    if sum(map(mul, certificate.int_mass, f.nums)) <= 0:
         return False
     if not assessment.generators:
         return False
@@ -268,27 +275,21 @@ class CellRow:
         if self.rel not in (GE, GT, EQ):
             raise ValueError("unknown relation %r" % (self.rel,))
 
-    @cached_property
-    def int_functional(self) -> list[int]:
-        """The functional times the lcm of its denominators, computed once."""
-        return scaled_to_ints(self.functional.values)[0]
+    def holds(self, nums: Sequence[int]) -> bool:
+        """Does the gamble with values ``nums`` satisfy the constraint?
 
-    def holds(self, f: Gamble) -> bool:
-        """Does ``f`` satisfy the constraint?
-
-        Decided by the sign of an integer dot product: the functional is
-        scaled to ints once per row (``int_functional``), and ``f`` per
-        call, each by the lcm of its denominators.  Both factors are
-        positive, so the sign, and the verdict, are those of the exact
-        rational dot product.
+        ``nums`` may be the values times any positive factor, such as a
+        gamble's ``nums``.  The verdict is the sign of an integer dot
+        product with the functional's ``nums``, its values times its
+        positive denominator, so it is that of the exact rational one.
         """
-        ints = self.int_functional
-        if len(f.values) != len(ints):
+        ints = self.functional.nums
+        if len(nums) != len(ints):
             raise DimensionMismatchError(
                 "expected %d values for the functional, got %d"
-                % (len(ints), len(f.values))
+                % (len(ints), len(nums))
             )
-        value = sum(map(mul, ints, scaled_to_ints(f.values)[0]))
+        value = sum(map(mul, ints, nums))
         if self.rel == GE:
             return value >= 0
         if self.rel == GT:
@@ -303,10 +304,11 @@ class Cell:
     rows: tuple[CellRow, ...]
     exclude_zero: bool = False
 
-    def accepts(self, f: Gamble) -> bool:
-        if self.exclude_zero and f.is_zero():
+    def accepts(self, nums: Sequence[int]) -> bool:
+        """Does the gamble with values ``nums`` (or a positive multiple) lie in the cell?"""
+        if self.exclude_zero and not any(nums):
             return False
-        return all(row.holds(f) for row in self.rows)
+        return all(row.holds(nums) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -333,10 +335,11 @@ class CellSet:
                     )
 
 
-def _cellset_member(cs: CellSet, f: Gamble) -> bool:
-    if cs.include_positive and f.is_positive():
+def _cellset_member(cs: CellSet, nums: Sequence[int]) -> bool:
+    """Membership of the gamble with values ``nums`` (or a positive multiple)."""
+    if cs.include_positive and min(nums) >= 0 and any(nums):
         return True
-    return any(cell.accepts(f) for cell in cs.cells)
+    return any(cell.accepts(nums) for cell in cs.cells)
 
 
 def _unit_cell(scope: Scope, rel: str) -> Cell:
@@ -398,11 +401,14 @@ class Conditioned:
     """The updated model after observing an assignment.
 
     Membership is rewritten, never materialised: ``g`` belongs iff the
-    base accepts ``g.mask(given)``, i.e. ``indicator(given) * g``.
+    base accepts ``g.mask(given)``, i.e. ``indicator(given) * g``.  The
+    mask reads ``mask_table``, an index table the node computes once, on
+    first use, and keeps.
     """
 
     base: DesirableSetExpr
     given: Assignment
+    scope: Scope = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         base_scope = scope_of(self.base)
@@ -413,6 +419,17 @@ class Conditioned:
             )
         if not self.given.items:
             raise ValueError("conditioning on the empty assignment is a no-op")
+        object.__setattr__(self, "scope", base_scope.difference(self.given.scope))
+
+    @cached_property
+    def mask_table(self) -> tuple[int, ...]:
+        """For each base outcome, the index of the conditioned outcome it
+        agrees with, or ``scope.size`` where ``given`` fails."""
+        base_scope = scope_of(self.base)
+        table = [self.scope.size] * base_scope.size
+        for k, w in enumerate(_slice_map(base_scope, self.given)[0]):
+            table[w] = k
+        return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -459,16 +476,49 @@ class IrrExt:
         )
 
 
+def _support_mass(part: DesirableSetExpr) -> Optional[tuple[Fraction, ...]]:
+    """A nonnegative mass giving every member nonnegative expectation."""
+    if isinstance(part, GeneratorSet):
+        return avoids_nonpositivity(part).positive_mass
+    if isinstance(part, LexSystem):
+        return part.levels[0]
+    if isinstance(part, CellSet) and part.from_credal:
+        return part.from_credal[0]
+    return None
+
+
 @dataclass(frozen=True)
 class IndepProduct:
     """Independent natural extension of marginal models on disjoint scopes."""
 
     parts: tuple[DesirableSetExpr, ...]
+    scope: Scope = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.parts:
             raise ScopeError("a product needs at least one marginal")
-        disjoint_union(scope_of(part) for part in self.parts)
+        object.__setattr__(self, "scope", disjoint_union(scope_of(part) for part in self.parts))
+
+    @cached_property
+    def support_mass(self) -> Optional[list[int]]:
+        """A joint mass giving every member nonnegative expectation, scaled
+        to ints, or ``None`` when some marginal has no support mass.
+
+        The product of the marginals' masses (``_support_mass``), computed
+        once per product.
+        """
+        masses = [_support_mass(part) for part in self.parts]
+        if any(m is None for m in masses):
+            return None
+        joint = scope_of(self)
+        block_maps = [_restriction_map(joint, scope_of(part)) for part in self.parts]
+        values = []
+        for w in range(joint.size):
+            v = _ONE
+            for block_map, mass in zip(block_maps, masses):
+                v *= mass[block_map[w]]
+            values.append(v)
+        return scaled_to_ints(values)[0]
 
 
 @dataclass(frozen=True)
@@ -480,11 +530,12 @@ class StrongProduct:
     """
 
     parts: tuple[DesirableSetExpr, ...]
+    scope: Scope = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.parts:
             raise ScopeError("a product needs at least one marginal")
-        disjoint_union(scope_of(part) for part in self.parts)
+        object.__setattr__(self, "scope", disjoint_union(scope_of(part) for part in self.parts))
 
 
 @dataclass(frozen=True)
@@ -520,14 +571,11 @@ def scope_of(expr: DesirableSetExpr) -> Scope:
     if isinstance(expr, (GeneratorSet, CellSet, LexSystem)):
         return expr.scope
     if isinstance(expr, Conditioned):
-        return scope_of(expr.base).difference(expr.given.scope)
+        return expr.scope
     if isinstance(expr, IrrExt):
         return expr.target
     if isinstance(expr, (IndepProduct, StrongProduct)):
-        out = Scope.empty()
-        for part in expr.parts:
-            out = out.union(scope_of(part))
-        return out
+        return expr.scope
     if isinstance(expr, ConditionalFamily):
         return scope_of(expr.entries[0][1])
     raise TypeError("not a desirable-set expression: %r" % (expr,))
@@ -546,20 +594,13 @@ def member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) -> Tri:
     caps the enumerative work of product queries: it is handed to
     ``inex_member`` and ``strong_member``, also below conditioned and
     extended nodes, and no other procedure reads it.
+
+    Lexicographic, cell, conditioned and extension nodes decide on the
+    gamble's ints (``scaled_member``).
     """
     f = f.embed(scope_of(expr))
     if isinstance(expr, GeneratorSet):
         return Tri.of(natext_member(expr, f))
-    if isinstance(expr, CellSet):
-        return Tri.of(_cellset_member(expr, f))
-    if isinstance(expr, LexSystem):
-        return Tri.of(lex_member(expr, f))
-    if isinstance(expr, Conditioned):
-        return member(
-            expr.base, f.mask(expr.given).embed(scope_of(expr.base)), budget=budget
-        )
-    if isinstance(expr, IrrExt):
-        return slice_verdict(expr, f, budget=budget)
     if isinstance(expr, IndepProduct):
         from .independence import inex_member
 
@@ -573,34 +614,55 @@ def member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) -> Tri:
             "conditional families answer only conditioned queries; "
             "condition on an assignment of %r first" % (expr.on.names,)
         )
-    raise TypeError("not a desirable-set expression: %r" % (expr,))
+    return scaled_member(expr, f.nums, f.den, budget)
 
 
-def slice_verdict(expr: IrrExt, f: Gamble, *, budget: int = 100000) -> Tri:
+def scaled_member(
+    expr: DesirableSetExpr, nums: Sequence[int], den: int, budget: int
+) -> Tri:
+    """Membership of the gamble ``nums / den`` on the scope of ``expr``.
+
+    Every node denotes a cone, so ``nums`` alone, a positive multiple of
+    the gamble, decides lexicographic and cell leaves: their integer sign
+    tests read it as it is.  A conditioned node masks it through its
+    ``mask_table`` and an extension through its ``slice_table``, and each
+    hands the result to its base here, with no gamble built on the way.
+    Any other node receives the gamble ``nums / den`` through ``member``.
+    """
+    if isinstance(expr, LexSystem):
+        return Tri.of(lex_accepts(expr, nums))
+    if isinstance(expr, CellSet):
+        return Tri.of(_cellset_member(expr, nums))
+    if isinstance(expr, Conditioned):
+        padded = [*nums, 0]
+        return scaled_member(expr.base, [padded[k] for k in expr.mask_table], den, budget)
+    if isinstance(expr, IrrExt):
+        return slice_verdict(expr, nums, den, budget)
+    return member(expr, Gamble._from_ints(scope_of(expr), tuple(nums), den), budget=budget)
+
+
+def slice_verdict(expr: IrrExt, nums: Sequence[int], den: int, budget: int) -> Tri:
     """Slice decomposition of irrelevant-extension membership.
 
-    ``f`` lives on the target.  It belongs iff it is nonzero and, for
-    every assignment of the irrelevant variables, the floor of ``f`` over
-    the remaining added variables, sliced at that assignment, is
-    nonnegative or a member of the base.  A nonnegative slice is skipped
+    ``nums / den`` lives on the target.  It belongs iff it is nonzero and,
+    for every assignment of the irrelevant variables, the floor of the
+    gamble over the remaining added variables, sliced at that assignment,
+    is nonnegative or a member of the base.  A nonnegative slice is skipped
     without asking the base: zero slack dominates it.  Each slice is read
-    straight from ``expr.slice_table``: entry ``b`` is the minimum of the
-    values of ``f`` at the indices listed for it.  The per-slice choices
-    are independent because a dominating gamble can be assembled slice by
-    slice.  ``budget`` goes to each base query, as in ``member``.
+    straight from ``expr.slice_table`` as ints: entry ``b`` is the minimum
+    of ``nums`` at the indices listed for it, and the base decides it over
+    the same ``den``.  The per-slice choices are independent because a
+    dominating gamble can be assembled slice by slice.  ``budget`` goes to
+    each base query, as in ``member``.
     """
-    if f.is_zero():
+    if not any(nums):
         return Tri.OUT
-    base_scope = scope_of(expr.base)
-    values = f.values
     unknown = False
     for row in expr.slice_table:
-        piece = Gamble(
-            base_scope, tuple([min([values[w] for w in group]) for group in row])
-        )
-        if piece.is_nonnegative():
+        piece = [min([nums[w] for w in group]) for group in row]
+        if min(piece) >= 0:
             continue
-        verdict = member(expr.base, piece, budget=budget)
+        verdict = scaled_member(expr.base, piece, den, budget)
         if verdict is Tri.OUT:
             return Tri.OUT
         if verdict is Tri.UNKNOWN:
@@ -703,7 +765,7 @@ def cellset_coherence_audit(cs: CellSet) -> CoherenceReport:
     definitive failure.
     """
     zero = Gamble.zero(cs.scope)
-    zero_cells = [i for i, cell in enumerate(cs.cells) if cell.accepts(zero)]
+    zero_cells = [i for i, cell in enumerate(cs.cells) if cell.accepts(zero.nums)]
     excludes_zero = AuditFinding(
         "excludes-zero",
         not zero_cells,
@@ -726,7 +788,7 @@ def cellset_coherence_audit(cs: CellSet) -> CoherenceReport:
             bad = None
             samples = sample_gambles(cs.scope, budget=AUDIT_SAMPLES, lo=0, hi=3)
             for f in samples:
-                if f.is_positive() and not _cellset_member(cs, f):
+                if f.is_positive() and not _cellset_member(cs, f.nums):
                     bad = f
                     break
             accepts_positives = AuditFinding(
@@ -790,18 +852,18 @@ def _audit_posi_closed(cs: CellSet) -> AuditFinding:
     members = [
         f
         for f in sample_gambles(cs.scope, budget=AUDIT_SAMPLES * 4)
-        if _cellset_member(cs, f)
+        if _cellset_member(cs, f.nums)
     ]
     checked = 0
     pairs = itertools.combinations(members, 2)
     for f, g in itertools.islice(pairs, AUDIT_SAMPLES):
-        if not _cellset_member(cs, f + g):
+        if not _cellset_member(cs, (f + g).nums):
             return AuditFinding(
                 "posi-closed", False, "sampled", "sum of two members left the set", f + g
             )
         checked += 1
     for f in members[:AUDIT_SAMPLES]:
-        if not _cellset_member(cs, f + f):
+        if not _cellset_member(cs, (f + f).nums):
             return AuditFinding(
                 "posi-closed", False, "sampled", "double of a member left the set", f + f
             )

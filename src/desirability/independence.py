@@ -46,6 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .desirable import (
@@ -76,7 +77,6 @@ from .space import (
     Assignment,
     Gamble,
     Scope,
-    _restriction_map,
     _slice_map,
     disjoint_union,
 )
@@ -167,31 +167,6 @@ def _check_marginals(parts: Sequence[DesirableSetExpr]) -> None:
             raise IncoherentBaseError("product marginal is an incoherent lex system")
 
 
-def _support_mass(part: DesirableSetExpr) -> Optional[tuple[Fraction, ...]]:
-    """A nonnegative mass giving every member nonnegative expectation."""
-    if isinstance(part, GeneratorSet):
-        return avoids_nonpositivity(part).positive_mass
-    if isinstance(part, LexSystem):
-        return part.levels[0]
-    if isinstance(part, CellSet) and part.from_credal:
-        return part.from_credal[0]
-    return None
-
-
-def _product_mass(product: IndepProduct, joint: Scope) -> Optional[Gamble]:
-    masses = [_support_mass(part) for part in product.parts]
-    if any(m is None for m in masses):
-        return None
-    block_maps = [_restriction_map(joint, scope_of(part)) for part in product.parts]
-    values = []
-    for w in range(joint.size):
-        v = _ONE
-        for block_map, mass in zip(block_maps, masses):
-            v *= mass[block_map[w]]
-        values.append(v)
-    return Gamble(joint, tuple(values))
-
-
 def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> Tri:
     """Membership in an independent natural extension.
 
@@ -199,6 +174,8 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     same ``budget``.  A generator marginal that fails the consistency check,
     or a lexicographic marginal that is not coherent, raises
     ``IncoherentBaseError`` before any sign filter (``_check_marginals``).
+    The sign filters read ``h``'s ints; the last of them dots them with the
+    product's ``support_mass``, built once per product.
     The masked generators of all generator marginals give the weight and
     domination rows of ``cone_program``, to which each cell or
     lexicographic marginal adds one column per outcome for its summand.
@@ -233,8 +210,8 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
         return Tri.IN
     if h.is_nonpositive():
         return Tri.OUT
-    mass = _product_mass(expr, joint)
-    if mass is not None and h.dot(mass.values) < 0:
+    mass = expr.support_mass
+    if mass is not None and sum(map(mul, mass, h.nums)) < 0:
         return Tri.OUT
 
     masked = tuple([
@@ -279,8 +256,8 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
             rendered = []
             for row in cell.rows:
                 coeffs = [_ZERO] * width
-                for j, idx in enumerate(indices):
-                    coeffs[first + idx] = row.functional.values[j]
+                for idx, c in zip(indices, row.functional.values):
+                    coeffs[first + idx] = c
                 rendered.append(LinRow(tuple(coeffs), row.rel, _ZERO))
             options.append(rendered)
         menu.append(options)
@@ -435,10 +412,12 @@ def is_irrelevant(
     gambles and must be at least 1.
 
     The masks come from an index table built once per scan: for each
-    assignment ``at``, the indices of ``_slice_map(joint, at)`` on the
-    joint scope of both groups.  Each sampled gamble is lifted to that
-    scope once; its mask at ``at`` copies the lifted values at those
-    indices and is zero elsewhere, which is ``indicator(at) * f`` exactly.
+    assignment ``at`` and each outcome of the joint scope of both groups,
+    the outcome itself where ``at`` holds (``_slice_map(joint, at)``) and a
+    zero entry elsewhere.  Each sampled gamble is lifted to that scope once,
+    and the lift is what the plain query asks; its mask at ``at`` gathers
+    the lifted ints through the table and keeps the denominator, which is
+    ``indicator(at) * f`` exactly.
     """
     _check_budget(budget)
     full = scope_of(expr)
@@ -450,20 +429,25 @@ def is_irrelevant(
         return Verdict(True, "vacuous", 0, "an empty variable group is always irrelevant")
     joint = irrelevant.union(onto)
     size = joint.size
-    masks = [(at, _slice_map(joint, at)[0]) for at in irrelevant.assignments()]
+    masks = []
+    for at in irrelevant.assignments():
+        table = [size] * size
+        for i in _slice_map(joint, at)[0]:
+            table[i] = i
+        masks.append((at, table))
     checked = 0
     skipped = 0
     for f in sample_gambles(onto, budget=budget, seed=seed):
-        plain = member(expr, f)
+        lifted = f.embed(joint)
+        plain = member(expr, lifted)
         if plain is Tri.UNKNOWN:
             skipped += 1
             continue
-        lifted = f.embed(joint).values
-        for at, indices in masks:
-            values = [_ZERO] * size
-            for i in indices:
-                values[i] = lifted[i]
-            masked = member(expr, Gamble(joint, tuple(values)))
+        values = [*lifted.nums, 0]
+        for at, table in masks:
+            masked = member(
+                expr, Gamble._from_ints(joint, tuple([values[i] for i in table]), lifted.den)
+            )
             if masked is Tri.UNKNOWN:
                 skipped += 1
                 continue

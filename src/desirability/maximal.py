@@ -77,6 +77,14 @@ class LexSystem:
             scope, tuple(tuple(as_rational(v) for v in level) for level in levels)
         )
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """Computed once: systems key ``lex_is_maximal``'s cache."""
+        return hash((self.scope, self.levels))
+
     @cached_property
     def int_levels(self) -> tuple[list[int], ...]:
         """Each level times the lcm of its denominators, computed once."""
@@ -84,25 +92,27 @@ class LexSystem:
 
 
 def lex_member(system: LexSystem, f: Gamble) -> bool:
-    """First nonzero level expectation positive?
-
-    Decided by integer sign tests: each level is scaled to ints once per
-    system (``int_levels``) and ``f`` once per call, each by the lcm of its
-    denominators.  Both factors are positive, so every integer dot product
-    has the sign of the exact expectation it stands for.
-    """
-    if len(f.values) != system.scope.size:
+    """First nonzero level expectation positive?"""
+    if len(f.nums) != system.scope.size:
         raise DimensionMismatchError(
             "expected %d values for scope %r, got %d"
-            % (system.scope.size, system.scope.names, len(f.values))
+            % (system.scope.size, system.scope.names, len(f.nums))
         )
-    values, _ = scaled_to_ints(f.values)
+    return lex_accepts(system, f.nums)
+
+
+def lex_accepts(system: LexSystem, nums: Sequence[int]) -> bool:
+    """``lex_member`` of the gamble with values ``nums``.
+
+    ``nums`` may be the values times any positive factor, such as a
+    gamble's ``nums``.  Each level is scaled to ints once per system
+    (``int_levels``), also by a positive factor, so every integer dot
+    product has the sign of the exact expectation it stands for.
+    """
     for level in system.int_levels:
-        e = sum(map(mul, level, values))
-        if e > 0:
-            return True
-        if e < 0:
-            return False
+        e = sum(map(mul, level, nums))
+        if e:
+            return e > 0
     return False
 
 

@@ -49,8 +49,7 @@ from .errors import (
     UnsupportedQueryError,
 )
 from .exactlp import (
-    EQ, GE, GT, Feasible, LinRow, LinSystem, Optimal, Unbounded, forward_eliminate,
-    scaled_to_ints, solve,
+    EQ, GE, GT, Feasible, LinRow, LinSystem, Optimal, Unbounded, forward_eliminate, solve,
 )
 from .maximal import LexSystem
 from .space import (
@@ -406,7 +405,7 @@ def credal_vertices(assessment: GeneratorSet, *, budget: int = 200000) -> Credal
     # Constraint rows as ints: a positive multiple of a generator has the
     # same zero set and the same sign at every point.
     constraints = [[int(i == w) for i in range(d)] for w in range(d)]
-    constraints.extend(scaled_to_ints(g.values)[0] for g in assessment.generators)
+    constraints.extend(list(g.nums) for g in assessment.generators)
     total = math.comb(len(constraints), d - 1)
     if total > budget:
         raise BudgetExceededError(
@@ -574,7 +573,7 @@ def strong_product_lower(
     if not credals:
         raise ScopeError("at least one marginal credal set is required")
     joint = disjoint_union(c.scope for c in credals)
-    fitted = f.embed(joint)
+    fitted = f.embed(joint).values
     combos = 1
     for c in credals:
         combos *= len(c.vertices)
@@ -588,7 +587,7 @@ def strong_product_lower(
     for combo in itertools.product(*(c.vertices for c in credals)):
         total = _ZERO
         for w in range(joint.size):
-            weight = fitted.values[w]
+            weight = fitted[w]
             if weight == 0:
                 continue
             for n, p in enumerate(combo):

@@ -17,17 +17,27 @@ as well, and from nowhere else: ``disjoint_union`` forms the joint scope,
 the other blocks), and ``_slice_map`` lists the joint indices of each slice
 of a block along an assignment of the other blocks.
 
-All values are ``fractions.Fraction``; floats are rejected outright.
+Values are exact rationals at every boundary: ``Gamble`` takes
+``Fraction``s (``Gamble.on`` also ints and rational strings), floats and
+booleans are rejected outright, and ``Gamble.values`` reads back
+``Fraction``s.  Inside, a gamble holds integer numerators over one positive
+denominator, computed once.  The decision procedures that solve no linear
+program read those ints and may drop the denominator, that is, decide on
+the gamble times a positive number.  That is exact only because every model
+here denotes a cone: ``k * f`` and ``f`` are members together for every
+rational ``k > 0``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as _cartesian
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from math import gcd
+from operator import add, mul
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, ExactnessError, OutcomeError, ScopeError
 
@@ -116,10 +126,14 @@ class Scope:
     """An ordered set of variables; the product of their outcome sets.
 
     Variables are kept sorted by name so that equal variable sets give equal
-    scopes and a single canonical enumeration order.
+    scopes and a single canonical enumeration order.  The number of joint
+    outcomes (``size``) and the hash are computed once, on construction:
+    scopes size every gamble and key the layout caches below.
     """
 
     variables: tuple[Variable, ...]
+    size: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [v.name for v in self.variables]
@@ -127,6 +141,11 @@ class Scope:
             raise ScopeError("scope variables must be sorted by name; use Scope.of")
         if len(set(names)) != len(names):
             raise ScopeError("duplicate variable names in scope: %r" % (names,))
+        size = 1
+        for v in self.variables:
+            size *= v.size
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_hash", hash(self.variables))
 
     @staticmethod
     def of(variables: Iterable[Variable]) -> "Scope":
@@ -139,12 +158,8 @@ class Scope:
     def empty() -> "Scope":
         return _EMPTY_SCOPE
 
-    @property
-    def size(self) -> int:
-        n = 1
-        for v in self.variables:
-            n *= v.size
-        return n
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -262,7 +277,7 @@ class Assignment:
     def empty() -> "Assignment":
         return Assignment(())
 
-    @property
+    @cached_property
     def scope(self) -> Scope:
         return Scope(tuple(v for v, _ in self.items))
 
@@ -332,21 +347,98 @@ def _slice_map(scope: Scope, at: Assignment) -> tuple[tuple[int, ...], Scope]:
     return tuple(indices), rest
 
 
-@dataclass(frozen=True)
 class Gamble:
-    """An exact-rational reward function on the joint outcomes of a scope."""
+    """An exact-rational reward function on the joint outcomes of a scope.
+
+    Held as integer numerators ``nums`` over one positive denominator
+    ``den``, in lowest terms: the value at outcome ``w`` is
+    ``nums[w] / den``, and no prime divides ``den`` and every numerator.
+    That form is unique, so equality and hashing read it, and they agree
+    with equality of the rational values.  ``values`` holds the same values
+    as ``Fraction``s; a gamble that an operation built from ints makes them
+    on first read.  Gambles are immutable.
+
+    ``Gamble(scope, values)`` takes ``Fraction``s only and computes the
+    ints in the sweep that checks them; ``on`` and ``constant`` also accept
+    ints and rational strings.  Scope operations (``embed``, ``mask``,
+    ``slice_at``) gather the ints, and the ``Fraction``s too where they
+    have been made; arithmetic runs on the ints.
+    """
+
+    __slots__ = ("scope", "nums", "den", "_values")
 
     scope: Scope
-    values: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.scope.size:
-            raise _dimension_error(self.scope, len(self.values))
-        for v in self.values:
+    def __init__(self, scope: Scope, values: Sequence[Fraction]) -> None:
+        values = tuple(values)
+        if len(values) != scope.size:
+            raise _dimension_error(scope, len(values))
+        den = 1
+        for v in values:
             if not isinstance(v, Fraction):
-                raise ExactnessError(
-                    "gamble values must be Fractions, got %r" % (v,)
-                )
+                raise ExactnessError("gamble values must be Fractions, got %r" % (v,))
+            d = v.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        if den == 1:
+            nums = tuple([v.numerator for v in values])
+        else:
+            nums = tuple([v.numerator * (den // v.denominator) for v in values])
+        _fill(self, scope, nums, den, values)
+
+    @staticmethod
+    def _from_ints(
+        scope: Scope,
+        nums: tuple[int, ...],
+        den: int = 1,
+        values: Optional[tuple[Fraction, ...]] = None,
+    ) -> "Gamble":
+        """The gamble ``nums / den``, brought to lowest terms.
+
+        Internal and unchecked: ``nums`` are ints, one per outcome of
+        ``scope``, ``den`` is a positive int, and ``values``, when given,
+        are the same values as ``Fraction``s.
+        """
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = tuple([n // g for n in nums])
+                den //= g
+        g = object.__new__(Gamble)
+        _fill(g, scope, nums, den, values)
+        return g
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Gamble):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums and self.scope == other.scope
+
+    def __hash__(self) -> int:
+        return hash((self.scope, self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return "Gamble(scope=%r, values=%r)" % (self.scope, self.values)
+
+    def __reduce__(self) -> tuple:
+        return Gamble._from_ints, (self.scope, self.nums, self.den)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The values as ``Fraction``s, made once on first read."""
+        values = self._values
+        if values is None:
+            den = self.den
+            values = tuple([Fraction(n, den) if n else _ZERO for n in self.nums])
+            object.__setattr__(self, "_values", values)
+        return values
 
     # -- construction -----------------------------------------------------
 
@@ -357,7 +449,8 @@ class Gamble:
     @staticmethod
     def constant(scope: Scope, value: RationalLike) -> "Gamble":
         c = as_rational(value)
-        return Gamble(scope, (c,) * scope.size)
+        size = scope.size
+        return Gamble._from_ints(scope, (c.numerator,) * size, c.denominator, (c,) * size)
 
     @staticmethod
     def zero(scope: Scope) -> "Gamble":
@@ -371,22 +464,22 @@ class Gamble:
         return self.values[self.scope.index_of(at.restrict(self.scope))]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.nums)
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.values)
+        return min(self.nums) >= 0
 
     def is_positive(self) -> bool:
         """Nonnegative and not identically zero."""
-        return self.is_nonnegative() and not self.is_zero()
+        return min(self.nums) >= 0 and any(self.nums)
 
     def is_nonpositive(self) -> bool:
-        return all(v <= 0 for v in self.values)
+        return max(self.nums) <= 0
 
     def dot(self, coeffs: Sequence[Fraction]) -> Fraction:
-        if len(coeffs) != len(self.values):
+        if len(coeffs) != len(self.nums):
             raise _dimension_error(self.scope, len(coeffs))
-        return sum((c * v for c, v in zip(coeffs, self.values)), Fraction(0))
+        return sum((c * v for c, v in zip(coeffs, self.values)), _ZERO)
 
     # -- arithmetic (scopes are merged by cylindrical extension) -----------
 
@@ -398,21 +491,26 @@ class Gamble:
 
     def __add__(self, other: "Gamble") -> "Gamble":
         a, b = self._aligned(other)
-        return Gamble(a.scope, tuple(x + y for x, y in zip(a.values, b.values)))
+        if a.den == b.den:
+            return Gamble._from_ints(a.scope, tuple(map(add, a.nums, b.nums)), a.den)
+        nums = [x * b.den + y * a.den for x, y in zip(a.nums, b.nums)]
+        return Gamble._from_ints(a.scope, tuple(nums), a.den * b.den)
 
     def __sub__(self, other: "Gamble") -> "Gamble":
-        a, b = self._aligned(other)
-        return Gamble(a.scope, tuple(x - y for x, y in zip(a.values, b.values)))
+        return self + -other
 
     def __neg__(self) -> "Gamble":
-        return Gamble(self.scope, tuple(-x for x in self.values))
+        return Gamble._from_ints(self.scope, tuple([-n for n in self.nums]), self.den)
 
     def __mul__(self, other: Union["Gamble", RationalLike]) -> "Gamble":
         if isinstance(other, Gamble):
             a, b = self._aligned(other)
-            return Gamble(a.scope, tuple(x * y for x, y in zip(a.values, b.values)))
+            return Gamble._from_ints(a.scope, tuple(map(mul, a.nums, b.nums)), a.den * b.den)
         c = as_rational(other)
-        return Gamble(self.scope, tuple(c * x for x in self.values))
+        p = c.numerator
+        return Gamble._from_ints(
+            self.scope, tuple([p * n for n in self.nums]), self.den * c.denominator
+        )
 
     def __rmul__(self, other: RationalLike) -> "Gamble":
         return self.__mul__(other)
@@ -424,30 +522,44 @@ class Gamble:
         without building the indicator or multiplying by zero and one.
         """
         joint = self.scope.union(at.scope)
-        values = self.embed(joint).values
-        masked = [_ZERO] * joint.size
-        for i in _slice_map(joint, at)[0]:
-            masked[i] = values[i]
-        return Gamble(joint, tuple(masked))
+        lifted = self.embed(joint)
+        keep = _slice_map(joint, at)[0]
+        nums = [0] * joint.size
+        for i in keep:
+            nums[i] = lifted.nums[i]
+        values = lifted._values
+        if values is not None:
+            masked = [_ZERO] * joint.size
+            for i in keep:
+                masked[i] = values[i]
+            values = tuple(masked)
+        return Gamble._from_ints(joint, tuple(nums), lifted.den, values)
 
     def shift(self, value: RationalLike) -> "Gamble":
         """Add a constant to every outcome."""
-        c = as_rational(value)
-        return Gamble(self.scope, tuple(x + c for x in self.values))
+        return self + Gamble.constant(self.scope, value)
 
     # -- scope operations ---------------------------------------------------
+
+    def _gathered(self, scope: Scope, indices: Sequence[int]) -> "Gamble":
+        """The gamble on ``scope`` whose value at ``k`` is this one's at
+        ``indices[k]``."""
+        nums = self.nums
+        values = self._values
+        if values is not None:
+            values = tuple([values[i] for i in indices])
+        return Gamble._from_ints(scope, tuple([nums[i] for i in indices]), self.den, values)
 
     def embed(self, target: Scope) -> "Gamble":
         """View this gamble on a larger scope (value ignores the added variables)."""
         if target == self.scope:
             return self
-        rmap = _restriction_map(target, self.scope)
-        return Gamble(target, tuple(self.values[i] for i in rmap))
+        return self._gathered(target, _restriction_map(target, self.scope))
 
     def slice_at(self, at: Assignment) -> "Gamble":
         """The gamble on the remaining variables once ``at`` is observed."""
         indices, rest = _slice_map(self.scope, at)
-        return Gamble(rest, tuple(self.values[i] for i in indices))
+        return self._gathered(rest, indices)
 
     def depends_only_on(self, onto: Scope) -> tuple[bool, "Gamble | None"]:
         """Whether the value is a function of ``onto`` alone.
@@ -460,17 +572,32 @@ class Gamble:
                 "scope %r is not part of %r" % (onto.names, self.scope.names)
             )
         rmap = _restriction_map(self.scope, onto)
-        reduced: list[Fraction | None] = [None] * onto.size
+        first: list[int] = [-1] * onto.size
         for full_idx, red_idx in enumerate(rmap):
-            seen = reduced[red_idx]
-            if seen is None:
-                reduced[red_idx] = self.values[full_idx]
-            elif seen != self.values[full_idx]:
+            if first[red_idx] < 0:
+                first[red_idx] = full_idx
+            elif self.nums[first[red_idx]] != self.nums[full_idx]:
                 return False, None
-        return True, Gamble(onto, tuple(v for v in reduced))  # type: ignore[misc]
+        return True, self._gathered(onto, first)
 
     def __str__(self) -> str:
         return "[" + ",".join(format_rational(v) for v in self.values) + "]"
+
+
+_set_slot = object.__setattr__
+
+
+def _fill(
+    g: Gamble,
+    scope: Scope,
+    nums: tuple[int, ...],
+    den: int,
+    values: Optional[tuple[Fraction, ...]],
+) -> None:
+    _set_slot(g, "scope", scope)
+    _set_slot(g, "nums", nums)
+    _set_slot(g, "den", den)
+    _set_slot(g, "_values", values)
 
 
 def _dimension_error(scope: Scope, got: int) -> DimensionMismatchError:

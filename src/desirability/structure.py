@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from typing import Iterator
 
 from .desirable import (
@@ -172,9 +171,8 @@ def condition_bar_member(
 
 def gamble_grid(scope: Scope, lo: int = -3, hi: int = 3) -> Iterator[Gamble]:
     """All integer-valued gambles on ``scope`` with entries in [lo, hi]."""
-    span = [Fraction(v) for v in range(lo, hi + 1)]
-    for values in itertools.product(span, repeat=scope.size):
-        yield Gamble(scope, values)
+    for nums in itertools.product(range(lo, hi + 1), repeat=scope.size):
+        yield Gamble._from_ints(scope, nums)
 
 
 def sample_gambles(
@@ -191,6 +189,6 @@ def sample_gambles(
         return list(gamble_grid(scope, lo, hi))
     rng = random.Random(seed)
     return [
-        Gamble(scope, tuple(Fraction(rng.randint(lo, hi)) for _ in range(scope.size)))
+        Gamble._from_ints(scope, tuple([rng.randint(lo, hi) for _ in range(scope.size)]))
         for _ in range(budget)
     ]

@@ -12,6 +12,12 @@ fast paths, so a test can compare the two:
 * ``irr_member`` — membership in the slice family behind an ``IrrExt``,
   with slices read by ``Gamble.slice_at`` rather than the node's slice
   table;
+* ``fraction_member``, ``fraction_is_irrelevant``,
+  ``fraction_is_independent`` and ``fraction_factorisation_check`` — the
+  membership path and the scans as they ran on ``Fraction`` values, before
+  lexicographic, cell, conditioned and extension nodes decided on a
+  gamble's ints: every value they read is ``Gamble.values``, and every
+  gamble they build is built from ``Fraction``s;
 * ``inex_lower_prevision_primal`` — the independent joint lower prevision
   as the primal allocation program, the LP dual of the joint-mass program
   that ``previsions.inex_lower_prevision`` solves;
@@ -36,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -54,11 +61,13 @@ from desirability.desirable import (
     Cell,
     CellRow,
     CellSet,
+    Conditioned,
     ConditionalFamily,
     DesirableSetExpr,
     GeneratorSet,
     IndepProduct,
     StrongProduct,
+    _support_mass,
     scope_of,
 )
 from desirability.exactlp import (
@@ -86,8 +95,11 @@ from desirability.errors import (
     UnsupportedQueryError,
 )
 from desirability.independence import (
+    PAIR_BUDGET,
+    Verdict,
+    _check_budget,
     _check_marginals,
-    _product_mass,
+    _scan_mode,
     independent_product,
     irrelevant_extension,
 )
@@ -280,6 +292,235 @@ def irr_member(ext: IrrExt, h: Gamble) -> Tri:
         if verdict is Tri.UNKNOWN:
             unknown = True
     return Tri.UNKNOWN if unknown else Tri.IN
+
+
+# ---------------------------------------------------------------------------
+# membership and scans on Fraction values
+# ---------------------------------------------------------------------------
+
+
+def fraction_values(f: Gamble, target: Scope) -> tuple[Fraction, ...]:
+    """The values of ``f`` on the larger scope ``target``, as Fractions."""
+    if f.scope == target:
+        return f.values
+    return tuple([f.values[i] for i in _restriction_map(target, f.scope)])
+
+
+def _fraction_mask(f: Gamble, at: Assignment) -> Gamble:
+    joint = f.scope.union(at.scope)
+    values = fraction_values(f, joint)
+    masked = [_ZERO] * joint.size
+    for i in _slice_map(joint, at)[0]:
+        masked[i] = values[i]
+    return Gamble(joint, tuple(masked))
+
+
+def _fraction_product(f: Gamble, g: Gamble) -> Gamble:
+    joint = f.scope.union(g.scope)
+    pairs = zip(fraction_values(f, joint), fraction_values(g, joint))
+    return Gamble(joint, tuple([a * b for a, b in pairs]))
+
+
+def _fraction_holds(row: CellRow, values: Sequence[Fraction]) -> bool:
+    value = sum((c * v for c, v in zip(row.functional.values, values)), _ZERO)
+    if row.rel == GE:
+        return value >= 0
+    if row.rel == GT:
+        return value > 0
+    return value == 0
+
+
+def fraction_member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) -> Tri:
+    """``member`` with lexicographic, cell, conditioned and extension nodes
+    decided on ``Fraction`` values: exact expectations, masks that copy
+    values, and slice floors read from ``IrrExt.slice_table``.  Generator
+    and product nodes answer through the engine's ``member``."""
+    scope = scope_of(expr)
+    values = fraction_values(f, scope)
+    if isinstance(expr, LexSystem):
+        for level in expr.levels:
+            e = sum((p * v for p, v in zip(level, values)), _ZERO)
+            if e != 0:
+                return Tri.of(e > 0)
+        return Tri.OUT
+    if isinstance(expr, CellSet):
+        nonzero = any(v != 0 for v in values)
+        if expr.include_positive and nonzero and all(v >= 0 for v in values):
+            return Tri.IN
+        for cell in expr.cells:
+            if cell.exclude_zero and not nonzero:
+                continue
+            if all(_fraction_holds(row, values) for row in cell.rows):
+                return Tri.IN
+        return Tri.OUT
+    if isinstance(expr, Conditioned):
+        masked = _fraction_mask(Gamble(scope, values), expr.given)
+        return fraction_member(expr.base, masked, budget=budget)
+    if isinstance(expr, IrrExt):
+        if all(v == 0 for v in values):
+            return Tri.OUT
+        base_scope = scope_of(expr.base)
+        unknown = False
+        for row in expr.slice_table:
+            piece = tuple([min([values[w] for w in group]) for group in row])
+            if all(v >= 0 for v in piece):
+                continue
+            verdict = fraction_member(expr.base, Gamble(base_scope, piece), budget=budget)
+            if verdict is Tri.OUT:
+                return Tri.OUT
+            if verdict is Tri.UNKNOWN:
+                unknown = True
+        return Tri.UNKNOWN if unknown else Tri.IN
+    return member(expr, Gamble(scope, values), budget=budget)
+
+
+def fraction_sample_gambles(
+    scope: Scope, *, budget: int = 2000, seed: int = 0, lo: int = -3, hi: int = 3
+) -> list[Gamble]:
+    """``structure.sample_gambles`` with every value built as a Fraction."""
+    total = (hi - lo + 1) ** scope.size
+    if total <= budget:
+        span = [Fraction(v) for v in range(lo, hi + 1)]
+        return [Gamble(scope, values) for values in itertools.product(span, repeat=scope.size)]
+    rng = random.Random(seed)
+    return [
+        Gamble(scope, tuple(Fraction(rng.randint(lo, hi)) for _ in range(scope.size)))
+        for _ in range(budget)
+    ]
+
+
+def fraction_is_irrelevant(
+    expr: DesirableSetExpr, irrelevant: Scope, onto: Scope, *, budget: int = 2000, seed: int = 0
+) -> Verdict:
+    """``is_irrelevant`` with Fraction masks and ``fraction_member``."""
+    _check_budget(budget)
+    full = scope_of(expr)
+    if not irrelevant.issubset(full) or not onto.issubset(full):
+        raise ScopeError("irrelevance scopes must be part of the expression scope")
+    if not irrelevant.isdisjoint(onto):
+        raise ScopeError("irrelevance scopes must be disjoint")
+    if not irrelevant.variables or not onto.variables:
+        return Verdict(True, "vacuous", 0, "an empty variable group is always irrelevant")
+    joint = irrelevant.union(onto)
+    checked = 0
+    skipped = 0
+    for f in fraction_sample_gambles(onto, budget=budget, seed=seed):
+        plain = fraction_member(expr, f)
+        if plain is Tri.UNKNOWN:
+            skipped += 1
+            continue
+        lifted = Gamble(joint, fraction_values(f, joint))
+        for at in irrelevant.assignments():
+            masked = fraction_member(expr, _fraction_mask(lifted, at))
+            if masked is Tri.UNKNOWN:
+                skipped += 1
+                continue
+            checked += 1
+            if plain is not masked:
+                return Verdict(
+                    False,
+                    _scan_mode(onto, budget, -3, 3),
+                    checked,
+                    "membership changes after observing %s" % (at,),
+                    (f, at),
+                )
+    detail = "%d membership pairs agree" % checked
+    if skipped:
+        detail += " (%d boundary queries skipped)" % skipped
+    return Verdict(True, _scan_mode(onto, budget, -3, 3), checked, detail)
+
+
+def fraction_is_independent(
+    expr: DesirableSetExpr, blocks: Sequence[Scope], *, budget: int = 2000, seed: int = 0
+) -> Verdict:
+    """``is_independent`` over ``fraction_is_irrelevant``."""
+    _check_budget(budget)
+    if disjoint_union(blocks) != scope_of(expr):
+        raise ScopeError("blocks must partition the expression scope")
+    if len(blocks) <= 1:
+        return Verdict(True, "vacuous", 0, "a single block is trivially independent")
+    needed = 3 ** len(blocks) - 2 * 2 ** len(blocks) + 1
+    if needed > PAIR_BUDGET:
+        raise BudgetExceededError("independence scan needs %d irrelevance checks" % needed)
+    total = 0
+    mode = "exhaustive"
+    for labels in itertools.product((0, 1, 2), repeat=len(blocks)):
+        if not (1 in labels and 2 in labels):
+            continue
+        side_i = disjoint_union(b for k, b in zip(labels, blocks) if k == 1)
+        side_o = disjoint_union(b for k, b in zip(labels, blocks) if k == 2)
+        verdict = fraction_is_irrelevant(expr, side_i, side_o, budget=budget, seed=seed)
+        total += verdict.checked
+        if verdict.mode == "sampled":
+            mode = "sampled"
+        if not verdict.passed:
+            return Verdict(
+                False,
+                verdict.mode,
+                total,
+                "%s fails for irrelevant=%r onto=%r"
+                % (verdict.detail, side_i.names, side_o.names),
+                verdict.counterexample,
+            )
+    return Verdict(True, mode, total, "%d membership pairs agree" % total)
+
+
+def fraction_factorisation_check(
+    expr: DesirableSetExpr, factor_scope: Scope, onto: Scope, *, budget: int = 60, seed: int = 0
+) -> Verdict:
+    """``factorisation_check`` with Fraction products and ``fraction_member``."""
+    _check_budget(budget)
+    full = scope_of(expr)
+    if not factor_scope.issubset(full) or not onto.issubset(full):
+        raise ScopeError("factorisation scopes must be part of the expression scope")
+    if not factor_scope.isdisjoint(onto):
+        raise ScopeError("factorisation scopes must be disjoint")
+    members = [
+        f
+        for f in fraction_sample_gambles(onto, budget=budget * 4, seed=seed)
+        if fraction_member(expr, f) is Tri.IN
+    ][:budget]
+    factors = [
+        g
+        for g in fraction_sample_gambles(factor_scope, budget=budget * 4, seed=seed + 1, lo=0, hi=3)
+        if all(v >= 0 for v in g.values) and any(v != 0 for v in g.values)
+    ][:budget]
+    unit = Gamble(factor_scope, (_ONE,) * factor_scope.size)
+    checked = 0
+    for f in members:
+        if fraction_member(expr, _fraction_product(f, unit)) is not Tri.IN:
+            return Verdict(
+                False, "sampled", checked, "member rejected after unit factor", (f, None)
+            )
+        checked += 1
+        for g in factors:
+            product = _fraction_product(f, g)
+            if fraction_member(expr, product) is not Tri.IN:
+                return Verdict(
+                    False,
+                    "sampled",
+                    checked,
+                    "member rejected after a positive factor",
+                    (product, None),
+                )
+            checked += 1
+    return Verdict(True, "sampled", checked, "%d factored members accepted" % checked)
+
+
+def _product_mass(product: IndepProduct, joint: Scope) -> Optional[Gamble]:
+    """The product of the marginals' support masses, on Fractions, as
+    ``inex_member`` computed it on every call."""
+    masses = [_support_mass(part) for part in product.parts]
+    if any(m is None for m in masses):
+        return None
+    block_maps = [_restriction_map(joint, scope_of(part)) for part in product.parts]
+    values = []
+    for w in range(joint.size):
+        v = _ONE
+        for block_map, mass in zip(block_maps, masses):
+            v *= mass[block_map[w]]
+        values.append(v)
+    return Gamble(joint, tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -263,8 +263,8 @@ def _model_functionals(model):
 def _assert_sign_cell_contract(model, f):
     cells = sign_cells(model)
     inside = member(model, f) is Tri.IN
-    assert any(cell.accepts(f) for cell in cells) == inside, (model, f)
-    admitted = any(all(row.holds(f) for row in cell.rows) for cell in cells)
+    assert any(cell.accepts(f.nums) for cell in cells) == inside, (model, f)
+    admitted = any(all(row.holds(f.nums) for row in cell.rows) for cell in cells)
     assert admitted == (inside or f.is_zero()), (model, f)
 
 

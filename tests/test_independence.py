@@ -308,12 +308,12 @@ def _offer(rng, product):
     where the sign filters of ``inex_member`` decide nothing."""
     joint = scope_of(product)
     h = random_gamble(rng, joint, -3, 3)
-    mass = independence._product_mass(product, joint)
+    mass = product.support_mass
     if mass is None or rng.random() < 0.5:
         return h
-    at = rng.choice([w for w, m in enumerate(mass.values) if m])
+    at = rng.choice([w for w, m in enumerate(mass) if m])
     values = list(h.values)
-    values[at] -= h.dot(mass.values) / mass.values[at]
+    values[at] -= h.dot(mass) / mass[at]
     return Gamble(joint, tuple(values))
 
 

@@ -339,7 +339,7 @@ def test_cell_row_sign_test_matches_fraction_dot(functional, f_values):
         row = CellRow(c, rel)
         for g in gambles:
             want = ref_member(CellSet(one(X3), (Cell((row,)),)), g) is Tri.IN
-            assert row.holds(g) is want
+            assert row.holds(g.nums) is want
 
 
 @given(
