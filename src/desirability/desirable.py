@@ -58,9 +58,9 @@ from .errors import (
     UnsupportedQueryError,
 )
 from .exactlp import (
-    EQ, GE, GT, Feasible, LinRow, LinSystem, scaled_to_ints, solve, strict_feasible,
+    EQ, GE, GT, Feasible, LinRow, LinSystem, scaled_to_ints, solve, strict_feasible, unit_rows,
 )
-from .maximal import LexSystem, lex_accepts, lex_is_maximal
+from .maximal import LexSystem, lex_accepts, lex_is_coherent, lex_is_maximal
 from .space import (
     CACHE_MAXSIZE,
     Assignment,
@@ -69,6 +69,7 @@ from .space import (
     _restriction_map,
     _slice_map,
     disjoint_union,
+    format_rational,
 )
 
 _ZERO = Fraction(0)
@@ -173,10 +174,7 @@ def avoids_nonpositivity(assessment: GeneratorSet) -> ConsistencyCertificate:
         uniform = tuple(Fraction(1, size) for _ in range(size))
         return ConsistencyCertificate(True, uniform, None)
 
-    rows = [
-        LinRow(tuple([_ONE if j == w else _ZERO for j in range(size)]), GT, _ZERO)
-        for w in range(size)
-    ]
+    rows = unit_rows(size, GT)
     for g in gens:
         rows.append(LinRow(g.values, GT, _ZERO))
     outcome = strict_feasible(LinSystem(size, tuple(rows)))
@@ -200,6 +198,26 @@ def avoids_nonpositivity(assessment: GeneratorSet) -> ConsistencyCertificate:
     return ConsistencyCertificate(False, None, combination)
 
 
+def check_coherent(model: DesirableSetExpr) -> Optional[ConsistencyCertificate]:
+    """The gate before a model is queried: raise ``IncoherentBaseError`` for
+    a generator set that fails the consistency check or a lexicographic
+    system that leaves an outcome without mass.  A generator set's
+    certificate is returned; other models pass with ``None``."""
+    if isinstance(model, GeneratorSet):
+        certificate = avoids_nonpositivity(model)
+        if not certificate.avoids:
+            raise IncoherentBaseError(
+                "assessment admits a nonpositive combination (%s)"
+                % ",".join(map(format_rational, certificate.nonpositive_combination))
+            )
+        return certificate
+    if isinstance(model, LexSystem) and not lex_is_coherent(model):
+        raise IncoherentBaseError(
+            "incoherent lex system: its levels leave an outcome without mass"
+        )
+    return None
+
+
 def cone_program(
     cone: GeneratorSet, value: Gamble, direction: Optional[Gamble] = None
 ) -> LinSystem:
@@ -214,11 +232,8 @@ def cone_program(
     """
     gens = cone.generators
     n = len(gens)
-    lead = [] if direction is None else [_ZERO]
-    rows = [
-        LinRow(tuple(lead + [_ONE if j == k else _ZERO for j in range(n)]), GE, _ZERO)
-        for k in range(n)
-    ]
+    lead = 0 if direction is None else 1
+    rows = unit_rows(lead + n, GE, lead)
     columns = [g.values for g in gens]
     values = value.values
     shifts = None if direction is None else direction.values
@@ -236,15 +251,11 @@ def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
 
     Decides membership in the smallest coherent set containing the
     assessment.  Raises ``IncoherentBaseError`` when the assessment fails
-    the consistency check (the extension would be everything).
+    the consistency check (``check_coherent``: the extension would be
+    everything).
     """
     f = f.embed(assessment.scope)
-    certificate = avoids_nonpositivity(assessment)
-    if not certificate.avoids:
-        raise IncoherentBaseError(
-            "assessment admits a nonpositive combination %r"
-            % (certificate.nonpositive_combination,)
-        )
+    certificate = check_coherent(assessment)
     if f.is_zero():
         return False
     if f.is_positive():
@@ -488,8 +499,9 @@ def _support_mass(part: DesirableSetExpr) -> Optional[tuple[Fraction, ...]]:
 
 
 @dataclass(frozen=True)
-class IndepProduct:
-    """Independent natural extension of marginal models on disjoint scopes."""
+class _Product:
+    """Marginal models on disjoint scopes: the body of both product kinds.
+    Its equality also compares the class, so the kinds never compare equal."""
 
     parts: tuple[DesirableSetExpr, ...]
     scope: Scope = field(init=False, repr=False, compare=False)
@@ -498,6 +510,10 @@ class IndepProduct:
         if not self.parts:
             raise ScopeError("a product needs at least one marginal")
         object.__setattr__(self, "scope", disjoint_union(scope_of(part) for part in self.parts))
+
+
+class IndepProduct(_Product):
+    """Independent natural extension of marginal models on disjoint scopes."""
 
     @cached_property
     def support_mass(self) -> Optional[list[int]]:
@@ -521,21 +537,12 @@ class IndepProduct:
         return scaled_to_ints(values)[0]
 
 
-@dataclass(frozen=True)
-class StrongProduct:
+class StrongProduct(_Product):
     """Strong product of marginal models on disjoint scopes.
 
     Decided through credal views; boundary queries may be ``UNKNOWN``
     unless every marginal is a lexicographic system.
     """
-
-    parts: tuple[DesirableSetExpr, ...]
-    scope: Scope = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ScopeError("a product needs at least one marginal")
-        object.__setattr__(self, "scope", disjoint_union(scope_of(part) for part in self.parts))
 
 
 @dataclass(frozen=True)
@@ -568,14 +575,10 @@ class ConditionalFamily:
 
 def scope_of(expr: DesirableSetExpr) -> Scope:
     """The variable scope an expression's members live on."""
-    if isinstance(expr, (GeneratorSet, CellSet, LexSystem)):
-        return expr.scope
-    if isinstance(expr, Conditioned):
+    if isinstance(expr, (GeneratorSet, CellSet, LexSystem, Conditioned, _Product)):
         return expr.scope
     if isinstance(expr, IrrExt):
         return expr.target
-    if isinstance(expr, (IndepProduct, StrongProduct)):
-        return expr.scope
     if isinstance(expr, ConditionalFamily):
         return scope_of(expr.entries[0][1])
     raise TypeError("not a desirable-set expression: %r" % (expr,))
@@ -731,10 +734,7 @@ def _positives_covered(cs: CellSet, budget: int) -> tuple[Optional[bool], Option
         if count > budget:
             return None, None
     size = cs.scope.size
-    base_rows = [
-        LinRow(tuple([_ONE if j == w else _ZERO for j in range(size)]), GE, _ZERO)
-        for w in range(size)
-    ]
+    base_rows = unit_rows(size, GE)
     base_rows.append(LinRow(tuple([_ONE for _ in range(size)]), GT, _ZERO))
     for choice in itertools.product(*per_cell) if per_cell else [()]:
         rows = list(base_rows)

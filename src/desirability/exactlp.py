@@ -64,11 +64,15 @@ _ONE = Fraction(1)
 _MAX_ITERATIONS = 100000
 
 
-def _check_coeffs(coeffs: Sequence[Fraction], want: int, what: str) -> None:
+def _check_length(coeffs: Sequence[Fraction], want: int, what: str) -> None:
     if len(coeffs) != want:
         raise DimensionMismatchError(
             "%s has %d coefficients, expected %d" % (what, len(coeffs), want)
         )
+
+
+def _check_coeffs(coeffs: Sequence[Fraction], want: int, what: str) -> None:
+    _check_length(coeffs, want, what)
     for c in coeffs:
         if not isinstance(c, Fraction):
             raise ExactnessError("%s must hold Fractions, got %r" % (what, c))
@@ -106,7 +110,11 @@ class LinRow:
 
 @dataclass(frozen=True)
 class LinSystem:
-    """A finite list of rows over ``n_vars`` variables, with an optional objective."""
+    """A finite list of rows over ``n_vars`` variables, with an optional objective.
+
+    Each ``LinRow`` has checked its own relation, rhs and coefficients, so a
+    system checks only that every row has ``n_vars`` of them.
+    """
 
     n_vars: int
     rows: tuple[LinRow, ...]
@@ -115,11 +123,20 @@ class LinSystem:
 
     def __post_init__(self) -> None:
         for k, row in enumerate(self.rows):
-            _check_coeffs(row.coeffs, self.n_vars, "row %d" % k)
+            _check_length(row.coeffs, self.n_vars, "row %d" % k)
         if self.objective is not None:
             _check_coeffs(self.objective, self.n_vars, "objective")
         if self.sense not in ("max", "min"):
             raise ValueError("sense must be 'max' or 'min'")
+
+
+def unit_rows(width: int, rel: str, start: int = 0) -> list[LinRow]:
+    """One row ``x_j  rel  0`` over ``width`` variables for each ``j`` from
+    ``start`` on: the sign rows of the package's LP builders."""
+    return [
+        LinRow(tuple([_ONE if i == j else _ZERO for i in range(width)]), rel, _ZERO)
+        for j in range(start, width)
+    ]
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ marginals are decided by a signature search: each (block, slice)
 constraint is a finite disjunction of linear sign patterns, the rows of
 the marginal's ``sign_cells`` (the cells that prices read too, here with
 zero admitted), and ``h`` belongs iff some combined choice is strictly
-feasible.  An inconsistent generator marginal or an incoherent
-lexicographic one is an error first.  The choices are walked depth first,
+feasible.  Every marginal passes ``desirable.check_coherent`` first, so
+an inconsistent generator marginal or an incoherent lexicographic one is
+an error whatever the gamble.  The choices are walked depth first,
 within a configurable budget on their number, and the checked Farkas
 certificate of an infeasible choice prunes, after a re-check, every later
 choice that contains its rows.  The product's layout (its joint scope,
@@ -57,7 +58,8 @@ from .desirable import (
     GeneratorSet,
     IndepProduct,
     Tri,
-    avoids_nonpositivity,
+    avoids_nonpositivity,  # noqa: F401 - perfbench/tracer.py wraps this binding
+    check_coherent,
     cone_program,
     member,
     scope_of,
@@ -67,12 +69,11 @@ from . import exactlp
 from .errors import (
     BudgetExceededError,
     EngineError,
-    IncoherentBaseError,
     ScopeError,
     UnsupportedQueryError,
 )
 from .exactlp import Feasible, LinRow, LinSystem, strict_feasible
-from .maximal import LexSystem, lex_is_coherent
+from .maximal import LexSystem
 from .space import (
     Assignment,
     Gamble,
@@ -153,27 +154,14 @@ def conditional_inex(families: Sequence[ConditionalFamily]) -> ConditionalFamily
 # -- signature enumeration for products of cell/lex marginals ---------------
 
 
-def _check_marginals(parts: Sequence[DesirableSetExpr]) -> None:
-    """Raise ``IncoherentBaseError`` if a generator marginal fails the
-    consistency check or a lexicographic marginal is not coherent.  Product
-    membership calls it before any sign filter, so an incoherent marginal is
-    an error whatever the gamble."""
-    for part in parts:
-        if isinstance(part, GeneratorSet) and not avoids_nonpositivity(part).avoids:
-            raise IncoherentBaseError(
-                "product marginal admits a nonpositive combination"
-            )
-        if isinstance(part, LexSystem) and not lex_is_coherent(part):
-            raise IncoherentBaseError("product marginal is an incoherent lex system")
-
-
 def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> Tri:
     """Membership in an independent natural extension.
 
     Any other expression answers through the plain dispatcher, with the
-    same ``budget``.  A generator marginal that fails the consistency check,
+    same ``budget``.  Each marginal passes ``check_coherent`` before any
+    sign filter, so a generator marginal that fails the consistency check,
     or a lexicographic marginal that is not coherent, raises
-    ``IncoherentBaseError`` before any sign filter (``_check_marginals``).
+    ``IncoherentBaseError`` whatever ``h`` is.
     The sign filters read ``h``'s ints; the last of them dots them with the
     product's ``support_mass``, built once per product.
     The masked generators of all generator marginals give the weight and
@@ -201,7 +189,8 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     if not isinstance(expr, IndepProduct):
         return member(expr, h, budget=budget)
     parts = expr.parts
-    _check_marginals(parts)
+    for part in parts:
+        check_coherent(part)
     joint = scope_of(expr)
     h = h.embed(joint)
     if h.is_zero():

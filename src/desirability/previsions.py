@@ -34,7 +34,8 @@ from .desirable import (
     GeneratorSet,
     StrongProduct,
     Tri,
-    avoids_nonpositivity,
+    avoids_nonpositivity,  # noqa: F401 - perfbench/tracer.py wraps this binding
+    check_coherent,
     cone_program,
     scope_of,
     sign_cells,
@@ -50,6 +51,7 @@ from .errors import (
 )
 from .exactlp import (
     EQ, GE, GT, Feasible, LinRow, LinSystem, Optimal, Unbounded, forward_eliminate, solve,
+    unit_rows,
 )
 from .maximal import LexSystem
 from .space import (
@@ -174,11 +176,7 @@ def _generator_sup(
     starts on their surplus columns and phase 1 has at most those
     degenerate rows to clear.
     """
-    certificate = avoids_nonpositivity(cone)
-    if not certificate.avoids:
-        raise IncoherentBaseError(
-            "the assessment does not avoid non-positivity; prices are undefined"
-        )
+    check_coherent(cone)
     m0 = min([v / -d for v, d in zip(value.values, direction.values) if d < 0],
              default=_ZERO)
     if m0:
@@ -269,11 +267,9 @@ def conditional_lower_prevision(
 ) -> Fraction:
     """Buying price for ``g`` contingent on observing ``given``.
 
-    Equals ``sup {mu : indicator(given) * (g - mu) is a member}``; an
-    empty observation reduces to the unconditional price.
+    Equals ``sup {mu : indicator(given) * (g - mu) is a member}``; on an
+    empty observation ``condition`` returns the model unchanged.
     """
-    if len(given.items) == 0:
-        return lower_prevision(expr, g)
     from .structure import condition
 
     return lower_prevision(condition(expr, given), g)
@@ -364,10 +360,7 @@ def _convex_combination(
         for w in range(len(target))
     ]
     rows.append(LinRow((_ONE,) * len(others), EQ, _ONE))
-    for j in range(len(others)):
-        unit = [_ZERO] * len(others)
-        unit[j] = _ONE
-        rows.append(LinRow(tuple(unit), GE, _ZERO))
+    rows.extend(unit_rows(len(others), GE))
     return isinstance(solve(LinSystem(len(others), tuple(rows))), Feasible)
 
 
@@ -543,10 +536,7 @@ def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
                 for w, m in masses:
                     balance[w][j] = -m
         rows.extend(LinRow(tuple(coeffs), EQ, _ZERO) for coeffs in balance)
-    for j in range(width):
-        coeffs = [_ZERO] * width
-        coeffs[j] = _ONE
-        rows.append(LinRow(tuple(coeffs), GE, _ZERO))
+    rows.extend(unit_rows(width, GE))
     outcome = solve(LinSystem(width, tuple(rows), tuple(objective), "min"))
     if isinstance(outcome, Optimal):
         return outcome.value
@@ -609,21 +599,21 @@ def strong_member(
     verdict delegates to the exact product-membership procedure.
     Otherwise the zero gamble is out and positive gambles are in, before
     any marginal's credal set is enumerated (so ``budget`` never stops
-    them).  Before either, a generator marginal that fails the
-    consistency check, or a lexicographic marginal that is not coherent,
-    raises ``IncoherentBaseError``, whatever the gamble.
+    them).  Before either, each marginal passes ``check_coherent``: a
+    generator marginal that fails the consistency check, or a
+    lexicographic marginal that is not coherent, raises
+    ``IncoherentBaseError``, whatever the gamble.
     The strong lower prevision decides everything else except
     its own zero level: strictly positive strong price is in, strictly
     negative strong price means out, and the boundary stays ``UNKNOWN``
     because membership there depends on which dominating linear
     previsions the marginal models admit.
     """
-    from .independence import (
-        _check_marginals, independent_product, inex_member,
-    )
+    from .independence import independent_product, inex_member
 
     parts = expr.parts
-    _check_marginals(parts)
+    for part in parts:
+        check_coherent(part)
     if all(isinstance(p, LexSystem) for p in parts):
         return inex_member(independent_product(parts), f, budget=budget)
     fitted = f.embed(scope_of(expr))

@@ -561,25 +561,6 @@ class Gamble:
         indices, rest = _slice_map(self.scope, at)
         return self._gathered(rest, indices)
 
-    def depends_only_on(self, onto: Scope) -> tuple[bool, "Gamble | None"]:
-        """Whether the value is a function of ``onto`` alone.
-
-        Returns ``(True, reduced)`` with the reduced gamble on ``onto`` when it
-        is, and ``(False, None)`` otherwise.
-        """
-        if not onto.issubset(self.scope):
-            raise ScopeError(
-                "scope %r is not part of %r" % (onto.names, self.scope.names)
-            )
-        rmap = _restriction_map(self.scope, onto)
-        first: list[int] = [-1] * onto.size
-        for full_idx, red_idx in enumerate(rmap):
-            if first[red_idx] < 0:
-                first[red_idx] = full_idx
-            elif self.nums[first[red_idx]] != self.nums[full_idx]:
-                return False, None
-        return True, self._gathered(onto, first)
-
     def __str__(self) -> str:
         return "[" + ",".join(format_rational(v) for v in self.values) + "]"
 

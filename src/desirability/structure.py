@@ -1,15 +1,13 @@
-"""Marginalisation, cylindrical extension, and conditioning.
+"""Cylindrical and irrelevant extension, and conditioning.
 
-Marginals are query views, not nodes: a gamble lies in the marginal of a
-model onto some variables iff it depends on those variables alone and its
-cylindrical identification is a member.  Conditioning wraps the base
-expression and rewrites queries through indicator products; lexicographic
-leaves are materialised instead, since their conditioned form is again a
-leaf.  Cylindrical extension is the irrelevant extension with no irrelevant
-variables, and one constructor builds both: a generator leaf collapses to
-its generators, masked by each assignment of the irrelevant variables and
-re-scoped; other bases get an ``IrrExt`` node, decided by the floor
-reduction in the membership dispatcher.
+Conditioning wraps the base expression and rewrites queries through
+indicator products; lexicographic leaves are materialised instead, since
+their conditioned form is again a leaf.  Cylindrical extension is the
+irrelevant extension with no irrelevant variables, and one constructor
+builds both: a generator leaf collapses to its generators, masked by each
+assignment of the irrelevant variables and re-scoped; other bases get an
+``IrrExt`` node, decided by the floor reduction in the membership
+dispatcher.
 
 Also hosts the shared sampling policy for "query-equivalent on sampled
 gambles" checks: exhaustive integer grids when small enough, seeded
@@ -28,36 +26,12 @@ from .desirable import (
     DesirableSetExpr,
     GeneratorSet,
     IrrExt,
-    Tri,
-    member,
+    member,  # noqa: F401 - perfbench/tracer.py wraps this binding
     scope_of,
 )
 from .errors import ScopeError
 from .maximal import LexSystem, lex_condition
 from .space import Assignment, Gamble, Scope
-
-
-def marginal_member(expr: DesirableSetExpr, onto: Scope, f: Gamble) -> Tri:
-    """Membership of ``f`` in the marginal of ``expr`` onto ``onto``.
-
-    In iff ``f`` depends only on ``onto`` and its identification with a
-    gamble on the full scope is a member.
-    """
-    full = scope_of(expr)
-    if not onto.issubset(full):
-        raise ScopeError(
-            "marginal scope %r is not part of %r" % (onto.names, full.names)
-        )
-    if not f.scope.issubset(full):
-        raise ScopeError(
-            "gamble scope %r does not fit expression scope %r"
-            % (f.scope.names, full.names)
-        )
-    flat, reduced = f.depends_only_on(onto.intersection(f.scope))
-    if not flat:
-        return Tri.OUT
-    assert reduced is not None
-    return member(expr, reduced)
 
 
 def masked_generators(base: GeneratorSet, added: Scope) -> list[Gamble]:
@@ -148,20 +122,6 @@ def condition(expr: DesirableSetExpr, given: Assignment) -> DesirableSetExpr:
     if isinstance(expr, LexSystem):
         return lex_condition(expr, given)
     return Conditioned(expr, given)
-
-
-def condition_bar_member(
-    expr: DesirableSetExpr, given: Assignment, f: Gamble
-) -> Tri:
-    """Contingent-desirability membership after observing ``given``.
-
-    In iff ``f`` is positive outright, or the slice of ``f`` at the
-    observed assignment belongs to the updated model.
-    """
-    f = f.embed(scope_of(expr))
-    if f.is_positive():
-        return Tri.IN
-    return member(condition(expr, given), f.slice_at(given))
 
 
 # ---------------------------------------------------------------------------

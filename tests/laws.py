@@ -37,7 +37,6 @@ from desirability.structure import (
     condition,
     cyl_ext,
     gamble_grid,
-    marginal_member,
     sample_gambles,
 )
 from desirability.independence import irrelevant_extension
@@ -49,7 +48,13 @@ from randgen import (
     random_mass,
 )
 
-from references import indicator, irr_member, strictly_prefers
+from references import (
+    depends_only_on,
+    indicator,
+    irr_member,
+    marginal_member,
+    strictly_prefers,
+)
 
 V1 = Variable("X1", ("a", "b"))
 V2 = Variable("X2", ("a", "b"))
@@ -279,7 +284,7 @@ def law_nested_marginals() -> LawResult:
         )
         for f in probes:
             direct = marginal_member(expr, S1, f)
-            flat, _ = f.depends_only_on(S1.intersection(f.scope))
+            flat, _ = depends_only_on(f, S1.intersection(f.scope))
             staged = (
                 Tri.IN
                 if flat and marginal_member(expr, S12, f) is Tri.IN

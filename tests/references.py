@@ -8,7 +8,11 @@ fast paths, so a test can compare the two:
   simplex;
 * ``indicator`` and ``floor_onto`` — gambles built value by value, against
   which masks and extension slices are checked;
-* ``strictly_prefers`` — strict preference as membership of a difference;
+* ``depends_only_on`` — whether a gamble is a function of some variables
+  alone, and its reduction to them;
+* ``strictly_prefers``, ``marginal_member`` and ``condition_bar_member`` —
+  strict preference, marginal membership and contingent desirability, each
+  as a membership question asked through ``member``;
 * ``irr_member`` — membership in the slice family behind an ``IrrExt``,
   with slices read by ``Gamble.slice_at`` rather than the node's slice
   table;
@@ -68,6 +72,7 @@ from desirability.desirable import (
     IndepProduct,
     StrongProduct,
     _support_mass,
+    check_coherent,
     scope_of,
 )
 from desirability.exactlp import (
@@ -90,7 +95,6 @@ from desirability.exactlp import (
     strict_feasible,
 )
 from desirability.errors import (
-    IncoherentBaseError,
     ModelFormatError,
     UnsupportedQueryError,
 )
@@ -98,12 +102,11 @@ from desirability.independence import (
     PAIR_BUDGET,
     Verdict,
     _check_budget,
-    _check_marginals,
     _scan_mode,
     independent_product,
     irrelevant_extension,
 )
-from desirability.maximal import LexSystem, lex_is_coherent, lex_is_maximal
+from desirability.maximal import LexSystem, lex_is_maximal
 from desirability.model import (
     ModelDocument,
     _assignment,
@@ -259,6 +262,24 @@ def floor_onto(f: Gamble, onto: Scope) -> Gamble:
     return Gamble(onto, tuple(best))  # type: ignore[arg-type]
 
 
+def depends_only_on(f: Gamble, onto: Scope) -> tuple[bool, Optional[Gamble]]:
+    """Whether the value of ``f`` is a function of ``onto`` alone.
+
+    Returns ``(True, reduced)`` with the reduced gamble on ``onto`` when it
+    is, and ``(False, None)`` otherwise.
+    """
+    if not onto.issubset(f.scope):
+        raise ScopeError("scope %r is not part of %r" % (onto.names, f.scope.names))
+    rmap = _restriction_map(f.scope, onto)
+    first: list[int] = [-1] * onto.size
+    for full_idx, red_idx in enumerate(rmap):
+        if first[red_idx] < 0:
+            first[red_idx] = full_idx
+        elif f.nums[first[red_idx]] != f.nums[full_idx]:
+            return False, None
+    return True, f._gathered(onto, first)
+
+
 # ---------------------------------------------------------------------------
 # membership questions asked through ``member``
 # ---------------------------------------------------------------------------
@@ -269,6 +290,43 @@ def strictly_prefers(expr: DesirableSetExpr, f: Gamble, g: Gamble) -> Tri:
     if f.scope != g.scope:
         raise ScopeError("compared gambles must share a scope")
     return member(expr, f - g)
+
+
+def marginal_member(expr: DesirableSetExpr, onto: Scope, f: Gamble) -> Tri:
+    """Membership of ``f`` in the marginal of ``expr`` onto ``onto``.
+
+    In iff ``f`` depends only on ``onto`` and its identification with a
+    gamble on the full scope is a member.
+    """
+    full = scope_of(expr)
+    if not onto.issubset(full):
+        raise ScopeError(
+            "marginal scope %r is not part of %r" % (onto.names, full.names)
+        )
+    if not f.scope.issubset(full):
+        raise ScopeError(
+            "gamble scope %r does not fit expression scope %r"
+            % (f.scope.names, full.names)
+        )
+    flat, reduced = depends_only_on(f, onto.intersection(f.scope))
+    if not flat:
+        return Tri.OUT
+    assert reduced is not None
+    return member(expr, reduced)
+
+
+def condition_bar_member(
+    expr: DesirableSetExpr, given: Assignment, f: Gamble
+) -> Tri:
+    """Contingent-desirability membership after observing ``given``.
+
+    In iff ``f`` is positive outright, or the slice of ``f`` at the
+    observed assignment belongs to the updated model.
+    """
+    f = f.embed(scope_of(expr))
+    if f.is_positive():
+        return Tri.IN
+    return member(condition(expr, given), f.slice_at(given))
 
 
 def irr_member(ext: IrrExt, h: Gamble) -> Tri:
@@ -605,7 +663,7 @@ def _leaf_branches(part: DesirableSetExpr) -> tuple[int, list[tuple[_Row, ...]]]
 
     Only a generator marginal has auxiliary weights, and it has exactly one
     branch, so a product's auxiliary columns do not depend on the signature.
-    A generator marginal must have passed ``_check_marginals``.
+    The marginal must have passed ``check_coherent``.
     """
     if isinstance(part, GeneratorSet):
         size = part.scope.size
@@ -616,8 +674,6 @@ def _leaf_branches(part: DesirableSetExpr) -> tuple[int, list[tuple[_Row, ...]]]
         )
         return len(gens), [rows]
     if isinstance(part, LexSystem):
-        if not lex_is_coherent(part):
-            raise IncoherentBaseError("product marginal is an incoherent lex system")
         branches = []
         levels = part.levels
         maximal = lex_is_maximal(part)
@@ -669,7 +725,8 @@ def inex_member_enumerated(
     """
     if not isinstance(expr, IndepProduct):
         return member(expr, h)
-    _check_marginals(expr.parts)
+    for part in expr.parts:
+        check_coherent(part)
     joint = scope_of(expr)
     h = h.embed(joint)
     if h.is_zero():

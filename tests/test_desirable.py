@@ -1,6 +1,9 @@
 """Set expressions: exact membership, consistency certificates, audits."""
 
+import pickle
 import random
+import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from desirability import (
     Tri,
     Variable,
     avoids_nonpositivity,
+    conditional_lower_prevision,
     inex_lower_prevision,
     inex_member,
     lower_prevision,
@@ -39,16 +43,20 @@ from desirability.desirable import (
     IndepProduct,
     StrongProduct,
     cellset_coherence_audit,
+    check_coherent,
+    cone_program,
     natext_member,
+    scope_of,
     sign_cells,
 )
 from desirability.independence import conditional_inex, independent_product
-from desirability.structure import condition_bar_member
 from desirability.previsions import strong_member
-from desirability.exactlp import EQ, GE, GT, Infeasible
+from desirability.exactlp import EQ, GE, GT, Infeasible, solve
 from desirability.maximal import lex_is_maximal
 from desirability.space import CACHE_MAXSIZE, _restriction_map, _slice_map
+from desirability.structure import cyl_ext
 from randgen import random_gamble, random_generator_set
+from references import condition_bar_member
 
 V1 = Variable("X1", ("a", "b"))
 V2 = Variable("X2", ("a", "b"))
@@ -202,6 +210,21 @@ class TestNaturalExtensionMembership:
                         break
                 if brute:
                     assert natext_member(gens, f), "i=%d f=%s" % (i, f.values)
+
+
+class TestConeProgram:
+    def test_weight_rows_lead_and_the_shift_is_free(self):
+        # lean() prices [-1, -3] at -2 (the mass (1/2, 1/2)): the shift ``mu``
+        # must be free to go negative, so it carries no sign row; each
+        # generator weight carries one, ahead of the outcome rows.
+        cone = GeneratorSet.of(S1, [Gamble.on(S1, [1, -1]), Gamble.on(S1, [2, -1])])
+        f = Gamble.on(S1, [-1, -3])
+        system = cone_program(cone, f, Gamble.constant(S1, -1))
+        assert system.n_vars == 3 and len(system.rows) == 4
+        assert [row.coeffs for row in system.rows[:2]] == [(0, 1, 0), (0, 0, 1)]
+        assert all(row.coeffs[0] == -1 for row in system.rows[2:])
+        assert solve(cone_program(lean(), f, Gamble.constant(S1, -1))).value == -2
+        assert [row.coeffs for row in cone_program(cone, f).rows[:2]] == [(1, 0), (0, 1)]
 
 
 class TestCellSets:
@@ -418,3 +441,71 @@ def test_a_product_of_no_blocks_raises_a_typed_error(site):
     # The product of no blocks has no joint scope to price on.
     with pytest.raises(DesirabilityError):
         EMPTY_PRODUCT_SITES[site]()
+
+
+# ``BAD``'s two generators sum to zero, so it fails the consistency check;
+# ``LBAD`` gives X1 = b no mass at any level.  ``check_coherent`` is the one
+# gate for both, with one message each, on every query path.
+BAD = GeneratorSet.of(S1, [Gamble.on(S1, [1, -1]), Gamble.on(S1, [-1, 1])])
+LBAD = LexSystem.on(S1, [[1, 0]])
+TIED2 = LexSystem.on(S2, [["1/2", "1/2"], [1, 0]])
+GENERATOR_MESSAGE = r"assessment admits a nonpositive combination \(\d+/\d+(,\d+/\d+)*\)"
+LEX_MESSAGE = re.escape("incoherent lex system: its levels leave an outcome without mass")
+POSITIVE12 = Gamble.on(S12, [1, 1, 1, 1])
+GATED_PATHS = {
+    "member": (lambda: member(BAD, Gamble.on(S1, [1, 0])), GENERATOR_MESSAGE),
+    "lower_prevision": (
+        lambda: lower_prevision(BAD, Gamble.on(S1, [1, 0])), GENERATOR_MESSAGE
+    ),
+    "conditional_lower_prevision": (
+        lambda: conditional_lower_prevision(
+            cyl_ext(BAD, S12), S2.assignment_at(0), Gamble.on(S1, [1, 0])
+        ),
+        GENERATOR_MESSAGE,
+    ),
+    "inex_member_generators": (
+        lambda: inex_member(IndepProduct((BAD, TIED2)), POSITIVE12), GENERATOR_MESSAGE
+    ),
+    "inex_member_lex": (
+        lambda: inex_member(IndepProduct((LBAD, TIED2)), POSITIVE12), LEX_MESSAGE
+    ),
+    "strong_member_generators": (
+        lambda: strong_member(StrongProduct((BAD, TIED2)), POSITIVE12), GENERATOR_MESSAGE
+    ),
+    "strong_member_lex": (
+        lambda: strong_member(
+            StrongProduct((LBAD, strictly_desirable(HALF2))), POSITIVE12
+        ),
+        LEX_MESSAGE,
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(GATED_PATHS))
+def test_an_incoherent_model_fails_one_gate_with_one_message(path):
+    query, message = GATED_PATHS[path]
+    with pytest.raises(IncoherentBaseError) as info:
+        query()
+    assert re.fullmatch(message, str(info.value)), str(info.value)
+
+
+def test_the_gate_returns_a_generator_certificate_and_passes_other_models():
+    assert check_coherent(lean()) is avoids_nonpositivity(lean())
+    for model in (TIED2, strictly_desirable(HALF2), IndepProduct((LBAD, TIED2))):
+        assert check_coherent(model) is None
+
+
+@pytest.mark.parametrize("kind", [IndepProduct, StrongProduct])
+def test_product_nodes_share_one_body_and_stay_distinct(kind):
+    parts = (lean(S1), TIED2)
+    node = kind(parts)
+    other = StrongProduct(parts) if kind is IndepProduct else IndepProduct(parts)
+    assert node == kind(parts) and node != other
+    assert node.scope == S12 and scope_of(node) == S12
+    assert hash(node) == hash((parts,))
+    assert repr(node) == "%s(parts=%r)" % (kind.__name__, parts)
+    copy = pickle.loads(pickle.dumps(node))
+    assert copy == node and hash(copy) == hash(node) and type(copy) is kind
+    for name in ("parts", "scope"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, parts)

@@ -11,7 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from desirability import exactlp
-from desirability.errors import BudgetExceededError, EngineError
+from desirability.errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    EngineError,
+    ExactnessError,
+)
 from desirability.exactlp import (
     EQ,
     GE,
@@ -28,6 +33,7 @@ from desirability.exactlp import (
     _strict_slack,
     solve,
     strict_feasible,
+    unit_rows,
     verify_farkas,
     verify_point,
     verify_ray,
@@ -575,3 +581,29 @@ class TestEngineErrors:
         monkeypatch.setattr(exactlp, "_MAX_ITERATIONS", 1)
         with pytest.raises(EngineError, match="failed to terminate"):
             solve(system)
+
+
+class TestRowChecks:
+    def test_a_row_checks_its_own_coefficients_and_a_system_their_count(self):
+        with pytest.raises(ExactnessError, match="row coefficients"):
+            LinRow((F(1), 1), GE, F(0))
+        with pytest.raises(ExactnessError, match="row rhs"):
+            LinRow((F(1),), GE, 0)
+        row = LinRow((F(1), F(0)), GE, F(0))
+        with pytest.raises(DimensionMismatchError, match="row 1 has 2 coefficients, expected 3"):
+            LinSystem(3, (LinRow((F(0),) * 3, GE, F(0)), row))
+
+    def test_the_objective_keeps_its_full_check(self):
+        row = LinRow((F(1),), GE, F(0))
+        with pytest.raises(DimensionMismatchError, match="objective has 2"):
+            LinSystem(1, (row,), (F(1), F(0)))
+        with pytest.raises(ExactnessError, match="objective must hold Fractions"):
+            LinSystem(1, (row,), (1,))
+
+    @pytest.mark.parametrize("width, rel, start", [(3, GE, 0), (4, GE, 1), (2, GT, 0)])
+    def test_unit_rows_are_the_sign_rows_from_start_on(self, width, rel, start):
+        rows = unit_rows(width, rel, start)
+        assert [row.coeffs for row in rows] == [
+            tuple(F(int(i == j)) for i in range(width)) for j in range(start, width)
+        ]
+        assert {(row.rel, row.rhs) for row in rows} == {(rel, F(0))}

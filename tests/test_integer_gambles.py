@@ -46,6 +46,7 @@ from desirability.structure import condition, sample_gambles
 from randgen import random_credal, random_generator_set, random_mass
 
 from references import (
+    depends_only_on,
     fraction_factorisation_check,
     fraction_is_independent,
     fraction_is_irrelevant,
@@ -159,7 +160,7 @@ def test_operations_agree_with_fraction_arithmetic(f_values, g_values, c, pick):
     assert f.is_nonnegative() is all(v >= 0 for v in fv)
     assert f.is_nonpositive() is all(v <= 0 for v in fv)
     assert f.is_positive() is (all(v >= 0 for v in fv) and any(fv))
-    flat, reduced = g.embed(joint).depends_only_on(one(B2))
+    flat, reduced = depends_only_on(g.embed(joint), one(B2))
     assert flat and reduced == g
     assert str(f) == "[" + ",".join(str(v) for v in fv) + "]"
 

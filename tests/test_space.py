@@ -20,7 +20,7 @@ from desirability import (
 )
 from desirability.space import as_rational
 
-from references import indicator
+from references import depends_only_on, indicator
 
 A = Variable("A", ("x", "y"))
 B = Variable("B", ("u", "v", "w"))
@@ -231,7 +231,7 @@ class TestGamble:
     @given(st.lists(ints, min_size=6, max_size=6))
     def test_flatness_detection(self, values):
         f = Gamble.on(SAB, values)
-        flat, reduced = f.depends_only_on(SA)
+        flat, reduced = depends_only_on(f, SA)
         by_slice = [f.slice_at(SA.assignment_at(i)) for i in range(SA.size)]
         constant_slices = all(
             len(set(s.values)) == 1 for s in by_slice

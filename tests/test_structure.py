@@ -19,15 +19,13 @@ from desirability import (
 from desirability.desirable import ConditionalFamily, Conditioned
 from desirability.structure import (
     condition,
-    condition_bar_member,
     cyl_ext,
     gamble_grid,
-    marginal_member,
     sample_gambles,
 )
 from fractions import Fraction as F
 
-from references import indicator
+from references import condition_bar_member, indicator, marginal_member
 
 V1 = Variable("X1", ("a", "b"))
 V2 = Variable("X2", ("a", "b"))
