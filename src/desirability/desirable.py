@@ -60,7 +60,7 @@ from .errors import (
 from .exactlp import (
     EQ, GE, GT, Feasible, LinRow, LinSystem, scaled_to_ints, solve, strict_feasible, unit_rows,
 )
-from .maximal import LexSystem, lex_accepts, lex_is_coherent, lex_is_maximal
+from .maximal import LexSystem, lex_accepts, lex_is_maximal
 from .space import (
     CACHE_MAXSIZE,
     Assignment,
@@ -211,7 +211,7 @@ def check_coherent(model: DesirableSetExpr) -> Optional[ConsistencyCertificate]:
                 % ",".join(map(format_rational, certificate.nonpositive_combination))
             )
         return certificate
-    if isinstance(model, LexSystem) and not lex_is_coherent(model):
+    if isinstance(model, LexSystem) and not model.covers_outcomes:
         raise IncoherentBaseError(
             "incoherent lex system: its levels leave an outcome without mass"
         )
@@ -246,6 +246,18 @@ def cone_program(
     return LinSystem(n + 1, tuple(rows), objective, "max")
 
 
+def sign_verdict(f: Gamble) -> Optional[bool]:
+    """The verdict of every coherent set on ``f`` from its signs alone:
+    ``False`` for zero and every nonpositive gamble, ``True`` for every
+    positive one, ``None`` when ``f`` takes both signs.  The product and
+    natural-extension procedures read it after their gate."""
+    if f.is_positive():
+        return True
+    if f.is_nonpositive():
+        return False
+    return None
+
+
 def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
     """Does ``f`` dominate a nonnegative combination of the generators?
 
@@ -256,12 +268,9 @@ def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
     """
     f = f.embed(assessment.scope)
     certificate = check_coherent(assessment)
-    if f.is_zero():
-        return False
-    if f.is_positive():
-        return True
-    if f.is_nonpositive():
-        return False
+    verdict = sign_verdict(f)
+    if verdict is not None:
+        return verdict
     # Every member has strictly positive expectation under the certificate.
     if sum(map(mul, certificate.int_mass, f.nums)) <= 0:
         return False
@@ -627,12 +636,17 @@ def scaled_member(
 
     Every node denotes a cone, so ``nums`` alone, a positive multiple of
     the gamble, decides lexicographic and cell leaves: their integer sign
-    tests read it as it is.  A conditioned node masks it through its
-    ``mask_table`` and an extension through its ``slice_table``, and each
-    hands the result to its base here, with no gamble built on the way.
+    tests read it as it is.  A lexicographic leaf is gated first: its
+    system keeps its coverage verdict, and only a leaf that fails it calls
+    ``check_coherent``, which raises.  A conditioned node masks the ints
+    through its ``mask_table`` and an extension through its
+    ``slice_table``, and each hands the result to its base here, with no
+    gamble built on the way.
     Any other node receives the gamble ``nums / den`` through ``member``.
     """
     if isinstance(expr, LexSystem):
+        if not expr.covers_outcomes:
+            check_coherent(expr)
         return Tri.of(lex_accepts(expr, nums))
     if isinstance(expr, CellSet):
         return Tri.of(_cellset_member(expr, nums))
@@ -656,8 +670,11 @@ def slice_verdict(expr: IrrExt, nums: Sequence[int], den: int, budget: int) -> T
     of ``nums`` at the indices listed for it, and the base decides it over
     the same ``den``.  The per-slice choices are independent because a
     dominating gamble can be assembled slice by slice.  ``budget`` goes to
-    each base query, as in ``member``.
+    each base query, as in ``member``.  The base passes ``check_coherent``
+    before any slice is skipped, so an incoherent leaf base is an error
+    whatever the gamble.
     """
+    check_coherent(expr.base)
     if not any(nums):
         return Tri.OUT
     unknown = False

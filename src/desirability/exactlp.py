@@ -24,15 +24,21 @@ Every answer is re-checked by substitution before it is returned:
 * ``Feasible`` carries a point satisfying every row;
 * ``Optimal`` carries a point achieving the reported value;
 * ``Infeasible`` carries a combination of rows that contradicts itself
-  (nonnegative multipliers on inequality rows, any sign on equalities);
-* ``Unbounded`` carries an improving ray.
+  (nonnegative multipliers on inequality rows, any sign on equalities).
 
-The gates (``verify_point``, ``verify_farkas``, ``verify_ray``) decide the
+The gates (``verify_point``, ``verify_farkas``) decide the
 exact rational predicate on Python ints: each vector is scaled once by the
 lcm of its denominators and each row by the lcm of its own.  The factors
 are positive, so no sign and no equality changes.  The gates share no code
 with the simplex, so a scaling fault in one cannot hide a fault in the
 other.
+
+A program's objective must be bounded: an improving column with no ratio
+row raises ``EngineError``.  Each builder's is: ``previsions._generator_sup``
+prices behind the coherence gate, whose positive mass bounds the shift;
+``previsions.inex_lower_prevision`` ranges over masses in the simplex;
+``_strict_slack`` caps its gap by ``eps <= 1``; ``fixtures._gap_programs``
+weights ``u + v`` positively under ``u + v <= h``.
 
 Strict inequalities are not handled by ``solve`` directly; ``strict_feasible``
 reduces them exactly, either by homogenisation (replace ``> 0`` by ``>= 1``
@@ -82,9 +88,8 @@ def _check_coeffs(coeffs: Sequence[Fraction], want: int, what: str) -> None:
 class LinRow:
     """One linear constraint ``coeffs . x  rel  rhs``.
 
-    A row does not evaluate itself: points, rays and multipliers are checked
-    against rows by the gates ``verify_point``, ``verify_ray`` and
-    ``verify_farkas``, on ints.
+    A row does not evaluate itself: the gates ``verify_point`` and
+    ``verify_farkas`` check points and multipliers against rows, on ints.
 
     The LP builders make ``coeffs`` with ``tuple([...])``, not from a
     generator: CPython sizes a tuple built from a generator by resizing, and
@@ -155,12 +160,7 @@ class Optimal:
     witness: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    ray: tuple[Fraction, ...]
-
-
-LPOutcome = Union[Feasible, Infeasible, Optimal, Unbounded]
+LPOutcome = Union[Feasible, Infeasible, Optimal]
 
 
 def _gate_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -248,36 +248,6 @@ def verify_farkas(system: LinSystem, farkas: Sequence[Fraction]) -> bool:
     return combined_rhs > 0 or (combined_rhs == 0 and strict_mass > 0)
 
 
-def verify_ray(system: LinSystem, ray: Sequence[Fraction]) -> bool:
-    """A recession direction along which the objective strictly improves.
-
-    The ray is scaled once by the lcm of its denominators, and each row and
-    the objective by the lcm of its own.  Every sign tested is then the
-    sign of an int dot product, which is the sign of the rational one, so
-    the predicate is unchanged.  A ray of the wrong length fails.
-    """
-    if system.objective is None or len(ray) != system.n_vars:
-        return False
-    rs, _ = _gate_ints(ray)
-    nz = [(j, r) for j, r in enumerate(rs) if r]
-
-    def dot(coeffs: Sequence[Fraction]) -> int:
-        scaled, _ = _gate_ints(coeffs)
-        total = 0
-        for j, r in nz:
-            total += scaled[j] * r
-        return total
-
-    for row in system.rows:
-        v = dot(row.coeffs)
-        if row.rel == EQ and v != 0:
-            return False
-        if row.rel != EQ and v < 0:
-            return False
-    gain = dot(system.objective)
-    return gain > 0 if system.sense == "max" else gain < 0
-
-
 # ---------------------------------------------------------------------------
 # simplex core
 # ---------------------------------------------------------------------------
@@ -362,7 +332,7 @@ class _Simplex:
     inside the iteration.  Pricing and the ratio test compare ints directly:
     a row's shared positive denominator never changes a sign or, in the
     ratio ``rhs / entry``, survives at all.  ``Fraction``s appear only at the
-    boundary: building the tableau, and reading points, rays and multipliers
+    boundary: building the tableau, and reading points and multipliers
     out of it.
 
     The first row of the form ``c * x_j >= r`` (one positive coefficient)
@@ -573,7 +543,7 @@ class _Simplex:
                     best_rhs, best_a = rhs, a
                     prow = r
             if prow < 0:
-                raise _UnboundedSignal(enter)
+                raise EngineError("unbounded program: no ratio row (engine bug)")
             self._pivot(prow, enter)
 
     # -- phases -----------------------------------------------------------
@@ -622,8 +592,8 @@ class _Simplex:
                 self.live[r] = False
         return None
 
-    def phase2(self, cost_min: Sequence[Fraction]) -> Optional[int]:
-        """Minimise ``cost_min . x``; returns the entering column on unboundedness."""
+    def phase2(self, cost_min: Sequence[Fraction]) -> None:
+        """Minimise ``cost_min . x``, which must be bounded below."""
         ncols = len(self.cols)
         q = [_ZERO] * (ncols + 1)
         for j, cj in enumerate(cost_min):
@@ -643,11 +613,7 @@ class _Simplex:
                 nz = [j for j, v in enumerate(line) if v]
                 cost, den = _eliminate(cost, den, line, nz, b)
         self.cost, self.cost_den = cost, den
-        try:
-            self._run(bland_after=200 + 10 * len(self.T))
-        except _UnboundedSignal as sig:
-            return sig.column
-        return None
+        self._run(bland_after=200 + 10 * len(self.T))
 
     # -- extraction ---------------------------------------------------------
 
@@ -662,21 +628,6 @@ class _Simplex:
             out.append(v)
         for j, l in self.shift.items():
             out[j] += l
-        return tuple(out)
-
-    def ray(self, enter: int) -> tuple[Fraction, ...]:
-        d = {enter: _ONE}
-        for r in range(len(self.T)):
-            if self.live[r]:
-                a = self.T[r][enter]
-                if a:
-                    d[self.basis[r]] = Fraction(-a, self.den[r])
-        out = []
-        for plus, minus in self.var_cols:
-            v = d.get(plus, _ZERO)
-            if minus is not None:
-                v -= d.get(minus, _ZERO)
-            out.append(v)
         return tuple(out)
 
     def duals_phase2(self) -> tuple[list[int], int]:
@@ -715,11 +666,6 @@ class _Simplex:
         return tuple(lam)
 
 
-class _UnboundedSignal(Exception):
-    def __init__(self, column: int):
-        self.column = column
-
-
 def _engine_check(ok: bool, what: str) -> None:
     if not ok:
         raise EngineError("exactlp self-verification failed: %s (engine bug)" % what)
@@ -742,11 +688,7 @@ def _solve_engine(system: LinSystem) -> tuple[LPOutcome, _Simplex]:
 
     sign = -1 if system.sense == "max" else 1
     cost_min = tuple([sign * c for c in system.objective])
-    enter = simplex.phase2(cost_min)
-    if enter is not None:
-        ray = simplex.ray(enter)
-        _engine_check(verify_ray(system, ray), "unbounded ray")
-        return Unbounded(ray), simplex
+    simplex.phase2(cost_min)
     witness = simplex.point()
     _engine_check(verify_point(system, witness), "optimal point")
     objective, objective_den = scaled_to_ints(system.objective)
@@ -760,8 +702,8 @@ def solve(system: LinSystem) -> LPOutcome:
     """Solve a weak-relation system exactly.
 
     Without an objective the answer is ``Feasible`` or ``Infeasible``; with
-    one it is ``Optimal``, ``Unbounded`` or ``Infeasible``.  Strict rows are
-    rejected here; use :func:`strict_feasible`.
+    one, which must be bounded (see the module docstring), ``Optimal`` or
+    ``Infeasible``.  Strict rows are rejected here; use :func:`strict_feasible`.
     """
     return _solve_engine(system)[0]
 

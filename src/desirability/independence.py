@@ -64,6 +64,7 @@ from .desirable import (
     member,
     scope_of,
     sign_cells,
+    sign_verdict,
 )
 from . import exactlp
 from .errors import (
@@ -193,12 +194,9 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
         check_coherent(part)
     joint = scope_of(expr)
     h = h.embed(joint)
-    if h.is_zero():
-        return Tri.OUT
-    if h.is_positive():
-        return Tri.IN
-    if h.is_nonpositive():
-        return Tri.OUT
+    verdict = sign_verdict(h)
+    if verdict is not None:
+        return Tri.of(verdict)
     mass = expr.support_mass
     if mass is not None and sum(map(mul, mass, h.nums)) < 0:
         return Tri.OUT

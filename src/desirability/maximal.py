@@ -90,6 +90,13 @@ class LexSystem:
         """Each level times the lcm of its denominators, computed once."""
         return tuple([scaled_to_ints(level)[0] for level in self.levels])
 
+    @cached_property
+    def covers_outcomes(self) -> bool:
+        """Every outcome has mass in some level, decided once per system:
+        masses are nonnegative, so an outcome is covered iff some level's
+        scaled mass there is nonzero.  Every leaf query reads it."""
+        return all(map(any, zip(*self.int_levels)))
+
 
 def lex_member(system: LexSystem, f: Gamble) -> bool:
     """First nonzero level expectation positive?"""
@@ -126,11 +133,9 @@ def lex_is_maximal(system: LexSystem) -> bool:
 
 
 def lex_is_coherent(system: LexSystem) -> bool:
-    """Positivity of each outcome's indicator, i.e. the supports cover.
-
-    Read off ``int_levels``: masses are nonnegative, so an outcome is
-    covered iff some level's scaled mass there is nonzero."""
-    return all(map(any, zip(*system.int_levels)))
+    """Positivity of each outcome's indicator, i.e. the supports cover
+    (``LexSystem.covers_outcomes``)."""
+    return system.covers_outcomes
 
 
 def lex_condition(system: LexSystem, given: Assignment) -> LexSystem:

@@ -51,7 +51,6 @@ from .structure import cyl_ext, condition
 
 __all__ = [
     "ModelDocument",
-    "dump",
     "dumps",
     "load",
     "loads",
@@ -577,8 +576,3 @@ def dumps(doc: ModelDocument) -> str:
         "sets": {name: doc.entries[name] for name in doc.entries},
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def dump(doc: ModelDocument, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(doc))

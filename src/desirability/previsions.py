@@ -39,6 +39,7 @@ from .desirable import (
     cone_program,
     scope_of,
     sign_cells,
+    sign_verdict,
 )
 from .errors import (
     BudgetExceededError,
@@ -50,7 +51,7 @@ from .errors import (
     UnsupportedQueryError,
 )
 from .exactlp import (
-    EQ, GE, GT, Feasible, LinRow, LinSystem, Optimal, Unbounded, forward_eliminate, solve,
+    EQ, GE, GT, Feasible, LinRow, LinSystem, Optimal, forward_eliminate, solve,
     unit_rows,
 )
 from .maximal import LexSystem
@@ -181,11 +182,12 @@ def _generator_sup(
              default=_ZERO)
     if m0:
         value = value + m0 * direction
+    # Bounded behind the gate: its mass p > 0 gives each generator positive
+    # expectation, so a feasible shift has p.(value + mu*direction) >= 0,
+    # that is mu <= p.value / p.(-direction).
     outcome = solve(cone_program(cone, value, direction))
     if isinstance(outcome, Optimal):
         return m0 + outcome.value
-    if isinstance(outcome, Unbounded):
-        raise IncoherentBaseError(_UNBOUNDED)
     return None
 
 
@@ -198,11 +200,12 @@ def _set_sup(
     with both the value and the direction masked by the observed event,
     so conditional prices reuse the unconditional machinery.  A cell or
     lexicographic model takes the largest ``_shift_sup`` over its
-    ``sign_cells``.
+    ``sign_cells``, a lexicographic one after ``check_coherent``.
     """
     if isinstance(expr, GeneratorSet):
         return _generator_sup(expr, value, direction)
     if isinstance(expr, (CellSet, LexSystem)):
+        check_coherent(expr)
         zero_mu = _zero_shift(value, direction)
         # A lexicographic level leads one cell and ties in every later one:
         # each shared functional is dotted once, keyed by identity while the
@@ -597,12 +600,12 @@ def strong_member(
     When every marginal is a lexicographic model the strong product
     coincides with the independent product of the marginals, so the
     verdict delegates to the exact product-membership procedure.
-    Otherwise the zero gamble is out and positive gambles are in, before
-    any marginal's credal set is enumerated (so ``budget`` never stops
-    them).  Before either, each marginal passes ``check_coherent``: a
-    generator marginal that fails the consistency check, or a
-    lexicographic marginal that is not coherent, raises
-    ``IncoherentBaseError``, whatever the gamble.
+    Otherwise ``sign_verdict`` puts zero and nonpositive gambles out and
+    positive gambles in, as every coherent set does, before any marginal's
+    credal set is enumerated (so ``budget`` never stops them).  Before
+    either, each marginal passes ``check_coherent``: a generator marginal
+    that fails the consistency check, or a lexicographic marginal that is
+    not coherent, raises ``IncoherentBaseError``, whatever the gamble.
     The strong lower prevision decides everything else except
     its own zero level: strictly positive strong price is in, strictly
     negative strong price means out, and the boundary stays ``UNKNOWN``
@@ -617,10 +620,9 @@ def strong_member(
     if all(isinstance(p, LexSystem) for p in parts):
         return inex_member(independent_product(parts), f, budget=budget)
     fitted = f.embed(scope_of(expr))
-    if fitted.is_zero():
-        return Tri.OUT
-    if fitted.is_positive():
-        return Tri.IN
+    verdict = sign_verdict(fitted)
+    if verdict is not None:
+        return Tri.of(verdict)
     views = [credal_view(p, budget=budget) for p in parts]
     value = strong_product_lower(views, fitted, budget=budget)
     if value > 0:

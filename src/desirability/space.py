@@ -173,13 +173,6 @@ class Scope:
             strides[i] = strides[i + 1] * self.variables[i + 1].size
         return tuple(strides)
 
-    def __contains__(self, item: object) -> bool:
-        if isinstance(item, Variable):
-            return item in self.variables
-        if isinstance(item, str):
-            return any(v.name == item for v in self.variables)
-        return False
-
     def __len__(self) -> int:
         return len(self.variables)
 
@@ -280,13 +273,6 @@ class Assignment:
     @cached_property
     def scope(self) -> Scope:
         return Scope(tuple(v for v, _ in self.items))
-
-    def __getitem__(self, var: Union[Variable, str]) -> str:
-        name = var.name if isinstance(var, Variable) else var
-        for v, label in self.items:
-            if v.name == name:
-                return label
-        raise KeyError(name)
 
     def restrict(self, onto: Scope) -> "Assignment":
         return Assignment(tuple((v, l) for v, l in self.items if v in onto.variables))
@@ -457,11 +443,6 @@ class Gamble:
         return Gamble.constant(scope, 0)
 
     # -- pointwise queries -------------------------------------------------
-
-    def __getitem__(self, at: Assignment) -> Fraction:
-        if at.scope == self.scope:
-            return self.values[self.scope.index_of(at)]
-        return self.values[self.scope.index_of(at.restrict(self.scope))]
 
     def is_zero(self) -> bool:
         return not any(self.nums)

@@ -35,7 +35,10 @@ fast paths, so a test can compare the two:
   ``Fraction``s, the reference for its int recovery;
 * ``ArtificialStartSimplex`` / ``solve_artificial_start`` — the simplex
   that folds only zero lower bounds and starts every tableau row on an
-  artificial, against which the slack-basis start is checked;
+  artificial, against which the slack-basis start is checked.  It keeps
+  the fourth outcome, ``Unbounded``, that the engine's ``solve`` no longer
+  has, so a differential can find the programs on which ``solve`` must
+  raise;
 * ``loads_eagerly`` — the model loader that resolves and canonicalises
   every set while it loads, against which the loader that validates on
   load and builds on first read is checked.
@@ -47,6 +50,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -85,11 +89,9 @@ from desirability.exactlp import (
     LinSystem,
     LPOutcome,
     Optimal,
-    Unbounded,
     _MAX_ITERATIONS,
     _eliminate,
     _Simplex,
-    _UnboundedSignal,
     scaled_to_ints,
     solve,
     strict_feasible,
@@ -822,6 +824,19 @@ def original_multipliers(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Unbounded:
+    """The reference simplex's answer for an unbounded objective: an
+    improving ray."""
+
+    ray: tuple[Fraction, ...]
+
+
+class _UnboundedSignal(Exception):
+    def __init__(self, column: int):
+        self.column = column
+
+
 class ArtificialStartSimplex:
     """Two-phase tableau simplex on the weak rows of a system.
 
@@ -1133,7 +1148,7 @@ class ArtificialStartSimplex:
         return tuple(lam)
 
 
-def solve_artificial_start(system: LinSystem) -> LPOutcome:
+def solve_artificial_start(system: LinSystem) -> LPOutcome | Unbounded:
     """``exactlp.solve`` on ``ArtificialStartSimplex``, without the gates.
 
     The engine's simplex before it started from the slack basis: it folds

@@ -47,6 +47,32 @@ def lex_pair_model(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def incoherent_lex_model(tmp_path):
+    """``lbad`` gives X1 = b no mass, so it fails ``lex_is_coherent``;
+    ``w`` is coherent and maximal."""
+    doc = {
+        "variables": [
+            {"id": "X1", "outcomes": ["a", "b"]},
+            {"id": "X2", "outcomes": ["a", "b"]},
+        ],
+        "sets": {
+            "lbad": {"kind": "lex", "scope": ["X1"], "levels": [["1", "0"]]},
+            "s": {"kind": "strict_from_credal", "scope": ["X2"], "vertices": [["1/2", "1/2"]]},
+            "w": {"kind": "lex", "scope": ["X2"], "levels": [["1/2", "1/2"], ["1", "0"]]},
+            "lproduct": {"kind": "expr", "op": "inex", "of": ["lbad", "w"]},
+            "ext": {"kind": "expr", "op": "cyl_ext", "of": "lbad", "target": ["X1", "X2"]},
+            "wext": {
+                "kind": "expr", "op": "irr_ext", "of": "w",
+                "irrelevant": ["X1"], "target": ["X1", "X2"],
+            },
+        },
+    }
+    path = tmp_path / "incoherent-lex.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
 class TestMembership:
     def test_member_in_exits_zero(self, capsys):
         code, out, _ = run(
@@ -153,6 +179,67 @@ class TestChecks:
         code, out, _ = run(capsys, "--model", str(path), "check", "clash")
         assert code == 1
         assert "fails" in out and out.splitlines()[-1] == "result: fail"
+
+    @pytest.mark.parametrize(
+        "name, findings",
+        [
+            (
+                "widened",
+                [
+                    ("widened", "excludes-zero", "no cell accepts the zero gamble (exact)"),
+                    ("widened", "accepts-positives", "positives included wholesale (structural)"),
+                    ("widened", "posi-closed",
+                     "no violation among 400 sampled combinations (sampled)"),
+                ],
+            ),
+            (
+                "updated",
+                [
+                    ("updated.base", "excludes-zero", "no cell accepts the zero gamble (exact)"),
+                    ("updated.base", "accepts-positives",
+                     "positives included wholesale (structural)"),
+                    ("updated.base", "posi-closed",
+                     "no violation among 400 sampled combinations (sampled)"),
+                ],
+            ),
+            (
+                "by-coin",
+                [
+                    ("by-coin[X1=a]", "levels-cover-outcomes", "maximal"),
+                    ("by-coin[X1=b]", "levels-cover-outcomes", "maximal"),
+                ],
+            ),
+        ],
+    )
+    def test_check_walks_cell_sets_and_composite_nodes(self, capsys, name, findings):
+        text = ["pass %s %s: %s" % finding for finding in findings] + ["result: pass"]
+        assert run(capsys, "--model", DEMO, "check", name) == (0, "\n".join(text) + "\n", "")
+        payload = {
+            "findings": [
+                {"check": check, "detail": detail, "node": node, "passed": True}
+                for node, check, detail in findings
+            ],
+            "name": name,
+            "passed": True,
+        }
+        assert run(capsys, "--model", DEMO, "--json", "check", name) == (
+            0, json.dumps(payload, sort_keys=True) + "\n", ""
+        )
+
+    @pytest.mark.parametrize(
+        "name, code, text",
+        [
+            ("wext", 0, "pass wext.base levels-cover-outcomes: maximal\nresult: pass\n"),
+            ("lbad", 1, "FAIL lbad levels-cover-outcomes: not maximal\nresult: fail\n"),
+            ("ext", 1, "FAIL ext.base levels-cover-outcomes: not maximal\nresult: fail\n"),
+        ],
+    )
+    def test_check_reads_an_extension_of_a_lex_base(
+        self, capsys, incoherent_lex_model, name, code, text
+    ):
+        # ``check`` reports an incoherent lex base as a failed finding; it is
+        # the one command that does not raise on it.
+        assert run(capsys, "--model", incoherent_lex_model, "check", name) == (code, text, "")
 
     def test_irrelevance_scan_passes_for_extension(self, capsys):
         code, out, _ = run(
@@ -283,7 +370,8 @@ class TestErrors:
         assert err == message
 
     @pytest.mark.parametrize(
-        "gamble, code, verdict", [("[0,0,4,0]", 0, "In"), ("[0,0,0,0]", 1, "Out")]
+        "gamble, code, verdict",
+        [("[0,0,4,0]", 0, "In"), ("[0,0,0,0]", 1, "Out"), ("[0,0,-1,0]", 1, "Out")],
     )
     def test_budget_does_not_stop_positive_or_zero_strong_queries(
         self, capsys, gamble, code, verdict
@@ -358,28 +446,18 @@ class TestErrors:
             ("member", "lproduct", "[1,1,1,1]"),
             ("member", "lproduct", "[1,-1,2,-1]"),
             ("strong-member", "lbad,s", "[1,1,1,1]"),
+            ("member", "lbad", "[0,1]"),
+            ("lowprev", "lbad", "[0,1]"),
+            ("member", "ext", "[0,1,0,1]"),
+            ("irr-check", "ext", "X2", "X1"),
         ],
     )
     def test_incoherent_lex_marginal_is_an_error_on_every_path(
-        self, capsys, tmp_path, argv
+        self, capsys, incoherent_lex_model, argv
     ):
-        # ``lbad`` gives X1 = b no mass, so it fails ``lex_is_coherent``; a
-        # product over it is an error before any sign filter.
-        doc = {
-            "variables": [
-                {"id": "X1", "outcomes": ["a", "b"]},
-                {"id": "X2", "outcomes": ["a", "b"]},
-            ],
-            "sets": {
-                "lbad": {"kind": "lex", "scope": ["X1"], "levels": [["1", "0"]]},
-                "s": {"kind": "strict_from_credal", "scope": ["X2"], "vertices": [["1/2", "1/2"]]},
-                "w": {"kind": "lex", "scope": ["X2"], "levels": [["1/2", "1/2"], ["1", "0"]]},
-                "lproduct": {"kind": "expr", "op": "inex", "of": ["lbad", "w"]},
-            },
-        }
-        path = tmp_path / "incoherent-lex-marginal.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = run(capsys, "--model", str(path), *argv)
+        # A product over ``lbad``, ``lbad`` itself and its extension are
+        # errors before any sign filter.
+        code, out, err = run(capsys, "--model", incoherent_lex_model, *argv)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "incoherent lex system" in err
         assert err.count("\n") == 1

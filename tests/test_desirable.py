@@ -52,7 +52,7 @@ from desirability.desirable import (
 from desirability.independence import conditional_inex, independent_product
 from desirability.previsions import strong_member
 from desirability.exactlp import EQ, GE, GT, Infeasible, solve
-from desirability.maximal import lex_is_maximal
+from desirability.maximal import lex_is_coherent, lex_is_maximal, lex_member
 from desirability.space import CACHE_MAXSIZE, _restriction_map, _slice_map
 from desirability.structure import cyl_ext
 from randgen import random_gamble, random_generator_set
@@ -254,6 +254,75 @@ class TestCellSets:
         assert not report.passed
 
 
+def _cells(*cells, include_positive=False):
+    """A cell set on X1 from cells given as ``((functional, rel), ...)``."""
+    return CellSet(
+        S1,
+        tuple(
+            Cell(tuple(CellRow(Gamble.on(S1, e), rel) for e, rel in rows), exclude_zero=True)
+            for rows in cells
+        ),
+        include_positive=include_positive,
+    )
+
+
+class TestCellSetAudit:
+    """The audit's branches on small cell sets; every counterexample it
+    reports is re-checked by membership."""
+
+    def test_exact_positives_check_negates_strict_and_equality_rows(self):
+        # f1 > f2, f1 = f2 and f2 > f1 cover every positive gamble; the
+        # negations of the strict rows (>= on the negated functional) and of
+        # the equality (> on either side) leave no positive gamble.
+        covered = _cells([([1, -1], GT)], [([1, -1], EQ)], [([-1, 1], GT)])
+        finding = cellset_coherence_audit(covered).accepts_positives
+        assert (finding.passed, finding.mode) == (True, "exact")
+        # Without the last cell a positive gamble with f2 > f1 is left out.
+        gap = _cells([([1, -1], GT)], [([1, -1], EQ)])
+        finding = cellset_coherence_audit(gap).accepts_positives
+        assert (finding.passed, finding.mode) == (False, "exact")
+        witness = finding.counterexample
+        assert witness.is_positive() and witness.values[1] > witness.values[0]
+        assert member(gap, witness) is Tri.OUT
+
+    @pytest.mark.parametrize(
+        "cells, passed",
+        [
+            # f1 > 0 with f2 >= 0, or f2 > 0: every positive gamble.
+            ([[([1, 0], GT), ([0, 1], GE)], [([0, 1], GT)]], True),
+            # Both values positive: (1, 0) is left out.
+            ([[([1, 0], GT), ([0, 1], GT)]], False),
+        ],
+    )
+    def test_positives_fall_back_to_samples_over_the_branch_budget(
+        self, monkeypatch, cells, passed
+    ):
+        cs = _cells(*cells)
+        assert desirable._positives_covered(cs, 1) == (None, None)
+        exact, _ = desirable._positives_covered(cs, desirable.AUDIT_BRANCH_BUDGET)
+        assert exact is passed
+        monkeypatch.setattr(desirable, "AUDIT_BRANCH_BUDGET", 1)
+        finding = cellset_coherence_audit(cs).accepts_positives
+        assert (finding.passed, finding.mode) == (passed, "sampled")
+        if not passed:
+            bad = finding.counterexample
+            assert bad.is_positive() and member(cs, bad) is Tri.OUT
+
+    def test_positives_with_one_strict_nonnegative_cell_are_posi_closed(self):
+        cs = _cells([([1, 2], GT)], include_positive=True)
+        finding = cellset_coherence_audit(cs).posi_closed
+        assert (finding.passed, finding.mode) == (True, "structural")
+        assert "one strict cell" in finding.detail
+
+    def test_sampled_posi_closure_finds_a_sum_outside_the_set(self):
+        # Two open rays: each is closed, their union is not.
+        rays = _cells([([1, 0], GT), ([0, 1], EQ)], [([0, 1], GT), ([1, 0], EQ)])
+        finding = cellset_coherence_audit(rays).posi_closed
+        assert (finding.passed, finding.mode) == (False, "sampled")
+        assert finding.detail == "sum of two members left the set"
+        assert member(rays, finding.counterexample) is Tri.OUT
+
+
 # -- sign cells: the one decomposition that prices and products read --------
 
 _SIGN_SCOPES = [Scope.of([Variable("Y", tuple("abc"[:n]))]) for n in (1, 2, 3)]
@@ -284,11 +353,20 @@ def _model_functionals(model):
 
 
 def _assert_sign_cell_contract(model, f):
+    """The contract on ``f``; returns whether ``f`` is in the set.  An
+    incoherent lex system is gated on every query, so its set is read by
+    ``lex_member``."""
     cells = sign_cells(model)
-    inside = member(model, f) is Tri.IN
+    if isinstance(model, LexSystem) and not lex_is_coherent(model):
+        with pytest.raises(IncoherentBaseError, match="incoherent lex system"):
+            member(model, f)
+        inside = lex_member(model, f)
+    else:
+        inside = member(model, f) is Tri.IN
     assert any(cell.accepts(f.nums) for cell in cells) == inside, (model, f)
     admitted = any(all(row.holds(f.nums) for row in cell.rows) for cell in cells)
     assert admitted == (inside or f.is_zero()), (model, f)
+    return inside
 
 
 def _random_sign_model(rng, scope):
@@ -326,8 +404,7 @@ class TestSignCells:
                     k = rng.randint(1, len(functionals))
                     gambles.append(_null_projection(g, functionals[:k]))
             for f in gambles:
-                _assert_sign_cell_contract(model, f)
-                seen.add((type(model).__name__, member(model, f) is Tri.IN))
+                seen.add((type(model).__name__, _assert_sign_cell_contract(model, f)))
             if isinstance(model, LexSystem):
                 seen.add(("maximal", lex_is_maximal(model)))
         assert seen >= {
@@ -477,6 +554,11 @@ GATED_PATHS = {
             StrongProduct((LBAD, strictly_desirable(HALF2))), POSITIVE12
         ),
         LEX_MESSAGE,
+    ),
+    "member_lex": (lambda: member(LBAD, Gamble.on(S1, [0, 1])), LEX_MESSAGE),
+    "lower_prevision_lex": (lambda: lower_prevision(LBAD, Gamble.on(S1, [0, 1])), LEX_MESSAGE),
+    "member_lex_extension": (
+        lambda: member(cyl_ext(LBAD, S12), Gamble.on(S12, [0, 1, 0, 1])), LEX_MESSAGE
     ),
 }
 

@@ -26,7 +26,6 @@ from desirability.exactlp import (
     LinRow,
     LinSystem,
     Optimal,
-    Unbounded,
     _eliminate,
     _Simplex,
     _solve_engine,
@@ -36,10 +35,10 @@ from desirability.exactlp import (
     unit_rows,
     verify_farkas,
     verify_point,
-    verify_ray,
 )
 from desirability import Gamble, GeneratorSet, Scope, Variable, desirable, lower_prevision
 from references import (
+    Unbounded,
     fm_feasible,
     fm_project,
     original_multipliers,
@@ -73,15 +72,16 @@ class TestSolve:
         assert isinstance(out, Infeasible)
         assert verify_farkas(system, out.farkas)
 
-    def test_unbounded_with_verified_ray(self):
+    def test_unbounded_objective_is_an_engine_error(self):
+        # The package builds bounded programs only, so an unbounded one
+        # is an engine fault, not an answer.
         system = sys_of(
             ["x", "y"],
             [((1, -1), EQ, 0), ((1, 0), GE, 0)],
             objective=(1, 1),
         )
-        out = solve(system)
-        assert isinstance(out, Unbounded)
-        assert verify_ray(system, out.ray)
+        with pytest.raises(EngineError, match="unbounded program"):
+            solve(system)
 
     def test_feasibility_without_objective(self):
         system = sys_of(["x"], [((1,), GE, 2)])
@@ -245,22 +245,24 @@ class TestLargerDifferential:
         kinds = set()
         for i in range(60):
             system = random_system(rng, (GE, GE, EQ), objective=True)
-            out = solve(system)
             expected = fm_optimum(system)
+            if expected == "unbounded":
+                with pytest.raises(EngineError, match="unbounded program"):
+                    solve(system)
+                kinds.add(expected)
+                continue
+            out = solve(system)
             if isinstance(out, Optimal):
                 assert out.value == expected, "i=%d" % i
                 assert verify_point(system, out.witness)
                 assert out.value == sum(
                     c * x for c, x in zip(system.objective, out.witness)
                 )
-            elif isinstance(out, Unbounded):
-                assert expected == "unbounded", "i=%d" % i
-                assert verify_ray(system, out.ray)
             else:
                 assert expected == "infeasible", "i=%d" % i
                 assert verify_farkas(system, out.farkas)
             kinds.add(type(out))
-        assert kinds == {Optimal, Unbounded, Infeasible}
+        assert kinds == {Optimal, "unbounded", Infeasible}
 
 
 @st.composite
@@ -331,6 +333,22 @@ class TestIntegerRows:
         assert [simplex.cols[c] for c in simplex.unit_col] == [("a", 0), ("a", 1)]
         assert [simplex.cols[b] for b in simplex.basis] == [("xn", 0), ("s", 0)]
         assert simplex.pivots == 2
+
+    def test_beale_cycling_lp_ends_under_blands_rule(self):
+        # Beale's example (1955): Dantzig's rule cycles on it through
+        # degenerate pivots, so the solve ends only after the fallback to
+        # Bland's rule at 200 + 10 * rows pivots.
+        system = sys_of(
+            ["x1", "x2", "x3", "x4"],
+            [((F(-1, 4), 60, F(1, 25), -9), GE, 0),
+             ((F(-1, 2), 90, F(1, 50), -3), GE, 0),
+             ((0, 0, -1, 0), GE, -1)]
+            + [(unit, GE, 0) for unit in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))],
+            objective=(F(3, 4), -150, F(1, 50), -6),
+        )
+        out, simplex = _solve_engine(system)
+        assert out == Optimal(F(1, 20), (F(1, 25), F(0), F(1), F(0)))
+        assert simplex.pivots > 200 + 10 * len(simplex.T)
 
 
 def multiplier_system(integer):
@@ -445,9 +463,14 @@ def shifted_lp(integer):
 def _agrees_with_artificial_start(system):
     """Solve ``system`` from the slack basis and from all artificials; the
     outcome kinds and optima must agree and every certificate pass its
-    gate.  Returns the outcome kind."""
-    out = solve(system)
+    gate, and ``solve`` must raise where the reference finds the objective
+    unbounded.  Returns the reference's outcome kind."""
     ref = solve_artificial_start(system)
+    if isinstance(ref, Unbounded):
+        with pytest.raises(EngineError, match="unbounded program"):
+            solve(system)
+        return Unbounded
+    out = solve(system)
     assert type(out) is type(ref)
     if isinstance(out, Optimal):
         assert out.value == ref.value
@@ -455,10 +478,8 @@ def _agrees_with_artificial_start(system):
         assert out.value == sum(c * x for c, x in zip(system.objective, out.witness))
     elif isinstance(out, Feasible):
         assert verify_point(system, out.witness)
-    elif isinstance(out, Infeasible):
-        assert verify_farkas(system, out.farkas)
     else:
-        assert verify_ray(system, out.ray)
+        assert verify_farkas(system, out.farkas)
     return type(out)
 
 

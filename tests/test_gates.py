@@ -1,6 +1,6 @@
 """The certificate gates against a ``Fraction`` reference, and how often they run.
 
-``verify_point``, ``verify_farkas`` and ``verify_ray`` decide on ints.  The
+``verify_point`` and ``verify_farkas`` decide on ints.  The
 reference below decides the same predicates by summing ``Fraction``
 products; every differential here requires the same verdict from both.
 """
@@ -21,7 +21,6 @@ from desirability.exactlp import (
     LinSystem,
     verify_farkas,
     verify_point,
-    verify_ray,
 )
 
 F = Fraction
@@ -63,17 +62,6 @@ def reference_farkas(system, farkas):
     if any(c != 0 for c in combined):
         return False
     return combined_rhs > 0 or (combined_rhs == 0 and strict_mass > 0)
-
-
-def reference_ray(system, ray):
-    for row in system.rows:
-        v = value_at(row, ray)
-        if row.rel == EQ and v != 0:
-            return False
-        if row.rel != EQ and v < 0:
-            return False
-    gain = sum((c * r for c, r in zip(system.objective, ray)), _ZERO)
-    return gain > 0 if system.sense == "max" else gain < 0
 
 
 # -- strategies -----------------------------------------------------------------
@@ -161,28 +149,6 @@ def farkas_cases(draw):
     return system, tuple(lams)
 
 
-@st.composite
-def ray_cases(draw):
-    n = draw(st.integers(1, 4))
-    ray = tuple(draw(st.lists(rationals, min_size=n, max_size=n)))
-    rows = []
-    for _ in range(draw(st.integers(0, 4))):
-        coeffs = draw(coefficient_vectors(n))
-        if draw(st.booleans()):
-            # Put the ray on the row's hyperplane, or 1/10^k off it, through
-            # the first coordinate where the ray is nonzero.
-            j = next((j for j, r in enumerate(ray) if r), None)
-            if j is not None:
-                coeffs = list(coeffs)
-                rest = sum((c * r for i, (c, r) in enumerate(zip(coeffs, ray)) if i != j), _ZERO)
-                coeffs[j] = (draw(offsets()) - rest) / ray[j]
-                coeffs = tuple(coeffs)
-        rows.append(LinRow(coeffs, draw(st.sampled_from((GE, EQ))), draw(rationals)))
-    objective = draw(coefficient_vectors(n))
-    sense = draw(st.sampled_from(("max", "min")))
-    return LinSystem(n, tuple(rows), objective, sense), ray
-
-
 # -- differentials ----------------------------------------------------------------
 
 
@@ -201,12 +167,6 @@ class TestGatesAgreeWithFractionReference:
     def test_farkas(self, case):
         system, farkas = case
         assert verify_farkas(system, farkas) == reference_farkas(system, farkas)
-
-    @settings(max_examples=300)
-    @given(ray_cases())
-    def test_ray(self, case):
-        system, ray = case
-        assert verify_ray(system, ray) == reference_ray(system, ray)
 
 
 def rows_of(*rows):
@@ -277,38 +237,16 @@ class TestGateCases:
         assert reference_farkas(system, farkas) == expected
         assert verify_farkas(system, farkas) == expected
 
-    @pytest.mark.parametrize(
-        "rows, ray, objective, expected",
-        [
-            ((((1, -1), EQ, 0),), (1, 1), (1, 0), True),
-            ((((1, -1), EQ, 7),), (F(1, 3), F(1, 3)), (F(1, 5), 0), True),
-            ((((1, -1), EQ, 0),), (1, 1 + F(1, 10**25)), (1, 0), False),
-            ((((F(1, 3), F(-1, 2)), GE, 9),), (3, 2), (1, 0), True),
-            ((((F(1, 3), F(-1, 2)), GE, 9),), (3, 2 + F(1, 10**25)), (1, 0), False),
-            ((((1, 0), GE, 0),), (1, 0), (0, 1), False),
-        ],
-    )
-    def test_ray(self, rows, ray, objective, expected):
-        system = LinSystem(2, rows_of(*rows), tuple(F(c) for c in objective))
-        ray = tuple(F(r) for r in ray)
-        assert reference_ray(system, ray) == expected
-        assert verify_ray(system, ray) == expected
-
 
 class TestVectorLength:
     """A vector of the wrong length is no certificate."""
 
-    system = LinSystem(2, rows_of(((1, 1), GE, 1), ((0, 1), GE, 0)), (F(1), F(0)))
+    system = LinSystem(2, rows_of(((1, 1), GE, 1), ((0, 1), GE, 0)))
 
     def test_point(self):
         assert verify_point(self.system, (F(1), F(0)))
         assert not verify_point(self.system, (F(1),))
         assert not verify_point(self.system, (F(1), F(0), F(7)))
-
-    def test_ray(self):
-        assert verify_ray(self.system, (F(1), F(0)))
-        assert not verify_ray(self.system, (F(1),))
-        assert not verify_ray(self.system, (F(1), F(0), F(0)))
 
     def test_farkas(self):
         infeasible = LinSystem(1, rows_of(((1,), GE, 1), ((-1,), GE, 0)))
@@ -327,7 +265,7 @@ class TestGateWork:
         space._restriction_map.cache_clear()
         space._slice_map.cache_clear()
         counts = collections.Counter()
-        for name in ("verify_point", "verify_farkas", "verify_ray"):
+        for name in ("verify_point", "verify_farkas"):
             gate = getattr(exactlp, name)
 
             def counted(system, vector, _gate=gate, _name=name):

@@ -39,7 +39,7 @@ from desirability import (
 from desirability import desirable, exactlp, previsions
 from desirability.desirable import Cell, CellRow, StrongProduct
 from desirability.independence import irrelevant_extension
-from desirability.maximal import lex_member
+from desirability.maximal import lex_is_coherent, lex_member
 from desirability.space import disjoint_union
 from desirability.structure import condition, sample_gambles
 from desirability.previsions import strong_member
@@ -225,6 +225,12 @@ class TestPricesAgainstBreakpointOracle:
         seen = collections.Counter()
         for _ in range(2000):
             model, value, direction = _price_case(rng, lex)
+            if lex and not lex_is_coherent(model):
+                # The gate comes before any price is read.
+                with pytest.raises(IncoherentBaseError, match="incoherent lex system"):
+                    previsions._set_sup(model, value, direction)
+                seen["incoherent"] += 1
+                continue
             if lex:
                 functionals = model.levels
                 accepts = functools.partial(lex_member, model)
@@ -243,7 +249,8 @@ class TestPricesAgainstBreakpointOracle:
                 got = previsions._set_sup(model, value, direction)
                 assert got == want, (model, value, direction)
                 seen["empty" if want is None else "value"] += 1
-        assert set(seen) == {"value", "empty", "unbounded"}, seen
+        kinds = {"value", "empty", "unbounded"} | ({"incoherent"} if lex else set())
+        assert set(seen) == kinds, seen
 
 
 class TestCredalVertices:
@@ -750,6 +757,17 @@ class TestStrongMembership:
     def test_positive_is_in(self):
         _, _, prod = self._pair()
         assert strong_member(prod, Gamble.on(S12, [0, 0, 1, 0])) is Tri.IN
+
+    def test_nonpositive_is_out_before_any_vertex_enumeration(self):
+        # Every coherent set, a strong product included, excludes a nonzero
+        # nonpositive gamble.  Here the price reads zero, which would leave
+        # the verdict UNKNOWN, and no budget is needed.
+        sure = strictly_desirable(CredalSet.of(S1, [("1", "0")]))
+        tied = LexSystem.on(S2, [["1/2", "1/2"], [1, 0]])
+        prod = StrongProduct((sure, tied))
+        f = Gamble.on(S12, [0, 0, -1, 0])
+        assert strong_member(prod, f) is Tri.OUT
+        assert strong_member(prod, f, budget=0) is Tri.OUT
 
     def test_boundary_is_unknown(self):
         d1, d2, prod = self._pair()
