@@ -17,19 +17,30 @@ summand per block, where every summand's slices along the other blocks lie
 in that block's model (or vanish).  A generator marginal's summands
 therefore range over one cone, its generators masked by every assignment
 of the other blocks: all-generator products collapse to it, and a mixed
-product takes its ``cone_program`` rows.  Cell and lexicographic
-marginals are decided by a signature search: each (block, slice)
-constraint is a finite disjunction of linear sign patterns, the rows of
-the marginal's ``sign_cells`` (the cells that prices read too, here with
-zero admitted), and ``h`` belongs iff some combined choice is strictly
-feasible.  Every marginal passes ``desirable.check_coherent`` first, so
-an inconsistent generator marginal or an incoherent lexicographic one is
-an error whatever the gamble.  The choices are walked depth first,
-within a configurable budget on their number, and the checked Farkas
-certificate of an infeasible choice prunes, after a re-check, every later
-choice that contains its rows.  The product's layout (its joint scope,
-block and slice indices) comes from ``space``, and each (block, slice,
-branch) row is built once per query, not once per choice.
+product takes its ``cone_program`` rows.  For a cell or lexicographic
+marginal each (block, slice) constraint is a finite disjunction of linear
+sign patterns, the rows of the marginal's sign cells (the cells that
+prices read too, here with zero admitted), and ``h`` belongs iff some
+combined choice, a signature, is strictly feasible.  Every marginal
+passes ``desirable.check_coherent`` first, so an inconsistent generator
+marginal or an incoherent lexicographic one is an error whatever the
+gamble.  The number of signatures is capped by a configurable budget.
+
+A coherent marginal's summand set is a convex cone, so membership is the
+feasibility of one convex set.  It needs no search over the disjunction
+when every marginal's cells form a chain (``desirable.sign_chain``:
+lexicographic systems and strictly desirable credal sets), in which each
+cell's weak relaxation contains every later cell.  Every pair then
+starts at its first cell and only moves on.  The gate-checked Farkas
+vector of an infeasible signature either shows the weak relaxation
+empty, and ``h`` out, or weights strict rows that every decomposition
+must meet with equality; the pairs of those rows move one cell on.
+Products over any other cell set walk the signatures depth first, and
+the checked Farkas certificate of an infeasible one prunes, after a
+re-check, every later signature that contains its rows.  The product's
+layout (its joint scope, block and slice indices) comes from ``space``,
+and each (block, slice, branch) row is built once per query, not once
+per signature.
 
 Irrelevance and independence of an arbitrary expression are refutation
 checks — sampled or exhaustive-grid scans of the membership biconditional
@@ -64,6 +75,7 @@ from .desirable import (
     member,
     scope_of,
     sign_cells,
+    sign_chain,
     sign_verdict,
 )
 from . import exactlp
@@ -73,7 +85,7 @@ from .errors import (
     ScopeError,
     UnsupportedQueryError,
 )
-from .exactlp import Feasible, LinRow, LinSystem, strict_feasible
+from .exactlp import GT, Feasible, LinRow, LinSystem, strict_feasible
 from .maximal import LexSystem
 from .space import (
     Assignment,
@@ -152,7 +164,7 @@ def conditional_inex(families: Sequence[ConditionalFamily]) -> ConditionalFamily
 # ---------------------------------------------------------------------------
 
 
-# -- signature enumeration for products of cell/lex marginals ---------------
+# -- product membership over cell and lex marginals ------------------------
 
 
 def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> Tri:
@@ -168,19 +180,16 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     The masked generators of all generator marginals give the weight and
     domination rows of ``cone_program``, to which each cell or
     lexicographic marginal adds one column per outcome for its summand.
-    Each (block, slice) pair of those marginals chooses one of the
-    marginal's ``sign_cells`` (a branch), its rows read with zero admitted,
+    Each (block, slice) pair of those marginals lies in one of the
+    marginal's sign cells (a branch), its rows read with zero admitted,
     since a summand's slice may vanish; ``h`` belongs iff some combined
     choice, a signature, is strictly feasible.  ``budget`` caps the number
     of signatures, counted before any LP is solved.
 
-    The signatures are searched depth first in lexicographic order (see
-    ``_signature_search``), and an infeasible one leaves a nogood that
-    prunes every later signature containing its rows.  So at most one LP
-    is solved per signature, the LPs that are solved come in the order of
-    a plain enumeration, and the verdict is the enumeration's.  Nogoods
-    live for one call, and each is re-checked with ``verify_farkas`` on
-    the system it prunes before anything is skipped.
+    When every such marginal has a ``sign_chain``, the pairs advance along
+    their chains (``_chain_walk``): at most one LP per cell past the first,
+    over all pairs, and one more.  Otherwise the signatures are searched
+    depth first (``_signature_search``).
 
     Each (block, slice) pair reads its joint indices from ``_slice_map``.
     The cone rows do not depend on the signature, so every (block, slice,
@@ -208,17 +217,19 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
         for g in masked_generators(part, joint.difference(part.scope))
     ])
     branched = [part for part in parts if not isinstance(part, GeneratorSet)]
+    if not all(isinstance(part, (CellSet, LexSystem)) for part in branched):
+        raise UnsupportedQueryError(
+            "product membership needs leaf marginals (generators, cells, or lex)"
+        )
+    chains = [sign_chain(part) for part in branched]
+    walk = None not in chains
     weights, size = len(masked), joint.size
     # One entry per (block, slice) pair of a cell or lex marginal: the first
     # column of its summand, joint indices of the slice and the marginal's
-    # sign cells, one branch each.
+    # sign cells, one branch each, in chain order when the pairs walk.
     pairs: list[tuple[int, tuple[int, ...], tuple[Cell, ...]]] = []
-    for n, part in enumerate(branched):
-        if not isinstance(part, (CellSet, LexSystem)):
-            raise UnsupportedQueryError(
-                "product membership needs leaf marginals (generators, cells, or lex)"
-            )
-        cells = sign_cells(part)
+    for n, (part, chain) in enumerate(zip(branched, chains)):
+        cells = chain if walk else sign_cells(part)
         for z in joint.difference(scope_of(part)).assignments():
             pairs.append((weights + n * size, _slice_map(joint, z)[0], cells))
 
@@ -249,7 +260,46 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
             options.append(rendered)
         menu.append(options)
 
-    return Tri.IN if _signature_search(width, fixed, menu) else Tri.OUT
+    decide = _chain_walk if walk else _signature_search
+    return Tri.of(decide(width, fixed, menu))
+
+
+def _chain_walk(
+    width: int, fixed: Sequence[LinRow], menu: Sequence[Sequence[Sequence[LinRow]]]
+) -> bool:
+    """Whether the ``fixed`` rows and some signature are strictly feasible,
+    when each pair's branches form a chain (``desirable.sign_chain``).
+
+    Every pair starts at its first cell; no decomposition of ``h`` puts a
+    pair's slice in a cell before the pair's current one.  Each round
+    solves the current signature, and a feasible one is a decomposition.
+    An infeasible one gives a gate-checked Farkas vector ``y``: ``y >= 0``
+    on inequality rows, ``y.A = 0`` and ``y.b >= 0``.  Every decomposition
+    meets the current rows with ``>`` read as ``>=``, since later cells lie
+    in each cell's weak relaxation.  So ``y.b > 0`` leaves none, and ``h``
+    is out.  With ``y.b = 0`` every row that ``y`` weights is tight on every
+    decomposition (``0 = y.A x >= y.b = 0``), so a weighted ``>`` row puts
+    its pair's slice in a later cell: each such pair moves one cell on, and
+    ``h`` is out when one has none left.  The gate asks ``y`` to weight a
+    ``>`` row when ``y.b = 0``, and only pair rows are strict, so each round
+    answers or moves a pair: at most ``1 + sum(len(chain) - 1)`` LPs.
+    """
+    at = [0] * len(menu)
+    while True:
+        rows, owners = list(fixed), [None] * len(fixed)
+        for pair, (options, cell) in enumerate(zip(menu, at)):
+            rows.extend(options[cell])
+            owners.extend([pair] * len(options[cell]))
+        outcome = strict_feasible(LinSystem(width, tuple(rows)))
+        if isinstance(outcome, Feasible):
+            return True
+        y = outcome.farkas
+        if sum(lam * row.rhs for lam, row in zip(y, rows)) > 0:
+            return False
+        for pair in {p for lam, row, p in zip(y, rows, owners) if lam and row.rel == GT}:
+            at[pair] += 1
+            if at[pair] == len(menu[pair]):
+                return False
 
 
 # A nogood learnt from an infeasible signature: the multipliers of its
@@ -299,8 +349,6 @@ def _signature_search(
     the leaf sends the walk back to that pair, where the lookup closes its
     current branch.
     """
-    if not menu:  # the one signature is empty
-        return isinstance(strict_feasible(LinSystem(width, tuple(fixed))), Feasible)
     last = len(menu) - 1
     # Nogoods by their deepest (pair, branch) choice.  A checked certificate
     # always weights some branch row, because the fixed rows alone are

@@ -711,9 +711,10 @@ def inex_member_enumerated(
     """Membership in an independent natural extension, by plain enumeration.
 
     The engine's former body of ``inex_member``: one strict LP per combined
-    signature, in ``itertools.product`` order, with no pruning.  The search
-    in ``independence.inex_member`` must give its verdict with at most as
-    many LPs.
+    signature, in ``itertools.product`` order, with no pruning.
+    ``independence.inex_member`` must give its verdict: its signature
+    search with at most as many LPs, its chain walk within the walk's own
+    bound.
 
     Collapsed (generator) products answer through the plain dispatcher.
     Products over cell or lexicographic marginals enumerate one sign

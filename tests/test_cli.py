@@ -189,7 +189,7 @@ class TestChecks:
                     ("widened", "excludes-zero", "no cell accepts the zero gamble (exact)"),
                     ("widened", "accepts-positives", "positives included wholesale (structural)"),
                     ("widened", "posi-closed",
-                     "no violation among 400 sampled combinations (sampled)"),
+                     "no violation among 200 sampled combinations (sampled)"),
                 ],
             ),
             (
@@ -199,7 +199,7 @@ class TestChecks:
                     ("updated.base", "accepts-positives",
                      "positives included wholesale (structural)"),
                     ("updated.base", "posi-closed",
-                     "no violation among 400 sampled combinations (sampled)"),
+                     "no violation among 200 sampled combinations (sampled)"),
                 ],
             ),
             (

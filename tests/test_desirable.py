@@ -48,6 +48,7 @@ from desirability.desirable import (
     natext_member,
     scope_of,
     sign_cells,
+    sign_chain,
 )
 from desirability.independence import conditional_inex, independent_product
 from desirability.previsions import strong_member
@@ -55,7 +56,7 @@ from desirability.exactlp import EQ, GE, GT, Infeasible, solve
 from desirability.maximal import lex_is_coherent, lex_is_maximal, lex_member
 from desirability.space import CACHE_MAXSIZE, _restriction_map, _slice_map
 from desirability.structure import cyl_ext
-from randgen import random_gamble, random_generator_set
+from randgen import random_credal, random_gamble, random_generator_set
 from references import condition_bar_member
 
 V1 = Variable("X1", ("a", "b"))
@@ -453,6 +454,58 @@ class TestSignCells:
         assert [c.exclude_zero for c in sign_cells(maximal)] == [False, True]
         flat = LexSystem.on(S1, [["1/2", "1/2"]])
         assert [[r.rel for r in c.rows] for c in sign_cells(flat)] == [[GT], [EQ, EQ]]
+
+    def test_chain_order(self):
+        # Lex cells are a chain as listed; a strictly desirable credal set's
+        # are one in reverse, its open cell first.  A set with two cells, or
+        # with a row that is not ``>`` over a nonnegative functional, or
+        # without the positives, has none.
+        maximal = LexSystem.on(S1, [["1/2", "1/2"], [1, 0]])
+        assert sign_chain(maximal) == sign_cells(maximal)
+        strict = strictly_desirable(CredalSet.of(S1, [("1/3", "2/3"), ("3/4", "1/4")]))
+        assert sign_chain(strict) == sign_cells(strict)[::-1]
+        assert sign_chain(strict)[0] == strict.cells[0]
+        open_cell = Cell((CellRow(Gamble.on(S1, [1, 2]), GT),))
+        assert sign_chain(CellSet(S1, (open_cell,))) is None
+        for other in (
+            Cell((CellRow(Gamble.on(S1, [1, -1]), GT),)),
+            Cell((CellRow(Gamble.on(S1, [1, 2]), GE),)),
+        ):
+            assert sign_chain(CellSet(S1, (other,), include_positive=True)) is None
+            assert sign_chain(CellSet(S1, (open_cell, other), include_positive=True)) is None
+
+    def test_chain_cells_lie_in_each_earlier_weak_relaxation(self):
+        # What the product walk relies on: a gamble that a later cell admits
+        # satisfies every row of each earlier cell with ``>`` read as
+        # ``>=``, and the last cell has no ``>`` row.
+        rng = random.Random("sign-chain")
+        chains = 0
+        for _ in range(300):
+            scope = rng.choice(_SIGN_SCOPES)
+            if rng.random() < 0.3:
+                credal = random_credal(rng, scope, rng.randint(1, 3))
+                model = strictly_desirable(credal)
+            else:
+                model = _random_sign_model(rng, scope)
+            chain = sign_chain(model)
+            if chain is None:
+                continue
+            chains += 1
+            assert all(row.rel != GT for row in chain[-1].rows)
+            functionals = [row.functional.values for cell in chain for row in cell.rows]
+            for _ in range(6):
+                g = random_gamble(rng, scope)
+                k = rng.randint(0, len(functionals))
+                f = _null_projection(g, functionals[:k])
+                admitted = [all(row.holds(f.nums) for row in cell.rows) for cell in chain]
+                for j in range(len(chain)):
+                    if not admitted[j]:
+                        continue
+                    for cell in chain[:j]:
+                        for row in cell.rows:
+                            weak = CellRow(row.functional, GE if row.rel == GT else row.rel)
+                            assert weak.holds(f.nums), (model, f)
+        assert chains > 100
 
 
 class TestDispatch:
