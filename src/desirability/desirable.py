@@ -417,12 +417,14 @@ def sign_chain(model: Union[CellSet, LexSystem]) -> Optional[tuple[Cell, ...]]:
     In a chain each cell's weak relaxation (``>`` read as ``>=``, zero
     admitted) contains every later cell, and the last cell has no ``>``
     row.  A lexicographic system's cells are a chain as ``sign_cells``
-    lists them: a later cell ties the earlier cells' lead levels.  A
-    strictly desirable credal set's are one in reverse, its open cell
-    before the orthant, which every nonnegative functional keeps at
-    ``>= 0``.  Other cell sets have no chain.
+    lists them: a later cell ties the earlier cells' lead levels.  So are
+    a cell set's of one cell without the positives, that cell and then the
+    zero cell, which meets every homogeneous weak row.  A strictly
+    desirable credal set's are one in reverse, its open cell before the
+    orthant, which every nonnegative functional keeps at ``>= 0``.  Other
+    cell sets have no chain.
     """
-    if isinstance(model, LexSystem):
+    if isinstance(model, LexSystem) or (len(model.cells) == 1 and not model.include_positive):
         return sign_cells(model)
     return sign_cells(model)[::-1] if _is_strict_credal(model) else None
 
@@ -670,6 +672,8 @@ def scaled_member(
     ``slice_table``, and each hands the result to its base here, with no
     gamble built on the way.
     Any other node receives the gamble ``nums / den`` through ``member``.
+    Besides ``member``, the scans in ``independence`` call it directly,
+    with ints lifted once onto the scope of ``expr``.
     """
     if isinstance(expr, LexSystem):
         if not expr.covers_outcomes:

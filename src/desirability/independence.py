@@ -29,8 +29,9 @@ gamble.  The number of signatures is capped by a configurable budget.
 A coherent marginal's summand set is a convex cone, so membership is the
 feasibility of one convex set.  It needs no search over the disjunction
 when every marginal's cells form a chain (``desirable.sign_chain``:
-lexicographic systems and strictly desirable credal sets), in which each
-cell's weak relaxation contains every later cell.  Every pair then
+lexicographic systems, strictly desirable credal sets and cell sets of
+one cell without the positives), in which each cell's weak relaxation
+contains every later cell.  Every pair then
 starts at its first cell and only moves on.  The gate-checked Farkas
 vector of an infeasible signature either shows the weak relaxation
 empty, and ``h`` out, or weights strict rows that every decomposition
@@ -45,11 +46,13 @@ per signature.
 Irrelevance and independence of an arbitrary expression are refutation
 checks — sampled or exhaustive-grid scans of the membership biconditional
 ``f in model  iff  indicator(event) * f in model`` — never proofs.  A scan
-works on index tables built once: each sampled gamble is lifted to the
-joint scope of the two groups once, and its masks copy the lifted values
-at the precomputed slice indices of each event.  The queries it sends go
-down to ``IrrExt`` nodes, which read their slices from a per-node table,
-and to lexicographic and cell leaves, which decide by integer sign tests.
+works on index tables built once on the expression's full scope: each
+sampled gamble's ints are lifted onto that scope once, and its masks copy
+the lifted ints at the precomputed slice indices of each event.  Every
+query goes to ``desirable.scaled_member`` as ints over the sample's
+denominator, with no gamble built: ``IrrExt`` nodes read their slices
+from a per-node table, lexicographic and cell leaves decide by integer
+sign tests, and the other nodes receive their gamble through ``member``.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ from .desirable import (
     check_coherent,
     cone_program,
     member,
+    scaled_member,
     scope_of,
     sign_cells,
     sign_chain,
@@ -91,6 +95,7 @@ from .space import (
     Assignment,
     Gamble,
     Scope,
+    _restriction_map,
     _slice_map,
     disjoint_union,
 )
@@ -104,6 +109,9 @@ _ONE = Fraction(1)
 # Most (irrelevant, onto) block-union pairs one independence scan checks;
 # five blocks need 180 pairs and six need 602.
 PAIR_BUDGET = 200
+
+# The enumeration budget of each scan query: ``member``'s default.
+_QUERY_BUDGET = 100000
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +454,14 @@ def is_irrelevant(
     is a pass of the scan, not a proof.  ``budget`` caps the sampled
     gambles and must be at least 1.
 
-    The masks come from an index table built once per scan: for each
-    assignment ``at`` and each outcome of the joint scope of both groups,
-    the outcome itself where ``at`` holds (``_slice_map(joint, at)``) and a
-    zero entry elsewhere.  Each sampled gamble is lifted to that scope once,
-    and the lift is what the plain query asks; its mask at ``at`` gathers
-    the lifted ints through the table and keeps the denominator, which is
-    ``indicator(at) * f`` exactly.
+    Every query is a vector of ints on the expression's full scope, handed
+    to ``scaled_member`` over the sample's denominator.  Each sampled
+    gamble is lifted onto that scope once (``_restriction_map(full,
+    onto)``), and the lift is what the plain query asks.  Its mask at an
+    assignment ``at`` gathers the lifted ints through a table built once
+    per scan: for each outcome of the full scope, the outcome itself where
+    ``at`` holds (``_slice_map(full, at)``) and a zero entry elsewhere,
+    which is ``indicator(at) * f`` exactly.
     """
     _check_budget(budget)
     full = scope_of(expr)
@@ -462,27 +471,26 @@ def is_irrelevant(
         raise ScopeError("irrelevance scopes must be disjoint")
     if not irrelevant.variables or not onto.variables:
         return Verdict(True, "vacuous", 0, "an empty variable group is always irrelevant")
-    joint = irrelevant.union(onto)
-    size = joint.size
+    size = full.size
+    lift = _restriction_map(full, onto)
     masks = []
     for at in irrelevant.assignments():
         table = [size] * size
-        for i in _slice_map(joint, at)[0]:
+        for i in _slice_map(full, at)[0]:
             table[i] = i
         masks.append((at, table))
     checked = 0
     skipped = 0
     for f in sample_gambles(onto, budget=budget, seed=seed):
-        lifted = f.embed(joint)
-        plain = member(expr, lifted)
+        nums, den = f.nums, f.den
+        lifted = [nums[k] for k in lift]
+        plain = scaled_member(expr, lifted, den, _QUERY_BUDGET)
         if plain is Tri.UNKNOWN:
             skipped += 1
             continue
-        values = [*lifted.nums, 0]
+        lifted.append(0)
         for at, table in masks:
-            masked = member(
-                expr, Gamble._from_ints(joint, tuple([values[i] for i in table]), lifted.den)
-            )
+            masked = scaled_member(expr, [lifted[i] for i in table], den, _QUERY_BUDGET)
             if masked is Tri.UNKNOWN:
                 skipped += 1
                 continue
@@ -564,6 +572,11 @@ def factorisation_check(
     asserts the products are members, and re-checks the sampled members
     against the constant factor one.  ``budget`` caps each sample and must
     be at least 1.
+
+    Like ``is_irrelevant``, it queries ``scaled_member`` on the full
+    scope: each member and each factor is lifted there once, and a
+    product query is their pointwise product over ``f.den * g.den``.  The
+    product gamble ``f * g`` is built only for a counterexample.
     """
     _check_budget(budget)
     full = scope_of(expr)
@@ -571,25 +584,28 @@ def factorisation_check(
         raise ScopeError("factorisation scopes must be part of the expression scope")
     if not factor_scope.isdisjoint(onto):
         raise ScopeError("factorisation scopes must be disjoint")
-    members = [
-        f
-        for f in sample_gambles(onto, budget=budget * 4, seed=seed)
-        if member(expr, f) is Tri.IN
-    ][:budget]
+    lift = _restriction_map(full, onto)
+    members = []
+    for f in sample_gambles(onto, budget=budget * 4, seed=seed):
+        lifted = [f.nums[k] for k in lift]
+        if scaled_member(expr, lifted, f.den, _QUERY_BUDGET) is Tri.IN:
+            members.append((f, lifted))
+    factor_lift = _restriction_map(full, factor_scope)
     factors = [
-        g
+        (g, [g.nums[k] for k in factor_lift])
         for g in sample_gambles(factor_scope, budget=budget * 4, seed=seed + 1, lo=0, hi=3)
         if g.is_positive()
     ][:budget]
     checked = 0
-    for f in members:
-        if member(expr, f * Gamble.constant(factor_scope, _ONE)) is not Tri.IN:
+    for f, f_ints in members[:budget]:
+        if scaled_member(expr, f_ints, f.den, _QUERY_BUDGET) is not Tri.IN:
             return Verdict(
                 False, "sampled", checked, "member rejected after unit factor", (f, None)
             )
         checked += 1
-        for g in factors:
-            if member(expr, f * g) is not Tri.IN:
+        for g, g_ints in factors:
+            product = list(map(mul, f_ints, g_ints))
+            if scaled_member(expr, product, f.den * g.den, _QUERY_BUDGET) is not Tri.IN:
                 return Verdict(
                     False,
                     "sampled",

@@ -22,6 +22,10 @@ fast paths, so a test can compare the two:
   lexicographic, cell, conditioned and extension nodes decided on a
   gamble's ints: every value they read is ``Gamble.values``, and every
   gamble they build is built from ``Fraction``s;
+* ``gamble_is_irrelevant`` and ``gamble_factorisation_check`` — the
+  scans as they ran before they queried ``scaled_member`` on full-scope
+  ints: one ``Gamble`` per query, built on the scanned groups' joint
+  scope and handed to ``member``, which embeds it;
 * ``inex_lower_prevision_primal`` — the independent joint lower prevision
   as the primal allocation program, the LP dual of the joint-mass program
   that ``previsions.inex_lower_prevision`` solves;
@@ -127,7 +131,7 @@ from desirability.space import (
     disjoint_union,
     format_rational,
 )
-from desirability.structure import condition, cyl_ext
+from desirability.structure import condition, cyl_ext, sample_gambles
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -581,6 +585,102 @@ def _product_mass(product: IndepProduct, joint: Scope) -> Optional[Gamble]:
             v *= mass[block_map[w]]
         values.append(v)
     return Gamble(joint, tuple(values))
+
+
+# ---------------------------------------------------------------------------
+# scans that query ``member`` with one gamble per query
+# ---------------------------------------------------------------------------
+
+
+def gamble_is_irrelevant(
+    expr: DesirableSetExpr, irrelevant: Scope, onto: Scope, *, budget: int = 2000, seed: int = 0
+) -> Verdict:
+    """``is_irrelevant`` with each query a gamble on ``irrelevant ∪ onto``."""
+    _check_budget(budget)
+    full = scope_of(expr)
+    if not irrelevant.issubset(full) or not onto.issubset(full):
+        raise ScopeError("irrelevance scopes must be part of the expression scope")
+    if not irrelevant.isdisjoint(onto):
+        raise ScopeError("irrelevance scopes must be disjoint")
+    if not irrelevant.variables or not onto.variables:
+        return Verdict(True, "vacuous", 0, "an empty variable group is always irrelevant")
+    joint = irrelevant.union(onto)
+    size = joint.size
+    masks = []
+    for at in irrelevant.assignments():
+        table = [size] * size
+        for i in _slice_map(joint, at)[0]:
+            table[i] = i
+        masks.append((at, table))
+    checked = 0
+    skipped = 0
+    for f in sample_gambles(onto, budget=budget, seed=seed):
+        lifted = f.embed(joint)
+        plain = member(expr, lifted)
+        if plain is Tri.UNKNOWN:
+            skipped += 1
+            continue
+        values = [*lifted.nums, 0]
+        for at, table in masks:
+            masked = member(
+                expr, Gamble._from_ints(joint, tuple([values[i] for i in table]), lifted.den)
+            )
+            if masked is Tri.UNKNOWN:
+                skipped += 1
+                continue
+            checked += 1
+            if plain is not masked:
+                return Verdict(
+                    False,
+                    _scan_mode(onto, budget, -3, 3),
+                    checked,
+                    "membership changes after observing %s" % (at,),
+                    (f, at),
+                )
+    detail = "%d membership pairs agree" % checked
+    if skipped:
+        detail += " (%d boundary queries skipped)" % skipped
+    return Verdict(True, _scan_mode(onto, budget, -3, 3), checked, detail)
+
+
+def gamble_factorisation_check(
+    expr: DesirableSetExpr, factor_scope: Scope, onto: Scope, *, budget: int = 60, seed: int = 0
+) -> Verdict:
+    """``factorisation_check`` with each query the gamble ``f * g``."""
+    _check_budget(budget)
+    full = scope_of(expr)
+    if not factor_scope.issubset(full) or not onto.issubset(full):
+        raise ScopeError("factorisation scopes must be part of the expression scope")
+    if not factor_scope.isdisjoint(onto):
+        raise ScopeError("factorisation scopes must be disjoint")
+    members = [
+        f
+        for f in sample_gambles(onto, budget=budget * 4, seed=seed)
+        if member(expr, f) is Tri.IN
+    ][:budget]
+    factors = [
+        g
+        for g in sample_gambles(factor_scope, budget=budget * 4, seed=seed + 1, lo=0, hi=3)
+        if g.is_positive()
+    ][:budget]
+    checked = 0
+    for f in members:
+        if member(expr, f * Gamble.constant(factor_scope, _ONE)) is not Tri.IN:
+            return Verdict(
+                False, "sampled", checked, "member rejected after unit factor", (f, None)
+            )
+        checked += 1
+        for g in factors:
+            if member(expr, f * g) is not Tri.IN:
+                return Verdict(
+                    False,
+                    "sampled",
+                    checked,
+                    "member rejected after a positive factor",
+                    (f * g, None),
+                )
+            checked += 1
+    return Verdict(True, "sampled", checked, "%d factored members accepted" % checked)
 
 
 # ---------------------------------------------------------------------------

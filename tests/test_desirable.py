@@ -456,17 +456,20 @@ class TestSignCells:
         assert [[r.rel for r in c.rows] for c in sign_cells(flat)] == [[GT], [EQ, EQ]]
 
     def test_chain_order(self):
-        # Lex cells are a chain as listed; a strictly desirable credal set's
-        # are one in reverse, its open cell first.  A set with two cells, or
-        # with a row that is not ``>`` over a nonnegative functional, or
-        # without the positives, has none.
+        # Lex cells are a chain as listed, and so are those of one cell
+        # without the positives: the cell, then the zero cell.  A strictly
+        # desirable credal set's are one in reverse, its open cell first.
+        # A set with the positives and two cells, or with a row that is not
+        # ``>`` over a nonnegative functional, has none.
         maximal = LexSystem.on(S1, [["1/2", "1/2"], [1, 0]])
         assert sign_chain(maximal) == sign_cells(maximal)
         strict = strictly_desirable(CredalSet.of(S1, [("1/3", "2/3"), ("3/4", "1/4")]))
         assert sign_chain(strict) == sign_cells(strict)[::-1]
         assert sign_chain(strict)[0] == strict.cells[0]
         open_cell = Cell((CellRow(Gamble.on(S1, [1, 2]), GT),))
-        assert sign_chain(CellSet(S1, (open_cell,))) is None
+        alone = CellSet(S1, (open_cell,))
+        assert sign_chain(alone) == sign_cells(alone) == (open_cell, sign_cells(alone)[1])
+        assert all(row.rel == EQ for row in sign_chain(alone)[1].rows)
         for other in (
             Cell((CellRow(Gamble.on(S1, [1, -1]), GT),)),
             Cell((CellRow(Gamble.on(S1, [1, 2]), GE),)),

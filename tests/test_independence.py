@@ -174,7 +174,7 @@ class TestIndependentProduct:
             (LexSystem.on(S1, [["3/4", "1/4"]]), 2),
             (strictly_desirable(CredalSet.of(S1, [("1/3", "2/3")])), 2),
             (strictly_desirable(CredalSet.of(S1, [("1/3", "2/3"), ("3/4", "1/4")])), 2),
-            (CellSet(S1, (Cell((CellRow(Gamble.on(S1, [1, 1]), GT),)),)), 15),
+            (CellSet(S1, (Cell((CellRow(Gamble.on(S1, [1, 1]), GT),)),)), 2),
         ],
         ids=[
             "nonmaximal-lex", "credal-one-vertex", "credal-two-vertices",
@@ -185,9 +185,9 @@ class TestIndependentProduct:
         # ``h`` lies in the second marginal and depends on X2 alone, so the
         # first block's summand may be zero on every slice: its model (not
         # maximal, a credal set's open cell, or without the positives)
-        # takes zero only through its zero or orthant cell.  The first
-        # three have chains: one LP at the first cells, and one after
-        # every pair has moved on.  The last is searched.
+        # takes zero only through its zero or orthant cell.  All four have
+        # chains, the last its one cell and then the zero cell: one LP at
+        # the first cells, and one after every pair has moved on.
         second = LexSystem.on(S2, [["1/2", "1/2"], [1, 0]])
         h = Gamble.on(S2, [1, -1]).embed(S12)
         assert inex_member(independent_product([first, second]), h) is Tri.IN

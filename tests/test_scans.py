@@ -4,12 +4,16 @@ The reference below decides membership the plain way: masks are indicator
 products, extension slices come from ``floor_onto`` and ``slice_at``, and
 lexicographic and cell leaves take exact ``Fraction`` dot products.  The
 engine's scans read index tables and decide leaves by integer sign tests;
-both must return equal ``Verdict``s, field for field.
+both must return equal ``Verdict``s, field for field.  The scans as they
+ran with one gamble per ``member`` query (``references.gamble_*``) are a
+second reference, for every node kind, and for the queries themselves.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,20 +26,36 @@ from desirability import (
     Scope,
     Tri,
     Variable,
+    factorisation_check,
     independence,
     is_independent,
     is_irrelevant,
     member,
     strictly_desirable,
 )
-from desirability.desirable import Cell, CellRow, Conditioned, scope_of
+from desirability.desirable import (
+    Cell,
+    CellRow,
+    ConditionalFamily,
+    Conditioned,
+    IndepProduct,
+    scope_of,
+)
+from desirability.errors import UnsupportedQueryError
+from desirability.model import load
 from desirability.structure import condition, cyl_ext, sample_gambles
 from desirability.maximal import lex_member
 from desirability.exactlp import EQ, GE, GT
 from desirability.independence import Verdict, irrelevant_extension
-from randgen import random_credal, random_mass
+from randgen import random_credal, random_generator_set, random_mass
 
-from references import floor_onto, indicator
+import references
+from references import (
+    floor_onto,
+    gamble_factorisation_check,
+    gamble_is_irrelevant,
+    indicator,
+)
 
 F = Fraction
 X3 = Variable("X1", ("a", "b", "c"))
@@ -258,20 +278,21 @@ class TestCylindricalExtension:
 class TestScanWorkPins:
     """The scans keep every query: pinned to the counts of the plain scan.
 
-    ``checked`` and the number of ``member`` calls a scan makes through the
-    ``independence`` module are the values the indicator-product scan gave;
-    a faster scan must reach them too, not check fewer pairs.
+    ``checked`` and the number of membership queries a scan sends through
+    the ``independence`` module (its ``scaled_member`` calls) are the values
+    the indicator-product scan gave with one ``member`` call per query; a
+    faster scan must reach them too, not check fewer pairs.
     """
 
     def _count(self, monkeypatch, scan):
         calls = []
-        inner = independence.member
+        inner = independence.scaled_member
 
-        def counting(expr, f):
-            calls.append(f)
-            return inner(expr, f)
+        def counting(expr, nums, den, budget):
+            calls.append(nums)
+            return inner(expr, nums, den, budget)
 
-        monkeypatch.setattr(independence, "member", counting)
+        monkeypatch.setattr(independence, "scaled_member", counting)
         return scan(), len(calls)
 
     def test_irrelevant_extension_scan(self, monkeypatch):
@@ -294,6 +315,180 @@ class TestScanWorkPins:
             monkeypatch, lambda: is_independent(expr, [one(X2), one(Y2)], budget=2000)
         )
         assert (verdict.passed, verdict.checked, calls) == (False, 10, 15)
+
+    def test_factorisation_scan(self, monkeypatch):
+        _, expr, irrelevant, onto, _ = case("irrext-lex-3x3")
+        verdict, calls = self._count(
+            monkeypatch, lambda: factorisation_check(expr, irrelevant, onto)
+        )
+        assert (verdict.passed, verdict.checked, calls) == (True, 3660, 3900)
+
+
+# ---------------------------------------------------------------------------
+# the int scans against the scans that query ``member`` with gambles
+# ---------------------------------------------------------------------------
+
+DEMO = str(Path(__file__).resolve().parents[1] / "models" / "demo.json")
+
+
+def gamble_scan_cases():
+    """(name, expression, irrelevant, onto, budget) beyond ``scan_cases``.
+
+    Generator sets, products and cell sets answer through ``member`` with
+    a gamble; the "part" cases scan two groups whose joint scope is smaller
+    than the expression's.
+    """
+    rng = random.Random("gamble-scan-differential")
+    demo = load(DEMO)
+    d1, d2 = (one(v) for v in scope_of(demo.sets["product"]).variables)
+    lex2 = maximal_lex(rng, one(X2))
+    cell2 = strictly_desirable(random_credal(rng, one(X2), count=2))
+    part_cond = condition(
+        irrelevant_extension(cell2, one(Y2, W2), one(W2, X2, Y2, Z2)),
+        Assignment.of({W2: "a"}),
+    )
+    return [
+        ("lex-joint", maximal_lex(rng, one(X2, Y2)), one(Y2), one(X2), 2000),
+        ("strict-joint-3x3", strictly_desirable(random_credal(rng, one(X3, Y3), count=3)), one(X3), one(Y3), 60),
+        ("cells-widened", demo.sets["widened"], d1, d2, 2000),
+        ("cells-widened-back", demo.sets["widened"], d2, d1, 2000),
+        ("credal-two-vertex", demo.sets["two-vertex"], d1, d2, 2000),
+        ("part-irrext", irrelevant_extension(lex2, one(Y2), one(X2, Y2, Z2)), one(Y2), one(X2), 2000),
+        ("part-conditioned", part_cond, one(Y2), one(X2), 2000),
+        ("generators-extended", demo.sets["lean-extended"], d2, d1, 2000),
+        ("generators-cylinder", demo.sets["joint-lean"], d2, d1, 2000),
+        ("generators-joint", random_generator_set(rng, one(X2, Y2), count=2), one(X2), one(Y2), 30),
+        ("inex-generators-lex", demo.sets["product"], d2, d1, 2000),
+        ("inex-lex-lex", IndepProduct((lex2, maximal_lex(rng, one(Y2)))), one(X2), one(Y2), 2000),
+        ("strong-pair", demo.sets["strong-pair"], d2, d1, 2000),
+    ]
+
+
+def all_scan_cases():
+    return scan_cases() + gamble_scan_cases()
+
+
+def case_of(name):
+    return next(c for c in all_scan_cases() if c[0] == name)
+
+
+def denominated(sampler):
+    """``sampler`` with its k-th gamble divided by ``2 + k % 3``."""
+
+    def sample(scope, **kwargs):
+        return [g * F(1, 2 + k % 3) for k, g in enumerate(sampler(scope, **kwargs))]
+
+    return sample
+
+
+class TestGambleScanDifferential:
+    """``is_irrelevant`` and ``factorisation_check`` send full-scope ints
+    to ``scaled_member``; the scans in ``references`` send gambles on the
+    scanned groups to ``member``.  Verdicts must be equal field for field,
+    and the queries equal as rational vectors on the expression's scope."""
+
+    def test_cases_have_the_intended_shapes(self):
+        kinds = {type(expr).__name__ for _, expr, *_ in all_scan_cases()}
+        assert kinds == {
+            "LexSystem", "CellSet", "Conditioned", "IrrExt", "GeneratorSet",
+            "IndepProduct", "StrongProduct",
+        }
+        parts = [
+            name for name, expr, irrelevant, onto, _ in all_scan_cases()
+            if irrelevant.union(onto) != scope_of(expr)
+        ]
+        assert parts == ["part-irrext", "part-conditioned"]
+        assert isinstance(case_of("part-conditioned")[1], Conditioned)
+        _, expr, irrelevant, onto, _ = case_of("strong-pair")
+        assert "boundary queries skipped" in is_irrelevant(expr, irrelevant, onto).detail
+
+    def test_every_verdict_matches_the_gamble_scans(self):
+        outcomes = set()
+        for name, expr, irrelevant, onto, budget in all_scan_cases():
+            for seed in (0, 5):
+                got = is_irrelevant(expr, irrelevant, onto, budget=budget, seed=seed)
+                assert got == gamble_is_irrelevant(expr, irrelevant, onto, budget=budget, seed=seed), name
+                outcomes.add(("irrelevant", got.passed))
+                got = factorisation_check(expr, irrelevant, onto, budget=8, seed=seed)
+                assert got == gamble_factorisation_check(expr, irrelevant, onto, budget=8, seed=seed), name
+                outcomes.add(("factorisation", got.passed))
+        assert len(outcomes) == 4
+
+    def test_random_draws_match_the_gamble_scans(self):
+        rng = random.Random("gamble-scan-draws")
+        for _ in range(12):
+            kind = rng.choice(("lex", "credal", "irrext", "conditioned"))
+            scope = rng.choice((one(X2, Y2), one(X3, Y2), one(X2, Y2, Z2)))
+            if kind == "lex":
+                expr = maximal_lex(rng, scope)
+            elif kind == "credal":
+                expr = strictly_desirable(random_credal(rng, scope, count=rng.randint(1, 3)))
+            elif kind == "irrext":
+                first = one(scope.variables[0])
+                expr = irrelevant_extension(maximal_lex(rng, first), scope.difference(first), scope)
+            else:
+                joint = strictly_desirable(random_credal(rng, scope.union(one(W2)), count=2))
+                expr = condition(joint, Assignment.of({W2: rng.choice(("a", "b"))}))
+            names = list(scope.variables)
+            rng.shuffle(names)
+            irrelevant, onto = one(names[0]), one(*names[1:])
+            if rng.random() < 0.5 and len(names) == 3:
+                onto = one(names[1])
+            budget, seed = rng.choice((5, 40, 2000)), rng.randint(0, 9)
+            want = gamble_is_irrelevant(expr, irrelevant, onto, budget=budget, seed=seed)
+            assert is_irrelevant(expr, irrelevant, onto, budget=budget, seed=seed) == want
+            want = gamble_factorisation_check(expr, irrelevant, onto, budget=6, seed=seed)
+            assert factorisation_check(expr, irrelevant, onto, budget=6, seed=seed) == want
+
+    def test_a_conditional_family_raises_the_same_error(self):
+        joint = maximal_lex(random.Random("family"), one(X2, Y2))
+        family = ConditionalFamily(
+            one(Z2), tuple((Assignment.of({Z2: z}), joint) for z in ("a", "b"))
+        )
+        for scan, reference in (
+            (is_irrelevant, gamble_is_irrelevant),
+            (factorisation_check, gamble_factorisation_check),
+        ):
+            with pytest.raises(UnsupportedQueryError) as want:
+                reference(family, one(Y2), one(X2))
+            with pytest.raises(UnsupportedQueryError) as got:
+                scan(family, one(Y2), one(X2))
+            assert str(got.value) == str(want.value)
+
+    def test_queries_equal_the_gamble_queries(self, monkeypatch):
+        """Every query, in order, as rationals on the expression's scope.
+
+        The samples carry denominators 2 to 4, so a query that loses a
+        sample's or a factor's denominator differs from the reference's;
+        verdicts alone cannot show it, since every node is a cone.
+        """
+        sent, asked = [], []
+        engine_query = independence.scaled_member
+        reference_query = references.member
+
+        def record_ints(expr, nums, den, budget):
+            sent.append(tuple([F(n, den) for n in nums]))
+            return engine_query(expr, nums, den, budget)
+
+        def record_gamble(expr, f, **kwargs):
+            asked.append(f.embed(scope_of(expr)).values)
+            return reference_query(expr, f, **kwargs)
+
+        monkeypatch.setattr(independence, "scaled_member", record_ints)
+        monkeypatch.setattr(references, "member", record_gamble)
+        monkeypatch.setattr(independence, "sample_gambles", denominated(sample_gambles))
+        monkeypatch.setattr(references, "sample_gambles", denominated(sample_gambles))
+        for name, expr, irrelevant, onto, budget in all_scan_cases():
+            budget = min(budget, 60)
+            del sent[:], asked[:]
+            got = is_irrelevant(expr, irrelevant, onto, budget=budget)
+            assert got == gamble_is_irrelevant(expr, irrelevant, onto, budget=budget), name
+            assert sent == asked, name
+            del sent[:], asked[:]
+            got = factorisation_check(expr, irrelevant, onto, budget=6)
+            assert got == gamble_factorisation_check(expr, irrelevant, onto, budget=6), name
+            assert sent == asked, name
+        assert any(f.den > 1 for f in denominated(sample_gambles)(one(X2)))
 
 
 # ---------------------------------------------------------------------------
