@@ -42,6 +42,7 @@ The central reductions:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -131,6 +132,17 @@ class GeneratorSet:
         gens.sort(key=lambda g: g.values)
         return GeneratorSet(scope, tuple(gens))
 
+    @cached_property
+    def _negated_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Per outcome ``w``, the ints ``-g_k(w) * den`` of every generator,
+        and the lcm ``den`` of the generators' denominators: the generator
+        part of each outcome row of ``cone_program``, computed once."""
+        den = math.lcm(*[g.den for g in self.generators])
+        columns = [[v * (den // g.den) for v in g.nums] for g in self.generators]
+        return tuple([
+            tuple([-column[w] for column in columns]) for w in range(self.scope.size)
+        ]), den
+
 
 @dataclass(frozen=True)
 class ConsistencyCertificate:
@@ -174,9 +186,9 @@ def avoids_nonpositivity(assessment: GeneratorSet) -> ConsistencyCertificate:
         uniform = tuple(Fraction(1, size) for _ in range(size))
         return ConsistencyCertificate(True, uniform, None)
 
-    rows = unit_rows(size, GT)
+    rows = list(unit_rows(size, GT))
     for g in gens:
-        rows.append(LinRow(g.values, GT, _ZERO))
+        rows.append(LinRow._from_ints(g.nums + (0,), GT, g.den))
     outcome = strict_feasible(LinSystem(size, tuple(rows)))
     if isinstance(outcome, Feasible):
         total = sum(outcome.witness, _ZERO)
@@ -229,17 +241,25 @@ def cone_program(
     of the generators.  With one, the shift ``mu`` leads the variables and
     is maximised.  ``independence.inex_member`` appends the columns of a
     product's cell and lexicographic summands to these rows.
+
+    The rows are built on ints, with no ``Fraction``: the unit rows are
+    shared (``unit_rows``), and each outcome row joins the cone's
+    ``_negated_ints`` to the gamble's and the direction's ints over the lcm
+    of their denominators.
     """
-    gens = cone.generators
-    n = len(gens)
+    n = len(cone.generators)
     lead = 0 if direction is None else 1
-    rows = unit_rows(lead + n, GE, lead)
-    columns = [g.values for g in gens]
-    values = value.values
-    shifts = None if direction is None else direction.values
-    for w in range(cone.scope.size):
-        shift = [] if shifts is None else [shifts[w]]
-        rows.append(LinRow(tuple(shift + [-column[w] for column in columns]), GE, -values[w]))
+    rows = list(unit_rows(lead + n, GE, lead))
+    negated, gen_den = cone._negated_ints
+    den = math.lcm(gen_den, value.den, 1 if direction is None else direction.den)
+    a, b = den // gen_den, den // value.den
+    values = value.nums
+    for w, gs in enumerate(negated):
+        if a != 1:
+            gs = tuple([a * v for v in gs])
+        if direction is not None:
+            gs = (direction.nums[w] * (den // direction.den),) + gs
+        rows.append(LinRow._from_ints(gs + (-b * values[w],), GE, den))
     if direction is None:
         return LinSystem(n, tuple(rows))
     objective = tuple([_ONE] + [_ZERO] * n)
@@ -492,7 +512,8 @@ class IrrExt:
     ``structure.cyl_ext`` builds.
 
     Membership reads each slice through ``slice_table``, an index table
-    the node computes once, on first use, and keeps.
+    the node computes once, on first use, and keeps, after the base's
+    coherence gate, whose verdict the node keeps too (``_base_gate``).
     """
 
     base: DesirableSetExpr
@@ -505,6 +526,12 @@ class IrrExt:
             raise ScopeError("irrelevant variables overlap the base scope")
         if not base_scope.union(self.irrelevant).issubset(self.target):
             raise ScopeError("extension target must contain base and irrelevant scopes")
+
+    @cached_property
+    def _base_gate(self) -> Optional[ConsistencyCertificate]:
+        """``check_coherent(base)``, run on first use and kept.  A gate that
+        raises keeps nothing, so an incoherent base raises on every query."""
+        return check_coherent(self.base)
 
     @cached_property
     def slice_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -702,10 +729,10 @@ def slice_verdict(expr: IrrExt, nums: Sequence[int], den: int, budget: int) -> T
     the same ``den``.  The per-slice choices are independent because a
     dominating gamble can be assembled slice by slice.  ``budget`` goes to
     each base query, as in ``member``.  The base passes ``check_coherent``
-    before any slice is skipped, so an incoherent leaf base is an error
-    whatever the gamble.
+    (``expr._base_gate``) before any slice is skipped, so an incoherent leaf
+    base is an error whatever the gamble.
     """
-    check_coherent(expr.base)
+    expr._base_gate  # raises for an incoherent base, on every query
     if not any(nums):
         return Tri.OUT
     unknown = False
@@ -782,7 +809,7 @@ def _positives_covered(cs: CellSet, budget: int) -> tuple[Optional[bool], Option
         if count > budget:
             return None, None
     size = cs.scope.size
-    base_rows = unit_rows(size, GE)
+    base_rows = list(unit_rows(size, GE))
     base_rows.append(LinRow(tuple([_ONE for _ in range(size)]), GT, _ZERO))
     for choice in itertools.product(*per_cell) if per_cell else [()]:
         rows = list(base_rows)

@@ -1,11 +1,14 @@
 """Exact rational linear programming with self-verifying answers.
 
-Systems, answers and certificates are ``fractions.Fraction``s.  Inside, the
-solver is a two-phase tableau simplex on fraction-free rows (cf. Bareiss
-1968, Edmonds 1967): each row is a list of Python ints over one positive int
-denominator, reduced by its gcd after every update, and a pivot touches only
-the pivot row's nonzero columns.  Rows are scaled to ints by
-``scaled_to_ints`` and cleared by ``_eliminate``; ``forward_eliminate``
+Answers, certificates and objectives are ``fractions.Fraction``s; a row
+(``LinRow``) is held as ints over one positive denominator, which the
+package's builders make straight from a gamble's ints.  Inside, the solver
+is a two-phase tableau simplex on fraction-free rows (cf. Bareiss 1968,
+Edmonds 1967): each tableau row is a list of Python ints over one positive
+int denominator, reduced by its gcd after every update, and a pivot touches
+only the pivot row's nonzero columns.  Tableau rows start from the rows'
+ints, are cleared by ``_eliminate``, and the objective is scaled to ints by
+``scaled_to_ints``; ``forward_eliminate``
 applies the same step in input order, without pivot search, for the rest of
 the package's exact linear algebra: lexicographic rank and canonical form
 and credal vertex enumeration.  It prices with Dantzig's rule for speed and
@@ -19,6 +22,16 @@ becomes a tableau row, and a ``>=`` row that the shifted origin satisfies
 strictly starts basic on its own surplus.  Only the remaining rows get an
 artificial, and phase 1 minimises their sum alone.
 
+Phase 1 does not read the objective.  A system without one that prices
+many objectives over the same rows hands each a system of its own
+(``LinSystem._priced``); the first solve keeps the tableau that phase 1
+left on the shared system, and every solve copies it and runs phase 2
+alone.  ``previsions.inex_lower_prevision`` builds its joint-mass rows so,
+once per tuple of credal sets.  Generator-cone prices change the
+right-hand sides with the gamble, so each builds its own rows, sharing the
+unit rows (``unit_rows``, built once per shape) and the cone's generator
+ints.  Every solve still enters through ``solve`` and passes the gates.
+
 Every answer is re-checked by substitution before it is returned:
 
 * ``Feasible`` carries a point satisfying every row;
@@ -27,9 +40,10 @@ Every answer is re-checked by substitution before it is returned:
   (nonnegative multipliers on inequality rows, any sign on equalities).
 
 The gates (``verify_point``, ``verify_farkas``) decide the
-exact rational predicate on Python ints: each vector is scaled once by the
-lcm of its denominators and each row by the lcm of its own.  The factors
-are positive, so no sign and no equality changes.  The gates share no code
+exact rational predicate on Python ints: each point or multiplier vector is
+scaled once by the lcm of its denominators (``_gate_ints``), and each row
+is read as it is held, ints over its own denominator.  The factors are
+positive, so no sign and no equality changes.  The gates share no code
 with the simplex, so a scaling fault in one cannot hide a fault in the
 other.
 
@@ -51,9 +65,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, EngineError, ExactnessError
+from .space import CACHE_MAXSIZE
 
 GE = ">="
 EQ = "="
@@ -70,47 +86,95 @@ _ONE = Fraction(1)
 _MAX_ITERATIONS = 100000
 
 
-def _check_length(coeffs: Sequence[Fraction], want: int, what: str) -> None:
+def _check_coeffs(coeffs: Sequence[Fraction], want: int, what: str) -> None:
     if len(coeffs) != want:
         raise DimensionMismatchError(
             "%s has %d coefficients, expected %d" % (what, len(coeffs), want)
         )
-
-
-def _check_coeffs(coeffs: Sequence[Fraction], want: int, what: str) -> None:
-    _check_length(coeffs, want, what)
     for c in coeffs:
         if not isinstance(c, Fraction):
             raise ExactnessError("%s must hold Fractions, got %r" % (what, c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinRow:
     """One linear constraint ``coeffs . x  rel  rhs``.
 
-    A row does not evaluate itself: the gates ``verify_point`` and
-    ``verify_farkas`` check points and multipliers against rows, on ints.
+    A row is held as ints: ``nums`` lists the coefficient numerators and
+    then the rhs numerator, over one positive denominator ``den``, in
+    lowest terms (no prime divides ``den`` and every numerator).  That form
+    is unique, so equality and hashing read it.  The simplex and the gates
+    read these ints as they are; ``coeffs`` and ``rhs`` give the same
+    values as ``Fraction``s, ``coeffs`` made on first read unless the row
+    was built from them.
 
-    The LP builders make ``coeffs`` with ``tuple([...])``, not from a
-    generator: CPython sizes a tuple built from a generator by resizing, and
-    on release files it under its final size in a per-size free list that
+    ``LinRow(coeffs, rel, rhs)`` takes ``Fraction``s only and computes the
+    ints in the sweep that checks them.  The package's LP builders, which
+    start from a gamble's ints, use ``_from_ints`` and build no
+    ``Fraction``.  A row does not evaluate itself: the gates
+    ``verify_point`` and ``verify_farkas`` check points and multipliers
+    against rows.
+
+    The builders make ``nums`` with ``tuple([...])``, not from a generator:
+    CPython sizes a tuple built from a generator by resizing, and on
+    release files it under its final size in a per-size free list that
     only a full garbage collection empties.  The integer simplex allocates
     too few tracked objects to trigger one often, so rows built from
     generators would hold a few MB of free-listed tuples for good.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
     rel: str
-    rhs: Fraction
 
-    def __post_init__(self) -> None:
-        if self.rel not in _ALL_RELS:
-            raise ValueError("unknown relation %r" % (self.rel,))
-        if not isinstance(self.rhs, Fraction):
-            raise ExactnessError("row rhs must be a Fraction, got %r" % (self.rhs,))
-        for c in self.coeffs:
+    def __init__(self, coeffs: Sequence[Fraction], rel: str, rhs: Fraction) -> None:
+        if rel not in _ALL_RELS:
+            raise ValueError("unknown relation %r" % (rel,))
+        if not isinstance(rhs, Fraction):
+            raise ExactnessError("row rhs must be a Fraction, got %r" % (rhs,))
+        coeffs = tuple(coeffs)
+        den = rhs.denominator
+        for c in coeffs:
             if not isinstance(c, Fraction):
                 raise ExactnessError("row coefficients must be Fractions")
+            d = c.denominator
+            if den % d:
+                den = den // math.gcd(den, d) * d
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        nums.append(rhs.numerator * (den // rhs.denominator))
+        _fill(self, tuple(nums), den, rel)
+        self.__dict__["coeffs"] = coeffs
+
+    @staticmethod
+    def _from_ints(nums: tuple[int, ...], rel: str, den: int = 1) -> "LinRow":
+        """The row ``nums[:-1] / den . x  rel  nums[-1] / den``, brought to
+        lowest terms.  Internal and unchecked: ``nums`` are ints, ``den`` is
+        a positive int and ``rel`` is a relation."""
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums = tuple([v // g for v in nums])
+                den //= g
+        row = object.__new__(LinRow)
+        _fill(row, nums, den, rel)
+        return row
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple([Fraction(v, den) if v else _ZERO for v in self.nums[:-1]])
+
+    @property
+    def rhs(self) -> Fraction:
+        v = self.nums[-1]
+        return Fraction(v, self.den) if v else _ZERO
+
+
+def _fill(row: LinRow, nums: tuple[int, ...], den: int, rel: str) -> None:
+    fields = row.__dict__
+    fields["nums"] = nums
+    fields["den"] = den
+    fields["rel"] = rel
 
 
 @dataclass(frozen=True)
@@ -119,6 +183,11 @@ class LinSystem:
 
     Each ``LinRow`` has checked its own relation, rhs and coefficients, so a
     system checks only that every row has ``n_vars`` of them.
+
+    A system without an objective can price several objectives over the
+    same rows: ``_priced`` gives each one a system of its own, and solving
+    those copies the tableau that phase 1 left on the first solve, which
+    does not depend on the objective (``_phase1``), and runs phase 2 alone.
     """
 
     n_vars: int
@@ -127,21 +196,48 @@ class LinSystem:
     sense: str = "max"
 
     def __post_init__(self) -> None:
+        want = self.n_vars + 1
         for k, row in enumerate(self.rows):
-            _check_length(row.coeffs, self.n_vars, "row %d" % k)
+            if len(row.nums) != want:
+                raise DimensionMismatchError(
+                    "row %d has %d coefficients, expected %d"
+                    % (k, len(row.nums) - 1, self.n_vars)
+                )
         if self.objective is not None:
             _check_coeffs(self.objective, self.n_vars, "objective")
         if self.sense not in ("max", "min"):
             raise ValueError("sense must be 'max' or 'min'")
 
+    def _priced(self, objective: tuple[Fraction, ...], sense: str) -> "LinSystem":
+        """These rows under ``objective``; solving the result reuses this
+        system's phase 1."""
+        priced = LinSystem(self.n_vars, self.rows, objective, sense)
+        priced.__dict__["_phase1_of"] = self
+        return priced
 
-def unit_rows(width: int, rel: str, start: int = 0) -> list[LinRow]:
+    @cached_property
+    def _phase1(self) -> tuple["_Simplex", Optional[tuple[Fraction, ...]]]:
+        """The simplex after phase 1 and, when infeasible, the Farkas
+        multipliers, computed once.  The kept simplex holds no reference
+        back to this system, so the two form no cycle for the garbage
+        collector to find, and drops the phase-1 cost row, which phase 2
+        replaces."""
+        simplex = _Simplex(self)
+        farkas = simplex.phase1()
+        simplex.system = None
+        simplex.cost = []
+        return simplex, farkas
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def unit_rows(width: int, rel: str, start: int = 0) -> tuple[LinRow, ...]:
     """One row ``x_j  rel  0`` over ``width`` variables for each ``j`` from
-    ``start`` on: the sign rows of the package's LP builders."""
-    return [
-        LinRow(tuple([_ONE if i == j else _ZERO for i in range(width)]), rel, _ZERO)
+    ``start`` on: the sign rows of the package's LP builders.  Built once
+    per shape and shared by every program that has it."""
+    return tuple([
+        LinRow._from_ints(tuple([int(i == j) for i in range(width)] + [0]), rel)
         for j in range(start, width)
-    ]
+    ])
 
 
 @dataclass(frozen=True)
@@ -166,9 +262,9 @@ LPOutcome = Union[Feasible, Infeasible, Optimal]
 def _gate_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``values`` times the lcm ``s`` of their denominators, as ints, and ``s``.
 
-    The gates' own scaling.  It is kept apart from ``scaled_to_ints``, the
-    simplex's, so that a scaling fault in one cannot hide a fault in the
-    other.
+    The gates' own scaling of points and multipliers.  It is kept apart
+    from ``scaled_to_ints``, the simplex's, so that a scaling fault in one
+    cannot hide a fault in the other.
     """
     ratios = [v.as_integer_ratio() for v in values]
     den = math.lcm(*[d for _, d in ratios])
@@ -179,18 +275,19 @@ def verify_point(system: LinSystem, point: Sequence[Fraction]) -> bool:
     """Substitution check: does ``point`` satisfy every row?
 
     The point is scaled once by the lcm ``D`` of its denominators, giving
-    ints ``P_j = x_j * D``, and each row by the lcm ``S`` of its coefficient
-    and rhs denominators, giving ``C_j = c_j * S`` and ``R = rhs * S``.  The
-    row ``c . x  rel  rhs`` is then decided as ``sum_j C_j P_j  rel  R * D``
-    on ints.  ``S * D`` is positive, so the predicate is unchanged, strict
-    rows included.  A point of the wrong length fails.
+    ints ``P_j = x_j * D``.  Each row is read as it is held: ints ``C_j``
+    and ``R`` over its positive denominator ``S``, so ``c_j = C_j / S`` and
+    ``rhs = R / S``.  The row ``c . x  rel  rhs`` is then decided as
+    ``sum_j C_j P_j  rel  R * D`` on ints.  ``S * D`` is positive, so the
+    predicate is unchanged, strict rows included.  A point of the wrong
+    length fails.
     """
     if len(point) != system.n_vars:
         return False
     xs, xden = _gate_ints(point)
     nz = [(j, x) for j, x in enumerate(xs) if x]
     for row in system.rows:
-        scaled, _ = _gate_ints(row.coeffs + (row.rhs,))
+        scaled = row.nums
         lhs = 0
         for j, x in nz:
             lhs += scaled[j] * x
@@ -214,12 +311,12 @@ def verify_farkas(system: LinSystem, farkas: Sequence[Fraction]) -> bool:
     right-hand side or a zero one with positive mass on strict rows.
 
     The signs are checked on the multipliers scaled once by the lcm of
-    their denominators.  Each row with a nonzero multiplier is scaled to
-    ints by the lcm of its own coefficient and rhs denominators, then
-    weighted onto the lcm of those row factors, so the combination, its
-    rhs and the strict mass are summed on ints.  Every factor is positive:
-    no sign and no zero changes, and the predicate is unchanged.  A
-    multiplier vector of the wrong length fails.
+    their denominators.  Each row with a nonzero multiplier is read as it
+    is held, ints over its own positive denominator, and weighted onto the
+    lcm of those denominators, so the combination, its rhs and the strict
+    mass are summed on ints.  Every factor is positive: no sign and no zero
+    changes, and the predicate is unchanged.  A multiplier vector of the
+    wrong length fails.
     """
     rows = system.rows
     if len(farkas) != len(rows):
@@ -230,8 +327,7 @@ def verify_farkas(system: LinSystem, farkas: Sequence[Fraction]) -> bool:
         if row.rel != EQ and lam < 0:
             return False
         if lam:
-            scaled, row_den = _gate_ints(row.coeffs + (row.rhs,))
-            used.append((lam, row.rel, scaled, row_den))
+            used.append((lam, row.rel, row.nums, row.den))
     den = math.lcm(*[row_den for _, _, _, row_den in used])
     combined = [0] * (system.n_vars + 1)
     strict_mass = 0
@@ -331,9 +427,10 @@ class _Simplex:
     columns only (see ``_eliminate``), so no rational is built or normalised
     inside the iteration.  Pricing and the ratio test compare ints directly:
     a row's shared positive denominator never changes a sign or, in the
-    ratio ``rhs / entry``, survives at all.  ``Fraction``s appear only at the
-    boundary: building the tableau, and reading points and multipliers
-    out of it.
+    ratio ``rhs / entry``, survives at all.  Tableau rows start from the
+    rows' own ints and the cost row from the objective's, so ``Fraction``s
+    appear only at the boundary: the shifts of folded bounds, and reading
+    points and multipliers out of the tableau.
 
     The first row of the form ``c * x_j >= r`` (one positive coefficient)
     for a variable folds it: ``x_j = r/c + x'_j`` with ``x'_j >= 0`` becomes
@@ -353,9 +450,11 @@ class _Simplex:
 
     Multipliers are recovered on ints.  ``phase1`` and ``duals_phase2`` read
     int numerators over the cost row's one denominator, and the residual of
-    each folded bound row is summed on the row ints that construction
-    already computed with ``scaled_to_ints``.  One ``Fraction`` is built per
-    nonzero multiplier.
+    each folded bound row is summed on the tableau rows' starting ints
+    (``row_ints``).  One ``Fraction`` is built per nonzero multiplier.
+
+    ``copy`` gives a simplex on the same rows a tableau of its own, for a
+    system that shares its rows' phase 1 (``LinSystem._phase1``).
     """
 
     def __init__(self, system: LinSystem):
@@ -368,15 +467,18 @@ class _Simplex:
             j = self._simple_bound(row)
             if j is not None and j not in self.bound_row_of:
                 self.bound_row_of[j] = i
-                bound_scale[j] = row.coeffs[j]
+                c = row.nums[j]
+                bound_scale[j] = _ONE if c == row.den else Fraction(c, row.den)
             else:
                 tableau_rows.append(i)
         self.bound_scale = bound_scale
-        # The nonzero lower bounds ``r / c`` of the folded variables.
+        # The nonzero lower bounds ``r / c`` of the folded variables; the
+        # row's denominator cancels.
         self.shift: dict[int, Fraction] = {}
         for j, i in self.bound_row_of.items():
-            if system.rows[i].rhs:
-                self.shift[j] = system.rows[i].rhs / bound_scale[j]
+            nums = system.rows[i].nums
+            if nums[-1]:
+                self.shift[j] = Fraction(nums[-1], nums[j])
         shifts = [(j, l.numerator, l.denominator) for j, l in self.shift.items()]
 
         # Column layout: per variable either one folded column or a +/- pair,
@@ -396,21 +498,20 @@ class _Simplex:
         self.row_orig: list[int] = []
         self.sigma: list[int] = []
         # Each tableau row with its rhs shifted, as ints over one positive
-        # denominator in lowest terms; ``_original_multipliers`` reads the
-        # coefficients.
-        self.row_ints: list[tuple[list[int], int]] = []
+        # denominator in lowest terms: the row's own ints where no shift
+        # applies.  ``_original_multipliers`` reads the coefficients.
+        self.row_ints: list[tuple[Sequence[int], int]] = []
         surplus_of: list[Optional[int]] = []
         for i in tableau_rows:
             row = system.rows[i]
-            ints, den = scaled_to_ints(row.coeffs + (row.rhs,))
+            ints, den = row.nums, row.den
             if shifts:
                 # rhs - sum_j a_j * p_j / q_j, over the lcm ``q`` of the q_j used.
                 q = math.lcm(*[sq for j, _, sq in shifts if ints[j]])
                 give = sum([ints[j] * p * (q // sq) for j, p, sq in shifts if ints[j]])
                 if give:
-                    if q != 1:
-                        ints = [v * q for v in ints]
-                        den *= q
+                    ints = [v * q for v in ints] if q != 1 else list(ints)
+                    den *= q
                     ints[-1] -= give
                     g = math.gcd(den, *ints)
                     if g != 1:
@@ -465,13 +566,27 @@ class _Simplex:
         """The variable of a ``c * x_j >= r`` row with ``c > 0``, else None."""
         if row.rel != GE:
             return None
+        nums = row.nums
         j = -1
-        for k, c in enumerate(row.coeffs):
-            if c:
+        for k in range(len(nums) - 1):
+            if nums[k]:
                 if j >= 0:
                     return None
                 j = k
-        return j if j >= 0 and row.coeffs[j] > 0 else None
+        return j if j >= 0 and nums[j] > 0 else None
+
+    def copy(self, system: LinSystem) -> "_Simplex":
+        """This simplex for ``system``, whose rows are this one's, on a
+        tableau of its own.  Pivots replace tableau rows and never change
+        one in place, so copying the outer lists is enough."""
+        twin = object.__new__(_Simplex)
+        twin.__dict__.update(self.__dict__)
+        twin.system = system
+        twin.T = list(self.T)
+        twin.den = list(self.den)
+        twin.basis = list(self.basis)
+        twin.live = list(self.live)
+        return twin
 
     def _add_col(self, kind: str, payload: int) -> int:
         self.cols.append((kind, payload))
@@ -592,18 +707,21 @@ class _Simplex:
                 self.live[r] = False
         return None
 
-    def phase2(self, cost_min: Sequence[Fraction]) -> None:
-        """Minimise ``cost_min . x``, which must be bounded below."""
+    def phase2(self, cost_min: Sequence[int], den: int) -> None:
+        """Minimise ``cost_min / den . x``, which must be bounded below."""
         ncols = len(self.cols)
-        q = [_ZERO] * (ncols + 1)
+        cost = [0] * (ncols + 1)
         for j, cj in enumerate(cost_min):
             if not cj:
                 continue
             plus, minus = self.var_cols[j]
-            q[plus] += cj
+            cost[plus] += cj
             if minus is not None:
-                q[minus] -= cj
-        cost, den = scaled_to_ints(q)
+                cost[minus] -= cj
+        g = math.gcd(den, *cost)
+        if g != 1:
+            cost = [v // g for v in cost]
+            den //= g
         # Price out the basis: each basic column reads den_r in its own row.
         for r, line in enumerate(self.T):
             if not self.live[r]:
@@ -676,8 +794,13 @@ def _solve_engine(system: LinSystem) -> tuple[LPOutcome, _Simplex]:
         if row.rel == GT:
             raise ValueError("solve handles weak rows only; use strict_feasible")
 
-    simplex = _Simplex(system)
-    farkas = simplex.phase1()
+    shared = system.__dict__.get("_phase1_of")
+    if shared is None:
+        simplex = _Simplex(system)
+        farkas = simplex.phase1()
+    else:
+        start, farkas = shared._phase1
+        simplex = start.copy(system)
     if farkas is not None:
         _engine_check(verify_farkas(system, farkas), "farkas")
         return Infeasible(tuple(farkas)), simplex
@@ -686,12 +809,11 @@ def _solve_engine(system: LinSystem) -> tuple[LPOutcome, _Simplex]:
         _engine_check(verify_point(system, witness), "feasible point")
         return Feasible(witness), simplex
 
+    objective, objective_den = scaled_to_ints(system.objective)
     sign = -1 if system.sense == "max" else 1
-    cost_min = tuple([sign * c for c in system.objective])
-    simplex.phase2(cost_min)
+    simplex.phase2([sign * c for c in objective], objective_den)
     witness = simplex.point()
     _engine_check(verify_point(system, witness), "optimal point")
-    objective, objective_den = scaled_to_ints(system.objective)
     point, point_den = scaled_to_ints(witness)
     value = Fraction(sum([c * x for c, x in zip(objective, point) if c]),
                      objective_den * point_den)
@@ -724,7 +846,7 @@ def strict_feasible(system: LinSystem) -> Union[Feasible, Infeasible]:
         outcome = solve(LinSystem(system.n_vars, system.rows))
         assert isinstance(outcome, (Feasible, Infeasible))
         return outcome
-    if all(row.rhs == 0 for row in system.rows):
+    if not any(row.nums[-1] for row in system.rows):
         return _strict_homogeneous(system)
     return _strict_slack(system)
 
@@ -736,7 +858,8 @@ def _strict_homogeneous(system: LinSystem) -> Union[Feasible, Infeasible]:
     system, so the two are feasible together.
     """
     rows = tuple([
-        LinRow(r.coeffs, GE, _ONE) if r.rel == GT else r for r in system.rows
+        LinRow._from_ints(r.nums[:-1] + (r.den,), GE, r.den) if r.rel == GT else r
+        for r in system.rows
     ])
     outcome = solve(LinSystem(system.n_vars, rows))
     if isinstance(outcome, Feasible):
@@ -755,12 +878,11 @@ def _strict_slack(system: LinSystem) -> Union[Feasible, Infeasible]:
     """
     rows = []
     for r in system.rows:
-        if r.rel == GT:
-            rows.append(LinRow(r.coeffs + (Fraction(-1),), GE, r.rhs))
-        else:
-            rows.append(LinRow(r.coeffs + (_ZERO,), r.rel, r.rhs))
-    rows.append(LinRow((_ZERO,) * system.n_vars + (Fraction(-1),), GE, Fraction(-1)))
-    rows.append(LinRow((_ZERO,) * system.n_vars + (_ONE,), GE, _ZERO))
+        eps = -r.den if r.rel == GT else 0
+        rows.append(LinRow._from_ints(r.nums[:-1] + (eps, r.nums[-1]), GE if eps else r.rel, r.den))
+    zeros = (0,) * system.n_vars
+    rows.append(LinRow._from_ints(zeros + (-1, -1), GE))
+    rows.append(LinRow._from_ints(zeros + (1, 0), GE))
     objective = (_ZERO,) * system.n_vars + (_ONE,)
     relaxed = LinSystem(system.n_vars + 1, tuple(rows), objective, "max")
     outcome, simplex = _solve_engine(relaxed)

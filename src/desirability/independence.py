@@ -104,7 +104,6 @@ from .space import (
 from .structure import irrelevant_extension, masked_generators, sample_gambles  # noqa: F401
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Most (irrelevant, onto) block-union pairs one independence scan checks;
 # five blocks need 180 pairs and six need 602.
@@ -253,18 +252,19 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     # summand enters at -1.
     fixed: list[LinRow] = []
     for i, row in enumerate(cone.rows):
-        extra = [-_ONE if j % size == i - weights else _ZERO for j in range(cols)]
-        fixed.append(LinRow(row.coeffs + tuple(extra), row.rel, row.rhs))
+        nums, den = row.nums, row.den
+        extra = [-den if j % size == i - weights else 0 for j in range(cols)]
+        fixed.append(LinRow._from_ints(nums[:-1] + tuple(extra) + nums[-1:], row.rel, den))
     menu: list[list[list[LinRow]]] = []
     for first, indices, cells in pairs:
         options = []
         for cell in cells:
             rendered = []
             for row in cell.rows:
-                coeffs = [_ZERO] * width
-                for idx, c in zip(indices, row.functional.values):
+                coeffs = [0] * (width + 1)
+                for idx, c in zip(indices, row.functional.nums):
                     coeffs[first + idx] = c
-                rendered.append(LinRow(tuple(coeffs), row.rel, _ZERO))
+                rendered.append(LinRow._from_ints(tuple(coeffs), row.rel, row.functional.den))
             options.append(rendered)
         menu.append(options)
 
@@ -571,7 +571,8 @@ def factorisation_check(
     Samples members on ``onto`` and positive gambles on ``factor_scope``;
     asserts the products are members, and re-checks the sampled members
     against the constant factor one.  ``budget`` caps each sample and must
-    be at least 1.
+    be at least 1: of the ``4 * budget`` gambles drawn on ``onto``, only
+    those up to the ``budget``-th member are queried.
 
     Like ``is_irrelevant``, it queries ``scaled_member`` on the full
     scope: each member and each factor is lifted there once, and a
@@ -590,6 +591,8 @@ def factorisation_check(
         lifted = [f.nums[k] for k in lift]
         if scaled_member(expr, lifted, f.den, _QUERY_BUDGET) is Tri.IN:
             members.append((f, lifted))
+            if len(members) == budget:
+                break
     factor_lift = _restriction_map(full, factor_scope)
     factors = [
         (g, [g.nums[k] for k in factor_lift])
@@ -597,7 +600,7 @@ def factorisation_check(
         if g.is_positive()
     ][:budget]
     checked = 0
-    for f, f_ints in members[:budget]:
+    for f, f_ints in members:
         if scaled_member(expr, f_ints, f.den, _QUERY_BUDGET) is not Tri.IN:
             return Verdict(
                 False, "sampled", checked, "member rejected after unit factor", (f, None)

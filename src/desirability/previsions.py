@@ -12,6 +12,14 @@ every block slice in that block's credal cone), and evaluates strong
 products (lower envelopes of products of dominating linear previsions)
 by scanning vertex combinations.
 
+Prices are built for re-use.  A joint-mass program's rows depend only on
+the credal sets, so they are built once per tuple of sets and kept on the
+first set, and a price builds only its objective, on ints, and re-solves
+phase 2 from the tableau the first price's phase 1 left.  A generator-cone
+price builds its rows from the cone's generator ints, kept on the cone,
+and the gamble's; the strong scan multiplies ints, with each credal set's
+vertex ints kept on the set.
+
 All suprema are reported even when not attained: a result ``mu*`` means
 prices strictly below ``mu*`` are always acceptable, while ``mu*``
 itself may sit on an excluded boundary.
@@ -23,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .desirable import (
@@ -178,8 +187,13 @@ def _generator_sup(
     degenerate rows to clear.
     """
     check_coherent(cone)
-    m0 = min([v / -d for v, d in zip(value.values, direction.values) if d < 0],
-             default=_ZERO)
+    # The least ratio v / -d over the outcomes where d < 0, compared on the
+    # ints: ``v * e' < v' * e`` with ``e = -d > 0``.
+    least: Optional[tuple[int, int]] = None
+    for v, d in zip(value.nums, direction.nums):
+        if d < 0 and (least is None or v * least[1] < least[0] * -d):
+            least = (v, -d)
+    m0 = _ZERO if least is None else Fraction(least[0] * direction.den, least[1] * value.den)
     if m0:
         value = value + m0 * direction
     # Bounded behind the gate: its mass p > 0 gives each generator positive
@@ -346,6 +360,16 @@ class CredalSet:
         ]
         return CredalSet(scope, tuple(keep))
 
+    @cached_property
+    def _vertex_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Every vertex times the lcm ``den`` of all their denominators, as
+        ints, and ``den``: the form the joint-mass program and the strong
+        scan read, computed once."""
+        den = math.lcm(*[v.denominator for p in self.vertices for v in p])
+        return tuple([
+            tuple([v.numerator * (den // v.denominator) for v in p]) for p in self.vertices
+        ]), den
+
     def lower_expectation(self, f: Gamble) -> Fraction:
         """Lower envelope ``min_v v . f`` over the vertices."""
         fitted = f.embed(self.scope)
@@ -494,59 +518,98 @@ def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
     ``f`` over per-block gambles priced by their vertex envelopes, so the
     two give the same number.
 
-    * Columns: one ``lam[n, z, p] >= 0`` per block ``n``, assignment ``z``
-      of the other blocks and vertex ``p`` of block ``n``; block ``n``'s
-      mass at the joint outcome ``(k, z)`` is ``sum_p lam[n, z, p] * p[k]``.
-      Each column carries a single-coefficient ``>= 0`` row, which the
-      simplex folds into a nonnegative column: nothing is split.
-    * Rows: block 0's columns sum to 1, and for each later block and each
-      joint outcome its mass equals block 0's.
-    * Objective: minimise ``f . mu`` with ``mu`` read from block 0, so
-      ``mu`` needs no columns of its own.  Its vertices sum to 1, so the
-      first row is ``sum mu = 1``.
+    The rows do not depend on ``f``: ``_joint_mass_program`` builds them
+    once per tuple of credal sets and keeps them on the first set, and every
+    price of that tuple solves them under its own objective, built here on
+    ints from ``f.nums`` and the vertex ints.  Solving reuses the tableau
+    that phase 1 left on the first price (``LinSystem._priced``), so a
+    price runs phase 2 alone.
 
     The program is feasible (any product of vertices is a point) and
     bounded (``mu`` lies in the simplex), so any outcome other than
-    ``Optimal`` is an engine fault.  The layout comes from ``space``:
-    ``_slice_map`` gives the joint indices of each block slice.
+    ``Optimal`` is an engine fault.
     """
     if not credals:
         raise ScopeError("at least one marginal credal set is required")
-    joint = disjoint_union(c.scope for c in credals)
-    fitted = f.embed(joint).values
-    # Per column, its block and the (joint index, mass) pairs it adds.
-    columns: list[tuple[int, list[tuple[int, Fraction]]]] = []
-    for n, c in enumerate(credals):
-        for z in joint.difference(c.scope).assignments():
-            cell_index = _slice_map(joint, z)[0]
-            for p in c.vertices:
-                columns.append((n, [(w, m) for w, m in zip(cell_index, p) if m]))
-    width = len(columns)
-    block0 = [j for j, (n, _) in enumerate(columns) if n == 0]
-    objective = [_ZERO] * width
-    unit_mass = [_ZERO] * width
-    for j in block0:
-        objective[j] = sum([fitted[w] * m for w, m in columns[j][1]], _ZERO)
-        unit_mass[j] = _ONE
-    rows = [LinRow(tuple(unit_mass), EQ, _ONE)]
-    for n in range(1, len(credals)):
-        balance = [[_ZERO] * width for _ in range(joint.size)]
-        for j, (block, masses) in enumerate(columns):
-            if block == n:
-                for w, m in masses:
-                    balance[w][j] = m
-            elif block == 0:
-                for w, m in masses:
-                    balance[w][j] = -m
-        rows.extend(LinRow(tuple(coeffs), EQ, _ZERO) for coeffs in balance)
-    rows.extend(unit_rows(width, GE))
-    outcome = solve(LinSystem(width, tuple(rows), tuple(objective), "min"))
+    joint, block0, mass_den, program = _joint_mass_program(credals)
+    fitted = f.embed(joint)
+    nums = fitted.nums
+    den = fitted.den * mass_den
+    objective = [_ZERO] * program.n_vars
+    for j, masses in block0:
+        total = sum([nums[w] * m for w, m in masses])
+        if total:
+            objective[j] = Fraction(total, den)
+    outcome = solve(program._priced(tuple(objective), "min"))
     if isinstance(outcome, Optimal):
         return outcome.value
     raise EngineError(
         "the joint-mass program must be bounded and feasible; got %s"
         % type(outcome).__name__
     )
+
+
+def _joint_mass_program(
+    credals: Sequence[CredalSet],
+) -> tuple[Scope, tuple[tuple[int, tuple[tuple[int, int], ...]], ...], int, LinSystem]:
+    """The joint scope, block 0's columns, their mass denominator, and the
+    rows of the joint-mass program of ``credals``, without an objective.
+
+    The program is built once and kept on the first set, for the latest
+    tuple that set leads: the prices of one product share it, and it goes
+    with the sets, so no cache outlives the models.
+
+    * Columns: one ``lam[n, z, p] >= 0`` per block ``n``, assignment ``z``
+      of the other blocks and vertex ``p`` of block ``n``; block ``n``'s
+      mass at the joint outcome ``(k, z)`` is ``sum_p lam[n, z, p] * p[k]``.
+      Each column carries a single-coefficient ``>= 0`` row (``unit_rows``),
+      which the simplex folds into a nonnegative column: nothing is split.
+    * Rows: block 0's columns sum to 1, and for each later block and each
+      joint outcome its mass equals block 0's.
+    * Objective: minimise ``f . mu`` with ``mu`` read from block 0, so
+      ``mu`` needs no columns of its own.  Its vertices sum to 1, so the
+      first row is ``sum mu = 1``.  Per column of block 0, the
+      ``(joint index, mass)`` pairs it adds give its objective entry; the
+      masses are block 0's ``_vertex_ints``, over the returned denominator.
+
+    Rows are built on the vertex ints: a balance row of block ``n`` holds
+    block ``n``'s masses over ``den_n`` and block 0's negated masses over
+    ``den_0``, so its ints are scaled onto ``den_0 * den_n``.  The layout
+    comes from ``space``: ``_slice_map`` gives the joint indices of each
+    block slice.
+    """
+    first, rest = credals[0], tuple(credals[1:])
+    kept = first.__dict__.get("_joint_mass")
+    if kept is not None and kept[0] == rest:
+        return kept[1]
+    joint = disjoint_union(c.scope for c in credals)
+    tables = [c._vertex_ints for c in credals]
+    # Per column, its block and the (joint index, int mass) pairs it adds.
+    columns: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    for n, (c, (vertices, _)) in enumerate(zip(credals, tables)):
+        for z in joint.difference(c.scope).assignments():
+            cell_index = _slice_map(joint, z)[0]
+            for p in vertices:
+                columns.append((n, tuple([(w, m) for w, m in zip(cell_index, p) if m])))
+    width = len(columns)
+    rows = [LinRow._from_ints(tuple([int(n == 0) for n, _ in columns] + [1]), EQ)]
+    den0 = tables[0][1]
+    for n in range(1, len(credals)):
+        den_n = tables[n][1]
+        balance = [[0] * (width + 1) for _ in range(joint.size)]
+        for j, (block, masses) in enumerate(columns):
+            if block == n:
+                for w, m in masses:
+                    balance[w][j] = m * den0
+            elif block == 0:
+                for w, m in masses:
+                    balance[w][j] = -m * den_n
+        rows.extend([LinRow._from_ints(tuple(coeffs), EQ, den0 * den_n) for coeffs in balance])
+    rows.extend(unit_rows(width, GE))
+    block0 = tuple([(j, masses) for j, (n, masses) in enumerate(columns) if n == 0])
+    program = joint, block0, den0, LinSystem(width, tuple(rows))
+    object.__setattr__(first, "_joint_mass", (rest, program))
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +624,15 @@ def strong_product_lower(
 
     The product expectation is linear in each factor separately, so the
     infimum over the credal polytopes is attained at a combination of
-    vertices; enumerating combinations is exact.
+    vertices; enumerating combinations is exact.  The scan runs on ints:
+    every combination's expectation is an int over the one denominator
+    ``f.den * prod_n den_n``, with each set's vertices read from its
+    ``_vertex_ints`` over ``den_n``, so the least int gives the price.
     """
     if not credals:
         raise ScopeError("at least one marginal credal set is required")
     joint = disjoint_union(c.scope for c in credals)
-    fitted = f.embed(joint).values
+    fitted = f.embed(joint)
     combos = 1
     for c in credals:
         combos *= len(c.vertices)
@@ -575,21 +641,26 @@ def strong_product_lower(
             "strong product needs %d vertex combinations, over the budget of %d"
             % (combos, budget)
         )
+    tables = [c._vertex_ints for c in credals]
+    den = fitted.den
+    for _, vertex_den in tables:
+        den *= vertex_den
     block_index = [_restriction_map(joint, c.scope) for c in credals]
-    best: Optional[Fraction] = None
-    for combo in itertools.product(*(c.vertices for c in credals)):
-        total = _ZERO
-        for w in range(joint.size):
-            weight = fitted[w]
-            if weight == 0:
-                continue
-            for n, p in enumerate(combo):
-                weight *= p[block_index[n][w]]
+    # Per joint outcome where f is nonzero, its value and its index in each block.
+    terms = [
+        (v, [index[w] for index in block_index]) for w, v in enumerate(fitted.nums) if v
+    ]
+    best: Optional[int] = None
+    for combo in itertools.product(*[vertices for vertices, _ in tables]):
+        total = 0
+        for weight, at in terms:
+            for p, k in zip(combo, at):
+                weight *= p[k]
             total += weight
         if best is None or total < best:
             best = total
     assert best is not None
-    return best
+    return Fraction(best, den)
 
 
 def strong_member(

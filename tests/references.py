@@ -29,6 +29,15 @@ fast paths, so a test can compare the two:
 * ``inex_lower_prevision_primal`` — the independent joint lower prevision
   as the primal allocation program, the LP dual of the joint-mass program
   that ``previsions.inex_lower_prevision`` solves;
+* ``rebuilt_unit_rows``, ``rebuilt_cone_program``, ``rebuilt_generator_sup``,
+  ``rebuilt_inex_lower_prevision`` and ``fraction_strong_product_lower`` —
+  the price programs as they were built on ``Fraction``s, from scratch on
+  every price: the unit rows, the generator-cone program and its supremum,
+  the joint-mass program with its own phase 1 per gamble, and the strong
+  vertex scan multiplying ``Fraction``s.  The engine compiles the
+  joint-mass rows once per tuple of credal sets and re-solves only phase
+  2, builds cone rows from the gambles' ints, and scans on vertex ints;
+  prices and witnesses must be the same;
 * ``inex_member_enumerated`` — product membership with one strict LP per
   combined signature, the flat enumeration that the pruned search in
   ``independence.inex_member`` replaced.  It keeps its own branch builder
@@ -646,18 +655,24 @@ def gamble_is_irrelevant(
 def gamble_factorisation_check(
     expr: DesirableSetExpr, factor_scope: Scope, onto: Scope, *, budget: int = 60, seed: int = 0
 ) -> Verdict:
-    """``factorisation_check`` with each query the gamble ``f * g``."""
+    """``factorisation_check`` with each query the gamble ``f * g``.
+
+    Like the engine's scan, it stops sampling at the ``budget``-th member;
+    ``fraction_factorisation_check`` still queries every sample, so the two
+    references also show that stopping there changes no verdict.
+    """
     _check_budget(budget)
     full = scope_of(expr)
     if not factor_scope.issubset(full) or not onto.issubset(full):
         raise ScopeError("factorisation scopes must be part of the expression scope")
     if not factor_scope.isdisjoint(onto):
         raise ScopeError("factorisation scopes must be disjoint")
-    members = [
-        f
-        for f in sample_gambles(onto, budget=budget * 4, seed=seed)
-        if member(expr, f) is Tri.IN
-    ][:budget]
+    members = []
+    for f in sample_gambles(onto, budget=budget * 4, seed=seed):
+        if member(expr, f) is Tri.IN:
+            members.append(f)
+            if len(members) == budget:
+                break
     factors = [
         g
         for g in sample_gambles(factor_scope, budget=budget * 4, seed=seed + 1, lo=0, hi=3)
@@ -743,6 +758,153 @@ def inex_lower_prevision_primal(credals: Sequence[CredalSet], f: Gamble) -> Frac
         "the joint lower-prevision program must be bounded and feasible; got %s"
         % type(outcome).__name__
     )
+
+
+# ---------------------------------------------------------------------------
+# price programs rebuilt from Fractions on every price
+# ---------------------------------------------------------------------------
+#
+# The bodies below are the engine's as they were before the joint-mass rows
+# were compiled once per tuple of credal sets, cone rows were built from
+# the gambles' ints and the strong scan ran on vertex ints.  Only the names
+# they call differ: ``rebuilt_unit_rows`` for ``unit_rows``, which now
+# returns a shared tuple, and ``rebuilt_cone_program`` for ``cone_program``.
+
+
+def rebuilt_unit_rows(width: int, rel: str, start: int = 0) -> list[LinRow]:
+    """One row ``x_j  rel  0`` over ``width`` variables for each ``j`` from
+    ``start`` on: the sign rows of the package's LP builders."""
+    return [
+        LinRow(tuple([_ONE if i == j else _ZERO for i in range(width)]), rel, _ZERO)
+        for j in range(start, width)
+    ]
+
+
+def rebuilt_cone_program(
+    cone: GeneratorSet, value: Gamble, direction: Optional[Gamble] = None
+) -> LinSystem:
+    """The dominance program ``value + mu*direction >= sum_k lam_k g_k``.
+
+    One unit row ``lam_k >= 0`` per generator weight comes first, then one
+    row per outcome.  Without a direction the system has no objective and
+    is feasible exactly when ``value`` dominates a nonnegative combination
+    of the generators.  With one, the shift ``mu`` leads the variables and
+    is maximised.
+    """
+    gens = cone.generators
+    n = len(gens)
+    lead = 0 if direction is None else 1
+    rows = rebuilt_unit_rows(lead + n, GE, lead)
+    columns = [g.values for g in gens]
+    values = value.values
+    shifts = None if direction is None else direction.values
+    for w in range(cone.scope.size):
+        shift = [] if shifts is None else [shifts[w]]
+        rows.append(LinRow(tuple(shift + [-column[w] for column in columns]), GE, -values[w]))
+    if direction is None:
+        return LinSystem(n, tuple(rows))
+    objective = tuple([_ONE] + [_ZERO] * n)
+    return LinSystem(n + 1, tuple(rows), objective, "max")
+
+
+def rebuilt_generator_sup(
+    cone: GeneratorSet, value: Gamble, direction: Gamble
+) -> Optional[Fraction]:
+    """LP supremum of ``{mu : value + mu*direction in E(cone)}``, priced
+    from the sure price ``m0`` found on ``Fraction``s."""
+    check_coherent(cone)
+    m0 = min([v / -d for v, d in zip(value.values, direction.values) if d < 0],
+             default=_ZERO)
+    if m0:
+        value = value + m0 * direction
+    outcome = solve(rebuilt_cone_program(cone, value, direction))
+    if isinstance(outcome, Optimal):
+        return m0 + outcome.value
+    return None
+
+
+def rebuilt_inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
+    """Most conservative independent joint lower prevision, evaluated at f,
+    with the joint-mass program built and solved from scratch.
+
+    * Columns: one ``lam[n, z, p] >= 0`` per block ``n``, assignment ``z``
+      of the other blocks and vertex ``p`` of block ``n``; block ``n``'s
+      mass at the joint outcome ``(k, z)`` is ``sum_p lam[n, z, p] * p[k]``.
+    * Rows: block 0's columns sum to 1, and for each later block and each
+      joint outcome its mass equals block 0's.
+    * Objective: minimise ``f . mu`` with ``mu`` read from block 0.
+    """
+    if not credals:
+        raise ScopeError("at least one marginal credal set is required")
+    joint = disjoint_union(c.scope for c in credals)
+    fitted = f.embed(joint).values
+    # Per column, its block and the (joint index, mass) pairs it adds.
+    columns: list[tuple[int, list[tuple[int, Fraction]]]] = []
+    for n, c in enumerate(credals):
+        for z in joint.difference(c.scope).assignments():
+            cell_index = _slice_map(joint, z)[0]
+            for p in c.vertices:
+                columns.append((n, [(w, m) for w, m in zip(cell_index, p) if m]))
+    width = len(columns)
+    block0 = [j for j, (n, _) in enumerate(columns) if n == 0]
+    objective = [_ZERO] * width
+    unit_mass = [_ZERO] * width
+    for j in block0:
+        objective[j] = sum([fitted[w] * m for w, m in columns[j][1]], _ZERO)
+        unit_mass[j] = _ONE
+    rows = [LinRow(tuple(unit_mass), EQ, _ONE)]
+    for n in range(1, len(credals)):
+        balance = [[_ZERO] * width for _ in range(joint.size)]
+        for j, (block, masses) in enumerate(columns):
+            if block == n:
+                for w, m in masses:
+                    balance[w][j] = m
+            elif block == 0:
+                for w, m in masses:
+                    balance[w][j] = -m
+        rows.extend(LinRow(tuple(coeffs), EQ, _ZERO) for coeffs in balance)
+    rows.extend(rebuilt_unit_rows(width, GE))
+    outcome = solve(LinSystem(width, tuple(rows), tuple(objective), "min"))
+    if isinstance(outcome, Optimal):
+        return outcome.value
+    raise EngineError(
+        "the joint-mass program must be bounded and feasible; got %s"
+        % type(outcome).__name__
+    )
+
+
+def fraction_strong_product_lower(
+    credals: Sequence[CredalSet], f: Gamble, *, budget: int = 100000
+) -> Fraction:
+    """Lower envelope over products of dominating linear previsions, by
+    enumerating vertex combinations and multiplying ``Fraction``s."""
+    if not credals:
+        raise ScopeError("at least one marginal credal set is required")
+    joint = disjoint_union(c.scope for c in credals)
+    fitted = f.embed(joint).values
+    combos = 1
+    for c in credals:
+        combos *= len(c.vertices)
+    if combos > budget:
+        raise BudgetExceededError(
+            "strong product needs %d vertex combinations, over the budget of %d"
+            % (combos, budget)
+        )
+    block_index = [_restriction_map(joint, c.scope) for c in credals]
+    best: Optional[Fraction] = None
+    for combo in itertools.product(*(c.vertices for c in credals)):
+        total = _ZERO
+        for w in range(joint.size):
+            weight = fitted[w]
+            if weight == 0:
+                continue
+            for n, p in enumerate(combo):
+                weight *= p[block_index[n][w]]
+            total += weight
+        if best is None or total < best:
+            best = total
+    assert best is not None
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,26 @@ def test_an_incoherent_model_fails_one_gate_with_one_message(path):
     assert re.fullmatch(message, str(info.value)), str(info.value)
 
 
+def test_an_extension_keeps_its_base_gate_but_never_an_error(monkeypatch):
+    # An incoherent base raises on every query of the same node, with the
+    # gate's message; a coherent base passes the gate once per node.
+    f = Gamble.on(S12, [0, 1, 0, 1])
+    for base, message in ((BAD, GENERATOR_MESSAGE), (LBAD, LEX_MESSAGE)):
+        node = cyl_ext(base, S12)
+        for _ in range(2):
+            with pytest.raises(IncoherentBaseError) as info:
+                member(node, f)
+            assert re.fullmatch(message, str(info.value)), str(info.value)
+    calls = []
+    gate = desirable.check_coherent
+    monkeypatch.setattr(desirable, "check_coherent", lambda model: calls.append(model) or gate(model))
+    flipped = LexSystem.on(S1, [["1/2", "1/2"], [1, 0]])
+    node = cyl_ext(flipped, S12)
+    for g in (f, -f, Gamble.on(S12, [1, -1, 1, -1])):
+        member(node, g)
+    assert calls == [flipped]
+
+
 def test_the_gate_returns_a_generator_certificate_and_passes_other_models():
     assert check_coherent(lean()) is avoids_nonpositivity(lean())
     for model in (TIED2, strictly_desirable(HALF2), IndepProduct((LBAD, TIED2))):
