@@ -442,7 +442,8 @@ def sign_chain(model: Union[CellSet, LexSystem]) -> Optional[tuple[Cell, ...]]:
     zero cell, which meets every homogeneous weak row.  A strictly
     desirable credal set's are one in reverse, its open cell before the
     orthant, which every nonnegative functional keeps at ``>= 0``.  Other
-    cell sets have no chain.
+    cell sets have no chain; product membership walks each of their cells
+    as a chain of its own, which it never moves past.
     """
     if isinstance(model, LexSystem) or (len(model.cells) == 1 and not model.include_positive):
         return sign_cells(model)

@@ -526,7 +526,7 @@ class _Simplex:
         # satisfies a ``>=`` row strictly, else a new artificial.  A row with
         # rhs zero keeps its artificial: a surplus start there is feasible
         # too, but gives other Farkas vectors, and on product membership,
-        # whose chain moves and nogoods are read from them, more LPs.
+        # whose chain moves are read from them, more LPs.
         self.unit_col: list[int] = []
         for k, surplus in enumerate(surplus_of):
             if surplus is not None and self.sigma[k] < 0:

@@ -27,18 +27,18 @@ marginal or an incoherent lexicographic one is an error whatever the
 gamble.  The number of signatures is capped by a configurable budget.
 
 A coherent marginal's summand set is a convex cone, so membership is the
-feasibility of one convex set.  It needs no search over the disjunction
-when every marginal's cells form a chain (``desirable.sign_chain``:
+feasibility of one convex set.  Every pair walks a chain of cells, in
+which each cell's weak relaxation contains every later cell: it starts
+at its first cell and only moves on.  The gate-checked Farkas vector of
+an infeasible signature either shows the weak relaxation empty, and no
+decomposition within these chains, or weights strict rows that every
+such decomposition must meet with equality; the pairs of those rows move
+one cell on.  A marginal whose cells form a chain (``desirable.sign_chain``:
 lexicographic systems, strictly desirable credal sets and cell sets of
-one cell without the positives), in which each cell's weak relaxation
-contains every later cell.  Every pair then
-starts at its first cell and only moves on.  The gate-checked Farkas
-vector of an infeasible signature either shows the weak relaxation
-empty, and ``h`` out, or weights strict rows that every decomposition
-must meet with equality; the pairs of those rows move one cell on.
-Products over any other cell set walk the signatures depth first, and
-the checked Farkas certificate of an infeasible one prunes, after a
-re-check, every later signature that contains its rows.  The product's
+one cell without the positives) gives each of its pairs that chain; any
+other gives each pair one single-cell chain per cell, and the walk runs
+once per choice of one chain per pair, so that together the walks cover
+every signature.  The product's
 layout (its joint scope, block and slice indices) comes from ``space``,
 and each (block, slice, branch) row is built once per query, not once
 per signature.
@@ -60,7 +60,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
@@ -82,13 +81,7 @@ from .desirable import (
     sign_chain,
     sign_verdict,
 )
-from . import exactlp
-from .errors import (
-    BudgetExceededError,
-    EngineError,
-    ScopeError,
-    UnsupportedQueryError,
-)
+from .errors import BudgetExceededError, ScopeError, UnsupportedQueryError
 from .exactlp import GT, Feasible, LinRow, LinSystem, strict_feasible
 from .maximal import LexSystem
 from .space import (
@@ -102,8 +95,6 @@ from .space import (
 # ``irrelevant_extension`` is bound here for callers that build extensions
 # and products from one module.
 from .structure import irrelevant_extension, masked_generators, sample_gambles  # noqa: F401
-
-_ZERO = Fraction(0)
 
 # Most (irrelevant, onto) block-union pairs one independence scan checks;
 # five blocks need 180 pairs and six need 602.
@@ -193,15 +184,18 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     choice, a signature, is strictly feasible.  ``budget`` caps the number
     of signatures, counted before any LP is solved.
 
-    When every such marginal has a ``sign_chain``, the pairs advance along
-    their chains (``_chain_walk``): at most one LP per cell past the first,
-    over all pairs, and one more.  Otherwise the signatures are searched
-    depth first (``_signature_search``).
+    Each pair advances along a chain of its cells (``_chain_walk``).  A
+    marginal with a ``sign_chain`` gives each of its pairs that chain; one
+    without gives each pair one single-cell chain per sign cell.  ``h``
+    belongs iff the walk finds a decomposition for some choice of one
+    chain per pair (``itertools.product``).  A walk solves at most one LP
+    per cell past the first, over all pairs, and one more; so a product
+    whose marginals all have chains is decided by one walk.
 
     Each (block, slice) pair reads its joint indices from ``_slice_map``.
     The cone rows do not depend on the signature, so every (block, slice,
     branch) row is built once per query, and a signature only joins its
-    rows to the cone rows.
+    rows to the cone rows; every walk shares them.
     """
     if not isinstance(expr, IndepProduct):
         return member(expr, h, budget=budget)
@@ -228,19 +222,20 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
         raise UnsupportedQueryError(
             "product membership needs leaf marginals (generators, cells, or lex)"
         )
-    chains = [sign_chain(part) for part in branched]
-    walk = None not in chains
     weights, size = len(masked), joint.size
     # One entry per (block, slice) pair of a cell or lex marginal: the first
-    # column of its summand, joint indices of the slice and the marginal's
-    # sign cells, one branch each, in chain order when the pairs walk.
-    pairs: list[tuple[int, tuple[int, ...], tuple[Cell, ...]]] = []
-    for n, (part, chain) in enumerate(zip(branched, chains)):
-        cells = chain if walk else sign_cells(part)
+    # column of its summand, joint indices of the slice, the marginal's sign
+    # cells (in chain order when they form one) and whether they do.
+    pairs: list[tuple[int, tuple[int, ...], tuple[Cell, ...], bool]] = []
+    for n, part in enumerate(branched):
+        chain = sign_chain(part)
+        cells = sign_cells(part) if chain is None else chain
         for z in joint.difference(scope_of(part)).assignments():
-            pairs.append((weights + n * size, _slice_map(joint, z)[0], cells))
+            pairs.append(
+                (weights + n * size, _slice_map(joint, z)[0], cells, chain is not None)
+            )
 
-    if math.prod(len(cells) for *_, cells in pairs) > budget:
+    if math.prod(len(cells) for _, _, cells, _ in pairs) > budget:
         raise BudgetExceededError(
             "signature enumeration needs more than %d problems" % budget
         )
@@ -255,8 +250,10 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
         nums, den = row.nums, row.den
         extra = [-den if j % size == i - weights else 0 for j in range(cols)]
         fixed.append(LinRow._from_ints(nums[:-1] + tuple(extra) + nums[-1:], row.rel, den))
-    menu: list[list[list[LinRow]]] = []
-    for first, indices, cells in pairs:
+    # Each pair's chains: its marginal's one chain, or one single-cell chain
+    # per cell.
+    walks: list[list[list[list[LinRow]]]] = []
+    for first, indices, cells, chained in pairs:
         options = []
         for cell in cells:
             rendered = []
@@ -266,31 +263,34 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
                     coeffs[first + idx] = c
                 rendered.append(LinRow._from_ints(tuple(coeffs), row.rel, row.functional.den))
             options.append(rendered)
-        menu.append(options)
+        walks.append([options] if chained else [[option] for option in options])
 
-    decide = _chain_walk if walk else _signature_search
-    return Tri.of(decide(width, fixed, menu))
+    return Tri.of(any(_chain_walk(width, fixed, menu) for menu in itertools.product(*walks)))
 
 
 def _chain_walk(
     width: int, fixed: Sequence[LinRow], menu: Sequence[Sequence[Sequence[LinRow]]]
 ) -> bool:
-    """Whether the ``fixed`` rows and some signature are strictly feasible,
-    when each pair's branches form a chain (``desirable.sign_chain``).
+    """Whether the ``fixed`` rows and some signature, one cell of each
+    pair's chain in ``menu``, are strictly feasible.
 
-    Every pair starts at its first cell; no decomposition of ``h`` puts a
-    pair's slice in a cell before the pair's current one.  Each round
-    solves the current signature, and a feasible one is a decomposition.
-    An infeasible one gives a gate-checked Farkas vector ``y``: ``y >= 0``
-    on inequality rows, ``y.A = 0`` and ``y.b >= 0``.  Every decomposition
-    meets the current rows with ``>`` read as ``>=``, since later cells lie
-    in each cell's weak relaxation.  So ``y.b > 0`` leaves none, and ``h``
-    is out.  With ``y.b = 0`` every row that ``y`` weights is tight on every
-    decomposition (``0 = y.A x >= y.b = 0``), so a weighted ``>`` row puts
-    its pair's slice in a later cell: each such pair moves one cell on, and
-    ``h`` is out when one has none left.  The gate asks ``y`` to weight a
-    ``>`` row when ``y.b = 0``, and only pair rows are strict, so each round
-    answers or moves a pair: at most ``1 + sum(len(chain) - 1)`` LPs.
+    In a chain each cell's weak relaxation contains every later cell
+    (``desirable.sign_chain``); a single cell is a chain too.  Every pair
+    starts at its first cell; no decomposition of ``h`` within these chains
+    puts a pair's slice in a cell before the pair's current one.  Each
+    round solves the current signature, and a feasible one is a
+    decomposition.  An infeasible one gives a gate-checked Farkas vector
+    ``y``: ``y >= 0`` on inequality rows, ``y.A = 0`` and ``y.b >= 0``.
+    Every decomposition within the chains meets the current rows with
+    ``>`` read as ``>=``, since later cells lie in each cell's weak
+    relaxation.  So ``y.b > 0`` leaves no decomposition within these
+    chains.  With ``y.b = 0`` every row that ``y`` weights is tight on every
+    such decomposition (``0 = y.A x >= y.b = 0``), so a weighted ``>`` row
+    puts its pair's slice in a later cell: each such pair moves one cell
+    on, and there is no decomposition within these chains when one has
+    none left.  The gate asks ``y`` to weight a ``>`` row when ``y.b = 0``,
+    and only pair rows are strict, so each round answers or moves a pair:
+    at most ``1 + sum(len(chain) - 1)`` LPs.
     """
     at = [0] * len(menu)
     while True:
@@ -308,106 +308,6 @@ def _chain_walk(
             at[pair] += 1
             if at[pair] == len(menu[pair]):
                 return False
-
-
-# A nogood learnt from an infeasible signature: the multipliers of its
-# Farkas certificate on the fixed rows, and one (pair, branch, multipliers
-# on that branch's rows) entry per pair whose rows carry a nonzero one.
-_Nogood = tuple[
-    tuple[Fraction, ...], tuple[tuple[int, int, tuple[Fraction, ...]], ...]
-]
-
-
-def _nogood(
-    farkas: tuple[Fraction, ...],
-    fixed: Sequence[LinRow],
-    menu: Sequence[Sequence[Sequence[LinRow]]],
-    chosen: Sequence[int],
-) -> _Nogood:
-    """Split the checked certificate ``farkas`` of the signature ``chosen``
-    into the choices that carry it: only their rows, with these multipliers,
-    are needed for the contradiction."""
-    choices = []
-    at = len(fixed)
-    for pair, branch in enumerate(chosen):
-        end = at + len(menu[pair][branch])
-        lams = farkas[at:end]
-        if any(lams):
-            choices.append((pair, branch, lams))
-        at = end
-    return farkas[: len(fixed)], tuple(choices)
-
-
-def _signature_search(
-    width: int, fixed: Sequence[LinRow], menu: Sequence[Sequence[Sequence[LinRow]]]
-) -> bool:
-    """Whether the ``fixed`` rows and some signature (one branch of ``menu``
-    per pair) are strictly feasible together.
-
-    The walk is depth first over the pairs, branches in order, so its
-    leaves come in the order of ``itertools.product(*menu)``; each leaf not
-    pruned solves one strict LP.  The gate-checked Farkas certificate of an
-    infeasible leaf becomes a nogood (``_nogood``), bucketed by its deepest
-    (pair, branch) choice.  Each choice made is looked up in its bucket; on
-    a match with the prefix, the stored multipliers, zero on every row
-    outside the nogood, are re-checked by ``verify_farkas`` on the prefix
-    system (the fixed rows and the rows chosen so far), and only then is
-    the subtree skipped: a contradiction among some rows holds in every
-    system that contains them.  A new nogood whose deepest pair lies above
-    the leaf sends the walk back to that pair, where the lookup closes its
-    current branch.
-    """
-    last = len(menu) - 1
-    # Nogoods by their deepest (pair, branch) choice.  A checked certificate
-    # always weights some branch row, because the fixed rows alone are
-    # feasible (every summand very negative), so every nogood has one.
-    buckets: dict[tuple[int, int], list[_Nogood]] = {}
-    chosen = [0]
-
-    def prefix_rows() -> tuple[LinRow, ...]:
-        return tuple(itertools.chain(fixed, *[menu[p][b] for p, b in enumerate(chosen)]))
-
-    def closed(depth: int) -> bool:
-        for fixed_lams, choices in buckets.get((depth, chosen[depth]), ()):
-            if any(chosen[p] != b for p, b, _ in choices):
-                continue
-            lams = {p: pair_lams for p, _, pair_lams in choices}
-            mapped = list(fixed_lams)
-            for p, b in enumerate(chosen):
-                mapped.extend(lams.get(p) or (_ZERO,) * len(menu[p][b]))
-            # Through the module, as the engine calls its gates, so that a
-            # rebound gate sees these checks too.
-            if not exactlp.verify_farkas(LinSystem(width, prefix_rows()), mapped):
-                raise EngineError(
-                    "a stored nogood failed its re-check on a prefix system (engine bug)"
-                )
-            return True
-        return False
-
-    while chosen:
-        depth = len(chosen) - 1
-        if chosen[depth] == len(menu[depth]):
-            chosen.pop()
-            if chosen:
-                chosen[-1] += 1
-        elif closed(depth):
-            chosen[depth] += 1
-        elif depth < last:
-            chosen.append(0)
-        else:
-            outcome = strict_feasible(LinSystem(width, prefix_rows()))
-            if isinstance(outcome, Feasible):
-                return True
-            nogood = _nogood(outcome.farkas, fixed, menu, chosen)
-            deepest, branch, _ = nogood[1][-1]
-            buckets.setdefault((deepest, branch), []).append(nogood)
-            if deepest < depth:
-                # The prefix down to ``deepest`` agrees with the nogood; the
-                # lookup there re-checks it and closes that branch.
-                del chosen[deepest + 1 :]
-            else:
-                chosen[depth] += 1
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -974,9 +974,8 @@ def inex_member_enumerated(
 
     The engine's former body of ``inex_member``: one strict LP per combined
     signature, in ``itertools.product`` order, with no pruning.
-    ``independence.inex_member`` must give its verdict: its signature
-    search with at most as many LPs, its chain walk within the walk's own
-    bound.
+    ``independence.inex_member`` must give its verdict, its chain walks
+    within their own bound.
 
     Collapsed (generator) products answer through the plain dispatcher.
     Products over cell or lexicographic marginals enumerate one sign

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from desirability import (
     BudgetExceededError,
     CredalSet,
-    EngineError,
     Gamble,
     GeneratorSet,
     IncoherentBaseError,
@@ -30,7 +29,7 @@ from desirability import (
     member,
     strictly_desirable,
 )
-from desirability import exactlp, fixtures, independence
+from desirability import fixtures, independence
 from desirability.desirable import (
     Cell,
     CellRow,
@@ -40,6 +39,7 @@ from desirability.desirable import (
     StrongProduct,
     natext_member,
     scope_of,
+    sign_cells,
     sign_chain,
 )
 from desirability.independence import conditional_inex, irrelevant_extension
@@ -191,7 +191,7 @@ class TestIndependentProduct:
         second = LexSystem.on(S2, [["1/2", "1/2"], [1, 0]])
         h = Gamble.on(S2, [1, -1]).embed(S12)
         assert inex_member(independent_product([first, second]), h) is Tri.IN
-        assert signature_lps["search"] == lps
+        assert signature_lps["engine"] == lps
 
     def test_weighted_weak_rows_move_no_pair(self, signature_lps):
         # ``h`` depends on X2 alone and lies in the second marginal by its
@@ -204,7 +204,7 @@ class TestIndependentProduct:
         second = LexSystem.on(S2, [["1/2", "1/2"], ["4/9", "5/9"]])
         h = Gamble.on(S12, [-1, 1, -1, 1])
         assert inex_member(IndepProduct((first, second)), h) is Tri.IN
-        assert signature_lps["search"] == 3
+        assert signature_lps["engine"] == 3
 
     @pytest.mark.parametrize(
         "values", [[1, 1, 1, 1], [1, -1, 2, -1], [0, 0, 0, 0], [-1, -1, -1, -1]]
@@ -268,8 +268,8 @@ class TestThreeBlockProducts:
                 assert verdict == natext_member(collapsed, h)
                 # No (block, slice) pair has a choice: at most one LP, on
                 # the cone rows alone.
-                assert signature_lps["search"] <= 1
-                verdicts.append((verdict, signature_lps["search"]))
+                assert signature_lps["engine"] <= 1
+                verdicts.append((verdict, signature_lps["engine"]))
         assert 5 <= sum(v for v, _ in verdicts) <= len(verdicts) - 5
         assert (True, 1) in verdicts and (False, 1) in verdicts
 
@@ -320,6 +320,8 @@ def _product(rng, kind):
         second = strictly_desirable(random_credal(rng, S2, rng.choice([1, 2])))
     elif kind == "multicell-lex":
         first = _two_cells(rng, S1)
+    elif kind == "multicell-multicell":
+        first, second = _two_cells(rng, S1), _two_cells(rng, S2)
     else:
         assert kind == "generator-lex"
         first = _generators(rng, S1)
@@ -339,6 +341,22 @@ def _two_cells(rng, scope):
         Cell((CellRow(p, EQ), CellRow(q, GT))),
     )
     return CellSet(scope, cells, include_positive=True)
+
+
+def _two_cell_product():
+    """A two-cell marginal on X1, which has no chain, times a maximal lex
+    marginal on X2."""
+    cells = CellSet(
+        S1,
+        (
+            Cell((CellRow(Gamble.on(S1, ["1/2", "1/2"]), GT),
+                  CellRow(Gamble.on(S1, ["1/4", "3/4"]), GT))),
+            Cell((CellRow(Gamble.on(S1, ["1/2", "1/2"]), EQ),
+                  CellRow(Gamble.on(S1, ["1/4", "3/4"]), GT))),
+        ),
+        include_positive=True,
+    )
+    return IndepProduct((cells, LexSystem.on(S2, [["1/2", "1/2"], [1, 0]])))
 
 
 def _offer(rng, product):
@@ -366,13 +384,14 @@ _KINDS = (
     "generator-generator-lex",
     "layout-2x3",
     "multicell-lex",
+    "multicell-multicell",
 )
 
 
 def _count_signature_lps(monkeypatch):
-    """Counts the strict LPs of the pruned search and of the enumeration."""
+    """Counts the strict LPs of ``inex_member`` and of the enumeration."""
     counts = collections.Counter()
-    for key, module in (("search", independence), ("enumerated", references)):
+    for key, module in (("engine", independence), ("enumerated", references)):
         solve = module.strict_feasible
 
         def counted(system, _solve=solve, _key=key):
@@ -389,42 +408,37 @@ def signature_lps(monkeypatch):
 
 
 def _chain_bound(product):
-    """The most LPs a chain walk may solve on ``product``: one, and one per
-    cell past the first of each (block, slice) pair's chain; ``None`` when
-    some marginal has no chain and the signatures are searched."""
+    """The most LPs ``inex_member`` may solve on ``product``: one walk per
+    choice of a cell for each (block, slice) pair without a chain, and per
+    walk one LP, and one per cell past the first of each chained pair's
+    chain."""
     joint = scope_of(product)
-    bound = 1
+    walks, per_walk = 1, 1
     for part in product.parts:
         if isinstance(part, GeneratorSet):
             continue
+        slices = joint.size // part.scope.size
         chain = sign_chain(part)
         if chain is None:
-            return None
-        bound += joint.size // part.scope.size * (len(chain) - 1)
-    return bound
+            walks *= len(sign_cells(part)) ** slices
+        else:
+            per_walk += slices * (len(chain) - 1)
+    return walks * per_walk
 
 
 def _differential(product, h, counts):
-    """The engine's verdict and LP count against the enumeration's.
-
-    A chain walk stays within its bound; a search solves at most as many
-    LPs as the enumeration, which it prunes.
-    """
+    """The engine's verdict and LP count against the enumeration's; the
+    engine stays within its bound."""
     counts.clear()
     got = inex_member(product, h)
     want = inex_member_enumerated(product, h)
     assert got is want, (product, h)
-    bound = _chain_bound(product)
-    if bound is None:
-        assert counts["search"] <= counts["enumerated"], (product, h)
-    else:
-        assert counts["search"] <= bound, (product, h)
-    return got, counts["search"], counts["enumerated"]
+    assert counts["engine"] <= _chain_bound(product), (product, h)
+    return got, counts["engine"], counts["enumerated"]
 
 
 class TestPrunedSearch:
-    """Product membership, by chain walk or by the depth-first signature
-    search with checked nogoods, against the flat enumeration
+    """Product membership, by chain walks, against the flat enumeration
     (``references.inex_member_enumerated``)."""
 
     @pytest.mark.parametrize("kind", _KINDS)
@@ -438,17 +452,21 @@ class TestPrunedSearch:
         for _ in range(products):
             product = _product(rng, kind)
             for _ in range(offers):
-                verdict, search, enumerated = _differential(
+                verdict, engine, enumerated = _differential(
                     product, _offer(rng, product), signature_lps
                 )
                 if enumerated:
                     decided[verdict] += 1
-                totals["search"] += search
+                totals["engine"] += engine
                 totals["enumerated"] += enumerated
-        # Both verdicts are reached through LPs, and over the kind the walk
-        # or the search solves fewer LPs than the enumeration.
+        # Both verdicts are reached through LPs.  Over a kind with a chain
+        # the walks solve fewer LPs than the enumeration; with none, each
+        # walk solves one signature, in the enumeration's order.
         assert decided[Tri.IN] and decided[Tri.OUT], decided
-        assert totals["search"] < totals["enumerated"], totals
+        if kind == "multicell-multicell":
+            assert totals["engine"] == totals["enumerated"], totals
+        else:
+            assert totals["engine"] < totals["enumerated"], totals
 
     def test_three_block_lex_product(self, signature_lps):
         # Twelve (block, slice) pairs with two cells each.  Uniform draws
@@ -490,46 +508,28 @@ class TestPrunedSearch:
     def test_product_nonmaximality_lp_count(self, signature_lps):
         # 96 signature LPs with the flat enumeration; the chain walk solves 12.
         assert fixtures.product_nonmaximality().passed
-        assert signature_lps["search"] == 12
+        assert signature_lps["engine"] == 12
 
-    def test_corrupted_nogood_raises_instead_of_pruning(self, monkeypatch):
-        # A two-cell marginal has no chain, so its products are searched:
-        # the diagonal gamble is out after 30 of its 36 signature LPs.
-        cells = CellSet(
-            S1,
-            (
-                Cell((CellRow(Gamble.on(S1, ["1/2", "1/2"]), GT),
-                      CellRow(Gamble.on(S1, ["1/4", "3/4"]), GT))),
-                Cell((CellRow(Gamble.on(S1, ["1/2", "1/2"]), EQ),
-                      CellRow(Gamble.on(S1, ["1/4", "3/4"]), GT))),
-            ),
-            include_positive=True,
-        )
-        product = IndepProduct((cells, LexSystem.on(S2, [["1/2", "1/2"], [1, 0]])))
+    @pytest.mark.parametrize(
+        "values, verdict, lps", [([-1, 1, 1, -1], Tri.OUT, 11), ([-1, -1, 2, 2], Tri.IN, 2)]
+    )
+    def test_two_cell_product_lp_count(self, values, verdict, lps, signature_lps):
+        # The two-cell marginal has no chain: its two pairs take one of
+        # three cells each, so up to nine walks along the lex marginal's
+        # chains, and the gamble that is out takes all nine.
+        h = Gamble.on(S12, values)
+        assert inex_member(_two_cell_product(), h) is verdict
+        assert signature_lps["engine"] == lps
+
+    def test_budget_counts_every_signature(self, signature_lps):
+        # Three cells on each of two slices, times two lex cells on each
+        # of two: 36 signatures, counted before any LP.
+        product = _two_cell_product()
         h = Gamble.on(S12, [-1, 1, 1, -1])
-        assert inex_member(product, h) is Tri.OUT
-        learn = independence._nogood
-
-        def corrupted(*args):
-            fixed_lams, choices = learn(*args)
-            # Doubling one pair's multipliers breaks the cancellation.
-            pair, branch, lams = choices[-1]
-            doubled = tuple(2 * lam for lam in lams)
-            return fixed_lams, choices[:-1] + ((pair, branch, doubled),)
-
-        monkeypatch.setattr(independence, "_nogood", corrupted)
-        checks = collections.Counter()
-        verify = exactlp.verify_farkas
-
-        def counted(system, farkas):
-            ok = verify(system, farkas)
-            checks[ok] += 1
-            return ok
-
-        monkeypatch.setattr(exactlp, "verify_farkas", counted)
-        with pytest.raises(EngineError, match="nogood"):
-            inex_member(product, h)
-        assert checks[False] == 1
+        with pytest.raises(BudgetExceededError, match="more than 35 problems"):
+            inex_member(product, h, budget=35)
+        assert signature_lps["engine"] == 0
+        assert inex_member(product, h, budget=36) is Tri.OUT
 
 
 class TestGeneratorCone:
