@@ -22,6 +22,9 @@ Five expression nodes compose them:
 
 ``member`` decides membership for every node exactly, except for strong
 products, whose boundary queries are honestly three-valued.
+Lexicographic, cell, conditioned and extension nodes decide it on the
+gamble's integer numerators, by a test each node builds on its first
+query and keeps (``scaled_member``).
 
 The central reductions:
 
@@ -324,17 +327,8 @@ class CellRow:
         positive denominator, so it is that of the exact rational one.
         """
         ints = self.functional.nums
-        if len(nums) != len(ints):
-            raise DimensionMismatchError(
-                "expected %d values for the functional, got %d"
-                % (len(ints), len(nums))
-            )
-        value = sum(map(mul, ints, nums))
-        if self.rel == GE:
-            return value >= 0
-        if self.rel == GT:
-            return value > 0
-        return value == 0
+        _check_length(len(ints), nums)
+        return _cell_accepts(False, ((ints, self.rel),), nums)
 
 
 @dataclass(frozen=True)
@@ -346,9 +340,35 @@ class Cell:
 
     def accepts(self, nums: Sequence[int]) -> bool:
         """Does the gamble with values ``nums`` (or a positive multiple) lie in the cell?"""
-        if self.exclude_zero and not any(nums):
+        for row in self.rows:
+            _check_length(len(row.functional.nums), nums)
+        return _cell_accepts(self.exclude_zero, _int_rows(self), nums)
+
+
+def _check_length(size: int, nums: Sequence[int]) -> None:
+    if len(nums) != size:
+        raise DimensionMismatchError(
+            "expected %d values for the functional, got %d" % (size, len(nums))
+        )
+
+
+def _int_rows(cell: Cell) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """Each row of ``cell`` as its functional's ``nums`` and its relation."""
+    return tuple([(row.functional.nums, row.rel) for row in cell.rows])
+
+
+def _cell_accepts(
+    exclude_zero: bool, rows: Sequence[tuple[Sequence[int], str]], nums: Sequence[int]
+) -> bool:
+    """``Cell.accepts`` on the cell's ``exclude_zero`` and ``_int_rows``:
+    each row's verdict is the sign of an integer dot product."""
+    if exclude_zero and not any(nums):
+        return False
+    for ints, rel in rows:
+        value = sum(map(mul, ints, nums))
+        if not (value > 0 if rel == GT else value == 0 if rel == EQ else value >= 0):
             return False
-        return all(row.holds(nums) for row in self.rows)
+    return True
 
 
 @dataclass(frozen=True)
@@ -373,13 +393,6 @@ class CellSet:
                         "cell functional scope %r does not match %r"
                         % (row.functional.scope.names, self.scope.names)
                     )
-
-
-def _cellset_member(cs: CellSet, nums: Sequence[int]) -> bool:
-    """Membership of the gamble with values ``nums`` (or a positive multiple)."""
-    if cs.include_positive and min(nums) >= 0 and any(nums):
-        return True
-    return any(cell.accepts(nums) for cell in cs.cells)
 
 
 def _unit_cell(scope: Scope, rel: str) -> Cell:
@@ -472,8 +485,9 @@ class Conditioned:
 
     Membership is rewritten, never materialised: ``g`` belongs iff the
     base accepts ``g.mask(given)``, i.e. ``indicator(given) * g``.  The
-    mask reads ``mask_table``, an index table the node computes once, on
-    first use, and keeps.
+    node's integer test (``_conditioned_test``) masks through
+    ``mask_table``, an index table the node computes once, on first use,
+    and keeps.
     """
 
     base: DesirableSetExpr
@@ -513,8 +527,9 @@ class IrrExt:
     ``structure.cyl_ext`` builds.
 
     Membership reads each slice through ``slice_table``, an index table
-    the node computes once, on first use, and keeps, after the base's
-    coherence gate, whose verdict the node keeps too (``_base_gate``).
+    the node computes once, on first use, and keeps.  The node's integer
+    test (``_slices_test``) is built from it after the base passes its
+    coherence gate.
     """
 
     base: DesirableSetExpr
@@ -527,12 +542,6 @@ class IrrExt:
             raise ScopeError("irrelevant variables overlap the base scope")
         if not base_scope.union(self.irrelevant).issubset(self.target):
             raise ScopeError("extension target must contain base and irrelevant scopes")
-
-    @cached_property
-    def _base_gate(self) -> Optional[ConsistencyCertificate]:
-        """``check_coherent(base)``, run on first use and kept.  A gate that
-        raises keeps nothing, so an incoherent base raises on every query."""
-        return check_coherent(self.base)
 
     @cached_property
     def slice_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -665,7 +674,7 @@ def member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) -> Tri:
     extended nodes, and no other procedure reads it.
 
     Lexicographic, cell, conditioned and extension nodes decide on the
-    gamble's ints (``scaled_member``).
+    gamble's ints (``scaled_member``), by a test each node builds once.
     """
     f = f.embed(scope_of(expr))
     if isinstance(expr, GeneratorSet):
@@ -691,33 +700,91 @@ def scaled_member(
 ) -> Tri:
     """Membership of the gamble ``nums / den`` on the scope of ``expr``.
 
-    Every node denotes a cone, so ``nums`` alone, a positive multiple of
-    the gamble, decides lexicographic and cell leaves: their integer sign
-    tests read it as it is.  A lexicographic leaf is gated first: its
-    system keeps its coverage verdict, and only a leaf that fails it calls
-    ``check_coherent``, which raises.  A conditioned node masks the ints
-    through its ``mask_table`` and an extension through its
-    ``slice_table``, and each hands the result to its base here, with no
-    gamble built on the way.
-    Any other node receives the gamble ``nums / den`` through ``member``.
-    Besides ``member``, the scans in ``independence`` call it directly,
-    with ints lifted once onto the scope of ``expr``.
+    Lexicographic, cell, conditioned and extension nodes each build their
+    integer membership test once, on their first query, and keep it
+    (``_int_test``): a query reads it from the node's ``__dict__`` and
+    calls it.  Any other node receives the gamble ``nums / den`` through
+    ``member``.  Besides ``member``, the scans in ``independence`` call it
+    directly, with ints lifted once onto the scope of ``expr``.
+    """
+    test, data = expr.__dict__.get("_int_test") or _int_test(expr)
+    return test(data, nums, den, budget)
+
+
+def _int_test(expr: DesirableSetExpr) -> tuple:
+    """The test that decides ``scaled_member`` for ``expr``: a module-level
+    function and the plain data it reads, ``(test, data)``.
+
+    Every node denotes a cone, so ``nums`` alone, a positive multiple of the
+    gamble, decides the leaves: their tests read integer signs.
+
+    * a lexicographic system: its ``int_levels`` (``_lex_test``);
+    * a cell set: its size, whether it includes the positives, and per
+      cell its ``exclude_zero`` and ``_int_rows`` (``_cellset_test``);
+    * a conditioned node: its ``mask_table`` and its base
+      (``_conditioned_test``);
+    * an extension: its ``slice_table`` and its base (``_slices_test``).
+      The groups of a row all have one outcome per assignment of the
+      other added variables, so the row is kept as its columns: the first
+      outcome of every group, and the further columns, none when the
+      target is base and irrelevant scope together.
+
+    The gates run while the test is built: a lexicographic system must
+    cover every outcome, and an extension's base must pass
+    ``check_coherent``.  A gate that raises keeps nothing, so an
+    incoherent leaf raises on every query.  A base is queried through
+    ``scaled_member`` only when a slice needs it, so it builds its own
+    test then.  The test is kept in the node's ``__dict__`` and never
+    refers back to the node, so a node is freed as soon as it is
+    unreferenced and pickles as it is.  Any other node gets
+    ``_gamble_test`` and the node itself, which is not kept.
     """
     if isinstance(expr, LexSystem):
         if not expr.covers_outcomes:
             check_coherent(expr)
-        return Tri.of(lex_accepts(expr, nums))
-    if isinstance(expr, CellSet):
-        return Tri.of(_cellset_member(expr, nums))
-    if isinstance(expr, Conditioned):
-        padded = [*nums, 0]
-        return scaled_member(expr.base, [padded[k] for k in expr.mask_table], den, budget)
-    if isinstance(expr, IrrExt):
-        return slice_verdict(expr, nums, den, budget)
-    return member(expr, Gamble._from_ints(scope_of(expr), tuple(nums), den), budget=budget)
+        kept = _lex_test, expr.int_levels
+    elif isinstance(expr, CellSet):
+        cells = tuple([(cell.exclude_zero, _int_rows(cell)) for cell in expr.cells])
+        kept = _cellset_test, (expr.scope.size, expr.include_positive, cells)
+    elif isinstance(expr, Conditioned):
+        kept = _conditioned_test, (expr.mask_table, expr.base)
+    elif isinstance(expr, IrrExt):
+        check_coherent(expr.base)
+        columns = [tuple(zip(*row)) for row in expr.slice_table]
+        kept = _slices_test, (tuple([(c[0], c[1:]) for c in columns]), expr.base)
+    else:
+        return _gamble_test, expr
+    expr.__dict__["_int_test"] = kept
+    return kept
 
 
-def slice_verdict(expr: IrrExt, nums: Sequence[int], den: int, budget: int) -> Tri:
+def _lex_test(levels: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
+    """``lex_accepts`` on the kept ``int_levels``."""
+    return Tri.IN if lex_accepts(levels, nums) else Tri.OUT
+
+
+def _cellset_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
+    """In iff ``nums`` is positive and the set includes the positives, or
+    some cell accepts it (``_cell_accepts``)."""
+    size, include_positive, cells = data
+    _check_length(size, nums)
+    if include_positive and min(nums) >= 0 and any(nums):
+        return Tri.IN
+    for exclude_zero, rows in cells:
+        if _cell_accepts(exclude_zero, rows, nums):
+            return Tri.IN
+    return Tri.OUT
+
+
+def _conditioned_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
+    """The base's verdict on ``indicator(given) * f``: the ints gathered
+    through the mask table, with 0 where ``given`` fails."""
+    table, base = data
+    padded = [*nums, 0]
+    return scaled_member(base, [padded[k] for k in table], den, budget)
+
+
+def _slices_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
     """Slice decomposition of irrelevant-extension membership.
 
     ``nums / den`` lives on the target.  It belongs iff it is nonzero and,
@@ -725,28 +792,34 @@ def slice_verdict(expr: IrrExt, nums: Sequence[int], den: int, budget: int) -> T
     gamble over the remaining added variables, sliced at that assignment,
     is nonnegative or a member of the base.  A nonnegative slice is skipped
     without asking the base: zero slack dominates it.  Each slice is read
-    straight from ``expr.slice_table`` as ints: entry ``b`` is the minimum
-    of ``nums`` at the indices listed for it, and the base decides it over
-    the same ``den``.  The per-slice choices are independent because a
-    dominating gamble can be assembled slice by slice.  ``budget`` goes to
-    each base query, as in ``member``.  The base passes ``check_coherent``
-    (``expr._base_gate``) before any slice is skipped, so an incoherent leaf
-    base is an error whatever the gamble.
+    straight from the table as ints: the first column, lowered entry by
+    entry by each further column, is the minimum of ``nums`` over each
+    group, and the base decides it over the same ``den``.  The per-slice
+    choices are independent because a dominating gamble can be
+    assembled slice by slice.  ``budget`` goes to each base query, as in
+    ``member``.
     """
-    expr._base_gate  # raises for an incoherent base, on every query
+    table, base = data
     if not any(nums):
         return Tri.OUT
     unknown = False
-    for row in expr.slice_table:
-        piece = [min([nums[w] for w in group]) for group in row]
+    for first, rest in table:
+        piece = [nums[w] for w in first]
+        for layer in rest:
+            piece = list(map(min, piece, [nums[w] for w in layer]))
         if min(piece) >= 0:
             continue
-        verdict = scaled_member(expr.base, piece, den, budget)
+        verdict = scaled_member(base, piece, den, budget)
         if verdict is Tri.OUT:
             return Tri.OUT
         if verdict is Tri.UNKNOWN:
             unknown = True
     return Tri.UNKNOWN if unknown else Tri.IN
+
+
+def _gamble_test(expr: DesirableSetExpr, nums: Sequence[int], den: int, budget: int) -> Tri:
+    """``member`` on the gamble ``nums / den``, built on the scope of ``expr``."""
+    return member(expr, Gamble._from_ints(scope_of(expr), tuple(nums), den), budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +937,7 @@ def cellset_coherence_audit(cs: CellSet) -> CoherenceReport:
             bad = None
             samples = sample_gambles(cs.scope, budget=AUDIT_SAMPLES, lo=0, hi=3)
             for f in samples:
-                if f.is_positive() and not _cellset_member(cs, f.nums):
+                if f.is_positive() and scaled_member(cs, f.nums, f.den, 0) is not Tri.IN:
                     bad = f
                     break
             accepts_positives = AuditFinding(
@@ -921,14 +994,15 @@ def _audit_posi_closed(cs: CellSet) -> AuditFinding:
     members = [
         f
         for f in sample_gambles(cs.scope, budget=AUDIT_SAMPLES * 4)
-        if _cellset_member(cs, f.nums)
+        if scaled_member(cs, f.nums, f.den, 0) is Tri.IN
     ]
     checked = 0
     pairs = itertools.combinations(members, 2)
     for f, g in itertools.islice(pairs, AUDIT_SAMPLES):
-        if not _cellset_member(cs, (f + g).nums):
+        total = f + g
+        if scaled_member(cs, total.nums, total.den, 0) is not Tri.IN:
             return AuditFinding(
-                "posi-closed", False, "sampled", "sum of two members left the set", f + g
+                "posi-closed", False, "sampled", "sum of two members left the set", total
             )
         checked += 1
     return AuditFinding(

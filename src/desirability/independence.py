@@ -50,9 +50,11 @@ works on index tables built once on the expression's full scope: each
 sampled gamble's ints are lifted onto that scope once, and its masks copy
 the lifted ints at the precomputed slice indices of each event.  Every
 query goes to ``desirable.scaled_member`` as ints over the sample's
-denominator, with no gamble built: ``IrrExt`` nodes read their slices
-from a per-node table, lexicographic and cell leaves decide by integer
-sign tests, and the other nodes receive their gamble through ``member``.
+denominator, with no gamble built.  Lexicographic, cell, conditioned and
+``IrrExt`` nodes decide it on an integer test that each node builds once,
+on its first query, and keeps: sign tests on the leaves' ints, and mask
+and slice tables that hand the base its ints.  The other nodes
+receive their gamble through ``member``.
 """
 
 from __future__ import annotations

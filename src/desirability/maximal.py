@@ -105,18 +105,19 @@ def lex_member(system: LexSystem, f: Gamble) -> bool:
             "expected %d values for scope %r, got %d"
             % (system.scope.size, system.scope.names, len(f.nums))
         )
-    return lex_accepts(system, f.nums)
+    return lex_accepts(system.int_levels, f.nums)
 
 
-def lex_accepts(system: LexSystem, nums: Sequence[int]) -> bool:
-    """``lex_member`` of the gamble with values ``nums``.
+def lex_accepts(levels: Sequence[Sequence[int]], nums: Sequence[int]) -> bool:
+    """``lex_member`` of the gamble with values ``nums``, on a system's
+    ``int_levels``.
 
     ``nums`` may be the values times any positive factor, such as a
     gamble's ``nums``.  Each level is scaled to ints once per system
     (``int_levels``), also by a positive factor, so every integer dot
     product has the sign of the exact expectation it stands for.
     """
-    for level in system.int_levels:
+    for level in levels:
         e = sum(map(mul, level, nums))
         if e:
             return e > 0

@@ -647,6 +647,23 @@ def test_an_extension_keeps_its_base_gate_but_never_an_error(monkeypatch):
     assert calls == [flipped]
 
 
+def test_a_nested_extension_reaches_its_leaf_gate_only_through_a_slice():
+    # ``check_coherent`` passes an extension base, so an extension of an
+    # extension of an incoherent leaf decides the gambles whose slices are
+    # all nonnegative on their signs; the leaf's gate raises once a slice
+    # reaches it, with the leaf's message, for lexicographic and generator
+    # leaves alike.
+    S123 = S12.union(S3)
+    for leaf, message in ((LBAD, LEX_MESSAGE), (BAD, GENERATOR_MESSAGE)):
+        node = IrrExt(IrrExt(leaf, S2, S12), S3, S123)
+        assert member(node, Gamble.on(S123, [0, 1] * 6)) is Tri.IN
+        assert member(node, Gamble.zero(S123)) is Tri.OUT
+        for _ in range(2):
+            with pytest.raises(IncoherentBaseError) as info:
+                member(node, Gamble.on(S123, [-1] + [1] * 11))
+            assert re.fullmatch(message, str(info.value)), str(info.value)
+
+
 def test_the_gate_returns_a_generator_certificate_and_passes_other_models():
     assert check_coherent(lean()) is avoids_nonpositivity(lean())
     for model in (TIED2, strictly_desirable(HALF2), IndepProduct((LBAD, TIED2))):

@@ -16,9 +16,11 @@ those ints.  The tests below check three things:
 """
 
 import copy
+import gc
 import math
 import pickle
 import random
+import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -40,7 +42,7 @@ from desirability import (
     member,
     strictly_desirable,
 )
-from desirability.desirable import CellSet, Conditioned, scope_of
+from desirability.desirable import CellSet, Conditioned, StrongProduct, scope_of
 from desirability.independence import factorisation_check, irrelevant_extension
 from desirability.structure import condition, sample_gambles
 from randgen import random_credal, random_generator_set, random_mass
@@ -191,8 +193,11 @@ SHAPES = ((A2, B2), (A3, B2), (A2, B2, C2))
 
 
 def node_cases(seed):
-    """(name, expression) pairs: every LP-free node kind on each shape."""
+    """(name, expression) pairs: every LP-free node kind on each shape, and
+    an extension and a conditioned node over a strong product of two
+    strictly desirable sets, whose boundary queries are ``UNKNOWN``."""
     rng = random.Random("integer-gambles-%d" % seed)
+    strong_rng = random.Random("integer-gambles-strong-%d" % seed)
     cases = []
     for variables in SHAPES:
         a, b = variables[0], variables[1]
@@ -225,7 +230,32 @@ def node_cases(seed):
                 irrelevant_extension(Conditioned(generators, first_b), one(b), joint),
             ),
         ]
+        strong = StrongProduct(tuple(
+            strictly_desirable(random_credal(strong_rng, one(v))) for v in (a, b)
+        ))
+        cases += [
+            ("irrext-strong", IrrExt(strong, Scope.empty(), joint)),
+            ("conditioned-strong", Conditioned(strong, first_b)),
+        ]
     return cases
+
+
+STRONG_KINDS = ("irrext-strong", "conditioned-strong")
+
+
+def boundary_gambles(rng, expr, count):
+    """Gambles on the first marginal of the strong product ``expr.base``
+    shifted by their lower price, so that the marginal's lowest
+    expectation is zero.  The strong product prices them, and their masked
+    twins, at exactly zero: a boundary query, ``UNKNOWN`` unless the
+    signs alone decide it."""
+    marginal = expr.base.parts[0]
+    shifted = []
+    for _ in range(count):
+        g = fraction_gamble(rng, marginal.scope)
+        lower = min(sum(p * v for p, v in zip(mass, g.values)) for mass in marginal.from_credal)
+        shifted.append(g.shift(-lower))
+    return shifted
 
 
 def test_cases_cover_every_node_kind():
@@ -233,7 +263,7 @@ def test_cases_cover_every_node_kind():
     assert kinds == {"LexSystem", "CellSet", "Conditioned", "IrrExt"}
     nested = [expr for _, expr in node_cases(0) if isinstance(expr, (IrrExt, Conditioned))]
     assert {type(expr.base).__name__ for expr in nested} >= {
-        "LexSystem", "CellSet", "Conditioned", "IrrExt", "GeneratorSet"
+        "LexSystem", "CellSet", "Conditioned", "IrrExt", "GeneratorSet", "StrongProduct"
     }
 
 
@@ -275,6 +305,8 @@ def test_membership_matches_the_fraction_path(seed):
         gambles += sample_gambles(scope, budget=40, seed=seed)
         # A gamble on a subscope is identified with its extension.
         gambles += [fraction_gamble(rng, Scope(scope.variables[:1])) for _ in range(10)]
+        if name in STRONG_KINDS:
+            gambles += boundary_gambles(rng, expr, 10)
         for f in gambles:
             verdict = member(expr, f)
             assert verdict is fraction_member(expr, f), (name, f)
@@ -282,6 +314,42 @@ def test_membership_matches_the_fraction_path(seed):
     for name, _ in node_cases(seed):
         if name not in ("lex-one-level",):
             assert {(name, Tri.IN), (name, Tri.OUT)} <= seen, name
+        if name in STRONG_KINDS:
+            assert (name, Tri.UNKNOWN) in seen, name
+
+
+def test_queried_nodes_copy_with_the_test_they_keep():
+    """A queried node keeps its integer test; pickled or deep-copied, it
+    equals the original and gives the same verdicts."""
+    rng = random.Random("integer-gambles-copies")
+    for name, expr in node_cases(5):
+        scope = scope_of(expr)
+        gambles = [fraction_gamble(rng, scope) for _ in range(30)]
+        if name in STRONG_KINDS:
+            gambles += boundary_gambles(rng, expr, 5)
+        verdicts = [member(expr, f) for f in gambles]
+        for twin in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
+            assert twin == expr and hash(twin) == hash(expr), name
+            assert vars(twin).keys() == vars(expr).keys(), name
+            assert [member(twin, f) for f in gambles] == verdicts, name
+
+
+def test_queried_nodes_are_freed_without_the_cycle_collector():
+    """The test a node keeps never refers back to the node, so reference
+    counting alone frees a queried node."""
+    cases = node_cases(6)
+    gc.disable()
+    try:
+        # Later cases may wrap earlier ones, so they are freed first.
+        while cases:
+            name, expr = cases.pop()
+            member(expr, Gamble.on(scope_of(expr), range(-1, scope_of(expr).size - 1)))
+            assert "_int_test" in vars(expr), name
+            ref = weakref.ref(expr)
+            del expr
+            assert ref() is None, name
+    finally:
+        gc.enable()
 
 
 def _scan_groups(expr):

@@ -239,7 +239,7 @@ class TestPricesAgainstBreakpointOracle:
                 units = [[int(i == w) for i in range(size)] for w in range(size)]
                 rows = [r.functional.values for c in model.cells for r in c.rows]
                 functionals = rows + units
-                accepts = lambda f: desirable._cellset_member(model, f.nums)  # noqa: E731
+                accepts = lambda f: desirable.scaled_member(model, f.nums, f.den, 0) is Tri.IN  # noqa: E731
             want = _breakpoint_sup(functionals, accepts, value, direction)
             if want == _UNBOUNDED:
                 with pytest.raises(IncoherentBaseError, match="unbounded buying price"):
