@@ -236,14 +236,15 @@ def check_coherent(model: DesirableSetExpr) -> Optional[ConsistencyCertificate]:
 def cone_program(
     cone: GeneratorSet, value: Gamble, direction: Optional[Gamble] = None
 ) -> LinSystem:
-    """The dominance program ``value + mu*direction >= sum_k lam_k g_k``.
+    """The rows of the dominance program ``value + mu*direction >= sum_k lam_k g_k``.
 
     One unit row ``lam_k >= 0`` per generator weight comes first, then one
-    row per outcome.  Without a direction the system has no objective and
-    is feasible exactly when ``value`` dominates a nonnegative combination
-    of the generators.  With one, the shift ``mu`` leads the variables and
-    is maximised.  ``independence.inex_member`` appends the columns of a
-    product's cell and lexicographic summands to these rows.
+    row per outcome.  Without a direction the system is feasible exactly
+    when ``value`` dominates a nonnegative combination of the generators.
+    With one, the shift ``mu`` leads the variables, and
+    ``previsions._generator_sup`` maximises it.  ``independence.inex_member``
+    appends the columns of a product's cell and lexicographic summands to
+    these rows.
 
     The rows are built on ints, with no ``Fraction``: the unit rows are
     shared (``unit_rows``), and each outcome row joins the cone's
@@ -263,10 +264,7 @@ def cone_program(
         if direction is not None:
             gs = (direction.nums[w] * (den // direction.den),) + gs
         rows.append(LinRow._from_ints(gs + (-b * values[w],), GE, den))
-    if direction is None:
-        return LinSystem(n, tuple(rows))
-    objective = tuple([_ONE] + [_ZERO] * n)
-    return LinSystem(n + 1, tuple(rows), objective, "max")
+    return LinSystem(lead + n, tuple(rows))
 
 
 def sign_verdict(f: Gamble) -> Optional[bool]:
@@ -884,12 +882,13 @@ def _positives_covered(cs: CellSet, budget: int) -> tuple[Optional[bool], Option
             return None, None
     size = cs.scope.size
     base_rows = list(unit_rows(size, GE))
-    base_rows.append(LinRow(tuple([_ONE for _ in range(size)]), GT, _ZERO))
+    base_rows.append(LinRow._from_ints((1,) * size + (0,), GT))
     for choice in itertools.product(*per_cell) if per_cell else [()]:
         rows = list(base_rows)
         for negated_list in choice:
             for negated in negated_list:
-                rows.append(LinRow(negated.functional.values, negated.rel, _ZERO))
+                e = negated.functional
+                rows.append(LinRow._from_ints(e.nums + (0,), negated.rel, e.den))
         outcome = strict_feasible(LinSystem(size, tuple(rows)))
         if isinstance(outcome, Feasible):
             return False, Gamble(cs.scope, outcome.witness)

@@ -1,19 +1,20 @@
 """Exact rational linear programming with self-verifying answers.
 
-Answers, certificates and objectives are ``fractions.Fraction``s; a row
-(``LinRow``) is held as ints over one positive denominator, which the
-package's builders make straight from a gamble's ints.  Inside, the solver
-is a two-phase tableau simplex on fraction-free rows (cf. Bareiss 1968,
-Edmonds 1967): each tableau row is a list of Python ints over one positive
-int denominator, reduced by its gcd after every update, and a pivot touches
+Answers and certificates are ``fractions.Fraction``s; a row (``LinRow``) is
+held as ints over one positive denominator, which the package's builders
+make straight from a gamble's ints, and an objective is a tuple of ints,
+one per variable, that ``solve`` maximises.  Inside, the solver is a
+two-phase tableau simplex on fraction-free rows (cf. Bareiss 1968, Edmonds
+1967): each tableau row is a list of Python ints over one positive int
+denominator, reduced by its gcd after every update, and a pivot touches
 only the pivot row's nonzero columns.  Tableau rows start from the rows'
-ints, are cleared by ``_eliminate``, and the objective is scaled to ints by
-``scaled_to_ints``; ``forward_eliminate``
-applies the same step in input order, without pivot search, for the rest of
-the package's exact linear algebra: lexicographic rank and canonical form
-and credal vertex enumeration.  It prices with Dantzig's rule for speed and
-falls back to Bland's rule after a fixed number of pivots, which guarantees
-termination under exact arithmetic.
+ints and the cost row from the objective's, and are cleared by
+``_eliminate``; ``forward_eliminate`` applies the same step in input
+order, without pivot search, for the rest of the package's exact linear
+algebra: lexicographic rank and canonical form and credal vertex
+enumeration.  It prices with Dantzig's rule for speed and falls back to
+Bland's rule after a fixed number of pivots, which guarantees termination
+under exact arithmetic.
 
 The simplex starts as close to the slack basis as the input allows.  A
 one-variable lower bound ``c * x_j >= r`` (``c > 0``, any ``r``) is folded
@@ -22,15 +23,15 @@ becomes a tableau row, and a ``>=`` row that the shifted origin satisfies
 strictly starts basic on its own surplus.  Only the remaining rows get an
 artificial, and phase 1 minimises their sum alone.
 
-Phase 1 does not read the objective.  A system without one that prices
-many objectives over the same rows hands each a system of its own
-(``LinSystem._priced``); the first solve keeps the tableau that phase 1
-left on the shared system, and every solve copies it and runs phase 2
-alone.  ``previsions.inex_lower_prevision`` builds its joint-mass rows so,
-once per tuple of credal sets.  Generator-cone prices change the
-right-hand sides with the gamble, so each builds its own rows, sharing the
-unit rows (``unit_rows``, built once per shape) and the cone's generator
-ints.  Every solve still enters through ``solve`` and passes the gates.
+A linear program is its rows: phase 1 reads no objective, so every system
+keeps the tableau its first solve's phase 1 leaves (``LinSystem._phase1``),
+and each solve with an objective copies it and runs phase 2 alone.  A
+program priced under many objectives runs phase 1 once:
+``previsions.inex_lower_prevision`` keeps its joint-mass rows once per
+tuple of credal sets.  Generator-cone prices change the right-hand sides
+with the gamble, so each builds its own rows, sharing the unit rows
+(``unit_rows``, built once per shape) and the cone's generator ints.
+Every solve still enters through ``solve`` and passes the gates.
 
 Every answer is re-checked by substitution before it is returned:
 
@@ -47,11 +48,12 @@ positive, so no sign and no equality changes.  The gates share no code
 with the simplex, so a scaling fault in one cannot hide a fault in the
 other.
 
-A program's objective must be bounded: an improving column with no ratio
-row raises ``EngineError``.  Each builder's is: ``previsions._generator_sup``
-prices behind the coherence gate, whose positive mass bounds the shift;
-``previsions.inex_lower_prevision`` ranges over masses in the simplex;
-``_strict_slack`` caps its gap by ``eps <= 1``; ``fixtures._gap_programs``
+An objective must be bounded above on its rows: an improving column with
+no ratio row raises ``EngineError``.  Each caller's is:
+``previsions._generator_sup`` maximises the shift behind the coherence
+gate, whose positive mass bounds it; ``previsions.inex_lower_prevision``
+maximises ``-(f . mu)`` over masses in the simplex; ``_strict_slack``
+maximises a gap capped by ``eps <= 1``; ``fixtures._gap_programs``
 weights ``u + v`` positively under ``u + v <= h``.
 
 Strict inequalities are not handled by ``solve`` directly; ``strict_feasible``
@@ -84,16 +86,6 @@ _ONE = Fraction(1)
 # Pricing rounds one ``_Simplex._run`` may take before it gives up.  Bland's
 # rule terminates, so reaching the cap means an engine bug.
 _MAX_ITERATIONS = 100000
-
-
-def _check_coeffs(coeffs: Sequence[Fraction], want: int, what: str) -> None:
-    if len(coeffs) != want:
-        raise DimensionMismatchError(
-            "%s has %d coefficients, expected %d" % (what, len(coeffs), want)
-        )
-    for c in coeffs:
-        if not isinstance(c, Fraction):
-            raise ExactnessError("%s must hold Fractions, got %r" % (what, c))
 
 
 @dataclass(frozen=True, init=False)
@@ -179,21 +171,19 @@ def _fill(row: LinRow, nums: tuple[int, ...], den: int, rel: str) -> None:
 
 @dataclass(frozen=True)
 class LinSystem:
-    """A finite list of rows over ``n_vars`` variables, with an optional objective.
+    """A finite list of rows over ``n_vars`` variables.
 
     Each ``LinRow`` has checked its own relation, rhs and coefficients, so a
-    system checks only that every row has ``n_vars`` of them.
+    system checks only that every row has ``n_vars`` of them.  The
+    objective is not part of the system but an argument of ``solve``.
 
-    A system without an objective can price several objectives over the
-    same rows: ``_priced`` gives each one a system of its own, and solving
-    those copies the tableau that phase 1 left on the first solve, which
-    does not depend on the objective (``_phase1``), and runs phase 2 alone.
+    Phase 1 reads the rows alone, so a system runs it once, on its first
+    solve, and keeps the tableau it leaves (``_phase1``).  Each solve with
+    an objective copies that tableau and runs phase 2 alone.
     """
 
     n_vars: int
     rows: tuple[LinRow, ...]
-    objective: Optional[tuple[Fraction, ...]] = None
-    sense: str = "max"
 
     def __post_init__(self) -> None:
         want = self.n_vars + 1
@@ -203,17 +193,6 @@ class LinSystem:
                     "row %d has %d coefficients, expected %d"
                     % (k, len(row.nums) - 1, self.n_vars)
                 )
-        if self.objective is not None:
-            _check_coeffs(self.objective, self.n_vars, "objective")
-        if self.sense not in ("max", "min"):
-            raise ValueError("sense must be 'max' or 'min'")
-
-    def _priced(self, objective: tuple[Fraction, ...], sense: str) -> "LinSystem":
-        """These rows under ``objective``; solving the result reuses this
-        system's phase 1."""
-        priced = LinSystem(self.n_vars, self.rows, objective, sense)
-        priced.__dict__["_phase1_of"] = self
-        return priced
 
     @cached_property
     def _phase1(self) -> tuple["_Simplex", Optional[tuple[Fraction, ...]]]:
@@ -453,8 +432,8 @@ class _Simplex:
     each folded bound row is summed on the tableau rows' starting ints
     (``row_ints``).  One ``Fraction`` is built per nonzero multiplier.
 
-    ``copy`` gives a simplex on the same rows a tableau of its own, for a
-    system that shares its rows' phase 1 (``LinSystem._phase1``).
+    ``copy`` gives a tableau of its own to each solve that starts from the
+    phase 1 a system keeps (``LinSystem._phase1``).
     """
 
     def __init__(self, system: LinSystem):
@@ -576,7 +555,7 @@ class _Simplex:
         return j if j >= 0 and nums[j] > 0 else None
 
     def copy(self, system: LinSystem) -> "_Simplex":
-        """This simplex for ``system``, whose rows are this one's, on a
+        """This simplex for ``system``, whose rows it was built from, on a
         tableau of its own.  Pivots replace tableau rows and never change
         one in place, so copying the outer lists is enough."""
         twin = object.__new__(_Simplex)
@@ -707,8 +686,8 @@ class _Simplex:
                 self.live[r] = False
         return None
 
-    def phase2(self, cost_min: Sequence[int], den: int) -> None:
-        """Minimise ``cost_min / den . x``, which must be bounded below."""
+    def phase2(self, cost_min: Sequence[int]) -> None:
+        """Minimise ``cost_min . x``, which must be bounded below."""
         ncols = len(self.cols)
         cost = [0] * (ncols + 1)
         for j, cj in enumerate(cost_min):
@@ -718,10 +697,7 @@ class _Simplex:
             cost[plus] += cj
             if minus is not None:
                 cost[minus] -= cj
-        g = math.gcd(den, *cost)
-        if g != 1:
-            cost = [v // g for v in cost]
-            den //= g
+        den = 1
         # Price out the basis: each basic column reads den_r in its own row.
         for r, line in enumerate(self.T):
             if not self.live[r]:
@@ -789,45 +765,53 @@ def _engine_check(ok: bool, what: str) -> None:
         raise EngineError("exactlp self-verification failed: %s (engine bug)" % what)
 
 
-def _solve_engine(system: LinSystem) -> tuple[LPOutcome, _Simplex]:
+def _solve_engine(
+    system: LinSystem, objective: Optional[Sequence[int]] = None
+) -> tuple[LPOutcome, _Simplex]:
     for row in system.rows:
         if row.rel == GT:
             raise ValueError("solve handles weak rows only; use strict_feasible")
+    if objective is not None:
+        if len(objective) != system.n_vars:
+            raise DimensionMismatchError(
+                "objective has %d coefficients, expected %d"
+                % (len(objective), system.n_vars)
+            )
+        for c in objective:
+            if type(c) is not int:
+                raise ExactnessError("objective must hold ints, got %r" % (c,))
 
-    shared = system.__dict__.get("_phase1_of")
-    if shared is None:
-        simplex = _Simplex(system)
-        farkas = simplex.phase1()
-    else:
-        start, farkas = shared._phase1
-        simplex = start.copy(system)
+    start, farkas = system._phase1
     if farkas is not None:
         _engine_check(verify_farkas(system, farkas), "farkas")
-        return Infeasible(tuple(farkas)), simplex
-    if system.objective is None:
-        witness = simplex.point()
+        return Infeasible(farkas), start
+    if objective is None:
+        witness = start.point()
         _engine_check(verify_point(system, witness), "feasible point")
-        return Feasible(witness), simplex
+        return Feasible(witness), start
 
-    objective, objective_den = scaled_to_ints(system.objective)
-    sign = -1 if system.sense == "max" else 1
-    simplex.phase2([sign * c for c in objective], objective_den)
+    simplex = start.copy(system)
+    simplex.phase2([-c for c in objective])
     witness = simplex.point()
     _engine_check(verify_point(system, witness), "optimal point")
     point, point_den = scaled_to_ints(witness)
-    value = Fraction(sum([c * x for c, x in zip(objective, point) if c]),
-                     objective_den * point_den)
+    value = Fraction(sum([c * x for c, x in zip(objective, point) if c]), point_den)
     return Optimal(value, witness), simplex
 
 
-def solve(system: LinSystem) -> LPOutcome:
+def solve(system: LinSystem, objective: Optional[Sequence[int]] = None) -> LPOutcome:
     """Solve a weak-relation system exactly.
 
-    Without an objective the answer is ``Feasible`` or ``Infeasible``; with
-    one, which must be bounded (see the module docstring), ``Optimal`` or
-    ``Infeasible``.  Strict rows are rejected here; use :func:`strict_feasible`.
+    Without an objective the answer is ``Feasible`` or ``Infeasible``.  With
+    one, ints with one entry per variable, it is ``Optimal`` (the maximum of
+    ``objective . x``, which must be bounded: see the module docstring) or
+    ``Infeasible``.  A caller that minimises maximises the negated
+    objective.  An objective of the wrong length raises
+    ``DimensionMismatchError``, one with an entry that is not an int
+    ``ExactnessError``.  Strict rows are rejected here; use
+    :func:`strict_feasible`.
     """
-    return _solve_engine(system)[0]
+    return _solve_engine(system, objective)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +827,7 @@ def strict_feasible(system: LinSystem) -> Union[Feasible, Infeasible]:
     zero, ``_strict_slack`` otherwise.
     """
     if not any(row.rel == GT for row in system.rows):
-        outcome = solve(LinSystem(system.n_vars, system.rows))
+        outcome = solve(system)
         assert isinstance(outcome, (Feasible, Infeasible))
         return outcome
     if not any(row.nums[-1] for row in system.rows):
@@ -883,9 +867,8 @@ def _strict_slack(system: LinSystem) -> Union[Feasible, Infeasible]:
     zeros = (0,) * system.n_vars
     rows.append(LinRow._from_ints(zeros + (-1, -1), GE))
     rows.append(LinRow._from_ints(zeros + (1, 0), GE))
-    objective = (_ZERO,) * system.n_vars + (_ONE,)
-    relaxed = LinSystem(system.n_vars + 1, tuple(rows), objective, "max")
-    outcome, simplex = _solve_engine(relaxed)
+    relaxed = LinSystem(system.n_vars + 1, tuple(rows))
+    outcome, simplex = _solve_engine(relaxed, zeros + (1,))
     if isinstance(outcome, Infeasible):
         lam = outcome.farkas[: len(system.rows)]
         _engine_check(verify_farkas(system, lam), "strict farkas")

@@ -303,41 +303,41 @@ def maximal_product_superset(budget: int = 100000) -> FixtureResult:
 
 
 def _gap_programs(
-    h: Gamble, masses: tuple[tuple[Fraction, ...], ...]
+    h: Gamble, masses: tuple[tuple[tuple[int, ...], ...], int]
 ) -> tuple[object, object]:
     """Two programs over two-summand decompositions of ``h``.
 
     Variables are the eight values of summands ``u`` and ``v`` on the
     joint space.  The first program maximises a fixed componentwise
     positive weighting of ``u + v`` subject to ``u + v <= h``; the
-    weighting equals the domination multipliers of the second program's
-    infeasibility certificate, so the optimum exposes the negative value
-    directly.  The second program additionally requires every slice of
-    ``u`` along the first variable and of ``v`` along the second to have
-    nonnegative expectation under both marginal masses, and has no
-    feasible point at all.
+    weighting, five times the domination multipliers of the second
+    program's infeasibility certificate, is held as ints, so the optimum
+    exposes five times the negative value directly.  The second program
+    additionally requires every slice of ``u`` along the first variable
+    and of ``v`` along the second to have nonnegative expectation under
+    both marginal masses, given as ints over one positive denominator
+    (``CredalSet._vertex_ints``), and has no feasible point at all.
     """
-    weights = (Fraction(2, 5), Fraction(3, 5), Fraction(3, 5), Fraction(3, 5))
+    weights = (2, 3, 3, 3)
 
     domination = []
     for w in range(4):
-        coeffs = [_ZERO] * 8
-        coeffs[w] = -_ONE
-        coeffs[4 + w] = -_ONE
-        domination.append(LinRow(tuple(coeffs), GE, -h.values[w]))
+        nums = [0] * 9
+        nums[w] = nums[4 + w] = -h.den
+        nums[8] = -h.nums[w]
+        domination.append(LinRow._from_ints(tuple(nums), GE, h.den))
 
-    best = solve(
-        LinSystem(8, tuple(domination), objective=weights + weights, sense="max")
-    )
+    best = solve(LinSystem(8, tuple(domination)), weights + weights)
 
+    vertices, mass_den = masses
     slice_rows = []
     for offset, pairs in ((0, ((0, 1), (2, 3))), (4, ((0, 2), (1, 3)))):
         for i, j in pairs:
-            for mass in masses:
-                coeffs = [_ZERO] * 8
-                coeffs[offset + i] = mass[0]
-                coeffs[offset + j] = mass[1]
-                slice_rows.append(LinRow(tuple(coeffs), GE, _ZERO))
+            for mass in vertices:
+                nums = [0] * 9
+                nums[offset + i] = mass[0]
+                nums[offset + j] = mass[1]
+                slice_rows.append(LinRow._from_ints(tuple(nums), GE, mass_den))
     tightened = solve(LinSystem(8, tuple(domination) + tuple(slice_rows)))
     return best, tightened
 
@@ -380,8 +380,8 @@ def strong_vs_independent_gap(budget: int = 100000) -> FixtureResult:
     if strong_member(StrongProduct((d1, d2)), h, budget=budget) is not Tri.IN:
         failures.append("strong product rejected the diagonal gamble")
 
-    best, tightened = _gap_programs(h, (m1.vertices[0], m1.vertices[1]))
-    if not (isinstance(best, Optimal) and best.value == Fraction(-39, 500)):
+    best, tightened = _gap_programs(h, m1._vertex_ints)
+    if not (isinstance(best, Optimal) and best.value / 5 == Fraction(-39, 500)):
         failures.append("weighted decomposition bound differs from -39/500")
     if not isinstance(tightened, Infeasible):
         failures.append("tightened decomposition system is unexpectedly feasible")

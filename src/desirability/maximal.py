@@ -82,8 +82,15 @@ class LexSystem:
 
     @cached_property
     def _hash(self) -> int:
-        """Computed once: systems key ``lex_is_maximal``'s cache."""
+        """Computed once: systems key ``lex_is_maximal``'s cache.  It comes
+        from ``str`` hashes, which differ between processes, so it is not
+        pickled: a loaded system computes its own."""
         return hash((self.scope, self.levels))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @cached_property
     def int_levels(self) -> tuple[list[int], ...]:

@@ -12,13 +12,13 @@ every block slice in that block's credal cone), and evaluates strong
 products (lower envelopes of products of dominating linear previsions)
 by scanning vertex combinations.
 
-Prices are built for re-use.  A joint-mass program's rows depend only on
-the credal sets, so they are built once per tuple of sets and kept on the
-first set, and a price builds only its objective, on ints, and re-solves
-phase 2 from the tableau the first price's phase 1 left.  A generator-cone
-price builds its rows from the cone's generator ints, kept on the cone,
-and the gamble's; the strong scan multiplies ints, with each credal set's
-vertex ints kept on the set.
+Prices are built for re-use, and every program on ints.  A joint-mass
+program's rows depend only on the credal sets, so they are built once per
+tuple of sets and kept on the first set; a price builds only its int
+objective, and ``solve`` runs phase 2 alone from the phase 1 that the
+kept rows ran once.  A generator-cone price builds its rows from the
+cone's generator ints, kept on the cone, and the gamble's; the strong
+scan multiplies ints, with each credal set's vertex ints kept on the set.
 
 All suprema are reported even when not attained: a result ``mu*`` means
 prices strictly below ``mu*`` are always acceptable, while ``mu*``
@@ -60,8 +60,8 @@ from .errors import (
     UnsupportedQueryError,
 )
 from .exactlp import (
-    EQ, GE, GT, Feasible, LinRow, LinSystem, Optimal, forward_eliminate, solve,
-    unit_rows,
+    EQ, GE, GT, Feasible, LinRow, LinSystem, Optimal, forward_eliminate, scaled_to_ints,
+    solve, unit_rows,
 )
 from .maximal import LexSystem
 from .space import (
@@ -199,7 +199,7 @@ def _generator_sup(
     # Bounded behind the gate: its mass p > 0 gives each generator positive
     # expectation, so a feasible shift has p.(value + mu*direction) >= 0,
     # that is mu <= p.value / p.(-direction).
-    outcome = solve(cone_program(cone, value, direction))
+    outcome = solve(cone_program(cone, value, direction), (1,) + (0,) * len(cone.generators))
     if isinstance(outcome, Optimal):
         return m0 + outcome.value
     return None
@@ -370,11 +370,6 @@ class CredalSet:
             tuple([v.numerator * (den // v.denominator) for v in p]) for p in self.vertices
         ]), den
 
-    def lower_expectation(self, f: Gamble) -> Fraction:
-        """Lower envelope ``min_v v . f`` over the vertices."""
-        fitted = f.embed(self.scope)
-        return min(fitted.dot(p) for p in self.vertices)
-
 
 def _convex_combination(
     target: tuple[Fraction, ...], others: Sequence[tuple[Fraction, ...]]
@@ -382,11 +377,11 @@ def _convex_combination(
     """Is ``target`` a convex combination of ``others``? (exact LP)"""
     if not others:
         return False
-    rows = [
-        LinRow(tuple([p[w] for p in others]), EQ, target[w])
-        for w in range(len(target))
-    ]
-    rows.append(LinRow((_ONE,) * len(others), EQ, _ONE))
+    rows = []
+    for w in range(len(target)):
+        ints, den = scaled_to_ints([p[w] for p in others] + [target[w]])
+        rows.append(LinRow._from_ints(tuple(ints), EQ, den))
+    rows.append(LinRow._from_ints((1,) * (len(others) + 1), EQ))
     rows.extend(unit_rows(len(others), GE))
     return isinstance(solve(LinSystem(len(others), tuple(rows))), Feasible)
 
@@ -520,10 +515,11 @@ def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
 
     The rows do not depend on ``f``: ``_joint_mass_program`` builds them
     once per tuple of credal sets and keeps them on the first set, and every
-    price of that tuple solves them under its own objective, built here on
-    ints from ``f.nums`` and the vertex ints.  Solving reuses the tableau
-    that phase 1 left on the first price (``LinSystem._priced``), so a
-    price runs phase 2 alone.
+    price of that tuple solves them under its own objective, so phase 1
+    runs on the first price alone (``LinSystem._phase1``).  The objective
+    is built here on ints from ``f.nums`` and the vertex ints: ``solve``
+    maximises ``-(f . mu) * den``, with ``den`` the gamble's denominator
+    times the masses', and the price is ``-value / den``.
 
     The program is feasible (any product of vertices is a point) and
     bounded (``mu`` lies in the simplex), so any outcome other than
@@ -534,15 +530,12 @@ def inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
     joint, block0, mass_den, program = _joint_mass_program(credals)
     fitted = f.embed(joint)
     nums = fitted.nums
-    den = fitted.den * mass_den
-    objective = [_ZERO] * program.n_vars
+    objective = [0] * program.n_vars
     for j, masses in block0:
-        total = sum([nums[w] * m for w, m in masses])
-        if total:
-            objective[j] = Fraction(total, den)
-    outcome = solve(program._priced(tuple(objective), "min"))
+        objective[j] = -sum([nums[w] * m for w, m in masses])
+    outcome = solve(program, tuple(objective))
     if isinstance(outcome, Optimal):
-        return outcome.value
+        return -outcome.value / (fitted.den * mass_den)
     raise EngineError(
         "the joint-mass program must be bounded and feasible; got %s"
         % type(outcome).__name__
@@ -553,7 +546,7 @@ def _joint_mass_program(
     credals: Sequence[CredalSet],
 ) -> tuple[Scope, tuple[tuple[int, tuple[tuple[int, int], ...]], ...], int, LinSystem]:
     """The joint scope, block 0's columns, their mass denominator, and the
-    rows of the joint-mass program of ``credals``, without an objective.
+    rows of the joint-mass program of ``credals``.
 
     The program is built once and kept on the first set, for the latest
     tuple that set leads: the prices of one product share it, and it goes

@@ -161,6 +161,11 @@ class Scope:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # The hash comes from ``str`` hashes, which differ between
+        # processes, so a loaded scope computes its own.
+        return Scope, (self.variables,)
+
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)

@@ -26,6 +26,8 @@ fast paths, so a test can compare the two:
   scans as they ran before they queried ``scaled_member`` on full-scope
   ints: one ``Gamble`` per query, built on the scanned groups' joint
   scope and handed to ``member``, which embeds it;
+* ``lower_expectation`` — a credal set's lower envelope, read off its
+  vertices one dot product at a time;
 * ``inex_lower_prevision_primal`` — the independent joint lower prevision
   as the primal allocation program, the LP dual of the joint-mass program
   that ``previsions.inex_lower_prevision`` solves;
@@ -703,6 +705,13 @@ def gamble_factorisation_check(
 # ---------------------------------------------------------------------------
 
 
+def lower_expectation(credal: CredalSet, f: Gamble) -> Fraction:
+    """Lower envelope ``min_v v . f`` over the vertices of ``credal``."""
+    fitted = f.embed(credal.scope)
+    return min(fitted.dot(p) for p in credal.vertices)
+
+
+
 def inex_lower_prevision_primal(credals: Sequence[CredalSet], f: Gamble) -> Fraction:
     """Most conservative independent joint lower prevision, evaluated at f.
 
@@ -750,8 +759,7 @@ def inex_lower_prevision_primal(credals: Sequence[CredalSet], f: Gamble) -> Frac
             coeffs[h_offset[n] + w] -= _ONE
             coeffs[s_offset[n] + rest_maps[n][w]] += _ONE
         rows.append(LinRow(tuple(coeffs), GE, -fitted.values[w]))
-    objective = tuple([_ONE if i == 0 else _ZERO for i in range(width)])
-    outcome = solve(LinSystem(width, tuple(rows), objective, "max"))
+    outcome = solve(LinSystem(width, tuple(rows)), (1,) + (0,) * (width - 1))
     if isinstance(outcome, Optimal):
         return outcome.value
     raise EngineError(
@@ -766,9 +774,11 @@ def inex_lower_prevision_primal(credals: Sequence[CredalSet], f: Gamble) -> Frac
 #
 # The bodies below are the engine's as they were before the joint-mass rows
 # were compiled once per tuple of credal sets, cone rows were built from
-# the gambles' ints and the strong scan ran on vertex ints.  Only the names
-# they call differ: ``rebuilt_unit_rows`` for ``unit_rows``, which now
-# returns a shared tuple, and ``rebuilt_cone_program`` for ``cone_program``.
+# the gambles' ints and the strong scan ran on vertex ints.  The names they
+# call differ: ``rebuilt_unit_rows`` for ``unit_rows``, which now returns a
+# shared tuple, and ``rebuilt_cone_program`` for ``cone_program``.  So does
+# the way they hand ``solve`` an objective: as its argument, on ints, and
+# maximised, so the joint-mass program maximises its negated objective.
 
 
 def rebuilt_unit_rows(width: int, rel: str, start: int = 0) -> list[LinRow]:
@@ -783,13 +793,13 @@ def rebuilt_unit_rows(width: int, rel: str, start: int = 0) -> list[LinRow]:
 def rebuilt_cone_program(
     cone: GeneratorSet, value: Gamble, direction: Optional[Gamble] = None
 ) -> LinSystem:
-    """The dominance program ``value + mu*direction >= sum_k lam_k g_k``.
+    """The rows of the dominance program ``value + mu*direction >= sum_k lam_k g_k``.
 
     One unit row ``lam_k >= 0`` per generator weight comes first, then one
-    row per outcome.  Without a direction the system has no objective and
-    is feasible exactly when ``value`` dominates a nonnegative combination
-    of the generators.  With one, the shift ``mu`` leads the variables and
-    is maximised.
+    row per outcome.  Without a direction the system is feasible exactly
+    when ``value`` dominates a nonnegative combination of the generators.
+    With one, the shift ``mu`` leads the variables, and
+    ``rebuilt_generator_sup`` maximises it.
     """
     gens = cone.generators
     n = len(gens)
@@ -801,10 +811,7 @@ def rebuilt_cone_program(
     for w in range(cone.scope.size):
         shift = [] if shifts is None else [shifts[w]]
         rows.append(LinRow(tuple(shift + [-column[w] for column in columns]), GE, -values[w]))
-    if direction is None:
-        return LinSystem(n, tuple(rows))
-    objective = tuple([_ONE] + [_ZERO] * n)
-    return LinSystem(n + 1, tuple(rows), objective, "max")
+    return LinSystem(lead + n, tuple(rows))
 
 
 def rebuilt_generator_sup(
@@ -817,7 +824,8 @@ def rebuilt_generator_sup(
              default=_ZERO)
     if m0:
         value = value + m0 * direction
-    outcome = solve(rebuilt_cone_program(cone, value, direction))
+    objective = (1,) + (0,) * len(cone.generators)
+    outcome = solve(rebuilt_cone_program(cone, value, direction), objective)
     if isinstance(outcome, Optimal):
         return m0 + outcome.value
     return None
@@ -832,7 +840,8 @@ def rebuilt_inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fra
       mass at the joint outcome ``(k, z)`` is ``sum_p lam[n, z, p] * p[k]``.
     * Rows: block 0's columns sum to 1, and for each later block and each
       joint outcome its mass equals block 0's.
-    * Objective: minimise ``f . mu`` with ``mu`` read from block 0.
+    * Objective: minimise ``f . mu`` with ``mu`` read from block 0, as the
+      maximum of its negation scaled to ints.
     """
     if not credals:
         raise ScopeError("at least one marginal credal set is required")
@@ -864,9 +873,10 @@ def rebuilt_inex_lower_prevision(credals: Sequence[CredalSet], f: Gamble) -> Fra
                     balance[w][j] = -m
         rows.extend(LinRow(tuple(coeffs), EQ, _ZERO) for coeffs in balance)
     rows.extend(rebuilt_unit_rows(width, GE))
-    outcome = solve(LinSystem(width, tuple(rows), tuple(objective), "min"))
+    ints, den = scaled_to_ints(objective)
+    outcome = solve(LinSystem(width, tuple(rows)), tuple([-c for c in ints]))
     if isinstance(outcome, Optimal):
-        return outcome.value
+        return -outcome.value / den
     raise EngineError(
         "the joint-mass program must be bounded and feasible; got %s"
         % type(outcome).__name__
@@ -1410,7 +1420,9 @@ class ArtificialStartSimplex:
         return tuple(lam)
 
 
-def solve_artificial_start(system: LinSystem) -> LPOutcome | Unbounded:
+def solve_artificial_start(
+    system: LinSystem, objective: Optional[Sequence[int]] = None
+) -> LPOutcome | Unbounded:
     """``exactlp.solve`` on ``ArtificialStartSimplex``, without the gates.
 
     The engine's simplex before it started from the slack basis: it folds
@@ -1421,15 +1433,13 @@ def solve_artificial_start(system: LinSystem) -> LPOutcome | Unbounded:
     farkas = simplex.phase1()
     if farkas is not None:
         return Infeasible(farkas)
-    if system.objective is None:
+    if objective is None:
         return Feasible(simplex.point())
-    sign = -1 if system.sense == "max" else 1
-    enter = simplex.phase2(tuple([sign * c for c in system.objective]))
+    enter = simplex.phase2(tuple([-c for c in objective]))
     if enter is not None:
         return Unbounded(simplex.ray(enter))
     witness = simplex.point()
-    return Optimal(sum([c * x for c, x in zip(system.objective, witness)], _ZERO),
-                   witness)
+    return Optimal(sum([c * x for c, x in zip(objective, witness)], _ZERO), witness)
 
 
 # ---------------------------------------------------------------------------

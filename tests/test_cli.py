@@ -559,22 +559,26 @@ class TestErrors:
 
 
 class TestWork:
-    def test_strong_member_on_the_demo_solves_two_lps(self, capsys, monkeypatch):
-        # Both come from canonicalising the ``two-vertex`` entry at load time;
-        # the marginals' credal vertices are enumerated without an LP.
+    def test_strong_member_on_the_demo_solves_three_lps(self, capsys, monkeypatch):
+        # Two are convex-combination LPs that canonicalise the ``two-vertex``
+        # entry at load time; the third is coin-lean's consistency LP, from
+        # ``strong_member``'s gate.  The marginals' credal vertices are
+        # enumerated without an LP.  The consistency certificate is cached
+        # process-wide, so the cache is cleared to count a cold command.
+        desirable.avoids_nonpositivity.cache_clear()
         solved = []
         engine = exactlp._solve_engine
 
-        def counted(system):
+        def counted(system, objective=None):
             solved.append(system)
-            return engine(system)
+            return engine(system, objective)
 
         monkeypatch.setattr(exactlp, "_solve_engine", counted)
         code, out, _ = run(
             capsys, "--model", DEMO, "strong-member", "coin-lean,fair-window", "[1,-1,2,0]"
         )
         assert (code, out) == (2, "Unknown\n")
-        assert len(solved) == 2
+        assert len(solved) == 3
 
 
 class TestBuildsOnRead:

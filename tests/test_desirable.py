@@ -57,7 +57,7 @@ from desirability.maximal import lex_is_coherent, lex_is_maximal, lex_member
 from desirability.space import CACHE_MAXSIZE, _restriction_map, _slice_map
 from desirability.structure import cyl_ext
 from randgen import random_credal, random_gamble, random_generator_set
-from references import condition_bar_member
+from references import condition_bar_member, lower_expectation
 
 V1 = Variable("X1", ("a", "b"))
 V2 = Variable("X2", ("a", "b"))
@@ -224,7 +224,8 @@ class TestConeProgram:
         assert system.n_vars == 3 and len(system.rows) == 4
         assert [row.coeffs for row in system.rows[:2]] == [(0, 1, 0), (0, 0, 1)]
         assert all(row.coeffs[0] == -1 for row in system.rows[2:])
-        assert solve(cone_program(lean(), f, Gamble.constant(S1, -1))).value == -2
+        program = cone_program(lean(), f, Gamble.constant(S1, -1))
+        assert solve(program, (1,) + (0,) * (program.n_vars - 1)).value == -2
         assert [row.coeffs for row in cone_program(cone, f).rows[:2]] == [(1, 0), (0, 1)]
 
 
@@ -542,7 +543,7 @@ FOREIGN_ENTRY_POINTS = {
         IndepProduct((lean(S1), strictly_desirable(HALF2))), f
     ),
     "lower_prevision": lambda f: lower_prevision(lean(S1), f),
-    "lower_expectation": lambda f: HALF1.lower_expectation(f),
+    "lower_expectation": lambda f: lower_expectation(HALF1, f),
     "inex_lower_prevision": lambda f: inex_lower_prevision([HALF1, HALF2], f),
     "strong_product_lower": lambda f: strong_product_lower([HALF1, HALF2], f),
     "strong_member": lambda f: strong_member(StrongProduct((lean(S1), lean(S2))), f),

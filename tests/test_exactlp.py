@@ -2,8 +2,10 @@
 against the Fourier-Motzkin reference in ``references``."""
 
 import collections
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -48,20 +50,19 @@ from references import (
 F = Fraction
 
 
-def sys_of(names, rows, objective=None, sense="max"):
+def sys_of(names, rows):
     """A system over one column per name; the names only label the columns."""
     built = tuple(
         LinRow(tuple(F(c) for c in coeffs), rel, F(rhs)) for coeffs, rel, rhs in rows
     )
-    obj = None if objective is None else tuple(F(c) for c in objective)
-    return LinSystem(len(names), built, obj, sense)
+    return LinSystem(len(names), built)
 
 
 class TestSolve:
     def test_bounded_maximum(self):
         # max x subject to x <= 1, x >= 0
-        system = sys_of(["x"], [((-1,), GE, -1), ((1,), GE, 0)], objective=(1,))
-        out = solve(system)
+        system = sys_of(["x"], [((-1,), GE, -1), ((1,), GE, 0)])
+        out = solve(system, (1,))
         assert isinstance(out, Optimal)
         assert out.value == 1
         assert verify_point(system, out.witness)
@@ -78,10 +79,9 @@ class TestSolve:
         system = sys_of(
             ["x", "y"],
             [((1, -1), EQ, 0), ((1, 0), GE, 0)],
-            objective=(1, 1),
         )
         with pytest.raises(EngineError, match="unbounded program"):
-            solve(system)
+            solve(system, (1, 1))
 
     def test_feasibility_without_objective(self):
         system = sys_of(["x"], [((1,), GE, 2)])
@@ -90,20 +90,17 @@ class TestSolve:
         assert verify_point(system, out.witness)
 
     def test_equality_rows_bind(self):
-        system = sys_of(
-            ["x", "y"], [((1, 1), EQ, 2), ((1, -1), EQ, 0)], objective=(1, 0)
-        )
-        out = solve(system)
+        system = sys_of(["x", "y"], [((1, 1), EQ, 2), ((1, -1), EQ, 0)])
+        out = solve(system, (1, 0))
         assert isinstance(out, Optimal)
         assert out.witness == (F(1), F(1))
 
     def test_minimisation(self):
-        system = sys_of(
-            ["x"], [((1,), GE, -3), ((-1,), GE, -5)], objective=(1,), sense="min"
-        )
-        out = solve(system)
+        # min x is -max(-x).
+        system = sys_of(["x"], [((1,), GE, -3), ((-1,), GE, -5)])
+        out = solve(system, (-1,))
         assert isinstance(out, Optimal)
-        assert out.value == -3
+        assert out.value == 3 and out.witness == (F(-3),)
 
 
 class TestStrictFeasibility:
@@ -180,7 +177,9 @@ class TestProjection:
 
 
 def random_system(rng, rels, objective=False):
-    """A seeded system of 6-8 rows over 4-5 variables with nonzero rhs."""
+    """A seeded system of 6-8 rows over 4-5 variables with nonzero rhs and,
+    when ``objective``, an int objective to maximise: the system and the
+    objective."""
     n_vars = rng.randint(4, 5)
     rows = []
     for _ in range(rng.randint(6, 8)):
@@ -190,16 +189,19 @@ def random_system(rng, rels, objective=False):
     if not objective:
         return sys_of(names, rows)
     obj = tuple(rng.randint(-2, 2) for _ in range(n_vars))
-    return sys_of(names, rows, objective=obj, sense=rng.choice(("max", "min")))
+    # A minimum is the maximum of the negated objective.
+    sign = rng.choice((1, -1))
+    return sys_of(names, rows), tuple(sign * c for c in obj)
 
 
-def fm_optimum(system):
-    """The optimum by projecting onto ``t = objective . x``, independent of solve.
+def fm_optimum(system, objective):
+    """The maximum of ``objective . x`` by projecting onto ``t = objective . x``,
+    independent of solve.
 
     Returns "infeasible", "unbounded" or the optimal value.
     """
     rows = [LinRow(r.coeffs + (F(0),), r.rel, r.rhs) for r in system.rows]
-    rows.append(LinRow(tuple(-c for c in system.objective) + (F(1),), EQ, F(0)))
+    rows.append(LinRow(tuple(-F(c) for c in objective) + (F(1),), EQ, F(0)))
     extended = LinSystem(system.n_vars + 1, tuple(rows))
     projected = fm_project(extended, range(system.n_vars))
     lower, upper = [], []
@@ -217,10 +219,9 @@ def fm_optimum(system):
             (lower if a > 0 else upper).append(bound)
     if lower and upper and max(lower) > min(upper):
         return "infeasible"
-    wanted = upper if system.sense == "max" else lower
-    if not wanted:
+    if not upper:
         return "unbounded"
-    return min(upper) if system.sense == "max" else max(lower)
+    return min(upper)
 
 
 class TestLargerDifferential:
@@ -244,20 +245,18 @@ class TestLargerDifferential:
         rng = random.Random("larger-fm-optima")
         kinds = set()
         for i in range(60):
-            system = random_system(rng, (GE, GE, EQ), objective=True)
-            expected = fm_optimum(system)
+            system, objective = random_system(rng, (GE, GE, EQ), objective=True)
+            expected = fm_optimum(system, objective)
             if expected == "unbounded":
                 with pytest.raises(EngineError, match="unbounded program"):
-                    solve(system)
+                    solve(system, objective)
                 kinds.add(expected)
                 continue
-            out = solve(system)
+            out = solve(system, objective)
             if isinstance(out, Optimal):
                 assert out.value == expected, "i=%d" % i
                 assert verify_point(system, out.witness)
-                assert out.value == sum(
-                    c * x for c, x in zip(system.objective, out.witness)
-                )
+                assert out.value == sum(c * x for c, x in zip(objective, out.witness))
             else:
                 assert expected == "infeasible", "i=%d" % i
                 assert verify_farkas(system, out.farkas)
@@ -295,21 +294,22 @@ class TestIntegerRows:
             ["x", "y"],
             [((-1, 0), GE, -4), ((0, -2), GE, -12), ((-3, -2), GE, -18),
              ((1, 0), GE, 0), ((0, 1), GE, 0)],
-            objective=(3, 5),
         )
         # A 2 x 3 transportation problem; one of its five balance rows is
-        # redundant and is dropped at the end of phase 1.
+        # redundant and is dropped at the end of phase 1.  Its least cost is
+        # the negated maximum of the negated costs.
         unit = [tuple(int(k == j) for k in range(6)) for j in range(6)]
         transport = sys_of(
             ["x11", "x12", "x13", "x21", "x22", "x23"],
             [((1, 1, 1, 0, 0, 0), EQ, 20), ((0, 0, 0, 1, 1, 1), EQ, 30),
              ((1, 0, 0, 1, 0, 0), EQ, 10), ((0, 1, 0, 0, 1, 0), EQ, 25),
              ((0, 0, 1, 0, 0, 1), EQ, 15)] + [(u, GE, 0) for u in unit],
-            objective=(8, 6, 10, 9, 12, 13),
-            sense="min",
         )
-        for system, value, most in ((production, 36, 3), (transport, 465, 6)):
-            out, simplex = _solve_engine(system)
+        for system, objective, value, most in (
+            (production, (3, 5), 36, 3),
+            (transport, (-8, -6, -10, -9, -12, -13), -465, 6),
+        ):
+            out, simplex = _solve_engine(system, objective)
             assert isinstance(out, Optimal) and out.value == value
             assert simplex.pivots <= most
 
@@ -325,11 +325,9 @@ class TestIntegerRows:
         system = sys_of(
             ["x", "y"],
             [((1, 0), GE, 0), ((0, 1), GE, 0), ((1, 1), GE, 1), ((2, 0), GE, 2)],
-            objective=(1, 1),
-            sense="min",
         )
-        out, simplex = _solve_engine(system)
-        assert out == Optimal(F(1), (F(1), F(0)))
+        out, simplex = _solve_engine(system, (-1, -1))
+        assert out == Optimal(F(-1), (F(1), F(0)))
         assert [simplex.cols[c] for c in simplex.unit_col] == [("a", 0), ("a", 1)]
         assert [simplex.cols[b] for b in simplex.basis] == [("xn", 0), ("s", 0)]
         assert simplex.pivots == 2
@@ -337,17 +335,17 @@ class TestIntegerRows:
     def test_beale_cycling_lp_ends_under_blands_rule(self):
         # Beale's example (1955): Dantzig's rule cycles on it through
         # degenerate pivots, so the solve ends only after the fallback to
-        # Bland's rule at 200 + 10 * rows pivots.
+        # Bland's rule at 200 + 10 * rows pivots.  The objective
+        # (3/4, -150, 1/50, -6) is scaled by 100 to ints, and so is the value.
         system = sys_of(
             ["x1", "x2", "x3", "x4"],
             [((F(-1, 4), 60, F(1, 25), -9), GE, 0),
              ((F(-1, 2), 90, F(1, 50), -3), GE, 0),
              ((0, 0, -1, 0), GE, -1)]
             + [(unit, GE, 0) for unit in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))],
-            objective=(F(3, 4), -150, F(1, 50), -6),
         )
-        out, simplex = _solve_engine(system)
-        assert out == Optimal(F(1, 20), (F(1, 25), F(0), F(1), F(0)))
+        out, simplex = _solve_engine(system, (75, -15000, 2, -600))
+        assert out == Optimal(F(5), (F(1, 25), F(0), F(1), F(0)))
         assert simplex.pivots > 200 + 10 * len(simplex.T)
 
 
@@ -398,8 +396,8 @@ def _zero_optimum_multipliers(strict, monkeypatch):
     reference, or None when its slack program is infeasible or positive."""
     seen = []
 
-    def engine(system):
-        outcome, simplex = _solve_engine(system)
+    def engine(system, objective=None):
+        outcome, simplex = _solve_engine(system, objective)
         seen.append((outcome, simplex))
         return outcome, simplex
 
@@ -451,31 +449,34 @@ class TestMultiplierRecovery:
 
 
 def shifted_lp(integer):
-    """The weak rows of ``multiplier_system``, under an objective drawn
-    through ``integer(lo, hi)`` in three draws out of four."""
+    """The weak rows of ``multiplier_system`` and, in three draws out of
+    four, an objective to maximise drawn through ``integer(lo, hi)``, else
+    None."""
     weak, _ = multiplier_system(integer)
     if integer(0, 3) == 0:
-        return weak
-    objective = tuple(F(integer(-2, 2)) for _ in range(weak.n_vars))
-    return LinSystem(weak.n_vars, weak.rows, objective, ("max", "min")[integer(0, 1)])
+        return weak, None
+    objective = tuple(integer(-2, 2) for _ in range(weak.n_vars))
+    # A minimum is the maximum of the negated objective.
+    sign = (1, -1)[integer(0, 1)]
+    return weak, tuple(sign * c for c in objective)
 
 
-def _agrees_with_artificial_start(system):
+def _agrees_with_artificial_start(system, objective):
     """Solve ``system`` from the slack basis and from all artificials; the
     outcome kinds and optima must agree and every certificate pass its
     gate, and ``solve`` must raise where the reference finds the objective
     unbounded.  Returns the reference's outcome kind."""
-    ref = solve_artificial_start(system)
+    ref = solve_artificial_start(system, objective)
     if isinstance(ref, Unbounded):
         with pytest.raises(EngineError, match="unbounded program"):
-            solve(system)
+            solve(system, objective)
         return Unbounded
-    out = solve(system)
+    out = solve(system, objective)
     assert type(out) is type(ref)
     if isinstance(out, Optimal):
         assert out.value == ref.value
         assert verify_point(system, out.witness)
-        assert out.value == sum(c * x for c, x in zip(system.objective, out.witness))
+        assert out.value == sum(c * x for c, x in zip(objective, out.witness))
     elif isinstance(out, Feasible):
         assert verify_point(system, out.witness)
     else:
@@ -492,8 +493,8 @@ class TestSlackStart:
         rng = random.Random("slack-start")
         seen = collections.Counter()
         for _ in range(300):
-            system = shifted_lp(rng.randint)
-            seen[_agrees_with_artificial_start(system)] += 1
+            system, objective = shifted_lp(rng.randint)
+            seen[_agrees_with_artificial_start(system, objective)] += 1
             simplex = _Simplex(system)
             bounds = collections.Counter(
                 _Simplex._simple_bound(row) for row in system.rows
@@ -510,8 +511,7 @@ class TestSlackStart:
 
     @given(st.data())
     def test_artificial_start_hypothesis(self, data):
-        system = shifted_lp(lambda lo, hi: data.draw(st.integers(lo, hi)))
-        _agrees_with_artificial_start(system)
+        _agrees_with_artificial_start(*shifted_lp(lambda lo, hi: data.draw(st.integers(lo, hi))))
 
     def test_shift_moves_the_rhs_and_the_point(self):
         # x >= 2 and 3y >= -3 fold to x = 2 + x', y = -1 + y'; the row
@@ -520,14 +520,12 @@ class TestSlackStart:
         system = sys_of(
             ["x", "y"],
             [((1, 0), GE, 2), ((0, 3), GE, -3), ((1, 1), GE, 0)],
-            objective=(1, 1),
-            sense="min",
         )
-        out, simplex = _solve_engine(system)
+        out, simplex = _solve_engine(system, (-1, -1))
         assert simplex.shift == {0: F(2), 1: F(-1)}
         assert simplex.row_ints == [([1, 1, -1], 1)]
         assert [simplex.cols[c] for c in simplex.unit_col] == [("s", 0)]
-        assert out == Optimal(F(1), (F(2), F(-1)))
+        assert out == Optimal(F(-1), (F(2), F(-1)))
         assert simplex.pivots == 0
 
     def test_consistency_lp_of_three_generators_has_three_rows(self, monkeypatch):
@@ -543,8 +541,8 @@ class TestSlackStart:
         seen = []
         engine = exactlp._solve_engine
 
-        def captured(system):
-            outcome, simplex = engine(system)
+        def captured(system, objective=None):
+            outcome, simplex = engine(system, objective)
             seen.append(simplex)
             return outcome, simplex
 
@@ -581,6 +579,66 @@ class TestSlackStart:
             assert len(pivots) == 1 and pivots[0] <= 1, (values, pivots)
 
 
+class TestPhase1PerSystem:
+    """A system runs phase 1 once and keeps its tableau; each objective
+    copies it and runs phase 2."""
+
+    def test_one_cone_program_under_three_objectives(self, monkeypatch):
+        scope = Scope.of([Variable("X", ("a", "b", "c"))])
+        cone = GeneratorSet.of(scope, [
+            Gamble.on(scope, [1, -1, 0]),
+            Gamble.on(scope, [0, 2, -1]),
+            Gamble.on(scope, [-1, 0, 3]),
+        ])
+        desirable.avoids_nonpositivity(cone)
+        program = desirable.cone_program(
+            cone, Gamble.on(scope, [2, -1, 1]), Gamble.constant(scope, -1)
+        )
+        # The shift, the shift less the first weight, and minus the total
+        # weight: each bounded above behind the coherence gate.
+        objectives = [(1, 0, 0, 0), (1, -1, 0, 0), (0, -1, -1, -1)]
+        counts = collections.Counter()
+        for name in ("phase1", "phase2"):
+            phase = getattr(_Simplex, name)
+
+            def counted(simplex, *args, _phase=phase, _name=name):
+                counts[_name] += 1
+                return _phase(simplex, *args)
+
+            monkeypatch.setattr(_Simplex, name, counted)
+        kept = [solve(program, objective) for objective in objectives]
+        assert counts == {"phase1": 1, "phase2": 3}
+        fresh = [
+            solve(LinSystem(program.n_vars, program.rows), objective)
+            for objective in objectives
+        ]
+        assert counts == {"phase1": 4, "phase2": 6}
+        assert all(isinstance(out, Optimal) for out in kept)
+        assert [out.value for out in kept] == [out.value for out in fresh]
+        assert len({out.value for out in kept}) == 3
+
+    def test_a_solved_system_is_freed_without_the_cycle_collector(self):
+        # The tableau a system keeps holds no reference back to it, so
+        # reference counting alone frees a solved system.
+        cases = [
+            (sys_of(["x"], [((1,), GE, 2)]), None, Feasible),
+            (sys_of(["x"], [((1,), GE, 1), ((-1,), GE, 0)]), None, Infeasible),
+            (sys_of(["x", "y"], [((-1, -1), GE, -1), ((1, 0), GE, 0), ((0, 1), GE, 0)]),
+             (1, 2), Optimal),
+        ]
+        gc.disable()
+        try:
+            while cases:
+                system, objective, kind = cases.pop()
+                assert isinstance(solve(system, objective), kind)
+                assert "_phase1" in vars(system)
+                ref = weakref.ref(system)
+                del system
+                assert ref() is None, kind
+        finally:
+            gc.enable()
+
+
 class TestEngineErrors:
     def test_failed_self_check_raises_engine_error(self, monkeypatch):
         monkeypatch.setattr(exactlp, "verify_point", lambda system, point: False)
@@ -595,13 +653,12 @@ class TestEngineErrors:
             ["x", "y"],
             [((-1, 0), GE, -4), ((0, -2), GE, -12), ((-3, -2), GE, -18),
              ((1, 0), GE, 0), ((0, 1), GE, 0)],
-            objective=(3, 5),
         )
-        out, simplex = _solve_engine(system)
+        out, simplex = _solve_engine(system, (3, 5))
         assert out.value == 36 and simplex.pivots >= 2
         monkeypatch.setattr(exactlp, "_MAX_ITERATIONS", 1)
         with pytest.raises(EngineError, match="failed to terminate"):
-            solve(system)
+            solve(system, (3, 5))
 
 
 class TestRowChecks:
@@ -615,11 +672,16 @@ class TestRowChecks:
             LinSystem(3, (LinRow((F(0),) * 3, GE, F(0)), row))
 
     def test_the_objective_keeps_its_full_check(self):
-        row = LinRow((F(1),), GE, F(0))
-        with pytest.raises(DimensionMismatchError, match="objective has 2"):
-            LinSystem(1, (row,), (F(1), F(0)))
-        with pytest.raises(ExactnessError, match="objective must hold Fractions"):
-            LinSystem(1, (row,), (1,))
+        # ``solve`` checks the objective it is given: one int per variable.
+        system = LinSystem(1, (LinRow((F(1),), GE, F(0)),))
+        with pytest.raises(DimensionMismatchError, match="objective has 2 coefficients, expected 1"):
+            solve(system, (1, 0))
+        with pytest.raises(DimensionMismatchError, match="objective has 0"):
+            solve(system, ())
+        for bad in (F(1), 1.0, F(1, 2), True):
+            with pytest.raises(ExactnessError, match="objective must hold ints"):
+                solve(system, (bad,))
+        assert solve(system, (-1,)) == Optimal(F(0), (F(0),))
 
     @pytest.mark.parametrize("width, rel, start", [(3, GE, 0), (4, GE, 1), (2, GT, 0)])
     def test_unit_rows_are_the_sign_rows_from_start_on(self, width, rel, start):

@@ -276,8 +276,8 @@ class TestGateWork:
             monkeypatch.setattr(exactlp, name, counted)
         engine = exactlp._solve_engine
 
-        def solved(system):
-            outcome, simplex = engine(system)
+        def solved(system, objective=None):
+            outcome, simplex = engine(system, objective)
             counts[type(outcome).__name__] += 1
             return outcome, simplex
 
@@ -302,8 +302,8 @@ class TestGateWork:
         counts = collections.Counter()
         engine = exactlp._solve_engine
 
-        def solved(system):
-            outcome, simplex = engine(system)
+        def solved(system, objective=None):
+            outcome, simplex = engine(system, objective)
             counts["lps"] += 1
             counts["pivots"] += simplex.pivots
             return outcome, simplex

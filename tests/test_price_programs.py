@@ -66,8 +66,8 @@ def _outcomes(monkeypatch, module):
     seen = []
     inner = module.solve
 
-    def recorded(system):
-        outcome = inner(system)
+    def recorded(system, objective=None):
+        outcome = inner(system, objective)
         seen.append(outcome)
         return outcome
 
@@ -89,8 +89,10 @@ class TestJointMassProgram:
                 price = inex_lower_prevision(credals, f)
                 assert price == references.rebuilt_inex_lower_prevision(credals, f)
         assert len(got) == len(want) == 2 * DRAWS
-        assert got == want
-        assert all(isinstance(outcome, Optimal) for outcome in got)
+        # Each maximises its negated objective scaled to its own ints, so
+        # the values differ by a positive factor; the witnesses agree.
+        assert [o.witness for o in got] == [o.witness for o in want]
+        assert all(isinstance(outcome, Optimal) for outcome in got + want)
 
     def test_k_prices_run_k_lps_k_point_checks_and_one_phase_1(self, monkeypatch):
         rng = random.Random("joint-mass-pin")
@@ -100,9 +102,9 @@ class TestJointMassProgram:
         counts = collections.Counter()
         engine, gate, phase1 = exactlp._solve_engine, exactlp.verify_point, exactlp._Simplex.phase1
 
-        def solved(system):
+        def solved(system, objective=None):
             counts["lps"] += 1
-            return engine(system)
+            return engine(system, objective)
 
         def checked(system, point):
             counts["verify_point"] += 1
@@ -187,7 +189,8 @@ class TestConeProgram:
                     want = references.rebuilt_cone_program(cone, value, direction)
                     assert got == want
                     assert [row.coeffs for row in got.rows] == [row.coeffs for row in want.rows]
-                    assert solve(got) == solve(want)
+                    objective = (1,) + (0,) * (got.n_vars - 1)
+                    assert solve(got, objective) == solve(want, objective)
                     assert previsions._generator_sup(cone, value, direction) == (
                         references.rebuilt_generator_sup(cone, value, direction)
                     )

@@ -1,7 +1,11 @@
 """Possibility spaces, assignments, and exact-rational gambles."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -244,3 +248,44 @@ class TestGamble:
     def test_dot_product(self):
         f = Gamble.on(SA, [3, -2])
         assert f.dot((Fraction(1, 2), Fraction(1, 2))) == Fraction(1, 2)
+
+
+# Builds a scope, a queried lexicographic system on it and a gamble; run in
+# processes with different string-hash seeds by the test below.
+_PICKLED_TRIO = """
+import pickle, sys
+from desirability import Gamble, Scope, Tri, Variable, member
+from desirability.maximal import LexSystem
+
+scope = Scope.of([Variable("X1", ("a", "b")), Variable("X2", ("a", "b", "c"))])
+lex = LexSystem.on(scope, [["1/6"] * 6, [1, 0, 0, 0, 0, 0]])
+gamble = Gamble.on(scope, [1, -1, "1/2", 0, 2, -1])
+assert member(lex, gamble) is Tri.IN and hash(lex) is not None
+trio = (scope, lex, gamble)
+if sys.argv[1] == "dump":
+    sys.stdout.write(pickle.dumps(trio).hex())
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    for twin, copy in zip(trio, loaded):
+        assert copy == twin and hash(copy) == hash(twin) and twin in {copy}, type(twin)
+    sys.stdout.write("ok")
+"""
+
+
+def test_hashes_survive_pickling_across_hash_seeds():
+    # Hashes built from ``str`` hashes differ between processes, so a
+    # loaded scope or lexicographic system must compute its own; a gamble
+    # hashes through its scope.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    outputs = []
+    for seed, mode in (("1", "dump"), ("2", "load")):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run(
+            [sys.executable, "-c", _PICKLED_TRIO, mode],
+            input=outputs[-1] if outputs else "",
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[-1] == "ok"
