@@ -1,8 +1,8 @@
 """Command-line front end for exact queries against JSON model documents.
 
-Exit codes: 0 pass/In, 1 fail/Out, 2 Unknown, 3 error.  All output is
-deterministic; ``--json`` switches to machine-readable payloads with
-sorted keys.
+Exit codes: 0 pass/In, 1 fail/Out, 2 Unknown, 3 error, usage errors
+included.  All output is deterministic; ``--json`` switches to
+machine-readable payloads with sorted keys.
 """
 
 from __future__ import annotations
@@ -53,10 +53,19 @@ _EXIT_ERROR = 3
 _VERDICT_EXIT = {Tri.IN: _EXIT_PASS, Tri.OUT: _EXIT_FAIL, Tri.UNKNOWN: _EXIT_UNKNOWN}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, where argparse would exit 2 (the code of
+    Unknown), so that ``main`` reports it like every other failure.
+    Subcommand parsers share the class."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 # Built on the first ``main`` call and reused: parsing keeps no state in it.
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="desirability",
         description="Exact queries against models of desirable gambles.",
     )
@@ -444,13 +453,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except DesirabilityError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _EXIT_ERROR
 

@@ -22,9 +22,9 @@ Five expression nodes compose them:
 
 ``member`` decides membership for every node exactly, except for strong
 products, whose boundary queries are honestly three-valued.
-Lexicographic, cell, conditioned and extension nodes decide it on the
-gamble's integer numerators, by a test each node builds on its first
-query and keeps (``scaled_member``).
+Lexicographic, cell, conditioned, extension and independent-product nodes
+decide it on the gamble's integer numerators, by a test each node builds
+on its first query and keeps (``scaled_member``).
 
 The central reductions:
 
@@ -139,7 +139,8 @@ class GeneratorSet:
     def _negated_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Per outcome ``w``, the ints ``-g_k(w) * den`` of every generator,
         and the lcm ``den`` of the generators' denominators: the generator
-        part of each outcome row of ``cone_program``, computed once."""
+        part of each outcome row of ``cone_program`` and of a product's
+        domination rows (``independence._walk_data``), computed once."""
         den = math.lcm(*[g.den for g in self.generators])
         columns = [[v * (den // g.den) for v in g.nums] for g in self.generators]
         return tuple([
@@ -242,9 +243,7 @@ def cone_program(
     row per outcome.  Without a direction the system is feasible exactly
     when ``value`` dominates a nonnegative combination of the generators.
     With one, the shift ``mu`` leads the variables, and
-    ``previsions._generator_sup`` maximises it.  ``independence.inex_member``
-    appends the columns of a product's cell and lexicographic summands to
-    these rows.
+    ``previsions._generator_sup`` maximises it.
 
     The rows are built on ints, with no ``Fraction``: the unit rows are
     shared (``unit_rows``), and each outcome row joins the cone's
@@ -267,15 +266,15 @@ def cone_program(
     return LinSystem(lead + n, tuple(rows))
 
 
-def sign_verdict(f: Gamble) -> Optional[bool]:
-    """The verdict of every coherent set on ``f`` from its signs alone:
-    ``False`` for zero and every nonpositive gamble, ``True`` for every
-    positive one, ``None`` when ``f`` takes both signs.  The product and
-    natural-extension procedures read it after their gate."""
-    if f.is_positive():
-        return True
-    if f.is_nonpositive():
+def sign_verdict(nums: Sequence[int]) -> Optional[bool]:
+    """The verdict of every coherent set on the gamble ``nums`` from its
+    signs alone: ``False`` for zero and every nonpositive gamble, ``True``
+    for every positive one, ``None`` when it takes both signs.  The product,
+    strong-product and natural-extension procedures read it after their gate."""
+    if max(nums) <= 0:
         return False
+    if min(nums) >= 0:
+        return True
     return None
 
 
@@ -289,7 +288,7 @@ def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
     """
     f = f.embed(assessment.scope)
     certificate = check_coherent(assessment)
-    verdict = sign_verdict(f)
+    verdict = sign_verdict(f.nums)
     if verdict is not None:
         return verdict
     # Every member has strictly positive expectation under the certificate.
@@ -667,20 +666,17 @@ def member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) -> Tri:
 
     Gambles on a subscope are identified with their cylindrical extension.
     ``UNKNOWN`` can only arise from strong-product boundaries.  ``budget``
-    caps the enumerative work of product queries: it is handed to
-    ``inex_member`` and ``strong_member``, also below conditioned and
+    caps the enumerative work of product queries: it is handed to the
+    product walk and ``strong_member``, also below conditioned and
     extended nodes, and no other procedure reads it.
 
-    Lexicographic, cell, conditioned and extension nodes decide on the
-    gamble's ints (``scaled_member``), by a test each node builds once.
+    Lexicographic, cell, conditioned, extension and independent-product
+    nodes decide on the gamble's ints (``scaled_member``), by a test each
+    node builds once.
     """
     f = f.embed(scope_of(expr))
     if isinstance(expr, GeneratorSet):
         return Tri.of(natext_member(expr, f))
-    if isinstance(expr, IndepProduct):
-        from .independence import inex_member
-
-        return inex_member(expr, f, budget=budget)
     if isinstance(expr, StrongProduct):
         from .previsions import strong_member
 
@@ -698,12 +694,13 @@ def scaled_member(
 ) -> Tri:
     """Membership of the gamble ``nums / den`` on the scope of ``expr``.
 
-    Lexicographic, cell, conditioned and extension nodes each build their
-    integer membership test once, on their first query, and keep it
-    (``_int_test``): a query reads it from the node's ``__dict__`` and
-    calls it.  Any other node receives the gamble ``nums / den`` through
-    ``member``.  Besides ``member``, the scans in ``independence`` call it
-    directly, with ints lifted once onto the scope of ``expr``.
+    Lexicographic, cell, conditioned, extension and independent-product
+    nodes each build their integer membership test once, on their first
+    query, and keep it (``_int_test``): a query reads it from the node's
+    ``__dict__`` and calls it.  Any other node receives the gamble
+    ``nums / den`` through ``member``.  Besides ``member``, the scans and
+    ``inex_member`` in ``independence`` call it directly, with ints lifted
+    once onto the scope of ``expr``.
     """
     test, data = expr.__dict__.get("_int_test") or _int_test(expr)
     return test(data, nums, den, budget)
@@ -726,15 +723,17 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
       other added variables, so the row is kept as its columns: the first
       outcome of every group, and the further columns, none when the
       target is base and irrelevant scope together.
+    * an independent product: its support mass, signature count and walk
+      rows (``independence._walk_data``, read by ``_walk_test`` there).
 
     The gates run while the test is built: a lexicographic system must
-    cover every outcome, and an extension's base must pass
-    ``check_coherent``.  A gate that raises keeps nothing, so an
-    incoherent leaf raises on every query.  A base is queried through
-    ``scaled_member`` only when a slice needs it, so it builds its own
-    test then.  The test is kept in the node's ``__dict__`` and never
-    refers back to the node, so a node is freed as soon as it is
-    unreferenced and pickles as it is.  Any other node gets
+    cover every outcome, and an extension's base and every marginal of a
+    product must pass ``check_coherent``.  A gate that raises keeps
+    nothing, so an incoherent leaf raises on every query.  A base is
+    queried through ``scaled_member`` only when a slice needs it, so it
+    builds its own test then.  The test is kept in the node's
+    ``__dict__`` and never refers back to the node, so a node is freed as
+    soon as it is unreferenced and pickles as it is.  Any other node gets
     ``_gamble_test`` and the node itself, which is not kept.
     """
     if isinstance(expr, LexSystem):
@@ -750,6 +749,12 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
         check_coherent(expr.base)
         columns = [tuple(zip(*row)) for row in expr.slice_table]
         kept = _slices_test, (tuple([(c[0], c[1:]) for c in columns]), expr.base)
+    elif isinstance(expr, IndepProduct):
+        from .independence import _walk_data, _walk_test
+
+        for part in expr.parts:
+            check_coherent(part)
+        kept = _walk_test, _walk_data(expr)
     else:
         return _gamble_test, expr
     expr.__dict__["_int_test"] = kept
@@ -851,20 +856,18 @@ class CoherenceReport:
         return all(f.passed for f in self.findings)
 
 
-def _negated_rows(cell: Cell) -> list[list[CellRow]]:
-    """Branches whose union is the complement of the cell (within f != 0)."""
-    options: list[list[CellRow]] = []
+def _negated_rows(cell: Cell) -> list[CellRow]:
+    """Branches of one row each whose union is the complement of the cell
+    (within f != 0)."""
+    rows: list[CellRow] = []
     for row in cell.rows:
         if row.rel == GE:
-            options.append([CellRow(-row.functional, GT)])
+            rows.append(CellRow(-row.functional, GT))
         elif row.rel == GT:
-            options.append([CellRow(-row.functional, GE)])
+            rows.append(CellRow(-row.functional, GE))
         else:
-            options.append([CellRow(row.functional, GT), CellRow(-row.functional, GT)])
-    flat: list[list[CellRow]] = []
-    for option in options:
-        flat.extend([negated] for negated in option)
-    return flat
+            rows += [CellRow(row.functional, GT), CellRow(-row.functional, GT)]
+    return rows
 
 
 def _positives_covered(cs: CellSet, budget: int) -> tuple[Optional[bool], Optional[Gamble]]:
@@ -883,12 +886,11 @@ def _positives_covered(cs: CellSet, budget: int) -> tuple[Optional[bool], Option
     size = cs.scope.size
     base_rows = list(unit_rows(size, GE))
     base_rows.append(LinRow._from_ints((1,) * size + (0,), GT))
-    for choice in itertools.product(*per_cell) if per_cell else [()]:
+    for choice in itertools.product(*per_cell):
         rows = list(base_rows)
-        for negated_list in choice:
-            for negated in negated_list:
-                e = negated.functional
-                rows.append(LinRow._from_ints(e.nums + (0,), negated.rel, e.den))
+        for negated in choice:
+            e = negated.functional
+            rows.append(LinRow._from_ints(e.nums + (0,), negated.rel, e.den))
         outcome = strict_feasible(LinSystem(size, tuple(rows)))
         if isinstance(outcome, Feasible):
             return False, Gamble(cs.scope, outcome.witness)

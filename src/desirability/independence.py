@@ -17,7 +17,7 @@ summand per block, where every summand's slices along the other blocks lie
 in that block's model (or vanish).  A generator marginal's summands
 therefore range over one cone, its generators masked by every assignment
 of the other blocks: all-generator products collapse to it, and a mixed
-product takes its ``cone_program`` rows.  For a cell or lexicographic
+product weighs them in its domination rows.  For a cell or lexicographic
 marginal each (block, slice) constraint is a finite disjunction of linear
 sign patterns, the rows of the marginal's sign cells (the cells that
 prices read too, here with zero admitted), and ``h`` belongs iff some
@@ -38,10 +38,10 @@ lexicographic systems, strictly desirable credal sets and cell sets of
 one cell without the positives) gives each of its pairs that chain; any
 other gives each pair one single-cell chain per cell, and the walk runs
 once per choice of one chain per pair, so that together the walks cover
-every signature.  The product's
-layout (its joint scope, block and slice indices) comes from ``space``,
-and each (block, slice, branch) row is built once per query, not once
-per signature.
+every signature.  The product's layout (its joint scope, block and slice
+indices) comes from ``space``.  Each product builds its rows once per
+product, on its first query, and keeps them in its integer test: only
+the domination rows read ``h``, so a query builds those and walks.
 
 Irrelevance and independence of an arbitrary expression are refutation
 checks — sampled or exhaustive-grid scans of the membership biconditional
@@ -50,11 +50,12 @@ works on index tables built once on the expression's full scope: each
 sampled gamble's ints are lifted onto that scope once, and its masks copy
 the lifted ints at the precomputed slice indices of each event.  Every
 query goes to ``desirable.scaled_member`` as ints over the sample's
-denominator, with no gamble built.  Lexicographic, cell, conditioned and
-``IrrExt`` nodes decide it on an integer test that each node builds once,
-on its first query, and keeps: sign tests on the leaves' ints, and mask
-and slice tables that hand the base its ints.  The other nodes
-receive their gamble through ``member``.
+denominator, with no gamble built.  Lexicographic, cell, conditioned,
+``IrrExt`` and ``IndepProduct`` nodes decide it on an integer test that
+each node builds once, on its first query, and keeps: sign tests on the
+leaves' ints, mask and slice tables that hand the base its ints, and a
+product's walk rows.  The other nodes receive their gamble through
+``member``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .desirable import (
-    Cell,
     CellSet,
     ConditionalFamily,
     DesirableSetExpr,
@@ -74,9 +74,7 @@ from .desirable import (
     IndepProduct,
     Tri,
     avoids_nonpositivity,  # noqa: F401 - perfbench/tracer.py wraps this binding
-    check_coherent,
-    cone_program,
-    member,
+    member,  # noqa: F401 - perfbench/tracer.py wraps this binding
     scaled_member,
     scope_of,
     sign_cells,
@@ -84,7 +82,7 @@ from .desirable import (
     sign_verdict,
 )
 from .errors import BudgetExceededError, ScopeError, UnsupportedQueryError
-from .exactlp import GT, Feasible, LinRow, LinSystem, strict_feasible
+from .exactlp import GE, GT, Feasible, LinRow, LinSystem, strict_feasible, unit_rows
 from .maximal import LexSystem
 from .space import (
     Assignment,
@@ -168,105 +166,95 @@ def conditional_inex(families: Sequence[ConditionalFamily]) -> ConditionalFamily
 
 
 def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> Tri:
-    """Membership in an independent natural extension.
+    """Membership in an independent natural extension: ``scaled_member`` on
+    ``h``'s ints on the scope of ``expr``, with the same ``budget``.  A
+    product decides on the test it builds once every marginal passes
+    ``check_coherent`` (``_walk_data`` and ``_walk_test``)."""
+    h = h.embed(scope_of(expr))
+    return scaled_member(expr, h.nums, h.den, budget)
 
-    Any other expression answers through the plain dispatcher, with the
-    same ``budget``.  Each marginal passes ``check_coherent`` before any
-    sign filter, so a generator marginal that fails the consistency check,
-    or a lexicographic marginal that is not coherent, raises
-    ``IncoherentBaseError`` whatever ``h`` is.
-    The sign filters read ``h``'s ints; the last of them dots them with the
-    product's ``support_mass``, built once per product.
-    The masked generators of all generator marginals give the weight and
-    domination rows of ``cone_program``, to which each cell or
-    lexicographic marginal adds one column per outcome for its summand.
-    Each (block, slice) pair of those marginals lies in one of the
-    marginal's sign cells (a branch), its rows read with zero admitted,
-    since a summand's slice may vanish; ``h`` belongs iff some combined
-    choice, a signature, is strictly feasible.  ``budget`` caps the number
-    of signatures, counted before any LP is solved.
 
-    Each pair advances along a chain of its cells (``_chain_walk``).  A
-    marginal with a ``sign_chain`` gives each of its pairs that chain; one
-    without gives each pair one single-cell chain per sign cell.  ``h``
-    belongs iff the walk finds a decomposition for some choice of one
-    chain per pair (``itertools.product``).  A walk solves at most one LP
-    per cell past the first, over all pairs, and one more; so a product
-    whose marginals all have chains is decided by one walk.
+def _walk_data(expr: IndepProduct) -> tuple:
+    """What ``_walk_test`` reads, built once per product: the support mass,
+    the signature count and, when every marginal is a leaf, the walk rows.
 
-    Each (block, slice) pair reads its joint indices from ``_slice_map``.
-    The cone rows do not depend on the signature, so every (block, slice,
-    branch) row is built once per query, and a signature only joins its
-    rows to the cone rows; every walk shares them.
+    The walk rows are: the column count; the rows ``lam_k >= 0`` of the
+    masked generators of all generator marginals; per outcome, the ints
+    of its domination row over ``den``, the generators' lcm, in which each
+    cell or lexicographic marginal's summand enters at -1; ``den``; and
+    each (block, slice) pair's chains of sign cells (``sign_chain``, or
+    one single-cell chain per cell), their rows read with zero admitted,
+    since a summand's slice may vanish.
     """
-    if not isinstance(expr, IndepProduct):
-        return member(expr, h, budget=budget)
-    parts = expr.parts
-    for part in parts:
-        check_coherent(part)
-    joint = scope_of(expr)
-    h = h.embed(joint)
-    verdict = sign_verdict(h)
-    if verdict is not None:
-        return Tri.of(verdict)
-    mass = expr.support_mass
-    if mass is not None and sum(map(mul, mass, h.nums)) < 0:
-        return Tri.OUT
-
+    joint = expr.scope
+    size = joint.size
     masked = tuple([
         g
-        for part in parts
+        for part in expr.parts
         if isinstance(part, GeneratorSet)
         for g in masked_generators(part, joint.difference(part.scope))
     ])
-    branched = [part for part in parts if not isinstance(part, GeneratorSet)]
+    branched = [part for part in expr.parts if not isinstance(part, GeneratorSet)]
     if not all(isinstance(part, (CellSet, LexSystem)) for part in branched):
-        raise UnsupportedQueryError(
-            "product membership needs leaf marginals (generators, cells, or lex)"
-        )
-    weights, size = len(masked), joint.size
-    # One entry per (block, slice) pair of a cell or lex marginal: the first
-    # column of its summand, joint indices of the slice, the marginal's sign
-    # cells (in chain order when they form one) and whether they do.
-    pairs: list[tuple[int, tuple[int, ...], tuple[Cell, ...], bool]] = []
+        return expr.support_mass, 0, None
+    weights = len(masked)
+    width = weights + len(branched) * size
+    negated, den = GeneratorSet(joint, masked)._negated_ints
+    outcomes = tuple([
+        gs + tuple([-den if j % size == w else 0 for j in range(width - weights)])
+        for w, gs in enumerate(negated)
+    ])
+    signatures = 1
+    walks: list[list[list[list[LinRow]]]] = []
     for n, part in enumerate(branched):
         chain = sign_chain(part)
         cells = sign_cells(part) if chain is None else chain
-        for z in joint.difference(scope_of(part)).assignments():
-            pairs.append(
-                (weights + n * size, _slice_map(joint, z)[0], cells, chain is not None)
-            )
+        first = weights + n * size
+        for z in joint.difference(part.scope).assignments():
+            indices = _slice_map(joint, z)[0]
+            options = []
+            for cell in cells:
+                rendered = []
+                for row in cell.rows:
+                    coeffs = [0] * (width + 1)
+                    for idx, c in zip(indices, row.functional.nums):
+                        coeffs[first + idx] = c
+                    rendered.append(LinRow._from_ints(tuple(coeffs), row.rel, row.functional.den))
+                options.append(rendered)
+            walks.append([options] if chain is not None else [[option] for option in options])
+            signatures *= len(cells)
+    rows = width, unit_rows(width, GE)[:weights], outcomes, den, walks
+    return expr.support_mass, signatures, rows
 
-    if math.prod(len(cells) for _, _, cells, _ in pairs) > budget:
+
+def _walk_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
+    """Product membership of ``h = nums / den``: it belongs iff it
+    dominates a sum of one summand per block whose slices lie in the
+    marginals.  ``sign_verdict`` and the support mass, on which members
+    have nonnegative expectation, decide first; then a marginal that is
+    not a leaf raises, and ``budget`` caps the signatures.  Only the
+    domination rows read ``h``.  ``h`` belongs iff a walk (``_chain_walk``)
+    finds a decomposition for some choice of one chain per pair."""
+    mass, signatures, rows = data
+    verdict = sign_verdict(nums)
+    if verdict is not None:
+        return Tri.of(verdict)
+    if mass is not None and sum(map(mul, mass, nums)) < 0:
+        return Tri.OUT
+    if rows is None:
+        raise UnsupportedQueryError(
+            "product membership needs leaf marginals (generators, cells, or lex)"
+        )
+    if signatures > budget:
         raise BudgetExceededError(
             "signature enumeration needs more than %d problems" % budget
         )
-
-    cone = cone_program(GeneratorSet(joint, masked), h)
-    cols = len(branched) * size
-    width = weights + cols
-    # The weight rows, then one domination row per outcome, in which every
-    # summand enters at -1.
-    fixed: list[LinRow] = []
-    for i, row in enumerate(cone.rows):
-        nums, den = row.nums, row.den
-        extra = [-den if j % size == i - weights else 0 for j in range(cols)]
-        fixed.append(LinRow._from_ints(nums[:-1] + tuple(extra) + nums[-1:], row.rel, den))
-    # Each pair's chains: its marginal's one chain, or one single-cell chain
-    # per cell.
-    walks: list[list[list[list[LinRow]]]] = []
-    for first, indices, cells, chained in pairs:
-        options = []
-        for cell in cells:
-            rendered = []
-            for row in cell.rows:
-                coeffs = [0] * (width + 1)
-                for idx, c in zip(indices, row.functional.nums):
-                    coeffs[first + idx] = c
-                rendered.append(LinRow._from_ints(tuple(coeffs), row.rel, row.functional.den))
-            options.append(rendered)
-        walks.append([options] if chained else [[option] for option in options])
-
+    width, fixed, outcomes, gen_den, walks = rows
+    lcm = math.lcm(gen_den, den)
+    a, b = lcm // gen_den, lcm // den
+    fixed = list(fixed)
+    for coeffs, v in zip(outcomes, nums):
+        fixed.append(LinRow._from_ints((*[a * c for c in coeffs], -b * v), GE, lcm))
     return Tri.of(any(_chain_walk(width, fixed, menu) for menu in itertools.product(*walks)))
 
 

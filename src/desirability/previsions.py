@@ -684,7 +684,7 @@ def strong_member(
     if all(isinstance(p, LexSystem) for p in parts):
         return inex_member(independent_product(parts), f, budget=budget)
     fitted = f.embed(scope_of(expr))
-    verdict = sign_verdict(fitted)
+    verdict = sign_verdict(fitted.nums)
     if verdict is not None:
         return Tri.of(verdict)
     views = [credal_view(p, budget=budget) for p in parts]

@@ -61,6 +61,7 @@ fast paths, so a test can compare the two:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -408,8 +409,9 @@ def _fraction_holds(row: CellRow, values: Sequence[Fraction]) -> bool:
 def fraction_member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) -> Tri:
     """``member`` with lexicographic, cell, conditioned and extension nodes
     decided on ``Fraction`` values: exact expectations, masks that copy
-    values, and slice floors read from ``IrrExt.slice_table``.  Generator
-    and product nodes answer through the engine's ``member``."""
+    values, and slice floors read from ``IrrExt.slice_table``.
+    Independent products answer by ``inex_member_enumerated``; generator
+    sets and strong products through the engine's ``member``."""
     scope = scope_of(expr)
     values = fraction_values(f, scope)
     if isinstance(expr, LexSystem):
@@ -446,7 +448,23 @@ def fraction_member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) 
             if verdict is Tri.UNKNOWN:
                 unknown = True
         return Tri.UNKNOWN if unknown else Tri.IN
+    if isinstance(expr, IndepProduct):
+        f = Gamble(scope, values)
+        divisor = math.gcd(*f.nums) or 1
+        return _enumerated(expr, tuple([v // divisor for v in f.nums]), budget)
     return member(expr, Gamble(scope, values), budget=budget)
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated(expr: IndepProduct, nums: tuple[int, ...], budget: int) -> Tri:
+    """``inex_member_enumerated`` on the primitive integer gamble ``nums``.
+
+    Every product is a cone, so a gamble and its positive multiples share
+    one verdict.  The scans ask many gambles more than once, and the
+    enumeration solves one LP per signature, so each verdict is kept.
+    """
+    values = tuple([Fraction(v) for v in nums])
+    return inex_member_enumerated(expr, Gamble(scope_of(expr), values), budget=budget)
 
 
 def fraction_sample_gambles(

@@ -337,6 +337,16 @@ class TestErrors:
         )
         assert code == 3 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("member", "product"), ("frobnicate",), ("--budget", "x", "member", "product", "[1,0,0,0]")],
+    )
+    def test_usage_error_exits_three_with_one_line(self, capsys, argv):
+        # argparse would exit 2, which is the code of Unknown.
+        code, out, err = run(capsys, "--model", DEMO, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_member_without_model_flag(self, capsys):
         code, _, err = run(capsys, "member", "coin-lean", "[1,-1]")
         assert code == 3 and "--model" in err
@@ -650,8 +660,8 @@ class TestBuildsOnRead:
         assert builds == {"GeneratorSet.of": 4, "independent_product": 1}
 
 
-# Every subcommand on the demo model, in text and JSON, with a usage error
-# (exit 2 from argparse) and an engine-level error (exit 3) in between.
+# Every subcommand on the demo model, in text and JSON, with usage errors
+# and an engine-level error in between: all exit 3 with one ``error:`` line.
 REUSE_SEQUENCE = [
     ["check", "product"],
     ["member", "coin-lean", "[2,-2]"],

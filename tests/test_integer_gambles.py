@@ -1,8 +1,8 @@
 """Gambles held as integer numerators over one denominator.
 
 A gamble keeps its values as ints over one positive denominator, and the
-lexicographic, cell, conditioned and extension nodes decide membership on
-those ints.  The tests below check three things:
+lexicographic, cell, conditioned, extension and independent-product nodes
+decide membership on those ints.  The tests below check three things:
 
 * the int form is the rational value exactly: a gamble built from ints
   equals its ``Fraction``-built twin and hashes alike, and every operation
@@ -11,8 +11,9 @@ those ints.  The tests below check three things:
   are members together for every rational ``k > 0``;
 * the int path gives the verdicts of the ``Fraction`` path it replaced
   (``references.fraction_member`` and the ``fraction_*`` scans), field for
-  field, on every LP-free node kind, nested ones included, on 2x2, 3x2 and
-  2x2x2 scopes.
+  field, on every LP-free node kind and on independent products, whose
+  reference is the flat signature enumeration, nested ones included, on
+  2x2, 3x2 and 2x2x2 scopes.
 """
 
 import copy
@@ -42,7 +43,7 @@ from desirability import (
     member,
     strictly_desirable,
 )
-from desirability.desirable import CellSet, Conditioned, StrongProduct, scope_of
+from desirability.desirable import CellSet, Conditioned, IndepProduct, StrongProduct, scope_of
 from desirability.independence import factorisation_check, irrelevant_extension
 from desirability.structure import condition, sample_gambles
 from randgen import random_credal, random_generator_set, random_mass
@@ -177,7 +178,7 @@ def test_sampled_gambles_equal_their_fraction_twins():
 
 
 # ---------------------------------------------------------------------------
-# models: every LP-free node kind, nested ones included
+# models: every LP-free node kind and independent products, nested ones included
 # ---------------------------------------------------------------------------
 
 
@@ -193,11 +194,19 @@ SHAPES = ((A2, B2), (A3, B2), (A2, B2, C2))
 
 
 def node_cases(seed):
-    """(name, expression) pairs: every LP-free node kind on each shape, and
-    an extension and a conditioned node over a strong product of two
-    strictly desirable sets, whose boundary queries are ``UNKNOWN``."""
+    """(name, expression) pairs: every LP-free node kind on each shape, an
+    extension and a conditioned node over a strong product of two strictly
+    desirable sets, whose boundary queries are ``UNKNOWN``, and independent
+    products: of a lexicographic, a strictly desirable or a generator
+    marginal with a lexicographic one on 2x2 and 3x2, and on 2x2x2 an
+    extension and a conditioned node over a product.  The flat enumeration
+    that decides products in ``fraction_member`` solves one LP per
+    signature, so the nested products have few signatures (16 and 4), and
+    the products do not depend on ``seed``, so that every test shares the
+    verdicts ``references._enumerated`` keeps."""
     rng = random.Random("integer-gambles-%d" % seed)
     strong_rng = random.Random("integer-gambles-strong-%d" % seed)
+    product_rng = random.Random("integer-gambles-product")
     cases = []
     for variables in SHAPES:
         a, b = variables[0], variables[1]
@@ -237,6 +246,35 @@ def node_cases(seed):
             ("irrext-strong", IrrExt(strong, Scope.empty(), joint)),
             ("conditioned-strong", Conditioned(strong, first_b)),
         ]
+        lex_b = maximal_lex(product_rng, one(b))
+        if len(variables) == 2:
+            cases += [
+                ("product-lex", IndepProduct((maximal_lex(product_rng, base), lex_b))),
+                (
+                    "product-cells",
+                    IndepProduct((strictly_desirable(random_credal(product_rng, base)), lex_b)),
+                ),
+                (
+                    "product-generators",
+                    IndepProduct((random_generator_set(product_rng, base, count=1), lex_b)),
+                ),
+            ]
+        else:
+            c = variables[2]
+            cells_ac = strictly_desirable(random_credal(product_rng, one(a, c)))
+            generators_b = random_generator_set(product_rng, one(b), count=1)
+            cases += [
+                (
+                    "irrext-product",
+                    irrelevant_extension(
+                        IndepProduct((maximal_lex(product_rng, base), lex_b)), one(c), joint
+                    ),
+                ),
+                (
+                    "conditioned-product",
+                    Conditioned(IndepProduct((cells_ac, generators_b)), first_b),
+                ),
+            ]
     return cases
 
 
@@ -260,10 +298,11 @@ def boundary_gambles(rng, expr, count):
 
 def test_cases_cover_every_node_kind():
     kinds = {type(expr).__name__ for _, expr in node_cases(0)}
-    assert kinds == {"LexSystem", "CellSet", "Conditioned", "IrrExt"}
+    assert kinds == {"LexSystem", "CellSet", "Conditioned", "IrrExt", "IndepProduct"}
     nested = [expr for _, expr in node_cases(0) if isinstance(expr, (IrrExt, Conditioned))]
     assert {type(expr.base).__name__ for expr in nested} >= {
-        "LexSystem", "CellSet", "Conditioned", "IrrExt", "GeneratorSet", "StrongProduct"
+        "LexSystem", "CellSet", "Conditioned", "IrrExt", "GeneratorSet", "StrongProduct",
+        "IndepProduct",
     }
 
 
@@ -362,8 +401,12 @@ def _scan_groups(expr):
 
 def test_irrelevance_scans_match_the_fraction_path():
     for name, expr in node_cases(2):
+        # The flat enumeration that decides products in ``fraction_member``
+        # solves one LP per signature, too many for the exhaustive grid of a
+        # ternary variable: a product on 3x2 runs the sampled scan alone.
+        large_product = isinstance(expr, IndepProduct) and scope_of(expr).size > 4
         for irrelevant, onto in _scan_groups(expr):
-            for budget, seed in ((2000, 0), (30, 3)):
+            for budget, seed in ((30, 3),) if large_product else ((2000, 0), (30, 3)):
                 got = is_irrelevant(expr, irrelevant, onto, budget=budget, seed=seed)
                 want = fraction_is_irrelevant(expr, irrelevant, onto, budget=budget, seed=seed)
                 assert got == want, (name, irrelevant.names, onto.names)
