@@ -21,10 +21,10 @@ Five expression nodes compose them:
 * ``ConditionalFamily`` — a table of models, one per assignment.
 
 ``member`` decides membership for every node exactly, except for strong
-products, whose boundary queries are honestly three-valued.
-Lexicographic, cell, conditioned, extension and independent-product nodes
-decide it on the gamble's integer numerators, by a test each node builds
-on its first query and keeps (``scaled_member``).
+products, whose boundary queries are honestly three-valued.  Every node
+kind decides it on the gamble's integer numerators, by a test each node
+builds on its first query and keeps (``scaled_member``); a conditional
+family answers only conditioned queries and keeps nothing.
 
 The central reductions:
 
@@ -138,9 +138,9 @@ class GeneratorSet:
     @cached_property
     def _negated_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Per outcome ``w``, the ints ``-g_k(w) * den`` of every generator,
-        and the lcm ``den`` of the generators' denominators: the generator
-        part of each outcome row of ``cone_program`` and of a product's
-        domination rows (``independence._walk_data``), computed once."""
+        and the lcm ``den`` of the generators' denominators, computed once:
+        the generator part of each outcome row of ``cone_program``, kept in
+        the set's integer test, and of a product's domination rows."""
         den = math.lcm(*[g.den for g in self.generators])
         columns = [[v * (den // g.den) for v in g.nums] for g in self.generators]
         return tuple([
@@ -235,34 +235,35 @@ def check_coherent(model: DesirableSetExpr) -> Optional[ConsistencyCertificate]:
 
 
 def cone_program(
-    cone: GeneratorSet, value: Gamble, direction: Optional[Gamble] = None
+    cone: tuple, nums: Sequence[int], den: int, direction: Optional[Gamble] = None
 ) -> LinSystem:
-    """The rows of the dominance program ``value + mu*direction >= sum_k lam_k g_k``.
+    """The rows of the dominance program ``f + mu*direction >= sum_k lam_k g_k``
+    for ``f = nums / den`` and the generators of the cone whose
+    ``_negated_ints`` are ``cone``.
 
     One unit row ``lam_k >= 0`` per generator weight comes first, then one
     row per outcome.  Without a direction the system is feasible exactly
-    when ``value`` dominates a nonnegative combination of the generators.
-    With one, the shift ``mu`` leads the variables, and
-    ``previsions._generator_sup`` maximises it.
+    when ``f`` dominates a nonnegative combination of the generators, as
+    the generator sets' kept test (``_natext_test``) asks.  With one, the
+    shift ``mu`` leads the variables, and ``previsions._generator_sup``
+    maximises it.
 
     The rows are built on ints, with no ``Fraction``: the unit rows are
-    shared (``unit_rows``), and each outcome row joins the cone's
-    ``_negated_ints`` to the gamble's and the direction's ints over the lcm
-    of their denominators.
+    shared (``unit_rows``), and each outcome row joins the cone's ints to
+    the gamble's and the direction's over the lcm of their denominators.
     """
-    n = len(cone.generators)
+    negated, gen_den = cone
+    n = len(negated[0])
     lead = 0 if direction is None else 1
     rows = list(unit_rows(lead + n, GE, lead))
-    negated, gen_den = cone._negated_ints
-    den = math.lcm(gen_den, value.den, 1 if direction is None else direction.den)
-    a, b = den // gen_den, den // value.den
-    values = value.nums
+    lcm = math.lcm(gen_den, den, 1 if direction is None else direction.den)
+    a, b = lcm // gen_den, lcm // den
     for w, gs in enumerate(negated):
         if a != 1:
             gs = tuple([a * v for v in gs])
         if direction is not None:
-            gs = (direction.nums[w] * (den // direction.den),) + gs
-        rows.append(LinRow._from_ints(gs + (-b * values[w],), GE, den))
+            gs = (direction.nums[w] * (lcm // direction.den),) + gs
+        rows.append(LinRow._from_ints(gs + (-b * nums[w],), GE, lcm))
     return LinSystem(lead + n, tuple(rows))
 
 
@@ -282,21 +283,12 @@ def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
     """Does ``f`` dominate a nonnegative combination of the generators?
 
     Decides membership in the smallest coherent set containing the
-    assessment.  Raises ``IncoherentBaseError`` when the assessment fails
-    the consistency check (``check_coherent``: the extension would be
+    assessment: ``member`` on it, which decides on the test the set keeps
+    (``_natext_test``).  Raises ``IncoherentBaseError`` when the assessment
+    fails the consistency check (``check_coherent``: the extension would be
     everything).
     """
-    f = f.embed(assessment.scope)
-    certificate = check_coherent(assessment)
-    verdict = sign_verdict(f.nums)
-    if verdict is not None:
-        return verdict
-    # Every member has strictly positive expectation under the certificate.
-    if sum(map(mul, certificate.int_mass, f.nums)) <= 0:
-        return False
-    if not assessment.generators:
-        return False
-    return isinstance(solve(cone_program(assessment, f)), Feasible)
+    return member(assessment, f) is Tri.IN
 
 
 # ---------------------------------------------------------------------------
@@ -667,25 +659,13 @@ def member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) -> Tri:
     Gambles on a subscope are identified with their cylindrical extension.
     ``UNKNOWN`` can only arise from strong-product boundaries.  ``budget``
     caps the enumerative work of product queries: it is handed to the
-    product walk and ``strong_member``, also below conditioned and
+    product walk and the strong-product scan, also below conditioned and
     extended nodes, and no other procedure reads it.
 
-    Lexicographic, cell, conditioned, extension and independent-product
-    nodes decide on the gamble's ints (``scaled_member``), by a test each
-    node builds once.
+    Every node kind decides on the gamble's ints (``scaled_member``), by a
+    test each node builds once; a conditional family raises there.
     """
     f = f.embed(scope_of(expr))
-    if isinstance(expr, GeneratorSet):
-        return Tri.of(natext_member(expr, f))
-    if isinstance(expr, StrongProduct):
-        from .previsions import strong_member
-
-        return strong_member(expr, f, budget=budget)
-    if isinstance(expr, ConditionalFamily):
-        raise UnsupportedQueryError(
-            "conditional families answer only conditioned queries; "
-            "condition on an assignment of %r first" % (expr.on.names,)
-        )
     return scaled_member(expr, f.nums, f.den, budget)
 
 
@@ -694,13 +674,12 @@ def scaled_member(
 ) -> Tri:
     """Membership of the gamble ``nums / den`` on the scope of ``expr``.
 
-    Lexicographic, cell, conditioned, extension and independent-product
-    nodes each build their integer membership test once, on their first
-    query, and keep it (``_int_test``): a query reads it from the node's
-    ``__dict__`` and calls it.  Any other node receives the gamble
-    ``nums / den`` through ``member``.  Besides ``member``, the scans and
-    ``inex_member`` in ``independence`` call it directly, with ints lifted
-    once onto the scope of ``expr``.
+    Every node kind builds its integer membership test once, on its first
+    query, and keeps it (``_int_test``): a query reads it from the node's
+    ``__dict__`` and calls it.  A conditional family builds none and
+    raises.  Besides ``member``, the scans and ``inex_member`` in
+    ``independence`` call it directly, with ints lifted once onto the scope
+    of ``expr``.
     """
     test, data = expr.__dict__.get("_int_test") or _int_test(expr)
     return test(data, nums, den, budget)
@@ -711,8 +690,12 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
     function and the plain data it reads, ``(test, data)``.
 
     Every node denotes a cone, so ``nums`` alone, a positive multiple of the
-    gamble, decides the leaves: their tests read integer signs.
+    gamble, decides the leaves: their tests read integer signs, and a
+    generator set's program reads ``den`` only to put the gamble over the
+    generators' lcm.
 
+    * a generator set: its certificate's ``int_mass`` and its
+      ``_negated_ints`` (``_natext_test``);
     * a lexicographic system: its ``int_levels`` (``_lex_test``);
     * a cell set: its size, whether it includes the positives, and per
       cell its ``exclude_zero`` and ``_int_rows`` (``_cellset_test``);
@@ -724,19 +707,25 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
       outcome of every group, and the further columns, none when the
       target is base and irrelevant scope together.
     * an independent product: its support mass, signature count and walk
-      rows (``independence._walk_data``, read by ``_walk_test`` there).
+      rows (``independence._walk_data``, read by ``_walk_test`` there);
+    * a strong product: over lexicographic marginals alone, the test of
+      their independent product, which it equals; otherwise its marginals
+      and scope (``previsions._strong_test``).
 
-    The gates run while the test is built: a lexicographic system must
-    cover every outcome, and an extension's base and every marginal of a
-    product must pass ``check_coherent``.  A gate that raises keeps
-    nothing, so an incoherent leaf raises on every query.  A base is
-    queried through ``scaled_member`` only when a slice needs it, so it
-    builds its own test then.  The test is kept in the node's
-    ``__dict__`` and never refers back to the node, so a node is freed as
-    soon as it is unreferenced and pickles as it is.  Any other node gets
-    ``_gamble_test`` and the node itself, which is not kept.
+    The gates run while the test is built: a generator set must pass the
+    consistency check, a lexicographic system must cover every outcome,
+    and an extension's base and every marginal of a product must pass
+    ``check_coherent``.  A gate that raises keeps nothing, so an incoherent
+    leaf raises on every query.  A base is queried through
+    ``scaled_member`` only when a slice needs it, so it builds its own test
+    then.  The test is kept in the node's ``__dict__`` and never refers
+    back to the node, so a node is freed as soon as it is unreferenced and
+    pickles as it is.  A conditional family keeps nothing: it raises
+    ``UnsupportedQueryError`` on every plain query.
     """
-    if isinstance(expr, LexSystem):
+    if isinstance(expr, GeneratorSet):
+        kept = _natext_test, (check_coherent(expr).int_mass, expr._negated_ints)
+    elif isinstance(expr, LexSystem):
         if not expr.covers_outcomes:
             check_coherent(expr)
         kept = _lex_test, expr.int_levels
@@ -749,16 +738,40 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
         check_coherent(expr.base)
         columns = [tuple(zip(*row)) for row in expr.slice_table]
         kept = _slices_test, (tuple([(c[0], c[1:]) for c in columns]), expr.base)
-    elif isinstance(expr, IndepProduct):
-        from .independence import _walk_data, _walk_test
+    elif isinstance(expr, _Product):
+        from .independence import _walk_data, _walk_test, independent_product
+        from .previsions import _strong_test
 
         for part in expr.parts:
             check_coherent(part)
-        kept = _walk_test, _walk_data(expr)
+        if isinstance(expr, IndepProduct):
+            kept = _walk_test, _walk_data(expr)
+        elif all(isinstance(part, LexSystem) for part in expr.parts):
+            kept = _int_test(independent_product(expr.parts))
+        else:
+            kept = _strong_test, (expr.parts, expr.scope)
     else:
-        return _gamble_test, expr
+        # The eighth kind, a conditional family (``scope_of`` has rejected
+        # anything else), answers no plain query.
+        raise UnsupportedQueryError(
+            "conditional families answer only conditioned queries; "
+            "condition on an assignment of %r first" % (expr.on.names,)
+        )
     expr.__dict__["_int_test"] = kept
     return kept
+
+
+def _natext_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
+    """Natural-extension membership of ``nums / den``: ``sign_verdict``,
+    the certificate's mass, under which every member has positive
+    expectation, and then, if there are generators, ``cone_program``."""
+    mass, cone = data
+    verdict = sign_verdict(nums)
+    if verdict is not None:
+        return Tri.of(verdict)
+    if sum(map(mul, mass, nums)) <= 0 or not cone[0][0]:
+        return Tri.OUT
+    return Tri.of(isinstance(solve(cone_program(cone, nums, den)), Feasible))
 
 
 def _lex_test(levels: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
@@ -818,11 +831,6 @@ def _slices_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri
         if verdict is Tri.UNKNOWN:
             unknown = True
     return Tri.UNKNOWN if unknown else Tri.IN
-
-
-def _gamble_test(expr: DesirableSetExpr, nums: Sequence[int], den: int, budget: int) -> Tri:
-    """``member`` on the gamble ``nums / den``, built on the scope of ``expr``."""
-    return member(expr, Gamble._from_ints(scope_of(expr), tuple(nums), den), budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,12 @@ works on index tables built once on the expression's full scope: each
 sampled gamble's ints are lifted onto that scope once, and its masks copy
 the lifted ints at the precomputed slice indices of each event.  Every
 query goes to ``desirable.scaled_member`` as ints over the sample's
-denominator, with no gamble built.  Lexicographic, cell, conditioned,
-``IrrExt`` and ``IndepProduct`` nodes decide it on an integer test that
-each node builds once, on its first query, and keeps: sign tests on the
-leaves' ints, mask and slice tables that hand the base its ints, and a
-product's walk rows.  The other nodes receive their gamble through
-``member``.
+denominator, with no gamble built.  Every node kind decides it on an
+integer test that each node builds once, on its first query, and keeps:
+sign tests on the leaves' ints, a generator set's mass and cone ints,
+mask and slice tables that hand the base its ints, a product's walk rows
+and a strong product's marginals.  A conditional family keeps none and
+raises.
 """
 
 from __future__ import annotations

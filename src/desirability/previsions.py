@@ -46,6 +46,7 @@ from .desirable import (
     avoids_nonpositivity,  # noqa: F401 - perfbench/tracer.py wraps this binding
     check_coherent,
     cone_program,
+    member,
     scope_of,
     sign_cells,
     sign_verdict,
@@ -199,7 +200,8 @@ def _generator_sup(
     # Bounded behind the gate: its mass p > 0 gives each generator positive
     # expectation, so a feasible shift has p.(value + mu*direction) >= 0,
     # that is mu <= p.value / p.(-direction).
-    outcome = solve(cone_program(cone, value, direction), (1,) + (0,) * len(cone.generators))
+    program = cone_program(cone._negated_ints, value.nums, value.den, direction)
+    outcome = solve(program, (1,) + (0,) * len(cone.generators))
     if isinstance(outcome, Optimal):
         return m0 + outcome.value
     return None
@@ -659,36 +661,38 @@ def strong_product_lower(
 def strong_member(
     expr: StrongProduct, f: Gamble, *, budget: int = 100000
 ) -> Tri:
-    """Membership in the strong product of the marginal models.
+    """Membership in the strong product of the marginal models: ``member``
+    on the product, which decides on the test the product keeps.
 
-    When every marginal is a lexicographic model the strong product
-    coincides with the independent product of the marginals, so the
-    verdict delegates to the exact product-membership procedure.
-    Otherwise ``sign_verdict`` puts zero and nonpositive gambles out and
-    positive gambles in, as every coherent set does, before any marginal's
-    credal set is enumerated (so ``budget`` never stops them).  Before
-    either, each marginal passes ``check_coherent``: a generator marginal
-    that fails the consistency check, or a lexicographic marginal that is
-    not coherent, raises ``IncoherentBaseError``, whatever the gamble.
-    The strong lower prevision decides everything else except
-    its own zero level: strictly positive strong price is in, strictly
-    negative strong price means out, and the boundary stays ``UNKNOWN``
-    because membership there depends on which dominating linear
-    previsions the marginal models admit.
+    Before any verdict, each marginal passes ``check_coherent``: a
+    generator marginal that fails the consistency check, or a
+    lexicographic marginal that is not coherent, raises
+    ``IncoherentBaseError``, whatever the gamble.  When every marginal is
+    a lexicographic model the strong product coincides with the
+    independent product of the marginals, so the product keeps that
+    product's test.  Otherwise it keeps ``_strong_test``.
     """
-    from .independence import independent_product, inex_member
+    return member(expr, f, budget=budget)
 
-    parts = expr.parts
-    for part in parts:
-        check_coherent(part)
-    if all(isinstance(p, LexSystem) for p in parts):
-        return inex_member(independent_product(parts), f, budget=budget)
-    fitted = f.embed(scope_of(expr))
-    verdict = sign_verdict(fitted.nums)
+
+def _strong_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
+    """Strong-product membership of ``nums / den`` over the marginals and
+    joint scope in ``data``.
+
+    ``sign_verdict`` puts zero and nonpositive gambles out and positive
+    gambles in, as every coherent set does, before any marginal's credal
+    set is enumerated (so ``budget`` never stops them).  The strong lower
+    prevision decides everything else except its own zero level: strictly
+    positive strong price is in, strictly negative strong price means out,
+    and the boundary stays ``UNKNOWN`` because membership there depends on
+    which dominating linear previsions the marginal models admit.
+    """
+    parts, scope = data
+    verdict = sign_verdict(nums)
     if verdict is not None:
         return Tri.of(verdict)
     views = [credal_view(p, budget=budget) for p in parts]
-    value = strong_product_lower(views, fitted, budget=budget)
+    value = strong_product_lower(views, Gamble._from_ints(scope, tuple(nums), den), budget=budget)
     if value > 0:
         return Tri.IN
     if value < 0:

@@ -135,7 +135,7 @@ from desirability.model import (
     _rel_from_name,
     parse_assignment,
 )
-from desirability.previsions import strictly_desirable
+from desirability.previsions import credal_view, strictly_desirable
 from desirability.space import (
     Assignment,
     _restriction_map,
@@ -410,10 +410,30 @@ def fraction_member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) 
     """``member`` with lexicographic, cell, conditioned and extension nodes
     decided on ``Fraction`` values: exact expectations, masks that copy
     values, and slice floors read from ``IrrExt.slice_table``.
-    Independent products answer by ``inex_member_enumerated``; generator
-    sets and strong products through the engine's ``member``."""
+    Independent products answer by ``inex_member_enumerated``.  A generator
+    set, once it passes ``check_coherent``, holds every nonzero gamble
+    whose ``rebuilt_cone_program`` is feasible by ``fm_feasible``.  A strong
+    product gates its marginals, answers as the independent product when
+    all are lexicographic, and otherwise reads the signs and then the sign
+    of ``fraction_strong_product_lower``."""
     scope = scope_of(expr)
     values = fraction_values(f, scope)
+    if isinstance(expr, GeneratorSet):
+        check_coherent(expr)
+        nonzero = any(v != 0 for v in values)
+        return Tri.of(nonzero and fm_feasible(rebuilt_cone_program(expr, Gamble(scope, values))))
+    if isinstance(expr, StrongProduct):
+        for part in expr.parts:
+            check_coherent(part)
+        if all(isinstance(part, LexSystem) for part in expr.parts):
+            return fraction_member(independent_product(expr.parts), f, budget=budget)
+        if all(v <= 0 for v in values):
+            return Tri.OUT
+        if all(v >= 0 for v in values):
+            return Tri.IN
+        views = [credal_view(part, budget=budget) for part in expr.parts]
+        price = fraction_strong_product_lower(views, Gamble(scope, values), budget=budget)
+        return Tri.IN if price > 0 else Tri.OUT if price < 0 else Tri.UNKNOWN
     if isinstance(expr, LexSystem):
         for level in expr.levels:
             e = sum((p * v for p, v in zip(level, values)), _ZERO)

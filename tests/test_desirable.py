@@ -48,6 +48,7 @@ from desirability.desirable import (
     check_coherent,
     cone_program,
     natext_member,
+    scaled_member,
     scope_of,
     sign_cells,
     sign_chain,
@@ -222,13 +223,14 @@ class TestConeProgram:
         # generator weight carries one, ahead of the outcome rows.
         cone = GeneratorSet.of(S1, [Gamble.on(S1, [1, -1]), Gamble.on(S1, [2, -1])])
         f = Gamble.on(S1, [-1, -3])
-        system = cone_program(cone, f, Gamble.constant(S1, -1))
+        system = cone_program(cone._negated_ints, f.nums, f.den, Gamble.constant(S1, -1))
         assert system.n_vars == 3 and len(system.rows) == 4
         assert [row.coeffs for row in system.rows[:2]] == [(0, 1, 0), (0, 0, 1)]
         assert all(row.coeffs[0] == -1 for row in system.rows[2:])
-        program = cone_program(lean(), f, Gamble.constant(S1, -1))
+        program = cone_program(lean()._negated_ints, f.nums, f.den, Gamble.constant(S1, -1))
         assert solve(program, (1,) + (0,) * (program.n_vars - 1)).value == -2
-        assert [row.coeffs for row in cone_program(cone, f).rows[:2]] == [(1, 0), (0, 1)]
+        rows = cone_program(cone._negated_ints, f.nums, f.den).rows
+        assert [row.coeffs for row in rows[:2]] == [(1, 0), (0, 1)]
 
 
 class TestCellSets:
@@ -533,6 +535,25 @@ class TestDispatch:
             family.at(S1.assignment_at(1))
         assert family.at(S1.assignment_at(0)) == lean(S2)
 
+    def test_conditional_family_answers_no_plain_query_and_keeps_nothing(self):
+        # ``member`` and ``scaled_member`` raise the one message on every
+        # query, and the family keeps no test.
+        family = ConditionalFamily(on=S1, entries=((S1.assignment_at(0), lean(S2)),))
+        message = (
+            "conditional families answer only conditioned queries; "
+            "condition on an assignment of ('X1',) first"
+        )
+        f = Gamble.on(S2, [3, 1])
+        for query in (
+            lambda: member(family, f),
+            lambda: scaled_member(family, f.nums, f.den, 100000),
+        ):
+            for _ in range(2):
+                with pytest.raises(UnsupportedQueryError) as info:
+                    query()
+                assert str(info.value) == message
+                assert "_int_test" not in vars(family)
+
 
 HALF1 = CredalSet.of(S1, [("1/2", "1/2")])
 HALF2 = CredalSet.of(S2, [("1/2", "1/2")])
@@ -592,6 +613,8 @@ POSITIVE12 = Gamble.on(S12, [1, 1, 1, 1])
 # one kept.
 BAD_PRODUCT = IndepProduct((BAD, TIED2))
 LBAD_PRODUCT = IndepProduct((LBAD, TIED2))
+BAD_STRONG = StrongProduct((BAD, TIED2))
+LBAD_STRONG = StrongProduct((LBAD, strictly_desirable(HALF2)))
 GATED_PATHS = {
     "member": (lambda: member(BAD, Gamble.on(S1, [1, 0])), GENERATOR_MESSAGE),
     "lower_prevision": (
@@ -609,14 +632,9 @@ GATED_PATHS = {
     "inex_member_lex": (lambda: inex_member(LBAD_PRODUCT, POSITIVE12), LEX_MESSAGE),
     "member_product": (lambda: member(BAD_PRODUCT, POSITIVE12), GENERATOR_MESSAGE),
     "strong_member_generators": (
-        lambda: strong_member(StrongProduct((BAD, TIED2)), POSITIVE12), GENERATOR_MESSAGE
+        lambda: strong_member(BAD_STRONG, POSITIVE12), GENERATOR_MESSAGE
     ),
-    "strong_member_lex": (
-        lambda: strong_member(
-            StrongProduct((LBAD, strictly_desirable(HALF2))), POSITIVE12
-        ),
-        LEX_MESSAGE,
-    ),
+    "strong_member_lex": (lambda: strong_member(LBAD_STRONG, POSITIVE12), LEX_MESSAGE),
     "member_lex": (lambda: member(LBAD, Gamble.on(S1, [0, 1])), LEX_MESSAGE),
     "lower_prevision_lex": (lambda: lower_prevision(LBAD, Gamble.on(S1, [0, 1])), LEX_MESSAGE),
     "member_lex_extension": (

@@ -591,8 +591,9 @@ class TestPhase1PerSystem:
             Gamble.on(scope, [-1, 0, 3]),
         ])
         desirable.avoids_nonpositivity(cone)
+        f = Gamble.on(scope, [2, -1, 1])
         program = desirable.cone_program(
-            cone, Gamble.on(scope, [2, -1, 1]), Gamble.constant(scope, -1)
+            cone._negated_ints, f.nums, f.den, Gamble.constant(scope, -1)
         )
         # The shift, the shift less the first weight, and minus the total
         # weight: each bounded above behind the coherence gate.

@@ -1,8 +1,8 @@
 """Gambles held as integer numerators over one denominator.
 
-A gamble keeps its values as ints over one positive denominator, and the
-lexicographic, cell, conditioned, extension and independent-product nodes
-decide membership on those ints.  The tests below check three things:
+A gamble keeps its values as ints over one positive denominator, and
+every node kind decides membership on those ints.  The tests below check
+three things:
 
 * the int form is the rational value exactly: a gamble built from ints
   equals its ``Fraction``-built twin and hashes alike, and every operation
@@ -11,9 +11,10 @@ decide membership on those ints.  The tests below check three things:
   are members together for every rational ``k > 0``;
 * the int path gives the verdicts of the ``Fraction`` path it replaced
   (``references.fraction_member`` and the ``fraction_*`` scans), field for
-  field, on every LP-free node kind and on independent products, whose
-  reference is the flat signature enumeration, nested ones included, on
-  2x2, 3x2 and 2x2x2 scopes.
+  field, on every LP-free node kind, on generator sets, whose reference
+  is Fourier-Motzkin elimination, on strong products and on independent
+  products, whose reference is the flat signature enumeration, nested
+  ones included, on 2x2, 3x2 and 2x2x2 scopes.
 """
 
 import copy
@@ -43,7 +44,9 @@ from desirability import (
     member,
     strictly_desirable,
 )
-from desirability.desirable import CellSet, Conditioned, IndepProduct, StrongProduct, scope_of
+from desirability.desirable import (
+    CellSet, Conditioned, IndepProduct, StrongProduct, avoids_nonpositivity, scope_of,
+)
 from desirability.independence import factorisation_check, irrelevant_extension
 from desirability.structure import condition, sample_gambles
 from randgen import random_credal, random_generator_set, random_mass
@@ -194,16 +197,18 @@ SHAPES = ((A2, B2), (A3, B2), (A2, B2, C2))
 
 
 def node_cases(seed):
-    """(name, expression) pairs: every LP-free node kind on each shape, an
-    extension and a conditioned node over a strong product of two strictly
-    desirable sets, whose boundary queries are ``UNKNOWN``, and independent
-    products: of a lexicographic, a strictly desirable or a generator
-    marginal with a lexicographic one on 2x2 and 3x2, and on 2x2x2 an
-    extension and a conditioned node over a product.  The flat enumeration
-    that decides products in ``fraction_member`` solves one LP per
-    signature, so the nested products have few signatures (16 and 4), and
-    the products do not depend on ``seed``, so that every test shares the
-    verdicts ``references._enumerated`` keeps."""
+    """(name, expression) pairs: every LP-free node kind on each shape, a
+    generator set, a strong product of two strictly desirable sets, whose
+    boundary queries are ``UNKNOWN``, with an extension and a conditioned
+    node over it, and independent products: of a lexicographic, a strictly
+    desirable or a generator marginal with a lexicographic one on 2x2 and
+    3x2, next to the strong product of the two lexicographic marginals, and
+    on 2x2x2 an extension and a conditioned node over a product.  Each case
+    comes before the cases that wrap it.  The flat enumeration that decides
+    products in ``fraction_member`` solves one LP per signature, so the
+    nested products have few signatures (16 and 4), and the products do not
+    depend on ``seed``, so that every test shares the verdicts
+    ``references._enumerated`` keeps."""
     rng = random.Random("integer-gambles-%d" % seed)
     strong_rng = random.Random("integer-gambles-strong-%d" % seed)
     product_rng = random.Random("integer-gambles-product")
@@ -233,6 +238,7 @@ def node_cases(seed):
             ("irrext-over-conditioned", irrelevant_extension(condition(cells_ab, first_b), one(b), joint)),
             ("conditioned-over-irrext", condition(irrelevant_extension(lex_a, one(b), joint), first_b)),
             ("irrext-over-irrext", IrrExt(irrelevant_extension(lex_a, one(b), one(a, b)), Scope.empty(), joint)),
+            ("generators", generators),
             ("conditioned-generators", Conditioned(generators, first_b)),
             (
                 "irrext-over-conditioned-generators",
@@ -243,13 +249,16 @@ def node_cases(seed):
             strictly_desirable(random_credal(strong_rng, one(v))) for v in (a, b)
         ))
         cases += [
+            ("strong", strong),
             ("irrext-strong", IrrExt(strong, Scope.empty(), joint)),
             ("conditioned-strong", Conditioned(strong, first_b)),
         ]
         lex_b = maximal_lex(product_rng, one(b))
         if len(variables) == 2:
+            lex_base = maximal_lex(product_rng, base)
             cases += [
-                ("product-lex", IndepProduct((maximal_lex(product_rng, base), lex_b))),
+                ("strong-lex", StrongProduct((lex_base, lex_b))),
+                ("product-lex", IndepProduct((lex_base, lex_b))),
                 (
                     "product-cells",
                     IndepProduct((strictly_desirable(random_credal(product_rng, base)), lex_b)),
@@ -278,16 +287,17 @@ def node_cases(seed):
     return cases
 
 
-STRONG_KINDS = ("irrext-strong", "conditioned-strong")
+STRONG_KINDS = ("strong", "irrext-strong", "conditioned-strong")
 
 
 def boundary_gambles(rng, expr, count):
-    """Gambles on the first marginal of the strong product ``expr.base``
-    shifted by their lower price, so that the marginal's lowest
-    expectation is zero.  The strong product prices them, and their masked
-    twins, at exactly zero: a boundary query, ``UNKNOWN`` unless the
-    signs alone decide it."""
-    marginal = expr.base.parts[0]
+    """Gambles on the first marginal of the strong product ``expr``, or of
+    the one that ``expr`` wraps, shifted by their lower price, so that the
+    marginal's lowest expectation is zero.  The strong product prices
+    them, and their masked twins, at exactly zero: a boundary query,
+    ``UNKNOWN`` unless the signs alone decide it."""
+    product = expr if isinstance(expr, StrongProduct) else expr.base
+    marginal = product.parts[0]
     shifted = []
     for _ in range(count):
         g = fraction_gamble(rng, marginal.scope)
@@ -298,7 +308,10 @@ def boundary_gambles(rng, expr, count):
 
 def test_cases_cover_every_node_kind():
     kinds = {type(expr).__name__ for _, expr in node_cases(0)}
-    assert kinds == {"LexSystem", "CellSet", "Conditioned", "IrrExt", "IndepProduct"}
+    assert kinds == {
+        "LexSystem", "CellSet", "Conditioned", "IrrExt", "IndepProduct", "GeneratorSet",
+        "StrongProduct",
+    }
     nested = [expr for _, expr in node_cases(0) if isinstance(expr, (IrrExt, Conditioned))]
     assert {type(expr.base).__name__ for expr in nested} >= {
         "LexSystem", "CellSet", "Conditioned", "IrrExt", "GeneratorSet", "StrongProduct",
@@ -384,6 +397,8 @@ def test_queried_nodes_are_freed_without_the_cycle_collector():
             name, expr = cases.pop()
             member(expr, Gamble.on(scope_of(expr), range(-1, scope_of(expr).size - 1)))
             assert "_int_test" in vars(expr), name
+            # The consistency cache keys on generator sets, not on their tests.
+            avoids_nonpositivity.cache_clear()
             ref = weakref.ref(expr)
             del expr
             assert ref() is None, name
@@ -401,10 +416,12 @@ def _scan_groups(expr):
 
 def test_irrelevance_scans_match_the_fraction_path():
     for name, expr in node_cases(2):
-        # The flat enumeration that decides products in ``fraction_member``
-        # solves one LP per signature, too many for the exhaustive grid of a
-        # ternary variable: a product on 3x2 runs the sampled scan alone.
-        large_product = isinstance(expr, IndepProduct) and scope_of(expr).size > 4
+        # The flat enumeration that decides products (and strong products
+        # of lexicographic marginals) in ``fraction_member`` solves one LP
+        # per signature, too many for the exhaustive grid of a ternary
+        # variable: such a product on 3x2 runs the sampled scan alone.
+        enumerated = isinstance(expr, IndepProduct) or name == "strong-lex"
+        large_product = enumerated and scope_of(expr).size > 4
         for irrelevant, onto in _scan_groups(expr):
             for budget, seed in ((30, 3),) if large_product else ((2000, 0), (30, 3)):
                 got = is_irrelevant(expr, irrelevant, onto, budget=budget, seed=seed)

@@ -185,7 +185,7 @@ class TestConeProgram:
         for f in _gambles(rng, scope):
             for direction in (constant, masked):
                 for value in (f, f.mask(given_)):
-                    got = cone_program(cone, value, direction)
+                    got = cone_program(cone._negated_ints, value.nums, value.den, direction)
                     want = references.rebuilt_cone_program(cone, value, direction)
                     assert got == want
                     assert [row.coeffs for row in got.rows] == [row.coeffs for row in want.rows]
@@ -194,7 +194,7 @@ class TestConeProgram:
                     assert previsions._generator_sup(cone, value, direction) == (
                         references.rebuilt_generator_sup(cone, value, direction)
                     )
-            got = cone_program(cone, f)
+            got = cone_program(cone._negated_ints, f.nums, f.den)
             assert got == references.rebuilt_cone_program(cone, f)
             assert solve(got) == solve(references.rebuilt_cone_program(cone, f))
 
