@@ -244,9 +244,10 @@ def cone_program(
     One unit row ``lam_k >= 0`` per generator weight comes first, then one
     row per outcome.  Without a direction the system is feasible exactly
     when ``f`` dominates a nonnegative combination of the generators, as
-    the generator sets' kept test (``_natext_test``) asks.  With one, the
-    shift ``mu`` leads the variables, and ``previsions._generator_sup``
-    maximises it.
+    the generator sets' kept test (``_natext_test``) asks, on the ints
+    alone with ``den = 1``.  With one, the shift ``mu`` leads the
+    variables, ``previsions._generator_sup`` maximises it, and ``den``
+    keeps the price exact.
 
     The rows are built on ints, with no ``Fraction``: the unit rows are
     shared (``unit_rows``), and each outcome row joins the cone's ints to
@@ -366,7 +367,10 @@ class CellSet:
 
     ``from_credal`` carries provenance when the set was built as the
     strictly desirable set of a credal set: the raw vertex mass functions.
-    That unlocks structural coherence verdicts and credal views.
+    That unlocks structural coherence verdicts, credal views and the
+    product's support mass, so a set that carries it must be that set: the
+    positives and one cell of a ``>`` row per mass, in order, each a
+    probability mass.  Anything else raises ``ValueError``.
     """
 
     scope: Scope
@@ -382,13 +386,26 @@ class CellSet:
                         "cell functional scope %r does not match %r"
                         % (row.functional.scope.names, self.scope.names)
                     )
+        if self.from_credal is not None:
+            rows = []
+            for p in self.from_credal:
+                mass = Gamble(self.scope, p)
+                if min(mass.nums) < 0 or sum(mass.nums) != mass.den:
+                    raise ValueError("credal provenance %s is not a probability mass" % mass)
+                rows.append(CellRow(mass, GT))
+            if not rows or not self.include_positive or self.cells != (Cell(tuple(rows)),):
+                raise ValueError(
+                    "a cell set with a credal provenance must be the strictly "
+                    "desirable set of its masses"
+                )
 
 
 def _unit_cell(scope: Scope, rel: str) -> Cell:
     """One ``rel 0`` row per outcome's unit functional, zero excluded."""
     size = scope.size
-    units = [tuple([_ONE if j == w else _ZERO for j in range(size)]) for w in range(size)]
-    return Cell(tuple([CellRow(Gamble(scope, u), rel) for u in units]), exclude_zero=True)
+    units = [tuple([int(j == w) for j in range(size)]) for w in range(size)]
+    rows = tuple([CellRow(Gamble._from_ints(scope, u), rel) for u in units])
+    return Cell(rows, exclude_zero=True)
 
 
 def sign_cells(model: Union[CellSet, LexSystem]) -> tuple[Cell, ...]:
@@ -662,37 +679,37 @@ def member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) -> Tri:
     product walk and the strong-product scan, also below conditioned and
     extended nodes, and no other procedure reads it.
 
-    Every node kind decides on the gamble's ints (``scaled_member``), by a
-    test each node builds once; a conditional family raises there.
+    Every node kind decides on the gamble's numerators alone
+    (``scaled_member``), by a test each node builds once; a conditional
+    family raises there.
     """
-    f = f.embed(scope_of(expr))
-    return scaled_member(expr, f.nums, f.den, budget)
+    return scaled_member(expr, f.embed(scope_of(expr)).nums, budget)
 
 
-def scaled_member(
-    expr: DesirableSetExpr, nums: Sequence[int], den: int, budget: int
-) -> Tri:
-    """Membership of the gamble ``nums / den`` on the scope of ``expr``.
+def scaled_member(expr: DesirableSetExpr, nums: Sequence[int], budget: int) -> Tri:
+    """Membership of the gamble ``nums``, or any positive multiple of it,
+    on the scope of ``expr``.
 
-    Every node kind builds its integer membership test once, on its first
-    query, and keeps it (``_int_test``): a query reads it from the node's
-    ``__dict__`` and calls it.  A conditional family builds none and
-    raises.  Besides ``member``, the scans and ``inex_member`` in
-    ``independence`` call it directly, with ints lifted once onto the scope
-    of ``expr``.
+    Every node denotes a cone, so a gamble's numerators decide it without
+    its denominator.  Every node kind builds its integer membership test
+    once, on its first query, and keeps it (``_int_test``): a query reads
+    it from the node's ``__dict__`` and calls it.  A conditional family
+    builds none and raises.  Besides ``member``, the scans and
+    ``inex_member`` in ``independence`` call it directly, with ints lifted
+    once onto the scope of ``expr``.
     """
     test, data = expr.__dict__.get("_int_test") or _int_test(expr)
-    return test(data, nums, den, budget)
+    return test(data, nums, budget)
 
 
 def _int_test(expr: DesirableSetExpr) -> tuple:
     """The test that decides ``scaled_member`` for ``expr``: a module-level
     function and the plain data it reads, ``(test, data)``.
 
-    Every node denotes a cone, so ``nums`` alone, a positive multiple of the
-    gamble, decides the leaves: their tests read integer signs, and a
-    generator set's program reads ``den`` only to put the gamble over the
-    generators' lcm.
+    Every node denotes a cone, so ``nums``, a positive multiple of the
+    gamble, decides every test: the leaves read integer signs, a generator
+    set's program and a product's domination rows put ``nums`` over the
+    generators' lcm, and the nodes that wrap a base hand it ints.
 
     * a generator set: its certificate's ``int_mass`` and its
       ``_negated_ints`` (``_natext_test``);
@@ -761,8 +778,8 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
     return kept
 
 
-def _natext_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
-    """Natural-extension membership of ``nums / den``: ``sign_verdict``,
+def _natext_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
+    """Natural-extension membership of ``nums``: ``sign_verdict``,
     the certificate's mass, under which every member has positive
     expectation, and then, if there are generators, ``cone_program``."""
     mass, cone = data
@@ -771,15 +788,15 @@ def _natext_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri
         return Tri.of(verdict)
     if sum(map(mul, mass, nums)) <= 0 or not cone[0][0]:
         return Tri.OUT
-    return Tri.of(isinstance(solve(cone_program(cone, nums, den)), Feasible))
+    return Tri.of(isinstance(solve(cone_program(cone, nums, 1)), Feasible))
 
 
-def _lex_test(levels: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
+def _lex_test(levels: tuple, nums: Sequence[int], budget: int) -> Tri:
     """``lex_accepts`` on the kept ``int_levels``."""
     return Tri.IN if lex_accepts(levels, nums) else Tri.OUT
 
 
-def _cellset_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
+def _cellset_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
     """In iff ``nums`` is positive and the set includes the positives, or
     some cell accepts it (``_cell_accepts``)."""
     size, include_positive, cells = data
@@ -792,25 +809,25 @@ def _cellset_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tr
     return Tri.OUT
 
 
-def _conditioned_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
-    """The base's verdict on ``indicator(given) * f``: the ints gathered
-    through the mask table, with 0 where ``given`` fails."""
+def _conditioned_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
+    """The base's verdict on ``indicator(given) * nums``: the ints
+    gathered through the mask table, with 0 where ``given`` fails."""
     table, base = data
     padded = [*nums, 0]
-    return scaled_member(base, [padded[k] for k in table], den, budget)
+    return scaled_member(base, [padded[k] for k in table], budget)
 
 
-def _slices_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
+def _slices_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
     """Slice decomposition of irrelevant-extension membership.
 
-    ``nums / den`` lives on the target.  It belongs iff it is nonzero and,
-    for every assignment of the irrelevant variables, the floor of the
-    gamble over the remaining added variables, sliced at that assignment,
-    is nonnegative or a member of the base.  A nonnegative slice is skipped
+    The gamble ``nums`` lives on the target.  It belongs iff it is nonzero
+    and, for every assignment of the irrelevant variables, the floor of
+    the gamble over the remaining added variables, sliced at that
+    assignment, is nonnegative or a member of the base.  A nonnegative slice is skipped
     without asking the base: zero slack dominates it.  Each slice is read
     straight from the table as ints: the first column, lowered entry by
     entry by each further column, is the minimum of ``nums`` over each
-    group, and the base decides it over the same ``den``.  The per-slice
+    group, and the base decides it on those ints.  The per-slice
     choices are independent because a dominating gamble can be
     assembled slice by slice.  ``budget`` goes to each base query, as in
     ``member``.
@@ -825,7 +842,7 @@ def _slices_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri
             piece = list(map(min, piece, [nums[w] for w in layer]))
         if min(piece) >= 0:
             continue
-        verdict = scaled_member(base, piece, den, budget)
+        verdict = scaled_member(base, piece, budget)
         if verdict is Tri.OUT:
             return Tri.OUT
         if verdict is Tri.UNKNOWN:
@@ -946,7 +963,7 @@ def cellset_coherence_audit(cs: CellSet) -> CoherenceReport:
             bad = None
             samples = sample_gambles(cs.scope, budget=AUDIT_SAMPLES, lo=0, hi=3)
             for f in samples:
-                if f.is_positive() and scaled_member(cs, f.nums, f.den, 0) is not Tri.IN:
+                if f.is_positive() and scaled_member(cs, f.nums, 0) is not Tri.IN:
                     bad = f
                     break
             accepts_positives = AuditFinding(
@@ -1003,13 +1020,13 @@ def _audit_posi_closed(cs: CellSet) -> AuditFinding:
     members = [
         f
         for f in sample_gambles(cs.scope, budget=AUDIT_SAMPLES * 4)
-        if scaled_member(cs, f.nums, f.den, 0) is Tri.IN
+        if scaled_member(cs, f.nums, 0) is Tri.IN
     ]
     checked = 0
     pairs = itertools.combinations(members, 2)
     for f, g in itertools.islice(pairs, AUDIT_SAMPLES):
         total = f + g
-        if scaled_member(cs, total.nums, total.den, 0) is not Tri.IN:
+        if scaled_member(cs, total.nums, 0) is not Tri.IN:
             return AuditFinding(
                 "posi-closed", False, "sampled", "sum of two members left the set", total
             )

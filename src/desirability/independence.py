@@ -47,10 +47,11 @@ Irrelevance and independence of an arbitrary expression are refutation
 checks — sampled or exhaustive-grid scans of the membership biconditional
 ``f in model  iff  indicator(event) * f in model`` — never proofs.  A scan
 works on index tables built once on the expression's full scope: each
-sampled gamble's ints are lifted onto that scope once, and its masks copy
-the lifted ints at the precomputed slice indices of each event.  Every
-query goes to ``desirable.scaled_member`` as ints over the sample's
-denominator, with no gamble built.  Every node kind decides it on an
+sampled int vector (``structure.sample_ints``) is lifted onto that scope
+once, and its masks copy the lifted ints at the precomputed slice indices
+of each event.  Every query goes to ``desirable.scaled_member`` as ints,
+and a gamble is built only for a counterexample.  Every node kind decides
+it on an
 integer test that each node builds once, on its first query, and keeps:
 sign tests on the leaves' ints, a generator set's mass and cone ints,
 mask and slice tables that hand the base its ints, a product's walk rows
@@ -61,7 +62,6 @@ raises.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
@@ -94,7 +94,7 @@ from .space import (
 )
 # ``irrelevant_extension`` is bound here for callers that build extensions
 # and products from one module.
-from .structure import irrelevant_extension, masked_generators, sample_gambles  # noqa: F401
+from .structure import irrelevant_extension, masked_generators, sample_ints  # noqa: F401
 
 # Most (irrelevant, onto) block-union pairs one independence scan checks;
 # five blocks need 180 pairs and six need 602.
@@ -170,8 +170,7 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     ``h``'s ints on the scope of ``expr``, with the same ``budget``.  A
     product decides on the test it builds once every marginal passes
     ``check_coherent`` (``_walk_data`` and ``_walk_test``)."""
-    h = h.embed(scope_of(expr))
-    return scaled_member(expr, h.nums, h.den, budget)
+    return scaled_member(expr, h.embed(scope_of(expr)).nums, budget)
 
 
 def _walk_data(expr: IndepProduct) -> tuple:
@@ -181,10 +180,10 @@ def _walk_data(expr: IndepProduct) -> tuple:
     The walk rows are: the column count; the rows ``lam_k >= 0`` of the
     masked generators of all generator marginals; per outcome, the ints
     of its domination row over ``den``, the generators' lcm, in which each
-    cell or lexicographic marginal's summand enters at -1; ``den``; and
-    each (block, slice) pair's chains of sign cells (``sign_chain``, or
-    one single-cell chain per cell), their rows read with zero admitted,
-    since a summand's slice may vanish.
+    cell or lexicographic marginal's summand enters at -1; ``den``, over
+    which a query puts its ints; and each (block, slice) pair's chains of
+    sign cells (``sign_chain``, or one single-cell chain per cell), their
+    rows read with zero admitted, since a summand's slice may vanish.
     """
     joint = expr.scope
     size = joint.size
@@ -227,8 +226,8 @@ def _walk_data(expr: IndepProduct) -> tuple:
     return expr.support_mass, signatures, rows
 
 
-def _walk_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
-    """Product membership of ``h = nums / den``: it belongs iff it
+def _walk_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
+    """Product membership of the gamble ``h = nums``: it belongs iff it
     dominates a sum of one summand per block whose slices lie in the
     marginals.  ``sign_verdict`` and the support mass, on which members
     have nonnegative expectation, decide first; then a marginal that is
@@ -249,12 +248,10 @@ def _walk_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
         raise BudgetExceededError(
             "signature enumeration needs more than %d problems" % budget
         )
-    width, fixed, outcomes, gen_den, walks = rows
-    lcm = math.lcm(gen_den, den)
-    a, b = lcm // gen_den, lcm // den
+    width, fixed, outcomes, den, walks = rows
     fixed = list(fixed)
     for coeffs, v in zip(outcomes, nums):
-        fixed.append(LinRow._from_ints((*[a * c for c in coeffs], -b * v), GE, lcm))
+        fixed.append(LinRow._from_ints((*coeffs, -den * v), GE, den))
     return Tri.of(any(_chain_walk(width, fixed, menu) for menu in itertools.product(*walks)))
 
 
@@ -345,13 +342,14 @@ def is_irrelevant(
     gambles and must be at least 1.
 
     Every query is a vector of ints on the expression's full scope, handed
-    to ``scaled_member`` over the sample's denominator.  Each sampled
-    gamble is lifted onto that scope once (``_restriction_map(full,
-    onto)``), and the lift is what the plain query asks.  Its mask at an
-    assignment ``at`` gathers the lifted ints through a table built once
-    per scan: for each outcome of the full scope, the outcome itself where
-    ``at`` holds (``_slice_map(full, at)``) and a zero entry elsewhere,
-    which is ``indicator(at) * f`` exactly.
+    to ``scaled_member``.  Each sampled int vector (``sample_ints``) is
+    lifted onto that scope once (``_restriction_map(full, onto)``), and
+    the lift is what the plain query asks.  Its mask at an assignment
+    ``at`` gathers the lifted ints through a table built once per scan:
+    for each outcome of the full scope, the outcome itself where ``at``
+    holds (``_slice_map(full, at)``) and a zero entry elsewhere, which is
+    ``indicator(at) * f`` exactly.  A gamble is built only for a
+    counterexample.
     """
     _check_budget(budget)
     full = scope_of(expr)
@@ -371,16 +369,15 @@ def is_irrelevant(
         masks.append((at, table))
     checked = 0
     skipped = 0
-    for f in sample_gambles(onto, budget=budget, seed=seed):
-        nums, den = f.nums, f.den
+    for nums in sample_ints(onto, budget=budget, seed=seed):
         lifted = [nums[k] for k in lift]
-        plain = scaled_member(expr, lifted, den, _QUERY_BUDGET)
+        plain = scaled_member(expr, lifted, _QUERY_BUDGET)
         if plain is Tri.UNKNOWN:
             skipped += 1
             continue
         lifted.append(0)
         for at, table in masks:
-            masked = scaled_member(expr, [lifted[i] for i in table], den, _QUERY_BUDGET)
+            masked = scaled_member(expr, [lifted[i] for i in table], _QUERY_BUDGET)
             if masked is Tri.UNKNOWN:
                 skipped += 1
                 continue
@@ -391,7 +388,7 @@ def is_irrelevant(
                     _scan_mode(onto, budget, -3, 3),
                     checked,
                     "membership changes after observing %s" % (at,),
-                    (f, at),
+                    (Gamble._from_ints(onto, nums), at),
                 )
     detail = "%d membership pairs agree" % checked
     if skipped:
@@ -465,9 +462,9 @@ def factorisation_check(
     those up to the ``budget``-th member are queried.
 
     Like ``is_irrelevant``, it queries ``scaled_member`` on the full
-    scope: each member and each factor is lifted there once, and a
-    product query is their pointwise product over ``f.den * g.den``.  The
-    product gamble ``f * g`` is built only for a counterexample.
+    scope with sampled int vectors: each member and each factor is lifted
+    there once, and a product query is their pointwise product.  A gamble
+    is built only for a counterexample.
     """
     _check_budget(budget)
     full = scope_of(expr)
@@ -477,34 +474,32 @@ def factorisation_check(
         raise ScopeError("factorisation scopes must be disjoint")
     lift = _restriction_map(full, onto)
     members = []
-    for f in sample_gambles(onto, budget=budget * 4, seed=seed):
-        lifted = [f.nums[k] for k in lift]
-        if scaled_member(expr, lifted, f.den, _QUERY_BUDGET) is Tri.IN:
+    for f in sample_ints(onto, budget=budget * 4, seed=seed):
+        lifted = [f[k] for k in lift]
+        if scaled_member(expr, lifted, _QUERY_BUDGET) is Tri.IN:
             members.append((f, lifted))
             if len(members) == budget:
                 break
     factor_lift = _restriction_map(full, factor_scope)
     factors = [
-        (g, [g.nums[k] for k in factor_lift])
-        for g in sample_gambles(factor_scope, budget=budget * 4, seed=seed + 1, lo=0, hi=3)
-        if g.is_positive()
+        (g, [g[k] for k in factor_lift])
+        for g in sample_ints(factor_scope, budget=budget * 4, seed=seed + 1, lo=0, hi=3)
+        if min(g) >= 0 and any(g)
     ][:budget]
     checked = 0
     for f, f_ints in members:
-        if scaled_member(expr, f_ints, f.den, _QUERY_BUDGET) is not Tri.IN:
-            return Verdict(
-                False, "sampled", checked, "member rejected after unit factor", (f, None)
-            )
+        if scaled_member(expr, f_ints, _QUERY_BUDGET) is not Tri.IN:
+            found = (Gamble._from_ints(onto, f), None)
+            return Verdict(False, "sampled", checked, "member rejected after unit factor", found)
         checked += 1
         for g, g_ints in factors:
-            product = list(map(mul, f_ints, g_ints))
-            if scaled_member(expr, product, f.den * g.den, _QUERY_BUDGET) is not Tri.IN:
+            if scaled_member(expr, list(map(mul, f_ints, g_ints)), _QUERY_BUDGET) is not Tri.IN:
                 return Verdict(
                     False,
                     "sampled",
                     checked,
                     "member rejected after a positive factor",
-                    (f * g, None),
+                    (Gamble._from_ints(onto, f) * Gamble._from_ints(factor_scope, g), None),
                 )
             checked += 1
     return Verdict(True, "sampled", checked, "%d factored members accepted" % checked)

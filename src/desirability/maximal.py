@@ -37,7 +37,7 @@ from .errors import (
     ScopeError,
 )
 from .exactlp import forward_eliminate, scaled_to_ints
-from .space import CACHE_MAXSIZE, Assignment, Gamble, Scope
+from .space import CACHE_MAXSIZE, Assignment, Gamble, Scope, _slice_map
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -147,7 +147,8 @@ def lex_is_coherent(system: LexSystem) -> bool:
 
 
 def lex_condition(system: LexSystem, given: Assignment) -> LexSystem:
-    """Observe ``given``: restrict, drop massless levels, renormalise."""
+    """Observe ``given``: restrict, drop massless levels, renormalise,
+    each level read on its ``int_levels`` row, a positive multiple of it."""
     if not given.scope.issubset(system.scope):
         raise ScopeError(
             "conditioning event %s is outside scope %r"
@@ -155,17 +156,18 @@ def lex_condition(system: LexSystem, given: Assignment) -> LexSystem:
         )
     if not given.items:
         return system
+    indices, rest = _slice_map(system.scope, given)
     kept: list[tuple[Fraction, ...]] = []
-    for level in system.levels:
-        restricted = Gamble(system.scope, level).slice_at(given)
-        mass = sum(restricted.values, _ZERO)
-        if mass > 0:
-            kept.append(tuple(v / mass for v in restricted.values))
+    for level in system.int_levels:
+        restricted = [level[i] for i in indices]
+        mass = sum(restricted)
+        if mass:
+            kept.append(tuple([Fraction(v, mass) if v else _ZERO for v in restricted]))
     if not kept:
         raise DegenerateConditioningError(
             "every level gives zero mass to %s" % (given,)
         )
-    result = LexSystem(system.scope.difference(given.scope), tuple(kept))
+    result = LexSystem(rest, tuple(kept))
     if lex_is_maximal(system) and not lex_is_maximal(result):
         raise EngineError("conditioning a maximal system produced a non-maximal one")
     return result

@@ -103,14 +103,16 @@ __all__ = [
 # the unions of their ``sign_cells``, pieces cut out by sign constraints on
 # functionals e, and e(value + mu*direction) = b + a*mu, so the shifts of a
 # piece form an interval with endpoints among the roots -b/a: closed form,
-# no LP.  A piece that excludes zero drops the shift where the gamble
-# vanishes, which moves a supremum only when it is that single shift.
+# no LP.  a and b are read on ints, each a positive multiple of the
+# rational dot product, which leaves every sign and root as it is.  A piece
+# that excludes zero drops the shift where the gamble vanishes, which moves
+# a supremum only when it is that single shift.
 
 _UNBOUNDED = "unbounded buying price: the modelled set accepts every sure loss"
 
 
 def _shift_sup(
-    constraints: Iterable[tuple[Fraction, Fraction, str]],
+    constraints: Iterable[tuple[int, int, str]],
     zero_mu: Optional[Fraction] = None,
 ) -> Optional[Fraction]:
     """Supremum of ``{mu : b + a*mu rel 0 for every (a, b, rel)}``.
@@ -129,7 +131,7 @@ def _shift_sup(
             if b < 0 or (b == 0 and rel == GT) or (b > 0 and rel == EQ):
                 return None
             continue
-        root = -b / a
+        root = Fraction(-b, a)
         if a > 0 or rel == EQ:
             bound = (root, rel == GT)
             lo = bound if lo is None else max(lo, bound)
@@ -145,19 +147,14 @@ def _shift_sup(
     return hi[0]
 
 
-def _zero_shift(value: Gamble, direction: Gamble) -> Optional[Fraction]:
-    """The unique mu with ``value + mu*direction = 0``, if one exists."""
-    mu: Optional[Fraction] = None
-    for v, d in zip(value.values, direction.values):
-        if d != 0:
-            mu = -v / d
-            break
-    if mu is None:
+def _zero_shift(value: Sequence[int], direction: Sequence[int]) -> Optional[Fraction]:
+    """The unique mu with ``value + mu*direction = 0``, if one exists, for
+    two gambles' ints over one denominator."""
+    v0, d0 = next(((v, d) for v, d in zip(value, direction) if d), (0, 0))
+    # Each ``v + mu*d``, times ``d0``, for ``mu = -v0/d0``.
+    if not d0 or any(v * d0 != v0 * d for v, d in zip(value, direction)):
         return None
-    for v, d in zip(value.values, direction.values):
-        if v + mu * d != 0:
-            return None
-    return mu
+    return Fraction(-v0, d0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +213,30 @@ def _set_sup(
     with both the value and the direction masked by the observed event,
     so conditional prices reuse the unconditional machinery.  A cell or
     lexicographic model takes the largest ``_shift_sup`` over its
-    ``sign_cells``, a lexicographic one after ``check_coherent``.
+    ``sign_cells``, a lexicographic one after ``check_coherent``.  It
+    reads ints alone: each functional's ``nums``, and the value and the
+    direction over one denominator, so a ``Fraction`` is made only for a
+    root.
     """
     if isinstance(expr, GeneratorSet):
         return _generator_sup(expr, value, direction)
     if isinstance(expr, (CellSet, LexSystem)):
         check_coherent(expr)
-        zero_mu = _zero_shift(value, direction)
+        den = math.lcm(value.den, direction.den)
+        d_ints, v_ints = [[n * (den // g.den) for n in g.nums] for g in (direction, value)]
+        zero_mu = _zero_shift(v_ints, d_ints)
         # A lexicographic level leads one cell and ties in every later one:
         # each shared functional is dotted once, keyed by identity while the
         # cells are alive.  Zero terms are skipped: unit rows and masked
         # gambles are mostly zeros.
-        line: dict[int, tuple[Fraction, ...]] = {}
+        line: dict[int, tuple[int, ...]] = {}
 
-        def constraints(cell: Cell) -> Iterator[tuple[Fraction, ...]]:
+        def constraints(cell: Cell) -> Iterator[tuple[int, int, str]]:
             for row in cell.rows:
                 e = row.functional
                 if id(e) not in line:
                     line[id(e)] = tuple([
-                        sum([c * v for c, v in zip(e.values, g.values) if c and v], _ZERO)
-                        for g in (direction, value)
+                        sum([c * v for c, v in zip(e.nums, g) if c and v]) for g in (d_ints, v_ints)
                     ])
                 yield line[id(e)] + (row.rel,)
 
@@ -491,7 +492,12 @@ def credal_view(expr: DesirableSetExpr, *, budget: int = 200000) -> CredalSet:
     if isinstance(expr, GeneratorSet):
         return credal_vertices(expr, budget=budget)
     if isinstance(expr, CellSet) and expr.from_credal is not None:
-        return CredalSet.of(expr.scope, expr.from_credal)
+        # Canonicalised once per set and kept with it: its provenance never
+        # changes, and each canonical vertex costs an LP.
+        view = expr.__dict__.get("_credal_view")
+        if view is None:
+            view = expr.__dict__["_credal_view"] = CredalSet.of(expr.scope, expr.from_credal)
+        return view
     if isinstance(expr, LexSystem):
         return CredalSet.of(expr.scope, (expr.levels[0],))
     raise UnsupportedQueryError(
@@ -675,9 +681,9 @@ def strong_member(
     return member(expr, f, budget=budget)
 
 
-def _strong_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri:
-    """Strong-product membership of ``nums / den`` over the marginals and
-    joint scope in ``data``.
+def _strong_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
+    """Strong-product membership of the gamble ``nums`` over the marginals
+    and joint scope in ``data``.
 
     ``sign_verdict`` puts zero and nonpositive gambles out and positive
     gambles in, as every coherent set does, before any marginal's credal
@@ -692,7 +698,7 @@ def _strong_test(data: tuple, nums: Sequence[int], den: int, budget: int) -> Tri
     if verdict is not None:
         return Tri.of(verdict)
     views = [credal_view(p, budget=budget) for p in parts]
-    value = strong_product_lower(views, Gamble._from_ints(scope, tuple(nums), den), budget=budget)
+    value = strong_product_lower(views, Gamble._from_ints(scope, tuple(nums)), budget=budget)
     if value > 0:
         return Tri.IN
     if value < 0:

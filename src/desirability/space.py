@@ -21,11 +21,11 @@ Values are exact rationals at every boundary: ``Gamble`` takes
 ``Fraction``s (``Gamble.on`` also ints and rational strings), floats and
 booleans are rejected outright, and ``Gamble.values`` reads back
 ``Fraction``s.  Inside, a gamble holds integer numerators over one positive
-denominator, computed once.  The decision procedures that solve no linear
-program read those ints and may drop the denominator, that is, decide on
-the gamble times a positive number.  That is exact only because every model
-here denotes a cone: ``k * f`` and ``f`` are members together for every
-rational ``k > 0``.
+denominator, computed once, and the scope operations and arithmetic work
+on those ints alone.  Membership reads the numerators and never the
+denominator, that is, it decides on the gamble times a positive number.
+That is exact only because every model here denotes a cone: ``k * f`` and
+``f`` are members together for every rational ``k > 0``.
 """
 
 from __future__ import annotations
@@ -346,14 +346,14 @@ class Gamble:
     ``nums[w] / den``, and no prime divides ``den`` and every numerator.
     That form is unique, so equality and hashing read it, and they agree
     with equality of the rational values.  ``values`` holds the same values
-    as ``Fraction``s; a gamble that an operation built from ints makes them
-    on first read.  Gambles are immutable.
+    as ``Fraction``s: the ones a gamble was built from, or, for a gamble
+    that an operation built from ints, made on first read.  Gambles are
+    immutable.
 
     ``Gamble(scope, values)`` takes ``Fraction``s only and computes the
     ints in the sweep that checks them; ``on`` and ``constant`` also accept
     ints and rational strings.  Scope operations (``embed``, ``mask``,
-    ``slice_at``) gather the ints, and the ``Fraction``s too where they
-    have been made; arithmetic runs on the ints.
+    ``slice_at``) and arithmetic run on the ints and copy no ``Fraction``.
     """
 
     __slots__ = ("scope", "nums", "den", "_values")
@@ -380,17 +380,11 @@ class Gamble:
         _fill(self, scope, nums, den, values)
 
     @staticmethod
-    def _from_ints(
-        scope: Scope,
-        nums: tuple[int, ...],
-        den: int = 1,
-        values: Optional[tuple[Fraction, ...]] = None,
-    ) -> "Gamble":
+    def _from_ints(scope: Scope, nums: tuple[int, ...], den: int = 1) -> "Gamble":
         """The gamble ``nums / den``, brought to lowest terms.
 
         Internal and unchecked: ``nums`` are ints, one per outcome of
-        ``scope``, ``den`` is a positive int, and ``values``, when given,
-        are the same values as ``Fraction``s.
+        ``scope``, and ``den`` is a positive int.
         """
         if den != 1:
             g = gcd(den, *nums)
@@ -398,7 +392,7 @@ class Gamble:
                 nums = tuple([n // g for n in nums])
                 den //= g
         g = object.__new__(Gamble)
-        _fill(g, scope, nums, den, values)
+        _fill(g, scope, nums, den, None)
         return g
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -423,7 +417,8 @@ class Gamble:
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        """The values as ``Fraction``s, made once on first read."""
+        """The values as ``Fraction``s: those the gamble was built from, or,
+        for a gamble built from ints, made once on first read."""
         values = self._values
         if values is None:
             den = self.den
@@ -440,8 +435,7 @@ class Gamble:
     @staticmethod
     def constant(scope: Scope, value: RationalLike) -> "Gamble":
         c = as_rational(value)
-        size = scope.size
-        return Gamble._from_ints(scope, (c.numerator,) * size, c.denominator, (c,) * size)
+        return Gamble._from_ints(scope, (c.numerator,) * scope.size, c.denominator)
 
     @staticmethod
     def zero(scope: Scope) -> "Gamble":
@@ -513,13 +507,7 @@ class Gamble:
         nums = [0] * joint.size
         for i in keep:
             nums[i] = lifted.nums[i]
-        values = lifted._values
-        if values is not None:
-            masked = [_ZERO] * joint.size
-            for i in keep:
-                masked[i] = values[i]
-            values = tuple(masked)
-        return Gamble._from_ints(joint, tuple(nums), lifted.den, values)
+        return Gamble._from_ints(joint, tuple(nums), lifted.den)
 
     def shift(self, value: RationalLike) -> "Gamble":
         """Add a constant to every outcome."""
@@ -531,10 +519,7 @@ class Gamble:
         """The gamble on ``scope`` whose value at ``k`` is this one's at
         ``indices[k]``."""
         nums = self.nums
-        values = self._values
-        if values is not None:
-            values = tuple([values[i] for i in indices])
-        return Gamble._from_ints(scope, tuple([nums[i] for i in indices]), self.den, values)
+        return Gamble._from_ints(scope, tuple([nums[i] for i in indices]), self.den)
 
     def embed(self, target: Scope) -> "Gamble":
         """View this gamble on a larger scope (value ignores the added variables)."""

@@ -11,7 +11,8 @@ dispatcher.
 
 Also hosts the shared sampling policy for "query-equivalent on sampled
 gambles" checks: exhaustive integer grids when small enough, seeded
-uniform draws otherwise.
+uniform draws otherwise.  ``sample_ints`` draws the int vectors, which the
+scans query as they are; ``sample_gambles`` wraps each in a ``Gamble``.
 """
 
 from __future__ import annotations
@@ -135,6 +136,23 @@ def gamble_grid(scope: Scope, lo: int = -3, hi: int = 3) -> Iterator[Gamble]:
         yield Gamble._from_ints(scope, nums)
 
 
+def sample_ints(
+    scope: Scope,
+    *,
+    budget: int = 2000,
+    seed: int = 0,
+    lo: int = -3,
+    hi: int = 3,
+) -> list[tuple[int, ...]]:
+    """Integer value vectors on ``scope``: the exhaustive grid over
+    [lo, hi] in ``gamble_grid``'s order when it fits the budget, else
+    ``budget`` seeded draws."""
+    if (hi - lo + 1) ** scope.size <= budget:
+        return list(itertools.product(range(lo, hi + 1), repeat=scope.size))
+    rng = random.Random(seed)
+    return [tuple([rng.randint(lo, hi) for _ in range(scope.size)]) for _ in range(budget)]
+
+
 def sample_gambles(
     scope: Scope,
     *,
@@ -143,12 +161,8 @@ def sample_gambles(
     lo: int = -3,
     hi: int = 3,
 ) -> list[Gamble]:
-    """Exhaustive integer grid when it fits the budget, else seeded draws."""
-    total = (hi - lo + 1) ** scope.size
-    if total <= budget:
-        return list(gamble_grid(scope, lo, hi))
-    rng = random.Random(seed)
+    """``sample_ints`` with each vector as a gamble."""
     return [
-        Gamble._from_ints(scope, tuple([rng.randint(lo, hi) for _ in range(scope.size)]))
-        for _ in range(budget)
+        Gamble._from_ints(scope, nums)
+        for nums in sample_ints(scope, budget=budget, seed=seed, lo=lo, hi=hi)
     ]

@@ -1,6 +1,7 @@
 """The command-line interface: verdicts, exit codes, determinism."""
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from desirability import Tri, cli, desirable, exactlp, model
+from desirability import DesirabilityError, Tri, cli, desirable, exactlp, model
+from test_model import _mutated_demos
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = str(ROOT / "models" / "demo.json")
@@ -566,6 +568,49 @@ class TestErrors:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "failed to terminate" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _gamble_arg(doc, name):
+    """A mixed-sign gamble on the set's scope, or on two outcomes when the
+    set cannot be read."""
+    try:
+        size = desirable.scope_of(doc.sets[name]).size
+    except DesirabilityError:
+        size = 2
+    return "[%s]" % ",".join(str((-1) ** k * (k + 1)) for k in range(size))
+
+
+def test_mutated_demo_documents_exit_with_a_code_and_one_error_line(capsys, tmp_path):
+    """Every command on every set of a seeded slice of the mutated demo
+    documents (``test_model._mutated_demos``) exits 0 to 3, an error with
+    exactly one stderr line, and no exception leaves ``main``."""
+    codes = set()
+    for k, raw in enumerate(itertools.islice(_mutated_demos(), 0, None, 8)):
+        text = json.dumps(raw)
+        path = tmp_path / ("mutated-%d.json" % k)
+        path.write_text(text, encoding="utf-8")
+        try:
+            doc = model.loads(text)
+        except DesirabilityError:
+            # Every command fails on loading, whatever it asks.
+            gambles = {"coin-lean": "[1,-1]"}
+        else:
+            gambles = {name: _gamble_arg(doc, name) for name in doc.entries}
+        for name, gamble in gambles.items():
+            for command in (
+                ["check", name], ["member", name, gamble], ["lowprev", name, gamble], ["describe", name],
+            ):
+                argv = ["--model", str(path)] + command
+                try:
+                    code = cli.main(argv)
+                except BaseException as exc:  # noqa: BLE001 - any escape is the defect
+                    pytest.fail("%s escaped main on %r: %s\n%s" % (type(exc).__name__, argv, exc, text))
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3), (argv, code, text)
+                if code == 3:
+                    assert err.count("\n") == 1 and err.startswith("error: "), (argv, err, text)
+                codes.add(code)
+    assert {0, 1, 3} <= codes
 
 
 class TestWork:

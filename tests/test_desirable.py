@@ -15,7 +15,9 @@ from desirability import (
     CellSet,
     CredalSet,
     DesirabilityError,
+    DimensionMismatchError,
     EngineError,
+    ExactnessError,
     Gamble,
     GeneratorSet,
     IncoherentBaseError,
@@ -258,6 +260,51 @@ class TestCellSets:
         assert not report.excludes_zero.passed
         assert report.excludes_zero.counterexample.is_zero()
         assert not report.passed
+
+
+class TestCredalProvenance:
+    """A cell set that carries ``from_credal`` must be the strictly
+    desirable set of those masses: the product's support-mass filter and
+    the credal view read the provenance instead of the cells."""
+
+    def _open_cell(self, *functionals):
+        return (Cell(tuple(CellRow(Gamble.on(S1, e), GT) for e in functionals)),)
+
+    def test_a_mislabelled_set_is_rejected_instead_of_misjudged(self):
+        lex = LexSystem.on(S2, [["1/2", "1/2"], [1, 0]])
+        h = Gamble.on(S1, [-5, 1])
+        plain = CellSet(S1, self._open_cell([0, 1]), include_positive=True)
+        assert inex_member(independent_product([plain, lex]), h) is Tri.IN
+        # Tagged with a mass that gives ``h`` negative expectation, the set
+        # would let the support-mass filter reject ``h``.
+        with pytest.raises(ValueError, match="strictly desirable set of its masses"):
+            CellSet(S1, plain.cells, include_positive=True, from_credal=((Fraction(1), Fraction(0)),))
+
+    def test_malformed_masses_raise_typed_errors(self):
+        cells = self._open_cell([1, 0])
+        with pytest.raises(DimensionMismatchError):
+            CellSet(S1, cells, include_positive=True, from_credal=((Fraction(1),),))
+        with pytest.raises(ExactnessError):
+            CellSet(S1, cells, include_positive=True, from_credal=((1, 0),))
+        for masses in (((Fraction(2), Fraction(-1)),), ((Fraction(1, 2), Fraction(1, 4)),), ()):
+            functionals = [list(p) for p in masses]
+            with pytest.raises(ValueError):
+                CellSet(S1, self._open_cell(*functionals), include_positive=True, from_credal=masses)
+        with pytest.raises(ValueError):
+            CellSet(S1, cells, include_positive=False, from_credal=((Fraction(1), Fraction(0)),))
+        with pytest.raises(ValueError):
+            CellSet(S1, cells + cells, include_positive=True, from_credal=((Fraction(1), Fraction(0)),))
+
+    def test_strictly_desirable_sets_keep_their_provenance(self):
+        # A credal set built directly may repeat a vertex or hold a point
+        # that is not extreme; its strictly desirable set still constructs.
+        ends = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        credal = CredalSet(S1, ends + ((Fraction(1, 2), Fraction(1, 2)), ends[0]))
+        cells = strictly_desirable(credal)
+        assert cells.from_credal == credal.vertices
+        rebuilt = CellSet(S1, cells.cells, include_positive=True, from_credal=credal.vertices)
+        assert rebuilt == cells
+        assert member(cells, Gamble.on(S1, [1, 1])) is Tri.IN
 
 
 def _cells(*cells, include_positive=False):
@@ -546,7 +593,7 @@ class TestDispatch:
         f = Gamble.on(S2, [3, 1])
         for query in (
             lambda: member(family, f),
-            lambda: scaled_member(family, f.nums, f.den, 100000),
+            lambda: scaled_member(family, f.nums, 100000),
         ):
             for _ in range(2):
                 with pytest.raises(UnsupportedQueryError) as info:

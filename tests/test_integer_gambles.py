@@ -32,12 +32,15 @@ from hypothesis import strategies as st
 
 from desirability import (
     Assignment,
+    BudgetExceededError,
+    DesirabilityError,
     ExactnessError,
     Gamble,
     IrrExt,
     LexSystem,
     Scope,
     Tri,
+    UnsupportedQueryError,
     Variable,
     is_independent,
     is_irrelevant,
@@ -45,7 +48,8 @@ from desirability import (
     strictly_desirable,
 )
 from desirability.desirable import (
-    CellSet, Conditioned, IndepProduct, StrongProduct, avoids_nonpositivity, scope_of,
+    CellSet, ConditionalFamily, Conditioned, IndepProduct, StrongProduct, avoids_nonpositivity,
+    scope_of,
 )
 from desirability.independence import factorisation_check, irrelevant_extension
 from desirability.structure import condition, sample_gambles
@@ -340,6 +344,49 @@ def test_membership_is_invariant_under_positive_scaling(name, values, k, shape):
     scaled = Gamble(scope, tuple(k * v for v in f.values))
     assert member(expr, scaled) is member(expr, f)
     assert member(expr, scaled) is fraction_member(expr, f)
+
+
+def _outcome(expr, f, budget):
+    """The verdict on ``f``, or the type and message of the error raised."""
+    try:
+        return member(expr, f, budget=budget)
+    except DesirabilityError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_node_kind_is_invariant_under_positive_scaling(seed):
+    """``member(c * f) == member(f)`` for ``c`` in 1/3 and 7/2 on every node
+    kind, and a query that raises raises the same error for both.
+
+    Every kept test reads a gamble's numerators alone, so the products and
+    generator sets, whose rows put those ints over the generators' lcm,
+    must not depend on which positive multiple they get.  A budget of one
+    stops the products and strong products that need more than one
+    signature or vertex combination; a conditional family, and a product
+    over a marginal that is not a leaf, answer no plain query."""
+    rng = random.Random("integer-gambles-scaled-%d" % seed)
+    lex_ac = maximal_lex(rng, one(A2, C2))
+    unsupported = [
+        ("family", ConditionalFamily(one(C2), ((Assignment.of({C2: "a"}), maximal_lex(rng, one(A2))),))),
+        (
+            "product-over-conditioned",
+            IndepProduct((Conditioned(lex_ac, Assignment.of({C2: "b"})), maximal_lex(rng, one(B2)))),
+        ),
+    ]
+    raised = set()
+    for name, expr in node_cases(seed) + unsupported:
+        scope = scope_of(expr)
+        gambles = [fraction_gamble(rng, scope) for _ in range(30)]
+        gambles += sample_gambles(scope, budget=30, seed=seed)
+        for f in gambles:
+            for budget in (100000, 1):
+                want = _outcome(expr, f, budget)
+                for c in (F(1, 3), F(7, 2)):
+                    assert _outcome(expr, c * f, budget) == want, (name, f, c, budget)
+                if not isinstance(want, Tri):
+                    raised.add(want[0])
+    assert raised == {BudgetExceededError, UnsupportedQueryError}
 
 
 # ---------------------------------------------------------------------------

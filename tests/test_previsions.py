@@ -239,7 +239,7 @@ class TestPricesAgainstBreakpointOracle:
                 units = [[int(i == w) for i in range(size)] for w in range(size)]
                 rows = [r.functional.values for c in model.cells for r in c.rows]
                 functionals = rows + units
-                accepts = lambda f: desirable.scaled_member(model, f.nums, f.den, 0) is Tri.IN  # noqa: E731
+                accepts = lambda f: desirable.scaled_member(model, f.nums, 0) is Tri.IN  # noqa: E731
             want = _breakpoint_sup(functionals, accepts, value, direction)
             if want == _UNBOUNDED:
                 with pytest.raises(IncoherentBaseError, match="unbounded buying price"):
@@ -778,6 +778,26 @@ class TestStrongMembership:
             [credal_view(d1), credal_view(d2)], f
         ) == 0
         assert strong_member(prod, f) is Tri.UNKNOWN
+
+    def test_credal_views_are_canonicalised_once_per_marginal(self, monkeypatch):
+        # Each two-vertex marginal proves its vertices extreme with one
+        # convex-combination LP per vertex on the first mixed-sign query;
+        # the views are kept with the marginals, so later queries solve none.
+        _, _, prod = self._pair()
+        solved = []
+        engine = exactlp._solve_engine
+
+        def counted(system, objective=None):
+            solved.append(system)
+            return engine(system, objective)
+
+        monkeypatch.setattr(exactlp, "_solve_engine", counted)
+        verdicts = [
+            strong_member(prod, Gamble.on(S12, values))
+            for values in ([1, -1, -1, 1], [3, -1, -1, 3], [1, 1, 1, -2])
+        ]
+        assert verdicts == [Tri.UNKNOWN, Tri.IN, Tri.OUT]
+        assert len(solved) == 4
 
     def test_maximal_marginals_delegate_exactly(self):
         m = LexSystem(S1, ((F(1, 2), F(1, 2)), (F(1), F(0))))

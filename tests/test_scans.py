@@ -288,9 +288,9 @@ class TestScanWorkPins:
         calls = []
         inner = independence.scaled_member
 
-        def counting(expr, nums, den, budget):
+        def counting(expr, nums, budget):
             calls.append(nums)
-            return inner(expr, nums, den, budget)
+            return inner(expr, nums, budget)
 
         monkeypatch.setattr(independence, "scaled_member", counting)
         return scan(), len(calls)
@@ -375,15 +375,6 @@ def case_of(name):
     return next(c for c in all_scan_cases() if c[0] == name)
 
 
-def denominated(sampler):
-    """``sampler`` with its k-th gamble divided by ``2 + k % 3``."""
-
-    def sample(scope, **kwargs):
-        return [g * F(1, 2 + k % 3) for k, g in enumerate(sampler(scope, **kwargs))]
-
-    return sample
-
-
 class TestGambleScanDifferential:
     """``is_irrelevant`` and ``factorisation_check`` send full-scope ints
     to ``scaled_member``; the scans in ``references`` send gambles on the
@@ -459,19 +450,19 @@ class TestGambleScanDifferential:
             assert str(got.value) == str(want.value)
 
     def test_queries_equal_the_gamble_queries(self, monkeypatch):
-        """Every query, in order, as rationals on the expression's scope.
+        """Every query, in order, as values on the expression's scope.
 
-        The samples carry denominators 2 to 4, so a query that loses a
-        sample's or a factor's denominator differs from the reference's;
-        verdicts alone cannot show it, since every node is a cone.
+        The engine's int vectors must be the reference gambles' values
+        themselves, not some other positive multiple; verdicts alone cannot
+        show it, since every node is a cone.
         """
         sent, asked = [], []
         engine_query = independence.scaled_member
         reference_query = references.member
 
-        def record_ints(expr, nums, den, budget):
-            sent.append(tuple([F(n, den) for n in nums]))
-            return engine_query(expr, nums, den, budget)
+        def record_ints(expr, nums, budget):
+            sent.append(tuple(nums))
+            return engine_query(expr, nums, budget)
 
         def record_gamble(expr, f, **kwargs):
             asked.append(f.embed(scope_of(expr)).values)
@@ -479,8 +470,6 @@ class TestGambleScanDifferential:
 
         monkeypatch.setattr(independence, "scaled_member", record_ints)
         monkeypatch.setattr(references, "member", record_gamble)
-        monkeypatch.setattr(independence, "sample_gambles", denominated(sample_gambles))
-        monkeypatch.setattr(references, "sample_gambles", denominated(sample_gambles))
         for name, expr, irrelevant, onto, budget in all_scan_cases():
             budget = min(budget, 60)
             del sent[:], asked[:]
@@ -491,7 +480,6 @@ class TestGambleScanDifferential:
             got = factorisation_check(expr, irrelevant, onto, budget=6)
             assert got == gamble_factorisation_check(expr, irrelevant, onto, budget=6), name
             assert sent == asked, name
-        assert any(f.den > 1 for f in denominated(sample_gambles)(one(X2)))
 
 
 # ---------------------------------------------------------------------------
