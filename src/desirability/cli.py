@@ -147,17 +147,27 @@ def _named(doc: ModelDocument, name: str) -> DesirableSetExpr:
     return doc.sets[name]
 
 
+def _split(text: str, sep: str = ",") -> list[str]:
+    """The stripped entries of a ``sep``-separated list: none for blank
+    text, and an error naming the text for a blank entry anywhere else."""
+    if not text.strip():
+        return []
+    entries = [entry.strip() for entry in text.split(sep)]
+    if not all(entries):
+        raise DesirabilityError("empty entry in %r" % text)
+    return entries
+
+
 def _parse_gamble(text: str, scope: Scope) -> Gamble:
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    chunks = [c.strip() for c in body.split(",") if c.strip()]
-    return Gamble.on(scope, [as_rational(c) for c in chunks])
+    return Gamble.on(scope, [as_rational(c) for c in _split(body)])
 
 
 def _parse_vars(text: str, doc: ModelDocument) -> Scope:
     by_id = {v.name: v for v in doc.variables}
-    names = [n.strip() for n in text.split(",") if n.strip()]
+    names = _split(text)
     missing = [n for n in names if n not in by_id]
     if missing:
         raise DesirabilityError("unknown variable id %r" % missing[0])
@@ -351,7 +361,7 @@ def _cmd_irr_check(args: argparse.Namespace) -> int:
 def _cmd_indep_check(args: argparse.Namespace) -> int:
     doc = _require_model(args)
     expr = _named(doc, args.name)
-    blocks = [ _parse_vars(chunk, doc) for chunk in args.blocks.split("|") if chunk.strip() ]
+    blocks = [_parse_vars(chunk, doc) for chunk in _split(args.blocks, "|")]
     verdict = is_independent(expr, blocks, budget=args.budget, seed=args.seed)
     return _emit_scan(args, verdict, "independent")
 
@@ -375,7 +385,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_strong_member(args: argparse.Namespace) -> int:
     doc = _require_model(args)
-    names = [n.strip() for n in args.parts.split(",") if n.strip()]
+    names = _split(args.parts)
     parts = tuple(_named(doc, n) for n in names)
     product = StrongProduct(parts)
     f = _parse_gamble(args.gamble, scope_of(product))

@@ -308,18 +308,6 @@ class CellRow:
         if self.rel not in (GE, GT, EQ):
             raise ValueError("unknown relation %r" % (self.rel,))
 
-    def holds(self, nums: Sequence[int]) -> bool:
-        """Does the gamble with values ``nums`` satisfy the constraint?
-
-        ``nums`` may be the values times any positive factor, such as a
-        gamble's ``nums``.  The verdict is the sign of an integer dot
-        product with the functional's ``nums``, its values times its
-        positive denominator, so it is that of the exact rational one.
-        """
-        ints = self.functional.nums
-        _check_length(len(ints), nums)
-        return _cell_accepts(False, ((ints, self.rel),), nums)
-
 
 @dataclass(frozen=True)
 class Cell:
@@ -328,30 +316,14 @@ class Cell:
     rows: tuple[CellRow, ...]
     exclude_zero: bool = False
 
-    def accepts(self, nums: Sequence[int]) -> bool:
-        """Does the gamble with values ``nums`` (or a positive multiple) lie in the cell?"""
-        for row in self.rows:
-            _check_length(len(row.functional.nums), nums)
-        return _cell_accepts(self.exclude_zero, _int_rows(self), nums)
-
-
-def _check_length(size: int, nums: Sequence[int]) -> None:
-    if len(nums) != size:
-        raise DimensionMismatchError(
-            "expected %d values for the functional, got %d" % (size, len(nums))
-        )
-
-
-def _int_rows(cell: Cell) -> tuple[tuple[tuple[int, ...], str], ...]:
-    """Each row of ``cell`` as its functional's ``nums`` and its relation."""
-    return tuple([(row.functional.nums, row.rel) for row in cell.rows])
-
 
 def _cell_accepts(
     exclude_zero: bool, rows: Sequence[tuple[Sequence[int], str]], nums: Sequence[int]
 ) -> bool:
-    """``Cell.accepts`` on the cell's ``exclude_zero`` and ``_int_rows``:
-    each row's verdict is the sign of an integer dot product."""
+    """Does the gamble ``nums``, or any positive multiple of it, lie in the
+    cell with this ``exclude_zero`` and these rows, each its functional's
+    ``nums`` and its relation?  Each row's verdict is the sign of an
+    integer dot product, so it is that of the exact rational one."""
     if exclude_zero and not any(nums):
         return False
     for ints, rel in rows:
@@ -365,18 +337,17 @@ def _cell_accepts(
 class CellSet:
     """A finite union of cells, optionally together with all positives.
 
-    ``from_credal`` carries provenance when the set was built as the
-    strictly desirable set of a credal set: the raw vertex mass functions.
-    That unlocks structural coherence verdicts, credal views and the
-    product's support mass, so a set that carries it must be that set: the
-    positives and one cell of a ``>`` row per mass, in order, each a
-    probability mass.  Anything else raises ``ValueError``.
+    A set of the positives and one cell of ``>`` rows whose functionals
+    are nonnegative and nonzero is the strictly desirable set of a credal
+    set, whose vertex masses ``from_credal`` reads from the cells.  Those
+    masses unlock structural coherence verdicts, credal views and the
+    product's support mass, whether the set was built by
+    ``strictly_desirable`` or written by hand.
     """
 
     scope: Scope
     cells: tuple[Cell, ...]
     include_positive: bool = False
-    from_credal: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
     def __post_init__(self) -> None:
         for cell in self.cells:
@@ -386,18 +357,21 @@ class CellSet:
                         "cell functional scope %r does not match %r"
                         % (row.functional.scope.names, self.scope.names)
                     )
-        if self.from_credal is not None:
-            rows = []
-            for p in self.from_credal:
-                mass = Gamble(self.scope, p)
-                if min(mass.nums) < 0 or sum(mass.nums) != mass.den:
-                    raise ValueError("credal provenance %s is not a probability mass" % mass)
-                rows.append(CellRow(mass, GT))
-            if not rows or not self.include_positive or self.cells != (Cell(tuple(rows)),):
-                raise ValueError(
-                    "a cell set with a credal provenance must be the strictly "
-                    "desirable set of its masses"
-                )
+
+    @cached_property
+    def from_credal(self) -> Optional[tuple[tuple[Fraction, ...], ...]]:
+        """The masses of the credal set whose strictly desirable set this
+        is, each row's functional scaled to sum to one, in row order, or
+        ``None`` when the set has another shape."""
+        if not self.include_positive or len(self.cells) != 1 or not self.cells[0].rows:
+            return None
+        masses = []
+        for row in self.cells[0].rows:
+            nums, total = row.functional.nums, sum(row.functional.nums)
+            if row.rel != GT or min(nums) < 0 or not total:
+                return None
+            masses.append(tuple([Fraction(v, total) for v in nums]))
+        return tuple(masses)
 
 
 def _unit_cell(scope: Scope, rel: str) -> Cell:
@@ -439,16 +413,6 @@ def sign_cells(model: Union[CellSet, LexSystem]) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def _is_strict_credal(cs: CellSet) -> bool:
-    """Is the set the positives and one cell of ``>`` rows with nonnegative
-    functionals, as ``strictly_desirable`` builds?"""
-    return (
-        cs.include_positive
-        and len(cs.cells) == 1
-        and all(row.rel == GT and min(row.functional.nums) >= 0 for row in cs.cells[0].rows)
-    )
-
-
 def sign_chain(model: Union[CellSet, LexSystem]) -> Optional[tuple[Cell, ...]]:
     """The model's ``sign_cells`` ordered as a chain, or ``None`` when they
     form none.
@@ -459,14 +423,15 @@ def sign_chain(model: Union[CellSet, LexSystem]) -> Optional[tuple[Cell, ...]]:
     lists them: a later cell ties the earlier cells' lead levels.  So are
     a cell set's of one cell without the positives, that cell and then the
     zero cell, which meets every homogeneous weak row.  A strictly
-    desirable credal set's are one in reverse, its open cell before the
-    orthant, which every nonnegative functional keeps at ``>= 0``.  Other
-    cell sets have no chain; product membership walks each of their cells
-    as a chain of its own, which it never moves past.
+    desirable set's, one with ``from_credal`` masses, are one in reverse,
+    its open cell before the orthant, which every nonnegative functional
+    keeps at ``>= 0``.  Other cell sets have no chain; product membership
+    walks each of their cells as a chain of its own, which it never moves
+    past.
     """
     if isinstance(model, LexSystem) or (len(model.cells) == 1 and not model.include_positive):
         return sign_cells(model)
-    return sign_cells(model)[::-1] if _is_strict_credal(model) else None
+    return sign_cells(model)[::-1] if model.from_credal is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +680,8 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
       ``_negated_ints`` (``_natext_test``);
     * a lexicographic system: its ``int_levels`` (``_lex_test``);
     * a cell set: its size, whether it includes the positives, and per
-      cell its ``exclude_zero`` and ``_int_rows`` (``_cellset_test``);
+      cell its ``exclude_zero`` and rows, each its functional's ``nums``
+      and its relation (``_cellset_test``);
     * a conditioned node: its ``mask_table`` and its base
       (``_conditioned_test``);
     * an extension: its ``slice_table`` and its base (``_slices_test``).
@@ -747,7 +713,10 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
             check_coherent(expr)
         kept = _lex_test, expr.int_levels
     elif isinstance(expr, CellSet):
-        cells = tuple([(cell.exclude_zero, _int_rows(cell)) for cell in expr.cells])
+        cells = tuple([
+            (cell.exclude_zero, tuple([(row.functional.nums, row.rel) for row in cell.rows]))
+            for cell in expr.cells
+        ])
         kept = _cellset_test, (expr.scope.size, expr.include_positive, cells)
     elif isinstance(expr, Conditioned):
         kept = _conditioned_test, (expr.mask_table, expr.base)
@@ -800,7 +769,10 @@ def _cellset_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
     """In iff ``nums`` is positive and the set includes the positives, or
     some cell accepts it (``_cell_accepts``)."""
     size, include_positive, cells = data
-    _check_length(size, nums)
+    if len(nums) != size:
+        raise DimensionMismatchError(
+            "expected %d values for the functional, got %d" % (size, len(nums))
+        )
     if include_positive and min(nums) >= 0 and any(nums):
         return Tri.IN
     for exclude_zero, rows in cells:
@@ -931,16 +903,21 @@ AUDIT_SAMPLES = 200
 def cellset_coherence_audit(cs: CellSet) -> CoherenceReport:
     """Audit the three coherence axioms for a cell set.
 
-    Zero exclusion is exact.  Acceptance of all positives is structural
-    when the positives are included wholesale, exact via complement
-    decomposition within ``AUDIT_BRANCH_BUDGET`` branches, and checked on
-    ``structure.sample_gambles`` beyond it.  Closure under positive
-    combinations is structural for the canonical families and checked on
-    sampled members otherwise; a sampled counterexample is still a
-    definitive failure.
+    Zero exclusion is exact: a cell holds the zero gamble iff it does not
+    exclude zero and has no ``>`` row.  Acceptance of all positives is
+    structural when the positives are included wholesale, exact via
+    complement decomposition within ``AUDIT_BRANCH_BUDGET`` branches, and
+    checked on ``structure.sample_gambles`` beyond it.  Closure under
+    positive combinations is structural for a set with ``from_credal``
+    masses and for a single cell, and checked on sampled members
+    otherwise; a sampled counterexample is still a definitive failure.
     """
     zero = Gamble.zero(cs.scope)
-    zero_cells = [i for i, cell in enumerate(cs.cells) if cell.accepts(zero.nums)]
+    zero_cells = [
+        i
+        for i, cell in enumerate(cs.cells)
+        if not cell.exclude_zero and all(row.rel != GT for row in cell.rows)
+    ]
     excludes_zero = AuditFinding(
         "excludes-zero",
         not zero_cells,
@@ -1008,13 +985,6 @@ def _audit_posi_closed(cs: CellSet) -> AuditFinding:
                 "structural",
                 "single cell: an intersection of homogeneous sign constraints",
             )
-    if _is_strict_credal(cs):
-        return AuditFinding(
-            "posi-closed",
-            True,
-            "structural",
-            "positives plus one strict cell with nonnegative functionals",
-        )
     from .structure import sample_gambles
 
     members = [

@@ -28,7 +28,6 @@ from .maximal import (
     lex_condition,
     lex_equal,
     lex_is_maximal,
-    lex_member,
     maximal_product_check,
     nonmaximality_witness,
 )
@@ -280,7 +279,7 @@ def maximal_product_superset(budget: int = 100000) -> FixtureResult:
     product = independent_product((m1, m2))
     rejected = 0
     for g in gamble_grid(joint, -2, 2):
-        if g.is_zero() or lex_member(refined, g):
+        if g.is_zero() or member(refined, g) is Tri.IN:
             continue
         rejected += 1
         if inex_member(product, g, budget=budget) is not Tri.OUT:

@@ -31,7 +31,6 @@ from typing import Sequence
 
 from .errors import (
     DegenerateConditioningError,
-    DimensionMismatchError,
     EngineError,
     ExactnessError,
     ScopeError,
@@ -105,19 +104,9 @@ class LexSystem:
         return all(map(any, zip(*self.int_levels)))
 
 
-def lex_member(system: LexSystem, f: Gamble) -> bool:
-    """First nonzero level expectation positive?"""
-    if len(f.nums) != system.scope.size:
-        raise DimensionMismatchError(
-            "expected %d values for scope %r, got %d"
-            % (system.scope.size, system.scope.names, len(f.nums))
-        )
-    return lex_accepts(system.int_levels, f.nums)
-
-
 def lex_accepts(levels: Sequence[Sequence[int]], nums: Sequence[int]) -> bool:
-    """``lex_member`` of the gamble with values ``nums``, on a system's
-    ``int_levels``.
+    """Is the first nonzero level expectation of the gamble with values
+    ``nums`` positive, on a system's ``int_levels``?
 
     ``nums`` may be the values times any positive factor, such as a
     gamble's ``nums``.  Each level is scaled to ints once per system
@@ -213,7 +202,7 @@ def _included_boundary(system: LexSystem) -> Gamble:
     """The first-level-null direction that the system accepts."""
     p1 = system.levels[0]
     v = Gamble(system.scope, (p1[1], -p1[0]))
-    if lex_member(system, v):
+    if lex_accepts(system.int_levels, v.nums):
         return v
     return -v
 

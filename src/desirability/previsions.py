@@ -467,33 +467,30 @@ def strictly_desirable(credal: CredalSet) -> CellSet:
     """Smallest coherent set inducing the credal set's lower envelope.
 
     A gamble belongs iff it is positive or every vertex gives it
-    strictly positive expectation; the credal provenance is kept on the
-    result so product queries can recover the vertices exactly.
+    strictly positive expectation.  The result's ``from_credal`` reads
+    the vertices back from its rows, exactly and in order.
     """
     rows = tuple(CellRow(Gamble(credal.scope, p), GT) for p in credal.vertices)
-    return CellSet(
-        credal.scope,
-        (Cell(rows),),
-        include_positive=True,
-        from_credal=credal.vertices,
-    )
+    return CellSet(credal.scope, (Cell(rows),), include_positive=True)
 
 
 def credal_view(expr: DesirableSetExpr, *, budget: int = 200000) -> CredalSet:
     """The credal set of the lower prevision induced by a marginal model.
 
     Generator cones enumerate their vertices; strictly desirable cell
-    models recover their provenance; lexicographic models induce the
-    linear prevision of their first level (deeper levels only break
-    ties at price zero, which a supremum never sees).
+    models, built by ``strictly_desirable`` or written by hand,
+    canonicalise the masses ``from_credal`` reads from their cells;
+    lexicographic models induce the linear prevision of their first level
+    (deeper levels only break ties at price zero, which a supremum never
+    sees).
     """
     if isinstance(expr, CredalSet):
         return expr
     if isinstance(expr, GeneratorSet):
         return credal_vertices(expr, budget=budget)
     if isinstance(expr, CellSet) and expr.from_credal is not None:
-        # Canonicalised once per set and kept with it: its provenance never
-        # changes, and each canonical vertex costs an LP.
+        # Canonicalised once per set and kept with it: its cells never
+        # change, and each canonical vertex costs an LP.
         view = expr.__dict__.get("_credal_view")
         if view is None:
             view = expr.__dict__["_credal_view"] = CredalSet.of(expr.scope, expr.from_credal)

@@ -40,7 +40,7 @@ from desirability.structure import (
     sample_gambles,
 )
 from desirability.independence import irrelevant_extension
-from desirability.maximal import lex_condition, lex_member
+from desirability.maximal import lex_condition
 from randgen import (
     random_credal,
     random_gamble,
@@ -577,8 +577,8 @@ def law_conditioning_preserves_maximality() -> LawResult:
                 continue
             mask = indicator(given, S12)
             for g in sample_gambles(cond.scope, budget=6, seed=i):
-                got = lex_member(cond, g)
-                want = lex_member(system, mask * g.embed(S12))
+                got = member(cond, g) is Tri.IN
+                want = member(system, mask * g.embed(S12)) is Tri.IN
                 if got is not want:
                     violations.append(
                         "i=%d %s g=%s: %s vs %s" % (i, given, g.values, got, want)

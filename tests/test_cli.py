@@ -349,6 +349,26 @@ class TestErrors:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("member", "fair-window", "[3,,-1]"),
+            ("member", "fair-window", "3,-1,"),
+            ("strong-member", "coin-lean,,fair-window", "[1,-1,2,0]"),
+            ("irr-check", "joint-lean", "X2,", "X1"),
+            ("indep-check", "product", "X1||X2"),
+        ],
+    )
+    def test_an_empty_list_entry_exits_three_with_one_line(self, capsys, argv):
+        # Dropping the entry would answer for another list than the one given.
+        code, out, err = run(capsys, "--model", DEMO, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: empty entry in ") and err.count("\n") == 1
+
+    def test_an_empty_gamble_is_read_as_no_values(self, capsys):
+        code, _, err = run(capsys, "--model", DEMO, "member", "fair-window", "[]")
+        assert (code, err) == (3, "error: expected 2 values for scope ('X2',), got 0\n")
+
     def test_member_without_model_flag(self, capsys):
         code, _, err = run(capsys, "member", "coin-lean", "[1,-1]")
         assert code == 3 and "--model" in err

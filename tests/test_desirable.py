@@ -15,9 +15,7 @@ from desirability import (
     CellSet,
     CredalSet,
     DesirabilityError,
-    DimensionMismatchError,
     EngineError,
-    ExactnessError,
     Gamble,
     GeneratorSet,
     IncoherentBaseError,
@@ -56,9 +54,9 @@ from desirability.desirable import (
     sign_chain,
 )
 from desirability.independence import conditional_inex, independent_product
-from desirability.previsions import strong_member
+from desirability.previsions import credal_view, strong_member
 from desirability.exactlp import EQ, GE, GT, Infeasible, solve
-from desirability.maximal import lex_is_coherent, lex_is_maximal, lex_member
+from desirability.maximal import lex_accepts, lex_is_coherent, lex_is_maximal
 from desirability.space import CACHE_MAXSIZE, _restriction_map, _slice_map
 from desirability.structure import cyl_ext
 from randgen import random_credal, random_gamble, random_generator_set
@@ -262,10 +260,17 @@ class TestCellSets:
         assert not report.passed
 
 
+def _on_x2(*rows, include_positive=True):
+    """The positives (unless dropped) and one cell of ``rows`` on X2, each
+    row ``(functional, rel)``."""
+    cell = Cell(tuple(CellRow(Gamble.on(S2, e), rel) for e, rel in rows))
+    return CellSet(S2, (cell,), include_positive=include_positive)
+
+
 class TestCredalProvenance:
-    """A cell set that carries ``from_credal`` must be the strictly
-    desirable set of those masses: the product's support-mass filter and
-    the credal view read the provenance instead of the cells."""
+    """A cell set's ``from_credal`` masses are read from its cells, so the
+    product's support-mass filter and the credal view, which read them,
+    can never disagree with the set."""
 
     def _open_cell(self, *functionals):
         return (Cell(tuple(CellRow(Gamble.on(S1, e), GT) for e in functionals)),)
@@ -274,26 +279,10 @@ class TestCredalProvenance:
         lex = LexSystem.on(S2, [["1/2", "1/2"], [1, 0]])
         h = Gamble.on(S1, [-5, 1])
         plain = CellSet(S1, self._open_cell([0, 1]), include_positive=True)
+        # A mass giving ``h`` negative expectation would let the
+        # support-mass filter reject ``h``; the set's mass is its own row.
+        assert plain.from_credal == ((0, 1),)
         assert inex_member(independent_product([plain, lex]), h) is Tri.IN
-        # Tagged with a mass that gives ``h`` negative expectation, the set
-        # would let the support-mass filter reject ``h``.
-        with pytest.raises(ValueError, match="strictly desirable set of its masses"):
-            CellSet(S1, plain.cells, include_positive=True, from_credal=((Fraction(1), Fraction(0)),))
-
-    def test_malformed_masses_raise_typed_errors(self):
-        cells = self._open_cell([1, 0])
-        with pytest.raises(DimensionMismatchError):
-            CellSet(S1, cells, include_positive=True, from_credal=((Fraction(1),),))
-        with pytest.raises(ExactnessError):
-            CellSet(S1, cells, include_positive=True, from_credal=((1, 0),))
-        for masses in (((Fraction(2), Fraction(-1)),), ((Fraction(1, 2), Fraction(1, 4)),), ()):
-            functionals = [list(p) for p in masses]
-            with pytest.raises(ValueError):
-                CellSet(S1, self._open_cell(*functionals), include_positive=True, from_credal=masses)
-        with pytest.raises(ValueError):
-            CellSet(S1, cells, include_positive=False, from_credal=((Fraction(1), Fraction(0)),))
-        with pytest.raises(ValueError):
-            CellSet(S1, cells + cells, include_positive=True, from_credal=((Fraction(1), Fraction(0)),))
 
     def test_strictly_desirable_sets_keep_their_provenance(self):
         # A credal set built directly may repeat a vertex or hold a point
@@ -302,9 +291,49 @@ class TestCredalProvenance:
         credal = CredalSet(S1, ends + ((Fraction(1, 2), Fraction(1, 2)), ends[0]))
         cells = strictly_desirable(credal)
         assert cells.from_credal == credal.vertices
-        rebuilt = CellSet(S1, cells.cells, include_positive=True, from_credal=credal.vertices)
+        rebuilt = CellSet(S1, cells.cells, include_positive=True)
         assert rebuilt == cells
         assert member(cells, Gamble.on(S1, [1, 1])) is Tri.IN
+
+    def test_a_hand_written_strictly_desirable_set_behaves_like_its_twin(self):
+        hand = _on_x2(([1, 3], GT), ([2, 2], GT))
+        twin = strictly_desirable(CredalSet.of(S2, [("1/2", "1/2"), ("1/4", "3/4")]))
+        masses = ((Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 2), Fraction(1, 2)))
+        assert hand.from_credal == twin.from_credal == masses
+        assert credal_view(hand) == credal_view(twin)
+        w = LexSystem.on(S1, [["1/2", "1/2"], [1, 0]])
+        hand_product, twin_product = (independent_product([w, s]) for s in (hand, twin))
+        assert hand_product.support_mass is not None
+        assert hand_product.support_mass == twin_product.support_mass
+        assert len(sign_chain(hand)) == len(sign_chain(twin))
+        # The rows differ by a positive scale, so their LPs may pivot
+        # differently; only the verdicts must agree.
+        hand_strong, twin_strong = (StrongProduct((lean(), s)) for s in (hand, twin))
+        assert strong_member(hand_strong, Gamble.on(S12, [1, -1, -1, 2])) is Tri.OUT
+        rng = random.Random("hand-and-twin")
+        for _ in range(40):
+            f = random_gamble(rng, S12)
+            assert member(hand_product, f) is member(twin_product, f), f
+            assert strong_member(hand_strong, f) is strong_member(twin_strong, f), f
+        hand_closed = cellset_coherence_audit(hand).posi_closed
+        assert hand_closed == cellset_coherence_audit(twin).posi_closed
+        assert hand_closed.mode == "structural"
+
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            _on_x2(([1, 3], GT), ([0, 0], GT)),
+            _on_x2(([1, 3], GT), ([2, -1], GT)),
+            CellSet(S2, (Cell((CellRow(Gamble.on(S2, [1, 3]), GT),)),) * 2, include_positive=True),
+            _on_x2(([1, 3], GT), ([2, 2], GT), include_positive=False),
+            _on_x2(([1, 3], GT), ([2, 2], GE)),
+        ],
+        ids=["zero-functional", "negative-entry", "two-cells", "no-positives", "weak-row"],
+    )
+    def test_other_shapes_have_no_masses(self, cs):
+        assert cs.from_credal is None
+        with pytest.raises(UnsupportedQueryError, match="no credal view"):
+            credal_view(cs)
 
 
 def _cells(*cells, include_positive=False):
@@ -361,11 +390,30 @@ class TestCellSetAudit:
             bad = finding.counterexample
             assert bad.is_positive() and member(cs, bad) is Tri.OUT
 
+    @pytest.mark.parametrize("exclude_zero", [True, False])
+    def test_zero_is_held_by_a_weak_cell_unless_it_excludes_zero(self, exclude_zero):
+        # Zero meets every ``>=`` and ``=`` row; only ``exclude_zero`` or a
+        # ``>`` row keeps it out.
+        rows = (CellRow(Gamble.on(S1, [1, -1]), EQ), CellRow(Gamble.on(S1, [1, 0]), GE))
+        cs = CellSet(S1, (Cell(rows, exclude_zero=exclude_zero),))
+        finding = cellset_coherence_audit(cs).excludes_zero
+        assert finding.passed is exclude_zero
+        assert (member(cs, Gamble.zero(S1)) is Tri.OUT) is exclude_zero
+
     def test_positives_with_one_strict_nonnegative_cell_are_posi_closed(self):
         cs = _cells([([1, 2], GT)], include_positive=True)
         finding = cellset_coherence_audit(cs).posi_closed
         assert (finding.passed, finding.mode) == (True, "structural")
-        assert "one strict cell" in finding.detail
+        assert finding.detail == "strict lower-envelope family: combinations keep every strict row"
+
+    def test_positives_with_a_rowless_cell_are_not_called_posi_closed(self):
+        # With zero excluded the row-less cell is every nonzero gamble,
+        # which f + (-f) = 0 leaves: the set has no masses to lean on.
+        cs = CellSet(S1, (Cell((), exclude_zero=True),), include_positive=True)
+        assert cs.from_credal is None
+        finding = cellset_coherence_audit(cs).posi_closed
+        assert (finding.passed, finding.mode) == (False, "sampled")
+        assert member(cs, finding.counterexample) is Tri.OUT
 
     def test_sampled_posi_closure_finds_a_sum_outside_the_set(self):
         # Two open rays: each is closed, their union is not.
@@ -408,18 +456,23 @@ def _model_functionals(model):
 def _assert_sign_cell_contract(model, f):
     """The contract on ``f``; returns whether ``f`` is in the set.  An
     incoherent lex system is gated on every query, so its set is read by
-    ``lex_member``."""
+    ``lex_accepts``."""
     cells = sign_cells(model)
     if isinstance(model, LexSystem) and not lex_is_coherent(model):
         with pytest.raises(IncoherentBaseError, match="incoherent lex system"):
             member(model, f)
-        inside = lex_member(model, f)
+        inside = lex_accepts(model.int_levels, f.nums)
     else:
         inside = member(model, f) is Tri.IN
-    assert any(cell.accepts(f.nums) for cell in cells) == inside, (model, f)
-    admitted = any(all(row.holds(f.nums) for row in cell.rows) for cell in cells)
+    assert any(_in_cell(model.scope, cell, f) for cell in cells) == inside, (model, f)
+    admitted = any(_in_cell(model.scope, Cell(cell.rows), f) for cell in cells)
     assert admitted == (inside or f.is_zero()), (model, f)
     return inside
+
+
+def _in_cell(scope, cell, f):
+    """Does ``cell`` on ``scope`` hold ``f``?  Asked of the one-cell set."""
+    return member(CellSet(scope, (cell,)), f) is Tri.IN
 
 
 def _random_sign_model(rng, scope):
@@ -552,14 +605,14 @@ class TestSignCells:
                 g = random_gamble(rng, scope)
                 k = rng.randint(0, len(functionals))
                 f = _null_projection(g, functionals[:k])
-                admitted = [all(row.holds(f.nums) for row in cell.rows) for cell in chain]
+                admitted = [_in_cell(scope, Cell(cell.rows), f) for cell in chain]
                 for j in range(len(chain)):
                     if not admitted[j]:
                         continue
                     for cell in chain[:j]:
                         for row in cell.rows:
                             weak = CellRow(row.functional, GE if row.rel == GT else row.rel)
-                            assert weak.holds(f.nums), (model, f)
+                            assert _in_cell(scope, Cell((weak,)), f), (model, f)
         assert chains > 100
 
 

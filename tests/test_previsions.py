@@ -1,7 +1,6 @@
 """Prices: lower/upper previsions, credal vertices, strong products."""
 
 import collections
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -32,6 +31,7 @@ from desirability import (
     independent_product,
     inex_lower_prevision,
     lower_prevision,
+    member,
     strictly_desirable,
     strong_product_lower,
     upper_prevision,
@@ -39,7 +39,7 @@ from desirability import (
 from desirability import desirable, exactlp, previsions
 from desirability.desirable import Cell, CellRow, StrongProduct
 from desirability.independence import irrelevant_extension
-from desirability.maximal import lex_is_coherent, lex_member
+from desirability.maximal import lex_is_coherent
 from desirability.space import disjoint_union
 from desirability.structure import condition, sample_gambles
 from desirability.previsions import strong_member
@@ -233,7 +233,7 @@ class TestPricesAgainstBreakpointOracle:
                 continue
             if lex:
                 functionals = model.levels
-                accepts = functools.partial(lex_member, model)
+                accepts = lambda f: member(model, f) is Tri.IN  # noqa: E731
             else:
                 size = model.scope.size
                 units = [[int(i == w) for i in range(size)] for w in range(size)]
@@ -518,8 +518,6 @@ class TestStrictlyDesirable:
         marginal = strictly_desirable(
             CredalSet.of(S1, [("2/5", "3/5"), ("1/2", "1/2")])
         )
-        from desirability import member
-
         assert member(marginal, Gamble.on(S1, [1, -1])) is Tri.OUT
         assert member(marginal, Gamble.on(S1, [1, 1])) is Tri.IN
         assert member(marginal, Gamble.on(S1, [4, -2])) is Tri.IN
