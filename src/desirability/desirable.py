@@ -77,7 +77,6 @@ from .space import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Tri(Enum):
@@ -163,11 +162,6 @@ class ConsistencyCertificate:
     avoids: bool
     positive_mass: Optional[tuple[Fraction, ...]]
     nonpositive_combination: Optional[tuple[Fraction, ...]]
-
-    @cached_property
-    def int_mass(self) -> list[int]:
-        """The positive mass times the lcm of its denominators, computed once."""
-        return scaled_to_ints(self.positive_mass)[0]
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -456,9 +450,8 @@ class Conditioned:
 
     Membership is rewritten, never materialised: ``g`` belongs iff the
     base accepts ``g.mask(given)``, i.e. ``indicator(given) * g``.  The
-    node's integer test (``_conditioned_test``) masks through
-    ``mask_table``, an index table the node computes once, on first use,
-    and keeps.
+    node holds its base, the observation and its scope, the base's minus
+    the observed variables; its mask table lives in its integer test.
     """
 
     base: DesirableSetExpr
@@ -476,16 +469,6 @@ class Conditioned:
             raise ValueError("conditioning on the empty assignment is a no-op")
         object.__setattr__(self, "scope", base_scope.difference(self.given.scope))
 
-    @cached_property
-    def mask_table(self) -> tuple[int, ...]:
-        """For each base outcome, the index of the conditioned outcome it
-        agrees with, or ``scope.size`` where ``given`` fails."""
-        base_scope = scope_of(self.base)
-        table = [self.scope.size] * base_scope.size
-        for k, w in enumerate(_slice_map(base_scope, self.given)[0]):
-            table[w] = k
-        return tuple(table)
-
 
 @dataclass(frozen=True)
 class IrrExt:
@@ -497,10 +480,11 @@ class IrrExt:
     variables it is the cylindrical extension of the base itself, which
     ``structure.cyl_ext`` builds.
 
-    Membership reads each slice through ``slice_table``, an index table
-    the node computes once, on first use, and keeps.  The node's integer
-    test (``_slices_test``) is built from it after the base passes its
-    coherence gate.
+    Its constructor is the one place an extension's scopes are checked:
+    the irrelevant variables must miss the base's, and the target must
+    contain both.  ``structure.irrelevant_extension`` builds the node and
+    only collapses or widens it; the slice columns live in the node's
+    integer test.
     """
 
     base: DesirableSetExpr
@@ -511,26 +495,11 @@ class IrrExt:
         base_scope = scope_of(self.base)
         if not base_scope.isdisjoint(self.irrelevant):
             raise ScopeError("irrelevant variables overlap the base scope")
-        if not base_scope.union(self.irrelevant).issubset(self.target):
-            raise ScopeError("extension target must contain base and irrelevant scopes")
-
-    @cached_property
-    def slice_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Target indices behind every entry of every slice.
-
-        One row per assignment of the irrelevant variables, in canonical
-        order.  A row holds, for each base outcome in canonical order, the
-        indices of the target outcomes that agree with both: the outcomes
-        of the other added variables, which the floor minimises over.
-        """
-        kept = self.irrelevant.union(scope_of(self.base))
-        groups: list[list[int]] = [[] for _ in range(kept.size)]
-        for w, k in enumerate(_restriction_map(self.target, kept)):
-            groups[k].append(w)
-        return tuple(
-            tuple(tuple(groups[k]) for k in _slice_map(kept, at)[0])
-            for at in self.irrelevant.assignments()
-        )
+        kept = base_scope.union(self.irrelevant)
+        if not kept.issubset(self.target):
+            raise ScopeError(
+                "extension target %r must contain %r" % (self.target.names, kept.names)
+            )
 
 
 def _support_mass(part: DesirableSetExpr) -> Optional[tuple[Fraction, ...]]:
@@ -546,8 +515,9 @@ def _support_mass(part: DesirableSetExpr) -> Optional[tuple[Fraction, ...]]:
 
 @dataclass(frozen=True)
 class _Product:
-    """Marginal models on disjoint scopes: the body of both product kinds.
-    Its equality also compares the class, so the kinds never compare equal."""
+    """Marginal models on disjoint scopes, at least one: the body of both
+    product kinds, holding its parts and their joint scope.  Its equality
+    also compares the class, so the kinds never compare equal."""
 
     parts: tuple[DesirableSetExpr, ...]
     scope: Scope = field(init=False, repr=False, compare=False)
@@ -559,28 +529,21 @@ class _Product:
 
 
 class IndepProduct(_Product):
-    """Independent natural extension of marginal models on disjoint scopes."""
+    """Independent natural extension of marginal models on disjoint scopes.
 
-    @cached_property
-    def support_mass(self) -> Optional[list[int]]:
-        """A joint mass giving every member nonnegative expectation, scaled
-        to ints, or ``None`` when some marginal has no support mass.
+    The independent natural extension is associative, so a part that is
+    itself an independent product is replaced by its parts when the
+    product is built: ``parts`` is always flat, and a nested product
+    compares, hashes and answers as the flat one.  Its walk rows and
+    support mass live in its integer test (``independence._walk_data``).
+    """
 
-        The product of the marginals' masses (``_support_mass``), computed
-        once per product.
-        """
-        masses = [_support_mass(part) for part in self.parts]
-        if any(m is None for m in masses):
-            return None
-        joint = scope_of(self)
-        block_maps = [_restriction_map(joint, scope_of(part)) for part in self.parts]
-        values = []
-        for w in range(joint.size):
-            v = _ONE
-            for block_map, mass in zip(block_maps, masses):
-                v *= mass[block_map[w]]
-            values.append(v)
-        return scaled_to_ints(values)[0]
+    def __post_init__(self) -> None:
+        flat: list[DesirableSetExpr] = []
+        for part in self.parts:
+            flat.extend(part.parts if isinstance(part, IndepProduct) else (part,))
+        object.__setattr__(self, "parts", tuple(flat))
+        super().__post_init__()
 
 
 class StrongProduct(_Product):
@@ -676,19 +639,22 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
     set's program and a product's domination rows put ``nums`` over the
     generators' lcm, and the nodes that wrap a base hand it ints.
 
-    * a generator set: its certificate's ``int_mass`` and its
-      ``_negated_ints`` (``_natext_test``);
+    * a generator set: its certificate's positive mass, scaled to ints,
+      and its ``_negated_ints`` (``_natext_test``);
     * a lexicographic system: its ``int_levels`` (``_lex_test``);
     * a cell set: its size, whether it includes the positives, and per
       cell its ``exclude_zero`` and rows, each its functional's ``nums``
       and its relation (``_cellset_test``);
-    * a conditioned node: its ``mask_table`` and its base
-      (``_conditioned_test``);
-    * an extension: its ``slice_table`` and its base (``_slices_test``).
-      The groups of a row all have one outcome per assignment of the
-      other added variables, so the row is kept as its columns: the first
-      outcome of every group, and the further columns, none when the
-      target is base and irrelevant scope together.
+    * a conditioned node: its mask table, for each base outcome the index
+      of the conditioned outcome it agrees with, or ``scope.size`` where
+      ``given`` fails, and its base (``_conditioned_test``);
+    * an extension: one row per assignment of the irrelevant variables,
+      in canonical order, and its base (``_slices_test``).  Each base
+      outcome of a row stands for the group of target outcomes that agree
+      with it and the assignment, one per outcome of the other added
+      variables, which the floor minimises over; so the row is kept as its
+      columns: the first outcome of every group, and the further columns,
+      none when the target is base and irrelevant scope together.
     * an independent product: its support mass, signature count and walk
       rows (``independence._walk_data``, read by ``_walk_test`` there);
     * a strong product: over lexicographic marginals alone, the test of
@@ -707,7 +673,8 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
     ``UnsupportedQueryError`` on every plain query.
     """
     if isinstance(expr, GeneratorSet):
-        kept = _natext_test, (check_coherent(expr).int_mass, expr._negated_ints)
+        mass = scaled_to_ints(check_coherent(expr).positive_mass)[0]
+        kept = _natext_test, (mass, expr._negated_ints)
     elif isinstance(expr, LexSystem):
         if not expr.covers_outcomes:
             check_coherent(expr)
@@ -719,11 +686,22 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
         ])
         kept = _cellset_test, (expr.scope.size, expr.include_positive, cells)
     elif isinstance(expr, Conditioned):
-        kept = _conditioned_test, (expr.mask_table, expr.base)
+        base_scope = scope_of(expr.base)
+        table = [expr.scope.size] * base_scope.size
+        for k, w in enumerate(_slice_map(base_scope, expr.given)[0]):
+            table[w] = k
+        kept = _conditioned_test, (tuple(table), expr.base)
     elif isinstance(expr, IrrExt):
         check_coherent(expr.base)
-        columns = [tuple(zip(*row)) for row in expr.slice_table]
-        kept = _slices_test, (tuple([(c[0], c[1:]) for c in columns]), expr.base)
+        scope = expr.irrelevant.union(scope_of(expr.base))
+        groups: list[list[int]] = [[] for _ in range(scope.size)]
+        for w, k in enumerate(_restriction_map(expr.target, scope)):
+            groups[k].append(w)
+        rows = []
+        for at in expr.irrelevant.assignments():
+            first, *rest = zip(*[groups[k] for k in _slice_map(scope, at)[0]])
+            rows.append((first, tuple(rest)))
+        kept = _slices_test, (tuple(rows), expr.base)
     elif isinstance(expr, _Product):
         from .independence import _walk_data, _walk_test, independent_product
         from .previsions import _strong_test

@@ -62,6 +62,7 @@ raises.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
@@ -73,6 +74,7 @@ from .desirable import (
     GeneratorSet,
     IndepProduct,
     Tri,
+    _support_mass,
     avoids_nonpositivity,  # noqa: F401 - perfbench/tracer.py wraps this binding
     member,  # noqa: F401 - perfbench/tracer.py wraps this binding
     scaled_member,
@@ -82,7 +84,9 @@ from .desirable import (
     sign_verdict,
 )
 from .errors import BudgetExceededError, ScopeError, UnsupportedQueryError
-from .exactlp import GE, GT, Feasible, LinRow, LinSystem, strict_feasible, unit_rows
+from .exactlp import (
+    GE, GT, Feasible, LinRow, LinSystem, scaled_to_ints, strict_feasible, unit_rows,
+)
 from .maximal import LexSystem
 from .space import (
     Assignment,
@@ -112,27 +116,21 @@ _QUERY_BUDGET = 100000
 def independent_product(parts: Sequence[DesirableSetExpr]) -> DesirableSetExpr:
     """Independent natural extension of marginal models on disjoint scopes.
 
-    Nested products flatten.  All-generator marginals collapse to a single
-    generator set on the joint scope: each generator masked by the
+    ``IndepProduct`` itself flattens nested products; this only unwraps a
+    product of one marginal and collapses all-generator marginals to a
+    single generator set on the joint scope: each generator masked by the
     indicators of every assignment of the other blocks.
     """
-    flat: list[DesirableSetExpr] = []
-    for part in parts:
-        if isinstance(part, IndepProduct):
-            flat.extend(part.parts)
-        else:
-            flat.append(part)
-    if not flat:
-        raise ScopeError("a product needs at least one marginal")
-    if len(flat) == 1:
-        return flat[0]
-    joint = disjoint_union(scope_of(part) for part in flat)
-    if all(isinstance(part, GeneratorSet) for part in flat):
+    product = IndepProduct(tuple(parts))
+    if len(product.parts) == 1:
+        return product.parts[0]
+    if all(isinstance(part, GeneratorSet) for part in product.parts):
+        joint = product.scope
         masked: list[Gamble] = []
-        for part in flat:
+        for part in product.parts:
             masked.extend(masked_generators(part, joint.difference(part.scope)))
         return GeneratorSet.of(joint, masked)
-    return IndepProduct(tuple(flat))
+    return product
 
 
 def conditional_inex(families: Sequence[ConditionalFamily]) -> ConditionalFamily:
@@ -174,19 +172,31 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
 
 
 def _walk_data(expr: IndepProduct) -> tuple:
-    """What ``_walk_test`` reads, built once per product: the support mass,
-    the signature count and, when every marginal is a leaf, the walk rows.
+    """What ``_walk_test`` reads, built once per product after the gates:
+    ``(mass, signatures, rows)``.
 
-    The walk rows are: the column count; the rows ``lam_k >= 0`` of the
-    masked generators of all generator marginals; per outcome, the ints
-    of its domination row over ``den``, the generators' lcm, in which each
-    cell or lexicographic marginal's summand enters at -1; ``den``, over
-    which a query puts its ints; and each (block, slice) pair's chains of
-    sign cells (``sign_chain``, or one single-cell chain per cell), their
-    rows read with zero admitted, since a summand's slice may vanish.
+    ``mass`` is the product of the marginals' support masses
+    (``desirable._support_mass``), scaled to ints, under which every
+    member has nonnegative expectation, or ``None`` when a marginal has
+    none.  ``signatures`` counts the choices of one sign cell per (block,
+    slice) pair.  ``rows``, ``None`` when a marginal is not a leaf, are:
+    the column count; the rows ``lam_k >= 0`` of the masked generators of
+    all generator marginals; per outcome, the ints of its domination row
+    over ``den``, the generators' lcm, in which each cell or lexicographic
+    marginal's summand enters at -1; ``den``, over which a query puts its
+    ints; and each (block, slice) pair's chains of sign cells
+    (``sign_chain``, or one single-cell chain per cell), their rows read
+    with zero admitted, since a summand's slice may vanish.
     """
     joint = expr.scope
     size = joint.size
+    masses = [_support_mass(part) for part in expr.parts]
+    mass = None
+    if all(m is not None for m in masses):
+        blocks = [_restriction_map(joint, scope_of(part)) for part in expr.parts]
+        mass = scaled_to_ints([
+            math.prod([m[block[w]] for block, m in zip(blocks, masses)]) for w in range(size)
+        ])[0]
     masked = tuple([
         g
         for part in expr.parts
@@ -195,7 +205,7 @@ def _walk_data(expr: IndepProduct) -> tuple:
     ])
     branched = [part for part in expr.parts if not isinstance(part, GeneratorSet)]
     if not all(isinstance(part, (CellSet, LexSystem)) for part in branched):
-        return expr.support_mass, 0, None
+        return mass, 0, None
     weights = len(masked)
     width = weights + len(branched) * size
     negated, den = GeneratorSet(joint, masked)._negated_ints
@@ -223,7 +233,7 @@ def _walk_data(expr: IndepProduct) -> tuple:
             walks.append([options] if chain is not None else [[option] for option in options])
             signatures *= len(cells)
     rows = width, unit_rows(width, GE)[:weights], outcomes, den, walks
-    return expr.support_mass, signatures, rows
+    return mass, signatures, rows
 
 
 def _walk_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
@@ -231,7 +241,8 @@ def _walk_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
     dominates a sum of one summand per block whose slices lie in the
     marginals.  ``sign_verdict`` and the support mass, on which members
     have nonnegative expectation, decide first; then a marginal that is
-    not a leaf raises, and ``budget`` caps the signatures.  Only the
+    not a leaf raises, and more signatures than ``budget`` raise
+    ``BudgetExceededError`` naming both counts.  Only the
     domination rows read ``h``.  ``h`` belongs iff a walk (``_chain_walk``)
     finds a decomposition for some choice of one chain per pair."""
     mass, signatures, rows = data
@@ -246,7 +257,8 @@ def _walk_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
         )
     if signatures > budget:
         raise BudgetExceededError(
-            "signature enumeration needs more than %d problems" % budget
+            "product membership needs %d sign-cell signatures, over the budget of %d"
+            % (signatures, budget)
         )
     width, fixed, outcomes, den, walks = rows
     fixed = list(fixed)

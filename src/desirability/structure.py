@@ -50,29 +50,23 @@ def irrelevant_extension(
     """Smallest coherent joint on ``target`` with ``irrelevant`` irrelevant
     to the base model's variables.
 
-    Generator leaves collapse: the family of indicator-masked generators
-    spans the same cone, one LP per membership query.  Other bases become
-    an ``IrrExt``.  With no irrelevant variables this is the cylindrical
-    extension, and extending an ``IrrExt`` then only widens its target:
-    flooring over the new variables and then over the old added ones is
-    one floor over all of them, and a nonnegative outer floor leaves every
-    slice nonnegative.
+    The ``IrrExt`` node is built first, and its constructor checks the
+    scopes.  A base already on the target is returned itself.  Generator
+    leaves collapse: the family of indicator-masked generators spans the
+    same cone, one LP per membership query.  With no irrelevant variables
+    this is the cylindrical extension, and extending an ``IrrExt`` then
+    only widens its target: flooring over the new variables and then over
+    the old added ones is one floor over all of them, and a nonnegative
+    outer floor leaves every slice nonnegative.
     """
-    base_scope = scope_of(base)
-    if not base_scope.isdisjoint(irrelevant):
-        raise ScopeError("irrelevant variables overlap the base scope")
-    kept = base_scope.union(irrelevant)
-    if not kept.issubset(target):
-        raise ScopeError(
-            "extension target %r must contain %r" % (target.names, kept.names)
-        )
-    if base_scope == target:
+    node = IrrExt(base, irrelevant, target)
+    if scope_of(base) == target:
         return base
     if isinstance(base, GeneratorSet):
         return GeneratorSet.of(target, masked_generators(base, irrelevant))
     if isinstance(base, IrrExt) and not irrelevant.variables:
         return IrrExt(base.base, base.irrelevant, target)
-    return IrrExt(base, irrelevant, target)
+    return node
 
 
 def cyl_ext(base: DesirableSetExpr, target: Scope) -> DesirableSetExpr:

@@ -409,7 +409,10 @@ def _fraction_holds(row: CellRow, values: Sequence[Fraction]) -> bool:
 def fraction_member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) -> Tri:
     """``member`` with lexicographic, cell, conditioned and extension nodes
     decided on ``Fraction`` values: exact expectations, masks that copy
-    values, and slice floors read from ``IrrExt.slice_table``.
+    values, and slice floors taken over the target's assignments, one per
+    assignment ``z`` of the irrelevant variables and outcome ``x`` of the
+    base: the minimum over every target outcome whose restriction to base
+    and irrelevant scope is ``z.union(x)``.  No engine table is read.
     Independent products answer by ``inex_member_enumerated``.  A generator
     set, once it passes ``check_coherent``, holds every nonzero gamble
     whose ``rebuilt_cone_program`` is feasible by ``fm_feasible``.  A strong
@@ -457,9 +460,14 @@ def fraction_member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) 
         if all(v == 0 for v in values):
             return Tri.OUT
         base_scope = scope_of(expr.base)
+        kept = base_scope.union(expr.irrelevant)
+        outcomes = list(zip(expr.target.assignments(), values))
         unknown = False
-        for row in expr.slice_table:
-            piece = tuple([min([values[w] for w in group]) for group in row])
+        for z in expr.irrelevant.assignments():
+            piece = tuple([
+                min([v for w, v in outcomes if w.restrict(kept) == z.union(x)])
+                for x in base_scope.assignments()
+            ])
             if all(v >= 0 for v in piece):
                 continue
             verdict = fraction_member(expr.base, Gamble(base_scope, piece), budget=budget)

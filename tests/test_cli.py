@@ -386,7 +386,10 @@ class TestErrors:
     @pytest.mark.parametrize(
         "name, message",
         [
-            ("product", "error: signature enumeration needs more than 0 problems\n"),
+            (
+                "product",
+                "error: product membership needs 4 sign-cell signatures, over the budget of 0\n",
+            ),
             ("strong-pair", "error: vertex enumeration needs 3 basis candidates, over the budget of 0\n"),
         ],
     )

@@ -60,7 +60,7 @@ from desirability.maximal import lex_accepts, lex_is_coherent, lex_is_maximal
 from desirability.space import CACHE_MAXSIZE, _restriction_map, _slice_map
 from desirability.structure import cyl_ext
 from randgen import random_credal, random_gamble, random_generator_set
-from references import condition_bar_member, lower_expectation
+from references import _product_mass, condition_bar_member, lower_expectation
 
 V1 = Variable("X1", ("a", "b"))
 V2 = Variable("X2", ("a", "b"))
@@ -303,8 +303,8 @@ class TestCredalProvenance:
         assert credal_view(hand) == credal_view(twin)
         w = LexSystem.on(S1, [["1/2", "1/2"], [1, 0]])
         hand_product, twin_product = (independent_product([w, s]) for s in (hand, twin))
-        assert hand_product.support_mass is not None
-        assert hand_product.support_mass == twin_product.support_mass
+        hand_mass, twin_mass = (_product_mass(p, p.scope) for p in (hand_product, twin_product))
+        assert hand_mass is not None and hand_mass == twin_mass
         assert len(sign_chain(hand)) == len(sign_chain(twin))
         # The rows differ by a positive scale, so their LPs may pivot
         # differently; only the verdicts must agree.

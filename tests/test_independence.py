@@ -87,6 +87,19 @@ class TestIrrelevantExtension:
         with pytest.raises(ScopeError):
             irrelevant_extension(LEAN2, S2, S12)
 
+    def test_the_node_and_the_constructor_check_scopes_alike(self):
+        # The node's constructor is the one check: built directly or by
+        # ``irrelevant_extension``, whether the base collapses or not, a
+        # target that misses a scope is named with the scopes it must hold.
+        lex = LexSystem.on(S2, [["1/2", "1/2"], [1, 0]])
+        message = r"^extension target \('X1',\) must contain \('X1', 'X2'\)$"
+        for build in (IrrExt, irrelevant_extension):
+            for base in (LEAN2, lex):
+                with pytest.raises(ScopeError, match=message):
+                    build(base, S1, S1)
+                with pytest.raises(ScopeError, match="^irrelevant variables overlap"):
+                    build(base, S2, S12)
+
     def test_embedded_base_member_accepted(self):
         ext = irrelevant_extension(LEAN2, S1, S12)
         assert member(ext, Gamble.on(S2, [1, -1]).embed(S12)) is Tri.IN
@@ -148,7 +161,7 @@ class TestIndependentProduct:
 
     def test_extended_product_keeps_the_budget(self):
         # ``inex_member`` hands an extension of a product to the dispatcher
-        # with its budget: four signatures are more than none.
+        # with its budget: sixteen signatures are more than none.
         s1, s2, m1, m2 = fixtures._binary_pair()
         joint = s1.union(s2)
         x3 = Scope.of([Variable("X3", ("0", "1"))])
@@ -156,7 +169,9 @@ class TestIndependentProduct:
         h = Gamble.on(joint, [-1, -1, 2, 2])
         assert inex_member(extended, h) is Tri.IN
         for query in (inex_member, member):
-            with pytest.raises(BudgetExceededError, match="more than 0 problems"):
+            with pytest.raises(
+                BudgetExceededError, match="needs 16 sign-cell signatures, over the budget of 0$"
+            ):
                 query(extended, h, budget=0)
 
     def test_lex_parts_stay_symbolic(self):
@@ -236,6 +251,90 @@ def _near_member(rng, parts, joint):
             g = rng.choice(part.generators)
             h = h + g.mask(at).embed(joint) * rng.randint(0, 2)
     return h
+
+
+V3 = Variable("X3", ("a", "b"))
+S3 = Scope.of([V3])
+S123 = S12.union(S3)
+
+
+class TestNestedProducts:
+    """A hand-built nested independent product is the flat product: its
+    constructor flattens it, so it holds, compares, hashes and answers as
+    ``independent_product`` over the same marginals."""
+
+    L1 = LexSystem.on(S1, [["1/2", "1/2"], [1, 0]])
+    L2 = LexSystem.on(S2, [["1/3", "2/3"], [0, 1]])
+    L3 = LexSystem.on(S3, [["1/2", "1/2"], [1, 0]])
+
+    @staticmethod
+    def _nested(a, b, c):
+        return (IndepProduct((IndepProduct((a, b)), c)), IndepProduct((a, IndepProduct((b, c)))))
+
+    def test_nested_parts_are_flat_and_equal_the_flat_product(self):
+        a, b, c = self.L1, self.L2, self.L3
+        flat = IndepProduct((a, b, c))
+        for nested in self._nested(a, b, c):
+            assert nested.parts == (a, b, c)
+            assert nested == flat and hash(nested) == hash(flat)
+            assert nested.scope == S123
+
+    def test_the_nested_lex_product_answers(self):
+        # The walk reads leaf marginals only; a product part would raise
+        # ``UnsupportedQueryError`` if the constructor did not flatten it.
+        h = Gamble.on(S123, [1, -1, 2, -3, 1, 1, -1, 2])
+        assert member(independent_product([self.L1, self.L2, self.L3]), h) is Tri.IN
+        for nested in self._nested(self.L1, self.L2, self.L3):
+            assert member(nested, h) is Tri.IN
+
+    @pytest.mark.parametrize("kind", ["lex-lex-lex", "cell-lex-generator"])
+    def test_nested_products_answer_as_the_smart_constructor(self, kind):
+        rng = random.Random("nested-products/" + kind)
+        for draw in range(3):
+            if kind == "cell-lex-generator":
+                parts = (
+                    strictly_desirable(random_credal(rng, S1, rng.choice([1, 2]))),
+                    _lex(rng, S2),
+                    _generators(rng, S3),
+                )
+            elif draw == 0:
+                parts = (self.L1, self.L2, self.L3)
+            else:
+                parts = tuple(_lex(rng, s) for s in (S1, S2, S3))
+            flat = independent_product(parts)
+            nested = self._nested(*parts)
+            mixed = 0
+            while mixed < 15:
+                h = random_gamble(rng, S123, -3, 3)
+                if min(h.values) >= 0 or max(h.values) <= 0:
+                    continue
+                mixed += 1
+                want = member(flat, h)
+                assert all(member(n, h) is want for n in nested), (kind, parts, h)
+
+    def test_nested_lex_products_match_the_enumeration(self):
+        # Twelve (block, slice) pairs with two cells each: 4096 signatures
+        # at most.  Uniform draws are decided by the filters or by an early
+        # signature.
+        rng = random.Random("nested-products/enumerated")
+        verdicts = set()
+        for _ in range(3):
+            parts = tuple(_lex(rng, s) for s in (S1, S2, S3))
+            for nested in self._nested(*parts):
+                for _ in range(4):
+                    h = random_gamble(rng, S123, -3, 3)
+                    verdict = member(nested, h)
+                    assert verdict is inex_member_enumerated(nested, h, budget=4096), (parts, h)
+                    verdicts.add(verdict)
+        assert verdicts == {Tri.IN, Tri.OUT}
+
+    def test_an_empty_product_is_still_an_error(self):
+        with pytest.raises(ScopeError):
+            IndepProduct(())
+
+    def test_strong_products_stay_nested(self):
+        inner = StrongProduct((self.L1, self.L2))
+        assert len(StrongProduct((inner, self.L3)).parts) == 2
 
 
 class TestThreeBlockProducts:
@@ -365,9 +464,10 @@ def _offer(rng, product):
     where the sign filters of ``inex_member`` decide nothing."""
     joint = scope_of(product)
     h = random_gamble(rng, joint, -3, 3)
-    mass = product.support_mass
-    if mass is None or rng.random() < 0.5:
+    support = references._product_mass(product, joint)
+    if support is None or rng.random() < 0.5:
         return h
+    mass = support.values
     at = rng.choice([w for w, m in enumerate(mass) if m])
     values = list(h.values)
     values[at] -= h.dot(mass) / mass[at]
@@ -526,7 +626,8 @@ class TestPrunedSearch:
         # of two: 36 signatures, counted before any LP.
         product = _two_cell_product()
         h = Gamble.on(S12, [-1, 1, 1, -1])
-        with pytest.raises(BudgetExceededError, match="more than 35 problems"):
+        message = "needs 36 sign-cell signatures, over the budget of 35$"
+        with pytest.raises(BudgetExceededError, match=message):
             inex_member(product, h, budget=35)
         assert signature_lps["engine"] == 0
         assert inex_member(product, h, budget=36) is Tri.OUT
