@@ -31,6 +31,7 @@ The central reductions:
 * generator membership: ``f`` belongs iff ``f != 0`` and some ``lam >= 0``
   has ``sum(lam_k * g_k) <= f`` pointwise — the positive part of the
   combination is absorbed by the residual ``f - sum(lam_k * g_k) >= 0``.
+  The product walk decides it, with one block and no pair (``_int_test``).
 * consistency: no convex combination of the generators may be everywhere
   nonpositive; the dual witness is a strictly positive mass function giving
   every generator positive expectation, which doubles as a one-dot-product
@@ -62,7 +63,8 @@ from .errors import (
     UnsupportedQueryError,
 )
 from .exactlp import (
-    EQ, GE, GT, Feasible, LinRow, LinSystem, scaled_to_ints, solve, strict_feasible, unit_rows,
+    EQ, GE, GT, Feasible, LinRow, LinSystem, strict_feasible, unit_rows,
+    solve,  # noqa: F401 - perfbench/tracer.py wraps this binding
 )
 from .maximal import LexSystem, lex_accepts, lex_is_maximal
 from .space import (
@@ -100,7 +102,7 @@ class Tri(Enum):
 
 
 # ---------------------------------------------------------------------------
-# generator sets and the natural-extension decision procedure
+# generator sets, their consistency gate and their price program
 # ---------------------------------------------------------------------------
 
 
@@ -138,8 +140,8 @@ class GeneratorSet:
     def _negated_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Per outcome ``w``, the ints ``-g_k(w) * den`` of every generator,
         and the lcm ``den`` of the generators' denominators, computed once:
-        the generator part of each outcome row of ``cone_program``, kept in
-        the set's integer test, and of a product's domination rows."""
+        the generator part of each outcome row of ``cone_program`` and of
+        the walk's domination rows (``independence._walk_data``)."""
         den = math.lcm(*[g.den for g in self.generators])
         columns = [[v * (den // g.den) for v in g.nums] for g in self.generators]
         return tuple([
@@ -229,44 +231,37 @@ def check_coherent(model: DesirableSetExpr) -> Optional[ConsistencyCertificate]:
 
 
 def cone_program(
-    cone: tuple, nums: Sequence[int], den: int, direction: Optional[Gamble] = None
+    cone: tuple, nums: Sequence[int], den: int, direction: Gamble
 ) -> LinSystem:
-    """The rows of the dominance program ``f + mu*direction >= sum_k lam_k g_k``
-    for ``f = nums / den`` and the generators of the cone whose
-    ``_negated_ints`` are ``cone``.
+    """The price program ``f + mu*direction >= sum_k lam_k g_k`` for
+    ``f = nums / den`` and the generators of the cone whose
+    ``_negated_ints`` are ``cone``: ``previsions._generator_sup``
+    maximises the shift ``mu``, which leads the variables, and ``den``
+    keeps the price exact.  Membership is the walk's (``_int_test``).
 
     One unit row ``lam_k >= 0`` per generator weight comes first, then one
-    row per outcome.  Without a direction the system is feasible exactly
-    when ``f`` dominates a nonnegative combination of the generators, as
-    the generator sets' kept test (``_natext_test``) asks, on the ints
-    alone with ``den = 1``.  With one, the shift ``mu`` leads the
-    variables, ``previsions._generator_sup`` maximises it, and ``den``
-    keeps the price exact.
-
-    The rows are built on ints, with no ``Fraction``: the unit rows are
-    shared (``unit_rows``), and each outcome row joins the cone's ints to
-    the gamble's and the direction's over the lcm of their denominators.
+    row per outcome.  The rows are built on ints, with no ``Fraction``:
+    the unit rows are shared (``unit_rows``), and each outcome row joins
+    the cone's ints to the gamble's and the direction's over the lcm of
+    their denominators.
     """
     negated, gen_den = cone
     n = len(negated[0])
-    lead = 0 if direction is None else 1
-    rows = list(unit_rows(lead + n, GE, lead))
-    lcm = math.lcm(gen_den, den, 1 if direction is None else direction.den)
-    a, b = lcm // gen_den, lcm // den
+    rows = list(unit_rows(1 + n, GE, 1))
+    lcm = math.lcm(gen_den, den, direction.den)
+    a, b, d = lcm // gen_den, lcm // den, lcm // direction.den
     for w, gs in enumerate(negated):
         if a != 1:
             gs = tuple([a * v for v in gs])
-        if direction is not None:
-            gs = (direction.nums[w] * (lcm // direction.den),) + gs
-        rows.append(LinRow._from_ints(gs + (-b * nums[w],), GE, lcm))
-    return LinSystem(lead + n, tuple(rows))
+        rows.append(LinRow._from_ints((direction.nums[w] * d,) + gs + (-b * nums[w],), GE, lcm))
+    return LinSystem(1 + n, tuple(rows))
 
 
 def sign_verdict(nums: Sequence[int]) -> Optional[bool]:
     """The verdict of every coherent set on the gamble ``nums`` from its
     signs alone: ``False`` for zero and every nonpositive gamble, ``True``
-    for every positive one, ``None`` when it takes both signs.  The product,
-    strong-product and natural-extension procedures read it after their gate."""
+    for every positive one, ``None`` when it takes both signs.  The product
+    walk and the strong-product procedure read it after their gate."""
     if max(nums) <= 0:
         return False
     if min(nums) >= 0:
@@ -278,10 +273,10 @@ def natext_member(assessment: GeneratorSet, f: Gamble) -> bool:
     """Does ``f`` dominate a nonnegative combination of the generators?
 
     Decides membership in the smallest coherent set containing the
-    assessment: ``member`` on it, which decides on the test the set keeps
-    (``_natext_test``).  Raises ``IncoherentBaseError`` when the assessment
-    fails the consistency check (``check_coherent``: the extension would be
-    everything).
+    assessment: ``member`` on it, which decides by the product walk the set
+    keeps as its one block (``independence._walk_test``).  Raises
+    ``IncoherentBaseError`` when the assessment fails the consistency check
+    (``check_coherent``: the extension would be everything).
     """
     return member(assessment, f) is Tri.IN
 
@@ -605,7 +600,8 @@ def member(expr: DesirableSetExpr, f: Gamble, *, budget: int = 100000) -> Tri:
     ``UNKNOWN`` can only arise from strong-product boundaries.  ``budget``
     caps the enumerative work of product queries: it is handed to the
     product walk and the strong-product scan, also below conditioned and
-    extended nodes, and no other procedure reads it.
+    extended nodes, and no other procedure reads it.  A walk with no
+    (block, slice) pair, such as a generator set's, reads none.
 
     Every node kind decides on the gamble's numerators alone
     (``scaled_member``), by a test each node builds once; a conditional
@@ -635,12 +631,13 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
     function and the plain data it reads, ``(test, data)``.
 
     Every node denotes a cone, so ``nums``, a positive multiple of the
-    gamble, decides every test: the leaves read integer signs, a generator
-    set's program and a product's domination rows put ``nums`` over the
-    generators' lcm, and the nodes that wrap a base hand it ints.
+    gamble, decides every test: the leaves read integer signs, the walk's
+    domination rows put ``nums`` over the generators' lcm, and the nodes
+    that wrap a base hand it ints.
 
-    * a generator set: its certificate's positive mass, scaled to ints,
-      and its ``_negated_ints`` (``_natext_test``);
+    * a generator set or an independent product: its walk data, a
+      generator set's as a product of one block
+      (``independence._walk_data``, read by ``_walk_test`` there);
     * a lexicographic system: its ``int_levels`` (``_lex_test``);
     * a cell set: its size, whether it includes the positives, and per
       cell its ``exclude_zero`` and rows, each its functional's ``nums``
@@ -655,27 +652,22 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
       variables, which the floor minimises over; so the row is kept as its
       columns: the first outcome of every group, and the further columns,
       none when the target is base and irrelevant scope together.
-    * an independent product: its support mass, signature count and walk
-      rows (``independence._walk_data``, read by ``_walk_test`` there);
     * a strong product: over lexicographic marginals alone, the test of
       their independent product, which it equals; otherwise its marginals
       and scope (``previsions._strong_test``).
 
-    The gates run while the test is built: a generator set must pass the
-    consistency check, a lexicographic system must cover every outcome,
-    and an extension's base and every marginal of a product must pass
-    ``check_coherent``.  A gate that raises keeps nothing, so an incoherent
-    leaf raises on every query.  A base is queried through
-    ``scaled_member`` only when a slice needs it, so it builds its own test
-    then.  The test is kept in the node's ``__dict__`` and never refers
-    back to the node, so a node is freed as soon as it is unreferenced and
-    pickles as it is.  A conditional family keeps nothing: it raises
-    ``UnsupportedQueryError`` on every plain query.
+    The gates run while the test is built: a lexicographic system must
+    cover every outcome, and a generator set, an extension's base and
+    every marginal of a product must pass ``check_coherent``.  A gate that
+    raises keeps nothing, so an incoherent leaf raises on every query.  A
+    base is queried through ``scaled_member`` only when a slice needs it,
+    so it builds its own test then.  The test is kept in the node's
+    ``__dict__`` and never refers back to the node, so a node is freed as
+    soon as it is unreferenced and pickles as it is.  A conditional family
+    keeps nothing: it raises ``UnsupportedQueryError`` on every plain
+    query.
     """
-    if isinstance(expr, GeneratorSet):
-        mass = scaled_to_ints(check_coherent(expr).positive_mass)[0]
-        kept = _natext_test, (mass, expr._negated_ints)
-    elif isinstance(expr, LexSystem):
+    if isinstance(expr, LexSystem):
         if not expr.covers_outcomes:
             check_coherent(expr)
         kept = _lex_test, expr.int_levels
@@ -702,14 +694,15 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
             first, *rest = zip(*[groups[k] for k in _slice_map(scope, at)[0]])
             rows.append((first, tuple(rest)))
         kept = _slices_test, (tuple(rows), expr.base)
-    elif isinstance(expr, _Product):
+    elif isinstance(expr, (GeneratorSet, _Product)):
         from .independence import _walk_data, _walk_test, independent_product
         from .previsions import _strong_test
 
-        for part in expr.parts:
+        parts = (expr,) if isinstance(expr, GeneratorSet) else expr.parts
+        for part in parts:
             check_coherent(part)
-        if isinstance(expr, IndepProduct):
-            kept = _walk_test, _walk_data(expr)
+        if not isinstance(expr, StrongProduct):
+            kept = _walk_test, _walk_data(parts, expr.scope)
         elif all(isinstance(part, LexSystem) for part in expr.parts):
             kept = _int_test(independent_product(expr.parts))
         else:
@@ -723,19 +716,6 @@ def _int_test(expr: DesirableSetExpr) -> tuple:
         )
     expr.__dict__["_int_test"] = kept
     return kept
-
-
-def _natext_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
-    """Natural-extension membership of ``nums``: ``sign_verdict``,
-    the certificate's mass, under which every member has positive
-    expectation, and then, if there are generators, ``cone_program``."""
-    mass, cone = data
-    verdict = sign_verdict(nums)
-    if verdict is not None:
-        return Tri.of(verdict)
-    if sum(map(mul, mass, nums)) <= 0 or not cone[0][0]:
-        return Tri.OUT
-    return Tri.of(isinstance(solve(cone_program(cone, nums, 1)), Feasible))
 
 
 def _lex_test(levels: tuple, nums: Sequence[int], budget: int) -> Tri:

@@ -17,7 +17,8 @@ summand per block, where every summand's slices along the other blocks lie
 in that block's model (or vanish).  A generator marginal's summands
 therefore range over one cone, its generators masked by every assignment
 of the other blocks: all-generator products collapse to it, and a mixed
-product weighs them in its domination rows.  For a cell or lexicographic
+product weighs them in its domination rows; a generator set is the
+one-block case, decided by the same walk.  For a cell or lexicographic
 marginal each (block, slice) constraint is a finite disjunction of linear
 sign patterns, the rows of the marginal's sign cells (the cells that
 prices read too, here with zero admitted), and ``h`` belongs iff some
@@ -51,12 +52,10 @@ sampled int vector (``structure.sample_ints``) is lifted onto that scope
 once, and its masks copy the lifted ints at the precomputed slice indices
 of each event.  Every query goes to ``desirable.scaled_member`` as ints,
 and a gamble is built only for a counterexample.  Every node kind decides
-it on an
-integer test that each node builds once, on its first query, and keeps:
-sign tests on the leaves' ints, a generator set's mass and cone ints,
-mask and slice tables that hand the base its ints, a product's walk rows
-and a strong product's marginals.  A conditional family keeps none and
-raises.
+it on an integer test that each node builds once, on its first query, and
+keeps: sign tests on the leaves' ints, mask and slice tables that hand the
+base its ints, the walk rows of a product or a generator set, and a strong
+product's marginals.  A conditional family keeps none and raises.
 """
 
 from __future__ import annotations
@@ -171,15 +170,18 @@ def inex_member(expr: DesirableSetExpr, h: Gamble, *, budget: int = 100000) -> T
     return scaled_member(expr, h.embed(scope_of(expr)).nums, budget)
 
 
-def _walk_data(expr: IndepProduct) -> tuple:
-    """What ``_walk_test`` reads, built once per product after the gates:
-    ``(mass, signatures, rows)``.
+def _walk_data(parts: Sequence[DesirableSetExpr], joint: Scope) -> tuple:
+    """What ``_walk_test`` reads for the product of ``parts`` on ``joint``
+    (a generator set is its one part), built once after the gates:
+    ``(mass, floor, signatures, rows)``.
 
     ``mass`` is the product of the marginals' support masses
-    (``desirable._support_mass``), scaled to ints, under which every
-    member has nonnegative expectation, or ``None`` when a marginal has
-    none.  ``signatures`` counts the choices of one sign cell per (block,
-    slice) pair.  ``rows``, ``None`` when a marginal is not a leaf, are:
+    (``desirable._support_mass``), each scaled to ints, or ``None`` when a
+    marginal has none.  Every member's expectation under it reaches
+    ``floor``: 1 over generator marginals alone, whose mass is strictly
+    positive, and 0 otherwise.  ``signatures`` counts the choices of one
+    sign cell per (block, slice) pair, of which generator marginals have
+    none.  ``rows``, ``None`` when a marginal is not a leaf, are:
     the column count; the rows ``lam_k >= 0`` of the masked generators of
     all generator marginals; per outcome, the ints of its domination row
     over ``den``, the generators' lcm, in which each cell or lexicographic
@@ -188,29 +190,29 @@ def _walk_data(expr: IndepProduct) -> tuple:
     (``sign_chain``, or one single-cell chain per cell), their rows read
     with zero admitted, since a summand's slice may vanish.
     """
-    joint = expr.scope
     size = joint.size
-    masses = [_support_mass(part) for part in expr.parts]
+    masses = [_support_mass(part) for part in parts]
     mass = None
     if all(m is not None for m in masses):
-        blocks = [_restriction_map(joint, scope_of(part)) for part in expr.parts]
-        mass = scaled_to_ints([
-            math.prod([m[block[w]] for block, m in zip(blocks, masses)]) for w in range(size)
-        ])[0]
-    masked = tuple([
+        blocks = [_restriction_map(joint, scope_of(part)) for part in parts]
+        masses = [scaled_to_ints(m)[0] for m in masses]
+        mass = [math.prod([m[block[w]] for block, m in zip(blocks, masses)]) for w in range(size)]
+    branched = [part for part in parts if not isinstance(part, GeneratorSet)]
+    floor = 0 if branched else 1
+    if not all(isinstance(part, (CellSet, LexSystem)) for part in branched):
+        return mass, floor, 0, None
+    # A generator set alone is its own cone: no other block masks it.
+    cone = parts[0] if len(parts) == 1 and not branched else GeneratorSet(joint, tuple([
         g
-        for part in expr.parts
+        for part in parts
         if isinstance(part, GeneratorSet)
         for g in masked_generators(part, joint.difference(part.scope))
-    ])
-    branched = [part for part in expr.parts if not isinstance(part, GeneratorSet)]
-    if not all(isinstance(part, (CellSet, LexSystem)) for part in branched):
-        return mass, 0, None
-    weights = len(masked)
+    ]))
+    weights = len(cone.generators)
     width = weights + len(branched) * size
-    negated, den = GeneratorSet(joint, masked)._negated_ints
+    negated, den = cone._negated_ints
     outcomes = tuple([
-        gs + tuple([-den if j % size == w else 0 for j in range(width - weights)])
+        gs + ((0,) * w + (-den,) + (0,) * (size - 1 - w)) * len(branched)
         for w, gs in enumerate(negated)
     ])
     signatures = 1
@@ -233,34 +235,35 @@ def _walk_data(expr: IndepProduct) -> tuple:
             walks.append([options] if chain is not None else [[option] for option in options])
             signatures *= len(cells)
     rows = width, unit_rows(width, GE)[:weights], outcomes, den, walks
-    return mass, signatures, rows
+    return mass, floor, signatures, rows
 
 
 def _walk_test(data: tuple, nums: Sequence[int], budget: int) -> Tri:
     """Product membership of the gamble ``h = nums``: it belongs iff it
     dominates a sum of one summand per block whose slices lie in the
-    marginals.  ``sign_verdict`` and the support mass, on which members
-    have nonnegative expectation, decide first; then a marginal that is
-    not a leaf raises, and more signatures than ``budget`` raise
-    ``BudgetExceededError`` naming both counts.  Only the
-    domination rows read ``h``.  ``h`` belongs iff a walk (``_chain_walk``)
-    finds a decomposition for some choice of one chain per pair."""
-    mass, signatures, rows = data
+    marginals.  ``sign_verdict`` and the support mass, under which every
+    member's expectation reaches the floor, decide first; then a marginal
+    that is not a leaf raises, and with pairs to walk, more signatures
+    than ``budget`` raise ``BudgetExceededError`` naming both counts.
+    Only the domination rows read ``h``.  ``h`` belongs iff a walk
+    (``_chain_walk``) finds a decomposition for some choice of one chain
+    per pair."""
+    mass, floor, signatures, rows = data
     verdict = sign_verdict(nums)
     if verdict is not None:
         return Tri.of(verdict)
-    if mass is not None and sum(map(mul, mass, nums)) < 0:
+    if mass is not None and sum(map(mul, mass, nums)) < floor:
         return Tri.OUT
     if rows is None:
         raise UnsupportedQueryError(
             "product membership needs leaf marginals (generators, cells, or lex)"
         )
-    if signatures > budget:
+    width, fixed, outcomes, den, walks = rows
+    if walks and signatures > budget:
         raise BudgetExceededError(
             "product membership needs %d sign-cell signatures, over the budget of %d"
             % (signatures, budget)
         )
-    width, fixed, outcomes, den, walks = rows
     fixed = list(fixed)
     for coeffs, v in zip(outcomes, nums):
         fixed.append(LinRow._from_ints((*coeffs, -den * v), GE, den))
@@ -289,11 +292,13 @@ def _chain_walk(
     on, and there is no decomposition within these chains when one has
     none left.  The gate asks ``y`` to weight a ``>`` row when ``y.b = 0``,
     and only pair rows are strict, so each round answers or moves a pair:
-    at most ``1 + sum(len(chain) - 1)`` LPs.
+    at most ``1 + sum(len(chain) - 1)`` LPs.  Only pair rows are read for
+    the moves, and when no pair moves the gate has already shown
+    ``y.b > 0``, so the sum is not taken.
     """
-    at = [0] * len(menu)
+    at, start = [0] * len(menu), len(fixed)
     while True:
-        rows, owners = list(fixed), [None] * len(fixed)
+        rows, owners = list(fixed), []
         for pair, (options, cell) in enumerate(zip(menu, at)):
             rows.extend(options[cell])
             owners.extend([pair] * len(options[cell]))
@@ -301,9 +306,10 @@ def _chain_walk(
         if isinstance(outcome, Feasible):
             return True
         y = outcome.farkas
-        if sum(lam * row.rhs for lam, row in zip(y, rows)) > 0:
+        moved = {p for lam, row, p in zip(y[start:], rows[start:], owners) if lam and row.rel == GT}
+        if not moved or sum(lam * row.rhs for lam, row in zip(y, rows)) > 0:
             return False
-        for pair in {p for lam, row, p in zip(y, rows, owners) if lam and row.rel == GT}:
+        for pair in moved:
             at[pair] += 1
             if at[pair] == len(menu[pair]):
                 return False

@@ -36,7 +36,7 @@ from desirability import (
     strictly_desirable,
     strong_product_lower,
 )
-from desirability import desirable
+from desirability import desirable, independence
 from desirability.desirable import (
     Cell,
     CellRow,
@@ -217,7 +217,7 @@ class TestNaturalExtensionMembership:
 
 
 class TestConeProgram:
-    def test_weight_rows_lead_and_the_shift_is_free(self):
+    def test_weight_rows_lead_and_the_shift_is_free(self, monkeypatch):
         # lean() prices [-1, -3] at -2 (the mass (1/2, 1/2)): the shift ``mu``
         # must be free to go negative, so it carries no sign row; each
         # generator weight carries one, ahead of the outcome rows.
@@ -229,8 +229,16 @@ class TestConeProgram:
         assert all(row.coeffs[0] == -1 for row in system.rows[2:])
         program = cone_program(lean()._negated_ints, f.nums, f.den, Gamble.constant(S1, -1))
         assert solve(program, (1,) + (0,) * (program.n_vars - 1)).value == -2
-        rows = cone_program(cone._negated_ints, f.nums, f.den).rows
-        assert [row.coeffs for row in rows[:2]] == [(1, 0), (0, 1)]
+        # Membership hands the walk's system to ``strict_feasible``: it too
+        # leads with one ``>=`` unit row per generator weight.
+        seen = []
+        real = independence.strict_feasible
+        monkeypatch.setattr(
+            independence, "strict_feasible", lambda system: seen.append(system) or real(system)
+        )
+        assert member(cone, Gamble.on(S1, [3, -1])) is Tri.IN
+        [system] = seen
+        assert [(row.coeffs, row.rel) for row in system.rows[:2]] == [((1, 0), GE), ((0, 1), GE)]
 
 
 class TestCellSets:

@@ -1,6 +1,7 @@
 """Irrelevance, independent products, and their refutation scans."""
 
 import collections
+import itertools
 import random
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from desirability import (
     ScopeError,
     Tri,
     Variable,
+    avoids_nonpositivity,
     factorisation_check,
     independent_product,
     inex_member,
@@ -29,7 +31,7 @@ from desirability import (
     member,
     strictly_desirable,
 )
-from desirability import fixtures, independence
+from desirability import exactlp, fixtures, independence
 from desirability.desirable import (
     Cell,
     CellRow,
@@ -364,11 +366,13 @@ class TestThreeBlockProducts:
                 h = _near_member(rng, parts, joint)
                 signature_lps.clear()
                 verdict = inex_member(product, h) is Tri.IN
+                used = signature_lps["engine"]
+                signature_lps.clear()
                 assert verdict == natext_member(collapsed, h)
-                # No (block, slice) pair has a choice: at most one LP, on
-                # the cone rows alone.
-                assert signature_lps["engine"] <= 1
-                verdicts.append((verdict, signature_lps["engine"]))
+                # No (block, slice) pair has a choice: at most one LP on
+                # each side, on the cone rows alone.
+                assert used <= 1 and signature_lps["engine"] <= 1
+                verdicts.append((verdict, used))
         assert 5 <= sum(v for v, _ in verdicts) <= len(verdicts) - 5
         assert (True, 1) in verdicts and (False, 1) in verdicts
 
@@ -671,6 +675,57 @@ class TestGeneratorCone:
         shapes.clear()
         assert member(product, Gamble.on(joint, [-1, -1, 2, 2])) is Tri.OUT
         assert shapes == [(6, 8)]
+
+    def test_pairless_products_read_no_budget(self):
+        # A generator set, or a product of generator marginals alone, has no
+        # (block, slice) pair to walk, so no budget stops its one LP.
+        g1 = GeneratorSet.of(S1, [Gamble.on(S1, [1, -1])])
+        g2 = GeneratorSet.of(S2, [Gamble.on(S2, [2, -1])])
+        rng = random.Random("pairless-budget")
+        for model in (g1, g2, GeneratorSet.of(S2, []), IndepProduct((g1, g2))):
+            scope = scope_of(model)
+            gambles = [Gamble.on(scope, (values * 2)[: scope.size]) for values in ([2, -1], [1, -2])]
+            gambles += [random_gamble(rng, scope) for _ in range(12)]
+            for h in gambles:
+                want = member(model, h)
+                for budget in (0, -1):
+                    assert member(model, h, budget=budget) is want, (model, h, budget)
+
+    def test_zero_expectation_spends_no_lp(self, monkeypatch):
+        # Over generator marginals alone the support mass is strictly
+        # positive and every member has positive expectation under it, so
+        # a mixed gamble of zero expectation is Out before any LP.
+        g1 = GeneratorSet.of(S1, [Gamble.on(S1, [1, -1])])
+        g2 = GeneratorSet.of(S2, [Gamble.on(S2, [2, -1])])
+        p = avoids_nonpositivity(g1).positive_mass
+        q = avoids_nonpositivity(g2).positive_mass
+        mass = (Gamble.on(S1, p).embed(S12) * Gamble.on(S2, q).embed(S12)).values
+        h = Gamble.on(S12, [mass[1], -mass[0], 0, 0])
+        want = member(independent_product((g1, g2)), h)
+        lps = []
+        engine = exactlp._solve_engine
+
+        def solved(system, objective=None):
+            lps.append(system)
+            return engine(system, objective)
+
+        monkeypatch.setattr(exactlp, "_solve_engine", solved)
+        assert member(IndepProduct((g1, g2)), h) is Tri.OUT is want
+        assert lps == []
+
+    def test_vacuous_generator_set_and_its_product(self):
+        # No generators: exactly the positive gambles.  Times a lex
+        # marginal, the walk agrees with the plain enumeration.
+        s3 = Scope.of([Variable("X3", ("a", "b", "c"))])
+        vacuous = GeneratorSet.of(s3, [])
+        for values in itertools.product(range(-2, 3), repeat=3):
+            positive = min(values) >= 0 and max(values) > 0
+            assert member(vacuous, Gamble.on(s3, values)) is Tri.of(positive), values
+        product = IndepProduct((vacuous, LexSystem.on(S1, [["1/3", "2/3"], [1, 0]])))
+        grid = list(itertools.product(range(-1, 2), repeat=6))
+        for values in random.Random("vacuous-product").sample(grid, 60):
+            h = Gamble.on(product.scope, values)
+            assert member(product, h) is inex_member_enumerated(product, h), values
 
 
 class TestPredicates:

@@ -24,14 +24,16 @@ from desirability import (
     Gamble,
     Scope,
     Variable,
+    avoids_nonpositivity,
     conditional_lower_prevision,
     independent_product,
     inex_lower_prevision,
     lower_prevision,
+    member,
     strong_product_lower,
     upper_prevision,
 )
-from desirability import exactlp, previsions
+from desirability import exactlp, independence, previsions
 from desirability.desirable import GeneratorSet, cone_program
 from desirability.exactlp import GE, Optimal, solve, unit_rows
 from desirability.space import CACHE_MAXSIZE, disjoint_union
@@ -177,11 +179,19 @@ class TestConeProgram:
             [random_generator_set(rng, s, count=rng.randint(1, 2)) for s in blocks]
         )
         assert isinstance(cone, GeneratorSet)
+        mass = avoids_nonpositivity(cone).positive_mass
         scope = cone.scope
         first = blocks[0].variables[0]
         given_ = Assignment.of({first: rng.choice(first.outcomes)})
         constant = Gamble.constant(scope, -1)
         masked = constant.mask(given_)
+        real = independence.strict_feasible
+        seen = []
+
+        def captured(system):
+            seen.append((system, real(system)))
+            return seen[-1][1]
+
         for f in _gambles(rng, scope):
             for direction in (constant, masked):
                 for value in (f, f.mask(given_)):
@@ -194,9 +204,20 @@ class TestConeProgram:
                     assert previsions._generator_sup(cone, value, direction) == (
                         references.rebuilt_generator_sup(cone, value, direction)
                     )
-            got = cone_program(cone._negated_ints, f.nums, f.den)
-            assert got == references.rebuilt_cone_program(cone, f)
-            assert solve(got) == solve(references.rebuilt_cone_program(cone, f))
+            # Membership solves the walk's rows for ``f``'s numerators, the
+            # dominance program without a shift, once ``f`` passes the sign
+            # filter and the positive mass.
+            seen.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(independence, "strict_feasible", captured)
+                member(cone, f)
+            passes = min(f.nums) < 0 < max(f.nums) and f.dot(mass) > 0
+            assert len(seen) == int(passes)
+            for got, outcome in seen:
+                want = references.rebuilt_cone_program(cone, f * f.den)
+                assert got == want
+                assert [row.coeffs for row in got.rows] == [row.coeffs for row in want.rows]
+                assert outcome == solve(got) == solve(want)
 
     def test_prices_through_the_public_entry_points(self):
         rng = random.Random("cone-price-entry-points")
