@@ -8,20 +8,22 @@ two-phase tableau simplex on fraction-free rows (cf. Bareiss 1968, Edmonds
 1967): each tableau row is a list of Python ints over one positive int
 denominator, reduced by its gcd after every update, and a pivot touches
 only the pivot row's nonzero columns.  Tableau rows start from the rows'
-ints and the cost row from the objective's, and are cleared by
-``_eliminate``; ``forward_eliminate`` applies the same step in input
-order, without pivot search, for the rest of the package's exact linear
-algebra: lexicographic rank and canonical form and credal vertex
-enumeration.  It prices with Dantzig's rule for speed and falls back to
-Bland's rule after a fixed number of pivots, which guarantees termination
-under exact arithmetic.
+ints, and ``_eliminate`` makes every update: each pivot, and the cost row
+of either phase, priced out over the basis the phase starts from;
+``forward_eliminate`` applies the same step in input order, without pivot
+search, for the rest of the package's exact linear algebra: lexicographic
+rank and canonical form and credal vertex enumeration.  The simplex prices
+with Dantzig's rule for speed and falls back to Bland's rule after a fixed
+number of pivots, which guarantees termination under exact arithmetic.
 
 The simplex starts as close to the slack basis as the input allows.  A
 one-variable lower bound ``c * x_j >= r`` (``c > 0``, any ``r``) is folded
 into the variable by the substitution ``x_j = r/c + x'_j``, so it never
 becomes a tableau row, and a ``>=`` row that the shifted origin satisfies
 strictly starts basic on its own surplus.  Only the remaining rows get an
-artificial, and phase 1 minimises their sum alone.
+artificial, and phase 1 minimises their sum alone.  The artificials are
+the last columns, and a row that phase 1 finds redundant stays in the
+tableau as a zero row on its artificial.
 
 A linear program is its rows: phase 1 reads no objective, so every system
 keeps the tableau its first solve's phase 1 leaves (``LinSystem._phase1``),
@@ -77,11 +79,9 @@ GE = ">="
 EQ = "="
 GT = ">"
 
-_WEAK_RELS = (GE, EQ)
 _ALL_RELS = (GE, EQ, GT)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Pricing rounds one ``_Simplex._run`` may take before it gives up.  Bland's
 # rule terminates, so reaching the cap means an engine bug.
@@ -419,11 +419,18 @@ class _Simplex:
     the shifts back, and their certificate multipliers are reconstructed
     from the reduced costs afterwards.
 
-    Each tableau row starts on one unit column.  A ``>=`` row whose shifted
-    right-hand side is negative holds at the origin: it is negated and its
-    surplus starts basic.  Every other row, equalities and ``>=`` rows with
-    a right-hand side of zero or more, gets an artificial, and phase 1
-    minimises the sum of the artificials only.  Farkas multipliers and
+    The columns are index ranges: the variable columns (``var_cols``), one
+    surplus per ``>=`` tableau row, and from ``first_artificial`` to
+    ``ncols`` the artificials, which never enter; the rhs comes last.  Each
+    tableau row starts on one unit column (``unit_col``): a ``>=`` row whose
+    shifted right-hand side is negative holds at the origin, so it is
+    negated and starts on its surplus, and every other row on an
+    artificial.  Both phases price their column costs out over the basis
+    (``_price``): phase 1 costs 1 on each artificial, phase 2 the
+    objective.  An artificial that phase 1 cannot pivot out stays basic at
+    level zero on a redundant row, zero on every column that may enter: no
+    pivot or ratio test touches the row, and its unit column keeps a
+    reduced cost of 0, so its multiplier is 0.  Farkas multipliers and
     phase-2 duals are read from the reduced costs of the starting unit
     columns.
 
@@ -440,17 +447,13 @@ class _Simplex:
         self.system = system
         n = system.n_vars
         self.bound_row_of: dict[int, int] = {}
-        bound_scale: dict[int, Fraction] = {}
         tableau_rows: list[int] = []
         for i, row in enumerate(system.rows):
             j = self._simple_bound(row)
             if j is not None and j not in self.bound_row_of:
                 self.bound_row_of[j] = i
-                c = row.nums[j]
-                bound_scale[j] = _ONE if c == row.den else Fraction(c, row.den)
             else:
                 tableau_rows.append(i)
-        self.bound_scale = bound_scale
         # The nonzero lower bounds ``r / c`` of the folded variables; the
         # row's denominator cancels.
         self.shift: dict[int, Fraction] = {}
@@ -460,19 +463,13 @@ class _Simplex:
                 self.shift[j] = Fraction(nums[-1], nums[j])
         shifts = [(j, l.numerator, l.denominator) for j, l in self.shift.items()]
 
-        # Column layout: per variable either one folded column or a +/- pair,
-        # then one surplus column per inequality row, then one artificial per
-        # tableau row that does not start on its surplus.  The last tableau
-        # entry of each row is the rhs.
-        self.cols: list[tuple[str, int]] = []
+        # Per variable either one folded column or a +/- pair.
         self.var_cols: list[tuple[int, Optional[int]]] = []
+        col = 0
         for j in range(n):
-            if j in self.bound_row_of:
-                self.var_cols.append((self._add_col("xn", j), None))
-            else:
-                plus = self._add_col("x+", j)
-                minus = self._add_col("x-", j)
-                self.var_cols.append((plus, minus))
+            folded = j in self.bound_row_of
+            self.var_cols.append((col, None if folded else col + 1))
+            col += 1 if folded else 2
 
         self.row_orig: list[int] = []
         self.sigma: list[int] = []
@@ -499,21 +496,27 @@ class _Simplex:
             self.row_orig.append(i)
             self.row_ints.append((ints, den))
             self.sigma.append(1 if ints[-1] >= 0 else -1)
-            surplus_of.append(self._add_col("s", len(self.row_orig) - 1)
-                              if row.rel == GE else None)
+            if row.rel == GE:
+                surplus_of.append(col)
+                col += 1
+            else:
+                surplus_of.append(None)
         # The column each row starts basic on: its surplus where the origin
         # satisfies a ``>=`` row strictly, else a new artificial.  A row with
         # rhs zero keeps its artificial: a surplus start there is feasible
         # too, but gives other Farkas vectors, and on product membership,
         # whose chain moves are read from them, more LPs.
+        self.first_artificial = col
         self.unit_col: list[int] = []
         for k, surplus in enumerate(surplus_of):
             if surplus is not None and self.sigma[k] < 0:
                 self.unit_col.append(surplus)
             else:
-                self.unit_col.append(self._add_col("a", k))
+                self.unit_col.append(col)
+                col += 1
+        self.ncols = col
 
-        width = len(self.cols) + 1
+        width = col + 1
         self.T: list[list[int]] = []
         self.den: list[int] = []
         for k, (ints, den) in enumerate(self.row_ints):
@@ -532,8 +535,6 @@ class _Simplex:
             self.T.append(line)
             self.den.append(den)
         self.basis: list[int] = list(self.unit_col)
-        self.live: list[bool] = [True] * len(self.T)
-        self._entering_allowed = [kind != "a" for kind, _ in self.cols]
         # The active cost row, over its own positive denominator.  Its last
         # slot holds the negated objective value and updates like any other.
         self.cost: list[int] = []
@@ -564,12 +565,7 @@ class _Simplex:
         twin.T = list(self.T)
         twin.den = list(self.den)
         twin.basis = list(self.basis)
-        twin.live = list(self.live)
         return twin
-
-    def _add_col(self, kind: str, payload: int) -> int:
-        self.cols.append((kind, payload))
-        return len(self.cols) - 1
 
     # -- pivoting ---------------------------------------------------------
 
@@ -586,19 +582,27 @@ class _Simplex:
         self.den[prow] = line[pcol]
         nz = [j for j, v in enumerate(line) if v]
         for r, other in enumerate(T):
-            if r == prow or not self.live[r]:
-                continue
-            if other[pcol]:
+            if r != prow and other[pcol]:
                 T[r], self.den[r] = _eliminate(other, self.den[r], line, nz, pcol)
         if self.cost[pcol]:
             self.cost, self.cost_den = _eliminate(self.cost, self.cost_den, line, nz, pcol)
         self.basis[prow] = pcol
         self.pivots += 1
 
+    def _price(self, cost: list[int]) -> None:
+        """Make the column costs ``cost`` (ints, with a 0 rhs slot) the cost
+        row, priced out over the basis: each basic column reads ``den_r`` in
+        its own row and 0 in every other."""
+        den = 1
+        for line, b in zip(self.T, self.basis):
+            if cost[b]:
+                nz = [j for j, v in enumerate(line) if v]
+                cost, den = _eliminate(cost, den, line, nz, b)
+        self.cost, self.cost_den = cost, den
+
     def _run(self, bland_after: int) -> None:
         """Minimise the cost row until no reduced cost is negative."""
-        ncols = len(self.cols)
-        allowed = self._entering_allowed
+        enterable = range(self.first_artificial)
         iteration = 0
         while True:
             iteration += 1
@@ -607,14 +611,14 @@ class _Simplex:
             cost = self.cost
             enter = -1
             if iteration > bland_after:
-                for c in range(ncols):
-                    if allowed[c] and cost[c] < 0:
+                for c in enterable:
+                    if cost[c] < 0:
                         enter = c
                         break
             else:
                 best = 0
-                for c in range(ncols):
-                    if allowed[c] and cost[c] < best:
+                for c in enterable:
+                    if cost[c] < best:
                         best = cost[c]
                         enter = c
             if enter < 0:
@@ -624,8 +628,6 @@ class _Simplex:
             prow = -1
             best_rhs = best_a = 0
             for r, line in enumerate(self.T):
-                if not self.live[r]:
-                    continue
                 a = line[enter]
                 if a > 0:
                     rhs = line[-1]
@@ -644,52 +646,30 @@ class _Simplex:
 
     def phase1(self) -> Optional[tuple[Fraction, ...]]:
         """Returns None when feasible, else the Farkas multipliers."""
-        ncols = len(self.cols)
-        cols = self.cols
-        started = [k for k, c in enumerate(self.unit_col) if cols[c][0] == "a"]
-        if not started:
+        first = self.first_artificial
+        if first == self.ncols:
             return None
-        # Cost: minus the sum of the rows that start on an artificial, zero
-        # on the artificial columns.
-        den = math.lcm(*[self.den[k] for k in started])
-        cost = [0] * (ncols + 1)
-        for k in started:
-            scale = den // self.den[k]
-            for c, v in enumerate(self.T[k]):
-                if v:
-                    cost[c] -= v * scale
-            # Each artificial is a unit column: no other row touches it.
-            cost[self.unit_col[k]] = 0
-        g = math.gcd(den, *cost)
-        self.cost = [v // g for v in cost]
-        self.cost_den = den // g
+        self._price([0] * first + [1] * (self.ncols - first) + [0])
         self._run(bland_after=200 + 10 * len(self.T))
         if self.cost[-1] < 0:
             # A row's multiplier is its unit column's phase-1 cost (1 on an
             # artificial, 0 on a surplus) less that column's reduced cost.
             den = self.cost_den
-            ys = [(den if cols[c][0] == "a" else 0) - self.cost[c]
-                  for c in self.unit_col]
+            ys = [(den if c >= first else 0) - self.cost[c] for c in self.unit_col]
             return self._original_multipliers(ys, den)
-        # Pivot out any artificial still basic (at level zero), dropping
-        # redundant rows.
-        for r in range(len(self.T)):
-            if not self.live[r] or self.cols[self.basis[r]][0] != "a":
-                continue
-            done = False
-            for c in range(ncols):
-                if self._entering_allowed[c] and self.T[r][c] != 0:
+        # Pivot out each artificial still basic (at level zero).  One whose
+        # row is zero below ``first_artificial`` stays, on a redundant row.
+        for r, b in enumerate(self.basis):
+            if b >= first:
+                line = self.T[r]
+                c = next((c for c in range(first) if line[c]), -1)
+                if c >= 0:
                     self._pivot(r, c)
-                    done = True
-                    break
-            if not done:
-                self.live[r] = False
         return None
 
     def phase2(self, cost_min: Sequence[int]) -> None:
         """Minimise ``cost_min . x``, which must be bounded below."""
-        ncols = len(self.cols)
-        cost = [0] * (ncols + 1)
+        cost = [0] * (self.ncols + 1)
         for j, cj in enumerate(cost_min):
             if not cj:
                 continue
@@ -697,23 +677,14 @@ class _Simplex:
             cost[plus] += cj
             if minus is not None:
                 cost[minus] -= cj
-        den = 1
-        # Price out the basis: each basic column reads den_r in its own row.
-        for r, line in enumerate(self.T):
-            if not self.live[r]:
-                continue
-            b = self.basis[r]
-            if cost[b]:
-                nz = [j for j, v in enumerate(line) if v]
-                cost, den = _eliminate(cost, den, line, nz, b)
-        self.cost, self.cost_den = cost, den
+        self._price(cost)
         self._run(bland_after=200 + 10 * len(self.T))
 
     # -- extraction ---------------------------------------------------------
 
     def point(self) -> tuple[Fraction, ...]:
-        level = {self.basis[r]: Fraction(self.T[r][-1], self.den[r])
-                 for r in range(len(self.T)) if self.live[r]}
+        level = {b: Fraction(line[-1], d)
+                 for line, b, d in zip(self.T, self.basis, self.den)}
         out = []
         for plus, minus in self.var_cols:
             v = level.get(plus, _ZERO)
@@ -737,12 +708,14 @@ class _Simplex:
         their nonnegative variable exactly.  The residual is summed on ints:
         each tableau row as given is ``ints / row_den`` (``row_ints``), so
         every used row is weighted onto the lcm of those denominators, and
-        one ``Fraction`` is built per nonzero output entry.
+        one ``Fraction`` is built per nonzero output entry.  The bound row
+        ``c * x_j >= r`` then takes ``-residual / c``, with ``c`` read from
+        its own ints.
         """
         lam = [_ZERO] * len(self.system.rows)
         used = []
         for k, y in enumerate(ys):
-            if y and self.live[k]:
+            if y:
                 y *= self.sigma[k]
                 lam[self.row_orig[k]] = Fraction(y, den)
                 used.append((y, self.row_ints[k]))
@@ -754,9 +727,8 @@ class _Simplex:
                 if ints[j]:
                     acc += y * ints[j]
             if acc:
-                scale = self.bound_scale[j]
-                lam[bound_row] = Fraction(-acc * scale.denominator,
-                                          den * common * scale.numerator)
+                row = self.system.rows[bound_row]
+                lam[bound_row] = Fraction(-acc * row.den, den * common * row.nums[j])
         return tuple(lam)
 
 

@@ -1126,14 +1126,13 @@ def original_multipliers(
     """
     lam = [_ZERO] * len(simplex.system.rows)
     for k, i in enumerate(simplex.row_orig):
-        if simplex.live[k]:
-            lam[i] = simplex.sigma[k] * y_std[k]
+        lam[i] = simplex.sigma[k] * y_std[k]
     for j, bound_row in simplex.bound_row_of.items():
         acc = _ZERO
         for i, row in enumerate(simplex.system.rows):
             if lam[i]:
                 acc += lam[i] * row.coeffs[j]
-        lam[bound_row] = -acc / simplex.bound_scale[j]
+        lam[bound_row] = -acc / simplex.system.rows[bound_row].coeffs[j]
     return tuple(lam)
 
 

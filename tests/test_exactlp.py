@@ -40,6 +40,7 @@ from desirability.exactlp import (
 )
 from desirability import Gamble, GeneratorSet, Scope, Variable, desirable, lower_prevision
 from references import (
+    ArtificialStartSimplex,
     Unbounded,
     fm_feasible,
     fm_project,
@@ -276,6 +277,18 @@ def elimination_cases(draw):
     return row, den, prow, pcol
 
 
+def transport_system():
+    """A 2 x 3 transportation problem: five balance rows, of which any one
+    is the sum of the other three less the fourth, and six sign rows."""
+    unit = [tuple(int(k == j) for k in range(6)) for j in range(6)]
+    return sys_of(
+        ["x11", "x12", "x13", "x21", "x22", "x23"],
+        [((1, 1, 1, 0, 0, 0), EQ, 20), ((0, 0, 0, 1, 1, 1), EQ, 30),
+         ((1, 0, 0, 1, 0, 0), EQ, 10), ((0, 1, 0, 0, 1, 0), EQ, 25),
+         ((0, 0, 1, 0, 0, 1), EQ, 15)] + [(u, GE, 0) for u in unit],
+    )
+
+
 class TestIntegerRows:
     @given(elimination_cases())
     def test_elimination_matches_fraction_update(self, case):
@@ -295,19 +308,12 @@ class TestIntegerRows:
             [((-1, 0), GE, -4), ((0, -2), GE, -12), ((-3, -2), GE, -18),
              ((1, 0), GE, 0), ((0, 1), GE, 0)],
         )
-        # A 2 x 3 transportation problem; one of its five balance rows is
-        # redundant and is dropped at the end of phase 1.  Its least cost is
-        # the negated maximum of the negated costs.
-        unit = [tuple(int(k == j) for k in range(6)) for j in range(6)]
-        transport = sys_of(
-            ["x11", "x12", "x13", "x21", "x22", "x23"],
-            [((1, 1, 1, 0, 0, 0), EQ, 20), ((0, 0, 0, 1, 1, 1), EQ, 30),
-             ((1, 0, 0, 1, 0, 0), EQ, 10), ((0, 1, 0, 0, 1, 0), EQ, 25),
-             ((0, 0, 1, 0, 0, 1), EQ, 15)] + [(u, GE, 0) for u in unit],
-        )
+        # The transportation problem keeps its redundant balance row as a
+        # zero row (``TestRedundantRows``).  Its least cost is the negated
+        # maximum of the negated costs.
         for system, objective, value, most in (
             (production, (3, 5), 36, 3),
-            (transport, (-8, -6, -10, -9, -12, -13), -465, 6),
+            (transport_system(), (-8, -6, -10, -9, -12, -13), -465, 6),
         ):
             out, simplex = _solve_engine(system, objective)
             assert isinstance(out, Optimal) and out.value == value
@@ -328,8 +334,12 @@ class TestIntegerRows:
         )
         out, simplex = _solve_engine(system, (-1, -1))
         assert out == Optimal(F(-1), (F(1), F(0)))
-        assert [simplex.cols[c] for c in simplex.unit_col] == [("a", 0), ("a", 1)]
-        assert [simplex.cols[b] for b in simplex.basis] == [("xn", 0), ("s", 0)]
+        # Columns: x and y folded (0, 1), the surpluses of rows 0 and 1 (2,
+        # 3), then the artificials of rows 0 and 1.
+        assert simplex.var_cols == [(0, None), (1, None)]
+        assert simplex.first_artificial == 4
+        assert simplex.unit_col == [4, 5]
+        assert simplex.basis == [0, 2]
         assert simplex.pivots == 2
 
     def test_beale_cycling_lp_ends_under_blands_rule(self):
@@ -386,7 +396,7 @@ def _phase1_multipliers(system):
     # Each row's multiplier is its starting unit column's phase-1 cost, 1
     # on an artificial and 0 on a surplus, less that column's reduced cost.
     den = simplex.cost_den
-    y = [F((den if simplex.cols[c][0] == "a" else 0) - simplex.cost[c], den)
+    y = [F((den if c >= simplex.first_artificial else 0) - simplex.cost[c], den)
          for c in simplex.unit_col]
     return farkas, original_multipliers(simplex, y), folded
 
@@ -501,7 +511,7 @@ class TestSlackStart:
             )
             seen["shifted"] += bool(simplex.shift)
             seen["surplus start"] += any(
-                simplex.cols[c][0] == "s" for c in simplex.unit_col
+                c < simplex.first_artificial for c in simplex.unit_col
             )
             seen["two bounds"] += any(k is not None and v > 1 for k, v in bounds.items())
         assert {Optimal, Feasible, Infeasible, Unbounded} <= set(seen), seen
@@ -524,7 +534,11 @@ class TestSlackStart:
         out, simplex = _solve_engine(system, (-1, -1))
         assert simplex.shift == {0: F(2), 1: F(-1)}
         assert simplex.row_ints == [([1, 1, -1], 1)]
-        assert [simplex.cols[c] for c in simplex.unit_col] == [("s", 0)]
+        # Columns: x' and y' (0, 1), then the surplus of the row (2), and
+        # no artificial.
+        assert simplex.var_cols == [(0, None), (1, None)]
+        assert simplex.unit_col == [2]
+        assert simplex.first_artificial == simplex.ncols == 3
         assert out == Optimal(F(-1), (F(2), F(-1)))
         assert simplex.pivots == 0
 
@@ -577,6 +591,143 @@ class TestSlackStart:
             pivots.clear()
             lower_prevision(cone, f)
             assert len(pivots) == 1 and pivots[0] <= 1, (values, pivots)
+
+
+def redundant_system(integer):
+    """Weak rows drawn through ``integer(lo, hi)`` over 2 to 4 variables,
+    each bounded by ``x_j >= 0`` first: one to three EQ rows through a
+    point of {0, 1, 2}^n, one or two EQ rows that repeat one of them (times
+    1, 2 or -1) or sum two, with the rhs off by one in one draw out of
+    four, and up to two ``>=`` rows through the point with a rhs of zero or
+    more.  The engine and ``references.ArtificialStartSimplex`` fold the
+    same bounds and start every tableau row on an artificial, so they pivot
+    alike.  Returns the system and its EQ rows."""
+    n = integer(2, 4)
+    point = [integer(0, 2) for _ in range(n)]
+    base = []
+    for _ in range(integer(1, 3)):
+        coeffs = [integer(-3, 3) for _ in range(n)]
+        base.append((coeffs, sum(c * p for c, p in zip(coeffs, point))))
+    eqs = list(base)
+    for _ in range(integer(1, 2)):
+        a, b = (base[integer(0, len(base) - 1)] for _ in range(2))
+        if integer(0, 1):
+            m = (1, 2, -1)[integer(0, 2)]
+            coeffs, rhs = [m * c for c in a[0]], m * a[1]
+        else:
+            coeffs, rhs = [c + d for c, d in zip(a[0], b[0])], a[1] + b[1]
+        eqs.insert(integer(0, len(eqs)), (coeffs, rhs + (integer(0, 3) == 0)))
+    rows = [(tuple(int(k == j) for k in range(n)), GE, 0) for j in range(n)]
+    rows += [(coeffs, EQ, rhs) for coeffs, rhs in eqs]
+    for _ in range(integer(0, 2)):
+        coeffs = [integer(-2, 2) for _ in range(n)]
+        at = sum(c * p for c, p in zip(coeffs, point))
+        if at < 0:
+            coeffs, at = [-c for c in coeffs], -at
+        rows.append((coeffs, GE, integer(0, at)))
+    system = sys_of(range(n), rows)
+    return system, [row for row in system.rows if row.rel == EQ]
+
+
+class TestRedundantRows:
+    """A row that phase 1 finds redundant stays in the tableau on its
+    artificial at level zero, zero on every column that may enter, and
+    takes multiplier 0.  ``references.ArtificialStartSimplex`` drops such a
+    row from a live-row mask instead; from the same start, the two must
+    pivot and answer alike."""
+
+    def test_transport_keeps_its_redundant_row_at_level_zero(self):
+        # The last balance row is the redundant one.  A pin: phase 1 takes
+        # 5 pivots and phase 2 one more.
+        system = transport_system()
+        out, simplex = _solve_engine(system, (-8, -6, -10, -9, -12, -13))
+        assert out.value == -465
+        first = simplex.first_artificial
+        assert [b >= first for b in simplex.basis] == [False] * 4 + [True]
+        assert simplex.basis[4] == simplex.unit_col[4]
+        line = simplex.T[4]
+        assert line[-1] == 0 and not any(line[:first])
+        assert simplex.duals_phase2()[0][4] == 0
+        assert system._phase1[0].pivots == 5
+        assert simplex.pivots == 6
+
+    def test_seeded_systems_pivot_and_answer_like_the_reference(self):
+        rng = random.Random("redundant-rows")
+        seen = collections.Counter()
+        for _ in range(300):
+            system, _ = redundant_system(rng.randint)
+            objective = tuple(rng.randint(-2, 2) for _ in range(system.n_vars))
+            ref = ArtificialStartSimplex(system)
+            farkas = ref.phase1()
+            if farkas is None and ref.phase2(tuple(-c for c in objective)) is not None:
+                with pytest.raises(EngineError, match="unbounded program"):
+                    solve(system, objective)
+                seen[Unbounded] += 1
+                continue
+            out, simplex = _solve_engine(system, objective)
+            assert simplex.pivots == ref.pivots
+            if farkas is not None:
+                assert out == Infeasible(farkas)
+                seen[Infeasible] += 1
+                continue
+            assert out.witness == ref.point()
+            assert out.value == sum(c * x for c, x in zip(objective, out.witness))
+            first = simplex.first_artificial
+            kept = [b >= first for b in simplex.basis]
+            assert kept == [not live for live in ref.live]
+            for line, zero_row in zip(simplex.T, kept):
+                if zero_row:
+                    assert line[-1] == 0 and not any(line[:first])
+            seen[Optimal] += 1
+            seen["kept zero row"] += any(kept)
+        assert seen[Infeasible] >= 50 and seen[Unbounded] >= 20, seen
+        assert seen["kept zero row"] >= 100, seen
+
+    def test_zero_optimum_duals_give_kept_rows_nothing(self, monkeypatch):
+        # One EQ row, redundant or not, made strict: the strict system has
+        # boundary points only, so where its weak rows are feasible the
+        # slack program of ``_strict_slack`` has optimum zero, as the
+        # reference finds too, and its duals give the certificate.  They
+        # must be 0 on the kept zero rows, and map back to the original
+        # rows as ``references.original_multipliers`` maps them.
+        seen = []
+        engine = exactlp._solve_engine
+
+        def captured(system, objective=None):
+            outcome, simplex = engine(system, objective)
+            seen.append((system, outcome, simplex))
+            return outcome, simplex
+
+        monkeypatch.setattr(exactlp, "_solve_engine", captured)
+        rng = random.Random("redundant-rows-strict")
+        counts = collections.Counter()
+        for _ in range(300):
+            weak, eqs = redundant_system(rng.randint)
+            row = eqs[rng.randint(0, len(eqs) - 1)]
+            strict = LinSystem(weak.n_vars, weak.rows + (
+                LinRow._from_ints(row.nums, GT, row.den),))
+            if not any(r.nums[-1] for r in strict.rows):
+                continue
+            seen.clear()
+            out = strict_feasible(strict)
+            assert isinstance(out, Infeasible) and verify_farkas(strict, out.farkas)
+            relaxed, outcome, simplex = seen[-1]
+            if not isinstance(outcome, Optimal):
+                continue
+            ref = ArtificialStartSimplex(relaxed)
+            assert ref.phase1() is None
+            assert ref.phase2((0,) * weak.n_vars + (-1,)) is None
+            assert outcome.value == ref.point()[-1] == 0
+            ys, den = simplex.duals_phase2()
+            kept = [b >= simplex.first_artificial for b in simplex.basis]
+            assert not any(y for y, zero_row in zip(ys, kept) if zero_row)
+            lam = simplex._original_multipliers(ys, den)
+            assert lam == original_multipliers(simplex, [F(y, den) for y in ys])
+            assert out.farkas == lam[: len(strict.rows)]
+            counts["zero optimum"] += 1
+            counts["kept zero row"] += any(kept)
+        assert counts["zero optimum"] >= 100, counts
+        assert counts["kept zero row"] >= 100, counts
 
 
 class TestPhase1PerSystem:
