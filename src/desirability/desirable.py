@@ -247,7 +247,7 @@ def cone_program(
     """
     negated, gen_den = cone
     n = len(negated[0])
-    rows = list(unit_rows(1 + n, GE, 1))
+    rows = list(unit_rows(1 + n, GE)[1:])
     lcm = math.lcm(gen_den, den, direction.den)
     a, b, d = lcm // gen_den, lcm // den, lcm // direction.den
     for w, gs in enumerate(negated):

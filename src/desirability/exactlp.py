@@ -197,25 +197,23 @@ class LinSystem:
     @cached_property
     def _phase1(self) -> tuple["_Simplex", Optional[tuple[Fraction, ...]]]:
         """The simplex after phase 1 and, when infeasible, the Farkas
-        multipliers, computed once.  The kept simplex holds no reference
-        back to this system, so the two form no cycle for the garbage
-        collector to find, and drops the phase-1 cost row, which phase 2
-        replaces."""
+        multipliers, computed once.  A simplex keeps no system, so the two
+        form no cycle for the garbage collector to find; the kept one drops
+        the phase-1 cost row, which phase 2 replaces."""
         simplex = _Simplex(self)
-        farkas = simplex.phase1()
-        simplex.system = None
+        farkas = simplex.phase1(self)
         simplex.cost = []
         return simplex, farkas
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
-def unit_rows(width: int, rel: str, start: int = 0) -> tuple[LinRow, ...]:
-    """One row ``x_j  rel  0`` over ``width`` variables for each ``j`` from
-    ``start`` on: the sign rows of the package's LP builders.  Built once
-    per shape and shared by every program that has it."""
+def unit_rows(width: int, rel: str) -> tuple[LinRow, ...]:
+    """One row ``x_j  rel  0`` over ``width`` variables for each ``j``: the
+    sign rows of the package's LP builders.  Built once per shape and shared
+    by every program that has it."""
     return tuple([
         LinRow._from_ints(tuple([int(i == j) for i in range(width)] + [0]), rel)
-        for j in range(start, width)
+        for j in range(width)
     ])
 
 
@@ -416,8 +414,8 @@ class _Simplex:
     one nonnegative column, and every tableau row gives up ``a_j * r/c``
     from its right-hand side.  Other variables are split into positive and
     negative parts.  Folded rows do not enter the tableau; ``point`` adds
-    the shifts back, and their certificate multipliers are reconstructed
-    from the reduced costs afterwards.
+    the shifts back, and ``multipliers`` gives each folded row the residual
+    that cancels its variable.
 
     The columns are index ranges: the variable columns (``var_cols``), one
     surplus per ``>=`` tableau row, and from ``first_artificial`` to
@@ -427,24 +425,22 @@ class _Simplex:
     negated and starts on its surplus, and every other row on an
     artificial.  Both phases price their column costs out over the basis
     (``_price``): phase 1 costs 1 on each artificial, phase 2 the
-    objective.  An artificial that phase 1 cannot pivot out stays basic at
-    level zero on a redundant row, zero on every column that may enter: no
-    pivot or ratio test touches the row, and its unit column keeps a
-    reduced cost of 0, so its multiplier is 0.  Farkas multipliers and
-    phase-2 duals are read from the reduced costs of the starting unit
-    columns.
+    objective.  Each tableau row reads its denominator at its basic column,
+    so a row in lowest terms needs no normalisation to pivot on.  An
+    artificial that phase 1 cannot pivot out stays basic at level zero on a
+    redundant row, zero on every column that may enter: no pivot or ratio
+    test touches the row, and its unit column keeps a reduced cost of 0, so
+    its multiplier is 0.
 
-    Multipliers are recovered on ints.  ``phase1`` and ``duals_phase2`` read
-    int numerators over the cost row's one denominator, and the residual of
-    each folded bound row is summed on the tableau rows' starting ints
-    (``row_ints``).  One ``Fraction`` is built per nonzero multiplier.
+    The simplex keeps its layout and tableau, not its system, which
+    ``phase1`` and ``multipliers`` take.  ``multipliers`` reads both
+    phases': phase 1's Farkas multipliers and phase 2's optimal duals.
 
     ``copy`` gives a tableau of its own to each solve that starts from the
     phase 1 a system keeps (``LinSystem._phase1``).
     """
 
     def __init__(self, system: LinSystem):
-        self.system = system
         n = system.n_vars
         self.bound_row_of: dict[int, int] = {}
         tableau_rows: list[int] = []
@@ -475,8 +471,8 @@ class _Simplex:
         self.sigma: list[int] = []
         # Each tableau row with its rhs shifted, as ints over one positive
         # denominator in lowest terms: the row's own ints where no shift
-        # applies.  ``_original_multipliers`` reads the coefficients.
-        self.row_ints: list[tuple[Sequence[int], int]] = []
+        # applies.
+        shifted: list[tuple[Sequence[int], int]] = []
         surplus_of: list[Optional[int]] = []
         for i in tableau_rows:
             row = system.rows[i]
@@ -494,7 +490,7 @@ class _Simplex:
                         ints = [v // g for v in ints]
                         den //= g
             self.row_orig.append(i)
-            self.row_ints.append((ints, den))
+            shifted.append((ints, den))
             self.sigma.append(1 if ints[-1] >= 0 else -1)
             if row.rel == GE:
                 surplus_of.append(col)
@@ -519,7 +515,7 @@ class _Simplex:
         width = col + 1
         self.T: list[list[int]] = []
         self.den: list[int] = []
-        for k, (ints, den) in enumerate(self.row_ints):
+        for k, (ints, den) in enumerate(shifted):
             sig = self.sigma[k]
             line = [0] * width
             for (plus, minus), v in zip(self.var_cols, ints):
@@ -555,13 +551,12 @@ class _Simplex:
                 j = k
         return j if j >= 0 and nums[j] > 0 else None
 
-    def copy(self, system: LinSystem) -> "_Simplex":
-        """This simplex for ``system``, whose rows it was built from, on a
-        tableau of its own.  Pivots replace tableau rows and never change
-        one in place, so copying the outer lists is enough."""
+    def copy(self) -> "_Simplex":
+        """This simplex on a tableau of its own.  Pivots replace tableau
+        rows and never change one in place, so copying the outer lists is
+        enough."""
         twin = object.__new__(_Simplex)
         twin.__dict__.update(self.__dict__)
-        twin.system = system
         twin.T = list(self.T)
         twin.den = list(self.den)
         twin.basis = list(self.basis)
@@ -574,9 +569,6 @@ class _Simplex:
         line = T[prow]
         if line[pcol] < 0:
             line = [-v for v in line]
-        g = math.gcd(*line)
-        if g != 1:
-            line = [v // g for v in line]
         # The pivot row now reads line / line[pcol], which is 1 at pcol.
         T[prow] = line
         self.den[prow] = line[pcol]
@@ -600,8 +592,9 @@ class _Simplex:
                 cost, den = _eliminate(cost, den, line, nz, b)
         self.cost, self.cost_den = cost, den
 
-    def _run(self, bland_after: int) -> None:
+    def _run(self) -> None:
         """Minimise the cost row until no reduced cost is negative."""
+        bland_after = 200 + 10 * len(self.T)
         enterable = range(self.first_artificial)
         iteration = 0
         while True:
@@ -644,19 +637,16 @@ class _Simplex:
 
     # -- phases -----------------------------------------------------------
 
-    def phase1(self) -> Optional[tuple[Fraction, ...]]:
-        """Returns None when feasible, else the Farkas multipliers."""
+    def phase1(self, system: LinSystem) -> Optional[tuple[Fraction, ...]]:
+        """Returns None when ``system``, the one this simplex was built
+        from, is feasible, else its Farkas multipliers."""
         first = self.first_artificial
         if first == self.ncols:
             return None
         self._price([0] * first + [1] * (self.ncols - first) + [0])
-        self._run(bland_after=200 + 10 * len(self.T))
+        self._run()
         if self.cost[-1] < 0:
-            # A row's multiplier is its unit column's phase-1 cost (1 on an
-            # artificial, 0 on a surplus) less that column's reduced cost.
-            den = self.cost_den
-            ys = [(den if c >= first else 0) - self.cost[c] for c in self.unit_col]
-            return self._original_multipliers(ys, den)
+            return self.multipliers(system, self.cost_den)
         # Pivot out each artificial still basic (at level zero).  One whose
         # row is zero below ``first_artificial`` stays, on a redundant row.
         for r, b in enumerate(self.basis):
@@ -678,13 +668,15 @@ class _Simplex:
             if minus is not None:
                 cost[minus] -= cj
         self._price(cost)
-        self._run(bland_after=200 + 10 * len(self.T))
+        self._run()
 
     # -- extraction ---------------------------------------------------------
 
     def point(self) -> tuple[Fraction, ...]:
+        # Variable columns come first: one per folded variable, two per other.
+        end = 2 * len(self.var_cols) - len(self.bound_row_of)
         level = {b: Fraction(line[-1], d)
-                 for line, b, d in zip(self.T, self.basis, self.den)}
+                 for line, b, d in zip(self.T, self.basis, self.den) if b < end}
         out = []
         for plus, minus in self.var_cols:
             v = level.get(plus, _ZERO)
@@ -695,39 +687,36 @@ class _Simplex:
             out[j] += l
         return tuple(out)
 
-    def duals_phase2(self) -> tuple[list[int], int]:
-        """Optimal duals of the tableau rows, read off the final phase-2 costs
-        of their starting unit columns (cost 0 in phase 2), as int numerators
-        over one positive denominator."""
-        return [-self.cost[c] for c in self.unit_col], self.cost_den
-
-    def _original_multipliers(self, ys: Sequence[int], den: int) -> tuple[Fraction, ...]:
-        """Map standardised-row multipliers ``ys / den`` back to original rows.
-
-        Folded bound rows get the residual needed to cancel the coefficient of
-        their nonnegative variable exactly.  The residual is summed on ints:
-        each tableau row as given is ``ints / row_den`` (``row_ints``), so
-        every used row is weighted onto the lcm of those denominators, and
-        one ``Fraction`` is built per nonzero output entry.  The bound row
-        ``c * x_j >= r`` then takes ``-residual / c``, with ``c`` read from
-        its own ints.
-        """
-        lam = [_ZERO] * len(self.system.rows)
+    def multipliers(self, system: LinSystem, artificial_cost: int) -> tuple[Fraction, ...]:
+        """The multipliers of the rows of ``system``, the one this simplex
+        was built from: the Farkas multipliers after an infeasible phase 1
+        (``artificial_cost`` is ``cost_den``), the optimal duals after phase
+        2 (``artificial_cost`` is 0).  Tableau row ``k`` takes its unit
+        column's cost (``artificial_cost`` on an artificial, 0 on a surplus)
+        less that column's reduced cost, over ``cost_den``.  Each folded
+        bound row ``c * x_j >= r`` takes the residual that cancels ``x_j``,
+        over ``c``, summed on ints: a shift moves only the rhs, so the used
+        rows' own ints give it.  One ``Fraction`` is built per nonzero
+        multiplier."""
+        first, cost, den = self.first_artificial, self.cost, self.cost_den
+        lam = [_ZERO] * len(system.rows)
         used = []
-        for k, y in enumerate(ys):
+        for k, c in enumerate(self.unit_col):
+            y = (artificial_cost if c >= first else 0) - cost[c]
             if y:
+                i = self.row_orig[k]
                 y *= self.sigma[k]
-                lam[self.row_orig[k]] = Fraction(y, den)
-                used.append((y, self.row_ints[k]))
-        common = math.lcm(*[row_den for _, (_, row_den) in used])
-        weighted = [(y * (common // row_den), ints) for y, (ints, row_den) in used]
+                lam[i] = Fraction(y, den)
+                used.append((y, system.rows[i]))
+        common = math.lcm(*[row.den for _, row in used])
+        weighted = [(y * (common // row.den), row.nums) for y, row in used]
         for j, bound_row in self.bound_row_of.items():
             acc = 0
             for y, ints in weighted:
                 if ints[j]:
                     acc += y * ints[j]
             if acc:
-                row = self.system.rows[bound_row]
+                row = system.rows[bound_row]
                 lam[bound_row] = Fraction(-acc * row.den, den * common * row.nums[j])
         return tuple(lam)
 
@@ -762,7 +751,7 @@ def _solve_engine(
         _engine_check(verify_point(system, witness), "feasible point")
         return Feasible(witness), start
 
-    simplex = start.copy(system)
+    simplex = start.copy()
     simplex.phase2([-c for c in objective])
     witness = simplex.point()
     _engine_check(verify_point(system, witness), "optimal point")
@@ -853,7 +842,6 @@ def _strict_slack(system: LinSystem) -> Union[Feasible, Infeasible]:
     # Optimum zero: only boundary points exist.  The optimal duals of the
     # slack program combine into a Motzkin-style certificate over the
     # original rows.
-    lam_all = simplex._original_multipliers(*simplex.duals_phase2())
-    lam = tuple(lam_all[: len(system.rows)])
+    lam = simplex.multipliers(relaxed, 0)[: len(system.rows)]
     _engine_check(verify_farkas(system, lam), "strict farkas at zero optimum")
     return Infeasible(lam)

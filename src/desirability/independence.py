@@ -473,11 +473,12 @@ def factorisation_check(
 ) -> Verdict:
     """Members stay members after multiplication by positive factors.
 
-    Samples members on ``onto`` and positive gambles on ``factor_scope``;
-    asserts the products are members, and re-checks the sampled members
-    against the constant factor one.  ``budget`` caps each sample and must
-    be at least 1: of the ``4 * budget`` gambles drawn on ``onto``, only
-    those up to the ``budget``-th member are queried.
+    Samples members on ``onto`` and positive gambles on ``factor_scope``,
+    and asserts the products are members.  ``checked`` counts each member
+    once for the constant factor one, which its sampling query settled, and
+    once per product.  ``budget`` caps each sample and must be at least 1:
+    of the ``4 * budget`` gambles drawn on ``onto``, only those up to the
+    ``budget``-th member are queried.
 
     Like ``is_irrelevant``, it queries ``scaled_member`` on the full
     scope with sampled int vectors: each member and each factor is lifted
@@ -506,9 +507,6 @@ def factorisation_check(
     ][:budget]
     checked = 0
     for f, f_ints in members:
-        if scaled_member(expr, f_ints, _QUERY_BUDGET) is not Tri.IN:
-            found = (Gamble._from_ints(onto, f), None)
-            return Verdict(False, "sampled", checked, "member rejected after unit factor", found)
         checked += 1
         for g, g_ints in factors:
             if scaled_member(expr, list(map(mul, f_ints, g_ints)), _QUERY_BUDGET) is not Tri.IN:

@@ -413,13 +413,6 @@ def credal_vertices(assessment: GeneratorSet, *, budget: int = 200000) -> Credal
     """
     scope = assessment.scope
     d = scope.size
-    if d == 1:
-        if any(g.values[0] < 0 for g in assessment.generators):
-            raise IncoherentBaseError(
-                "no linear prevision dominates the assessment; "
-                "the credal set is empty"
-            )
-        return CredalSet.of(scope, ((_ONE,),))
     # Constraint rows as ints: a positive multiple of a generator has the
     # same zero set and the same sign at every point.
     constraints = [[int(i == w) for i in range(d)] for w in range(d)]

@@ -46,7 +46,7 @@ fast paths, so a test can compare the two:
   (``_leaf_branches``), in which a generator marginal is one branch per
   (block, slice) pair over auxiliary weight columns, where the engine puts
   the masked generators into the cone rows;
-* ``original_multipliers`` — ``_Simplex._original_multipliers`` on
+* ``original_multipliers`` — the mapping of ``_Simplex.multipliers`` on
   ``Fraction``s, the reference for its int recovery;
 * ``ArtificialStartSimplex`` / ``solve_artificial_start`` — the simplex
   that folds only zero lower bounds and starts every tableau row on an
@@ -705,9 +705,11 @@ def gamble_factorisation_check(
 ) -> Verdict:
     """``factorisation_check`` with each query the gamble ``f * g``.
 
-    Like the engine's scan, it stops sampling at the ``budget``-th member;
-    ``fraction_factorisation_check`` still queries every sample, so the two
-    references also show that stopping there changes no verdict.
+    Like the engine's scan, it stops sampling at the ``budget``-th member,
+    and counts each member's unit factor without querying it again;
+    ``fraction_factorisation_check`` still queries every sample and every
+    unit factor, so the two references also show that neither changes a
+    verdict.
     """
     _check_budget(budget)
     full = scope_of(expr)
@@ -728,10 +730,6 @@ def gamble_factorisation_check(
     ][:budget]
     checked = 0
     for f in members:
-        if member(expr, f * Gamble.constant(factor_scope, _ONE)) is not Tri.IN:
-            return Verdict(
-                False, "sampled", checked, "member rejected after unit factor", (f, None)
-            )
         checked += 1
         for g in factors:
             if member(expr, f * g) is not Tri.IN:
@@ -1117,22 +1115,23 @@ def inex_member_enumerated(
 
 
 def original_multipliers(
-    simplex: _Simplex, y_std: Sequence[Fraction]
+    system: LinSystem, simplex: _Simplex, y_std: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
-    """Map standardised-row multipliers back to original rows.
+    """Map the standardised-row multipliers of ``simplex``, built from
+    ``system``, back to the rows of ``system``.
 
     Folded bound rows get the residual needed to cancel the coefficient of
     their nonnegative variable exactly.
     """
-    lam = [_ZERO] * len(simplex.system.rows)
+    lam = [_ZERO] * len(system.rows)
     for k, i in enumerate(simplex.row_orig):
         lam[i] = simplex.sigma[k] * y_std[k]
     for j, bound_row in simplex.bound_row_of.items():
         acc = _ZERO
-        for i, row in enumerate(simplex.system.rows):
+        for i, row in enumerate(system.rows):
             if lam[i]:
                 acc += lam[i] * row.coeffs[j]
-        lam[bound_row] = -acc / simplex.system.rows[bound_row].coeffs[j]
+        lam[bound_row] = -acc / system.rows[bound_row].coeffs[j]
     return tuple(lam)
 
 

@@ -45,6 +45,7 @@ from references import (
     fm_feasible,
     fm_project,
     original_multipliers,
+    rebuilt_unit_rows,
     solve_artificial_start,
 )
 
@@ -389,7 +390,7 @@ def _phase1_multipliers(system):
     reference mapping of the same standardised multipliers, and the rows
     the simplex folded."""
     simplex = _Simplex(system)
-    farkas = simplex.phase1()
+    farkas = simplex.phase1(system)
     folded = set(simplex.bound_row_of.values())
     if farkas is None:
         return None, None, folded
@@ -398,32 +399,53 @@ def _phase1_multipliers(system):
     den = simplex.cost_den
     y = [F((den if c >= simplex.first_artificial else 0) - simplex.cost[c], den)
          for c in simplex.unit_col]
-    return farkas, original_multipliers(simplex, y), folded
+    return farkas, original_multipliers(system, simplex, y), folded
 
 
 def _zero_optimum_multipliers(strict, monkeypatch):
     """The duals ``_strict_slack`` maps at a zero optimum, on ints and by the
-    reference, or None when its slack program is infeasible or positive."""
+    reference, and the simplex that found the optimum; or Nones when the
+    slack program is infeasible or its optimum positive."""
     seen = []
 
     def engine(system, objective=None):
         outcome, simplex = _solve_engine(system, objective)
-        seen.append((outcome, simplex))
+        seen.append((system, outcome, simplex))
         return outcome, simplex
 
     monkeypatch.setattr(exactlp, "_solve_engine", engine)
     _strict_slack(strict)
-    outcome, simplex = seen[-1]
+    relaxed, outcome, simplex = seen[-1]
     if not isinstance(outcome, Optimal) or outcome.value > 0:
-        return None, None
-    ys, den = simplex.duals_phase2()
-    got = simplex._original_multipliers(ys, den)
-    return got, original_multipliers(simplex, [F(y, den) for y in ys])
+        return None, None, None
+    # Phase 2 costs 0 on every unit column, so each row's dual is minus its
+    # unit column's reduced cost.
+    y = [F(-simplex.cost[c], simplex.cost_den) for c in simplex.unit_col]
+    want = original_multipliers(relaxed, simplex, y)
+    return simplex.multipliers(relaxed, 0), want, simplex
+
+
+def shifted_redundant_system(integer):
+    """``redundant_system`` with each bound ``x_j >= 0`` redrawn through
+    ``integer(lo, hi)`` as ``c * x_j >= r``, ``c`` in 1..3 and ``r`` in
+    -3..3, so the simplex folds bounds with ``r != 0`` next to redundant EQ
+    rows.  Returns the weak system and the same rows with a strict row that
+    denies one weak row's slack, as in ``multiplier_system``: where the
+    weak rows are feasible, the slack program has a zero optimum."""
+    weak, _ = redundant_system(integer)
+    n = weak.n_vars
+    rows = tuple(
+        LinRow(tuple(F(integer(1, 3)) if k == j else F(0) for k in range(n)), GE, F(integer(-3, 3)))
+        for j in range(n)
+    ) + weak.rows[n:]
+    denied = rows[integer(0, len(rows) - 1)]
+    strict = LinRow(tuple(-c for c in denied.coeffs), GT, -denied.rhs)
+    return LinSystem(n, rows), LinSystem(n, rows + (strict,))
 
 
 class TestMultiplierRecovery:
-    """``_Simplex._original_multipliers`` on ints against its ``Fraction``
-    reference, through both of its callers."""
+    """``_Simplex.multipliers`` on ints against its ``Fraction`` reference,
+    after both phases."""
 
     def test_both_paths_on_seeded_systems(self, monkeypatch):
         rng = random.Random("multipliers")
@@ -434,7 +456,7 @@ class TestMultiplierRecovery:
             if got is not None:
                 assert got == want and verify_farkas(weak, got)
                 paths["farkas", any(got[i] for i in folded)] += 1
-            got, want = _zero_optimum_multipliers(strict, monkeypatch)
+            got, want, _ = _zero_optimum_multipliers(strict, monkeypatch)
             if got is not None:
                 assert got == want
                 paths["zero optimum"] += 1
@@ -443,6 +465,34 @@ class TestMultiplierRecovery:
         assert paths["farkas", True] >= 50, paths
         assert paths["farkas", False] >= 30, paths
         assert paths["zero optimum"] >= 100, paths
+
+    def test_redundant_rows_and_shifted_bounds_in_both_phases(self, monkeypatch):
+        rng = random.Random("multipliers-redundant")
+        paths = collections.Counter()
+        for _ in range(300):
+            weak, strict = shifted_redundant_system(rng.randint)
+            got, want, folded = _phase1_multipliers(weak)
+            if got is not None:
+                assert got == want and verify_farkas(weak, got)
+                paths["farkas"] += 1
+                paths["farkas", "shifted bound"] += any(
+                    got[i] for i in folded if weak.rows[i].nums[-1])
+            got, want, simplex = _zero_optimum_multipliers(strict, monkeypatch)
+            if got is not None:
+                assert got == want
+                assert verify_farkas(strict, got[: len(strict.rows)])
+                paths["zero optimum"] += 1
+                paths["zero optimum", "kept zero row"] += any(
+                    b >= simplex.first_artificial for b in simplex.basis)
+                paths["zero optimum", "shifted bound"] += any(
+                    got[i] for i in simplex.bound_row_of.values()
+                    if i < len(strict.rows) and strict.rows[i].nums[-1])
+        # Both phases map multipliers onto folded bounds with a nonzero
+        # rhs, and zero optima keep redundant EQ rows on their artificials.
+        assert paths["farkas"] >= 100 and paths["farkas", "shifted bound"] >= 50, paths
+        assert paths["zero optimum"] >= 60, paths
+        assert paths["zero optimum", "kept zero row"] >= 60, paths
+        assert paths["zero optimum", "shifted bound"] >= 15, paths
 
     @given(st.data())
     def test_phase1_certificates_hypothesis(self, data):
@@ -454,7 +504,7 @@ class TestMultiplierRecovery:
     def test_zero_optimum_duals_hypothesis(self, data):
         _, strict = multiplier_system(lambda lo, hi: data.draw(st.integers(lo, hi)))
         with pytest.MonkeyPatch.context() as monkeypatch:
-            got, want = _zero_optimum_multipliers(strict, monkeypatch)
+            got, want, _ = _zero_optimum_multipliers(strict, monkeypatch)
         assert got == want
 
 
@@ -499,9 +549,21 @@ class TestSlackStart:
     satisfies on their surplus; ``references.ArtificialStartSimplex``, the
     all-artificial start, is the differential."""
 
-    def test_seeded_systems_agree_with_artificial_start(self):
+    def test_seeded_systems_agree_with_artificial_start(self, monkeypatch):
         rng = random.Random("slack-start")
         seen = collections.Counter()
+        pivot = _Simplex._pivot
+
+        def checked(simplex, prow, pcol):
+            # ``_pivot`` does not normalise its pivot row: every tableau row
+            # must read its denominator at its basic column and be in lowest
+            # terms, so its gcd is 1.
+            for line, b, den in zip(simplex.T, simplex.basis, simplex.den):
+                assert line[b] == den and math.gcd(*line) == 1
+            seen["pivots"] += 1
+            pivot(simplex, prow, pcol)
+
+        monkeypatch.setattr(_Simplex, "_pivot", checked)
         for _ in range(300):
             system, objective = shifted_lp(rng.randint)
             seen[_agrees_with_artificial_start(system, objective)] += 1
@@ -518,6 +580,7 @@ class TestSlackStart:
         assert seen["shifted"] >= 200, seen
         assert seen["surplus start"] >= 150, seen
         assert seen["two bounds"] >= 100, seen
+        assert seen["pivots"] >= 300, seen
 
     @given(st.data())
     def test_artificial_start_hypothesis(self, data):
@@ -533,7 +596,8 @@ class TestSlackStart:
         )
         out, simplex = _solve_engine(system, (-1, -1))
         assert simplex.shift == {0: F(2), 1: F(-1)}
-        assert simplex.row_ints == [([1, 1, -1], 1)]
+        # The row x' + y' >= -1, negated: -x' - y' + s = 1 on its surplus.
+        assert (simplex.T[0], simplex.den[0]) == ([-1, -1, 1, 1], 1)
         # Columns: x' and y' (0, 1), then the surplus of the row (2), and
         # no artificial.
         assert simplex.var_cols == [(0, None), (1, None)]
@@ -580,8 +644,8 @@ class TestSlackStart:
         phase1 = _Simplex.phase1
         pivots = []
 
-        def counted(simplex):
-            farkas = phase1(simplex)
+        def counted(simplex, system):
+            farkas = phase1(simplex, system)
             pivots.append(simplex.pivots)
             return farkas
 
@@ -647,7 +711,7 @@ class TestRedundantRows:
         assert simplex.basis[4] == simplex.unit_col[4]
         line = simplex.T[4]
         assert line[-1] == 0 and not any(line[:first])
-        assert simplex.duals_phase2()[0][4] == 0
+        assert simplex.multipliers(system, 0)[simplex.row_orig[4]] == 0
         assert system._phase1[0].pivots == 5
         assert simplex.pivots == 6
 
@@ -718,11 +782,11 @@ class TestRedundantRows:
             assert ref.phase1() is None
             assert ref.phase2((0,) * weak.n_vars + (-1,)) is None
             assert outcome.value == ref.point()[-1] == 0
-            ys, den = simplex.duals_phase2()
+            lam = simplex.multipliers(relaxed, 0)
             kept = [b >= simplex.first_artificial for b in simplex.basis]
-            assert not any(y for y, zero_row in zip(ys, kept) if zero_row)
-            lam = simplex._original_multipliers(ys, den)
-            assert lam == original_multipliers(simplex, [F(y, den) for y in ys])
+            assert not any(lam[i] for i, zero_row in zip(simplex.row_orig, kept) if zero_row)
+            ys = [F(-simplex.cost[c], simplex.cost_den) for c in simplex.unit_col]
+            assert lam == original_multipliers(relaxed, simplex, ys)
             assert out.farkas == lam[: len(strict.rows)]
             counts["zero optimum"] += 1
             counts["kept zero row"] += any(kept)
@@ -837,8 +901,4 @@ class TestRowChecks:
 
     @pytest.mark.parametrize("width, rel, start", [(3, GE, 0), (4, GE, 1), (2, GT, 0)])
     def test_unit_rows_are_the_sign_rows_from_start_on(self, width, rel, start):
-        rows = unit_rows(width, rel, start)
-        assert [row.coeffs for row in rows] == [
-            tuple(F(int(i == j)) for i in range(width)) for j in range(start, width)
-        ]
-        assert {(row.rel, row.rhs) for row in rows} == {(rel, F(0))}
+        assert list(unit_rows(width, rel)[start:]) == rebuilt_unit_rows(width, rel, start)

@@ -287,6 +287,20 @@ class TestCredalVertices:
         with pytest.raises(BudgetExceededError):
             credal_vertices(LEAN1, budget=1)
 
+    def test_a_one_outcome_scope_takes_the_basis_scan(self):
+        # One outcome has one basis candidate, the normalisation row alone:
+        # its solution (1) is the vertex unless a generator is negative.
+        y = Scope.of([Variable("Y", ("y",))])
+        nonnegative = GeneratorSet.of(y, [Gamble.on(y, [1])])
+        assert credal_vertices(nonnegative).vertices == ((F(1),),)
+        with pytest.raises(IncoherentBaseError,
+                           match="^no linear prevision dominates the assessment; "
+                                 "the credal set is empty$"):
+            credal_vertices(GeneratorSet.of(y, [Gamble.on(y, [-1])]))
+        with pytest.raises(BudgetExceededError,
+                           match="needs 1 basis candidates, over the budget of 0"):
+            credal_vertices(nonnegative, budget=0)
+
     def test_envelope_matches_the_price_lp(self):
         rng = random.Random("envelope")
         for i in range(20):

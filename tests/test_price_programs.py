@@ -112,9 +112,9 @@ class TestJointMassProgram:
             counts["verify_point"] += 1
             return gate(system, point)
 
-        def started(simplex):
+        def started(simplex, system):
             counts["phase1"] += 1
-            return phase1(simplex)
+            return phase1(simplex, system)
 
         monkeypatch.setattr(exactlp, "_solve_engine", solved)
         monkeypatch.setattr(exactlp, "verify_point", checked)
