@@ -102,7 +102,7 @@ class Tri(Enum):
 
 
 # ---------------------------------------------------------------------------
-# generator sets, their consistency gate and their price program
+# generator sets and their consistency gate
 # ---------------------------------------------------------------------------
 
 
@@ -140,8 +140,8 @@ class GeneratorSet:
     def _negated_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Per outcome ``w``, the ints ``-g_k(w) * den`` of every generator,
         and the lcm ``den`` of the generators' denominators, computed once:
-        the generator part of each outcome row of ``cone_program`` and of
-        the walk's domination rows (``independence._walk_data``)."""
+        the generator part of each outcome row of ``previsions._cone_sup``
+        and of the walk's domination rows (``independence._walk_data``)."""
         den = math.lcm(*[g.den for g in self.generators])
         columns = [[v * (den // g.den) for v in g.nums] for g in self.generators]
         return tuple([
@@ -228,33 +228,6 @@ def check_coherent(model: DesirableSetExpr) -> Optional[ConsistencyCertificate]:
             "incoherent lex system: its levels leave an outcome without mass"
         )
     return None
-
-
-def cone_program(
-    cone: tuple, nums: Sequence[int], den: int, direction: Gamble
-) -> LinSystem:
-    """The price program ``f + mu*direction >= sum_k lam_k g_k`` for
-    ``f = nums / den`` and the generators of the cone whose
-    ``_negated_ints`` are ``cone``: ``previsions._generator_sup``
-    maximises the shift ``mu``, which leads the variables, and ``den``
-    keeps the price exact.  Membership is the walk's (``_int_test``).
-
-    One unit row ``lam_k >= 0`` per generator weight comes first, then one
-    row per outcome.  The rows are built on ints, with no ``Fraction``:
-    the unit rows are shared (``unit_rows``), and each outcome row joins
-    the cone's ints to the gamble's and the direction's over the lcm of
-    their denominators.
-    """
-    negated, gen_den = cone
-    n = len(negated[0])
-    rows = list(unit_rows(1 + n, GE)[1:])
-    lcm = math.lcm(gen_den, den, direction.den)
-    a, b, d = lcm // gen_den, lcm // den, lcm // direction.den
-    for w, gs in enumerate(negated):
-        if a != 1:
-            gs = tuple([a * v for v in gs])
-        rows.append(LinRow._from_ints((direction.nums[w] * d,) + gs + (-b * nums[w],), GE, lcm))
-    return LinSystem(1 + n, tuple(rows))
 
 
 def sign_verdict(nums: Sequence[int]) -> Optional[bool]:

@@ -52,7 +52,7 @@ other.
 
 An objective must be bounded above on its rows: an improving column with
 no ratio row raises ``EngineError``.  Each caller's is:
-``previsions._generator_sup`` maximises the shift behind the coherence
+``previsions._cone_sup`` maximises the shift behind the coherence
 gate, whose positive mass bounds it; ``previsions.inex_lower_prevision``
 maximises ``-(f . mu)`` over masses in the simplex; ``_strict_slack``
 maximises a gap capped by ``eps <= 1``; ``fixtures._gap_programs``

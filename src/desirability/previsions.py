@@ -12,13 +12,13 @@ every block slice in that block's credal cone), and evaluates strong
 products (lower envelopes of products of dominating linear previsions)
 by scanning vertex combinations.
 
-Prices are built for re-use, and every program on ints.  A joint-mass
-program's rows depend only on the credal sets, so they are built once per
-tuple of sets and kept on the first set; a price builds only its int
-objective, and ``solve`` runs phase 2 alone from the phase 1 that the
-kept rows ran once.  A generator-cone price builds its rows from the
-cone's generator ints, kept on the cone, and the gamble's; the strong
-scan multiplies ints, with each credal set's vertex ints kept on the set.
+Prices are built for re-use, and every program on ints.  A set model
+keeps a price test, gate included, as it keeps its membership test
+(``scaled_sup``).  A joint-mass program's rows depend only on the credal
+sets, so they are built once per tuple of sets and kept on the first set;
+a price builds only its int objective, and ``solve`` runs phase 2 alone
+from the phase 1 that the kept rows ran once.  The strong scan multiplies
+ints, with each credal set's vertex ints kept on the set.
 
 All suprema are reported even when not attained: a result ``mu*`` means
 prices strictly below ``mu*`` are always acceptable, while ``mu*``
@@ -32,20 +32,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .desirable import (
     Cell,
     CellRow,
     CellSet,
+    ConditionalFamily,
     Conditioned,
     DesirableSetExpr,
     GeneratorSet,
     StrongProduct,
     Tri,
+    _int_test,
     avoids_nonpositivity,  # noqa: F401 - perfbench/tracer.py wraps this binding
     check_coherent,
-    cone_program,
     member,
     scope_of,
     sign_cells,
@@ -76,7 +77,6 @@ from .space import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 __all__ = [
     "CredalSet",
@@ -158,21 +158,67 @@ def _zero_shift(value: Sequence[int], direction: Sequence[int]) -> Optional[Frac
 
 
 # ---------------------------------------------------------------------------
-# per-representation supremum procedures
+# the price test each node keeps
 # ---------------------------------------------------------------------------
 
 
-def _generator_sup(
-    cone: GeneratorSet, value: Gamble, direction: Gamble
+def scaled_sup(
+    expr: DesirableSetExpr, value: Sequence[int], direction: Sequence[int], den: int
 ) -> Optional[Fraction]:
-    """LP supremum of ``{mu : value + mu*direction in E(cone)}``.
+    """``sup {mu : value + mu*direction is a member}``, or ``None`` when no
+    shift is, for ``value / den`` and ``direction / den`` on the scope of
+    ``expr``, the direction nonpositive and nonzero.  Each node builds its
+    price test on its first price and keeps it (``_price_test``)."""
+    test, data = expr.__dict__.get("_price_test") or _price_test(expr)
+    return test(data, value, direction, den)
+
+
+def _price_test(expr: DesirableSetExpr) -> tuple:
+    """``(test, data)`` deciding ``scaled_sup``, kept as ``_int_test`` is,
+    gate included: a generator set's ``_negated_ints`` (``_cone_sup``); the
+    ``sign_cells`` of a cell set or lexicographic system, each distinct
+    functional's ``nums`` once and per cell its ``exclude_zero`` and (index,
+    relation) rows (``_cells_sup``); a conditioned node's membership table
+    and base.  Other kinds raise, a conditional family as on membership."""
+    if isinstance(expr, GeneratorSet):
+        check_coherent(expr)
+        kept = _cone_sup, expr._negated_ints
+    elif isinstance(expr, (CellSet, LexSystem)):
+        check_coherent(expr)
+        # A lexicographic level leads one cell and ties in every later one.
+        functionals: dict[tuple[int, ...], int] = {}
+        cells = tuple([
+            (cell.exclude_zero, tuple([
+                (functionals.setdefault(row.functional.nums, len(functionals)), row.rel)
+                for row in cell.rows
+            ]))
+            for cell in sign_cells(expr)
+        ])
+        kept = _cells_sup, (tuple(functionals), cells)
+    elif isinstance(expr, Conditioned):
+        kept = _conditioned_sup, (expr.__dict__.get("_int_test") or _int_test(expr))[1]
+    else:
+        if isinstance(expr, ConditionalFamily):
+            _int_test(expr)  # raises: a family answers only conditioned queries
+        raise UnsupportedQueryError("no exact buying-price procedure for %s" % type(expr).__name__)
+    expr.__dict__["_price_test"] = kept
+    return kept
+
+
+def _cone_sup(
+    cone: tuple, value: Sequence[int], direction: Sequence[int], den: int
+) -> Optional[Fraction]:
+    """LP supremum of ``{mu : value + mu*direction in E(cone)}`` over the
+    generators whose ``_negated_ints`` are ``cone``.
 
     Membership in the natural extension holds iff the gamble is nonzero
     and dominates some nonnegative combination of the generators.  The
     feasible shift set is a down-closed interval, and dropping the
     single boundary shift where the gamble degenerates to zero never
     changes the supremum for a consistent assessment, so maximising mu
-    over the dominance closure is exact.
+    over the dominance closure is exact.  It is bounded behind the gate:
+    its mass p > 0 gives every generator positive expectation, so
+    mu <= p.value / p.(-direction).
 
     The program is solved from the sure price ``m0``, the largest shift
     that keeps ``value + m0*direction`` nonnegative wherever the direction
@@ -183,78 +229,60 @@ def _generator_sup(
     direction the outcomes outside the observed event), so the simplex
     starts on their surplus columns and phase 1 has at most those
     degenerate rows to clear.
+
+    The rows are ints over one lcm, with ``mu`` first and unsigned.  ``den``
+    keeps them the rows of the rationals priced, and so keeps every pivot.
     """
-    check_coherent(cone)
-    # The least ratio v / -d over the outcomes where d < 0, compared on the
-    # ints: ``v * e' < v' * e`` with ``e = -d > 0``.
-    least: Optional[tuple[int, int]] = None
-    for v, d in zip(value.nums, direction.nums):
-        if d < 0 and (least is None or v * least[1] < least[0] * -d):
-            least = (v, -d)
-    m0 = _ZERO if least is None else Fraction(least[0] * direction.den, least[1] * value.den)
-    if m0:
-        value = value + m0 * direction
-    # Bounded behind the gate: its mass p > 0 gives each generator positive
-    # expectation, so a feasible shift has p.(value + mu*direction) >= 0,
-    # that is mu <= p.value / p.(-direction).
-    program = cone_program(cone._negated_ints, value.nums, value.den, direction)
-    outcome = solve(program, (1,) + (0,) * len(cone.generators))
+    negated, gen_den = cone
+    # m0 = v0 / e0, the least ratio v / -d over the outcomes where d < 0,
+    # compared on the ints: ``v * e' < v' * e`` with ``e = -d > 0``.
+    v0, e0 = 0, 0
+    for v, d in zip(value, direction):
+        if d < 0 and (not e0 or v * e0 < v0 * -d):
+            v0, e0 = v, -d
+    # The shifted gamble is ``(value * e0 + v0 * direction) / (den * e0)``.
+    lcm = math.lcm(gen_den, den * e0)
+    a, b = lcm // gen_den, lcm // (den * e0)
+    n = len(negated[0])
+    rows = list(unit_rows(1 + n, GE)[1:])
+    for w, gs in enumerate(negated):
+        if a != 1:
+            gs = tuple([a * g for g in gs])
+        shifted = value[w] * e0 + v0 * direction[w]
+        rows.append(LinRow._from_ints((direction[w] * e0 * b,) + gs + (-b * shifted,), GE, lcm))
+    outcome = solve(LinSystem(1 + n, tuple(rows)), (1,) + (0,) * n)
     if isinstance(outcome, Optimal):
-        return m0 + outcome.value
+        return Fraction(v0, e0) + outcome.value
     return None
 
 
-def _set_sup(
-    expr: DesirableSetExpr, value: Gamble, direction: Gamble
+def _cells_sup(
+    data: tuple, value: Sequence[int], direction: Sequence[int], den: int
 ) -> Optional[Fraction]:
-    """Dispatch ``sup {mu : value + mu*direction is a member}``.
+    """The largest ``_shift_sup`` over the kept sign cells, each functional
+    dotted once, skipping zero terms (unit rows and masked gambles are
+    mostly zeros).  Roots are scale-free, so ``den`` is not read."""
+    functionals, cells = data
+    zero_mu = _zero_shift(value, direction)
+    line = [
+        tuple([sum([c * v for c, v in zip(e, g) if c and v]) for g in (direction, value)])
+        for e in functionals
+    ]
+    sups = [
+        _shift_sup((line[k] + (rel,) for k, rel in rows), zero_mu if exclude_zero else None)
+        for exclude_zero, rows in cells
+    ]
+    return max((s for s in sups if s is not None), default=None)
 
-    ``direction`` must be nonpositive and nonzero; conditioning recurses
-    with both the value and the direction masked by the observed event,
-    so conditional prices reuse the unconditional machinery.  A cell or
-    lexicographic model takes the largest ``_shift_sup`` over its
-    ``sign_cells``, a lexicographic one after ``check_coherent``.  It
-    reads ints alone: each functional's ``nums``, and the value and the
-    direction over one denominator, so a ``Fraction`` is made only for a
-    root.
-    """
-    if isinstance(expr, GeneratorSet):
-        return _generator_sup(expr, value, direction)
-    if isinstance(expr, (CellSet, LexSystem)):
-        check_coherent(expr)
-        den = math.lcm(value.den, direction.den)
-        d_ints, v_ints = [[n * (den // g.den) for n in g.nums] for g in (direction, value)]
-        zero_mu = _zero_shift(v_ints, d_ints)
-        # A lexicographic level leads one cell and ties in every later one:
-        # each shared functional is dotted once, keyed by identity while the
-        # cells are alive.  Zero terms are skipped: unit rows and masked
-        # gambles are mostly zeros.
-        line: dict[int, tuple[int, ...]] = {}
 
-        def constraints(cell: Cell) -> Iterator[tuple[int, int, str]]:
-            for row in cell.rows:
-                e = row.functional
-                if id(e) not in line:
-                    line[id(e)] = tuple([
-                        sum([c * v for c, v in zip(e.nums, g) if c and v]) for g in (d_ints, v_ints)
-                    ])
-                yield line[id(e)] + (row.rel,)
-
-        sups = [
-            _shift_sup(constraints(cell), zero_mu if cell.exclude_zero else None)
-            for cell in sign_cells(expr)
-        ]
-        return max((s for s in sups if s is not None), default=None)
-    if isinstance(expr, Conditioned):
-        base_scope = scope_of(expr.base)
-        return _set_sup(
-            expr.base,
-            value.mask(expr.given).embed(base_scope),
-            direction.mask(expr.given).embed(base_scope),
-        )
-    raise UnsupportedQueryError(
-        "no exact buying-price procedure for %s" % type(expr).__name__
-    )
+def _conditioned_sup(
+    data: tuple, value: Sequence[int], direction: Sequence[int], den: int
+) -> Optional[Fraction]:
+    """The base's supremum for the value and the direction masked by
+    ``given``: their ints gathered through the mask table."""
+    table, base = data
+    value, direction = [*value, 0], [*direction, 0]
+    return scaled_sup(base, [value[k] for k in table], [direction[k] for k in table], den)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +296,8 @@ def lower_prevision(expr: DesirableSetExpr, f: Gamble) -> Fraction:
     The supremum need not be attained: the set may exclude the boundary
     gamble ``f - mu*``.
     """
-    scope = scope_of(expr)
-    value = f.embed(scope)
-    direction = Gamble.constant(scope, -_ONE)
-    result = _set_sup(expr, value, direction)
+    value = f.embed(scope_of(expr))
+    result = scaled_sup(expr, value.nums, (-value.den,) * len(value.nums), value.den)
     if result is None:
         raise IncoherentBaseError("no buying price is acceptable: the set is empty")
     return result

@@ -820,7 +820,8 @@ def inex_lower_prevision_primal(credals: Sequence[CredalSet], f: Gamble) -> Frac
 # were compiled once per tuple of credal sets, cone rows were built from
 # the gambles' ints and the strong scan ran on vertex ints.  The names they
 # call differ: ``rebuilt_unit_rows`` for ``unit_rows``, which now returns a
-# shared tuple, and ``rebuilt_cone_program`` for ``cone_program``.  So does
+# shared tuple, and ``rebuilt_cone_program`` for the rows that a generator
+# set's price test now builds inline (``previsions._cone_sup``).  So does
 # the way they hand ``solve`` an objective: as its argument, on ints, and
 # maximised, so the joint-mass program maximises its negated objective.
 

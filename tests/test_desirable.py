@@ -35,8 +35,9 @@ from desirability import (
     member,
     strictly_desirable,
     strong_product_lower,
+    upper_prevision,
 )
-from desirability import desirable, independence
+from desirability import desirable, independence, previsions
 from desirability.desirable import (
     Cell,
     CellRow,
@@ -46,7 +47,6 @@ from desirability.desirable import (
     StrongProduct,
     cellset_coherence_audit,
     check_coherent,
-    cone_program,
     natext_member,
     scaled_member,
     scope_of,
@@ -218,17 +218,28 @@ class TestNaturalExtensionMembership:
 
 class TestConeProgram:
     def test_weight_rows_lead_and_the_shift_is_free(self, monkeypatch):
-        # lean() prices [-1, -3] at -2 (the mass (1/2, 1/2)): the shift ``mu``
-        # must be free to go negative, so it carries no sign row; each
-        # generator weight carries one, ahead of the outcome rows.
+        # A price hands its program to ``previsions.solve``.  The shift
+        # ``mu`` leads the variables and carries no sign row; each generator
+        # weight carries one, ahead of the outcome rows.
+        seen = []
+        real = previsions.solve
+        monkeypatch.setattr(
+            previsions, "solve",
+            lambda system, objective: seen.append(system) or real(system, objective),
+        )
         cone = GeneratorSet.of(S1, [Gamble.on(S1, [1, -1]), Gamble.on(S1, [2, -1])])
         f = Gamble.on(S1, [-1, -3])
-        system = cone_program(cone._negated_ints, f.nums, f.den, Gamble.constant(S1, -1))
+        lower_prevision(cone, f)
+        [system] = seen
         assert system.n_vars == 3 and len(system.rows) == 4
         assert [row.coeffs for row in system.rows[:2]] == [(0, 1, 0), (0, 0, 1)]
         assert all(row.coeffs[0] == -1 for row in system.rows[2:])
-        program = cone_program(lean()._negated_ints, f.nums, f.den, Gamble.constant(S1, -1))
-        assert solve(program, (1,) + (0,) * (program.n_vars - 1)).value == -2
+        # lean() prices [-1, -3] at -2 (the mass (1/2, 1/2)): its program
+        # prices the gamble less its sure price -3, so its optimum is 1.
+        seen.clear()
+        assert lower_prevision(lean(), f) == -2
+        [program] = seen
+        assert real(program, (1,) + (0,) * (program.n_vars - 1)).value == 1
         # Membership hands the walk's system to ``strict_feasible``: it too
         # leads with one ``>=`` unit row per generator weight.
         seen = []
@@ -644,8 +655,8 @@ class TestDispatch:
         assert family.at(S1.assignment_at(0)) == lean(S2)
 
     def test_conditional_family_answers_no_plain_query_and_keeps_nothing(self):
-        # ``member`` and ``scaled_member`` raise the one message on every
-        # query, and the family keeps no test.
+        # ``member``, ``scaled_member`` and the prices raise the one message
+        # on every query, and the family keeps no test.
         family = ConditionalFamily(on=S1, entries=((S1.assignment_at(0), lean(S2)),))
         message = (
             "conditional families answer only conditioned queries; "
@@ -655,12 +666,15 @@ class TestDispatch:
         for query in (
             lambda: member(family, f),
             lambda: scaled_member(family, f.nums, 100000),
+            lambda: lower_prevision(family, f),
+            lambda: upper_prevision(family, f),
         ):
             for _ in range(2):
                 with pytest.raises(UnsupportedQueryError) as info:
                     query()
                 assert str(info.value) == message
                 assert "_int_test" not in vars(family)
+                assert "_price_test" not in vars(family)
 
 
 HALF1 = CredalSet.of(S1, [("1/2", "1/2")])

@@ -45,6 +45,7 @@ from references import (
     fm_feasible,
     fm_project,
     original_multipliers,
+    rebuilt_cone_program,
     rebuilt_unit_rows,
     solve_artificial_start,
 )
@@ -807,9 +808,7 @@ class TestPhase1PerSystem:
         ])
         desirable.avoids_nonpositivity(cone)
         f = Gamble.on(scope, [2, -1, 1])
-        program = desirable.cone_program(
-            cone._negated_ints, f.nums, f.den, Gamble.constant(scope, -1)
-        )
+        program = rebuilt_cone_program(cone, f, Gamble.constant(scope, -1))
         # The shift, the shift less the first weight, and minus the total
         # weight: each bounded above behind the coherence gate.
         objectives = [(1, 0, 0, 0), (1, -1, 0, 0), (0, -1, -1, -1)]

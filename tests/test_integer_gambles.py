@@ -44,6 +44,7 @@ from desirability import (
     Variable,
     is_independent,
     is_irrelevant,
+    lower_prevision,
     member,
     strictly_desirable,
 )
@@ -52,6 +53,7 @@ from desirability.desirable import (
     scope_of,
 )
 from desirability.independence import factorisation_check, irrelevant_extension
+from desirability.maximal import lex_is_maximal
 from desirability.structure import condition, sample_gambles
 from randgen import random_credal, random_generator_set, random_mass
 
@@ -417,9 +419,19 @@ def test_membership_matches_the_fraction_path(seed):
             assert (name, Tri.UNKNOWN) in seen, name
 
 
+def _price(expr, f):
+    """The lower price of ``f``, or the type and message of the error raised."""
+    try:
+        return lower_prevision(expr, f)
+    except DesirabilityError as exc:
+        return type(exc), str(exc)
+
+
 def test_queried_nodes_copy_with_the_test_they_keep():
-    """A queried node keeps its integer test; pickled or deep-copied, it
-    equals the original and gives the same verdicts."""
+    """A queried and priced node keeps its integer test and, where it has
+    one, its price test; pickled or deep-copied, it equals the original and
+    gives the same verdicts and prices.  A lexicographic system never
+    pickles its hash, which a price computes."""
     rng = random.Random("integer-gambles-copies")
     for name, expr in node_cases(5):
         scope = scope_of(expr)
@@ -427,30 +439,41 @@ def test_queried_nodes_copy_with_the_test_they_keep():
         if name in STRONG_KINDS:
             gambles += boundary_gambles(rng, expr, 5)
         verdicts = [member(expr, f) for f in gambles]
+        prices = [_price(expr, f) for f in gambles]
         for twin in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr)):
             assert twin == expr and hash(twin) == hash(expr), name
-            assert vars(twin).keys() == vars(expr).keys(), name
+            assert vars(twin).keys() - {"_hash"} == vars(expr).keys() - {"_hash"}, name
             assert [member(twin, f) for f in gambles] == verdicts, name
+            assert [_price(twin, f) for f in gambles] == prices, name
 
 
 def test_queried_nodes_are_freed_without_the_cycle_collector():
-    """The test a node keeps never refers back to the node, so reference
-    counting alone frees a queried node."""
+    """The tests a node keeps never refer back to the node, so reference
+    counting alone frees a queried and priced node."""
     cases = node_cases(6)
+    priced = 0
     gc.disable()
     try:
         # Later cases may wrap earlier ones, so they are freed first.
         while cases:
             name, expr = cases.pop()
-            member(expr, Gamble.on(scope_of(expr), range(-1, scope_of(expr).size - 1)))
+            f = Gamble.on(scope_of(expr), range(-1, scope_of(expr).size - 1))
+            member(expr, f)
             assert "_int_test" in vars(expr), name
-            # The consistency cache keys on generator sets, not on their tests.
+            if not isinstance(_price(expr, f), tuple):
+                assert "_price_test" in vars(expr), name
+                priced += 1
+            # The consistency cache keys on generator sets and the
+            # maximality cache on lexicographic systems, not on their tests.
             avoids_nonpositivity.cache_clear()
+            lex_is_maximal.cache_clear()
             ref = weakref.ref(expr)
             del expr
             assert ref() is None, name
     finally:
         gc.enable()
+    # The leaves and the conditioned nodes over them, on each shape.
+    assert priced == 24
 
 
 def _scan_groups(expr):

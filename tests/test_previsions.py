@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -105,6 +106,54 @@ class TestLowerPrevision:
         folded = irrelevant_extension(lean2, S1, S12)
         assert isinstance(folded, GeneratorSet)
         assert lower_prevision(folded, f) == 0
+
+
+class TestKeptPriceTest:
+    """Each node builds its price test on its first price and keeps it, its
+    gate run while the test is built, as it keeps its membership test."""
+
+    def test_five_prices_per_node_run_the_gate_and_sign_cells_once(self, monkeypatch):
+        # A pin: lower it if a price gets cheaper, never raise it.
+        nodes = [
+            GeneratorSet.of(S1, [Gamble.on(S1, [2, -1])]),
+            strictly_desirable(CredalSet.of(S1, [("1/2", "1/2"), ("1/4", "3/4")])),
+            LexSystem.on(S1, [["1/3", "2/3"], [1, 0]]),
+        ]
+        calls = collections.Counter()
+        for name in ("check_coherent", "sign_cells"):
+            real = getattr(previsions, name)
+
+            def counted(model, _real=real, _name=name):
+                calls[_name, type(model).__name__] += 1
+                return _real(model)
+
+            monkeypatch.setattr(previsions, name, counted)
+        for node in nodes:
+            for k in range(5):
+                lower_prevision(node, Gamble.on(S1, [k, -1]))
+        assert calls == {
+            ("check_coherent", "GeneratorSet"): 1,
+            ("check_coherent", "CellSet"): 1,
+            ("check_coherent", "LexSystem"): 1,
+            ("sign_cells", "CellSet"): 1,
+            ("sign_cells", "LexSystem"): 1,
+        }
+
+    def test_a_leaf_keeps_its_price_test_only_past_its_gate(self):
+        # An incoherent leaf raises on every price and keeps nothing; a
+        # coherent one keeps its test from its first price on.
+        bad = GeneratorSet.of(S1, [Gamble.on(S1, [1, -1]), Gamble.on(S1, [-1, 1])])
+        lbad = LexSystem.on(S1, [[1, 0]])
+        f = Gamble.on(S1, [1, -1])
+        for node, message in ((bad, "nonpositive combination"), (lbad, "incoherent lex system")):
+            for price in (lower_prevision, upper_prevision) * 2:
+                with pytest.raises(IncoherentBaseError, match=message):
+                    price(node, f)
+                assert "_price_test" not in vars(node)
+        good = GeneratorSet.of(S1, [Gamble.on(S1, [1, -1])])
+        for node in (good, LexSystem.on(S1, [[1, 0], [0, 1]])):
+            lower_prevision(node, f)
+            assert "_price_test" in vars(node)
 
 
 class TestConditionalPrices:
@@ -218,6 +267,14 @@ def _price_case(rng, lex):
     return model, value, direction
 
 
+def _scaled_sup(model, value, direction):
+    """``previsions.scaled_sup`` on the two gambles' ints over one
+    denominator."""
+    den = math.lcm(value.den, direction.den)
+    value, direction = [[n * (den // g.den) for n in g.nums] for g in (value, direction)]
+    return previsions.scaled_sup(model, value, direction, den)
+
+
 class TestPricesAgainstBreakpointOracle:
     @pytest.mark.parametrize("lex", [False, True], ids=["cells", "lex"])
     def test_seeded_models(self, lex):
@@ -228,7 +285,7 @@ class TestPricesAgainstBreakpointOracle:
             if lex and not lex_is_coherent(model):
                 # The gate comes before any price is read.
                 with pytest.raises(IncoherentBaseError, match="incoherent lex system"):
-                    previsions._set_sup(model, value, direction)
+                    _scaled_sup(model, value, direction)
                 seen["incoherent"] += 1
                 continue
             if lex:
@@ -243,10 +300,10 @@ class TestPricesAgainstBreakpointOracle:
             want = _breakpoint_sup(functionals, accepts, value, direction)
             if want == _UNBOUNDED:
                 with pytest.raises(IncoherentBaseError, match="unbounded buying price"):
-                    previsions._set_sup(model, value, direction)
+                    _scaled_sup(model, value, direction)
                 seen["unbounded"] += 1
             else:
-                got = previsions._set_sup(model, value, direction)
+                got = _scaled_sup(model, value, direction)
                 assert got == want, (model, value, direction)
                 seen["empty" if want is None else "value"] += 1
         kinds = {"value", "empty", "unbounded"} | ({"incoherent"} if lex else set())

@@ -10,6 +10,7 @@ witnesses must be the same.
 
 import collections
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -34,7 +35,7 @@ from desirability import (
     upper_prevision,
 )
 from desirability import exactlp, independence, previsions
-from desirability.desirable import GeneratorSet, cone_program
+from desirability.desirable import GeneratorSet
 from desirability.exactlp import GE, Optimal, solve, unit_rows
 from desirability.space import CACHE_MAXSIZE, disjoint_union
 from randgen import random_credal, random_generator_set, random_mass
@@ -192,18 +193,29 @@ class TestConeProgram:
             seen.append((system, real(system)))
             return seen[-1][1]
 
+        def captured_solve(system, objective):
+            seen.append((system, solve(system, objective)))
+            return seen[-1][1]
+
         for f in _gambles(rng, scope):
             for direction in (constant, masked):
                 for value in (f, f.mask(given_)):
-                    got = cone_program(cone._negated_ints, value.nums, value.den, direction)
-                    want = references.rebuilt_cone_program(cone, value, direction)
+                    # A price hands ``previsions.solve`` the program of the
+                    # gamble less its sure price ``m0``.
+                    den = math.lcm(value.den, direction.den)
+                    ints = [[n * (den // g.den) for n in g.nums] for g in (value, direction)]
+                    seen.clear()
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(previsions, "solve", captured_solve)
+                        price = previsions.scaled_sup(cone, *ints, den)
+                    [(got, outcome)] = seen
+                    m0 = min([v / -d for v, d in zip(value.values, direction.values) if d < 0])
+                    want = references.rebuilt_cone_program(cone, value + m0 * direction, direction)
                     assert got == want
                     assert [row.coeffs for row in got.rows] == [row.coeffs for row in want.rows]
                     objective = (1,) + (0,) * (got.n_vars - 1)
-                    assert solve(got, objective) == solve(want, objective)
-                    assert previsions._generator_sup(cone, value, direction) == (
-                        references.rebuilt_generator_sup(cone, value, direction)
-                    )
+                    assert outcome == solve(want, objective)
+                    assert price == references.rebuilt_generator_sup(cone, value, direction)
             # Membership solves the walk's rows for ``f``'s numerators, the
             # dominance program without a shift, once ``f`` passes the sign
             # filter and the positive mass.
